@@ -570,19 +570,23 @@ mod tests {
         // panicking kernel, so every prepare degrades — but setup
         // completes and the V-cycle still reduces the residual through
         // the reference path.
-        fn bad_csr(_: &Csr<f64>, _: &[f64], _: &mut [f64]) {
+        fn bad_csr(_: &smat_matrix::AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("sabotaged kernel");
         }
         let bad_variant = KernelLibrary::<f64>::new().variant_count(Format::Csr);
         let mut model = out.model;
         model.kernel_choice.set(Format::Csr, bad_variant);
+        // No rule groups: a low-confidence rule match would join the
+        // candidate set, and CSR must be the only candidate here.
+        model.groups.groups.clear();
         let cfg = SmatConfig {
             confidence_threshold: 1.1, // no prediction is ever trusted
             fallback_formats: vec![Format::Csr],
             ..SmatConfig::fast()
         };
         let mut sabotaged = smat::Smat::<f64>::with_config(model, cfg).unwrap();
-        sabotaged.library_mut().register_csr(
+        sabotaged.library_mut().register(
+            Format::Csr,
             "csr_sabotaged",
             smat_kernels::StrategySet::default(),
             bad_csr,

@@ -30,7 +30,7 @@ fn bench_formats(c: &mut Criterion) {
         let mut y = vec![0.0f64; csr.rows()];
         let mut group = c.benchmark_group(format!("spmv_{}", format.name().to_lowercase()));
         group.throughput(Throughput::Elements(csr.nnz() as u64));
-        for (v, info) in lib.variants(format).into_iter().enumerate() {
+        for (v, info) in lib.variants(format).iter().enumerate() {
             group.bench_with_input(BenchmarkId::from_parameter(info.name), &v, |b, &v| {
                 b.iter(|| lib.run(&any, v, &x, &mut y));
             });

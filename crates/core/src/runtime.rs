@@ -400,7 +400,9 @@ impl<T: Scalar> Smat<T> {
     /// # Errors
     ///
     /// Returns [`SmatError::PrecisionMismatch`] if the model or the
-    /// installation disagree with `T`'s precision.
+    /// installation disagree with `T`'s precision, and
+    /// [`SmatError::Corrupt`] if the installation was searched on a
+    /// kernel library with different rows than this build's.
     pub fn with_installation(
         mut model: TrainedModel,
         config: SmatConfig,
@@ -412,6 +414,11 @@ impl<T: Scalar> Smat<T> {
                 data: T::PRECISION_NAME,
             });
         }
+        check_library_digest(
+            "installation",
+            installation.library_digest,
+            KernelLibrary::<T>::new().digest(),
+        )?;
         model.kernel_choice = installation.kernel_choice.clone();
         let mut config = config;
         config.install_path = None;
@@ -437,7 +444,7 @@ impl<T: Scalar> Smat<T> {
     }
 
     /// Mutable access to the kernel library, for registering extra
-    /// variants (see [`KernelLibrary`]'s `register_*` methods). Fault
+    /// variants (see [`KernelLibrary::register`]). Fault
     /// isolation guarantees a registered kernel that panics or stalls
     /// during the execute-and-measure fallback is recorded as a failed
     /// candidate rather than aborting tuning.
@@ -469,14 +476,8 @@ impl<T: Scalar> Smat<T> {
     pub fn health_report(&self) -> HealthReport {
         let cache = self.cache.stats();
         let mut report = self.health.report(|k| {
-            let infos = match k.op {
-                Op::Spmv => self.lib.variants(k.format),
-                Op::Spmm => self.lib.spmm_variants(k.format),
-            };
-            infos
-                .get(k.variant)
-                .map(|info| info.name.to_string())
-                .unwrap_or_default()
+            let row = self.lib.table(k.op, k.format).get(k.variant);
+            row.map(|info| info.name.to_string()).unwrap_or_default()
         });
         report.dispatch_fault_count = smat_kernels::exec::dispatch_fault_count();
         report.coalesced_waits = cache.coalesced_waits;
@@ -575,24 +576,28 @@ impl<T: Scalar> Smat<T> {
         let sealed = SealedCacheSnapshot {
             checksum: snapshot_checksum(&entries)?,
             precision: T::PRECISION_NAME.to_string(),
+            library_digest: self.lib.digest(),
             entries,
         };
-        retry_transient(
-            RetryPolicy::from_config(&self.config),
-            "cache.persist",
-            || {
-                // Failpoint `cache.persist`: scripted transient write
-                // failure for the whole snapshot save.
-                if let Some(fault) = smat_failpoints::check("cache.persist") {
-                    return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                        fault.into(),
-                    )));
-                }
-                smat_learn::save_json(&sealed, path)?;
-                Ok(())
-            },
-        )?;
+        self.snapshot_io("cache.persist", || {
+            Ok(smat_learn::save_json(&sealed, path)?)
+        })?;
         Ok(count)
+    }
+
+    /// One whole-snapshot I/O step, retried on transient failures per
+    /// [`SmatConfig::persist_retries`]. `site` names both the retry
+    /// label and the failpoint (`cache.persist` / `cache.load`) that
+    /// scripts a transient failure of the step.
+    fn snapshot_io<R>(&self, site: &'static str, mut io: impl FnMut() -> Result<R>) -> Result<R> {
+        retry_transient(RetryPolicy::from_config(&self.config), site, || {
+            if let Some(fault) = smat_failpoints::check(site) {
+                return Err(SmatError::Persist(smat_learn::PersistError::Io(
+                    fault.into(),
+                )));
+            }
+            io()
+        })
     }
 
     /// Warm-starts the tuning cache from a snapshot written by
@@ -607,7 +612,9 @@ impl<T: Scalar> Smat<T> {
     ///
     /// Returns [`SmatError::Persist`] when reading fails after
     /// exhausting the retries, [`SmatError::Corrupt`] when the file
-    /// parses but fails checksum verification, and
+    /// parses but fails checksum verification or was written under a
+    /// kernel library with different rows (its entries address kernels
+    /// by index, so nothing is absorbed), and
     /// [`SmatError::PrecisionMismatch`] when the snapshot was taken by
     /// an engine of the other precision.
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
@@ -622,21 +629,13 @@ impl<T: Scalar> Smat<T> {
     /// # Errors
     ///
     /// The same taxonomy as [`Smat::load_cache`]: [`SmatError::Persist`]
-    /// after exhausted retries, [`SmatError::Corrupt`] on checksum
-    /// mismatch, [`SmatError::PrecisionMismatch`] across precisions.
+    /// after exhausted retries, [`SmatError::Corrupt`] on checksum or
+    /// kernel-library digest mismatch, [`SmatError::PrecisionMismatch`]
+    /// across precisions.
     pub fn load_cache_snapshot(&self, path: impl AsRef<Path>) -> Result<CacheSnapshot> {
         let path = path.as_ref();
         let sealed: SealedCacheSnapshot =
-            retry_transient(RetryPolicy::from_config(&self.config), "cache.load", || {
-                // Failpoint `cache.load`: scripted transient read
-                // failure for the whole snapshot load.
-                if let Some(fault) = smat_failpoints::check("cache.load") {
-                    return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                        fault.into(),
-                    )));
-                }
-                Ok(smat_learn::load_json(path)?)
-            })?;
+            self.snapshot_io("cache.load", || Ok(smat_learn::load_json(path)?))?;
         let actual = snapshot_checksum(&sealed.entries)?;
         if actual != sealed.checksum {
             return Err(SmatError::Corrupt {
@@ -653,6 +652,11 @@ impl<T: Scalar> Smat<T> {
                 data: T::PRECISION_NAME,
             });
         }
+        check_library_digest(
+            "tuning cache snapshot",
+            sealed.library_digest,
+            self.lib.digest(),
+        )?;
         Ok(CacheSnapshot {
             entries: sealed.entries,
         })
@@ -740,39 +744,34 @@ impl<T: Scalar> Smat<T> {
                     // for this backend and the entry refreshed in place.
                     // The rebuild keeps the recorded chunk policy, so a
                     // plan-searched decision survives the resize.
-                    let plan = if hit.plan.is_stale() {
-                        let rebuilt = self.lib.build_plan(&matrix, hit.plan.policy);
-                        self.cache.insert(
-                            key,
-                            CachedDecision {
-                                plan: rebuilt.clone(),
-                                ..hit.clone()
-                            },
-                        );
-                        rebuilt
-                    } else {
-                        hit.plan
+                    let fresh = |plan: &ExecPlan| {
+                        if plan.is_stale() {
+                            self.lib.build_plan(&matrix, plan.policy)
+                        } else {
+                            plan.clone()
+                        }
                     };
+                    let plan = fresh(&hit.plan);
+                    if hit.plan.is_stale() {
+                        let mut refreshed = hit.clone();
+                        refreshed.plan = plan.clone();
+                        self.cache.insert(key, refreshed);
+                    }
                     // Replay the cached multi-RHS pick alongside the
                     // SpMV decision, so the first `spmm` call on this
                     // handle skips measurement entirely. A stale plan
                     // is rebuilt for this backend (same policy, so the
                     // searched decision survives the resize); a
                     // quarantined kernel is dropped and re-tuned.
-                    let spmm = OnceLock::new();
-                    if let Some(cached) = &hit.spmm {
-                        if !self.health.quarantined(cached.kernel) {
-                            let spmm_plan = if cached.plan.is_stale() {
-                                self.lib.build_plan(&matrix, cached.plan.policy)
-                            } else {
-                                cached.plan.clone()
-                            };
-                            let _ = spmm.set(SpmmPick::Tiled {
+                    let spmm = match &hit.spmm {
+                        Some(cached) if !self.health.quarantined(cached.kernel) => {
+                            OnceLock::from(SpmmPick::Tiled {
                                 kernel: cached.kernel,
-                                plan: spmm_plan,
-                            });
+                                plan: fresh(&cached.plan),
+                            })
                         }
-                    }
+                        _ => OnceLock::new(),
+                    };
                     let elapsed = t0.elapsed();
                     self.cache.record(true, elapsed);
                     return TunedSpmv {
@@ -954,42 +953,30 @@ impl<T: Scalar> Smat<T> {
         req_deadline: Option<Instant>,
     ) -> TunedSpmv<T> {
         let t0 = Instant::now();
+        // Step 1 features; R is filled lazily below. Extraction is
+        // value-blind, so it is safe (and kept, for observability) on
+        // the degraded exits too.
+        let structure = extract_structure(csr);
+        let mut features = structure.features;
+        let mut r_computed = false;
         if req_deadline.is_some_and(|d| d <= t0) {
-            let features = extract_structure(csr).features;
-            return self.degrade(
-                csr,
-                features,
-                "request deadline expired before tuning; serving the reference kernel".to_string(),
-                t0,
-                fingerprint,
-            );
+            let reason = "request deadline expired before tuning; serving the reference kernel";
+            return self.degrade(csr, features, reason.to_string(), t0, fingerprint);
         }
         // Input screening: a poisoned matrix (NaN/Inf values) would
         // corrupt every fallback measurement and the tuned result
         // alike, so it is quarantined to the reference path up front.
-        // Feature extraction is value-blind, so it stays safe to run
-        // for observability.
         let limits = self.config.conversion_limits();
         if self.config.screen_inputs {
             if let Some((row, col)) = csr.first_non_finite() {
-                let features = extract_structure(csr).features;
-                return self.degrade(
-                    csr,
-                    features,
-                    format!("non-finite value at ({row}, {col}); input quarantined"),
-                    t0,
-                    fingerprint,
-                );
+                let reason = format!("non-finite value at ({row}, {col}); input quarantined");
+                return self.degrade(csr, features, reason, t0, fingerprint);
             }
         }
-        // Step 1 features; R is filled lazily below.
-        let structure = extract_structure(csr);
-        let mut features = structure.features;
-        let mut r_computed = false;
-        // One planner per tuning run: the predicted and measured exits
-        // below may plan for different kernels that share a chunk
-        // policy, and the partition bounds are computed once per
-        // (policy, thread count) rather than once per request.
+        // One planner per tuning run: the fallback candidates below are
+        // conversions of one matrix whose kernels may share a chunk
+        // policy, and the winner is planned again on the way out — the
+        // partition bounds are computed once per (policy, thread count).
         let mut planner = smat_kernels::Planner::new();
 
         // Consult groups in order with the optimistic early exit.
@@ -1010,28 +997,40 @@ impl<T: Scalar> Smat<T> {
             }
         }
 
+        // Both successful exits attach the format's kernel and its
+        // (possibly searched) plan to the converted matrix the same way.
+        let attach = |matrix: AnyMatrix<T>,
+                      decision: DecisionPath,
+                      mut features: FeatureVector,
+                      mut r_computed: bool,
+                      planner: &mut smat_kernels::Planner| {
+            let kernel = self.effective_kernel(matrix.format());
+            let plan = self.refine_plan(
+                &matrix,
+                kernel,
+                &structure.row_degrees,
+                &mut features,
+                &mut r_computed,
+                planner,
+                req_deadline,
+            );
+            TunedSpmv {
+                plan,
+                kernel,
+                matrix,
+                features,
+                decision,
+                prepare_time: t0.elapsed(),
+                fingerprint,
+                spmm: OnceLock::new(),
+            }
+        };
+
         if let Some((format, confidence)) = first_match {
             if confidence >= self.config.confidence_threshold {
                 if let Ok(matrix) = AnyMatrix::convert_from_csr_with(csr, format, &limits) {
-                    let kernel = self.effective_kernel(format);
-                    return TunedSpmv {
-                        plan: self.refine_plan(
-                            &matrix,
-                            kernel,
-                            &structure.row_degrees,
-                            &mut features,
-                            &mut r_computed,
-                            &mut planner,
-                            req_deadline,
-                        ),
-                        kernel,
-                        matrix,
-                        features,
-                        decision: DecisionPath::Predicted { confidence },
-                        prepare_time: t0.elapsed(),
-                        fingerprint,
-                        spmm: OnceLock::new(),
-                    };
+                    let decision = DecisionPath::Predicted { confidence };
+                    return attach(matrix, decision, features, r_computed, &mut planner);
                 }
                 // Conversion refused (fill blow-up or byte budget):
                 // distrust the rule and fall through to measurement.
@@ -1040,13 +1039,10 @@ impl<T: Scalar> Smat<T> {
 
         // Execute-and-measure fallback over the candidate formats.
         let mut candidates: Vec<Format> = self.config.fallback_formats.clone();
-        if let Some((f, _)) = first_match {
+        for f in first_match.map(|(f, _)| f).into_iter().chain([Format::Csr]) {
             if !candidates.contains(&f) {
                 candidates.push(f);
             }
-        }
-        if !candidates.contains(&Format::Csr) {
-            candidates.push(Format::Csr);
         }
         let x = vec![T::ONE; csr.cols()];
         let mut y = vec![T::ZERO; csr.rows()];
@@ -1063,7 +1059,11 @@ impl<T: Scalar> Smat<T> {
                     continue;
                 }
             };
-            let variant = self.effective_kernel(format).variant;
+            // Planned outside the timed closure: the candidate is timed
+            // through the dispatch that will serve it, and the winner's
+            // plan below is a planner hit.
+            let kernel = self.effective_kernel(format);
+            let plan = planner.plan_for(&self.lib, &any, kernel);
             // The request deadline clamps both the measurement budget
             // and the per-candidate deadline. An exhausted budget fails
             // the remaining candidates fast (zero-deadline timeout)
@@ -1071,7 +1071,10 @@ impl<T: Scalar> Smat<T> {
             let candidate_deadline =
                 clamp_to_deadline(self.config.candidate_deadline, req_deadline);
             let outcome = measure_guarded(
-                || self.lib.run(&any, variant, &x, &mut y),
+                || {
+                    self.lib
+                        .run_planned(&any, kernel.variant, &plan, &x, &mut y)
+                },
                 clamp_to_deadline(self.config.fallback_budget, req_deadline),
                 candidate_deadline,
                 1,
@@ -1094,29 +1097,12 @@ impl<T: Scalar> Smat<T> {
             }
         }
         match best {
-            Some((format, _, matrix)) => {
-                let kernel = self.effective_kernel(format);
-                TunedSpmv {
-                    plan: self.refine_plan(
-                        &matrix,
-                        kernel,
-                        &structure.row_degrees,
-                        &mut features,
-                        &mut r_computed,
-                        &mut planner,
-                        req_deadline,
-                    ),
-                    kernel,
-                    matrix,
-                    features,
-                    decision: DecisionPath::Measured {
-                        candidates: measured,
-                        failures,
-                    },
-                    prepare_time: t0.elapsed(),
-                    fingerprint,
-                    spmm: OnceLock::new(),
-                }
+            Some((_, _, matrix)) => {
+                let decision = DecisionPath::Measured {
+                    candidates: measured,
+                    failures,
+                };
+                attach(matrix, decision, features, r_computed, &mut planner)
             }
             None => {
                 // Every candidate was pruned or failed measurement:
@@ -1125,13 +1111,8 @@ impl<T: Scalar> Smat<T> {
                     .iter()
                     .map(|(f, why)| format!("{f:?}: {why}"))
                     .collect();
-                self.degrade(
-                    csr,
-                    features,
-                    format!("all fallback candidates failed [{}]", detail.join("; ")),
-                    t0,
-                    fingerprint,
-                )
+                let reason = format!("all fallback candidates failed [{}]", detail.join("; "));
+                self.degrade(csr, features, reason, t0, fingerprint)
             }
         }
     }
@@ -1159,25 +1140,26 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::KernelPanic`] only in the double-fault case where
     /// the reference re-execution itself panics.
     pub fn spmv(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T]) -> Result<()> {
-        if x.len() != tuned.matrix.cols() {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmv x",
-                    expected: tuned.matrix.cols(),
-                    found: x.len(),
-                },
-            ));
-        }
-        if y.len() != tuned.matrix.rows() {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmv y",
-                    expected: tuned.matrix.rows(),
-                    found: y.len(),
-                },
-            ));
-        }
-        let call = self.health.tick(Op::Spmv);
+        check_len("smat spmv x", tuned.matrix.cols(), x.len())?;
+        check_len("smat spmv y", tuned.matrix.rows(), y.len())?;
+        self.execute(tuned, tuned.kernel, &tuned.plan, x, y, 1)
+    }
+
+    /// The execution-time containment boundary shared by [`Smat::spmv`]
+    /// and [`Smat::spmm`]: runs `kernel` (whose `op` says which product)
+    /// over `plan` for `k` right-hand sides, with the buffer lengths
+    /// already checked by the caller.
+    fn execute(
+        &self,
+        tuned: &TunedSpmv<T>,
+        kernel: KernelId,
+        plan: &ExecPlan,
+        x: &[T],
+        y: &mut [T],
+        k: usize,
+    ) -> Result<()> {
+        let reference = |y: &mut [T]| self.run_reference(tuned, kernel.op, x, y, k);
+        let call = self.health.tick(kernel.op);
         // Degradation ladder: a demoted engine substitutes a serial
         // plan for parallel dispatches until a pool re-probe succeeds.
         // The substitute plan is built per call (demoted rung only —
@@ -1186,7 +1168,7 @@ impl<T: Scalar> Smat<T> {
         let mut watch_pool = false;
         let mut pool_probe = false;
         let serial_plan;
-        let mut plan = &tuned.plan;
+        let mut plan = plan;
         if !plan.is_serial() {
             match self.health.pool_mode(call) {
                 PoolMode::Normal => watch_pool = true,
@@ -1200,14 +1182,16 @@ impl<T: Scalar> Smat<T> {
                 }
             }
         }
-        // Breaker admission. `needs_attention` is one relaxed load, so
-        // a healthy engine takes no lock here.
+        // Breaker admission, keyed by the kernel id — an SpMM pick
+        // quarantines independently of the handle's SpMV kernel.
+        // `needs_attention` is one relaxed load, so a healthy engine
+        // takes no lock here.
         let mut probing = false;
         if self.health.needs_attention() {
-            match self.health.admit(tuned.kernel, call) {
+            match self.health.admit(kernel, call) {
                 Admission::Run => {}
                 Admission::Probe => probing = true,
-                Admission::Fallback => return self.run_reference(tuned, x, y),
+                Admission::Fallback => return reference(y),
             }
         }
         let faults_before = if watch_pool {
@@ -1222,73 +1206,85 @@ impl<T: Scalar> Smat<T> {
             if let Some(fault) = smat_failpoints::check("exec.kernel") {
                 std::panic::panic_any(fault.to_string());
             }
-            self.lib
-                .run_planned(&tuned.matrix, tuned.kernel.variant, plan, x, y);
+            let (m, v) = (&tuned.matrix, kernel.variant);
+            match kernel.op {
+                Op::Spmv => self.lib.run_planned(m, v, plan, x, y),
+                Op::Spmm => self.lib.run_spmm_planned(m, v, plan, x, y, k),
+            }
         }));
         if let Err(payload) = run {
             self.contain_fault(
                 tuned,
-                tuned.kernel,
+                kernel,
                 FaultKind::Panic,
                 panic_message(payload.as_ref()),
                 probing,
                 call,
             );
-            return self.run_reference(tuned, x, y);
+            return reference(y);
         }
         // Output screening: a non-finite product from finite inputs is
         // a kernel fault (wrong indexing reading poison, a bad
         // reduction). The reference re-run is the arbiter: if it also
         // produces non-finite values the data itself is poisoned and no
         // incident is recorded.
-        if self.config.screen_outputs && y.iter().any(|v| !v.is_finite()) {
-            let inputs_finite = x.iter().all(|v| v.is_finite());
-            if inputs_finite {
-                let reference = self.run_reference(tuned, x, y);
-                if y.iter().all(|v| v.is_finite()) {
-                    self.contain_fault(
-                        tuned,
-                        tuned.kernel,
-                        FaultKind::NonFinite,
-                        "non-finite output from finite inputs".to_string(),
-                        probing,
-                        call,
-                    );
-                    if watch_pool {
-                        let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-                        self.health.pool_outcome(faulted, pool_probe, call);
-                    }
-                    return reference;
-                }
-                // Reference agrees the product is non-finite: poisoned
-                // matrix values, not a kernel fault. Serve it.
+        let mut outcome = Ok(());
+        let mut healthy = true;
+        if self.config.screen_outputs
+            && y.iter().any(|v| !v.is_finite())
+            && x.iter().all(|v| v.is_finite())
+        {
+            let rerun = reference(y);
+            if y.iter().all(|v| v.is_finite()) {
+                self.contain_fault(
+                    tuned,
+                    kernel,
+                    FaultKind::NonFinite,
+                    "non-finite output from finite inputs".to_string(),
+                    probing,
+                    call,
+                );
+                (outcome, healthy) = (rerun, false);
             }
+            // Otherwise the reference agrees the product is non-finite:
+            // poisoned matrix values, not a kernel fault. Serve it.
         }
-        if probing {
-            self.health.on_probe_success(tuned.kernel);
+        if probing && healthy {
+            self.health.on_probe_success(kernel);
         }
         if watch_pool {
             let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
             self.health.pool_outcome(faulted, pool_probe, call);
         }
-        Ok(())
+        outcome
     }
 
     /// Re-executes `tuned` through the reference (variant 0) kernel of
-    /// its format with a serial plan. Every kernel fully overwrites
-    /// `y`, so this also restores output clobbered by a faulted tuned
-    /// run.
-    fn run_reference(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T]) -> Result<()> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.lib.run(&tuned.matrix, 0, x, y);
-        })) {
-            Ok(()) => Ok(()),
-            // Double fault: the serial reference itself panicked. At
-            // this point there is nothing left to fall back to.
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("reference {} kernel", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
+    /// its format for `op`, with its default serial dispatch; formats
+    /// without SpMM kernels take the per-column path for a multi-RHS
+    /// product. Every kernel fully overwrites `y`, so this also
+    /// restores output clobbered by a faulted tuned run.
+    fn run_reference(
+        &self,
+        tuned: &TunedSpmv<T>,
+        op: Op,
+        x: &[T],
+        y: &mut [T],
+        k: usize,
+    ) -> Result<()> {
+        let (m, format) = (&tuned.matrix, tuned.format());
+        match op {
+            Op::Spmv => last_resort(
+                || format!("reference {format} kernel"),
+                || self.lib.run(m, 0, x, y),
+            ),
+            Op::Spmm if self.lib.spmm_variant_count(format) == 0 => {
+                self.run_spmm_fallback(tuned, x, y, k)
+            }
+            Op::Spmm => last_resort(
+                || format!("reference {format} spmm kernel"),
+                || self.lib.run_spmm(m, 0, x, y, k),
+            ),
         }
     }
 
@@ -1361,118 +1357,18 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::KernelPanic`] only when the reference re-execution
     /// itself panics.
     pub fn spmm(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T], k: usize) -> Result<()> {
-        if x.len() != tuned.matrix.cols() * k {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmm x",
-                    expected: tuned.matrix.cols() * k,
-                    found: x.len(),
-                },
-            ));
-        }
-        if y.len() != tuned.matrix.rows() * k {
-            return Err(SmatError::Matrix(
-                smat_matrix::MatrixError::DimensionMismatch {
-                    context: "smat spmm y",
-                    expected: tuned.matrix.rows() * k,
-                    found: y.len(),
-                },
-            ));
-        }
+        check_len("smat spmm x", tuned.matrix.cols() * k, x.len())?;
+        check_len("smat spmm y", tuned.matrix.rows() * k, y.len())?;
         if k == 0 {
             return Ok(());
         }
-        let pick = tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k));
-        let call = self.health.tick(Op::Spmm);
-        let (kernel, plan) = match pick {
-            SpmmPick::PerColumn => return self.run_spmm_fallback(tuned, x, y, k),
-            SpmmPick::Tiled { kernel, plan } => (*kernel, plan),
-        };
-        // Degradation ladder: a demoted engine substitutes a serial
-        // plan for parallel dispatches, exactly as in `spmv`.
-        let mut watch_pool = false;
-        let mut pool_probe = false;
-        let serial_plan;
-        let mut plan = plan;
-        if !plan.is_serial() {
-            match self.health.pool_mode(call) {
-                PoolMode::Normal => watch_pool = true,
-                PoolMode::Probe => {
-                    watch_pool = true;
-                    pool_probe = true;
-                }
-                PoolMode::Demoted => {
-                    serial_plan = ExecPlan::serial(tuned.matrix.rows());
-                    plan = &serial_plan;
-                }
+        match tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k)) {
+            SpmmPick::PerColumn => {
+                self.health.tick(Op::Spmm);
+                self.run_spmm_fallback(tuned, x, y, k)
             }
+            SpmmPick::Tiled { kernel, plan } => self.execute(tuned, *kernel, plan, x, y, k),
         }
-        // Breaker admission, keyed by the SpMM kernel id — the SpMM
-        // pick quarantines independently of the handle's SpMV kernel.
-        let mut probing = false;
-        if self.health.needs_attention() {
-            match self.health.admit(kernel, call) {
-                Admission::Run => {}
-                Admission::Probe => probing = true,
-                Admission::Fallback => return self.run_spmm_reference(tuned, x, y, k),
-            }
-        }
-        let faults_before = if watch_pool {
-            smat_kernels::exec::dispatch_fault_count()
-        } else {
-            0
-        };
-        // The containment boundary; failpoint `exec.kernel` scripts a
-        // fault here exactly as for `spmv`.
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(fault) = smat_failpoints::check("exec.kernel") {
-                std::panic::panic_any(fault.to_string());
-            }
-            self.lib
-                .run_spmm_planned(&tuned.matrix, kernel.variant, plan, x, y, k);
-        }));
-        if let Err(payload) = run {
-            self.contain_fault(
-                tuned,
-                kernel,
-                FaultKind::Panic,
-                panic_message(payload.as_ref()),
-                probing,
-                call,
-            );
-            return self.run_spmm_reference(tuned, x, y, k);
-        }
-        // Output screening with the reference re-run as arbiter, as in
-        // `spmv`.
-        if self.config.screen_outputs && y.iter().any(|v| !v.is_finite()) {
-            let inputs_finite = x.iter().all(|v| v.is_finite());
-            if inputs_finite {
-                let reference = self.run_spmm_reference(tuned, x, y, k);
-                if y.iter().all(|v| v.is_finite()) {
-                    self.contain_fault(
-                        tuned,
-                        kernel,
-                        FaultKind::NonFinite,
-                        "non-finite output from finite inputs".to_string(),
-                        probing,
-                        call,
-                    );
-                    if watch_pool {
-                        let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-                        self.health.pool_outcome(faulted, pool_probe, call);
-                    }
-                    return reference;
-                }
-            }
-        }
-        if probing {
-            self.health.on_probe_success(kernel);
-        }
-        if watch_pool {
-            let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-            self.health.pool_outcome(faulted, pool_probe, call);
-        }
-        Ok(())
     }
 
     /// First-call SpMM tuning: measure the format's tiled variants
@@ -1542,33 +1438,6 @@ impl<T: Scalar> Smat<T> {
         SpmmPick::Tiled { kernel, plan }
     }
 
-    /// Re-executes a multi-RHS product through the reference (variant
-    /// 0) SpMM kernel of the tuned format with its default serial
-    /// dispatch; formats without SpMM kernels take the per-column
-    /// path. Every SpMM kernel fully overwrites `y`, so this also
-    /// restores output clobbered by a faulted tuned run.
-    fn run_spmm_reference(
-        &self,
-        tuned: &TunedSpmv<T>,
-        x: &[T],
-        y: &mut [T],
-        k: usize,
-    ) -> Result<()> {
-        if self.lib.spmm_variant_count(tuned.matrix.format()) == 0 {
-            return self.run_spmm_fallback(tuned, x, y, k);
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.lib.run_spmm(&tuned.matrix, 0, x, y, k);
-        })) {
-            Ok(()) => Ok(()),
-            // Double fault: nothing left to fall back to.
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("reference {} spmm kernel", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
     /// The per-column SpMM tier for formats without tiled kernels:
     /// gather each right-hand side out of the row-major block, run the
     /// reference SpMV, scatter the product back. Correct and contained,
@@ -1580,28 +1449,22 @@ impl<T: Scalar> Smat<T> {
         y: &mut [T],
         k: usize,
     ) -> Result<()> {
-        let rows = tuned.matrix.rows();
-        let cols = tuned.matrix.cols();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut xj = vec![T::ZERO; cols];
-            let mut yj = vec![T::ZERO; rows];
+        let what = || format!("per-column {} spmm fallback", tuned.format());
+        last_resort(what, || {
+            let serial = ExecPlan::serial(tuned.matrix.rows());
+            let mut xj = vec![T::ZERO; tuned.matrix.cols()];
+            let mut yj = vec![T::ZERO; tuned.matrix.rows()];
             for j in 0..k {
                 for (c, slot) in xj.iter_mut().enumerate() {
                     *slot = x[c * k + j];
                 }
-                self.lib.run(&tuned.matrix, 0, &xj, &mut yj);
+                self.lib
+                    .run_planned(&tuned.matrix, 0, &serial, &xj, &mut yj);
                 for (r, &v) in yj.iter().enumerate() {
                     y[r * k + j] = v;
                 }
             }
-        }));
-        match run {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(SmatError::KernelPanic {
-                what: format!("per-column {} spmm fallback", tuned.format()),
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        })
     }
 
     /// One-shot unified interface: tune and multiply in one call. For
@@ -1618,10 +1481,6 @@ impl<T: Scalar> Smat<T> {
     }
 }
 
-/// The on-disk envelope of a tuning-cache snapshot: entries plus an
-/// FNV-1a checksum of their canonical (compact JSON) serialization and
-/// the precision they were tuned under — the same sealing scheme as
-/// [`crate::Installation`] artifacts.
 /// An opaque, transferable set of tuning-cache entries.
 ///
 /// Produced by [`Smat::export_cache`] / [`Smat::load_cache_snapshot`]
@@ -1685,12 +1544,19 @@ impl CacheSnapshot {
     }
 }
 
+/// The on-disk envelope of a tuning-cache snapshot: entries plus an
+/// FNV-1a checksum of their canonical (compact JSON) serialization, the
+/// precision they were tuned under and the kernel library they index
+/// into — the same sealing scheme as [`crate::Installation`] artifacts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SealedCacheSnapshot {
     /// FNV-1a over the compact-JSON serialization of `entries`.
     checksum: u64,
     /// Precision of the engine that wrote the snapshot.
     precision: String,
+    /// [`KernelLibrary::digest`] of the engine that wrote the snapshot:
+    /// the entries' kernel ids are raw indices into its tables.
+    library_digest: u64,
     /// The snapshotted cache entries.
     entries: Vec<(StructuralFingerprint, CachedDecision)>,
 }
@@ -1704,7 +1570,47 @@ fn snapshot_checksum(entries: &[(StructuralFingerprint, CachedDecision)]) -> Res
     Ok(fnv1a64(canonical.as_bytes()))
 }
 
-/// Whether any rule in the group tests the power-law attribute `R`.
+/// Runs a reference path that has nothing below it. A panic here is the
+/// double fault — the serial reference itself failed — and surfaces as
+/// [`SmatError::KernelPanic`] naming `what` ran.
+fn last_resort(what: impl FnOnce() -> String, run: impl FnOnce()) -> Result<()> {
+    catch_unwind(AssertUnwindSafe(run)).map_err(|payload| SmatError::KernelPanic {
+        what: what(),
+        message: panic_message(payload.as_ref()),
+    })
+}
+
+/// Refuses a persisted artifact whose kernel indices were recorded
+/// against other variant tables than this build's: replaying them would
+/// run a different kernel, or index out of range on every call.
+fn check_library_digest(what: &str, recorded: u64, live: u64) -> Result<()> {
+    if recorded == live {
+        return Ok(());
+    }
+    Err(SmatError::Corrupt {
+        what: what.to_string(),
+        detail: format!(
+            "written under kernel library digest {recorded:#018x}, this build's is \
+             {live:#018x}; its variant indices name different kernels"
+        ),
+    })
+}
+
+/// The caller-facing buffer length check of [`Smat::spmv`] and
+/// [`Smat::spmm`].
+fn check_len(context: &'static str, expected: usize, found: usize) -> Result<()> {
+    if expected == found {
+        return Ok(());
+    }
+    Err(SmatError::Matrix(
+        smat_matrix::MatrixError::DimensionMismatch {
+            context,
+            expected,
+            found,
+        },
+    ))
+}
+
 /// Clamps a configured budget to the time remaining before an optional
 /// request deadline (zero once the deadline has passed).
 fn clamp_to_deadline(budget: Duration, deadline: Option<Instant>) -> Duration {
@@ -1714,6 +1620,7 @@ fn clamp_to_deadline(budget: Duration, deadline: Option<Instant>) -> Duration {
     }
 }
 
+/// Whether any rule in the group tests the power-law attribute `R`.
 fn group_tests_r(group: &ClassGroup) -> bool {
     group
         .rules
@@ -2196,7 +2103,7 @@ mod tests {
     #[test]
     fn panicking_registered_kernel_is_recorded_not_fatal() {
         use smat_kernels::StrategySet;
-        fn bad_csr(_: &Csr<f64>, _: &[f64], _: &mut [f64]) {
+        fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("registered kernel exploded");
         }
         // Predict the variant index the registration below will get, so
@@ -2212,7 +2119,7 @@ mod tests {
         let mut e = Smat::<f64>::with_config(model, cfg).unwrap();
         let id = e
             .library_mut()
-            .register_csr("csr_bad", StrategySet::default(), bad_csr);
+            .register(Format::Csr, "csr_bad", StrategySet::default(), bad_csr);
         assert_eq!(id.variant, bad_variant);
         let m = random_uniform::<f64>(200, 200, 6, 3);
         let tuned = e.prepare(&m);
@@ -2252,7 +2159,7 @@ mod tests {
     #[test]
     fn contained_panic_serves_reference_and_quarantines() {
         use smat_kernels::StrategySet;
-        fn bad_csr(_: &Csr<f64>, _: &[f64], _: &mut [f64]) {
+        fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("kernel exploded at serve time");
         }
         let cfg = SmatConfig {
@@ -2262,7 +2169,7 @@ mod tests {
         let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
         let id = e
             .library_mut()
-            .register_csr("csr_bad", StrategySet::default(), bad_csr);
+            .register(Format::Csr, "csr_bad", StrategySet::default(), bad_csr);
         let m = random_uniform::<f64>(200, 200, 6, 3);
         let tuned = handle_for(&m, id);
         let x: Vec<f64> = (0..200).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -2299,11 +2206,11 @@ mod tests {
         use smat_kernels::StrategySet;
         use std::sync::atomic::{AtomicBool, Ordering};
         static HEALED: AtomicBool = AtomicBool::new(false);
-        fn flaky_csr(m: &Csr<f64>, x: &[f64], y: &mut [f64]) {
+        fn flaky_csr(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
             if !HEALED.load(Ordering::Relaxed) {
                 panic!("still broken");
             }
-            smat_kernels::csr::basic(m, x, y);
+            m.spmv(x, y).expect("sized vectors");
         }
         HEALED.store(false, Ordering::Relaxed);
         let cfg = SmatConfig {
@@ -2312,9 +2219,9 @@ mod tests {
             ..SmatConfig::fast()
         };
         let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
-        let id = e
-            .library_mut()
-            .register_csr("csr_flaky", StrategySet::default(), flaky_csr);
+        let id =
+            e.library_mut()
+                .register(Format::Csr, "csr_flaky", StrategySet::default(), flaky_csr);
         let m = tridiagonal::<f64>(150);
         let tuned = handle_for(&m, id);
         let x = vec![1.0; 150];
@@ -2342,7 +2249,7 @@ mod tests {
     #[test]
     fn quarantined_kernel_evicts_cached_decision_and_retunes() {
         use smat_kernels::StrategySet;
-        fn bad_csr(_: &Csr<f64>, _: &[f64], _: &mut [f64]) {
+        fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("cached variant gone bad");
         }
         let cfg = SmatConfig {
@@ -2350,9 +2257,12 @@ mod tests {
             ..SmatConfig::fast()
         };
         let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
-        let id = e
-            .library_mut()
-            .register_csr("csr_cached_bad", StrategySet::default(), bad_csr);
+        let id = e.library_mut().register(
+            Format::Csr,
+            "csr_cached_bad",
+            StrategySet::default(),
+            bad_csr,
+        );
         let m = random_uniform::<f64>(180, 180, 5, 8);
         // Plant a cached decision pointing at the (healthy-looking)
         // registered variant, as if a previous process had tuned to it.
@@ -2386,8 +2296,8 @@ mod tests {
     #[test]
     fn output_screening_flags_nonfinite_products_from_finite_inputs() {
         use smat_kernels::StrategySet;
-        fn poisoning_csr(m: &Csr<f64>, x: &[f64], y: &mut [f64]) {
-            smat_kernels::csr::basic(m, x, y);
+        fn poisoning_csr(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
+            m.spmv(x, y).expect("sized vectors");
             y[0] = f64::NAN;
         }
         let cfg = SmatConfig {
@@ -2396,9 +2306,12 @@ mod tests {
             ..SmatConfig::fast()
         };
         let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
-        let id = e
-            .library_mut()
-            .register_csr("csr_poison", StrategySet::default(), poisoning_csr);
+        let id = e.library_mut().register(
+            Format::Csr,
+            "csr_poison",
+            StrategySet::default(),
+            poisoning_csr,
+        );
         let m = tridiagonal::<f64>(120);
         let tuned = handle_for(&m, id);
         let x = vec![1.0; 120];

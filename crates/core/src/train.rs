@@ -7,7 +7,9 @@ use crate::error::{Result, SmatError};
 use crate::model::{class_names, group_class_order, TrainStats, TrainedModel};
 use smat_features::{extract_features, ATTRIBUTE_NAMES};
 use smat_kernels::timing::{gflops, measure_guarded};
-use smat_kernels::{measure_format_excluding, KernelChoice, KernelId, KernelLibrary, PerfTable};
+use smat_kernels::{
+    measure_format_excluding, KernelChoice, KernelId, KernelLibrary, PerfTable, Planner,
+};
 use smat_learn::{order_by_contribution, tailor, Dataset, DecisionTree, RuleGroups, RuleSet};
 use smat_matrix::gen::{
     banded, block_sparse, fixed_degree, power_law, random_skewed, random_uniform,
@@ -33,13 +35,17 @@ pub fn measure_formats<T: Scalar>(
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
     let mut out = [0.0f64; Format::COUNT];
+    // One planner for all of `m`'s conversions: the partitions are
+    // either shape-only (equal rows) or specific to one format.
+    let mut planner = Planner::new();
     for format in Format::ALL {
         let Ok(any) = AnyMatrix::convert_from_csr(m, format) else {
             continue;
         };
-        let variant = choice.kernel(format).variant;
+        let kernel = choice.kernel(format);
+        let plan = planner.plan_for(lib, &any, kernel);
         let outcome = measure_guarded(
-            || lib.run(&any, variant, &x, &mut y),
+            || lib.run_planned(&any, kernel.variant, &plan, &x, &mut y),
             budget,
             smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
             3,

@@ -11,14 +11,15 @@
 //! are sorted — so row sums match CSR's sequential order exactly, with
 //! extra exact `+ 0.0 * x[c]` terms from the zero fill).
 //!
-//! The same kernel functions serve both the 2x2 and 4x4 libraries: the
-//! block size lives in the [`Bcsr`] value, and the unrolled variant
-//! dispatches to a fixed-size microkernel when it recognizes the shape.
+//! The same planned entry point ([`run`]) serves both the 2x2 and 4x4
+//! tables: the block size lives in the [`Bcsr`] value, and the
+//! `Unroll` variants dispatch to a fixed-size microkernel when they
+//! recognize the shape. A serial variant is the one-chunk plan.
 
 use crate::exec;
 use crate::partition::equal_row_bounds;
 use crate::plan::ExecPlan;
-use crate::registry::{KernelEntry, KernelFn};
+use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Bcsr, Scalar};
 
@@ -140,25 +141,11 @@ fn run_block_rows_4x4<T: Scalar>(m: &Bcsr<T>, x: &[T], y_chunk: &mut [T], b0: us
     }
 }
 
-/// Basic serial BCSR SpMV: per block row, accumulate blocks left to
-/// right with one register per row.
-pub fn basic<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_rows_generic(m, x, y, 0, m.rows());
-}
-
-/// Serial BCSR SpMV with a fully unrolled fixed-size microkernel for
-/// 2x2 and 4x4 blocks (the generic body otherwise). Bit-identical to
-/// [`basic`] — same accumulation order, more ILP.
-pub fn unrolled<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    match (m.br(), m.bc()) {
-        (2, 2) => run_block_rows_2x2(m, x, y, 0, m.block_rows()),
-        (4, 4) => run_block_rows_4x4(m, x, y, 0, m.block_rows()),
-        _ => run_rows_generic(m, x, y, 0, m.rows()),
-    }
-}
-
+/// Fans the block rows out over `bounds`: per block row, accumulate
+/// blocks left to right with one register per row — through the fully
+/// unrolled fixed-size microkernel for 2x2 and 4x4 blocks when `unroll`
+/// is set (bit-identical: same accumulation order, more ILP), the
+/// generic body otherwise.
 #[inline]
 fn run_chunks<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T], bounds: &[usize], unroll: bool) {
     let br = m.br();
@@ -186,78 +173,42 @@ pub(crate) fn block_aligned_bounds<T: Scalar>(m: &Bcsr<T>, parts: usize) -> Vec<
     bounds
 }
 
-/// Runs a parallel BCSR variant with precomputed row chunk bounds.
-pub(crate) fn run_planned<T: Scalar>(
-    m: &Bcsr<T>,
-    x: &[T],
-    y: &mut [T],
-    plan: &ExecPlan,
-    unroll: bool,
-) {
+/// Runs the BCSR variant tagged `strategies` over the plan's row
+/// chunks — the one planned dispatch of both block sizes.
+///
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
     check_dims(m, x, y);
-    run_chunks(m, x, y, &plan.bounds, unroll);
+    run_chunks(m, x, y, &plan.bounds, strategies.contains(Strategy::Unroll));
 }
 
-/// Block-row-parallel BCSR SpMV.
-pub fn parallel<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = block_aligned_bounds(m, crate::partition::default_parts());
-    run_chunks(m, x, y, &bounds, false);
+macro_rules! bcsr_rows {
+    ($prefix:literal) => {{
+        use Strategy::*;
+        kernel_rows(&[
+            (concat!($prefix, "_basic"), &[]),
+            (concat!($prefix, "_unroll"), &[Unroll]),
+            (concat!($prefix, "_parallel_unroll"), &[Parallel, Unroll]),
+        ])
+    }};
 }
 
-/// Block-row-parallel BCSR SpMV with the unrolled microkernel.
-pub fn parallel_unrolled<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = block_aligned_bounds(m, crate::partition::default_parts());
-    run_chunks(m, x, y, &bounds, true);
+/// The 2x2 BCSR variant table (row 0 is the basic kernel).
+pub fn variants2() -> Vec<KernelInfo> {
+    bcsr_rows!("bcsr2")
 }
 
-fn entries<T: Scalar>(prefix: &'static str) -> Vec<KernelEntry<T, Bcsr<T>>> {
-    use Strategy::*;
-    let name = |suffix: &str| -> &'static str {
-        // Kernel names are 'static; the two block sizes are the only
-        // instantiations, so spell the concatenations out.
-        match (prefix, suffix) {
-            ("bcsr2", "basic") => "bcsr2_basic",
-            ("bcsr2", "unroll") => "bcsr2_unroll",
-            ("bcsr2", "parallel") => "bcsr2_parallel",
-            ("bcsr2", "parallel_unroll") => "bcsr2_parallel_unroll",
-            ("bcsr4", "basic") => "bcsr4_basic",
-            ("bcsr4", "unroll") => "bcsr4_unroll",
-            ("bcsr4", "parallel") => "bcsr4_parallel",
-            ("bcsr4", "parallel_unroll") => "bcsr4_parallel_unroll",
-            _ => unreachable!("unknown bcsr kernel name"),
-        }
-    };
-    vec![
-        (
-            name("basic"),
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Bcsr<T>>,
-        ),
-        (name("unroll"), [Unroll].into_iter().collect(), unrolled),
-        (name("parallel"), [Parallel].into_iter().collect(), parallel),
-        (
-            name("parallel_unroll"),
-            [Parallel, Unroll].into_iter().collect(),
-            parallel_unrolled,
-        ),
-    ]
-}
-
-/// The 2x2 BCSR kernel library.
-pub fn kernels2<T: Scalar>() -> Vec<KernelEntry<T, Bcsr<T>>> {
-    entries("bcsr2")
-}
-
-/// The 4x4 BCSR kernel library.
-pub fn kernels4<T: Scalar>() -> Vec<KernelEntry<T, Bcsr<T>>> {
-    entries("bcsr4")
+/// The 4x4 BCSR variant table (row 0 is the basic kernel).
+pub fn variants4() -> Vec<KernelInfo> {
+    bcsr_rows!("bcsr4")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ChunkPolicy;
     use smat_matrix::gen::{block_sparse, power_law};
     use smat_matrix::utils::max_abs_diff;
     use smat_matrix::{ConversionLimits, Csr};
@@ -268,6 +219,24 @@ mod tests {
         y
     }
 
+    /// Both block sizes of `csr`, each with its variant table.
+    fn blockings(csr: &Csr<f64>) -> [(Bcsr<f64>, Vec<KernelInfo>); 2] {
+        let convert = |b| Bcsr::from_csr_with(csr, b, b, &ConversionLimits::unlimited()).unwrap();
+        [(convert(2), variants2()), (convert(4), variants4())]
+    }
+
+    /// The one-chunk serial plan and a block-aligned fan-out.
+    fn plans(m: &Bcsr<f64>) -> [ExecPlan; 2] {
+        [
+            ExecPlan::serial(m.rows()),
+            ExecPlan::chunked(
+                ChunkPolicy::BlockAligned(m.br()),
+                block_aligned_bounds(m, 3),
+                None,
+            ),
+        ]
+    }
+
     #[test]
     fn all_variants_match_reference() {
         for csr in [
@@ -276,17 +245,13 @@ mod tests {
         ] {
             let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.23).sin()).collect();
             let expect = reference(&csr, &x);
-            for (br, bc) in [(2usize, 2usize), (4, 4)] {
-                let m = Bcsr::from_csr_with(&csr, br, bc, &ConversionLimits::unlimited()).unwrap();
-                let lib = if br == 2 {
-                    kernels2::<f64>()
-                } else {
-                    kernels4::<f64>()
-                };
-                for (name, _, k) in lib {
-                    let mut y = vec![f64::NAN; csr.rows()];
-                    k(&m, &x, &mut y);
-                    assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
+            for (m, table) in blockings(&csr) {
+                for info in table {
+                    for plan in plans(&m) {
+                        let mut y = vec![f64::NAN; csr.rows()];
+                        run(&m, &x, &mut y, &plan, info.strategies);
+                        assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+                    }
                 }
             }
         }
@@ -295,15 +260,22 @@ mod tests {
     #[test]
     fn variants_are_bitwise_identical_to_basic() {
         let csr = block_sparse::<f64>(96, 4, 5, 3);
-        for (br, bc) in [(2usize, 2usize), (4, 4)] {
-            let m = Bcsr::from_csr_with(&csr, br, bc, &ConversionLimits::unlimited()).unwrap();
-            let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.7).cos()).collect();
+        let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.7).cos()).collect();
+        for (m, table) in blockings(&csr) {
             let mut base = vec![0.0; csr.rows()];
-            basic(&m, &x, &mut base);
-            for f in [unrolled, parallel, parallel_unrolled] {
-                let mut y = vec![f64::NAN; csr.rows()];
-                f(&m, &x, &mut y);
-                assert_eq!(y, base, "{br}x{bc}");
+            run(
+                &m,
+                &x,
+                &mut base,
+                &ExecPlan::serial(m.rows()),
+                table[0].strategies,
+            );
+            for info in &table[1..] {
+                for plan in plans(&m) {
+                    let mut y = vec![f64::NAN; csr.rows()];
+                    run(&m, &x, &mut y, &plan, info.strategies);
+                    assert_eq!(y, base, "{}", info.name);
+                }
             }
         }
     }
@@ -316,17 +288,13 @@ mod tests {
                 .unwrap();
         let x: Vec<f64> = (0..9).map(|i| i as f64 + 0.5).collect();
         let expect = reference(&csr, &x);
-        for (br, bc) in [(2usize, 2usize), (4, 4)] {
-            let m = Bcsr::from_csr_with(&csr, br, bc, &ConversionLimits::unlimited()).unwrap();
-            let lib = if br == 2 {
-                kernels2::<f64>()
-            } else {
-                kernels4::<f64>()
-            };
-            for (name, _, k) in lib {
-                let mut y = vec![f64::NAN; 7];
-                k(&m, &x, &mut y);
-                assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} {br}x{bc}");
+        for (m, table) in blockings(&csr) {
+            for info in table {
+                for plan in plans(&m) {
+                    let mut y = vec![f64::NAN; 7];
+                    run(&m, &x, &mut y, &plan, info.strategies);
+                    assert!(max_abs_diff(&y, &expect) < 1e-12, "{}", info.name);
+                }
             }
         }
     }

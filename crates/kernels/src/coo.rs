@@ -1,15 +1,14 @@
 //! COO SpMV kernel variants.
 //!
-//! The sequential loop follows the paper's Figure 2(b). The parallel
-//! variants exploit the sorted-by-row invariant of
-//! [`Coo`]: entry ranges are snapped to row boundaries
-//! so each rayon task owns a disjoint slice of `y` and no atomics are
-//! needed.
+//! Every variant keeps the paper's Figure 2(b) loop over an entry
+//! range. The fan-out exploits the sorted-by-row invariant of [`Coo`]:
+//! entry ranges are snapped to row boundaries so each pool task owns a
+//! disjoint slice of `y` and no atomics are needed. A serial variant is
+//! the one-chunk plan over the whole entry range.
 
 use crate::exec;
-use crate::partition::default_parts;
 use crate::plan::ExecPlan;
-use crate::registry::{KernelEntry, KernelFn};
+use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Coo, Scalar};
 
@@ -17,47 +16,6 @@ use smat_matrix::{Coo, Scalar};
 fn check_dims<T: Scalar>(m: &Coo<T>, x: &[T], y: &[T]) {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
     assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
-}
-
-/// Basic serial COO SpMV — the paper's Figure 2(b) loop.
-pub fn basic<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let rows = m.row_idx();
-    let cols = m.col_idx();
-    let vals = m.values();
-    for i in 0..vals.len() {
-        y[rows[i]] += vals[i] * x[cols[i]];
-    }
-}
-
-/// Serial COO SpMV, 4-way unrolled over entries.
-///
-/// Unlike CSR, accumulators cannot be split across lanes (two lanes may
-/// target the same output row), so the unroll only restructures the loop
-/// to shorten the dependency chains of index arithmetic.
-pub fn unrolled<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let rows = m.row_idx();
-    let cols = m.col_idx();
-    let vals = m.values();
-    let n = vals.len();
-    let chunks = n / 4;
-    for c in 0..chunks {
-        let k = 4 * c;
-        let p0 = vals[k] * x[cols[k]];
-        let p1 = vals[k + 1] * x[cols[k + 1]];
-        let p2 = vals[k + 2] * x[cols[k + 2]];
-        let p3 = vals[k + 3] * x[cols[k + 3]];
-        y[rows[k]] += p0;
-        y[rows[k + 1]] += p1;
-        y[rows[k + 2]] += p2;
-        y[rows[k + 3]] += p3;
-    }
-    for k in 4 * chunks..n {
-        y[rows[k]] += vals[k] * x[cols[k]];
-    }
 }
 
 /// Computes entry-range boundaries snapped to row starts, and the
@@ -89,119 +47,88 @@ pub(crate) fn row_aligned_chunks<T: Scalar>(m: &Coo<T>, parts: usize) -> (Vec<us
     (entry_bounds, row_bounds)
 }
 
+/// Scatters entries `s..e` into `y_chunk` (whose index 0 is global row
+/// `r0`), optionally 4-way unrolled over entries.
+///
+/// Unlike CSR, accumulators cannot be split across lanes (two lanes may
+/// target the same output row), so the unroll only restructures the loop
+/// to shorten the dependency chains of index arithmetic.
 #[inline]
-fn run_chunks<T: Scalar>(
+fn scatter<T: Scalar>(
     m: &Coo<T>,
     x: &[T],
-    y: &mut [T],
-    entry_bounds: &[usize],
-    row_bounds: &[usize],
+    y_chunk: &mut [T],
+    r0: usize,
+    (s, e): (usize, usize),
     unroll: bool,
 ) {
-    y.fill(T::ZERO);
-    let rows = m.row_idx();
-    let cols = m.col_idx();
-    let vals = m.values();
-    exec::for_each_row_chunk(y, row_bounds, |ci, y_chunk| {
-        let (s, e) = (entry_bounds[ci], entry_bounds[ci + 1]);
-        let r0 = row_bounds[ci];
-        if unroll {
-            let n = e - s;
-            let quads = n / 4;
-            for q in 0..quads {
-                let k = s + 4 * q;
-                let p0 = vals[k] * x[cols[k]];
-                let p1 = vals[k + 1] * x[cols[k + 1]];
-                let p2 = vals[k + 2] * x[cols[k + 2]];
-                let p3 = vals[k + 3] * x[cols[k + 3]];
-                y_chunk[rows[k] - r0] += p0;
-                y_chunk[rows[k + 1] - r0] += p1;
-                y_chunk[rows[k + 2] - r0] += p2;
-                y_chunk[rows[k + 3] - r0] += p3;
-            }
-            for k in s + 4 * quads..e {
-                y_chunk[rows[k] - r0] += vals[k] * x[cols[k]];
-            }
-        } else {
-            for k in s..e {
-                y_chunk[rows[k] - r0] += vals[k] * x[cols[k]];
-            }
-        }
-    });
-}
-
-#[inline]
-fn run_parallel<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T], unroll: bool) {
-    let (entry_bounds, row_bounds) = row_aligned_chunks(m, default_parts());
-    run_chunks(m, x, y, &entry_bounds, &row_bounds, unroll);
-}
-
-/// Runs a parallel COO variant with precomputed row/entry chunk bounds.
-/// A plan whose entry bounds don't match this matrix (e.g. built for a
-/// different nnz count) falls back to recomputing the partition rather
-/// than indexing out of range.
-pub(crate) fn run_planned<T: Scalar>(
-    m: &Coo<T>,
-    x: &[T],
-    y: &mut [T],
-    plan: &ExecPlan,
-    unroll: bool,
-) {
-    check_dims(m, x, y);
-    match &plan.entry_bounds {
-        Some(eb) if eb.last() == Some(&m.nnz()) && eb.len() == plan.bounds.len() => {
-            run_chunks(m, x, y, eb, &plan.bounds, unroll);
-        }
-        // A single-chunk plan is the whole entry range: keep it on the
-        // serial fast path instead of re-partitioning onto the pool.
-        _ if plan.bounds.len() == 2 => {
-            run_chunks(m, x, y, &[0, m.nnz()], &[0, y.len()], unroll);
-        }
-        _ => run_parallel(m, x, y, unroll),
+    let (rows, cols, vals) = (&m.row_idx()[s..e], &m.col_idx()[s..e], &m.values()[s..e]);
+    let n = vals.len();
+    let quads = if unroll { n / 4 } else { 0 };
+    for q in 0..quads {
+        let k = 4 * q;
+        let p0 = vals[k] * x[cols[k]];
+        let p1 = vals[k + 1] * x[cols[k + 1]];
+        let p2 = vals[k + 2] * x[cols[k + 2]];
+        let p3 = vals[k + 3] * x[cols[k + 3]];
+        y_chunk[rows[k] - r0] += p0;
+        y_chunk[rows[k + 1] - r0] += p1;
+        y_chunk[rows[k + 2] - r0] += p2;
+        y_chunk[rows[k + 3] - r0] += p3;
+    }
+    for k in 4 * quads..n {
+        y_chunk[rows[k] - r0] += vals[k] * x[cols[k]];
     }
 }
 
-/// Parallel COO SpMV over row-aligned entry chunks (atomics-free).
+/// Runs the COO variant tagged `strategies` over the plan's row/entry
+/// chunk bounds — the one planned dispatch of this format.
 ///
-/// Entry chunks have near-equal nonzero counts by construction, so this
-/// kernel carries both the `parallel` and `balance` strategies.
-pub fn parallel<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
+/// A plan whose entry bounds don't match this matrix (a serial plan, a
+/// foreign row-chunk plan, or one built for a different nnz count)
+/// scans the whole entry range as one chunk rather than indexing out
+/// of range.
+///
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
     check_dims(m, x, y);
-    run_parallel(m, x, y, false);
+    y.fill(T::ZERO);
+    let unroll = strategies.contains(Strategy::Unroll);
+    let whole = ([0, m.nnz()], [0, y.len()]);
+    let (entry_bounds, row_bounds) = match &plan.entry_bounds {
+        Some(eb) if eb.last() == Some(&m.nnz()) && eb.len() == plan.bounds.len() => {
+            (&eb[..], &plan.bounds[..])
+        }
+        _ => (&whole.0[..], &whole.1[..]),
+    };
+    exec::for_each_row_chunk(y, row_bounds, |ci, y_chunk| {
+        let entries = (entry_bounds[ci], entry_bounds[ci + 1]);
+        scatter(m, x, y_chunk, row_bounds[ci], entries, unroll);
+    });
 }
 
-/// Parallel + unrolled COO SpMV.
-pub fn parallel_unrolled<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, true);
-}
-
-/// The COO kernel library.
-pub fn kernels<T: Scalar>() -> Vec<KernelEntry<T, Coo<T>>> {
+/// The COO variant table (row 0 is the basic kernel).
+///
+/// Entry chunks have near-equal nonzero counts by construction, but
+/// the parallel rows are tagged `parallel` alone: there is no
+/// unbalanced COO fan-out for a `balance` strategy to be scored
+/// against.
+pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "coo_basic",
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Coo<T>>,
-        ),
-        ("coo_unroll", [Unroll].into_iter().collect(), unrolled),
-        (
-            "coo_parallel",
-            [Parallel, Balance].into_iter().collect(),
-            parallel,
-        ),
-        (
-            "coo_parallel_unroll",
-            [Parallel, Balance, Unroll].into_iter().collect(),
-            parallel_unrolled,
-        ),
-    ]
+    kernel_rows(&[
+        ("coo_basic", &[]),
+        ("coo_unroll", &[Unroll]),
+        ("coo_parallel", &[Parallel]),
+        ("coo_parallel_unroll", &[Parallel, Unroll]),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ChunkPolicy;
     use smat_matrix::gen::{power_law, random_uniform};
     use smat_matrix::utils::max_abs_diff;
     use smat_matrix::Csr;
@@ -212,31 +139,43 @@ mod tests {
         y
     }
 
+    /// The one-chunk serial plan and an entry-aligned fan-out.
+    fn plans(m: &Coo<f64>) -> [ExecPlan; 2] {
+        let (entry_bounds, bounds) = row_aligned_chunks(m, 5);
+        [
+            ExecPlan::serial(m.rows()),
+            ExecPlan::chunked(ChunkPolicy::EntryAligned, bounds, Some(entry_bounds)),
+        ]
+    }
+
     #[test]
     fn all_variants_match_reference() {
         let csr = random_uniform::<f64>(401, 350, 7, 23);
         let coo = Coo::from_csr(&csr);
         let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.11).cos()).collect();
         let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![f64::NAN; csr.rows()];
-            k(&coo, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
+        for info in variants() {
+            for plan in plans(&coo) {
+                let mut y = vec![f64::NAN; csr.rows()];
+                run(&coo, &x, &mut y, &plan, info.strategies);
+                assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+            }
         }
     }
 
     #[test]
-    fn parallel_handles_heavy_rows() {
+    fn fan_out_handles_heavy_rows() {
         // One row holds most entries: chunk snapping must not split it.
         let csr = power_law::<f64>(600, 400, 1.4, 5);
         let coo = Coo::from_csr(&csr);
         let x: Vec<f64> = (0..csr.cols()).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let expect = reference(&csr, &x);
-        let mut y = vec![0.0; csr.rows()];
-        parallel(&coo, &x, &mut y);
-        assert!(max_abs_diff(&y, &expect) < 1e-12);
-        parallel_unrolled(&coo, &x, &mut y);
-        assert!(max_abs_diff(&y, &expect) < 1e-12);
+        let [_, fan_out] = plans(&coo);
+        for info in variants() {
+            let mut y = vec![0.0; csr.rows()];
+            run(&coo, &x, &mut y, &fan_out, info.strategies);
+            assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+        }
     }
 
     #[test]
@@ -260,10 +199,12 @@ mod tests {
     #[test]
     fn empty_matrix_zeroes_output() {
         let coo = Coo::<f64>::new(3, 3, vec![], vec![], vec![]).unwrap();
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = [1.0; 3];
-            k(&coo, &[1.0; 3], &mut y);
-            assert_eq!(y, [0.0; 3], "{name}");
+        for info in variants() {
+            for plan in plans(&coo) {
+                let mut y = [1.0; 3];
+                run(&coo, &[1.0; 3], &mut y, &plan, info.strategies);
+                assert_eq!(y, [0.0; 3], "{}", info.name);
+            }
         }
     }
 }

@@ -1,18 +1,17 @@
 //! CSR SpMV kernel variants.
 //!
-//! Implementations spanning the strategy lattice from the basic loop
-//! through unrolling (4- and 8-way), register blocking, explicit SIMD
-//! (see [`crate::simd`]), threading and nonzero balancing. All compute
-//! `y = A * x` and assume the vector lengths were validated by the
-//! caller (they `assert!` in debug and release).
+//! One planned entry point ([`run`]) spanning the strategy lattice from
+//! the basic loop through register blocking, explicit SIMD (see
+//! [`crate::simd`]), threading, nonzero balancing and merge-path:
+//! the strategy set picks the row body, the [`ExecPlan`] says how the
+//! rows fan out (a serial variant is the one-chunk plan). All compute
+//! `y = A * x` and `assert!` the vector lengths in debug and release.
 
 use crate::exec;
-use crate::partition::{
-    default_parts, equal_row_bounds, merge_path_bounds, nnz_balanced_bounds, MAX_MERGE_CHUNKS,
-};
+use crate::partition::MAX_MERGE_CHUNKS;
 use crate::plan::ExecPlan;
-use crate::registry::{KernelEntry, KernelFn};
-use crate::strategy::{InnerLoop, Strategy, StrategySet};
+use crate::registry::{kernel_rows, KernelInfo};
+use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Csr, Scalar};
 
 #[inline]
@@ -21,24 +20,44 @@ fn check_dims<T: Scalar>(m: &Csr<T>, x: &[T], y: &[T]) {
     assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
 }
 
+/// One row's dot product accumulated sequentially in stream order — the
+/// inner loop of the paper's Figure 2(a).
+#[inline]
+fn row_scalar<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for (&c, &v) in idx.iter().zip(val) {
+        acc += v * x[c];
+    }
+    acc
+}
+
+/// Rows `r0..r0 + y_chunk.len()` of the product, each through `dot`.
+/// Generic over the row body so every inner loop gets its own
+/// monomorphized row sweep (no per-row dispatch).
+#[inline]
+fn rows_into<T: Scalar>(
+    m: &Csr<T>,
+    x: &[T],
+    y_chunk: &mut [T],
+    r0: usize,
+    dot: impl Fn(&[usize], &[T], &[T]) -> T,
+) {
+    for (i, yr) in y_chunk.iter_mut().enumerate() {
+        let (idx, val) = m.row(r0 + i);
+        *yr = dot(idx, val, x);
+    }
+}
+
 /// Basic serial CSR SpMV — the paper's Figure 2(a) loop, and the
 /// denominator of the "SMAT overhead" column in Table 3.
 pub fn basic<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
     check_dims(m, x, y);
-    let ptr = m.row_ptr();
-    let idx = m.col_idx();
-    let val = m.values();
-    for r in 0..m.rows() {
-        let mut acc = T::ZERO;
-        for k in ptr[r]..ptr[r + 1] {
-            acc += val[k] * x[idx[k]];
-        }
-        y[r] = acc;
-    }
+    rows_into(m, x, y, 0, row_scalar);
 }
 
 /// One row's dot product with 4-way unrolled, split-accumulator inner
-/// loop (auto-vectorization friendly).
+/// loop (auto-vectorization friendly) — the portable body behind the
+/// `Simd` variants (see [`crate::simd::row_dot`]).
 ///
 /// Reduction-order contract (shared with the AVX2 backend, see
 /// [`crate::simd`]): accumulator `j` sums positions `k ≡ j (mod 4)` in
@@ -65,145 +84,75 @@ pub(crate) fn row_unrolled<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
     (acc0 + acc1) + (acc2 + acc3)
 }
 
-/// One row's dot product with 8-way unrolled, split-accumulator inner
-/// loop — twice the independent FP-add chains of [`row_unrolled`].
+/// Rows `r0..r0 + y_chunk.len()` with two-row register blocking:
+/// adjacent rows are computed with interleaved accumulators, doubling
+/// the independent dependency chains in flight. Each row still sums in
+/// stream order, so the pairing never changes a row's value.
+fn rows_blocked2<T: Scalar>(m: &Csr<T>, x: &[T], y_chunk: &mut [T], r0: usize) {
+    let n = y_chunk.len();
+    for p in 0..n / 2 {
+        let i = 2 * p;
+        let (ia, va) = m.row(r0 + i);
+        let (ib, vb) = m.row(r0 + i + 1);
+        let common = ia.len().min(ib.len());
+        let mut acc_a = T::ZERO;
+        let mut acc_b = T::ZERO;
+        for k in 0..common {
+            acc_a += va[k] * x[ia[k]];
+            acc_b += vb[k] * x[ib[k]];
+        }
+        for k in common..ia.len() {
+            acc_a += va[k] * x[ia[k]];
+        }
+        for k in common..ib.len() {
+            acc_b += vb[k] * x[ib[k]];
+        }
+        y_chunk[i] = acc_a;
+        y_chunk[i + 1] = acc_b;
+    }
+    if n % 2 == 1 {
+        let (idx, val) = m.row(r0 + n - 1);
+        y_chunk[n - 1] = row_scalar(idx, val, x);
+    }
+}
+
+/// Runs the CSR variant tagged `strategies` over the plan's chunks —
+/// the one planned dispatch of this format. `Merge` replays the plan's
+/// entry bounds, `Block` selects the two-row body, `Simd` the vector
+/// backend's row dot, otherwise the basic row loop; row chunks fan out
+/// over the pool, a one-chunk plan runs inline on the caller.
 ///
-/// Reduction order: accumulator `j` sums positions `k ≡ j (mod 8)`, the
-/// tail folds into accumulator 0, and the final reduction is
-/// `((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`.
-#[inline]
-pub(crate) fn row_unrolled8<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
-    let n = val.len();
-    let mut acc = [T::ZERO; 8];
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let k = 8 * c;
-        acc[0] += val[k] * x[idx[k]];
-        acc[1] += val[k + 1] * x[idx[k + 1]];
-        acc[2] += val[k + 2] * x[idx[k + 2]];
-        acc[3] += val[k + 3] * x[idx[k + 3]];
-        acc[4] += val[k + 4] * x[idx[k + 4]];
-        acc[5] += val[k + 5] * x[idx[k + 5]];
-        acc[6] += val[k + 6] * x[idx[k + 6]];
-        acc[7] += val[k + 7] * x[idx[k + 7]];
-    }
-    for k in 8 * chunks..n {
-        acc[0] += val[k] * x[idx[k]];
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
-/// One row's dot product through the selected inner loop.
-#[inline]
-fn row_dot<T: Scalar>(idx: &[usize], val: &[T], x: &[T], inner: InnerLoop) -> T {
-    match inner {
-        InnerLoop::Scalar => {
-            let mut acc = T::ZERO;
-            for (&c, &v) in idx.iter().zip(val) {
-                acc += v * x[c];
-            }
-            acc
-        }
-        InnerLoop::Unroll4 => row_unrolled(idx, val, x),
-        InnerLoop::Unroll8 => row_unrolled8(idx, val, x),
-        InnerLoop::Simd => crate::simd::row_dot(idx, val, x),
-    }
-}
-
-/// Serial CSR SpMV with 4-way unrolled rows.
-pub fn unrolled<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
     check_dims(m, x, y);
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (idx, val) = m.row(r);
-        *yr = row_unrolled(idx, val, x);
+    if strategies.contains(Strategy::Merge) {
+        return run_merge(m, x, y, plan);
+    }
+    let bounds = &plan.bounds[..];
+    if strategies.contains(Strategy::Block) {
+        exec::for_each_row_chunk(y, bounds, |ci, chunk| {
+            rows_blocked2(m, x, chunk, bounds[ci]);
+        });
+    } else if strategies.contains(Strategy::Simd) {
+        run_chunks(m, x, y, bounds, crate::simd::row_dot);
+    } else {
+        run_chunks(m, x, y, bounds, row_scalar);
     }
 }
 
-/// Serial CSR SpMV with 8-way unrolled rows.
-pub fn unrolled8<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (idx, val) = m.row(r);
-        *yr = row_unrolled8(idx, val, x);
-    }
-}
-
-/// Serial CSR SpMV through the runtime-dispatched vector backend
-/// (bit-identical to [`unrolled`], see [`crate::simd`]).
-pub fn simd<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (idx, val) = m.row(r);
-        *yr = crate::simd::row_dot(idx, val, x);
-    }
-}
-
-#[inline]
-fn run_chunks<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], bounds: &[usize], inner: InnerLoop) {
-    exec::for_each_row_chunk(y, bounds, |ci, chunk| {
-        let r0 = bounds[ci];
-        for (i, yr) in chunk.iter_mut().enumerate() {
-            let (idx, val) = m.row(r0 + i);
-            *yr = row_dot(idx, val, x, inner);
-        }
-    });
-}
-
-/// Runs a parallel CSR variant with precomputed chunk bounds instead of
-/// re-partitioning per call — the zero-allocation steady-state path.
-pub(crate) fn run_planned<T: Scalar>(
+/// Fans the row sweep out over `bounds` with one row body.
+fn run_chunks<T: Scalar>(
     m: &Csr<T>,
     x: &[T],
     y: &mut [T],
-    plan: &ExecPlan,
-    inner: InnerLoop,
+    bounds: &[usize],
+    dot: impl Fn(&[usize], &[T], &[T]) -> T + Sync,
 ) {
-    check_dims(m, x, y);
-    run_chunks(m, x, y, &plan.bounds, inner);
-}
-
-/// Row-parallel CSR SpMV with equal-row chunks.
-pub fn parallel<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Scalar);
-}
-
-/// Row-parallel CSR SpMV with equal-row chunks and unrolled rows.
-pub fn parallel_unrolled<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Unroll4);
-}
-
-/// Row-parallel CSR SpMV with equal-row chunks and 8-way unrolled rows.
-pub fn parallel_unrolled8<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Unroll8);
-}
-
-/// Row-parallel CSR SpMV with equal-row chunks through the vector
-/// backend.
-pub fn parallel_simd<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Simd);
-}
-
-/// Row-parallel CSR SpMV with nonzero-balanced chunks — the winner on
-/// matrices with skewed row degrees (power-law graphs).
-pub fn parallel_balanced<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = nnz_balanced_bounds(m, default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Scalar);
-}
-
-/// Nonzero-balanced parallel CSR SpMV with unrolled rows.
-pub fn parallel_balanced_unrolled<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = nnz_balanced_bounds(m, default_parts());
-    run_chunks(m, x, y, &bounds, InnerLoop::Unroll4);
+    exec::for_each_row_chunk(y, bounds, |ci, chunk| {
+        rows_into(m, x, chunk, bounds[ci], &dot);
+    });
 }
 
 /// Dot product of one contiguous entry segment `lo..hi`, accumulated
@@ -212,13 +161,7 @@ pub fn parallel_balanced_unrolled<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
 /// the basic kernel's value for that row.
 #[inline]
 fn segment_dot<T: Scalar>(m: &Csr<T>, lo: usize, hi: usize, x: &[T]) -> T {
-    let idx = m.col_idx();
-    let val = m.values();
-    let mut acc = T::ZERO;
-    for k in lo..hi {
-        acc += val[k] * x[idx[k]];
-    }
-    acc
+    row_scalar(&m.col_idx()[lo..hi], &m.values()[lo..hi], x)
 }
 
 /// Merge-path execution over precomputed entry/row bounds.
@@ -307,23 +250,14 @@ fn run_merge_chunks<T: Scalar>(
     }
 }
 
-/// Merge-path CSR SpMV: the nonzero stream is split into equal entry
-/// ranges that may cut rows mid-stream, with carries fixed up serially
-/// — parallel even when one row holds most of the matrix.
-pub fn merge<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let (entry_bounds, bounds) = merge_path_bounds(m, default_parts());
-    run_merge_chunks(m, x, y, &entry_bounds, &bounds);
-}
-
-/// Runs the merge-path kernel with a precomputed plan — the
-/// zero-allocation steady-state path for `csr_merge`.
+/// The merge-path kernel over a plan: equal entry ranges that may cut
+/// rows mid-stream, with carries fixed up serially — parallel even when
+/// one row holds most of the matrix.
 ///
 /// A plan without entry bounds (a serial plan from degraded mode, or a
 /// foreign row-chunk plan) falls back to the serial basic loop, which
 /// is the merge kernel's own single-chunk execution order.
-pub(crate) fn run_merge_planned<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], plan: &ExecPlan) {
-    check_dims(m, x, y);
+fn run_merge<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], plan: &ExecPlan) {
     match &plan.entry_bounds {
         Some(eb) if eb.len() == plan.bounds.len() && plan.chunks() > 1 => {
             run_merge_chunks(m, x, y, eb, &plan.bounds)
@@ -332,95 +266,26 @@ pub(crate) fn run_merge_planned<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], pla
     }
 }
 
-/// Serial CSR SpMV with two-row register blocking: adjacent rows are
-/// computed with interleaved accumulators, doubling the independent
-/// dependency chains in flight.
-pub fn blocked2<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let rows = m.rows();
-    let pairs = rows / 2;
-    for p in 0..pairs {
-        let r = 2 * p;
-        let (ia, va) = m.row(r);
-        let (ib, vb) = m.row(r + 1);
-        let common = ia.len().min(ib.len());
-        let mut acc_a = T::ZERO;
-        let mut acc_b = T::ZERO;
-        for k in 0..common {
-            acc_a += va[k] * x[ia[k]];
-            acc_b += vb[k] * x[ib[k]];
-        }
-        for k in common..ia.len() {
-            acc_a += va[k] * x[ia[k]];
-        }
-        for k in common..ib.len() {
-            acc_b += vb[k] * x[ib[k]];
-        }
-        y[r] = acc_a;
-        y[r + 1] = acc_b;
-    }
-    if rows % 2 == 1 {
-        let r = rows - 1;
-        let (idx, val) = m.row(r);
-        let mut acc = T::ZERO;
-        for (&c, &v) in idx.iter().zip(val) {
-            acc += v * x[c];
-        }
-        y[r] = acc;
-    }
-}
-
-/// The CSR kernel library: every implementation variant with its
-/// strategy set, in a stable order.
-pub fn kernels<T: Scalar>() -> Vec<KernelEntry<T, Csr<T>>> {
+/// The CSR variant table: every strategy set [`run`] implements, in a
+/// stable order (row 0 is the basic kernel).
+pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "csr_basic",
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Csr<T>>,
-        ),
-        ("csr_unroll", [Unroll].into_iter().collect(), unrolled),
-        (
-            "csr_unroll8",
-            [Unroll, Wide].into_iter().collect(),
-            unrolled8,
-        ),
-        ("csr_simd", [Unroll, Simd].into_iter().collect(), simd),
-        ("csr_block2", [Block].into_iter().collect(), blocked2),
-        ("csr_parallel", [Parallel].into_iter().collect(), parallel),
-        (
-            "csr_parallel_unroll",
-            [Parallel, Unroll].into_iter().collect(),
-            parallel_unrolled,
-        ),
-        (
-            "csr_parallel_unroll8",
-            [Parallel, Unroll, Wide].into_iter().collect(),
-            parallel_unrolled8,
-        ),
-        (
-            "csr_parallel_simd",
-            [Parallel, Unroll, Simd].into_iter().collect(),
-            parallel_simd,
-        ),
-        (
-            "csr_parallel_balanced",
-            [Parallel, Balance].into_iter().collect(),
-            parallel_balanced,
-        ),
-        (
-            "csr_parallel_balanced_unroll",
-            [Parallel, Balance, Unroll].into_iter().collect(),
-            parallel_balanced_unrolled,
-        ),
-        ("csr_merge", [Parallel, Merge].into_iter().collect(), merge),
-    ]
+    kernel_rows(&[
+        ("csr_basic", &[]),
+        ("csr_simd", &[Simd]),
+        ("csr_block2", &[Block]),
+        ("csr_parallel", &[Parallel]),
+        ("csr_parallel_simd", &[Parallel, Simd]),
+        ("csr_parallel_balanced", &[Parallel, Balance]),
+        ("csr_merge", &[Parallel, Merge]),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::merge_path_bounds;
+    use crate::plan::ChunkPolicy;
     use smat_matrix::gen::{power_law, random_uniform};
     use smat_matrix::utils::max_abs_diff;
 
@@ -430,18 +295,35 @@ mod tests {
         y
     }
 
+    fn merge_plan<T: Scalar>(m: &Csr<T>, parts: usize) -> ExecPlan {
+        let (entry_bounds, bounds) = merge_path_bounds(m, parts);
+        ExecPlan::chunked(ChunkPolicy::MergePath, bounds, Some(entry_bounds))
+    }
+
+    /// The plans every variant must be correct under: the one-chunk
+    /// serial plan, a row-chunk fan-out, and a merge-path split.
+    fn plans<T: Scalar>(m: &Csr<T>) -> Vec<ExecPlan> {
+        let mut plans = ExecPlan::serial_and_fan_out(m.rows()).to_vec();
+        plans.push(merge_plan(m, 3));
+        plans
+    }
+
     #[test]
     fn all_variants_match_reference() {
         let m = random_uniform::<f64>(311, 277, 9, 17);
         let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64 * 0.37).sin()).collect();
         let expect = reference(&m, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![f64::NAN; m.rows()];
-            k(&m, &x, &mut y);
-            assert!(
-                max_abs_diff(&y, &expect) < 1e-12,
-                "{name} diverges from reference"
-            );
+        for info in variants() {
+            for plan in plans(&m) {
+                let mut y = vec![f64::NAN; m.rows()];
+                run(&m, &x, &mut y, &plan, info.strategies);
+                assert!(
+                    max_abs_diff(&y, &expect) < 1e-12,
+                    "{} under {} diverges from reference",
+                    info.name,
+                    plan.policy
+                );
+            }
         }
     }
 
@@ -450,31 +332,25 @@ mod tests {
         let m = power_law::<f32>(500, 120, 2.0, 3);
         let x: Vec<f32> = (0..m.cols()).map(|i| 1.0 + (i % 7) as f32).collect();
         let expect = reference(&m, &x);
-        for (name, _, k) in kernels::<f32>() {
-            let mut y = vec![0.0f32; m.rows()];
-            k(&m, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-2, "{name} diverges");
+        for info in variants() {
+            for plan in plans(&m) {
+                let mut y = vec![0.0f32; m.rows()];
+                run(&m, &x, &mut y, &plan, info.strategies);
+                assert!(max_abs_diff(&y, &expect) < 1e-2, "{} diverges", info.name);
+            }
         }
-    }
-
-    #[test]
-    fn kernel_set_has_unique_names_and_strategy_sets() {
-        let ks = kernels::<f64>();
-        let names: std::collections::HashSet<_> = ks.iter().map(|k| k.0).collect();
-        assert_eq!(names.len(), ks.len());
-        let sets: std::collections::HashSet<_> = ks.iter().map(|k| k.1).collect();
-        assert_eq!(sets.len(), ks.len());
-        assert!(ks[0].1.is_empty(), "first kernel must be the basic one");
     }
 
     #[test]
     fn empty_rows_produce_zeros() {
         let m = Csr::<f64>::from_triplets(4, 4, &[(1, 1, 2.0)]).unwrap();
         let x = [1.0; 4];
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = [9.0; 4];
-            k(&m, &x, &mut y);
-            assert_eq!(y, [0.0, 2.0, 0.0, 0.0], "{name}");
+        for info in variants() {
+            for plan in plans(&m) {
+                let mut y = [9.0; 4];
+                run(&m, &x, &mut y, &plan, info.strategies);
+                assert_eq!(y, [0.0, 2.0, 0.0, 0.0], "{}", info.name);
+            }
         }
     }
 
@@ -498,29 +374,25 @@ mod tests {
         let x: Vec<f64> = (0..64).map(|i| 0.5 * (i % 9) as f64 - 1.0).collect();
         let mut expect = vec![f64::NAN; 17];
         basic(&m, &x, &mut expect);
+        let merge: StrategySet = [Strategy::Parallel, Strategy::Merge].into_iter().collect();
         for parts in [2, 3, 5, 8] {
-            let (eb, rb) = merge_path_bounds(&m, parts);
             let mut y = vec![f64::NAN; 17];
-            run_merge_chunks(&m, &x, &mut y, &eb, &rb);
+            run(&m, &x, &mut y, &merge_plan(&m, parts), merge);
             assert!(
                 y.iter().zip(&expect).all(|(a, b)| a == b),
                 "merge @ {parts} parts diverges bitwise"
             );
         }
-        // The registered entry point agrees too.
-        let mut y = vec![f64::NAN; 17];
-        merge(&m, &x, &mut y);
-        assert!(y.iter().zip(&expect).all(|(a, b)| a == b));
     }
 
     #[test]
-    fn merge_planned_without_entry_bounds_falls_back_serially() {
+    fn merge_without_entry_bounds_falls_back_serially() {
         let m = random_uniform::<f64>(50, 50, 4, 21);
         let x = vec![1.0; 50];
         let mut expect = vec![0.0; 50];
         basic(&m, &x, &mut expect);
         let mut y = vec![f64::NAN; 50];
-        run_merge_planned(&m, &x, &mut y, &ExecPlan::serial(50));
+        run_merge(&m, &x, &mut y, &ExecPlan::serial(50));
         assert!(y.iter().zip(&expect).all(|(a, b)| a == b));
     }
 }

@@ -1,16 +1,15 @@
 //! DIA SpMV kernel variants.
 //!
-//! The sequential loop follows the paper's Figure 2(c): diagonal-major
-//! traversal with contiguous reads of `x`. Parallel variants partition
-//! the *rows* so each task updates a disjoint slice of `y` while keeping
-//! the diagonal-major inner loop (and its streaming access pattern)
-//! inside each chunk.
+//! Every variant keeps the paper's Figure 2(c) traversal — diagonal
+//! major, with contiguous reads of `x` — inside each row chunk of the
+//! plan, so each task updates a disjoint slice of `y` with the same
+//! streaming access pattern. The strategy set picks the segment body;
+//! a serial variant is the one-chunk plan.
 
 use crate::exec;
-use crate::partition::{default_parts, equal_row_bounds};
 use crate::plan::ExecPlan;
-use crate::registry::{KernelEntry, KernelFn};
-use crate::strategy::{InnerLoop, Strategy, StrategySet};
+use crate::registry::{kernel_rows, KernelInfo};
+use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Dia, Scalar};
 
 #[inline]
@@ -19,189 +18,31 @@ fn check_dims<T: Scalar>(m: &Dia<T>, x: &[T], y: &[T]) {
     assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
 }
 
-/// Basic serial DIA SpMV — the paper's Figure 2(c) loop.
-pub fn basic<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let stride = m.rows();
-    let data = m.data();
-    for (d, &k) in m.offsets().iter().enumerate() {
-        let i_start = 0.max(-k) as usize;
-        let j_start = 0.max(k) as usize;
-        let n = (m.rows() - i_start).min(m.cols() - j_start);
-        let diag = &data[d * stride + i_start..d * stride + i_start + n];
-        let xs = &x[j_start..j_start + n];
-        let ys = &mut y[i_start..i_start + n];
-        for i in 0..n {
-            ys[i] += diag[i] * xs[i];
-        }
+/// One diagonal segment `ys[i] += data[i] * xs[i]`, the plain loop of
+/// the paper's Figure 2(c). The segment bodies are element-wise
+/// independent, so all of them are bit-identical (see [`crate::simd`]);
+/// the kernels are generic over the body so each gets its own
+/// monomorphized sweep.
+#[inline]
+fn step_scalar<T: Scalar>(data: &[T], xs: &[T], ys: &mut [T]) {
+    for i in 0..ys.len() {
+        ys[i] += data[i] * xs[i];
     }
 }
 
-/// One diagonal segment `ys[i] += data[i] * xs[i]` through the selected
-/// inner loop. Element-wise independent, so all four bodies are
-/// bit-identical (see [`crate::simd`]).
+/// Valid global row range of a diagonal clipped to the chunk
+/// `[r0, r1)`: `[max(0, -off), min(rows, cols - off))` ∩ `[r0, r1)`.
 #[inline]
-fn segment_step<T: Scalar>(data: &[T], xs: &[T], ys: &mut [T], inner: InnerLoop) {
-    let n = ys.len();
-    match inner {
-        InnerLoop::Scalar => {
-            for i in 0..n {
-                ys[i] += data[i] * xs[i];
-            }
-        }
-        InnerLoop::Unroll4 => {
-            let quads = n / 4;
-            for q in 0..quads {
-                let i = 4 * q;
-                ys[i] += data[i] * xs[i];
-                ys[i + 1] += data[i + 1] * xs[i + 1];
-                ys[i + 2] += data[i + 2] * xs[i + 2];
-                ys[i + 3] += data[i + 3] * xs[i + 3];
-            }
-            for i in 4 * quads..n {
-                ys[i] += data[i] * xs[i];
-            }
-        }
-        InnerLoop::Unroll8 => {
-            let octs = n / 8;
-            for q in 0..octs {
-                let i = 8 * q;
-                ys[i] += data[i] * xs[i];
-                ys[i + 1] += data[i + 1] * xs[i + 1];
-                ys[i + 2] += data[i + 2] * xs[i + 2];
-                ys[i + 3] += data[i + 3] * xs[i + 3];
-                ys[i + 4] += data[i + 4] * xs[i + 4];
-                ys[i + 5] += data[i + 5] * xs[i + 5];
-                ys[i + 6] += data[i + 6] * xs[i + 6];
-                ys[i + 7] += data[i + 7] * xs[i + 7];
-            }
-            for i in 8 * octs..n {
-                ys[i] += data[i] * xs[i];
-            }
-        }
-        InnerLoop::Simd => crate::simd::axpy_pointwise(data, xs, ys),
-    }
-}
-
-#[inline]
-fn run_serial<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], inner: InnerLoop) {
-    y.fill(T::ZERO);
-    let stride = m.rows();
-    let data = m.data();
-    for (d, &k) in m.offsets().iter().enumerate() {
-        let i_start = 0.max(-k) as usize;
-        let j_start = 0.max(k) as usize;
-        let n = (m.rows() - i_start).min(m.cols() - j_start);
-        let diag = &data[d * stride + i_start..d * stride + i_start + n];
-        let xs = &x[j_start..j_start + n];
-        let ys = &mut y[i_start..i_start + n];
-        segment_step(diag, xs, ys, inner);
-    }
-}
-
-/// Serial DIA SpMV with a 4-way unrolled segment loop.
-pub fn unrolled<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Unroll4);
-}
-
-/// Serial DIA SpMV with an 8-way unrolled segment loop.
-pub fn unrolled8<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Unroll8);
-}
-
-/// Serial DIA SpMV through the runtime-dispatched vector backend
-/// (bit-identical to [`unrolled`], see [`crate::simd`]).
-pub fn simd<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Simd);
-}
-
-/// Adds diagonal `d`'s contribution to rows `[r0, r1)` of `y_chunk`
-/// (whose index 0 corresponds to global row `r0`).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn diag_segment<T: Scalar>(
-    m: &Dia<T>,
-    d: usize,
-    off: isize,
-    x: &[T],
-    y_chunk: &mut [T],
-    r0: usize,
-    r1: usize,
-    inner: InnerLoop,
-) {
-    let stride = m.rows();
-    // Global row range covered by this diagonal.
+fn diag_rows<T: Scalar>(m: &Dia<T>, off: isize, r0: usize, r1: usize) -> (usize, usize) {
     let lo = (0.max(-off) as usize).max(r0);
-    let hi = ((m.rows()).min((m.cols() as isize - off).max(0) as usize)).min(r1);
-    if lo >= hi {
-        return;
-    }
-    let n = hi - lo;
-    let data = &m.data()[d * stride + lo..d * stride + lo + n];
-    let xs = &x[(lo as isize + off) as usize..(lo as isize + off) as usize + n];
-    let ys = &mut y_chunk[lo - r0..lo - r0 + n];
-    segment_step(data, xs, ys, inner);
+    let hi = (m.rows())
+        .min((m.cols() as isize - off).max(0) as usize)
+        .min(r1);
+    (lo, hi.max(lo))
 }
 
-#[inline]
-fn run_chunks<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], bounds: &[usize], inner: InnerLoop) {
-    exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
-        y_chunk.fill(T::ZERO);
-        let (r0, r1) = (bounds[ci], bounds[ci + 1]);
-        for (d, &off) in m.offsets().iter().enumerate() {
-            diag_segment(m, d, off, x, y_chunk, r0, r1, inner);
-        }
-    });
-}
-
-#[inline]
-fn run_parallel<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], inner: InnerLoop) {
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, inner);
-}
-
-/// Runs a parallel DIA variant with precomputed row chunk bounds.
-pub(crate) fn run_planned<T: Scalar>(
-    m: &Dia<T>,
-    x: &[T],
-    y: &mut [T],
-    plan: &ExecPlan,
-    inner: InnerLoop,
-) {
-    check_dims(m, x, y);
-    run_chunks(m, x, y, &plan.bounds, inner);
-}
-
-/// Row-parallel DIA SpMV.
-pub fn parallel<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Scalar);
-}
-
-/// Row-parallel DIA SpMV with unrolled segments.
-pub fn parallel_unrolled<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Unroll4);
-}
-
-/// Row-parallel DIA SpMV with 8-way unrolled segments.
-pub fn parallel_unrolled8<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Unroll8);
-}
-
-/// Row-parallel DIA SpMV through the vector backend.
-pub fn parallel_simd<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Simd);
-}
-
-/// Adds one diagonal's contribution over the global row range
-/// `[from, to)`, optionally 4-way unrolled.
+/// Adds diagonal `d`'s contribution over the global row range
+/// `[from, to)` into `y_chunk` (whose index 0 is global row `r0`).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn add_diag_range<T: Scalar>(
@@ -209,9 +50,36 @@ fn add_diag_range<T: Scalar>(
     d: usize,
     off: isize,
     x: &[T],
-    y: &mut [T],
-    from: usize,
-    to: usize,
+    y_chunk: &mut [T],
+    r0: usize,
+    (from, to): (usize, usize),
+    step: impl Fn(&[T], &[T], &mut [T]),
+) {
+    if from >= to {
+        return;
+    }
+    let stride = m.rows();
+    let n = to - from;
+    let data = &m.data()[d * stride + from..d * stride + to];
+    let xs = &x[(from as isize + off) as usize..(from as isize + off) as usize + n];
+    step(data, xs, &mut y_chunk[from - r0..to - r0]);
+}
+
+/// [`add_diag_range`] for the unfused edges of the diagonal-pair body,
+/// scalar or 4-way unrolled. Kept apart from the generic segment bodies
+/// with its slices and loops in one function: measured, that shape is
+/// what lets the hand-unrolled edge loop vectorize (`dia_block2_unroll`
+/// ran 1.17x slower with the loop behind a shared generic body).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn add_edge_range<T: Scalar>(
+    m: &Dia<T>,
+    d: usize,
+    off: isize,
+    x: &[T],
+    y_chunk: &mut [T],
+    r0: usize,
+    (from, to): (usize, usize),
     unroll: bool,
 ) {
     if from >= to {
@@ -221,51 +89,41 @@ fn add_diag_range<T: Scalar>(
     let n = to - from;
     let data = &m.data()[d * stride + from..d * stride + to];
     let xs = &x[(from as isize + off) as usize..(from as isize + off) as usize + n];
-    let ys = &mut y[from..to];
-    if unroll {
-        let quads = n / 4;
-        for q in 0..quads {
-            let i = 4 * q;
-            ys[i] += data[i] * xs[i];
-            ys[i + 1] += data[i + 1] * xs[i + 1];
-            ys[i + 2] += data[i + 2] * xs[i + 2];
-            ys[i + 3] += data[i + 3] * xs[i + 3];
-        }
-        for i in 4 * quads..n {
-            ys[i] += data[i] * xs[i];
-        }
-    } else {
-        for i in 0..n {
-            ys[i] += data[i] * xs[i];
-        }
+    let ys = &mut y_chunk[from - r0..to - r0];
+    let quads = if unroll { n / 4 } else { 0 };
+    for q in 0..quads {
+        let i = 4 * q;
+        ys[i] += data[i] * xs[i];
+        ys[i + 1] += data[i + 1] * xs[i + 1];
+        ys[i + 2] += data[i + 2] * xs[i + 2];
+        ys[i + 3] += data[i + 3] * xs[i + 3];
+    }
+    for i in 4 * quads..n {
+        ys[i] += data[i] * xs[i];
     }
 }
 
-/// Valid global row range of a diagonal: `[max(0, -off), min(rows, cols - off))`.
+/// Rows `r0..r0 + y_chunk.len()` with diagonal-pair register blocking:
+/// adjacent diagonals are fused over their common row range, halving
+/// the sweeps over `y`; `unroll` hand-unrolls the unfused prefix/suffix
+/// segments.
 #[inline]
-fn diag_rows<T: Scalar>(m: &Dia<T>, off: isize) -> (usize, usize) {
-    let lo = 0.max(-off) as usize;
-    let hi = (m.rows()).min((m.cols() as isize - off).max(0) as usize);
-    (lo, hi.max(lo))
-}
-
-#[inline]
-fn run_blocked2<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], unroll: bool) {
-    y.fill(T::ZERO);
+fn rows_blocked2<T: Scalar>(m: &Dia<T>, x: &[T], y_chunk: &mut [T], r0: usize, unroll: bool) {
+    let r1 = r0 + y_chunk.len();
     let offsets = m.offsets();
     let stride = m.rows();
-    let pairs = offsets.len() / 2;
-    for q in 0..pairs {
+    for q in 0..offsets.len() / 2 {
         let d0 = 2 * q;
         let d1 = d0 + 1;
         let (k0, k1) = (offsets[d0], offsets[d1]);
         // Offsets are sorted ascending, so diag 0's range sits at or
-        // after diag 1's: lo1 <= lo0 and hi1 <= hi0.
-        let (lo0, hi0) = diag_rows(m, k0);
-        let (lo1, hi1) = diag_rows(m, k1);
+        // after diag 1's: lo1 <= lo0 and hi1 <= hi0 (clipping both to
+        // the same chunk preserves the order).
+        let (lo0, hi0) = diag_rows(m, k0, r0, r1);
+        let (lo1, hi1) = diag_rows(m, k1, r0, r1);
         debug_assert!(lo1 <= lo0 && hi1 <= hi0);
         // Prefix: only diag 1 active.
-        add_diag_range(m, d1, k1, x, y, lo1, lo0.min(hi1), unroll);
+        add_edge_range(m, d1, k1, x, y_chunk, r0, (lo1, lo0.min(hi1)), unroll);
         // Fused middle: both diagonals active.
         let (fl, fh) = (lo0, hi1.max(lo0));
         if fl < fh {
@@ -274,75 +132,82 @@ fn run_blocked2<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], unroll: bool) {
             let a1 = &m.data()[d1 * stride + fl..d1 * stride + fh];
             let x0 = &x[(fl as isize + k0) as usize..(fl as isize + k0) as usize + n];
             let x1 = &x[(fl as isize + k1) as usize..(fl as isize + k1) as usize + n];
-            let ys = &mut y[fl..fh];
+            let ys = &mut y_chunk[fl - r0..fh - r0];
             for i in 0..n {
                 ys[i] += a0[i] * x0[i] + a1[i] * x1[i];
             }
         }
         // Suffix: only diag 0 active.
-        add_diag_range(m, d0, k0, x, y, hi1.max(lo0), hi0, unroll);
+        add_edge_range(m, d0, k0, x, y_chunk, r0, (hi1.max(lo0), hi0), unroll);
     }
     if offsets.len() % 2 == 1 {
         let d = offsets.len() - 1;
-        let off = offsets[d];
-        let (lo, hi) = diag_rows(m, off);
-        add_diag_range(m, d, off, x, y, lo, hi, unroll);
+        let range = diag_rows(m, offsets[d], r0, r1);
+        add_edge_range(m, d, offsets[d], x, y_chunk, r0, range, unroll);
     }
 }
 
-/// Serial DIA SpMV with diagonal-pair register blocking: adjacent
-/// diagonals are fused over their common row range, halving the sweeps
-/// over `y`.
-pub fn blocked2<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_blocked2(m, x, y, false);
+/// Fans the diagonal-major sweep out over `bounds` with one segment
+/// body: per chunk, zero it, then add every diagonal's clipped range.
+fn run_chunks<T: Scalar>(
+    m: &Dia<T>,
+    x: &[T],
+    y: &mut [T],
+    bounds: &[usize],
+    step: impl Fn(&[T], &[T], &mut [T]) + Copy + Sync,
+) {
+    exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
+        y_chunk.fill(T::ZERO);
+        let (r0, r1) = (bounds[ci], bounds[ci + 1]);
+        for (d, &off) in m.offsets().iter().enumerate() {
+            let range = diag_rows(m, off, r0, r1);
+            add_diag_range(m, d, off, x, y_chunk, r0, range, step);
+        }
+    });
 }
 
-/// Diagonal-pair blocked DIA SpMV with unrolled prefix/suffix segments.
-pub fn blocked2_unrolled<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
+/// Runs the DIA variant tagged `strategies` over the plan's row chunks
+/// — the one planned dispatch of this format. `Block` selects the
+/// diagonal-pair body (with `Unroll` hand-unrolling its unfused edges),
+/// otherwise every diagonal goes through the vector backend (`Simd`) or
+/// the basic segment loop.
+///
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
     check_dims(m, x, y);
-    run_blocked2(m, x, y, true);
+    let bounds = &plan.bounds[..];
+    if strategies.contains(Strategy::Block) {
+        let unroll = strategies.contains(Strategy::Unroll);
+        return exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
+            y_chunk.fill(T::ZERO);
+            // Two call sites so the flag is a constant in each copy.
+            if unroll {
+                rows_blocked2(m, x, y_chunk, bounds[ci], true);
+            } else {
+                rows_blocked2(m, x, y_chunk, bounds[ci], false);
+            }
+        });
+    }
+    if strategies.contains(Strategy::Simd) {
+        run_chunks(m, x, y, bounds, crate::simd::axpy_pointwise)
+    } else {
+        run_chunks(m, x, y, bounds, step_scalar)
+    }
 }
 
-/// The DIA kernel library.
-pub fn kernels<T: Scalar>() -> Vec<KernelEntry<T, Dia<T>>> {
+/// The DIA variant table (row 0 is the basic kernel).
+pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "dia_basic",
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Dia<T>>,
-        ),
-        ("dia_unroll", [Unroll].into_iter().collect(), unrolled),
-        (
-            "dia_unroll8",
-            [Unroll, Wide].into_iter().collect(),
-            unrolled8,
-        ),
-        ("dia_simd", [Unroll, Simd].into_iter().collect(), simd),
-        ("dia_block2", [Block].into_iter().collect(), blocked2),
-        (
-            "dia_block2_unroll",
-            [Block, Unroll].into_iter().collect(),
-            blocked2_unrolled,
-        ),
-        ("dia_parallel", [Parallel].into_iter().collect(), parallel),
-        (
-            "dia_parallel_unroll",
-            [Parallel, Unroll].into_iter().collect(),
-            parallel_unrolled,
-        ),
-        (
-            "dia_parallel_unroll8",
-            [Parallel, Unroll, Wide].into_iter().collect(),
-            parallel_unrolled8,
-        ),
-        (
-            "dia_parallel_simd",
-            [Parallel, Unroll, Simd].into_iter().collect(),
-            parallel_simd,
-        ),
-    ]
+    kernel_rows(&[
+        ("dia_basic", &[]),
+        ("dia_simd", &[Simd]),
+        ("dia_block2", &[Block]),
+        ("dia_block2_unroll", &[Block, Unroll]),
+        ("dia_parallel", &[Parallel]),
+        ("dia_parallel_simd", &[Parallel, Simd]),
+    ])
 }
 
 #[cfg(test)]
@@ -358,30 +223,37 @@ mod tests {
         y
     }
 
+    /// Every variant under the one-chunk serial plan and a row-chunk
+    /// fan-out must reproduce the CSR reference.
+    fn assert_all_variants_match(csr: &Csr<f64>, x: &[f64]) {
+        let dia = Dia::from_csr(csr).unwrap();
+        let expect = reference(csr, x);
+        for info in variants() {
+            for plan in ExecPlan::serial_and_fan_out(csr.rows()) {
+                let mut y = vec![f64::NAN; csr.rows()];
+                run(&dia, x, &mut y, &plan, info.strategies);
+                assert!(
+                    max_abs_diff(&y, &expect) < 1e-12,
+                    "{} under {} diverges",
+                    info.name,
+                    plan.policy
+                );
+            }
+        }
+    }
+
     #[test]
     fn all_variants_match_reference() {
         let csr = laplacian_2d_5pt::<f64>(23, 19);
-        let dia = Dia::from_csr(&csr).unwrap();
         let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.05).sin()).collect();
-        let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![f64::NAN; csr.rows()];
-            k(&dia, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
-        }
+        assert_all_variants_match(&csr, &x);
     }
 
     #[test]
     fn variants_match_on_scattered_bands() {
         let csr = banded::<f64>(513, &[-37, -2, 0, 1, 53], 0.6, 7);
-        let dia = Dia::from_csr(&csr).unwrap();
         let x: Vec<f64> = (0..csr.cols()).map(|i| 1.0 + (i % 5) as f64).collect();
-        let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![0.0; csr.rows()];
-            k(&dia, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
-        }
+        assert_all_variants_match(&csr, &x);
     }
 
     #[test]
@@ -389,24 +261,13 @@ mod tests {
         let csr =
             Csr::<f64>::from_triplets(5, 8, &[(0, 0, 1.0), (1, 2, 2.0), (4, 7, 3.0), (2, 2, 4.0)])
                 .unwrap();
-        let dia = Dia::from_csr(&csr).unwrap();
         let x: Vec<f64> = (0..8).map(|i| i as f64 + 1.0).collect();
-        let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![0.0; 5];
-            k(&dia, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
-        }
+        assert_all_variants_match(&csr, &x);
     }
 
     #[test]
     fn empty_matrix_zeroes_output() {
         let csr = Csr::<f64>::from_triplets(4, 4, &[]).unwrap();
-        let dia = Dia::from_csr(&csr).unwrap();
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = [3.0; 4];
-            k(&dia, &[1.0; 4], &mut y);
-            assert_eq!(y, [0.0; 4], "{name}");
-        }
+        assert_all_variants_match(&csr, &[1.0; 4]);
     }
 }

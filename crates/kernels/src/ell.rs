@@ -1,15 +1,15 @@
 //! ELL SpMV kernel variants.
 //!
-//! The sequential loop follows the paper's Figure 2(d): column-major
-//! sweep over the packed slots, streaming through the dense `data` /
-//! `indices` arrays. Parallel variants chunk the rows and keep the
-//! column-major sweep inside each chunk.
+//! Every variant keeps the paper's Figure 2(d) traversal — a
+//! column-major sweep over the packed slots, streaming through the
+//! dense `data` / `indices` arrays — inside each row chunk of the plan.
+//! The strategy set picks the sweep body; a serial variant is the
+//! one-chunk plan.
 
 use crate::exec;
-use crate::partition::{default_parts, equal_row_bounds};
 use crate::plan::ExecPlan;
-use crate::registry::{KernelEntry, KernelFn};
-use crate::strategy::{InnerLoop, Strategy, StrategySet};
+use crate::registry::{kernel_rows, KernelInfo};
+use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Ell, Scalar};
 
 #[inline]
@@ -18,315 +18,145 @@ fn check_dims<T: Scalar>(m: &Ell<T>, x: &[T], y: &[T]) {
     assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
 }
 
-/// Basic serial ELL SpMV — the paper's Figure 2(d) loop.
-pub fn basic<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    for p in 0..m.width() {
-        let dcol = &data[p * rows..(p + 1) * rows];
-        let icol = &idx[p * rows..(p + 1) * rows];
-        for r in 0..rows {
-            y[r] += dcol[r] * x[icol[r]];
-        }
+/// One packed slot's sweep `y[r] += d[r] * x[i[r]]`, the plain loop of
+/// the paper's Figure 2(d). Every element is an independent mul + add,
+/// so all the slot bodies are bit-identical — the unroll depth and
+/// vector width are pure throughput knobs here — and the kernels are
+/// generic over the body so each gets its own monomorphized sweep.
+#[inline]
+fn step_scalar<T: Scalar>(dcol: &[T], icol: &[usize], x: &[T], y: &mut [T]) {
+    for r in 0..y.len() {
+        y[r] += dcol[r] * x[icol[r]];
     }
 }
 
-/// One packed slot's sweep `y[r] += d[r] * x[i[r]]` through the
-/// selected inner loop. Every element is an independent mul + add, so
-/// all four bodies are bit-identical — the unroll depth and vector
-/// width are pure throughput knobs here.
+/// [`step_scalar`] 4-way unrolled.
 #[inline]
-fn slab_step<T: Scalar>(dcol: &[T], icol: &[usize], x: &[T], y: &mut [T], inner: InnerLoop) {
+fn step_unroll4<T: Scalar>(dcol: &[T], icol: &[usize], x: &[T], y: &mut [T]) {
     let n = y.len();
-    match inner {
-        InnerLoop::Scalar => {
-            for r in 0..n {
-                y[r] += dcol[r] * x[icol[r]];
-            }
-        }
-        InnerLoop::Unroll4 => {
-            let quads = n / 4;
-            for q in 0..quads {
-                let r = 4 * q;
-                y[r] += dcol[r] * x[icol[r]];
-                y[r + 1] += dcol[r + 1] * x[icol[r + 1]];
-                y[r + 2] += dcol[r + 2] * x[icol[r + 2]];
-                y[r + 3] += dcol[r + 3] * x[icol[r + 3]];
-            }
-            for r in 4 * quads..n {
-                y[r] += dcol[r] * x[icol[r]];
-            }
-        }
-        InnerLoop::Unroll8 => {
-            let octs = n / 8;
-            for q in 0..octs {
-                let r = 8 * q;
-                y[r] += dcol[r] * x[icol[r]];
-                y[r + 1] += dcol[r + 1] * x[icol[r + 1]];
-                y[r + 2] += dcol[r + 2] * x[icol[r + 2]];
-                y[r + 3] += dcol[r + 3] * x[icol[r + 3]];
-                y[r + 4] += dcol[r + 4] * x[icol[r + 4]];
-                y[r + 5] += dcol[r + 5] * x[icol[r + 5]];
-                y[r + 6] += dcol[r + 6] * x[icol[r + 6]];
-                y[r + 7] += dcol[r + 7] * x[icol[r + 7]];
-            }
-            for r in 8 * octs..n {
-                y[r] += dcol[r] * x[icol[r]];
-            }
-        }
-        InnerLoop::Simd => crate::simd::axpy_gather(dcol, icol, x, y),
+    let quads = n / 4;
+    for q in 0..quads {
+        let r = 4 * q;
+        y[r] += dcol[r] * x[icol[r]];
+        y[r + 1] += dcol[r + 1] * x[icol[r + 1]];
+        y[r + 2] += dcol[r + 2] * x[icol[r + 2]];
+        y[r + 3] += dcol[r + 3] * x[icol[r + 3]];
+    }
+    for r in 4 * quads..n {
+        y[r] += dcol[r] * x[icol[r]];
     }
 }
 
+/// Two packed slots fused into one sweep `y[r] += d0[r] * x[i0[r]] +
+/// d1[r] * x[i1[r]]` — slot-pair register blocking, halving the passes
+/// over `y` — optionally 4-way unrolled over the rows.
 #[inline]
-fn run_serial<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], inner: InnerLoop) {
-    y.fill(T::ZERO);
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    for p in 0..m.width() {
-        let dcol = &data[p * rows..(p + 1) * rows];
-        let icol = &idx[p * rows..(p + 1) * rows];
-        slab_step(dcol, icol, x, y, inner);
-    }
-}
-
-/// Serial ELL SpMV with a 4-way unrolled row sweep per packed slot.
-pub fn unrolled<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Unroll4);
-}
-
-/// Serial ELL SpMV with an 8-way unrolled row sweep per packed slot.
-pub fn unrolled8<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Unroll8);
-}
-
-/// Serial ELL SpMV through the runtime-dispatched vector backend
-/// (bit-identical to [`unrolled`], see [`crate::simd`]).
-pub fn simd<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_serial(m, x, y, InnerLoop::Simd);
-}
-
-#[inline]
-fn run_chunks<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], bounds: &[usize], inner: InnerLoop) {
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
-        y_chunk.fill(T::ZERO);
-        let (r0, r1) = (bounds[ci], bounds[ci + 1]);
-        for p in 0..m.width() {
-            let dcol = &data[p * rows + r0..p * rows + r1];
-            let icol = &idx[p * rows + r0..p * rows + r1];
-            slab_step(dcol, icol, x, y_chunk, inner);
-        }
-    });
-}
-
-#[inline]
-fn run_parallel<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], inner: InnerLoop) {
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks(m, x, y, &bounds, inner);
-}
-
-/// Row-parallel ELL SpMV.
-pub fn parallel<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Scalar);
-}
-
-/// Row-parallel ELL SpMV with unrolled sweeps.
-pub fn parallel_unrolled<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Unroll4);
-}
-
-/// Row-parallel ELL SpMV with 8-way unrolled sweeps.
-pub fn parallel_unrolled8<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Unroll8);
-}
-
-/// Row-parallel ELL SpMV through the vector backend.
-pub fn parallel_simd<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    run_parallel(m, x, y, InnerLoop::Simd);
-}
-
-/// Serial ELL SpMV with slot-pair register blocking: two packed slots
-/// are fused into one sweep over the rows, halving the passes over `y`.
-pub fn blocked2<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    let width = m.width();
-    let pairs = width / 2;
-    for q in 0..pairs {
-        let p = 2 * q;
-        let d0 = &data[p * rows..(p + 1) * rows];
-        let i0 = &idx[p * rows..(p + 1) * rows];
-        let d1 = &data[(p + 1) * rows..(p + 2) * rows];
-        let i1 = &idx[(p + 1) * rows..(p + 2) * rows];
-        for r in 0..rows {
+fn pair_step<T: Scalar>(
+    (d0, i0): (&[T], &[usize]),
+    (d1, i1): (&[T], &[usize]),
+    x: &[T],
+    y: &mut [T],
+    unroll: bool,
+) {
+    let n = y.len();
+    if !unroll {
+        for r in 0..n {
             y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
         }
+        return;
     }
-    if width % 2 == 1 {
-        let p = width - 1;
-        let dcol = &data[p * rows..(p + 1) * rows];
-        let icol = &idx[p * rows..(p + 1) * rows];
-        for r in 0..rows {
-            y[r] += dcol[r] * x[icol[r]];
-        }
+    let quads = n / 4;
+    for q in 0..quads {
+        let r = 4 * q;
+        y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
+        y[r + 1] += d0[r + 1] * x[i0[r + 1]] + d1[r + 1] * x[i1[r + 1]];
+        y[r + 2] += d0[r + 2] * x[i0[r + 2]] + d1[r + 2] * x[i1[r + 2]];
+        y[r + 3] += d0[r + 3] * x[i0[r + 3]] + d1[r + 3] * x[i1[r + 3]];
     }
-}
-
-/// Slot-pair blocked ELL SpMV with a 4-way unrolled row sweep.
-pub fn blocked2_unrolled<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    y.fill(T::ZERO);
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    let width = m.width();
-    let pairs = width / 2;
-    for q in 0..pairs {
-        let p = 2 * q;
-        let d0 = &data[p * rows..(p + 1) * rows];
-        let i0 = &idx[p * rows..(p + 1) * rows];
-        let d1 = &data[(p + 1) * rows..(p + 2) * rows];
-        let i1 = &idx[(p + 1) * rows..(p + 2) * rows];
-        let quads = rows / 4;
-        for t in 0..quads {
-            let r = 4 * t;
-            y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
-            y[r + 1] += d0[r + 1] * x[i0[r + 1]] + d1[r + 1] * x[i1[r + 1]];
-            y[r + 2] += d0[r + 2] * x[i0[r + 2]] + d1[r + 2] * x[i1[r + 2]];
-            y[r + 3] += d0[r + 3] * x[i0[r + 3]] + d1[r + 3] * x[i1[r + 3]];
-        }
-        for r in 4 * quads..rows {
-            y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
-        }
-    }
-    if width % 2 == 1 {
-        let p = width - 1;
-        let dcol = &data[p * rows..(p + 1) * rows];
-        let icol = &idx[p * rows..(p + 1) * rows];
-        for r in 0..rows {
-            y[r] += dcol[r] * x[icol[r]];
-        }
+    for r in 4 * quads..n {
+        y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
     }
 }
 
+/// Packed slot `p` restricted to the rows of `y_chunk` (whose index 0
+/// is global row `r0`): its data and column-index columns, both cut to
+/// the chunk's length so the sweep bodies' bounds checks fold away.
 #[inline]
-fn run_chunks_blocked2<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], bounds: &[usize]) {
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    let width = m.width();
-    exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
-        y_chunk.fill(T::ZERO);
-        let (r0, r1) = (bounds[ci], bounds[ci + 1]);
-        let n = r1 - r0;
-        let pairs = width / 2;
-        for q in 0..pairs {
-            let p = 2 * q;
-            let d0 = &data[p * rows + r0..p * rows + r1];
-            let i0 = &idx[p * rows + r0..p * rows + r1];
-            let d1 = &data[(p + 1) * rows + r0..(p + 1) * rows + r1];
-            let i1 = &idx[(p + 1) * rows + r0..(p + 1) * rows + r1];
-            for r in 0..n {
-                y_chunk[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
-            }
-        }
-        if width % 2 == 1 {
-            let p = width - 1;
-            let dcol = &data[p * rows + r0..p * rows + r1];
-            let icol = &idx[p * rows + r0..p * rows + r1];
-            for r in 0..n {
-                y_chunk[r] += dcol[r] * x[icol[r]];
-            }
-        }
-    });
+fn slot<T: Scalar>(m: &Ell<T>, p: usize, r0: usize, n: usize) -> (&[T], &[usize]) {
+    let at = p * m.rows() + r0;
+    (&m.data()[at..][..n], &m.indices()[at..][..n])
 }
 
-/// Row-parallel ELL SpMV with slot-pair blocking inside each chunk.
-pub fn parallel_blocked2<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    let bounds = equal_row_bounds(m.rows(), default_parts());
-    run_chunks_blocked2(m, x, y, &bounds);
-}
-
-/// Runs a parallel ELL variant with precomputed row chunk bounds. The
-/// strategy set picks the chunk body: `Block` selects the slot-pair
-/// fused sweep, otherwise the [`InnerLoop`] it maps to.
-pub(crate) fn run_planned<T: Scalar>(
+/// Fans the column-major slot sweep out over `bounds` with one slot
+/// body: per chunk, zero it, then sweep every packed slot.
+fn run_chunks<T: Scalar>(
     m: &Ell<T>,
     x: &[T],
     y: &mut [T],
-    plan: &ExecPlan,
-    strategies: StrategySet,
+    bounds: &[usize],
+    step: impl Fn(&[T], &[usize], &[T], &mut [T]) + Sync,
 ) {
+    exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
+        y_chunk.fill(T::ZERO);
+        for p in 0..m.width() {
+            let (dcol, icol) = slot(m, p, bounds[ci], y_chunk.len());
+            step(dcol, icol, x, y_chunk);
+        }
+    });
+}
+
+/// Runs the ELL variant tagged `strategies` over the plan's row chunks
+/// — the one planned dispatch of this format (and of HYB's ELL part).
+/// `Block` fuses slot pairs (an odd last slot sweeps alone), otherwise
+/// each slot goes through the vector backend (`Simd`), the unrolled
+/// (`Unroll`, HYB's `hyb_unroll`) or the basic slot body.
+///
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
     check_dims(m, x, y);
+    let bounds = &plan.bounds[..];
     if strategies.contains(Strategy::Block) {
-        run_chunks_blocked2(m, x, y, &plan.bounds);
+        let unroll = strategies.contains(Strategy::Unroll);
+        return exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
+            y_chunk.fill(T::ZERO);
+            let (r0, n, width) = (bounds[ci], y_chunk.len(), m.width());
+            for q in 0..width / 2 {
+                pair_step(
+                    slot(m, 2 * q, r0, n),
+                    slot(m, 2 * q + 1, r0, n),
+                    x,
+                    y_chunk,
+                    unroll,
+                );
+            }
+            if width % 2 == 1 {
+                let (dcol, icol) = slot(m, width - 1, r0, n);
+                step_scalar(dcol, icol, x, y_chunk);
+            }
+        });
+    }
+    if strategies.contains(Strategy::Simd) {
+        run_chunks(m, x, y, bounds, crate::simd::axpy_gather)
+    } else if strategies.contains(Strategy::Unroll) {
+        run_chunks(m, x, y, bounds, step_unroll4)
     } else {
-        run_chunks(m, x, y, &plan.bounds, InnerLoop::of(strategies));
+        run_chunks(m, x, y, bounds, step_scalar)
     }
 }
 
-/// The ELL kernel library.
-pub fn kernels<T: Scalar>() -> Vec<KernelEntry<T, Ell<T>>> {
+/// The ELL variant table (row 0 is the basic kernel).
+pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "ell_basic",
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Ell<T>>,
-        ),
-        ("ell_unroll", [Unroll].into_iter().collect(), unrolled),
-        (
-            "ell_unroll8",
-            [Unroll, Wide].into_iter().collect(),
-            unrolled8,
-        ),
-        ("ell_simd", [Unroll, Simd].into_iter().collect(), simd),
-        ("ell_block2", [Block].into_iter().collect(), blocked2),
-        (
-            "ell_block2_unroll",
-            [Block, Unroll].into_iter().collect(),
-            blocked2_unrolled,
-        ),
-        ("ell_parallel", [Parallel].into_iter().collect(), parallel),
-        (
-            "ell_parallel_unroll",
-            [Parallel, Unroll].into_iter().collect(),
-            parallel_unrolled,
-        ),
-        (
-            "ell_parallel_unroll8",
-            [Parallel, Unroll, Wide].into_iter().collect(),
-            parallel_unrolled8,
-        ),
-        (
-            "ell_parallel_simd",
-            [Parallel, Unroll, Simd].into_iter().collect(),
-            parallel_simd,
-        ),
-        (
-            "ell_parallel_block2",
-            [Parallel, Block].into_iter().collect(),
-            parallel_blocked2,
-        ),
-    ]
+    kernel_rows(&[
+        ("ell_basic", &[]),
+        ("ell_simd", &[Simd]),
+        ("ell_block2", &[Block]),
+        ("ell_block2_unroll", &[Block, Unroll]),
+        ("ell_parallel_simd", &[Parallel, Simd]),
+        ("ell_parallel_block2", &[Parallel, Block]),
+    ])
 }
 
 #[cfg(test)]
@@ -348,10 +178,12 @@ mod tests {
         let ell = Ell::from_csr(&csr).unwrap();
         let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.21).cos()).collect();
         let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![f64::NAN; csr.rows()];
-            k(&ell, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
+        for info in variants() {
+            for plan in ExecPlan::serial_and_fan_out(csr.rows()) {
+                let mut y = vec![f64::NAN; csr.rows()];
+                run(&ell, &x, &mut y, &plan, info.strategies);
+                assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+            }
         }
     }
 
@@ -372,10 +204,12 @@ mod tests {
         let ell = Ell::from_csr(&csr).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let expect = reference(&csr, &x);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = vec![0.0; 5];
-            k(&ell, &x, &mut y);
-            assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
+        for info in variants() {
+            for plan in ExecPlan::serial_and_fan_out(5) {
+                let mut y = vec![0.0; 5];
+                run(&ell, &x, &mut y, &plan, info.strategies);
+                assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+            }
         }
     }
 
@@ -383,10 +217,12 @@ mod tests {
     fn empty_matrix_zeroes_output() {
         let csr = Csr::<f32>::from_triplets(3, 3, &[]).unwrap();
         let ell = Ell::from_csr(&csr).unwrap();
-        for (name, _, k) in kernels::<f32>() {
-            let mut y = [2.0f32; 3];
-            k(&ell, &[1.0; 3], &mut y);
-            assert_eq!(y, [0.0; 3], "{name}");
+        for info in variants() {
+            for plan in ExecPlan::serial_and_fan_out(3) {
+                let mut y = [2.0f32; 3];
+                run(&ell, &[1.0; 3], &mut y, &plan, info.strategies);
+                assert_eq!(y, [0.0; 3], "{}", info.name);
+            }
         }
     }
 }

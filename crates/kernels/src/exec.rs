@@ -1,118 +1,49 @@
 //! Execution backend of the parallel kernels.
 //!
-//! One cfg site selects how chunked work is fanned out:
+//! Chunked work fans out over the persistent parking worker pool
+//! (`smat-pool`): workers started once, woken by a condvar latch,
+//! claiming chunk indices through an atomic cursor — no per-call thread
+//! spawn, no per-item mutex, no heap allocation in steady state.
 //!
-//! * With the default `pool` feature, chunks run on the persistent
-//!   parking worker pool (`smat-pool`): workers started once, woken by
-//!   a condvar latch, claiming chunk indices through an atomic cursor —
-//!   no per-call thread spawn, no per-item mutex, no heap allocation in
-//!   steady state.
-//! * Without it (`--no-default-features`), chunks run through the
-//!   vendored rayon stub's scoped threads — the dependency-free
-//!   fallback build.
-//!
-//! Every parallel kernel goes through [`for_each_row_chunk`], the one
-//! place that turns a validated boundary list into disjoint `&mut`
+//! Every row-chunked kernel goes through [`for_each_row_chunk`], the
+//! one place that turns a validated boundary list into disjoint `&mut`
 //! sub-slices of the output vector.
 
-#[cfg(feature = "pool")]
-mod backend {
-    /// Threads cooperating on one fan-out (pool workers + caller).
-    pub fn num_threads() -> usize {
-        smat_pool::current_num_threads()
-    }
-
-    /// Dispatches `body(0..chunks)` over the persistent pool.
-    pub fn for_each_chunk(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
-        smat_pool::parallel_for(chunks, body);
-    }
-
-    /// Requests the pool size; only effective before the pool's first
-    /// use (see [`smat_pool::set_thread_target`]).
-    pub fn set_thread_target(n: usize) {
-        smat_pool::set_thread_target(n);
-    }
-
-    /// OS threads ever spawned by the execution backend. Flat in steady
-    /// state — the zero-spawn guarantee the tests assert.
-    pub fn spawn_count() -> u64 {
-        smat_pool::spawn_count()
-    }
-
-    /// Pool fan-outs performed (inline-serial fallbacks not counted).
-    /// Flat across serial planned dispatches — the serial fast path in
-    /// `for_each_row_chunk` never touches the pool.
-    pub fn dispatch_count() -> u64 {
-        smat_pool::dispatch_count()
-    }
-
-    /// Dispatches the `pool.dispatch` failpoint diverted to the inline
-    /// fallback; the runtime's degradation ladder samples this around
-    /// every parallel call to detect a faulting pool.
-    pub fn dispatch_fault_count() -> u64 {
-        smat_pool::dispatch_fault_count()
-    }
+/// Threads cooperating on one fan-out (pool workers + caller).
+pub fn num_threads() -> usize {
+    smat_pool::current_num_threads()
 }
 
-#[cfg(not(feature = "pool"))]
-mod backend {
-    use rayon::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-
-    static TARGET: AtomicUsize = AtomicUsize::new(0);
-
-    /// Threads the rayon-stub fallback would use, resolved once (the
-    /// pre-pool code re-issued the `available_parallelism` syscall on
-    /// every SpMV dispatch).
-    pub fn num_threads() -> usize {
-        static N: OnceLock<usize> = OnceLock::new();
-        *N.get_or_init(|| {
-            let target = TARGET.load(Ordering::Relaxed);
-            if target > 0 {
-                target
-            } else {
-                rayon::current_num_threads().max(1)
-            }
-        })
-    }
-
-    /// Dispatches chunk indices over the rayon stub's scoped threads.
-    pub fn for_each_chunk(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
-        (0..chunks)
-            .collect::<Vec<usize>>()
-            .into_par_iter()
-            .for_each(|ci| body(ci));
-    }
-
-    /// Requests the thread count; only effective before the first
-    /// [`num_threads`] call freezes it.
-    pub fn set_thread_target(n: usize) {
-        TARGET.store(n.max(1), Ordering::Relaxed);
-    }
-
-    /// The fallback backend spawns scoped threads per call and does not
-    /// track them; reported as 0.
-    pub fn spawn_count() -> u64 {
-        0
-    }
-
-    /// The fallback backend does not track fan-outs; reported as 0.
-    pub fn dispatch_count() -> u64 {
-        0
-    }
-
-    /// The fallback backend has no failpoint-instrumented dispatch
-    /// path; reported as 0 (the degradation ladder never triggers).
-    pub fn dispatch_fault_count() -> u64 {
-        0
-    }
+/// Dispatches `body(0..chunks)` over the persistent pool.
+pub fn for_each_chunk(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+    smat_pool::parallel_for(chunks, body);
 }
 
-pub use backend::{
-    dispatch_count, dispatch_fault_count, for_each_chunk, num_threads, set_thread_target,
-    spawn_count,
-};
+/// Requests the pool size; only effective before the pool's first
+/// use (see [`smat_pool::set_thread_target`]).
+pub fn set_thread_target(n: usize) {
+    smat_pool::set_thread_target(n);
+}
+
+/// OS threads ever spawned by the execution backend. Flat in steady
+/// state — the zero-spawn guarantee the tests assert.
+pub fn spawn_count() -> u64 {
+    smat_pool::spawn_count()
+}
+
+/// Pool fan-outs performed (inline-serial fallbacks not counted).
+/// Flat across serial planned dispatches — the serial fast path in
+/// `for_each_row_chunk` never touches the pool.
+pub fn dispatch_count() -> u64 {
+    smat_pool::dispatch_count()
+}
+
+/// Dispatches the `pool.dispatch` failpoint diverted to the inline
+/// fallback; the runtime's degradation ladder samples this around
+/// every parallel call to detect a faulting pool.
+pub fn dispatch_fault_count() -> u64 {
+    smat_pool::dispatch_fault_count()
+}
 
 /// Validates a chunk boundary list against an output slice: starts at
 /// 0, ends at `len`, non-decreasing.
@@ -138,9 +69,8 @@ pub(crate) fn validate_bounds(bounds: &[usize], len: usize) {
 /// Runs `f(chunk_index, &mut y[bounds[i]..bounds[i + 1]])` for every
 /// chunk, in parallel over the execution backend.
 ///
-/// This replaces the old `split_by_bounds` + parallel-iterator pattern
-/// without allocating the intermediate `Vec` of sub-slices: chunks are
-/// carved from the raw output pointer inside this one audited helper.
+/// No intermediate `Vec` of sub-slices is allocated: chunks are carved
+/// from the raw output pointer inside this one audited helper.
 /// Disjointness holds because the bounds are validated non-decreasing
 /// and the backend hands out each chunk index exactly once.
 ///
@@ -156,8 +86,8 @@ where
     validate_bounds(bounds, y.len());
     // Serial fast path: a single-chunk plan is the whole output slice,
     // so call the body directly instead of paying the pool's wake/park
-    // handshake (or the fallback's scoped-thread spawn) for no
-    // parallelism. Keeps `dispatch_count` flat for serial plans.
+    // handshake for no parallelism. Keeps `dispatch_count` flat for
+    // serial plans.
     if bounds.len() == 2 {
         return f(0, y);
     }

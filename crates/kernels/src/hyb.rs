@@ -1,21 +1,16 @@
 //! HYB SpMV kernel variants (the extension format).
 //!
-//! The ELL part runs through the corresponding ELL kernel; the COO
+//! The ELL part runs through the corresponding ELL variant; the COO
 //! overflow is then scattered on top. By the width heuristic's
-//! construction the overflow is a small minority of the nonzeros, so the
-//! parallel variant parallelizes only the ELL sweep and applies the
-//! overflow serially — the simple composition cuSPARSE's HYB also uses
+//! construction the overflow is a small minority of the nonzeros, so a
+//! fan-out plan parallelizes only the ELL sweep and the overflow is
+//! applied serially — the simple composition cuSPARSE's HYB also uses
 //! on the host side.
 
-use crate::registry::{KernelEntry, KernelFn};
+use crate::plan::ExecPlan;
+use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Hyb, Scalar};
-
-#[inline]
-fn check_dims<T: Scalar>(m: &Hyb<T>, x: &[T], y: &[T]) {
-    assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
-    assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
-}
 
 /// Adds the COO overflow part on top of `y` (which already holds the ELL
 /// part's product).
@@ -30,53 +25,28 @@ fn add_overflow<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T]) {
     }
 }
 
-/// Basic serial HYB SpMV: ELL sweep plus COO scatter.
-pub fn basic<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    crate::ell::basic(m.ell_part(), x, y);
+/// Runs the HYB variant tagged `strategies`: the ELL part through
+/// [`crate::ell::run`] over the plan's row chunks, then the COO
+/// overflow serially.
+///
+/// # Panics
+///
+/// Panics on mismatched vector lengths or malformed plan bounds.
+pub fn run<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strategies: StrategySet) {
+    assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
+    assert_eq!(y.len(), m.rows(), "y length must equal matrix rows");
+    crate::ell::run(m.ell_part(), x, y, plan, strategies);
     add_overflow(m, x, y);
 }
 
-/// Serial HYB SpMV with the unrolled ELL sweep.
-pub fn unrolled<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    crate::ell::unrolled(m.ell_part(), x, y);
-    add_overflow(m, x, y);
-}
-
-/// HYB SpMV with the row-parallel ELL sweep (overflow applied serially —
-/// it is a small minority of entries by the width heuristic).
-pub fn parallel<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T]) {
-    check_dims(m, x, y);
-    crate::ell::parallel(m.ell_part(), x, y);
-    add_overflow(m, x, y);
-}
-
-/// Runs the parallel HYB variant with precomputed row chunk bounds for
-/// the ELL sweep; the COO overflow stays serial.
-pub(crate) fn run_planned<T: Scalar>(
-    m: &Hyb<T>,
-    x: &[T],
-    y: &mut [T],
-    plan: &crate::plan::ExecPlan,
-) {
-    check_dims(m, x, y);
-    crate::ell::run_planned(m.ell_part(), x, y, plan, StrategySet::EMPTY);
-    add_overflow(m, x, y);
-}
-
-/// The HYB kernel library.
-pub fn kernels<T: Scalar>() -> Vec<KernelEntry<T, Hyb<T>>> {
+/// The HYB variant table (row 0 is the basic kernel).
+pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "hyb_basic",
-            StrategySet::EMPTY,
-            basic as KernelFn<T, Hyb<T>>,
-        ),
-        ("hyb_unroll", [Unroll].into_iter().collect(), unrolled),
-        ("hyb_parallel", [Parallel].into_iter().collect(), parallel),
-    ]
+    kernel_rows(&[
+        ("hyb_basic", &[]),
+        ("hyb_unroll", &[Unroll]),
+        ("hyb_parallel", &[Parallel]),
+    ])
 }
 
 #[cfg(test)]
@@ -102,10 +72,12 @@ mod tests {
             assert!(hyb.coo_part().nnz() > 0, "want a nonempty overflow part");
             let x: Vec<f64> = (0..csr.cols()).map(|i| (i as f64 * 0.13).cos()).collect();
             let expect = reference(&csr, &x);
-            for (name, _, k) in kernels::<f64>() {
-                let mut y = vec![f64::NAN; csr.rows()];
-                k(&hyb, &x, &mut y);
-                assert!(max_abs_diff(&y, &expect) < 1e-12, "{name} diverges");
+            for info in variants() {
+                for plan in ExecPlan::serial_and_fan_out(csr.rows()) {
+                    let mut y = vec![f64::NAN; csr.rows()];
+                    run(&hyb, &x, &mut y, &plan, info.strategies);
+                    assert!(max_abs_diff(&y, &expect) < 1e-12, "{} diverges", info.name);
+                }
             }
         }
     }
@@ -114,10 +86,12 @@ mod tests {
     fn empty_matrix_zeroes_output() {
         let csr = Csr::<f64>::from_triplets(3, 3, &[]).unwrap();
         let hyb = Hyb::from_csr(&csr);
-        for (name, _, k) in kernels::<f64>() {
-            let mut y = [7.0; 3];
-            k(&hyb, &[1.0; 3], &mut y);
-            assert_eq!(y, [0.0; 3], "{name}");
+        for info in variants() {
+            for plan in ExecPlan::serial_and_fan_out(3) {
+                let mut y = [7.0; 3];
+                run(&hyb, &[1.0; 3], &mut y, &plan, info.strategies);
+                assert_eq!(y, [0.0; 3], "{}", info.name);
+            }
         }
     }
 }

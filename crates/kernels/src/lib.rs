@@ -2,11 +2,12 @@
 //!
 //! This crate holds the architecture-level half of SMAT's co-tuning:
 //!
-//! * per-format kernel variants ([`csr`], [`coo`], [`dia`], [`ell`])
-//!   composed from the optimization [`Strategy`] set (unrolling,
-//!   multithreading, load balancing);
-//! * the [`KernelLibrary`] registry addressing every variant by
-//!   `(format, index)`;
+//! * per-format kernel variants ([`csr`], [`coo`], [`dia`], [`ell`]):
+//!   one planned entry point per format whose loop is derived from the
+//!   optimization [`Strategy`] set (unrolling, multithreading, load
+//!   balancing) of the table row being run;
+//! * the [`KernelLibrary`] registry: that table, addressing every
+//!   variant by `(op, format, index)`;
 //! * the offline kernel [`search`]: performance-record table plus the
 //!   paper's scoreboard algorithm (§5.2);
 //! * MKL-style [`mod@reference`] baselines used by the Figure 10 comparison;
@@ -20,7 +21,7 @@
 //!
 //! ```
 //! use smat_kernels::{search_kernels, KernelLibrary};
-//! use smat_matrix::{gen::random_uniform, Format};
+//! use smat_matrix::{gen::random_uniform, AnyMatrix, Format};
 //! use std::time::Duration;
 //!
 //! let lib = KernelLibrary::<f64>::new();
@@ -29,7 +30,8 @@
 //!
 //! let x = vec![1.0; 500];
 //! let mut y = vec![0.0; 500];
-//! lib.run_csr(&probe, choice.kernel(Format::Csr).variant, &x, &mut y);
+//! let a = AnyMatrix::Csr(probe);
+//! lib.run(&a, choice.kernel(Format::Csr).variant, &x, &mut y);
 //! assert!(y.iter().any(|&v| v != 0.0));
 //! ```
 
@@ -55,10 +57,7 @@ pub mod strategy;
 pub mod timing;
 
 pub use plan::ExecPlan;
-pub use registry::{
-    ChunkPolicy, KernelEntry, KernelFn, KernelId, KernelInfo, KernelLibrary, Op, Planner,
-    SpmmEntry, SpmmFn,
-};
+pub use registry::{ChunkPolicy, KernelFn, KernelId, KernelInfo, KernelLibrary, Op, Planner};
 pub use search::{
     measure_format, measure_format_excluding, measure_spmm, measure_spmm_excluding, search_kernels,
     search_kernels_excluding, search_plan, search_spmm_plan, KernelChoice, PerfRecord, PerfTable,

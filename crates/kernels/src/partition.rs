@@ -96,36 +96,6 @@ pub fn merge_path_bounds<T: Scalar>(m: &Csr<T>, parts: usize) -> (Vec<usize>, Ve
     (entry_bounds, row_bounds)
 }
 
-/// Splits a mutable slice into the sub-slices delimited by `bounds`
-/// (which must start at 0, end at `y.len()` and be non-decreasing).
-///
-/// Parallel kernels hand each chunk to one rayon task; disjointness is
-/// what makes the unsynchronized writes sound.
-///
-/// # Panics
-///
-/// Panics if the bounds are malformed.
-pub fn split_by_bounds<'a, T>(y: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    assert!(bounds.len() >= 2, "bounds must have at least two entries");
-    assert_eq!(bounds[0], 0, "bounds must start at 0");
-    assert_eq!(
-        *bounds.last().expect("non-empty"),
-        y.len(),
-        "bounds must end at the slice length"
-    );
-    let mut out = Vec::with_capacity(bounds.len() - 1);
-    let mut rest = y;
-    let mut prev = 0;
-    for &b in &bounds[1..] {
-        assert!(b >= prev, "bounds must be non-decreasing");
-        let (head, tail) = rest.split_at_mut(b - prev);
-        out.push(head);
-        rest = tail;
-        prev = b;
-    }
-    out
-}
-
 /// Number of parallel chunks to use: a small multiple of the thread
 /// count so the execution backend can balance tail effects. The thread
 /// count comes from [`crate::exec::num_threads`], which resolves it
@@ -162,23 +132,6 @@ mod tests {
         assert_eq!(b.last(), Some(&101));
         // The heavy row should sit alone (or nearly) in its chunk.
         assert!(b[1] <= 2, "boundary after heavy row, got {:?}", b);
-    }
-
-    #[test]
-    fn split_matches_bounds() {
-        let mut data = [0u32, 1, 2, 3, 4, 5];
-        let parts = split_by_bounds(&mut data, &[0, 2, 2, 6]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], &[0, 1]);
-        assert!(parts[1].is_empty());
-        assert_eq!(parts[2], &[2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "end at the slice length")]
-    fn split_bad_bounds_panics() {
-        let mut data = [0u32; 4];
-        split_by_bounds(&mut data, &[0, 2]);
     }
 
     #[test]

@@ -99,6 +99,22 @@ impl ExecPlan {
         }
     }
 
+    /// A fan-out plan over `bounds` (and, for COO and merge-path CSR,
+    /// the aligned `entry_bounds`), sized for the live backend's thread
+    /// count.
+    pub fn chunked(
+        policy: ChunkPolicy,
+        bounds: Vec<usize>,
+        entry_bounds: Option<Vec<usize>>,
+    ) -> Self {
+        ExecPlan {
+            bounds,
+            entry_bounds,
+            threads: crate::exec::num_threads(),
+            policy,
+        }
+    }
+
     /// Number of chunks the plan fans out to.
     pub fn chunks(&self) -> usize {
         self.bounds.len().saturating_sub(1)
@@ -116,6 +132,19 @@ impl ExecPlan {
     /// rebuilds and re-caches them.
     pub fn is_stale(&self) -> bool {
         !self.is_serial() && self.threads != crate::exec::num_threads()
+    }
+}
+
+#[cfg(test)]
+impl ExecPlan {
+    /// The plans every row-chunked kernel's unit tests run under: the
+    /// one-chunk serial plan and a three-way equal-rows fan-out.
+    pub(crate) fn serial_and_fan_out(rows: usize) -> [ExecPlan; 2] {
+        let bounds = crate::partition::equal_row_bounds(rows, 3);
+        [
+            ExecPlan::serial(rows),
+            ExecPlan::chunked(ChunkPolicy::EqualRows, bounds, None),
+        ]
     }
 }
 

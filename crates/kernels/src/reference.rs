@@ -13,6 +13,9 @@
 //! ("the maximum performance number of DIA, CSR, and COO SpMV functions
 //! in this library").
 
+use crate::partition::{default_parts, equal_row_bounds};
+use crate::plan::{ChunkPolicy, ExecPlan};
+use crate::strategy::StrategySet;
 use crate::timing::{gflops, reps_for_budget, time_median};
 use smat_matrix::{Coo, Csr, Dia, Scalar};
 use std::time::Duration;
@@ -21,13 +24,16 @@ use std::time::Duration;
 type SpmvClosure<'a, T> = Box<dyn FnMut(&[T], &mut [T]) + 'a>;
 
 /// Reference CSR SpMV (`mkl_xcsrgemv` stand-in): row-parallel basic
-/// kernel.
+/// kernel. A vendor routine has no plan handle, so it partitions the
+/// rows on every call.
 ///
 /// # Panics
 ///
 /// Panics if vector lengths do not match the matrix dimensions.
 pub fn csrgemv<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
-    crate::csr::parallel(m, x, y);
+    let bounds = equal_row_bounds(m.rows(), default_parts());
+    let plan = ExecPlan::chunked(ChunkPolicy::EqualRows, bounds, None);
+    crate::csr::run(m, x, y, &plan, StrategySet::EMPTY);
 }
 
 /// Reference sequential CSR SpMV (single-threaded BLAS configuration).
@@ -46,7 +52,7 @@ pub fn csrgemv_seq<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
 ///
 /// Panics if vector lengths do not match the matrix dimensions.
 pub fn diagemv<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
-    crate::dia::basic(m, x, y);
+    crate::dia::run(m, x, y, &ExecPlan::serial(m.rows()), StrategySet::EMPTY);
 }
 
 /// Reference COO SpMV (`mkl_xcoogemv` stand-in): sequential triplet
@@ -56,7 +62,7 @@ pub fn diagemv<T: Scalar>(m: &Dia<T>, x: &[T], y: &mut [T]) {
 ///
 /// Panics if vector lengths do not match the matrix dimensions.
 pub fn coogemv<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
-    crate::coo::basic(m, x, y);
+    crate::coo::run(m, x, y, &ExecPlan::serial(m.rows()), StrategySet::EMPTY);
 }
 
 /// Measured throughput of the best reference routine on a matrix given in

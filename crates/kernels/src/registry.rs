@@ -1,33 +1,35 @@
-//! The kernel library: every SpMV implementation variant for every
-//! format, addressable by `(Format, variant index)`.
+//! The kernel library: every SpMV / SpMM implementation variant for
+//! every format, addressable by `(Op, Format, variant index)`.
 //!
-//! This is the "large kernel library" of the paper's Figure 4. The
-//! offline kernel search ([`crate::search`]) picks one variant per format
-//! for the host architecture; the runtime then dispatches through
-//! [`KernelLibrary::run`].
+//! This is the "large kernel library" of the paper's Figure 4, held the
+//! way §5.2 describes it: a table of implementations *tagged by
+//! strategy set*. A builtin variant **is** its row — a name and a
+//! [`StrategySet`]; the format module's one planned entry point
+//! derives the loop from the set, and an [`ExecPlan`] says how it fans
+//! out (a serial variant is the one-chunk plan). The offline kernel
+//! search ([`crate::search`]) picks one row per format for the host
+//! architecture; the runtime then replays it through
+//! [`KernelLibrary::run_planned`].
+//!
+//! **Deletion rule.** A row earns its place by measurement: the
+//! `spmv_variants` sweep (`BENCH_kernels.json`) records every variant's
+//! closest approach to its format's front over suited matrices ×
+//! precisions × thread counts, and a variant that never comes within
+//! 10% goes — except row 0 of each table (the containment reference)
+//! and the rows the end-to-end benchmark pins by name.
 
 use crate::partition::{default_parts, equal_row_bounds, merge_path_bounds, nnz_balanced_bounds};
 pub use crate::plan::ChunkPolicy;
 use crate::plan::ExecPlan;
-use crate::strategy::{InnerLoop, Strategy, StrategySet};
+use crate::strategy::{Strategy, StrategySet};
 use crate::{bcsr, coo, csr, dia, ell, exec, hyb, spmm};
 use serde::{Deserialize, Serialize};
-use smat_matrix::{AnyMatrix, Bcsr, Coo, Csr, Dia, Ell, Format, Hyb, Scalar};
+use smat_matrix::{AnyMatrix, Format, Scalar};
 
-/// Signature of every SpMV kernel: `run(matrix, x, y)` computing
-/// `y = A * x`.
-pub type KernelFn<T, M> = fn(&M, &[T], &mut [T]);
-
-/// One registered kernel: name, strategy set and entry point.
-pub type KernelEntry<T, M> = (&'static str, StrategySet, KernelFn<T, M>);
-
-/// Signature of every SpMM kernel: `run(matrix, x, y, k)` computing
-/// `Y = A * X` for `k` right-hand sides, with `X` (`cols * k`) and `Y`
-/// (`rows * k`) stored row-major.
-pub type SpmmFn<T, M> = fn(&M, &[T], &mut [T], usize);
-
-/// One registered SpMM kernel: name, strategy set and entry point.
-pub type SpmmEntry<T, M> = (&'static str, StrategySet, SpmmFn<T, M>);
+/// Signature of a user-registered SpMV kernel: `run(matrix, x, y)`
+/// computing `y = A * x`. Builtin variants have no entry point of
+/// their own (see the module docs); this is the extension point's.
+pub type KernelFn<T> = fn(&AnyMatrix<T>, &[T], &mut [T]);
 
 /// The operation a kernel computes. SpMV and SpMM variants live in
 /// separate per-format tables (their signatures differ by the RHS
@@ -85,6 +87,17 @@ pub struct KernelInfo {
     pub strategies: StrategySet,
 }
 
+/// Builds table rows from `(name, strategies)` literals — the form the
+/// format modules spell their variant tables in.
+pub(crate) fn kernel_rows(rows: &[(&'static str, &[Strategy])]) -> Vec<KernelInfo> {
+    rows.iter()
+        .map(|&(name, strategies)| KernelInfo {
+            name,
+            strategies: strategies.iter().copied().collect(),
+        })
+        .collect()
+}
+
 /// The complete kernel library for scalar type `T`.
 ///
 /// # Examples
@@ -104,36 +117,23 @@ pub struct KernelInfo {
 /// # Ok::<(), smat_matrix::MatrixError>(())
 /// ```
 pub struct KernelLibrary<T: Scalar> {
-    csr: Vec<KernelEntry<T, Csr<T>>>,
-    coo: Vec<KernelEntry<T, Coo<T>>>,
-    dia: Vec<KernelEntry<T, Dia<T>>>,
-    ell: Vec<KernelEntry<T, Ell<T>>>,
-    hyb: Vec<KernelEntry<T, Hyb<T>>>,
-    bcsr2: Vec<KernelEntry<T, Bcsr<T>>>,
-    bcsr4: Vec<KernelEntry<T, Bcsr<T>>>,
-    /// Multi-RHS (SpMM) tables. Formats without an entry here (COO,
+    /// The SpMV table: per [`Format::index`], the ordered rows.
+    spmv: [Vec<KernelInfo>; Format::COUNT],
+    /// The multi-RHS (SpMM) table. Formats with no rows here (COO,
     /// DIA, HYB) have no batched kernels; the engine falls back to
     /// per-column SpMV for them.
-    csr_spmm: Vec<SpmmEntry<T, Csr<T>>>,
-    ell_spmm: Vec<SpmmEntry<T, Ell<T>>>,
-    bcsr2_spmm: Vec<SpmmEntry<T, Bcsr<T>>>,
-    bcsr4_spmm: Vec<SpmmEntry<T, Bcsr<T>>>,
-    /// Variant counts at construction. Only builtin variants have
-    /// planned execution paths; user-registered ones (appended past
-    /// these counts) always dispatch through their raw fn pointer.
-    builtin: [usize; 7],
+    spmm: [Vec<KernelInfo>; Format::COUNT],
+    /// Entry points of the user-registered SpMV rows, per format: they
+    /// are the last `registered[f].len()` rows of `spmv[f]`. Only
+    /// builtin rows have planned execution paths; registered ones
+    /// always dispatch through their raw fn pointer.
+    registered: [Vec<KernelFn<T>>; Format::COUNT],
 }
 
 impl<T: Scalar> std::fmt::Debug for KernelLibrary<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelLibrary")
-            .field("csr_variants", &self.csr.len())
-            .field("coo_variants", &self.coo.len())
-            .field("dia_variants", &self.dia.len())
-            .field("ell_variants", &self.ell.len())
-            .field("hyb_variants", &self.hyb.len())
-            .field("bcsr2_variants", &self.bcsr2.len())
-            .field("bcsr4_variants", &self.bcsr4.len())
+            .field("spmv_variants", &self.total_variants())
             .field("spmm_variants", &self.total_spmm_variants())
             .finish()
     }
@@ -146,165 +146,77 @@ impl<T: Scalar> Default for KernelLibrary<T> {
 }
 
 impl<T: Scalar> KernelLibrary<T> {
-    /// Builds the library with every registered variant.
+    /// Builds the library with every builtin variant.
     pub fn new() -> Self {
-        let (csr, coo, dia, ell, hyb) = (
-            csr::kernels(),
-            coo::kernels(),
-            dia::kernels(),
-            ell::kernels(),
-            hyb::kernels(),
-        );
-        let (bcsr2, bcsr4) = (bcsr::kernels2(), bcsr::kernels4());
-        let builtin = [
-            csr.len(),
-            coo.len(),
-            dia.len(),
-            ell.len(),
-            hyb.len(),
-            bcsr2.len(),
-            bcsr4.len(),
-        ];
         Self {
-            csr,
-            coo,
-            dia,
-            ell,
-            hyb,
-            bcsr2,
-            bcsr4,
-            csr_spmm: spmm::csr_kernels(),
-            ell_spmm: spmm::ell_kernels(),
-            bcsr2_spmm: spmm::bcsr_kernels2(),
-            bcsr4_spmm: spmm::bcsr_kernels4(),
-            builtin,
+            spmv: Format::ALL.map(|format| match format {
+                Format::Dia => dia::variants(),
+                Format::Ell => ell::variants(),
+                Format::Csr => csr::variants(),
+                Format::Coo => coo::variants(),
+                Format::Hyb => hyb::variants(),
+                Format::Bcsr2 => bcsr::variants2(),
+                Format::Bcsr4 => bcsr::variants4(),
+            }),
+            spmm: Format::ALL.map(|format| match format {
+                Format::Csr => spmm::csr_variants(),
+                Format::Ell => spmm::ell_variants(),
+                Format::Bcsr2 => spmm::bcsr_variants2(),
+                Format::Bcsr4 => spmm::bcsr_variants4(),
+                Format::Coo | Format::Dia | Format::Hyb => Vec::new(),
+            }),
+            registered: Format::ALL.map(|_| Vec::new()),
         }
     }
 
-    /// Whether `id` names a builtin variant (one with a planned
-    /// execution path), as opposed to a user-registered extension.
-    /// Every SpMM variant is builtin — there is no SpMM registration
-    /// extension point.
-    fn is_builtin(&self, id: KernelId) -> bool {
-        if id.op == Op::Spmm {
-            return id.variant < self.spmm_variant_count(id.format);
+    /// The ordered rows of one `(op, format)` table, indexed by variant
+    /// id (empty for an op the format has no kernels for).
+    pub fn table(&self, op: Op, format: Format) -> &[KernelInfo] {
+        match op {
+            Op::Spmv => &self.spmv[format.index()],
+            Op::Spmm => &self.spmm[format.index()],
         }
-        let slot = match id.format {
-            Format::Csr => 0,
-            Format::Coo => 1,
-            Format::Dia => 2,
-            Format::Ell => 3,
-            Format::Hyb => 4,
-            Format::Bcsr2 => 5,
-            Format::Bcsr4 => 6,
-        };
-        id.variant < self.builtin[slot]
     }
 
-    /// Strategy set of one variant without materializing the
-    /// [`variants`](Self::variants) metadata `Vec` — the dispatch path
-    /// reads this per call, and steady-state dispatch must not allocate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id.variant` is out of range for `id.format`.
-    fn strategies_of(&self, id: KernelId) -> StrategySet {
-        if id.op == Op::Spmm {
-            return match id.format {
-                Format::Csr => self.csr_spmm[id.variant].1,
-                Format::Ell => self.ell_spmm[id.variant].1,
-                Format::Bcsr2 => self.bcsr2_spmm[id.variant].1,
-                Format::Bcsr4 => self.bcsr4_spmm[id.variant].1,
-                other => panic!("format {other} has no SpMM kernels"),
-            };
-        }
-        match id.format {
-            Format::Csr => self.csr[id.variant].1,
-            Format::Coo => self.coo[id.variant].1,
-            Format::Dia => self.dia[id.variant].1,
-            Format::Ell => self.ell[id.variant].1,
-            Format::Hyb => self.hyb[id.variant].1,
-            Format::Bcsr2 => self.bcsr2[id.variant].1,
-            Format::Bcsr4 => self.bcsr4[id.variant].1,
-        }
+    /// The raw entry point behind SpMV row `variant` of `format`, when
+    /// that row is a user-registered extension rather than a builtin.
+    fn registered_fn(&self, format: Format, variant: usize) -> Option<KernelFn<T>> {
+        let extra = &self.registered[format.index()];
+        let builtin = self.spmv[format.index()].len() - extra.len();
+        variant.checked_sub(builtin).map(|i| extra[i])
     }
 
     /// Number of implementation variants for `format`.
     pub fn variant_count(&self, format: Format) -> usize {
-        match format {
-            Format::Csr => self.csr.len(),
-            Format::Coo => self.coo.len(),
-            Format::Dia => self.dia.len(),
-            Format::Ell => self.ell.len(),
-            Format::Hyb => self.hyb.len(),
-            Format::Bcsr2 => self.bcsr2.len(),
-            Format::Bcsr4 => self.bcsr4.len(),
-        }
+        self.variants(format).len()
     }
 
     /// Total number of implementations across all formats (the paper
     /// reports "up to 24 in current SMAT system").
     pub fn total_variants(&self) -> usize {
-        Format::ALL.into_iter().map(|f| self.variant_count(f)).sum()
+        self.spmv.iter().map(Vec::len).sum()
     }
 
     /// Number of SpMM (multi-RHS) variants for `format`; 0 for formats
     /// without a batched tier (COO, DIA, HYB).
     pub fn spmm_variant_count(&self, format: Format) -> usize {
-        match format {
-            Format::Csr => self.csr_spmm.len(),
-            Format::Ell => self.ell_spmm.len(),
-            Format::Bcsr2 => self.bcsr2_spmm.len(),
-            Format::Bcsr4 => self.bcsr4_spmm.len(),
-            Format::Coo | Format::Dia | Format::Hyb => 0,
-        }
+        self.spmm_variants(format).len()
     }
 
     /// Total number of SpMM implementations across all formats.
     pub fn total_spmm_variants(&self) -> usize {
-        Format::ALL
-            .into_iter()
-            .map(|f| self.spmm_variant_count(f))
-            .sum()
+        self.spmm.iter().map(Vec::len).sum()
     }
 
     /// Metadata for every SpMM variant of `format`, indexed by variant
     /// id (empty for formats without a batched tier).
-    pub fn spmm_variants(&self, format: Format) -> Vec<KernelInfo> {
-        macro_rules! infos {
-            ($v:expr) => {
-                $v.iter()
-                    .map(|&(name, strategies, _)| KernelInfo { name, strategies })
-                    .collect()
-            };
-        }
-        match format {
-            Format::Csr => infos!(self.csr_spmm),
-            Format::Ell => infos!(self.ell_spmm),
-            Format::Bcsr2 => infos!(self.bcsr2_spmm),
-            Format::Bcsr4 => infos!(self.bcsr4_spmm),
-            Format::Coo | Format::Dia | Format::Hyb => Vec::new(),
-        }
+    pub fn spmm_variants(&self, format: Format) -> &[KernelInfo] {
+        self.table(Op::Spmm, format)
     }
 
     /// Metadata for every variant of `format`, indexed by variant id.
-    pub fn variants(&self, format: Format) -> Vec<KernelInfo> {
-        macro_rules! infos {
-            ($v:expr) => {
-                $v.iter()
-                    .map(|&(name, strategies, _)| KernelInfo { name, strategies })
-                    .collect()
-            };
-        }
-        match format {
-            Format::Csr => infos!(self.csr),
-            Format::Coo => infos!(self.coo),
-            Format::Dia => infos!(self.dia),
-            Format::Ell => infos!(self.ell),
-            Format::Hyb => infos!(self.hyb),
-            Format::Bcsr2 => infos!(self.bcsr2),
-            Format::Bcsr4 => infos!(self.bcsr4),
-        }
+    pub fn variants(&self, format: Format) -> &[KernelInfo] {
+        self.table(Op::Spmv, format)
     }
 
     /// Metadata for a specific kernel, dispatching on the id's op so
@@ -315,146 +227,76 @@ impl<T: Scalar> KernelLibrary<T> {
     ///
     /// Panics if the variant index is out of range.
     pub fn info(&self, id: KernelId) -> KernelInfo {
-        match id.op {
-            Op::Spmv => self.variants(id.format)[id.variant],
-            Op::Spmm => self.spmm_variants(id.format)[id.variant],
-        }
+        self.table(id.op, id.format)[id.variant]
     }
 
-    /// Registers an additional CSR kernel variant, returning its id.
+    /// FNV-1a digest of the ordered `(op, format, name)` rows — the
+    /// identity of the variant numbering. Persisted state addresses
+    /// kernels by raw index, so artifacts are stamped with this digest
+    /// and refused when it differs: adding, deleting or reordering a
+    /// row changes it, and no schema bump is needed for that.
+    pub fn digest(&self) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (op, tables) in [(b"spmv", &self.spmv), (b"spmm", &self.spmm)] {
+            for (format, rows) in Format::ALL.into_iter().zip(tables) {
+                for row in rows {
+                    eat(op);
+                    eat(format.name().as_bytes());
+                    eat(row.name.as_bytes());
+                    eat(&[0]);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Registers an additional SpMV kernel variant for `format`,
+    /// returning its id.
     ///
     /// Extension point for the paper's "add new kernels" claim and for
     /// fault-injection tests; the new variant participates in the
-    /// guarded search like any built-in one.
-    pub fn register_csr(
+    /// guarded search like any built-in one, dispatched through its raw
+    /// fn pointer (it is handed whatever [`AnyMatrix`] the caller runs
+    /// it on — always one of `format`).
+    pub fn register(
         &mut self,
+        format: Format,
         name: &'static str,
         strategies: StrategySet,
-        f: KernelFn<T, Csr<T>>,
+        f: KernelFn<T>,
     ) -> KernelId {
-        self.csr.push((name, strategies, f));
+        let rows = &mut self.spmv[format.index()];
+        rows.push(KernelInfo { name, strategies });
+        self.registered[format.index()].push(f);
         KernelId {
             op: Op::Spmv,
-            format: Format::Csr,
-            variant: self.csr.len() - 1,
+            format,
+            variant: rows.len() - 1,
         }
     }
 
-    /// Registers an additional COO kernel variant, returning its id.
-    pub fn register_coo(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Coo<T>>,
-    ) -> KernelId {
-        self.coo.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Coo,
-            variant: self.coo.len() - 1,
-        }
-    }
-
-    /// Registers an additional DIA kernel variant, returning its id.
-    pub fn register_dia(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Dia<T>>,
-    ) -> KernelId {
-        self.dia.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Dia,
-            variant: self.dia.len() - 1,
-        }
-    }
-
-    /// Registers an additional ELL kernel variant, returning its id.
-    pub fn register_ell(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Ell<T>>,
-    ) -> KernelId {
-        self.ell.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Ell,
-            variant: self.ell.len() - 1,
-        }
-    }
-
-    /// Registers an additional HYB kernel variant, returning its id.
-    pub fn register_hyb(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Hyb<T>>,
-    ) -> KernelId {
-        self.hyb.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Hyb,
-            variant: self.hyb.len() - 1,
-        }
-    }
-
-    /// Registers an additional BCSR 2x2 kernel variant, returning its id.
-    pub fn register_bcsr2(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Bcsr<T>>,
-    ) -> KernelId {
-        self.bcsr2.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Bcsr2,
-            variant: self.bcsr2.len() - 1,
-        }
-    }
-
-    /// Registers an additional BCSR 4x4 kernel variant, returning its id.
-    pub fn register_bcsr4(
-        &mut self,
-        name: &'static str,
-        strategies: StrategySet,
-        f: KernelFn<T, Bcsr<T>>,
-    ) -> KernelId {
-        self.bcsr4.push((name, strategies, f));
-        KernelId {
-            op: Op::Spmv,
-            format: Format::Bcsr4,
-            variant: self.bcsr4.len() - 1,
-        }
-    }
-
-    /// Runs variant `variant` of the matrix's own format: `y = A * x`.
+    /// Runs variant `variant` of the matrix's own format under its
+    /// default plan: `y = A * x`. Convenience for one-off calls — it
+    /// partitions and allocates per call; anything repeated or timed
+    /// builds the plan once ([`plan_for`](Self::plan_for)) and replays
+    /// it through [`run_planned`](Self::run_planned).
     ///
     /// # Panics
     ///
     /// Panics if `variant` is out of range for the matrix's format or if
     /// the vector lengths do not match the matrix dimensions.
     pub fn run(&self, m: &AnyMatrix<T>, variant: usize, x: &[T], y: &mut [T]) {
-        match m {
-            AnyMatrix::Csr(m) => (self.csr[variant].2)(m, x, y),
-            AnyMatrix::Coo(m) => (self.coo[variant].2)(m, x, y),
-            AnyMatrix::Dia(m) => (self.dia[variant].2)(m, x, y),
-            AnyMatrix::Ell(m) => (self.ell[variant].2)(m, x, y),
-            AnyMatrix::Hyb(m) => (self.hyb[variant].2)(m, x, y),
-            AnyMatrix::Bcsr2(m) => (self.bcsr2[variant].2)(m, x, y),
-            AnyMatrix::Bcsr4(m) => (self.bcsr4[variant].2)(m, x, y),
-        }
-    }
-
-    /// Runs a CSR kernel directly (avoids wrapping in [`AnyMatrix`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range variant or mismatched vector lengths.
-    pub fn run_csr(&self, m: &Csr<T>, variant: usize, x: &[T], y: &mut [T]) {
-        (self.csr[variant].2)(m, x, y)
+        let id = KernelId {
+            op: Op::Spmv,
+            format: m.format(),
+            variant,
+        };
+        self.run_planned(m, variant, &self.plan_for(m, id), x, y);
     }
 
     /// Classifies how kernel `id` partitions `m` — the memoizable
@@ -462,48 +304,24 @@ impl<T: Scalar> KernelLibrary<T> {
     /// (at the same thread count) share identical plans, which is what
     /// lets [`Planner`] reuse bounds across a whole variant sweep.
     ///
+    /// Variants without the `Parallel` strategy, user-registered
+    /// variants and mismatched format/matrix pairings are serial.
+    ///
     /// # Panics
     ///
     /// Panics if `id.variant` is out of range for `id.format`.
     pub fn chunk_policy(&self, m: &AnyMatrix<T>, id: KernelId) -> ChunkPolicy {
-        if !self.is_builtin(id) || id.format != m.format() {
-            return ChunkPolicy::Serial;
-        }
-        if id.op == Op::Spmm {
-            let s = self.strategies_of(id);
-            if !s.contains(Strategy::Parallel) {
-                return ChunkPolicy::Serial;
-            }
-            return match m {
-                AnyMatrix::Csr(_) => {
-                    if s.contains(Strategy::Merge) {
-                        ChunkPolicy::MergePath
-                    } else {
-                        ChunkPolicy::EqualRows
-                    }
-                }
-                AnyMatrix::Ell(_) => ChunkPolicy::EqualRows,
-                AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => ChunkPolicy::BlockAligned(m.br()),
-                _ => ChunkPolicy::Serial,
-            };
-        }
-        if !self.strategies_of(id).contains(Strategy::Parallel) {
+        let s = self.table(id.op, id.format)[id.variant].strategies;
+        let registered = id.op == Op::Spmv && self.registered_fn(id.format, id.variant).is_some();
+        if registered || id.format != m.format() || !s.contains(Strategy::Parallel) {
             return ChunkPolicy::Serial;
         }
         match m {
-            AnyMatrix::Csr(_) => {
-                let s = self.strategies_of(id);
-                if s.contains(Strategy::Merge) {
-                    ChunkPolicy::MergePath
-                } else if s.contains(Strategy::Balance) {
-                    ChunkPolicy::NnzBalanced
-                } else {
-                    ChunkPolicy::EqualRows
-                }
-            }
+            AnyMatrix::Csr(_) if s.contains(Strategy::Merge) => ChunkPolicy::MergePath,
+            AnyMatrix::Csr(_) if s.contains(Strategy::Balance) => ChunkPolicy::NnzBalanced,
             AnyMatrix::Coo(_) => ChunkPolicy::EntryAligned,
-            AnyMatrix::Dia(_) | AnyMatrix::Ell(_) | AnyMatrix::Hyb(_) => ChunkPolicy::EqualRows,
             AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => ChunkPolicy::BlockAligned(m.br()),
+            _ => ChunkPolicy::EqualRows,
         }
     }
 
@@ -535,58 +353,33 @@ impl<T: Scalar> KernelLibrary<T> {
         if policy == ChunkPolicy::Serial {
             return ExecPlan::serial(rows);
         }
-        let threads = exec::num_threads();
         match (policy, m) {
-            (ChunkPolicy::NnzBalanced, AnyMatrix::Csr(m)) => ExecPlan {
-                bounds: nnz_balanced_bounds(m, parts),
-                entry_bounds: None,
-                threads,
-                policy: ChunkPolicy::NnzBalanced,
-            },
+            (ChunkPolicy::NnzBalanced, AnyMatrix::Csr(m)) => {
+                ExecPlan::chunked(policy, nnz_balanced_bounds(m, parts), None)
+            }
             (ChunkPolicy::MergePath, AnyMatrix::Csr(m)) => {
                 let (entry_bounds, bounds) = merge_path_bounds(m, parts);
-                ExecPlan {
-                    bounds,
-                    entry_bounds: Some(entry_bounds),
-                    threads,
-                    policy: ChunkPolicy::MergePath,
-                }
+                ExecPlan::chunked(policy, bounds, Some(entry_bounds))
             }
             (ChunkPolicy::EntryAligned, AnyMatrix::Coo(m)) => {
                 let (entry_bounds, bounds) = coo::row_aligned_chunks(m, parts);
-                ExecPlan {
-                    bounds,
-                    entry_bounds: Some(entry_bounds),
-                    threads,
-                    policy: ChunkPolicy::EntryAligned,
-                }
+                ExecPlan::chunked(policy, bounds, Some(entry_bounds))
             }
-            (ChunkPolicy::BlockAligned(br), AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m)) => {
-                ExecPlan {
-                    bounds: bcsr::block_aligned_bounds(m, parts),
-                    entry_bounds: None,
-                    threads,
-                    policy: ChunkPolicy::BlockAligned(br),
-                }
+            (ChunkPolicy::BlockAligned(_), AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m)) => {
+                ExecPlan::chunked(policy, bcsr::block_aligned_bounds(m, parts), None)
             }
             // Policies that don't apply to the physical format fall
             // back to equal rows; record what was actually built.
-            _ => ExecPlan {
-                bounds: equal_row_bounds(rows, parts),
-                entry_bounds: None,
-                threads,
-                policy: ChunkPolicy::EqualRows,
-            },
+            _ => ExecPlan::chunked(ChunkPolicy::EqualRows, equal_row_bounds(rows, parts), None),
         }
     }
 
-    /// Builds the execution plan for running kernel `id` on `m`: the
-    /// chunk boundaries the parallel variants would otherwise recompute
-    /// on every call, frozen once.
+    /// Builds the default execution plan for running kernel `id` on
+    /// `m`: its [`chunk_policy`](Self::chunk_policy) at the backend's
+    /// default fan-out width, frozen once and replayed on every call.
     ///
     /// Serial variants, user-registered variants and mismatched
-    /// format/matrix pairings get the trivial single-chunk plan — the
-    /// planned dispatch then behaves exactly like [`run`](Self::run).
+    /// format/matrix pairings get the trivial single-chunk plan.
     ///
     /// When planning many variants for one matrix (e.g. during
     /// `prepare()`), use a [`Planner`] to avoid recomputing identical
@@ -600,11 +393,13 @@ impl<T: Scalar> KernelLibrary<T> {
     }
 
     /// Runs variant `variant` with a precomputed [`ExecPlan`] — the
-    /// zero-allocation steady-state dispatch.
+    /// zero-allocation steady-state dispatch, and the one execution
+    /// path: what the search times is what the engine serves.
     ///
-    /// Builtin parallel variants replay the plan's frozen chunk bounds
-    /// instead of re-partitioning; every other variant falls through to
-    /// its plain fn pointer (identical to [`run`](Self::run)).
+    /// A builtin variant runs its format's planned entry point with the
+    /// row's strategy set over the plan's frozen chunk bounds; a
+    /// user-registered variant runs its raw fn pointer and ignores the
+    /// plan.
     ///
     /// # Panics
     ///
@@ -618,35 +413,23 @@ impl<T: Scalar> KernelLibrary<T> {
         x: &[T],
         y: &mut [T],
     ) {
-        let id = KernelId {
-            op: Op::Spmv,
-            format: m.format(),
-            variant,
-        };
-        if !self.is_builtin(id) {
-            return self.run(m, variant, x, y);
+        if let Some(f) = self.registered_fn(m.format(), variant) {
+            return f(m, x, y);
         }
-        let strategies = self.strategies_of(id);
-        if !strategies.contains(Strategy::Parallel) {
-            return self.run(m, variant, x, y);
-        }
-        let unroll = strategies.contains(Strategy::Unroll);
-        let inner = InnerLoop::of(strategies);
+        let s = self.variants(m.format())[variant].strategies;
         match m {
-            AnyMatrix::Csr(m) if strategies.contains(Strategy::Merge) => {
-                csr::run_merge_planned(m, x, y, plan)
-            }
-            AnyMatrix::Csr(m) => csr::run_planned(m, x, y, plan, inner),
-            AnyMatrix::Coo(m) => coo::run_planned(m, x, y, plan, unroll),
-            AnyMatrix::Dia(m) => dia::run_planned(m, x, y, plan, inner),
-            AnyMatrix::Ell(m) => ell::run_planned(m, x, y, plan, strategies),
-            AnyMatrix::Hyb(m) => hyb::run_planned(m, x, y, plan),
-            AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => bcsr::run_planned(m, x, y, plan, unroll),
+            AnyMatrix::Csr(m) => csr::run(m, x, y, plan, s),
+            AnyMatrix::Coo(m) => coo::run(m, x, y, plan, s),
+            AnyMatrix::Dia(m) => dia::run(m, x, y, plan, s),
+            AnyMatrix::Ell(m) => ell::run(m, x, y, plan, s),
+            AnyMatrix::Hyb(m) => hyb::run(m, x, y, plan, s),
+            AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => bcsr::run(m, x, y, plan, s),
         }
     }
 
-    /// Runs SpMM variant `variant` of the matrix's own format:
-    /// `Y = A * X` for `k` row-major RHS columns.
+    /// Runs SpMM variant `variant` of the matrix's own format under its
+    /// default plan: `Y = A * X` for `k` row-major RHS columns. Like
+    /// [`run`](Self::run), a convenience that plans per call.
     ///
     /// # Panics
     ///
@@ -654,18 +437,16 @@ impl<T: Scalar> KernelLibrary<T> {
     /// SpMM tier (COO, DIA, HYB), or the buffer lengths don't equal
     /// `cols * k` / `rows * k`.
     pub fn run_spmm(&self, m: &AnyMatrix<T>, variant: usize, x: &[T], y: &mut [T], k: usize) {
-        match m {
-            AnyMatrix::Csr(m) => (self.csr_spmm[variant].2)(m, x, y, k),
-            AnyMatrix::Ell(m) => (self.ell_spmm[variant].2)(m, x, y, k),
-            AnyMatrix::Bcsr2(m) => (self.bcsr2_spmm[variant].2)(m, x, y, k),
-            AnyMatrix::Bcsr4(m) => (self.bcsr4_spmm[variant].2)(m, x, y, k),
-            other => panic!("format {} has no SpMM kernels", other.format()),
-        }
+        let id = KernelId {
+            op: Op::Spmm,
+            format: m.format(),
+            variant,
+        };
+        self.run_spmm_planned(m, variant, &self.plan_for(m, id), x, y, k);
     }
 
     /// Runs an SpMM variant with a precomputed [`ExecPlan`] — the
     /// zero-allocation steady-state dispatch for the batched tier.
-    /// Serial variants fall through to their plain fn pointer.
     ///
     /// # Panics
     ///
@@ -680,26 +461,12 @@ impl<T: Scalar> KernelLibrary<T> {
         y: &mut [T],
         k: usize,
     ) {
-        let id = KernelId {
-            op: Op::Spmm,
-            format: m.format(),
-            variant,
-        };
-        let strategies = self.strategies_of(id);
-        if !strategies.contains(Strategy::Parallel) {
-            return self.run_spmm(m, variant, x, y, k);
-        }
-        let width = strategies.tile_width();
+        let s = self.spmm_variants(m.format())[variant].strategies;
         match m {
-            AnyMatrix::Csr(m) if strategies.contains(Strategy::Merge) => {
-                spmm::run_csr_merge_planned(m, x, y, k, plan, width)
-            }
-            AnyMatrix::Csr(m) => spmm::run_csr_planned(m, x, y, k, plan, strategies),
-            AnyMatrix::Ell(m) => spmm::run_ell_planned(m, x, y, k, plan, width),
-            AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => {
-                spmm::run_bcsr_planned(m, x, y, k, plan, width)
-            }
-            other => panic!("format {} has no SpMM kernels", other.format()),
+            AnyMatrix::Csr(m) => spmm::run_csr(m, x, y, k, plan, s),
+            AnyMatrix::Ell(m) => spmm::run_ell(m, x, y, k, plan, s),
+            AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => spmm::run_bcsr(m, x, y, k, plan, s),
+            other => unreachable!("format {} has no SpMM rows to index", other.format()),
         }
     }
 }
@@ -707,11 +474,12 @@ impl<T: Scalar> KernelLibrary<T> {
 /// Memoizes [`ExecPlan`]s by ([`ChunkPolicy`], thread count) for one
 /// matrix.
 ///
-/// A variant sweep over a 48-kernel library would otherwise recompute
-/// the same equal-row bounds a dozen times; the planner computes each
-/// distinct partition once and clones it afterwards. Scope a planner
-/// to a single matrix — the cache key does not include the matrix
-/// identity.
+/// A variant sweep would otherwise recompute the same equal-row bounds
+/// once per parallel row; the planner computes each distinct partition
+/// once and clones it afterwards. Scope a planner to a single matrix —
+/// the cache key does not include the matrix identity — or to one
+/// matrix's conversions: every policy is either shape-only (equal
+/// rows) or applies to a single format.
 #[derive(Debug, Default)]
 pub struct Planner {
     cache: Vec<(ChunkPolicy, usize, ExecPlan)>,
@@ -762,30 +530,106 @@ mod tests {
     use smat_matrix::gen::random_uniform;
     use smat_matrix::utils::max_abs_diff;
 
+    /// What §5.2's scoreboard needs of every `(op, format)` table:
+    /// names and strategy sets unique, row 0 the basic kernel, and every
+    /// strategy used somewhere is the added strategy of at least one
+    /// one-less pair — otherwise no measurement could ever score it.
     #[test]
-    fn library_is_well_formed() {
+    fn every_table_is_scoreable() {
+        use std::collections::HashSet;
         let lib = KernelLibrary::<f64>::new();
-        // The paper: "up to 24 in current SMAT system" for the four
-        // basic formats; this implementation's wide-unroll, SIMD and
-        // merge-path tiers push the basic-format count to 37, and the
-        // HYB plus BCSR extensions bring the library total to 48.
-        let basic_four: usize = Format::BASIC
-            .into_iter()
-            .map(|f| lib.variant_count(f))
-            .sum();
-        assert_eq!(basic_four, 37);
-        assert_eq!(lib.total_variants(), 48);
-        for f in Format::ALL {
-            let infos = lib.variants(f);
-            assert!(!infos.is_empty());
-            assert!(
-                infos[0].strategies.is_empty(),
-                "variant 0 of {f} must be basic"
-            );
-            // Names unique per format.
-            let names: std::collections::HashSet<_> = infos.iter().map(|i| i.name).collect();
-            assert_eq!(names.len(), infos.len());
+        for op in [Op::Spmv, Op::Spmm] {
+            for f in Format::ALL {
+                let rows = lib.table(op, f);
+                if op == Op::Spmm && matches!(f, Format::Coo | Format::Dia | Format::Hyb) {
+                    assert!(rows.is_empty(), "{f} has no batched tier");
+                    continue;
+                }
+                assert!(
+                    rows[0].strategies.is_empty(),
+                    "{op:?} {f}: row 0 must be basic"
+                );
+                let names: HashSet<_> = rows.iter().map(|r| r.name).collect();
+                assert_eq!(names.len(), rows.len(), "{op:?} {f}: names not unique");
+                let sets: HashSet<_> = rows.iter().map(|r| r.strategies).collect();
+                assert_eq!(
+                    sets.len(),
+                    rows.len(),
+                    "{op:?} {f}: strategy sets not unique"
+                );
+                let scoreable: HashSet<Strategy> = rows
+                    .iter()
+                    .flat_map(|a| rows.iter().map(move |b| (a, b)))
+                    .filter_map(|(a, b)| a.strategies.added_strategy(b.strategies))
+                    .collect();
+                for row in rows {
+                    for s in row.strategies.iter() {
+                        assert!(
+                            scoreable.contains(&s),
+                            "{op:?} {f}: no one-less pair scores {s} (used by {})",
+                            row.name
+                        );
+                    }
+                }
+            }
         }
+        assert_eq!(lib.total_variants(), 32);
+        assert_eq!(lib.total_spmm_variants(), 29);
+        let id = KernelId::spmm_basic(Format::Csr);
+        assert_eq!(id.op, Op::Spmm);
+        assert_eq!(lib.info(id).name, "csr_spmm_basic");
+    }
+
+    /// Every kernel the end-to-end benchmark pins by name must resolve
+    /// in this library — otherwise only an e2e run (exit 2) notices.
+    #[test]
+    fn e2e_pinned_kernels_resolve() {
+        let lib = KernelLibrary::<f64>::new();
+        let rows = |text: &'static str| {
+            text.lines()
+                .map(|line| line.split('#').next().unwrap_or("").trim())
+                .filter(|line| !line.is_empty())
+                .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        };
+        let resolves = |format: &str, kernel: &str| {
+            let format = Format::ALL
+                .into_iter()
+                .find(|f| f.name() == format)
+                .unwrap_or_else(|| panic!("unknown format {format}"));
+            assert!(
+                lib.variants(format).iter().any(|v| v.name == kernel),
+                "{format} has no variant named {kernel}"
+            );
+        };
+        let mut pinned = 0;
+        for fields in rows(include_str!("../../../e2e/fixtures/kernel_choice.txt")) {
+            resolves(fields[0], fields[1]);
+            pinned += 1;
+        }
+        assert_eq!(pinned, Format::COUNT, "one pinned kernel per format");
+        for fields in rows(include_str!("../../../e2e/fixtures/expected_decisions.txt")) {
+            if fields[1] != "off_path" {
+                resolves(fields[1], fields[2]);
+            }
+        }
+    }
+
+    #[test]
+    fn digest_tracks_the_row_order() {
+        let lib = KernelLibrary::<f64>::new();
+        assert_eq!(lib.digest(), KernelLibrary::<f32>::new().digest());
+        let mut grown = KernelLibrary::<f64>::new();
+        grown.register(Format::Csr, "csr_extra", StrategySet::EMPTY, |m, x, y| {
+            m.spmv(x, y).expect("sized vectors");
+        });
+        assert_ne!(
+            grown.digest(),
+            lib.digest(),
+            "a new row renumbers nothing yet must show"
+        );
+        let mut reordered = KernelLibrary::<f64>::new();
+        reordered.spmv[Format::Csr.index()].swap(1, 2);
+        assert_ne!(reordered.digest(), lib.digest());
     }
 
     #[test]
@@ -828,12 +672,17 @@ mod tests {
     fn registered_variants_dispatch_like_builtins() {
         let mut lib = KernelLibrary::<f64>::new();
         let before = lib.variant_count(Format::Csr);
-        let id = lib.register_csr("csr_double", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-            for v in y.iter_mut() {
-                *v *= 2.0;
-            }
-        });
+        let id = lib.register(
+            Format::Csr,
+            "csr_double",
+            StrategySet::default(),
+            |m, x, y| {
+                m.spmv(x, y).expect("sized vectors");
+                for v in y.iter_mut() {
+                    *v *= 2.0;
+                }
+            },
+        );
         assert_eq!(id.format, Format::Csr);
         assert_eq!(id.variant, before);
         assert_eq!(lib.variant_count(Format::Csr), before + 1);
@@ -847,31 +696,13 @@ mod tests {
         for (a, b) in y.iter().zip(&expect) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
-        // The other formats register too.
-        let id = lib.register_coo("coo_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Coo) - 1);
-        let id = lib.register_dia("dia_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Dia) - 1);
-        let id = lib.register_ell("ell_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Ell) - 1);
-        let id = lib.register_hyb("hyb_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Hyb) - 1);
-        let id = lib.register_bcsr2("bcsr2_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Bcsr2) - 1);
-        let id = lib.register_bcsr4("bcsr4_x", StrategySet::default(), |m, x, y| {
-            m.spmv(x, y).expect("sized vectors");
-        });
-        assert_eq!(id.variant, lib.variant_count(Format::Bcsr4) - 1);
+        // Every format registers through the same entry point.
+        for f in Format::ALL {
+            let id = lib.register(f, "extra", StrategySet::default(), |m, x, y| {
+                m.spmv(x, y).expect("sized vectors");
+            });
+            assert_eq!((id.format, id.variant), (f, lib.variant_count(f) - 1));
+        }
     }
 
     #[test]
@@ -986,32 +817,7 @@ mod tests {
     #[test]
     fn debug_impl_is_nonempty() {
         let lib = KernelLibrary::<f32>::new();
-        assert!(format!("{lib:?}").contains("csr_variants"));
-    }
-
-    #[test]
-    fn spmm_library_is_well_formed() {
-        let lib = KernelLibrary::<f64>::new();
-        assert_eq!(lib.total_spmm_variants(), 29);
-        for f in [Format::Csr, Format::Ell, Format::Bcsr2, Format::Bcsr4] {
-            let infos = lib.spmm_variants(f);
-            assert!(!infos.is_empty());
-            assert!(
-                infos[0].strategies.is_empty(),
-                "spmm variant 0 of {f} must be basic"
-            );
-            let names: std::collections::HashSet<_> = infos.iter().map(|i| i.name).collect();
-            assert_eq!(names.len(), infos.len());
-            let sets: std::collections::HashSet<_> = infos.iter().map(|i| i.strategies).collect();
-            assert_eq!(sets.len(), infos.len(), "{f} spmm strategy sets not unique");
-        }
-        for f in [Format::Coo, Format::Dia, Format::Hyb] {
-            assert_eq!(lib.spmm_variant_count(f), 0);
-            assert!(lib.spmm_variants(f).is_empty());
-        }
-        let id = KernelId::spmm_basic(Format::Csr);
-        assert_eq!(id.op, Op::Spmm);
-        assert_eq!(lib.info(id).name, "csr_spmm_basic");
+        assert!(format!("{lib:?}").contains("spmv_variants"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! highest-scoring implementation per format.
 
 use crate::plan::{ChunkPolicy, ExecPlan};
-use crate::registry::{KernelId, KernelLibrary, Op};
+use crate::registry::{KernelId, KernelLibrary, Op, Planner};
 use crate::strategy::{Strategy, StrategySet};
 use crate::timing::{gflops, measure_guarded, MeasureOutcome};
 use serde::{Deserialize, Serialize};
@@ -237,45 +237,62 @@ pub fn measure_format_excluding<T: Scalar>(
     deadline: Duration,
     excluded: &[KernelId],
 ) -> PerfTable {
-    let format = probe.format();
     let x = vec![T::ONE; probe.cols()];
     let mut y = vec![T::ZERO; probe.rows()];
-    let nnz = probe.nnz();
-    let mut records = Vec::with_capacity(lib.variant_count(format));
-    for (v, info) in lib.variants(format).into_iter().enumerate() {
-        if excluded.contains(&KernelId {
-            op: Op::Spmv,
+    measure_table(lib, probe, Op::Spmv, 1, excluded, |v, plan| {
+        measure_guarded(
+            || lib.run_planned(probe, v, plan, &x, &mut y),
+            budget,
+            deadline,
+            3,
+            64,
+        )
+    })
+}
+
+/// The performance-record table of one `(op, format)`: every row of
+/// the library's table measured through `measure`, which is handed the
+/// variant index and its default plan — built here, once per candidate
+/// and outside the timed closure, so the search times exactly the
+/// planned dispatch the engine serves. Excluded rows are recorded as
+/// failed with reason `"quarantined"` without running.
+fn measure_table<T: Scalar>(
+    lib: &KernelLibrary<T>,
+    probe: &AnyMatrix<T>,
+    op: Op,
+    k: usize,
+    excluded: &[KernelId],
+    mut measure: impl FnMut(usize, &ExecPlan) -> MeasureOutcome,
+) -> PerfTable {
+    let format = probe.format();
+    let rows = lib.table(op, format);
+    let mut planner = Planner::new();
+    let mut records = Vec::with_capacity(rows.len());
+    for (variant, info) in rows.iter().enumerate() {
+        let id = KernelId {
+            op,
             format,
-            variant: v,
-        }) {
-            records.push(PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: 0.0,
-                status: RecordStatus::CandidateFailed {
-                    reason: "quarantined".into(),
-                },
-            });
-            continue;
-        }
-        let outcome = measure_guarded(|| lib.run(probe, v, &x, &mut y), budget, deadline, 3, 64);
-        let record = match outcome {
-            MeasureOutcome::Ok(med) => PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: gflops(nnz, med),
-                status: RecordStatus::Measured,
-            },
-            failed => PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: 0.0,
-                status: RecordStatus::CandidateFailed {
-                    reason: failed.failure().unwrap_or_else(|| "unknown failure".into()),
-                },
-            },
+            variant,
         };
-        records.push(record);
+        let (gflops, status) = if excluded.contains(&id) {
+            let reason = "quarantined".into();
+            (0.0, RecordStatus::CandidateFailed { reason })
+        } else {
+            let plan = planner.plan_for(lib, probe, id);
+            match measure(variant, &plan) {
+                MeasureOutcome::Ok(med) => (gflops(probe.nnz() * k, med), RecordStatus::Measured),
+                failed => {
+                    let reason = failed.failure().unwrap_or_else(|| "unknown failure".into());
+                    (0.0, RecordStatus::CandidateFailed { reason })
+                }
+            }
+        };
+        records.push(PerfRecord {
+            name: info.name.to_string(),
+            strategies: info.strategies,
+            gflops,
+            status,
+        });
     }
     PerfTable { format, records }
 }
@@ -360,53 +377,17 @@ pub fn measure_spmm_excluding<T: Scalar>(
     deadline: Duration,
     excluded: &[KernelId],
 ) -> PerfTable {
-    let format = probe.format();
     let x = vec![T::ONE; probe.cols() * k];
     let mut y = vec![T::ZERO; probe.rows() * k];
-    let nnz = probe.nnz();
-    let mut records = Vec::with_capacity(lib.spmm_variant_count(format));
-    for (v, info) in lib.spmm_variants(format).into_iter().enumerate() {
-        if excluded.contains(&KernelId {
-            op: Op::Spmm,
-            format,
-            variant: v,
-        }) {
-            records.push(PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: 0.0,
-                status: RecordStatus::CandidateFailed {
-                    reason: "quarantined".into(),
-                },
-            });
-            continue;
-        }
-        let outcome = measure_guarded(
-            || lib.run_spmm(probe, v, &x, &mut y, k),
+    measure_table(lib, probe, Op::Spmm, k, excluded, |v, plan| {
+        measure_guarded(
+            || lib.run_spmm_planned(probe, v, plan, &x, &mut y, k),
             budget,
             deadline,
             3,
             64,
-        );
-        let record = match outcome {
-            MeasureOutcome::Ok(med) => PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: gflops(nnz * k, med),
-                status: RecordStatus::Measured,
-            },
-            failed => PerfRecord {
-                name: info.name.to_string(),
-                strategies: info.strategies,
-                gflops: 0.0,
-                status: RecordStatus::CandidateFailed {
-                    reason: failed.failure().unwrap_or_else(|| "unknown failure".into()),
-                },
-            },
-        };
-        records.push(record);
-    }
-    PerfTable { format, records }
+        )
+    })
 }
 
 /// One measured (chunk policy, fan-out width) candidate from
@@ -457,8 +438,30 @@ pub fn search_plan<T: Scalar>(
     budget: Duration,
     deadline: Duration,
 ) -> Option<PlanSearch> {
-    let natural = lib.chunk_policy(m, id);
-    let policies: Vec<ChunkPolicy> = match natural {
+    let x = vec![T::ONE; m.cols()];
+    let mut y = vec![T::ZERO; m.rows()];
+    search_plan_grid(lib, m, id, 1, |plan| {
+        measure_guarded(
+            || lib.run_planned(m, id.variant, plan, &x, &mut y),
+            budget,
+            deadline,
+            2,
+            16,
+        )
+    })
+}
+
+/// The policy × width grid behind [`search_plan`] and
+/// [`search_spmm_plan`]: builds each candidate plan, times it through
+/// `measure`, and keeps the fastest. `k` scales the flop count.
+fn search_plan_grid<T: Scalar>(
+    lib: &KernelLibrary<T>,
+    m: &AnyMatrix<T>,
+    id: KernelId,
+    k: usize,
+    mut measure: impl FnMut(&ExecPlan) -> MeasureOutcome,
+) -> Option<PlanSearch> {
+    let policies: Vec<ChunkPolicy> = match lib.chunk_policy(m, id) {
         ChunkPolicy::Serial => return None,
         ChunkPolicy::EqualRows | ChunkPolicy::NnzBalanced if id.format == Format::Csr => {
             vec![ChunkPolicy::EqualRows, ChunkPolicy::NnzBalanced]
@@ -470,25 +473,15 @@ pub fn search_plan<T: Scalar>(
     widths.sort_unstable();
     widths.dedup();
 
-    let x = vec![T::ONE; m.cols()];
-    let mut y = vec![T::ZERO; m.rows()];
-    let nnz = m.nnz();
     let mut samples = Vec::new();
     let mut best: Option<(usize, f64, ExecPlan)> = None;
     for &policy in &policies {
         for &parts in &widths {
             let plan = lib.build_plan_sized(m, policy, parts);
-            let outcome = measure_guarded(
-                || lib.run_planned(m, id.variant, &plan, &x, &mut y),
-                budget,
-                deadline,
-                2,
-                16,
-            );
-            let MeasureOutcome::Ok(med) = outcome else {
+            let MeasureOutcome::Ok(med) = measure(&plan) else {
                 continue;
             };
-            let g = gflops(nnz, med);
+            let g = gflops(m.nnz() * k, med);
             samples.push(PlanSample {
                 policy,
                 parts,
@@ -522,53 +515,16 @@ pub fn search_spmm_plan<T: Scalar>(
     budget: Duration,
     deadline: Duration,
 ) -> Option<PlanSearch> {
-    let natural = lib.chunk_policy(m, id);
-    let policies: Vec<ChunkPolicy> = match natural {
-        ChunkPolicy::Serial => return None,
-        ChunkPolicy::EqualRows | ChunkPolicy::NnzBalanced if id.format == Format::Csr => {
-            vec![ChunkPolicy::EqualRows, ChunkPolicy::NnzBalanced]
-        }
-        other => vec![other],
-    };
-    let t = crate::exec::num_threads().max(1);
-    let mut widths = vec![1, t, 2 * t, 4 * t];
-    widths.sort_unstable();
-    widths.dedup();
-
     let x = vec![T::ONE; m.cols() * k];
     let mut y = vec![T::ZERO; m.rows() * k];
-    let nnz = m.nnz();
-    let mut samples = Vec::new();
-    let mut best: Option<(usize, f64, ExecPlan)> = None;
-    for &policy in &policies {
-        for &parts in &widths {
-            let plan = lib.build_plan_sized(m, policy, parts);
-            let outcome = measure_guarded(
-                || lib.run_spmm_planned(m, id.variant, &plan, &x, &mut y, k),
-                budget,
-                deadline,
-                2,
-                16,
-            );
-            let MeasureOutcome::Ok(med) = outcome else {
-                continue;
-            };
-            let g = gflops(nnz * k, med);
-            samples.push(PlanSample {
-                policy,
-                parts,
-                chunks: plan.chunks(),
-                gflops: g,
-            });
-            if best.as_ref().is_none_or(|(_, bg, _)| g > *bg) {
-                best = Some((samples.len() - 1, g, plan));
-            }
-        }
-    }
-    best.map(|(best, _, plan)| PlanSearch {
-        plan,
-        best,
-        samples,
+    search_plan_grid(lib, m, id, k, |plan| {
+        measure_guarded(
+            || lib.run_spmm_planned(m, id.variant, plan, &x, &mut y, k),
+            budget,
+            deadline,
+            2,
+            16,
+        )
     })
 }
 
@@ -709,9 +665,12 @@ mod tests {
     fn measure_format_records_panicking_variant_as_failed() {
         let mut lib = KernelLibrary::<f64>::new();
         let healthy = lib.variant_count(Format::Csr);
-        lib.register_csr("csr_poison", StrategySet::default(), |_, _, _| {
-            panic!("injected fault")
-        });
+        lib.register(
+            Format::Csr,
+            "csr_poison",
+            StrategySet::default(),
+            |_, _, _| panic!("injected fault"),
+        );
         let probe = random_uniform::<f64>(200, 200, 4, 7);
         let any = AnyMatrix::Csr(probe);
         let table = measure_format(

@@ -25,9 +25,9 @@
 //! dyadic-rational inputs.
 
 use crate::exec;
-use crate::partition::{default_parts, equal_row_bounds, merge_path_bounds, MAX_MERGE_CHUNKS};
+use crate::partition::MAX_MERGE_CHUNKS;
 use crate::plan::ExecPlan;
-use crate::registry::{SpmmEntry, SpmmFn};
+use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
 use smat_matrix::{Bcsr, Csr, Ell, Scalar};
 
@@ -149,15 +149,6 @@ fn row_into<T: Scalar, const W: usize>(
 }
 
 #[inline]
-fn csr_serial<T: Scalar, const W: usize>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize, simd: bool) {
-    check_dims(m.rows(), m.cols(), x, y, k);
-    for (r, yr) in y.chunks_exact_mut(k).enumerate() {
-        let (idx, val) = m.row(r);
-        row_into::<T, W>(idx, val, x, k, yr, simd);
-    }
-}
-
-#[inline]
 fn csr_chunks<T: Scalar, const W: usize>(
     m: &Csr<T>,
     x: &[T],
@@ -175,58 +166,20 @@ fn csr_chunks<T: Scalar, const W: usize>(
     });
 }
 
-/// Basic CSR SpMM: column-at-a-time, serial — the containment
-/// reference for the batched tier and the `k = 1` degenerate kernel.
-pub fn csr_basic<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 1>(m, x, y, k, false)
-}
-
-/// Serial CSR SpMM with 2-wide register tiles.
-pub fn csr_t2<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 2>(m, x, y, k, false)
-}
-
-/// Serial CSR SpMM with 4-wide register tiles.
-pub fn csr_t4<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 4>(m, x, y, k, false)
-}
-
-/// Serial CSR SpMM with 8-wide register tiles.
-pub fn csr_t8<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 8>(m, x, y, k, false)
-}
-
-/// Serial CSR SpMM, 4-wide tiles through the vector backend
-/// (bit-identical to [`csr_t4`]).
-pub fn csr_simd_t4<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 4>(m, x, y, k, true)
-}
-
-/// Serial CSR SpMM, 8-wide tiles through the vector backend
-/// (bit-identical to [`csr_t8`]).
-pub fn csr_simd_t8<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-    csr_serial::<T, 8>(m, x, y, k, true)
-}
-
-macro_rules! csr_parallel {
-    ($name:ident, $w:literal) => {
-        /// Row-parallel CSR SpMM with register tiles (equal-row
-        /// chunks; rows are never split, so per-column accumulation
-        /// order matches the serial kernels exactly).
-        pub fn $name<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-            check_dims(m.rows(), m.cols(), x, y, k);
-            let bounds = equal_row_bounds(m.rows(), default_parts());
-            csr_chunks::<T, $w>(m, x, y, k, &bounds, false);
-        }
-    };
-}
-csr_parallel!(csr_parallel_t2, 2);
-csr_parallel!(csr_parallel_t4, 4);
-csr_parallel!(csr_parallel_t8, 8);
-
-/// Runs a parallel (non-merge) CSR SpMM variant with precomputed row
-/// chunk bounds — the zero-allocation steady-state path.
-pub(crate) fn run_csr_planned<T: Scalar>(
+/// Runs the CSR SpMM variant tagged `strategies` over the plan — the
+/// one planned dispatch of this format's batched tier. The `Tile*`
+/// strategy picks the register-tile width (none: column-at-a-time, the
+/// containment reference and the `k = 1` degenerate kernel), `Simd`
+/// routes full tiles through the vector backend (bit-identical), and
+/// `Merge` replays the plan's entry bounds; otherwise rows fan out over
+/// the plan's row chunks (rows are never split, so per-column
+/// accumulation order is the same at every fan-out width).
+///
+/// # Panics
+///
+/// Panics when `k == 0`, on mismatched buffer lengths, or on malformed
+/// plan bounds.
+pub fn run_csr<T: Scalar>(
     m: &Csr<T>,
     x: &[T],
     y: &mut [T],
@@ -235,12 +188,31 @@ pub(crate) fn run_csr_planned<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
+    let width = strategies.tile_width();
+    let merge = strategies.contains(Strategy::Merge);
+    let entry_bounds = plan
+        .entry_bounds
+        .as_deref()
+        .filter(|eb| merge && plan.chunks() > 1 && eb.len() == plan.bounds.len());
+    if let Some(eb) = entry_bounds {
+        return match width {
+            2 => csr_merge_with::<T, 2>(m, x, y, k, eb, &plan.bounds),
+            4 => csr_merge_with::<T, 4>(m, x, y, k, eb, &plan.bounds),
+            8 => csr_merge_with::<T, 8>(m, x, y, k, eb, &plan.bounds),
+            _ => csr_merge_with::<T, 1>(m, x, y, k, eb, &plan.bounds),
+        };
+    }
+    // A merge variant handed a plan without entry bounds (serial,
+    // degraded or foreign) runs the tiled row body over one chunk — the
+    // merge kernel's own single-chunk order.
+    let whole = [0, m.rows()];
+    let bounds = if merge { &whole[..] } else { &plan.bounds[..] };
     let simd = strategies.contains(Strategy::Simd);
-    match strategies.tile_width() {
-        2 => csr_chunks::<T, 2>(m, x, y, k, &plan.bounds, simd),
-        4 => csr_chunks::<T, 4>(m, x, y, k, &plan.bounds, simd),
-        8 => csr_chunks::<T, 8>(m, x, y, k, &plan.bounds, simd),
-        _ => csr_chunks::<T, 1>(m, x, y, k, &plan.bounds, simd),
+    match width {
+        2 => csr_chunks::<T, 2>(m, x, y, k, bounds, simd),
+        4 => csr_chunks::<T, 4>(m, x, y, k, bounds, simd),
+        8 => csr_chunks::<T, 8>(m, x, y, k, bounds, simd),
+        _ => csr_chunks::<T, 1>(m, x, y, k, bounds, simd),
     }
 }
 
@@ -341,12 +313,6 @@ fn csr_merge_with<T: Scalar, const W: usize>(
     entry_bounds: &[usize],
     bounds: &[usize],
 ) {
-    check_dims(m.rows(), m.cols(), x, y, k);
-    if bounds.len() - 1 < 2 {
-        // Single chunk: the merge kernel's own execution order is the
-        // plain serial stream, which the tiled serial body computes.
-        return csr_serial::<T, W>(m, x, y, k, false);
-    }
     exec::validate_bounds(bounds, m.rows());
     assert_eq!(
         entry_bounds.len(),
@@ -363,48 +329,10 @@ fn csr_merge_with<T: Scalar, const W: usize>(
     }
 }
 
-macro_rules! csr_merge {
-    ($name:ident, $w:literal) => {
-        /// Merge-path CSR SpMM with register tiles: equal entry-range
-        /// chunks that may split rows mid-stream, carries fixed up
-        /// serially per column tile.
-        pub fn $name<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], k: usize) {
-            let (entry_bounds, bounds) = merge_path_bounds(m, default_parts());
-            csr_merge_with::<T, $w>(m, x, y, k, &entry_bounds, &bounds)
-        }
-    };
-}
-csr_merge!(csr_merge_t2, 2);
-csr_merge!(csr_merge_t4, 4);
-csr_merge!(csr_merge_t8, 8);
-
-/// Runs a merge-path SpMM variant with a precomputed plan. A plan
-/// without entry bounds (serial/degraded or foreign) falls back to the
-/// serial tiled body, the merge kernel's single-chunk order.
-pub(crate) fn run_csr_merge_planned<T: Scalar>(
-    m: &Csr<T>,
-    x: &[T],
-    y: &mut [T],
-    k: usize,
-    plan: &ExecPlan,
-    width: usize,
-) {
-    let mut run = |eb: &[usize], rb: &[usize]| match width {
-        2 => csr_merge_with::<T, 2>(m, x, y, k, eb, rb),
-        4 => csr_merge_with::<T, 4>(m, x, y, k, eb, rb),
-        8 => csr_merge_with::<T, 8>(m, x, y, k, eb, rb),
-        _ => csr_merge_with::<T, 1>(m, x, y, k, eb, rb),
-    };
-    match &plan.entry_bounds {
-        Some(eb) if eb.len() == plan.bounds.len() && plan.chunks() > 1 => run(eb, &plan.bounds),
-        _ => run(&[0, m.nnz()], &[0, m.rows()]),
-    }
-}
-
 /// ELL SpMM over rows `[r0, r1)` writing into `y_chunk` (length
 /// `(r1 - r0) * k`): column-major slot sweep per tile, so each output
 /// element accumulates slots in ascending order exactly like
-/// `ell::basic` does per column.
+/// the basic ELL SpMV does per column.
 fn ell_rows<T: Scalar, const W: usize>(
     m: &Ell<T>,
     x: &[T],
@@ -445,24 +373,6 @@ fn ell_rows<T: Scalar, const W: usize>(
     }
 }
 
-macro_rules! ell_serial {
-    ($name:ident, $w:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $name<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], k: usize) {
-            check_dims(m.rows(), m.cols(), x, y, k);
-            ell_rows::<T, $w>(m, x, y, k, 0, m.rows());
-        }
-    };
-}
-ell_serial!(
-    ell_basic,
-    1,
-    "Basic ELL SpMM: column-at-a-time, serial (the format's containment reference)."
-);
-ell_serial!(ell_t2, 2, "Serial ELL SpMM with 2-wide register tiles.");
-ell_serial!(ell_t4, 4, "Serial ELL SpMM with 4-wide register tiles.");
-ell_serial!(ell_t8, 8, "Serial ELL SpMM with 8-wide register tiles.");
-
 #[inline]
 fn ell_chunks<T: Scalar, const W: usize>(
     m: &Ell<T>,
@@ -476,31 +386,23 @@ fn ell_chunks<T: Scalar, const W: usize>(
     });
 }
 
-macro_rules! ell_parallel {
-    ($name:ident, $w:literal) => {
-        /// Row-parallel ELL SpMM with register tiles.
-        pub fn $name<T: Scalar>(m: &Ell<T>, x: &[T], y: &mut [T], k: usize) {
-            check_dims(m.rows(), m.cols(), x, y, k);
-            let bounds = equal_row_bounds(m.rows(), default_parts());
-            ell_chunks::<T, $w>(m, x, y, k, &bounds);
-        }
-    };
-}
-ell_parallel!(ell_parallel_t2, 2);
-ell_parallel!(ell_parallel_t4, 4);
-ell_parallel!(ell_parallel_t8, 8);
-
-/// Runs a parallel ELL SpMM variant with precomputed row chunk bounds.
-pub(crate) fn run_ell_planned<T: Scalar>(
+/// Runs the ELL SpMM variant tagged `strategies` over the plan's row
+/// chunks (no `Tile*` strategy: column-at-a-time, the format's
+/// containment reference).
+///
+/// # Panics
+///
+/// Same conditions as [`run_csr`].
+pub fn run_ell<T: Scalar>(
     m: &Ell<T>,
     x: &[T],
     y: &mut [T],
     k: usize,
     plan: &ExecPlan,
-    width: usize,
+    strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    match width {
+    match strategies.tile_width() {
         2 => ell_chunks::<T, 2>(m, x, y, k, &plan.bounds),
         4 => ell_chunks::<T, 4>(m, x, y, k, &plan.bounds),
         8 => ell_chunks::<T, 8>(m, x, y, k, &plan.bounds),
@@ -511,7 +413,7 @@ pub(crate) fn run_ell_planned<T: Scalar>(
 /// BCSR SpMM for one column tile `[j0, j0 + W)` over rows `[r0, r1)`:
 /// per block row, `br * W` partial sums stay in registers while the
 /// row's blocks stream left to right (columns left to right within a
-/// block — the same order as `bcsr::basic` per output column).
+/// block — the same order as the basic BCSR SpMV per output column).
 fn bcsr_rows_tile<T: Scalar, const W: usize>(
     m: &Bcsr<T>,
     x: &[T],
@@ -576,44 +478,23 @@ fn bcsr_rows<T: Scalar, const W: usize>(
     }
 }
 
-macro_rules! bcsr_serial {
-    ($name:ident, $w:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $name<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T], k: usize) {
-            check_dims(m.rows(), m.cols(), x, y, k);
-            bcsr_rows::<T, $w>(m, x, y, k, 0, m.rows());
-        }
-    };
-}
-bcsr_serial!(
-    bcsr_basic,
-    1,
-    "Basic BCSR SpMM: column-at-a-time, serial (the containment reference for both block sizes)."
-);
-bcsr_serial!(bcsr_t2, 2, "Serial BCSR SpMM with 2-wide register tiles.");
-bcsr_serial!(bcsr_t4, 4, "Serial BCSR SpMM with 4-wide register tiles.");
-bcsr_serial!(bcsr_t8, 8, "Serial BCSR SpMM with 8-wide register tiles.");
-
-/// Block-row-parallel BCSR SpMM with 4-wide register tiles.
-pub fn bcsr_parallel_t4<T: Scalar>(m: &Bcsr<T>, x: &[T], y: &mut [T], k: usize) {
-    check_dims(m.rows(), m.cols(), x, y, k);
-    let bounds = crate::bcsr::block_aligned_bounds(m, default_parts());
-    exec::for_each_row_chunk_scaled(y, &bounds, k, |ci, chunk| {
-        bcsr_rows::<T, 4>(m, x, chunk, k, bounds[ci], bounds[ci + 1]);
-    });
-}
-
-/// Runs a parallel BCSR SpMM variant with precomputed row chunk bounds.
-pub(crate) fn run_bcsr_planned<T: Scalar>(
+/// Runs the BCSR SpMM variant tagged `strategies` over the plan's row
+/// chunks, for both block sizes (no `Tile*` strategy: column-at-a-time,
+/// the containment reference).
+///
+/// # Panics
+///
+/// Same conditions as [`run_csr`].
+pub fn run_bcsr<T: Scalar>(
     m: &Bcsr<T>,
     x: &[T],
     y: &mut [T],
     k: usize,
     plan: &ExecPlan,
-    width: usize,
+    strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    let bounds = &plan.bounds;
+    let bounds = &plan.bounds[..];
     macro_rules! fan {
         ($w:literal) => {
             exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
@@ -621,7 +502,7 @@ pub(crate) fn run_bcsr_planned<T: Scalar>(
             })
         };
     }
-    match width {
+    match strategies.tile_width() {
         2 => fan!(2),
         4 => fan!(4),
         8 => fan!(8),
@@ -629,136 +510,61 @@ pub(crate) fn run_bcsr_planned<T: Scalar>(
     }
 }
 
-/// The CSR SpMM kernel table: basic, tiled, SIMD-tiled, row-parallel
-/// tiled and merge-path tiled variants.
-pub fn csr_kernels<T: Scalar>() -> Vec<SpmmEntry<T, Csr<T>>> {
+/// The CSR SpMM variant table: basic, tiled, SIMD-tiled, row-parallel
+/// tiled and merge-path tiled rows.
+pub fn csr_variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "csr_spmm_basic",
-            StrategySet::EMPTY,
-            csr_basic as SpmmFn<T, Csr<T>>,
-        ),
-        ("csr_spmm_t2", [Tile2].into_iter().collect(), csr_t2),
-        ("csr_spmm_t4", [Tile4].into_iter().collect(), csr_t4),
-        ("csr_spmm_t8", [Tile8].into_iter().collect(), csr_t8),
-        (
-            "csr_spmm_simd_t4",
-            [Tile4, Simd].into_iter().collect(),
-            csr_simd_t4,
-        ),
-        (
-            "csr_spmm_simd_t8",
-            [Tile8, Simd].into_iter().collect(),
-            csr_simd_t8,
-        ),
-        (
-            "csr_spmm_parallel_t2",
-            [Parallel, Tile2].into_iter().collect(),
-            csr_parallel_t2,
-        ),
-        (
-            "csr_spmm_parallel_t4",
-            [Parallel, Tile4].into_iter().collect(),
-            csr_parallel_t4,
-        ),
-        (
-            "csr_spmm_parallel_t8",
-            [Parallel, Tile8].into_iter().collect(),
-            csr_parallel_t8,
-        ),
-        (
-            "csr_spmm_merge_t2",
-            [Parallel, Merge, Tile2].into_iter().collect(),
-            csr_merge_t2,
-        ),
-        (
-            "csr_spmm_merge_t4",
-            [Parallel, Merge, Tile4].into_iter().collect(),
-            csr_merge_t4,
-        ),
-        (
-            "csr_spmm_merge_t8",
-            [Parallel, Merge, Tile8].into_iter().collect(),
-            csr_merge_t8,
-        ),
-    ]
+    kernel_rows(&[
+        ("csr_spmm_basic", &[]),
+        ("csr_spmm_t2", &[Tile2]),
+        ("csr_spmm_t4", &[Tile4]),
+        ("csr_spmm_t8", &[Tile8]),
+        ("csr_spmm_simd_t4", &[Tile4, Simd]),
+        ("csr_spmm_simd_t8", &[Tile8, Simd]),
+        ("csr_spmm_parallel_t2", &[Parallel, Tile2]),
+        ("csr_spmm_parallel_t4", &[Parallel, Tile4]),
+        ("csr_spmm_parallel_t8", &[Parallel, Tile8]),
+        ("csr_spmm_merge_t2", &[Parallel, Merge, Tile2]),
+        ("csr_spmm_merge_t4", &[Parallel, Merge, Tile4]),
+        ("csr_spmm_merge_t8", &[Parallel, Merge, Tile8]),
+    ])
 }
 
-/// The ELL SpMM kernel table.
-pub fn ell_kernels<T: Scalar>() -> Vec<SpmmEntry<T, Ell<T>>> {
+/// The ELL SpMM variant table.
+pub fn ell_variants() -> Vec<KernelInfo> {
     use Strategy::*;
-    vec![
-        (
-            "ell_spmm_basic",
-            StrategySet::EMPTY,
-            ell_basic as SpmmFn<T, Ell<T>>,
-        ),
-        ("ell_spmm_t2", [Tile2].into_iter().collect(), ell_t2),
-        ("ell_spmm_t4", [Tile4].into_iter().collect(), ell_t4),
-        ("ell_spmm_t8", [Tile8].into_iter().collect(), ell_t8),
-        (
-            "ell_spmm_parallel_t2",
-            [Parallel, Tile2].into_iter().collect(),
-            ell_parallel_t2,
-        ),
-        (
-            "ell_spmm_parallel_t4",
-            [Parallel, Tile4].into_iter().collect(),
-            ell_parallel_t4,
-        ),
-        (
-            "ell_spmm_parallel_t8",
-            [Parallel, Tile8].into_iter().collect(),
-            ell_parallel_t8,
-        ),
-    ]
+    kernel_rows(&[
+        ("ell_spmm_basic", &[]),
+        ("ell_spmm_t2", &[Tile2]),
+        ("ell_spmm_t4", &[Tile4]),
+        ("ell_spmm_t8", &[Tile8]),
+        ("ell_spmm_parallel_t2", &[Parallel, Tile2]),
+        ("ell_spmm_parallel_t4", &[Parallel, Tile4]),
+        ("ell_spmm_parallel_t8", &[Parallel, Tile8]),
+    ])
 }
 
-fn bcsr_entries<T: Scalar>(prefix: &'static str) -> Vec<SpmmEntry<T, Bcsr<T>>> {
-    use Strategy::*;
-    let name = |suffix: &str| -> &'static str {
-        // Kernel names are 'static; the two block sizes are the only
-        // instantiations, so spell the concatenations out.
-        match (prefix, suffix) {
-            ("bcsr2", "basic") => "bcsr2_spmm_basic",
-            ("bcsr2", "t2") => "bcsr2_spmm_t2",
-            ("bcsr2", "t4") => "bcsr2_spmm_t4",
-            ("bcsr2", "t8") => "bcsr2_spmm_t8",
-            ("bcsr2", "parallel_t4") => "bcsr2_spmm_parallel_t4",
-            ("bcsr4", "basic") => "bcsr4_spmm_basic",
-            ("bcsr4", "t2") => "bcsr4_spmm_t2",
-            ("bcsr4", "t4") => "bcsr4_spmm_t4",
-            ("bcsr4", "t8") => "bcsr4_spmm_t8",
-            ("bcsr4", "parallel_t4") => "bcsr4_spmm_parallel_t4",
-            _ => unreachable!("unknown bcsr spmm kernel name"),
-        }
-    };
-    vec![
-        (
-            name("basic"),
-            StrategySet::EMPTY,
-            bcsr_basic as SpmmFn<T, Bcsr<T>>,
-        ),
-        (name("t2"), [Tile2].into_iter().collect(), bcsr_t2),
-        (name("t4"), [Tile4].into_iter().collect(), bcsr_t4),
-        (name("t8"), [Tile8].into_iter().collect(), bcsr_t8),
-        (
-            name("parallel_t4"),
-            [Parallel, Tile4].into_iter().collect(),
-            bcsr_parallel_t4,
-        ),
-    ]
+macro_rules! bcsr_spmm_rows {
+    ($prefix:literal) => {{
+        use Strategy::*;
+        kernel_rows(&[
+            (concat!($prefix, "_spmm_basic"), &[]),
+            (concat!($prefix, "_spmm_t2"), &[Tile2]),
+            (concat!($prefix, "_spmm_t4"), &[Tile4]),
+            (concat!($prefix, "_spmm_t8"), &[Tile8]),
+            (concat!($prefix, "_spmm_parallel_t4"), &[Parallel, Tile4]),
+        ])
+    }};
 }
 
-/// The 2x2 BCSR SpMM kernel table.
-pub fn bcsr_kernels2<T: Scalar>() -> Vec<SpmmEntry<T, Bcsr<T>>> {
-    bcsr_entries("bcsr2")
+/// The 2x2 BCSR SpMM variant table.
+pub fn bcsr_variants2() -> Vec<KernelInfo> {
+    bcsr_spmm_rows!("bcsr2")
 }
 
-/// The 4x4 BCSR SpMM kernel table.
-pub fn bcsr_kernels4<T: Scalar>() -> Vec<SpmmEntry<T, Bcsr<T>>> {
-    bcsr_entries("bcsr4")
+/// The 4x4 BCSR SpMM variant table.
+pub fn bcsr_variants4() -> Vec<KernelInfo> {
+    bcsr_spmm_rows!("bcsr4")
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -869,6 +675,8 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::merge_path_bounds;
+    use crate::plan::ChunkPolicy;
     use smat_matrix::gen::{power_law, random_uniform};
 
     /// `k` independent basic SpMV calls, interleaved into the row-major
@@ -892,33 +700,40 @@ mod tests {
             .collect()
     }
 
+    fn merge_plan(m: &Csr<f64>, parts: usize) -> ExecPlan {
+        let (entry_bounds, bounds) = merge_path_bounds(m, parts);
+        ExecPlan::chunked(ChunkPolicy::MergePath, bounds, Some(entry_bounds))
+    }
+
+    /// The one-chunk serial plan, a row-chunk fan-out and a merge split.
+    fn plans(m: &Csr<f64>) -> Vec<ExecPlan> {
+        let mut plans = ExecPlan::serial_and_fan_out(m.rows()).to_vec();
+        plans.push(merge_plan(m, 3));
+        plans
+    }
+
+    fn bitwise(a: &[f64], b: &[f64]) -> bool {
+        a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     #[test]
-    fn serial_and_parallel_csr_match_per_column_spmv_bitwise() {
+    fn row_granular_csr_variants_match_per_column_spmv_bitwise() {
         let m = random_uniform::<f64>(157, 111, 7, 5);
         for k in [1usize, 2, 3, 5, 8, 9] {
             let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.31).sin()).collect();
             let expect = per_column_reference(&m, &x, k);
             // Row-granular kernels never reassociate a column's sum, so
-            // they are bitwise on arbitrary (non-dyadic) values.
-            for (name, f) in [
-                ("basic", csr_basic as SpmmFn<f64, Csr<f64>>),
-                ("t2", csr_t2),
-                ("t4", csr_t4),
-                ("t8", csr_t8),
-                ("simd_t4", csr_simd_t4),
-                ("simd_t8", csr_simd_t8),
-                ("parallel_t2", csr_parallel_t2),
-                ("parallel_t4", csr_parallel_t4),
-                ("parallel_t8", csr_parallel_t8),
-            ] {
-                let mut y = vec![f64::NAN; m.rows() * k];
-                f(&m, &x, &mut y, k);
-                assert!(
-                    y.iter()
-                        .zip(&expect)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "csr_spmm_{name} @ k={k} not bitwise"
-                );
+            // they are bitwise on arbitrary (non-dyadic) values under
+            // every plan.
+            for info in csr_variants() {
+                if info.strategies.contains(Strategy::Merge) {
+                    continue;
+                }
+                for plan in plans(&m) {
+                    let mut y = vec![f64::NAN; m.rows() * k];
+                    run_csr(&m, &x, &mut y, k, &plan, info.strategies);
+                    assert!(bitwise(&y, &expect), "{} @ k={k} not bitwise", info.name);
+                }
             }
         }
     }
@@ -934,48 +749,39 @@ mod tests {
         for k in [1usize, 3, 4, 8, 10] {
             let x = dyadic_x(64, k);
             let expect = per_column_reference(&m, &x, k);
-            for (name, f) in [
-                ("merge_t2", csr_merge_t2 as SpmmFn<f64, Csr<f64>>),
-                ("merge_t4", csr_merge_t4),
-                ("merge_t8", csr_merge_t8),
-            ] {
+            for info in csr_variants() {
+                if !info.strategies.contains(Strategy::Merge) {
+                    continue;
+                }
                 let mut y = vec![f64::NAN; m.rows() * k];
-                f(&m, &x, &mut y, k);
+                run_csr(&m, &x, &mut y, k, &merge_plan(&m, 4), info.strategies);
                 assert!(
-                    y.iter()
-                        .zip(&expect)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "csr_spmm_{name} @ k={k} not bitwise on dyadic values"
+                    bitwise(&y, &expect),
+                    "{} @ k={k} not bitwise on dyadic values",
+                    info.name
                 );
             }
         }
     }
 
     #[test]
-    fn merge_planned_replays_bitwise_and_handles_degraded_plans() {
+    fn merge_replays_bitwise_and_handles_degraded_plans() {
         let m = power_law::<f64>(600, 150, 2.0, 7);
         let k = 5usize;
         let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.11).cos()).collect();
-        let (eb, rb) = merge_path_bounds(&m, 6);
-        let plan = ExecPlan {
-            bounds: rb,
-            entry_bounds: Some(eb),
-            threads: exec::num_threads(),
-            policy: crate::plan::ChunkPolicy::MergePath,
-        };
+        let merge_t4: StrategySet = [Strategy::Parallel, Strategy::Merge, Strategy::Tile4]
+            .into_iter()
+            .collect();
+        let plan = merge_plan(&m, 6);
         let mut y1 = vec![f64::NAN; 600 * k];
         let mut y2 = vec![f64::NAN; 600 * k];
-        run_csr_merge_planned(&m, &x, &mut y1, k, &plan, 4);
-        run_csr_merge_planned(&m, &x, &mut y2, k, &plan, 4);
+        run_csr(&m, &x, &mut y1, k, &plan, merge_t4);
+        run_csr(&m, &x, &mut y2, k, &plan, merge_t4);
         assert!(y1.iter().zip(&y2).all(|(a, b)| a == b), "replay unstable");
         // Degraded (serial) plan: still correct, serial order.
         let mut y3 = vec![f64::NAN; 600 * k];
-        run_csr_merge_planned(&m, &x, &mut y3, k, &ExecPlan::serial(600), 4);
-        let expect = per_column_reference(&m, &x, k);
-        assert!(y3
-            .iter()
-            .zip(&expect)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        run_csr(&m, &x, &mut y3, k, &ExecPlan::serial(600), merge_t4);
+        assert!(bitwise(&y3, &per_column_reference(&m, &x, k)));
     }
 
     #[test]
@@ -983,16 +789,12 @@ mod tests {
         let m = Csr::<f64>::from_triplets(4, 4, &[(1, 1, 2.0)]).unwrap();
         let x = dyadic_x(4, 1);
         let expect = per_column_reference(&m, &x, 1);
-        for f in [
-            csr_basic as SpmmFn<f64, Csr<f64>>,
-            csr_t2,
-            csr_t8,
-            csr_merge_t4,
-            csr_parallel_t4,
-        ] {
-            let mut y = vec![f64::NAN; 4];
-            f(&m, &x, &mut y, 1);
-            assert_eq!(y, expect);
+        for info in csr_variants() {
+            for plan in plans(&m) {
+                let mut y = vec![f64::NAN; 4];
+                run_csr(&m, &x, &mut y, 1, &plan, info.strategies);
+                assert_eq!(y, expect, "{}", info.name);
+            }
         }
     }
 
@@ -1001,6 +803,13 @@ mod tests {
     fn dimension_mismatch_panics() {
         let m = Csr::<f64>::identity(3);
         let mut y = [0.0; 6];
-        csr_basic(&m, &[1.0; 5], &mut y, 2);
+        run_csr(
+            &m,
+            &[1.0; 5],
+            &mut y,
+            2,
+            &ExecPlan::serial(3),
+            StrategySet::EMPTY,
+        );
     }
 }

@@ -11,7 +11,7 @@ use std::fmt;
 /// A single kernel optimization strategy.
 ///
 /// These are the architecture-level techniques the paper's kernel library
-/// composes: unrolling depth, threading and partitioning policies, row /
+/// composes: unrolling, threading and partitioning policies, row /
 /// slot / diagonal blocking, and explicit SIMD intrinsics (the paper's
 /// hand-placed SSE; here a runtime-dispatched AVX2 backend, see
 /// [`crate::simd`]).
@@ -29,10 +29,6 @@ pub enum Strategy {
     /// iteration for instruction-level parallelism and fewer output
     /// sweeps (the paper's "blocking methods").
     Block,
-    /// Deeper 8-way unrolling (twice the split accumulators of
-    /// [`Strategy::Unroll`]) — wins when the FP-add latency chain, not
-    /// bandwidth, is the bottleneck.
-    Wide,
     /// Explicit vector intrinsics behind runtime CPU-feature dispatch,
     /// falling back to the portable unrolled loop bit-for-bit (see
     /// [`crate::simd`] for the reduction-order contract).
@@ -55,12 +51,11 @@ pub enum Strategy {
 
 impl Strategy {
     /// All strategies, in bit order.
-    pub const ALL: [Strategy; 10] = [
+    pub const ALL: [Strategy; 9] = [
         Strategy::Unroll,
         Strategy::Parallel,
         Strategy::Balance,
         Strategy::Block,
-        Strategy::Wide,
         Strategy::Simd,
         Strategy::Merge,
         Strategy::Tile2,
@@ -74,12 +69,11 @@ impl Strategy {
             Strategy::Parallel => 2,
             Strategy::Balance => 4,
             Strategy::Block => 8,
-            Strategy::Wide => 16,
-            Strategy::Simd => 32,
-            Strategy::Merge => 64,
-            Strategy::Tile2 => 128,
-            Strategy::Tile4 => 256,
-            Strategy::Tile8 => 512,
+            Strategy::Simd => 16,
+            Strategy::Merge => 32,
+            Strategy::Tile2 => 64,
+            Strategy::Tile4 => 128,
+            Strategy::Tile8 => 256,
         }
     }
 
@@ -90,7 +84,6 @@ impl Strategy {
             Strategy::Parallel => "parallel",
             Strategy::Balance => "balance",
             Strategy::Block => "block",
-            Strategy::Wide => "wide",
             Strategy::Simd => "simd",
             Strategy::Merge => "merge",
             Strategy::Tile2 => "tile2",
@@ -207,38 +200,6 @@ impl FromIterator<Strategy> for StrategySet {
     }
 }
 
-/// The inner-loop body a variant's strategy set selects, shared by the
-/// planned and unplanned dispatch paths so both execute the identical
-/// floating-point operation order (the bitwise plan-differential
-/// contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InnerLoop {
-    /// Sequential accumulation.
-    Scalar,
-    /// 4-way split accumulators.
-    Unroll4,
-    /// 8-way split accumulators.
-    Unroll8,
-    /// Runtime-dispatched vector backend (bit-identical to `Unroll4`).
-    Simd,
-}
-
-impl InnerLoop {
-    /// Maps a strategy set to its inner loop: `Simd` and `Wide` refine
-    /// `Unroll`, with `Simd` taking precedence.
-    pub(crate) fn of(set: StrategySet) -> Self {
-        if set.contains(Strategy::Simd) {
-            InnerLoop::Simd
-        } else if set.contains(Strategy::Wide) {
-            InnerLoop::Unroll8
-        } else if set.contains(Strategy::Unroll) {
-            InnerLoop::Unroll4
-        } else {
-            InnerLoop::Scalar
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +240,7 @@ mod tests {
         let s: StrategySet = Strategy::ALL.into_iter().collect();
         let back: StrategySet = s.iter().collect();
         assert_eq!(s, back);
-        assert_eq!(s.len(), 10);
+        assert_eq!(s.len(), 9);
     }
 
     #[test]
@@ -293,24 +254,6 @@ mod tests {
                 .with(Strategy::Parallel)
                 .tile_width(),
             8
-        );
-    }
-
-    #[test]
-    fn inner_loop_precedence() {
-        use Strategy::*;
-        assert_eq!(InnerLoop::of(StrategySet::EMPTY), InnerLoop::Scalar);
-        assert_eq!(
-            InnerLoop::of([Unroll].into_iter().collect()),
-            InnerLoop::Unroll4
-        );
-        assert_eq!(
-            InnerLoop::of([Unroll, Wide].into_iter().collect()),
-            InnerLoop::Unroll8
-        );
-        assert_eq!(
-            InnerLoop::of([Unroll, Simd].into_iter().collect()),
-            InnerLoop::Simd
         );
     }
 }

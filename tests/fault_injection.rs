@@ -10,7 +10,7 @@ use smat_kernels::{KernelLibrary, StrategySet};
 use smat_matrix::gen::{generate_corpus, random_uniform, tridiagonal, CorpusSpec};
 use smat_matrix::io::read_matrix_market;
 use smat_matrix::utils::max_abs_diff;
-use smat_matrix::{Csr, Format, MatrixError};
+use smat_matrix::{AnyMatrix, Csr, Format, MatrixError};
 
 fn train_engine_with(seed: u64, config: SmatConfig) -> Smat<f64> {
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(120, seed));
@@ -72,7 +72,7 @@ fn inf_matrix_degrades_and_reports_the_location() {
 #[test]
 fn panicking_registered_kernel_prunes_the_candidate() {
     // Sabotage COO: the fallback then selects among the survivors.
-    fn bad_coo(_: &smat_matrix::Coo<f64>, _: &[f64], _: &mut [f64]) {
+    fn bad_coo(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
         panic!("injected COO fault");
     }
     let bad_variant = KernelLibrary::<f64>::new().variant_count(Format::Coo);
@@ -85,9 +85,12 @@ fn panicking_registered_kernel_prunes_the_candidate() {
     model.kernel_choice.set(Format::Coo, bad_variant);
     let mut engine =
         Smat::<f64>::with_config(model, engine.config().clone()).expect("precision matches");
-    engine
-        .library_mut()
-        .register_coo("coo_injected_fault", StrategySet::default(), bad_coo);
+    engine.library_mut().register(
+        Format::Coo,
+        "coo_injected_fault",
+        StrategySet::default(),
+        bad_coo,
+    );
     let m = random_uniform::<f64>(300, 300, 6, 5);
     let tuned = engine.prepare(&m);
     match tuned.decision() {
@@ -113,7 +116,7 @@ fn panicking_registered_kernel_prunes_the_candidate() {
 
 #[test]
 fn all_candidates_panicking_degrades_not_aborts() {
-    fn bad_csr(_: &Csr<f64>, _: &[f64], _: &mut [f64]) {
+    fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
         panic!("injected CSR fault");
     }
     let bad_variant = KernelLibrary::<f64>::new().variant_count(Format::Csr);
@@ -125,11 +128,17 @@ fn all_candidates_panicking_degrades_not_aborts() {
     let engine = train_engine_with(4, cfg);
     let mut model = engine.model().clone();
     model.kernel_choice.set(Format::Csr, bad_variant);
+    // No rule groups: a low-confidence rule match would join the
+    // candidate set, and CSR must be the *only* candidate here.
+    model.groups.groups.clear();
     let mut engine =
         Smat::<f64>::with_config(model, engine.config().clone()).expect("precision matches");
-    engine
-        .library_mut()
-        .register_csr("csr_injected_fault", StrategySet::default(), bad_csr);
+    engine.library_mut().register(
+        Format::Csr,
+        "csr_injected_fault",
+        StrategySet::default(),
+        bad_csr,
+    );
     let m = random_uniform::<f64>(250, 250, 5, 7);
     let tuned = engine.prepare(&m);
     assert!(tuned.decision().is_degraded());

@@ -169,6 +169,78 @@ fn schema_3_artifact_missing_the_quarantine_field_regenerates() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Persisted state addresses kernels by raw variant index, which only
+/// means something against the tables it was recorded on. An artifact
+/// resealed (valid checksum, current schema) under another library
+/// digest — what a build with a row added or deleted would have
+/// written — is refused by every door, never replayed.
+#[test]
+fn artifact_from_a_different_kernel_library_is_refused() {
+    let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 39));
+    let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
+    let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
+    let path = temp_path("installation_foreign_digest.json");
+    let cfg = SmatConfig {
+        install_path: Some(path.clone()),
+        ..SmatConfig::fast()
+    };
+    let live = smat_kernels::KernelLibrary::<f64>::new().digest();
+    let mut foreign = smat::Installation::run::<f64>(&cfg);
+    assert_eq!(foreign.library_digest, live);
+    foreign.library_digest ^= 1;
+    foreign.save(&path).unwrap();
+    assert_eq!(
+        smat::Installation::load(&path).unwrap(),
+        foreign,
+        "resealed: the checksum and schema checks pass"
+    );
+
+    // The engine regenerates instead of adopting it...
+    let engine = Smat::<f64>::with_config(out.model.clone(), cfg).unwrap();
+    assert!(!engine.installation_from_disk());
+    assert_eq!(engine.installation().unwrap().library_digest, live);
+    assert_eq!(
+        smat::Installation::load(&path).unwrap().library_digest,
+        live
+    );
+    // ...and handing it over explicitly is an error with a taxonomy.
+    let err = Smat::<f64>::with_installation(out.model, SmatConfig::fast(), foreign).unwrap_err();
+    assert_eq!(err.taxonomy(), "corrupt", "got {err}");
+    assert!(err.to_string().contains("kernel library digest"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The cache-snapshot twin: an engine whose library grew a row seals
+/// its snapshot under its own digest; a stock engine absorbs nothing
+/// from it and tunes afresh.
+#[test]
+fn cache_snapshot_from_a_different_kernel_library_is_refused() {
+    let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 40));
+    let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
+    let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
+    let m = random_uniform::<f64>(260, 260, 6, 23);
+
+    let mut grown = Smat::<f64>::with_config(out.model.clone(), SmatConfig::fast()).unwrap();
+    grown.library_mut().register(
+        smat_matrix::Format::Csr,
+        "csr_extra",
+        smat_kernels::StrategySet::default(),
+        |m, x, y| m.spmv(x, y).expect("sized vectors"),
+    );
+    grown.prepare(&m);
+    let path = temp_path("cache_snapshot_foreign_digest.json");
+    assert_eq!(grown.save_cache(&path).unwrap(), 1);
+    assert_eq!(grown.load_cache(&path).unwrap(), 1, "its own digest loads");
+
+    let stock = Smat::<f64>::with_config(out.model, SmatConfig::fast()).unwrap();
+    let err = stock.load_cache(&path).unwrap_err();
+    assert_eq!(err.taxonomy(), "corrupt", "got {err}");
+    assert!(err.to_string().contains("kernel library digest"), "{err}");
+    assert_eq!(stock.cache_stats().entries, 0, "nothing was absorbed");
+    assert!(!stock.prepare(&m).decision().is_cached());
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn model_json_is_human_inspectable() {
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(80, 33));

@@ -1,8 +1,9 @@
 //! Differential suite for precomputed execution plans: replaying a
 //! frozen [`ExecPlan`] must be *bitwise* indistinguishable from the
-//! legacy partition-per-call dispatch, for every builtin variant of
-//! every format — otherwise caching the plan inside a tuning-cache
-//! entry would silently change results between a cold and a warm run.
+//! plan-per-call convenience dispatch (`run`), for every builtin
+//! variant of every format — otherwise caching the plan inside a
+//! tuning-cache entry would silently change results between a cold and
+//! a warm run.
 //!
 //! Also pinned here: which variants are bit-identical to the serial
 //! basic kernel (all parallel ones except the unrolled/blocked
@@ -44,7 +45,11 @@ fn test_vector<T: Scalar>(cols: usize) -> Vec<T> {
 }
 
 /// `run_planned` with a fresh plan must produce bit-for-bit the same
-/// output as `run` — same partition geometry, same accumulation order.
+/// output as `run` — same partition geometry, same accumulation order —
+/// and so must the serial plan the runtime substitutes on its demoted
+/// rung: a plan only says how rows fan out, never how a row is summed.
+/// (Merge-path is the exception by design: its serial fallback is the
+/// unsplit row order.)
 fn sweep_planned_equals_unplanned<T: Scalar>() {
     let lib = KernelLibrary::<T>::new();
     for (name, m) in corpus::<T>() {
@@ -71,6 +76,16 @@ fn sweep_planned_equals_unplanned<T: Scalar>() {
                     "{name}: {format} variant {v} ({}) planned != unplanned",
                     lib.variants(format)[v].name
                 );
+                let info = lib.variants(format)[v];
+                if !info.strategies.contains(Strategy::Merge) {
+                    let mut serial = vec![T::from_f64(f64::NAN); m.rows()];
+                    lib.run_planned(&any, v, &ExecPlan::serial(m.rows()), &x, &mut serial);
+                    assert!(
+                        serial == unplanned,
+                        "{name}: {} differs under the serial plan",
+                        info.name
+                    );
+                }
             }
         }
     }
@@ -88,7 +103,8 @@ fn planned_equals_unplanned_bitwise_f32() {
 
 /// Row-chunking never reorders a row's accumulation, so every parallel
 /// variant that keeps the plain accumulator shape (no 4-way unroll, no
-/// register blocking) is bit-identical to its format's serial basic
+/// register blocking, no split-lane row dot) is bit-identical to its
+/// format's serial basic
 /// kernel — the property that makes plan caching safe to mix with
 /// serial fallbacks (degraded mode) on the same matrix.
 #[test]
@@ -103,10 +119,14 @@ fn plain_parallel_variants_are_bit_identical_to_serial_basic() {
             };
             let mut basic = vec![f64::NAN; m.rows()];
             lib.run(&any, 0, &x, &mut basic);
-            for (v, info) in lib.variants(format).into_iter().enumerate() {
+            for (v, info) in lib.variants(format).iter().enumerate() {
                 if !info.strategies.contains(Strategy::Parallel)
                     || info.strategies.contains(Strategy::Unroll)
                     || info.strategies.contains(Strategy::Block)
+                    // The CSR vector row dot is the 4-lane split
+                    // accumulator shape (DIA/ELL `Simd` steps are
+                    // element-wise, so those stay in the sweep).
+                    || (format == Format::Csr && info.strategies.contains(Strategy::Simd))
                     // Merge-path splits rows mid-stream and reassociates
                     // their sums, so it matches basic bitwise only on
                     // exactly-representable values — covered by the
@@ -173,14 +193,15 @@ fn stale_plans_stay_correct() {
 #[test]
 fn registered_kernels_ignore_the_plan() {
     let mut lib = KernelLibrary::<f64>::new();
-    fn doubled(m: &Csr<f64>, x: &[f64], y: &mut [f64]) {
+    fn doubled(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
         let mut tmp = vec![0.0; y.len()];
         m.spmv(x, &mut tmp).expect("dims checked by caller");
         for (o, t) in y.iter_mut().zip(&tmp) {
             *o = 2.0 * t;
         }
     }
-    let id = lib.register_csr(
+    let id = lib.register(
+        Format::Csr,
         "csr_doubled",
         [Strategy::Parallel].into_iter().collect::<StrategySet>(),
         doubled,
@@ -229,7 +250,7 @@ fn dyadic_vector<T: Scalar>(cols: usize) -> Vec<T> {
         .collect()
 }
 
-/// Every variant of every format — including the wide-unroll, SIMD and
+/// Every variant of every format — including the SIMD and
 /// register-blocked BCSR tiers added for the implementation-variant
 /// scoreboard — is bitwise identical to the sequential CSR reference
 /// on exactly-representable inputs, both planned and unplanned.
@@ -301,7 +322,7 @@ fn sweep_bitwise_vs_reference<T: Scalar>() {
             ) else {
                 continue;
             };
-            for (v, info) in lib.variants(format).into_iter().enumerate() {
+            for (v, info) in lib.variants(format).iter().enumerate() {
                 let mut y = vec![T::from_f64(f64::NAN); m.rows()];
                 lib.run(&any, v, &x, &mut y);
                 assert!(
@@ -324,8 +345,7 @@ fn sweep_bitwise_vs_reference<T: Scalar>() {
                     "{name}: {} planned diverges",
                     info.name
                 );
-                if info.strategies.contains(Strategy::Wide)
-                    || info.strategies.contains(Strategy::Simd)
+                if info.strategies.contains(Strategy::Simd)
                     || matches!(format, Format::Bcsr2 | Format::Bcsr4)
                 {
                     new_tier_checked += 1;
@@ -458,7 +478,7 @@ fn sweep_simd_backends_agree<T: Scalar>() {
             ) else {
                 continue;
             };
-            for (v, info) in lib.variants(format).into_iter().enumerate() {
+            for (v, info) in lib.variants(format).iter().enumerate() {
                 if !info.strategies.contains(Strategy::Simd) {
                     continue;
                 }

@@ -130,7 +130,7 @@ fn sweep_spmm_equals_k_spmv<T: Scalar>() {
             for k in [1usize, 2, 3, 4, 5, 7, 8, 9] {
                 let x = dyadic_block::<T>(m.cols(), k);
                 let expect = per_column_reference(&m, &x, k);
-                for (v, info) in lib.spmm_variants(format).into_iter().enumerate() {
+                for (v, info) in lib.spmm_variants(format).iter().enumerate() {
                     // NaN canary: every output element must be written,
                     // including all k lanes of empty rows.
                     let mut y = vec![T::from_f64(f64::NAN); m.rows() * k];
@@ -191,7 +191,7 @@ fn spmm_simd_backend_is_bit_identical_to_portable() {
         let x: Vec<f64> = (0..m.cols() * k)
             .map(|i| (i as f64 * 0.7312).sin() * 3.0)
             .collect();
-        for (v, info) in lib.spmm_variants(Format::Csr).into_iter().enumerate() {
+        for (v, info) in lib.spmm_variants(Format::Csr).iter().enumerate() {
             if !info.strategies.contains(Strategy::Simd) {
                 continue;
             }

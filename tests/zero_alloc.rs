@@ -68,7 +68,7 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
         let Ok(any) = AnyMatrix::convert_from_csr(&m, format) else {
             continue;
         };
-        for (v, info) in lib.variants(format).into_iter().enumerate() {
+        for (v, info) in lib.variants(format).iter().enumerate() {
             if !info.strategies.contains(Strategy::Parallel) {
                 continue;
             }
@@ -114,7 +114,7 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
             continue;
         };
         let serial = smat_kernels::ExecPlan::serial(serial_probe.rows());
-        for (v, info) in lib.variants(format).into_iter().enumerate() {
+        for (v, info) in lib.variants(format).iter().enumerate() {
             let d0 = smat_kernels::exec::dispatch_count();
             let (allocs, spawns) = audit(2, 20, || lib.run_planned(&any, v, &serial, &xs, &mut ys));
             assert_eq!(allocs, 0, "{}: allocations under a serial plan", info.name);
@@ -195,10 +195,14 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     // borrowed straight from the handle — no clone of the plan, no
     // per-call gather buffers on the tiled path — through the same
     // containment boundary as SpMV. Forced onto the measured CSR path
-    // (threshold above 1.0 disables rule shortcuts) so the pick is a
-    // real tiled kernel, not the allocating per-column fallback.
+    // (threshold above 1.0 disables rule shortcuts, and with no rule
+    // groups no rule-matched format joins the CSR candidate) so the
+    // pick is a real tiled kernel, not the allocating per-column
+    // fallback.
+    let mut csr_only = out.model.clone();
+    csr_only.groups.groups.clear();
     let spmm_engine = Smat::<f64>::with_config(
-        out.model.clone(),
+        csr_only,
         SmatConfig {
             confidence_threshold: 1.1,
             fallback_formats: vec![Format::Csr],
