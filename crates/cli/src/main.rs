@@ -12,7 +12,7 @@
 //! smat rules    --model MODEL.json
 //! smat health   --model MODEL.json [--json] [--calls N] [--dim D]
 //! smat serve    --model MODEL.json [--addr HOST:PORT | --socket PATH]
-//!               [--workers N] [--shards N] [--queue N] [--deadline-ms MS]
+//!               [--workers N] [--queue N] [--deadline-ms MS]
 //!               [--cache CACHE.json] [--handle-capacity N] [--handle-budget-bytes B]
 //! ```
 //!
@@ -48,7 +48,7 @@ USAGE:
                 [--install INSTALL.json]
   smat serve    --model MODEL.json [--addr HOST:PORT | --socket PATH]
                 [--install INSTALL.json] [--cache CACHE.json]
-                [--workers N] [--shards N] [--queue N] [--degrade-watermark N]
+                [--workers N] [--queue N] [--degrade-watermark N]
                 [--deadline-ms MS] [--max-deadline-ms MS]
                 [--tenant-rate R] [--tenant-burst B]
                 [--handle-capacity N] [--handle-budget-bytes B]
@@ -72,20 +72,19 @@ COMMANDS:
             matrix) and report the engine's execution-health counters:
             contained faults, quarantined kernel variants, pool degradation,
             cache/concurrency recoveries, and the warm handle-registry
-            counters; --json emits the machine-readable report (with a
-            per-shard `shards` breakdown) for monitoring pipelines
+            counters; --json emits the machine-readable report (with the
+            daemon's one-entry `shards` array) for monitoring pipelines
   serve     run the tuning-as-a-service daemon: line-delimited JSON requests
             (ping/metrics/tune/spmv/spmm/shutdown) over TCP (--addr, port 0
             picks an ephemeral port printed as `listening on ...`) or a Unix
             socket (--socket); bounded admission queue with load shedding,
             per-tenant token buckets, per-request deadlines, and a degradation
-            ladder; tuned matrices are parked in a fingerprint-sharded handle
-            registry (--shards engines, --handle-capacity entries per shard
-            under --handle-budget-bytes) so follow-up requests that send the
-            returned handle skip parsing and tuning entirely; --cache preloads
-            the tuning-cache snapshot and persists the merged shards back on
-            graceful shutdown ({\"op\":\"shutdown\"}), which drains in-flight
-            work and exits 0
+            ladder; tuned matrices are parked in the daemon's handle registry
+            (--handle-capacity entries under --handle-budget-bytes, both per
+            daemon) so follow-up requests that send the returned handle skip
+            parsing and tuning entirely; --cache preloads the tuning-cache
+            snapshot and persists it back on graceful shutdown
+            ({\"op\":\"shutdown\"}), which drains in-flight work and exits 0
 ";
 
 /// Minimal flag parser: `--key value` pairs plus positionals.
@@ -660,7 +659,6 @@ fn cmd_health(args: &Args) -> Result<(), String> {
     let report = engine.health_report();
     if args.has("json") {
         use serde::{Serialize as _, Value};
-        let cache = engine.cache_stats();
         let mut fields = match report.to_value() {
             Value::Object(fields) => fields,
             other => return Err(format!("health report is not an object: {}", other.kind())),
@@ -675,43 +673,8 @@ fn cmd_health(args: &Args) -> Result<(), String> {
             "handle_evictions",
             Value::UInt(handles.evictions),
         );
-        // One engine in the CLI means one shard, but the entry mirrors
-        // the daemon's `shards[i]` schema so the same jq gates apply.
-        let shard = smat_service::proto::obj(vec![
-            ("index", Value::UInt(0)),
-            (
-                "cache",
-                smat_service::proto::obj(vec![
-                    ("hits", Value::UInt(cache.hits)),
-                    ("misses", Value::UInt(cache.misses)),
-                    ("entries", Value::UInt(cache.entries as u64)),
-                    ("capacity", Value::UInt(cache.capacity as u64)),
-                    ("corrupt_evictions", Value::UInt(cache.corrupt_evictions)),
-                    ("poison_recoveries", Value::UInt(cache.poison_recoveries)),
-                    ("coalesced_waits", Value::UInt(cache.coalesced_waits)),
-                ]),
-            ),
-            (
-                "quarantined",
-                Value::Array(
-                    report
-                        .quarantined_variants
-                        .iter()
-                        .map(|q| Value::Str(q.name.clone()))
-                        .collect(),
-                ),
-            ),
-            ("pool_demoted", Value::Bool(report.pool_demoted)),
-            ("handle_hits", Value::UInt(handles.hits)),
-            ("handle_misses", Value::UInt(handles.misses)),
-            ("handle_evictions", Value::UInt(handles.evictions)),
-            ("handle_entries", Value::UInt(handles.entries as u64)),
-            (
-                "handle_resident_bytes",
-                Value::UInt(handles.resident_bytes as u64),
-            ),
-        ]);
-        push(&mut fields, "shards", Value::Array(vec![shard]));
+        let entry = smat_service::metrics::shard_entry(&engine.cache_stats(), &report, &handles);
+        push(&mut fields, "shards", Value::Array(vec![entry]));
         let merged = Value::Object(fields);
         let json = serde_json::to_string_pretty(&smat_service::proto::Json(&merged))
             .map_err(|e| e.to_string())?;
@@ -793,7 +756,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     config.tenant_rate = args.get_f64("tenant-rate", config.tenant_rate)?;
     config.tenant_burst = args.get_f64("tenant-burst", config.tenant_burst)?;
     config.max_frame_bytes = args.get_usize("max-frame-bytes", config.max_frame_bytes)?;
-    config.shards = args.get_usize("shards", config.shards)?;
     config.handle_capacity = args.get_usize("handle-capacity", config.handle_capacity)?;
     config.handle_budget_bytes =
         args.get_usize("handle-budget-bytes", config.handle_budget_bytes)?;

@@ -65,7 +65,7 @@ pub use health::{BreakerState, ExecIncident, FaultKind, HealthReport, Quarantine
 pub use install::{Installation, INSTALL_SCHEMA_VERSION};
 pub use interface::{smat_dcsr_spmv, smat_scsr_spmv};
 pub use model::{class_names, group_class_order, FormatDecision, TrainStats, TrainedModel};
-pub use runtime::{CacheSnapshot, DecisionPath, Smat, TunedSpmv};
+pub use runtime::{DecisionPath, Smat, TunedSpmv};
 pub use smat_kernels::ExecPlan;
 pub use stats::{accuracy, analyze, basic_csr_time, tuned_gflops, AnalysisRow, SmatStats};
 pub use train::{consultation_order, label_best_format, measure_formats, Trainer, TrainingOutput};

@@ -534,44 +534,8 @@ impl<T: Scalar> Smat<T> {
     /// Returns [`SmatError::Persist`] when writing fails after
     /// exhausting the retries.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        self.save_cache_snapshot(path, &self.export_cache())
-    }
-
-    /// Copies the resident tuning-cache entries out as an opaque,
-    /// transferable [`CacheSnapshot`] — for serving layers that run
-    /// several fingerprint-sharded engines and merge their caches
-    /// into one drain artifact.
-    pub fn export_cache(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            entries: self.cache.snapshot(),
-        }
-    }
-
-    /// Feeds a [`CacheSnapshot`]'s entries into this engine's cache
-    /// through normal LRU insertion (capacity still applies). Returns
-    /// the number of entries offered.
-    pub fn absorb_cache(&self, snap: CacheSnapshot) -> usize {
-        let count = snap.entries.len();
-        self.cache.absorb(snap.entries);
-        count
-    }
-
-    /// Persists an explicit [`CacheSnapshot`] to `path` under the same
-    /// sealed, checksummed envelope as [`Smat::save_cache`]. Lets a
-    /// sharded serving layer write the *merged* cache of all its
-    /// engines as one artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmatError::Persist`] when writing fails after
-    /// exhausting the retries.
-    pub fn save_cache_snapshot(
-        &self,
-        path: impl AsRef<Path>,
-        snap: &CacheSnapshot,
-    ) -> Result<usize> {
         let path = path.as_ref();
-        let entries = snap.entries.clone();
+        let entries = self.cache.snapshot();
         let count = entries.len();
         let sealed = SealedCacheSnapshot {
             checksum: snapshot_checksum(&entries)?,
@@ -618,21 +582,6 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::PrecisionMismatch`] when the snapshot was taken by
     /// an engine of the other precision.
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        Ok(self.absorb_cache(self.load_cache_snapshot(path)?))
-    }
-
-    /// Reads and verifies a snapshot written by [`Smat::save_cache`]
-    /// (or [`Smat::save_cache_snapshot`]) *without* absorbing it, so a
-    /// sharded serving layer can route each entry to the engine that
-    /// owns its fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// The same taxonomy as [`Smat::load_cache`]: [`SmatError::Persist`]
-    /// after exhausted retries, [`SmatError::Corrupt`] on checksum or
-    /// kernel-library digest mismatch, [`SmatError::PrecisionMismatch`]
-    /// across precisions.
-    pub fn load_cache_snapshot(&self, path: impl AsRef<Path>) -> Result<CacheSnapshot> {
         let path = path.as_ref();
         let sealed: SealedCacheSnapshot =
             self.snapshot_io("cache.load", || Ok(smat_learn::load_json(path)?))?;
@@ -657,9 +606,9 @@ impl<T: Scalar> Smat<T> {
             sealed.library_digest,
             self.lib.digest(),
         )?;
-        Ok(CacheSnapshot {
-            entries: sealed.entries,
-        })
+        let count = sealed.entries.len();
+        self.cache.absorb(sealed.entries);
+        Ok(count)
     }
 
     /// Tunes a matrix: Figure 7's runtime procedure, fronted by the
@@ -1478,69 +1427,6 @@ impl<T: Scalar> Smat<T> {
         let tuned = self.prepare(csr);
         self.spmv(&tuned, x, y)?;
         Ok(tuned)
-    }
-}
-
-/// An opaque, transferable set of tuning-cache entries.
-///
-/// Produced by [`Smat::export_cache`] / [`Smat::load_cache_snapshot`]
-/// and consumed by [`Smat::absorb_cache`] /
-/// [`Smat::save_cache_snapshot`]. A sharded serving layer merges the
-/// per-shard exports into one drain artifact with
-/// [`CacheSnapshot::merge`] and routes a loaded artifact back to the
-/// owning shards with [`CacheSnapshot::split_by`]; the entry payload
-/// stays private to the engine.
-#[derive(Debug, Clone, Default)]
-pub struct CacheSnapshot {
-    entries: Vec<(StructuralFingerprint, CachedDecision)>,
-}
-
-impl CacheSnapshot {
-    /// Number of entries carried.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot carries no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Merges several snapshots, deduplicating by fingerprint (later
-    /// parts win — callers pass shards in a fixed order, so the result
-    /// is deterministic).
-    pub fn merge(parts: Vec<CacheSnapshot>) -> CacheSnapshot {
-        let mut seen: HashMap<StructuralFingerprint, usize> = HashMap::new();
-        let mut entries: Vec<(StructuralFingerprint, CachedDecision)> = Vec::new();
-        for part in parts {
-            for (key, decision) in part.entries {
-                match seen.get(&key) {
-                    Some(&i) => entries[i] = (key, decision),
-                    None => {
-                        seen.insert(key, entries.len());
-                        entries.push((key, decision));
-                    }
-                }
-            }
-        }
-        CacheSnapshot { entries }
-    }
-
-    /// Partitions the entries into `buckets` snapshots by the routing
-    /// function (its result is taken modulo `buckets`). The inverse of
-    /// [`CacheSnapshot::merge`] for a fingerprint-sharded cache.
-    pub fn split_by(
-        self,
-        buckets: usize,
-        route: impl Fn(&StructuralFingerprint) -> usize,
-    ) -> Vec<CacheSnapshot> {
-        let buckets = buckets.max(1);
-        let mut parts: Vec<CacheSnapshot> =
-            (0..buckets).map(|_| CacheSnapshot::default()).collect();
-        for (key, decision) in self.entries {
-            parts[route(&key) % buckets].entries.push((key, decision));
-        }
-        parts
     }
 }
 
@@ -2449,24 +2335,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.taxonomy(), "persist");
         assert!(err.is_transient());
-    }
-
-    #[test]
-    fn cache_snapshot_merge_dedups_and_split_routes() {
-        let e = engine();
-        e.prepare(&tridiagonal::<f64>(150));
-        e.prepare(&random_uniform::<f64>(80, 80, 6, 3));
-        let snap = e.export_cache();
-        assert_eq!(snap.len(), 2);
-        // Merging a snapshot with itself keeps one copy per key.
-        let merged = CacheSnapshot::merge(vec![snap.clone(), snap.clone()]);
-        assert_eq!(merged.len(), 2);
-        // Splitting routes every entry to exactly one bucket, and
-        // re-merging the parts restores the full set.
-        let parts = merged.split_by(3, |fp| fp.digest[0] as usize);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(CacheSnapshot::len).sum::<usize>(), 2);
-        assert_eq!(CacheSnapshot::merge(parts).len(), 2);
     }
 
     // -----------------------------------------------------------------

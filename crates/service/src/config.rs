@@ -40,14 +40,10 @@ pub struct ServeConfig {
     /// When set, the tuning-cache snapshot is persisted here during
     /// graceful shutdown (and preloaded at startup if present).
     pub cache_snapshot: Option<PathBuf>,
-    /// Engine shards the decision cache and handle registry are split
-    /// across, routed by structural fingerprint. `0` means "one shard
-    /// per worker".
-    pub shards: usize,
-    /// Prepared-matrix handles each shard keeps resident (`0` disables
+    /// Prepared-matrix handles the daemon keeps resident (`0` disables
     /// the handle registry entirely: every handle request misses).
     pub handle_capacity: usize,
-    /// Estimated resident-byte budget per shard's handle registry
+    /// Estimated resident-byte budget of the daemon's handle registry
     /// (`0` means unbounded; entry capacity still applies).
     pub handle_budget_bytes: usize,
 }
@@ -67,7 +63,6 @@ impl Default for ServeConfig {
             frame_timeout: Duration::from_secs(10),
             shed_retry_after: Duration::from_millis(250),
             cache_snapshot: None,
-            shards: 0,
             handle_capacity: 32,
             handle_budget_bytes: 256 << 20,
         }
@@ -84,9 +79,6 @@ impl ServeConfig {
         self.max_frame_bytes = self.max_frame_bytes.max(64);
         if self.read_timeout.is_zero() {
             self.read_timeout = Duration::from_millis(25);
-        }
-        if self.shards == 0 {
-            self.shards = self.workers;
         }
         self
     }
@@ -112,24 +104,6 @@ mod tests {
         assert_eq!(c.degrade_watermark, 1);
         assert!(c.max_frame_bytes >= 64);
         assert!(!c.read_timeout.is_zero());
-    }
-
-    #[test]
-    fn shards_default_to_worker_count() {
-        let c = ServeConfig {
-            workers: 3,
-            shards: 0,
-            ..ServeConfig::default()
-        }
-        .normalized();
-        assert_eq!(c.shards, 3);
-        let pinned = ServeConfig {
-            workers: 3,
-            shards: 1,
-            ..ServeConfig::default()
-        }
-        .normalized();
-        assert_eq!(pinned.shards, 1);
     }
 
     #[test]

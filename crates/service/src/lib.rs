@@ -27,13 +27,14 @@
 //!   prepared matrix from per-connection preallocated buffers.
 //!   Unknown or evicted handles answer `handle_miss` so clients fall
 //!   back to the triplet path deterministically.
-//! - **Sharding**: the decision cache, health state, and handle
-//!   registry are split across fingerprint-routed engine shards
-//!   (`serve.shards`, default one per worker), so concurrent tuning
-//!   of distinct matrices never serializes on one cache lock.
+//! - **One engine**: every request is served by the caller's
+//!   [`smat::Smat`] and one handle registry, so a quarantine reaches
+//!   the engine's install artifact, a faulting variant is benched for
+//!   every matrix at once, and `cache_capacity`, `handle_capacity` and
+//!   `handle_budget_bytes` bound the daemon, not a fraction of it.
 //! - **Graceful drain**: shutdown refuses new connections, answers
-//!   in-flight work, persists the merged tuning-cache snapshot, and
-//!   exits cleanly.
+//!   in-flight work, persists the tuning-cache snapshot, and exits
+//!   cleanly.
 //!
 //! The wire protocol lives in [`proto`]; the serving loop in
 //! [`server`]; the policies in [`admission`] and [`config`]; the

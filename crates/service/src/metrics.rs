@@ -12,6 +12,9 @@
 //! bookkeeping single-writer, outcome counters are incremented at
 //! response-write time in the connection thread, never in workers.
 
+use crate::proto::obj;
+use serde::Value;
+use smat::{CacheStats, HandleStats, HealthReport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Shared counter block for one running server.
@@ -95,6 +98,43 @@ impl ServiceMetrics {
             + Self::get(&self.requests_handle_miss)
             + Self::get(&self.requests_error)
     }
+}
+
+/// The entry of the `shards` array in the `metrics` document and in
+/// `smat health --json`: one engine's decision-cache counters,
+/// quarantined variant names, pool state and handle-registry counters.
+/// The array has exactly one entry — the daemon runs one engine — and
+/// stays an array because monitoring gates index it.
+pub fn shard_entry(cache: &CacheStats, health: &HealthReport, handles: &HandleStats) -> Value {
+    let quarantined = health.quarantined_variants.iter();
+    obj(vec![
+        ("index", Value::UInt(0)),
+        (
+            "cache",
+            obj(vec![
+                ("hits", Value::UInt(cache.hits)),
+                ("misses", Value::UInt(cache.misses)),
+                ("entries", Value::UInt(cache.entries as u64)),
+                ("capacity", Value::UInt(cache.capacity as u64)),
+                ("corrupt_evictions", Value::UInt(cache.corrupt_evictions)),
+                ("poison_recoveries", Value::UInt(cache.poison_recoveries)),
+                ("coalesced_waits", Value::UInt(cache.coalesced_waits)),
+            ]),
+        ),
+        (
+            "quarantined",
+            Value::Array(quarantined.map(|q| Value::Str(q.name.clone())).collect()),
+        ),
+        ("pool_demoted", Value::Bool(health.pool_demoted)),
+        ("handle_hits", Value::UInt(handles.hits)),
+        ("handle_misses", Value::UInt(handles.misses)),
+        ("handle_evictions", Value::UInt(handles.evictions)),
+        ("handle_entries", Value::UInt(handles.entries as u64)),
+        (
+            "handle_resident_bytes",
+            Value::UInt(handles.resident_bytes as u64),
+        ),
+    ])
 }
 
 #[cfg(test)]

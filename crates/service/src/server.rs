@@ -1,5 +1,5 @@
 //! The serving loop: listener, connection threads, admission ladder,
-//! fingerprint-sharded engines, worker pool, and graceful drain.
+//! the one engine, worker pool, and graceful drain.
 //!
 //! ## Thread shape
 //!
@@ -12,14 +12,14 @@
 //! travel back over a per-job mpsc channel bounded by the request
 //! deadline, so a connection thread can never wedge on a lost worker.
 //!
-//! ## Shards and the warm path
+//! ## One engine and the warm path
 //!
-//! The engine is split into [`ServeConfig::shards`] independent
-//! shards, each with its own decision cache, health/quarantine state,
-//! and [`HandleRegistry`] of prepared matrices, selected by structural
-//! fingerprint (`digest[0] % shards`). Concurrent tuning for distinct
-//! matrices therefore never serializes on one cache lock, and a
-//! quarantine on one shard leaves the others fast.
+//! Every request is served by the caller's [`Smat`] — one decision
+//! cache, one health ledger, one install artifact — plus one
+//! [`HandleRegistry`] of prepared matrices, so a quarantine, a breaker
+//! count and the capacity knobs each mean one thing per daemon. The
+//! cache lock is held for a map lookup around tuning runs of
+//! milliseconds; a second engine measured no faster (DESIGN.md §18).
 //!
 //! A successful tune/spmv/spmm response carries a `handle` — the
 //! fingerprint plus this server's generation tag. A follow-up
@@ -54,13 +54,13 @@
 
 use crate::admission::{BoundedQueue, TokenBuckets};
 use crate::config::ServeConfig;
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{shard_entry, ServiceMetrics};
 use crate::proto::{
     obj, parse_request, MatrixSource, Request, Response, Status, WireHandle, WorkOp, WorkRequest,
 };
 use serde::{Serialize, Value};
-use smat::{CacheSnapshot, HandleRegistry, HealthReport, Smat, TunedSpmv};
-use smat_matrix::{Csr, StructuralFingerprint};
+use smat::{HandleRegistry, Smat, TunedSpmv};
+use smat_matrix::Csr;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -96,21 +96,15 @@ fn next_generation() -> u64 {
 /// never queue.
 struct Job {
     work: WorkRequest,
-    shard: usize,
     deadline: Instant,
     reply: mpsc::Sender<Response>,
 }
 
-/// One engine shard: its own decision cache and health state (inside
-/// the [`Smat`]) plus its slice of the prepared-matrix registry.
-struct Shard {
-    engine: Arc<Smat<f64>>,
-    handles: HandleRegistry<f64>,
-}
-
 /// State shared by the accept loop, connection threads, and workers.
 struct Shared {
-    shards: Vec<Shard>,
+    engine: Arc<Smat<f64>>,
+    /// Prepared matrices the warm path replays, by fingerprint.
+    handles: HandleRegistry<f64>,
     generation: u64,
     config: ServeConfig,
     metrics: ServiceMetrics,
@@ -129,17 +123,11 @@ impl Shared {
         // the eventual close promptly.
         // (close() itself happens in run() after connections drain.)
     }
-
-    /// The shard a fingerprint routes to. Pure function of the digest,
-    /// so clients, the cache splitter, and the workers always agree.
-    fn shard_for(&self, fp: &StructuralFingerprint) -> usize {
-        fp.digest[0] as usize % self.shards.len()
-    }
 }
 
-/// Per-connection reusable buffers for the warm path: sized on first
-/// use, reused for every subsequent handle call on this connection, so
-/// a warm `spmv` allocates nothing but its reply frame.
+/// Per-thread reusable product buffers (one per connection, one per
+/// worker): sized on first use and reused for every later product on
+/// that thread, so a warm `spmv` allocates nothing but its reply frame.
 #[derive(Default)]
 struct Scratch {
     x: Vec<f64>,
@@ -263,7 +251,7 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind_tcp(addr: &str, engine: Arc<Smat<f64>>, config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        Self::with_listener(Listener::Tcp(listener), engine, config)
+        Ok(Self::with_listener(Listener::Tcp(listener), engine, config))
     }
 
     /// Binds a Unix-domain socket at `path`, replacing a stale socket
@@ -283,54 +271,27 @@ impl Server {
             std::fs::remove_file(&path)?;
         }
         let listener = UnixListener::bind(&path)?;
-        Self::with_listener(Listener::Unix(listener, path), engine, config)
+        Ok(Self::with_listener(
+            Listener::Unix(listener, path),
+            engine,
+            config,
+        ))
     }
 
-    /// Wraps the caller's engine as shard 0 and clones sibling shards
-    /// off its model and installation, so every shard runs the same
-    /// kernel choices but owns its own cache and health state.
-    fn with_listener(
-        listener: Listener,
-        engine: Arc<Smat<f64>>,
-        config: ServeConfig,
-    ) -> io::Result<Self> {
+    /// Puts the admission state and an empty handle registry around
+    /// the caller's engine, which serves every request as it is.
+    fn with_listener(listener: Listener, engine: Arc<Smat<f64>>, config: ServeConfig) -> Self {
         let config = config.normalized();
-        let mut shards = Vec::with_capacity(config.shards);
-        let registry = || HandleRegistry::new(config.handle_capacity, config.handle_budget_bytes);
-        shards.push(Shard {
-            engine,
-            handles: registry(),
-        });
-        for _ in 1..config.shards {
-            let model = shards[0].engine.model().clone();
-            // Don't touch the installation file again: shard 0 already
-            // loaded (or generated) it; siblings adopt the result.
-            let mut sib_config = shards[0].engine.config().clone();
-            sib_config.install_path = None;
-            let sibling = match shards[0].engine.installation().cloned() {
-                Some(inst) => Smat::with_installation(model, sib_config, inst),
-                None => Smat::with_config(model, sib_config),
-            }
-            .map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("building engine shard: {e}"),
-                )
-            })?;
-            shards.push(Shard {
-                engine: Arc::new(sibling),
-                handles: registry(),
-            });
-        }
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             buckets: TokenBuckets::new(config.tenant_rate, config.tenant_burst),
             metrics: ServiceMetrics::default(),
-            shards,
+            handles: HandleRegistry::new(config.handle_capacity, config.handle_budget_bytes),
+            engine,
             generation: next_generation(),
             config,
         });
-        Ok(Server { shared, listener })
+        Server { shared, listener }
     }
 
     /// The bound TCP address, if TCP-bound.
@@ -361,17 +322,10 @@ impl Server {
     pub fn run(self) -> io::Result<DrainSummary> {
         let Server { shared, listener } = self;
         // Preload the cache snapshot, best-effort: a missing or stale
-        // snapshot must never stop the service from starting. The one
-        // on-disk snapshot is split across shards by the same
-        // fingerprint route the request path uses.
+        // snapshot must never stop the service from starting.
         if let Some(path) = &shared.config.cache_snapshot {
             if path.exists() {
-                if let Ok(snap) = shared.shards[0].engine.load_cache_snapshot(path) {
-                    let parts = snap.split_by(shared.shards.len(), |fp| fp.digest[0] as usize);
-                    for (shard, part) in shared.shards.iter().zip(parts) {
-                        shard.engine.absorb_cache(part);
-                    }
-                }
+                let _ = shared.engine.load_cache(path);
             }
         }
 
@@ -452,21 +406,11 @@ impl Server {
             let _ = handle.join();
         }
 
-        // One merged snapshot on disk regardless of shard count: the
-        // shard layout is a runtime choice, not a persistence format.
-        let cache_snapshot_entries = shared.config.cache_snapshot.as_ref().and_then(|path| {
-            let merged = CacheSnapshot::merge(
-                shared
-                    .shards
-                    .iter()
-                    .map(|s| s.engine.export_cache())
-                    .collect(),
-            );
-            shared.shards[0]
-                .engine
-                .save_cache_snapshot(path, &merged)
-                .ok()
-        });
+        let cache_snapshot_entries = shared
+            .config
+            .cache_snapshot
+            .as_ref()
+            .and_then(|path| shared.engine.save_cache(path).ok());
         let m = &shared.metrics;
         Ok(DrainSummary {
             requests_total: ServiceMetrics::get(&m.requests_total),
@@ -488,6 +432,9 @@ impl Server {
 fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
     let _ = conn.set_read_timeout(shared.config.read_timeout);
     let mut buf: Vec<u8> = Vec::new();
+    // Bytes at the front of `buf` already known to hold no newline, so
+    // a long frame is searched once, not once per read.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     let mut frame_started: Option<Instant> = None;
     let mut scratch = Scratch::default();
@@ -516,17 +463,21 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
                     frame_started = Some(Instant::now());
                 }
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let frame: Vec<u8> = buf.drain(..=pos).collect();
-                    frame_started = if buf.is_empty() {
+                while let Some(len) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let pos = scanned + len;
+                    frame_started = if pos + 1 == buf.len() {
                         None
                     } else {
                         Some(Instant::now())
                     };
-                    if !process_frame(shared, &mut conn, &mut scratch, &frame[..frame.len() - 1]) {
+                    let open = process_frame(shared, &mut conn, &mut scratch, &buf[..pos]);
+                    buf.drain(..=pos);
+                    scanned = 0;
+                    if !open {
                         break 'conn;
                     }
                 }
+                scanned = buf.len();
                 if buf.len() > shared.config.max_frame_bytes {
                     ServiceMetrics::inc(&shared.metrics.oversized_frames);
                     let resp = Response::error(format!(
@@ -658,21 +609,30 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
                     "stale generation: handle was minted by another server instance",
                 );
             }
-            let shard = &shared.shards[shared.shard_for(&handle.fingerprint)];
-            return match shard.handles.lookup(&handle.fingerprint) {
-                Some(tuned) => warm_call(shard, &tuned, &handle, &work, scratch),
+            return match shared.handles.lookup(&handle.fingerprint) {
+                Some(tuned) => {
+                    let fields = vec![
+                        ("op", Value::Str(work.op.name().to_string())),
+                        ("handle", Value::Str(handle.encode())),
+                        ("format", Value::Str(tuned.format().to_string())),
+                        (
+                            "kernel",
+                            Value::Str(kernel_name(shared, &tuned).to_string()),
+                        ),
+                        ("warm", Value::Bool(true)),
+                    ];
+                    tuned_reply(shared, Status::Ok, fields, &work, &tuned, scratch)
+                }
                 None => Response::handle_miss(&handle, "unknown or evicted handle"),
             };
         }
         MatrixSource::Inline(ref m) => m,
     };
-    let shard_idx = shared.shard_for(&matrix.fingerprint());
-    let engine = &shared.shards[shard_idx].engine;
     // Degradation ladder: an unhealthy engine or a deep backlog means
     // a correct answer *now* beats a tuned answer late.
     let depth = shared.queue.len();
-    if engine.pool_demoted()
-        || engine.quarantine_active()
+    if shared.engine.pool_demoted()
+        || shared.engine.quarantine_active()
         || depth >= shared.config.degrade_watermark
     {
         let reason = if depth >= shared.config.degrade_watermark {
@@ -683,12 +643,11 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
         } else {
             "engine health: pool demoted or kernels quarantined".to_string()
         };
-        return degraded_now(&work, &reason);
+        return degraded_now(&work, matrix, &reason, scratch);
     }
     let (tx, rx) = mpsc::channel();
     let job = Job {
         work,
-        shard: shard_idx,
         deadline,
         reply: tx,
     };
@@ -706,138 +665,128 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
     }
 }
 
-/// Replays a registered prepared matrix for a warm handle request —
-/// zero matrix work, zero allocation beyond the reply frame (the
-/// scratch buffers grow once per connection and are reused).
-fn warm_call(
-    shard: &Shard,
-    tuned: &TunedSpmv<f64>,
-    handle: &WireHandle,
+/// Runs the product `work` asks for and completes `fields` into the
+/// reply — the one copy of the wire contract every rung shares. `x`
+/// defaults to all ones. An `spmm` block travels column-major (`k`
+/// concatenated columns, how clients batch independent right-hand
+/// sides) while `run` sees the engine's interleaved row-major layout,
+/// `x[c * k + j]` in and `y[r * k + j]` out; a single column is both at
+/// once. The reply gains `spmm_kernel` (when `run` names one) and `k`
+/// for `spmm`, then `y`. A `tune` runs nothing; a failed `run` answers
+/// an error carrying its message.
+fn product_reply(
+    status: Status,
+    mut fields: Vec<(&'static str, Value)>,
     work: &WorkRequest,
+    (rows, cols): (usize, usize),
     scratch: &mut Scratch,
+    run: impl FnOnce(&[f64], &mut [f64], usize) -> Result<Option<&'static str>, String>,
 ) -> Response {
-    let fp = tuned.fingerprint();
-    let (rows, cols) = (fp.rows, fp.cols);
-    let kernel = shard.engine.library().info(tuned.kernel()).name;
-    let mut fields = vec![
-        ("op", Value::Str(work.op.name().to_string())),
-        ("handle", Value::Str(handle.encode())),
-        ("format", Value::Str(tuned.format().to_string())),
-        ("kernel", Value::Str(kernel.to_string())),
-        ("warm", Value::Bool(true)),
-    ];
-    match work.op {
-        WorkOp::Tune => {
-            // Tune never reaches here (parse rejects tune-by-handle),
-            // but answering the metadata alone is still correct.
-        }
-        WorkOp::Spmv => {
-            let x = match &work.x {
-                Some(x) => x.as_slice(),
-                None => {
-                    scratch.x.clear();
-                    scratch.x.resize(cols, 1.0);
-                    scratch.x.as_slice()
-                }
-            };
-            scratch.y.clear();
-            scratch.y.resize(rows, 0.0);
-            if let Err(e) = shard.engine.spmv(tuned, x, &mut scratch.y) {
-                return Response::error(format!("[{}] {e}", e.taxonomy()));
+    if work.op == WorkOp::Tune {
+        return Response::with(status, fields);
+    }
+    let k = work.k;
+    let Scratch { x, y } = scratch;
+    x.clear();
+    x.resize(cols * k, 1.0);
+    if let Some(wire) = &work.x {
+        for (j, column) in wire.chunks_exact(cols).enumerate() {
+            for (c, &v) in column.iter().enumerate() {
+                x[c * k + j] = v;
             }
-            fields.push((
-                "y",
-                Value::Array(scratch.y.iter().copied().map(Value::Float).collect()),
-            ));
-        }
-        WorkOp::Spmm => {
-            let k = work.k;
-            // Same wire contract as the cold path: column-major block
-            // in, column-major block out; the engine wants row-major.
-            scratch.x.clear();
-            scratch.x.resize(cols * k, 1.0);
-            if let Some(wire) = &work.x {
-                for (j, column) in wire.chunks_exact(cols).enumerate() {
-                    for (c, &v) in column.iter().enumerate() {
-                        scratch.x[c * k + j] = v;
-                    }
-                }
-            }
-            scratch.y.clear();
-            scratch.y.resize(rows * k, 0.0);
-            if let Err(e) = shard.engine.spmm(tuned, &scratch.x, &mut scratch.y, k) {
-                return Response::error(format!("[{}] {e}", e.taxonomy()));
-            }
-            let mut out = Vec::with_capacity(rows * k);
-            for j in 0..k {
-                out.extend((0..rows).map(|r| Value::Float(scratch.y[r * k + j])));
-            }
-            if let Some(spmm_kernel) = tuned.spmm_kernel() {
-                let name = shard.engine.library().info(spmm_kernel).name;
-                fields.push(("spmm_kernel", Value::Str(name.to_string())));
-            }
-            fields.push(("k", Value::UInt(k as u64)));
-            fields.push(("y", Value::Array(out)));
         }
     }
-    Response::with(Status::Ok, fields)
+    y.clear();
+    y.resize(rows * k, 0.0);
+    let spmm_kernel = match run(x, y, k) {
+        Ok(name) => name,
+        Err(message) => return Response::error(message),
+    };
+    if work.op == WorkOp::Spmm {
+        if let Some(name) = spmm_kernel {
+            fields.push(("spmm_kernel", Value::Str(name.to_string())));
+        }
+        fields.push(("k", Value::UInt(k as u64)));
+    }
+    let mut out = Vec::with_capacity(rows * k);
+    for j in 0..k {
+        out.extend((0..rows).map(|r| Value::Float(y[r * k + j])));
+    }
+    fields.push(("y", Value::Array(out)));
+    Response::with(status, fields)
+}
+
+fn kernel_name(shared: &Shared, tuned: &TunedSpmv<f64>) -> &'static str {
+    shared.engine.library().info(tuned.kernel()).name
+}
+
+/// Completes a reply about a tuned matrix with the product `work` asks
+/// for, run through the engine's containment boundary — what a warm
+/// handle call and the tail of a cold job both do. Zero matrix work,
+/// zero allocation beyond the reply frame.
+fn tuned_reply(
+    shared: &Shared,
+    status: Status,
+    fields: Vec<(&'static str, Value)>,
+    work: &WorkRequest,
+    tuned: &TunedSpmv<f64>,
+    scratch: &mut Scratch,
+) -> Response {
+    let engine = &shared.engine;
+    let fp = tuned.fingerprint();
+    let dims = (fp.rows, fp.cols);
+    product_reply(status, fields, work, dims, scratch, |x, y, k| {
+        match work.op {
+            WorkOp::Spmm => engine.spmm(tuned, x, y, k),
+            _ => engine.spmv(tuned, x, y),
+        }
+        .map_err(|e| format!("[{}] {e}", e.taxonomy()))?;
+        Ok(tuned.spmm_kernel().map(|id| engine.library().info(id).name))
+    })
 }
 
 /// Serves the reference serial CSR product immediately (ladder rung 4).
 /// Only inline requests reach this rung — a handle request either hits
 /// the registry or answers `handle_miss`; there is no matrix to degrade
 /// onto.
-fn degraded_now(work: &WorkRequest, reason: &str) -> Response {
-    let matrix: &Csr<f64> = match &work.source {
-        MatrixSource::Inline(m) => m,
-        MatrixSource::Handle(_) => {
-            return Response::error("internal: handle request reached the degraded rung")
-        }
-    };
-    let mut fields = vec![
+fn degraded_now(
+    work: &WorkRequest,
+    matrix: &Csr<f64>,
+    reason: &str,
+    scratch: &mut Scratch,
+) -> Response {
+    let fields = vec![
         ("op", Value::Str(work.op.name().to_string())),
         ("format", Value::Str("csr".to_string())),
         ("kernel", Value::Str("csr_basic_serial".to_string())),
         ("reason", Value::Str(reason.to_string())),
     ];
-    if work.op == WorkOp::Spmv {
-        let ones;
-        let x = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; matrix.cols()];
-                ones.as_slice()
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    // The degraded rung never touches the tiled tier: the reference
+    // product, one column of the block at a time.
+    let reference = |x: &[f64], y: &mut [f64], k: usize| {
+        let (mut xj, mut yj) = (vec![0.0; cols], vec![0.0; rows]);
+        for j in 0..k {
+            for (c, v) in xj.iter_mut().enumerate() {
+                *v = x[c * k + j];
             }
-        };
-        let mut y = vec![0.0; matrix.rows()];
-        if let Err(e) = matrix.spmv(x, &mut y) {
-            return Response::error(format!("reference SpMV failed: {e}"));
+            matrix
+                .spmv(&xj, &mut yj)
+                .map_err(|e| format!("reference SpMV failed: {e}"))?;
+            for (r, v) in yj.iter().enumerate() {
+                y[r * k + j] = *v;
+            }
         }
-        fields.push(("y", Value::Array(y.into_iter().map(Value::Float).collect())));
-    } else if work.op == WorkOp::Spmm {
-        // Column-by-column over the wire block: the degraded rung
-        // never touches the tiled tier, just the reference product.
-        let (rows, cols, k) = (matrix.rows(), matrix.cols(), work.k);
-        let ones;
-        let block = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; cols * k];
-                ones.as_slice()
-            }
-        };
-        let mut out = Vec::with_capacity(rows * k);
-        let mut y = vec![0.0; rows];
-        for column in block.chunks_exact(cols) {
-            if let Err(e) = matrix.spmv(column, &mut y) {
-                return Response::error(format!("reference SpMV failed: {e}"));
-            }
-            out.extend(y.iter().copied().map(Value::Float));
-        }
-        fields.push(("k", Value::UInt(k as u64)));
-        fields.push(("y", Value::Array(out)));
-    }
-    Response::with(Status::Degraded, fields)
+        Ok(None)
+    };
+    product_reply(
+        Status::Degraded,
+        fields,
+        work,
+        (rows, cols),
+        scratch,
+        reference,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -845,13 +794,14 @@ fn degraded_now(work: &WorkRequest, reason: &str) -> Response {
 // ---------------------------------------------------------------------
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let mut scratch = Scratch::default();
     while let Some(job) = shared.queue.pop() {
         let reply = job.reply.clone();
         // Containment boundary: a panic anywhere in tuning becomes an
         // error *response*; the worker thread itself never dies, so
         // the pool cannot be wedged by a poisoned request.
-        let resp =
-            catch_unwind(AssertUnwindSafe(|| process_job(shared, job))).unwrap_or_else(|payload| {
+        let resp = catch_unwind(AssertUnwindSafe(|| process_job(shared, job, &mut scratch)))
+            .unwrap_or_else(|payload| {
                 Response::error(format!("worker panicked: {}", panic_text(&payload)))
             });
         // The client may have given up (deadline, disconnect); a dead
@@ -868,7 +818,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
+fn process_job(shared: &Arc<Shared>, job: Job, scratch: &mut Scratch) -> Response {
     // Failpoint `service.worker`: scripted worker faults and stalls.
     if let Some(fault) = smat_failpoints::check("service.worker") {
         return Response::error(fault.to_string());
@@ -876,13 +826,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
     if job.deadline <= Instant::now() {
         return Response::deadline_miss("queued");
     }
-    let Job {
-        work,
-        shard: shard_idx,
-        deadline,
-        ..
-    } = job;
-    let shard = &shared.shards[shard_idx];
+    let Job { work, deadline, .. } = job;
     let matrix: &Csr<f64> = match &work.source {
         MatrixSource::Inline(m) => m,
         MatrixSource::Handle(_) => {
@@ -891,25 +835,27 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
             return Response::error("internal: handle request crossed the tuning queue");
         }
     };
-    let tuned = shard.engine.prepare_with_deadline(matrix, deadline);
+    let tuned = shared.engine.prepare_with_deadline(matrix, deadline);
     let status = if tuned.decision().is_degraded() {
         Status::Degraded
     } else {
         Status::Ok
     };
-    let kernel = shard.engine.library().info(tuned.kernel()).name;
     let mut fields = vec![
         ("op", Value::Str(work.op.name().to_string())),
         ("format", Value::Str(tuned.format().to_string())),
-        ("kernel", Value::Str(kernel.to_string())),
+        (
+            "kernel",
+            Value::Str(kernel_name(shared, &tuned).to_string()),
+        ),
         ("cached", Value::Bool(tuned.decision().is_cached())),
     ];
     if let smat::DecisionPath::Degraded { reason } = tuned.decision() {
         fields.push(("reason", Value::Str(reason.clone())));
     }
-    // Mint the warm-path handle: register the prepared matrix in the
-    // shard's registry and echo the fingerprint + generation to the
-    // client. Degraded decisions are not registered — the point of the
+    // Mint the warm-path handle: echo the fingerprint + generation to
+    // the client and, once the product has run, register the prepared
+    // matrix. Degraded decisions are not registered — the point of the
     // warm path is replaying a *tuned* plan.
     if status == Status::Ok {
         let wire = WireHandle {
@@ -918,52 +864,11 @@ fn process_job(shared: &Arc<Shared>, job: Job) -> Response {
         };
         fields.push(("handle", Value::Str(wire.encode())));
     }
-    if work.op == WorkOp::Spmv {
-        let ones;
-        let x = match &work.x {
-            Some(x) => x.as_slice(),
-            None => {
-                ones = vec![1.0; matrix.cols()];
-                ones.as_slice()
-            }
-        };
-        let mut y = vec![0.0; matrix.rows()];
-        if let Err(e) = shard.engine.spmv(&tuned, x, &mut y) {
-            return Response::error(format!("[{}] {e}", e.taxonomy()));
-        }
-        fields.push(("y", Value::Array(y.into_iter().map(Value::Float).collect())));
-    } else if work.op == WorkOp::Spmm {
-        let (rows, cols, k) = (matrix.rows(), matrix.cols(), work.k);
-        // The wire carries column-major blocks; the engine wants the
-        // interleaved row-major layout. Convert both ways here so the
-        // warm engine path stays allocation-free for embedded callers.
-        let mut x = vec![1.0; cols * k];
-        if let Some(wire) = &work.x {
-            for (j, column) in wire.chunks_exact(cols).enumerate() {
-                for (c, &v) in column.iter().enumerate() {
-                    x[c * k + j] = v;
-                }
-            }
-        }
-        let mut y = vec![0.0; rows * k];
-        if let Err(e) = shard.engine.spmm(&tuned, &x, &mut y, k) {
-            return Response::error(format!("[{}] {e}", e.taxonomy()));
-        }
-        let mut out = Vec::with_capacity(rows * k);
-        for j in 0..k {
-            out.extend((0..rows).map(|r| Value::Float(y[r * k + j])));
-        }
-        if let Some(spmm_kernel) = tuned.spmm_kernel() {
-            let name = shard.engine.library().info(spmm_kernel).name;
-            fields.push(("spmm_kernel", Value::Str(name.to_string())));
-        }
-        fields.push(("k", Value::UInt(k as u64)));
-        fields.push(("y", Value::Array(out)));
+    let resp = tuned_reply(shared, status, fields, &work, &tuned, scratch);
+    if resp.status == Status::Ok {
+        shared.handles.insert(tuned);
     }
-    if status == Status::Ok {
-        shard.handles.insert(tuned);
-    }
-    Response::with(status, fields)
+    resp
 }
 
 // ---------------------------------------------------------------------
@@ -1004,56 +909,15 @@ fn write_response(shared: &Arc<Shared>, conn: &mut Conn, resp: &Response, count:
     }
 }
 
-/// Sums the shard health reports into one fleet-wide report, so the
-/// `engine` block of the metrics op keeps its schema no matter how
-/// many shards are configured.
-fn aggregate_health(reports: &[HealthReport]) -> HealthReport {
-    let mut total = HealthReport::default();
-    for r in reports {
-        total.calls += r.calls;
-        total.spmv_calls += r.spmv_calls;
-        total.spmm_calls += r.spmm_calls;
-        total.exec_faults += r.exec_faults;
-        total.breaker_trips += r.breaker_trips;
-        total
-            .quarantined_variants
-            .extend(r.quarantined_variants.iter().cloned());
-        total.reprobe_successes += r.reprobe_successes;
-        total.reprobe_failures += r.reprobe_failures;
-        total.pool_demotions += r.pool_demotions;
-        total.pool_demoted |= r.pool_demoted;
-        total.quarantine_evictions += r.quarantine_evictions;
-        total.degraded_prepares += r.degraded_prepares;
-        total
-            .recent_incidents
-            .extend(r.recent_incidents.iter().cloned());
-        total.dispatch_fault_count += r.dispatch_fault_count;
-        total.coalesced_waits += r.coalesced_waits;
-        total.poison_recoveries += r.poison_recoveries;
-        total.corrupt_evictions += r.corrupt_evictions;
-        total.cache_hits += r.cache_hits;
-        total.cache_misses += r.cache_misses;
-    }
-    total
-}
-
-/// Builds the metrics JSON: service counters, the aggregated engine
-/// health report (breaker states, quarantined kernels, coalesced
-/// waits, dispatch faults, cache traffic), and a per-shard breakdown
-/// with the handle-registry counters.
+/// Builds the metrics JSON: service counters, the engine health report
+/// (breaker states, quarantined kernels, coalesced waits, dispatch
+/// faults, cache traffic), and the one-entry `shards` array with the
+/// cache and handle-registry counters.
 fn metrics_value(shared: &Arc<Shared>) -> Value {
     let m = &shared.metrics;
     let g = ServiceMetrics::get;
-    let reports: Vec<HealthReport> = shared
-        .shards
-        .iter()
-        .map(|s| s.engine.health_report())
-        .collect();
-    let handle_stats: Vec<smat::HandleStats> =
-        shared.shards.iter().map(|s| s.handles.stats()).collect();
-    let handle_hits: u64 = handle_stats.iter().map(|h| h.hits).sum();
-    let handle_misses: u64 = handle_stats.iter().map(|h| h.misses).sum();
-    let handle_evictions: u64 = handle_stats.iter().map(|h| h.evictions).sum();
+    let report = shared.engine.health_report();
+    let handles = shared.handles.stats();
     let service = obj(vec![
         ("status", Value::Str("ok".to_string())),
         (
@@ -1079,9 +943,9 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
         ),
         ("requests_error", Value::UInt(g(&m.requests_error))),
         ("wire_matrix_parses", Value::UInt(g(&m.wire_matrix_parses))),
-        ("handle_hits", Value::UInt(handle_hits)),
-        ("handle_misses", Value::UInt(handle_misses)),
-        ("handle_evictions", Value::UInt(handle_evictions)),
+        ("handle_hits", Value::UInt(handles.hits)),
+        ("handle_misses", Value::UInt(handles.misses)),
+        ("handle_evictions", Value::UInt(handles.evictions)),
         ("shed_tenant", Value::UInt(g(&m.shed_tenant))),
         ("shed_queue_full", Value::UInt(g(&m.shed_queue_full))),
         ("shed_draining", Value::UInt(g(&m.shed_draining))),
@@ -1099,60 +963,18 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
             Value::UInt(shared.config.degrade_watermark as u64),
         ),
         ("workers", Value::UInt(shared.config.workers as u64)),
-        ("shard_count", Value::UInt(shared.shards.len() as u64)),
+        ("shard_count", Value::UInt(1)),
         ("generation", Value::UInt(shared.generation)),
         ("draining", Value::Bool(m.draining.load(Ordering::Relaxed))),
     ]);
-    let engine = aggregate_health(&reports).to_value();
-    let shards = Value::Array(
-        reports
-            .iter()
-            .zip(&handle_stats)
-            .zip(&shared.shards)
-            .enumerate()
-            .map(|(i, ((report, hs), shard))| {
-                let cache = shard.engine.cache_stats();
-                obj(vec![
-                    ("index", Value::UInt(i as u64)),
-                    (
-                        "cache",
-                        obj(vec![
-                            ("hits", Value::UInt(cache.hits)),
-                            ("misses", Value::UInt(cache.misses)),
-                            ("entries", Value::UInt(cache.entries as u64)),
-                            ("capacity", Value::UInt(cache.capacity as u64)),
-                            ("corrupt_evictions", Value::UInt(cache.corrupt_evictions)),
-                            ("poison_recoveries", Value::UInt(cache.poison_recoveries)),
-                            ("coalesced_waits", Value::UInt(cache.coalesced_waits)),
-                        ]),
-                    ),
-                    (
-                        "quarantined",
-                        Value::Array(
-                            report
-                                .quarantined_variants
-                                .iter()
-                                .map(|q| Value::Str(q.name.clone()))
-                                .collect(),
-                        ),
-                    ),
-                    ("pool_demoted", Value::Bool(report.pool_demoted)),
-                    ("handle_hits", Value::UInt(hs.hits)),
-                    ("handle_misses", Value::UInt(hs.misses)),
-                    ("handle_evictions", Value::UInt(hs.evictions)),
-                    ("handle_entries", Value::UInt(hs.entries as u64)),
-                    (
-                        "handle_resident_bytes",
-                        Value::UInt(hs.resident_bytes as u64),
-                    ),
-                ])
-            })
-            .collect(),
-    );
+    let cache = shared.engine.cache_stats();
     obj(vec![
         ("status", Value::Str("ok".to_string())),
         ("service", service),
-        ("engine", engine),
-        ("shards", shards),
+        ("engine", report.to_value()),
+        (
+            "shards",
+            Value::Array(vec![shard_entry(&cache, &report, &handles)]),
+        ),
     ])
 }

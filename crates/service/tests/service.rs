@@ -4,9 +4,10 @@
 //! scenarios live in the workspace chaos suite.
 
 use serde::Value;
-use smat::{Smat, SmatConfig, TrainedModel, Trainer};
+use smat::{Installation, Smat, SmatConfig, TrainedModel, Trainer, INSTALL_SCHEMA_VERSION};
+use smat_kernels::{KernelChoice, KernelId, KernelLibrary};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
-use smat_matrix::Csr;
+use smat_matrix::{Csr, Format};
 use smat_service::server::DrainSummary;
 use smat_service::{ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -38,7 +39,11 @@ struct Running {
 }
 
 fn start(config: ServeConfig) -> Running {
-    let server = Server::bind_tcp("127.0.0.1:0", engine(), config).expect("bind");
+    start_with(engine(), config)
+}
+
+fn start_with(engine: Arc<Smat<f64>>, config: ServeConfig) -> Running {
+    let server = Server::bind_tcp("127.0.0.1:0", engine, config).expect("bind");
     let addr = server.local_addr().expect("tcp addr");
     let handle = server.handle();
     let join = thread::spawn(move || server.run().expect("run"));
@@ -76,11 +81,15 @@ impl Client {
         self.stream.flush().expect("flush");
     }
 
-    fn recv(&mut self) -> Value {
+    fn recv_line(&mut self) -> String {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).expect("read response");
         assert!(n > 0, "server closed the connection unexpectedly");
-        serde_json::parse(&line).expect("response is JSON")
+        line
+    }
+
+    fn recv(&mut self) -> Value {
+        serde_json::parse(&self.recv_line()).expect("response is JSON")
     }
 
     fn request(&mut self, line: &str) -> Value {
@@ -597,10 +606,9 @@ fn unknown_handles_answer_handle_miss_with_the_fingerprint() {
 
 #[test]
 fn handles_are_evicted_under_the_byte_budget() {
-    // One shard with a 1-byte budget: every insert immediately evicts
-    // the previous resident (the newest entry is always kept).
+    // A 1-byte budget: every insert immediately evicts the previous
+    // resident (the newest entry is always kept).
     let config = ServeConfig {
-        shards: 1,
         handle_budget_bytes: 1,
         ..test_config()
     };
@@ -725,8 +733,7 @@ fn stampede_on_one_matrix_coalesces_to_one_tune_and_one_handle() {
         "one matrix, one handle: {handles:?}"
     );
     let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
-    // Single-flight coalescing still holds across the shard split: one
-    // structural fingerprint routes to one shard, and that shard tunes
+    // Single-flight coalescing: one structural fingerprint tunes
     // exactly once.
     assert_eq!(as_u64(field(field(&metrics, "engine"), "cache_misses")), 1);
     let summary = shutdown_and_join(running);
@@ -735,12 +742,8 @@ fn stampede_on_one_matrix_coalesces_to_one_tune_and_one_handle() {
 }
 
 #[test]
-fn metrics_expose_per_shard_breakdowns() {
-    let config = ServeConfig {
-        shards: 2,
-        ..test_config()
-    };
-    let running = start(config);
+fn metrics_expose_the_one_entry_shards_array() {
+    let running = start(test_config());
     let (matrix, _, _) = matrix_fixture(75, 28);
     let tuned = one_shot(
         running.addr,
@@ -749,39 +752,232 @@ fn metrics_expose_per_shard_breakdowns() {
     assert_eq!(status_of(&tuned), "ok");
     let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
     let service = field(&metrics, "service");
-    assert_eq!(as_u64(field(service, "shard_count")), 2);
+    assert_eq!(as_u64(field(service, "shard_count")), 1);
     assert!(as_u64(field(service, "generation")) > 0);
     for key in ["handle_hits", "handle_misses", "handle_evictions"] {
         as_u64(field(service, key));
     }
     let shards = field(&metrics, "shards").as_array().expect("shards array");
-    assert_eq!(shards.len(), 2);
-    let mut tuned_shards = 0;
-    for (i, shard) in shards.iter().enumerate() {
-        assert_eq!(as_u64(field(shard, "index")), i as u64);
-        let cache = field(shard, "cache");
-        for key in ["hits", "misses", "entries", "capacity", "corrupt_evictions"] {
-            as_u64(field(cache, key));
-        }
-        field(shard, "quarantined").as_array().expect("array");
-        for key in [
-            "handle_hits",
-            "handle_misses",
-            "handle_evictions",
-            "handle_entries",
-            "handle_resident_bytes",
-        ] {
-            as_u64(field(shard, key));
-        }
-        if as_u64(field(cache, "misses")) > 0 {
-            tuned_shards += 1;
-            assert_eq!(as_u64(field(shard, "handle_entries")), 1);
+    assert_eq!(shards.len(), 1);
+    let shard = &shards[0];
+    assert_eq!(as_u64(field(shard, "index")), 0);
+    let cache = field(shard, "cache");
+    for key in ["hits", "misses", "entries", "capacity", "corrupt_evictions"] {
+        as_u64(field(cache, key));
+    }
+    field(shard, "quarantined").as_array().expect("array");
+    for key in [
+        "handle_hits",
+        "handle_misses",
+        "handle_evictions",
+        "handle_entries",
+        "handle_resident_bytes",
+    ] {
+        as_u64(field(shard, key));
+    }
+    assert_eq!(as_u64(field(shard, "handle_entries")), 1);
+    // The engine block and the entry report the same decision cache.
+    let engine = field(&metrics, "engine");
+    assert_eq!(as_u64(field(engine, "cache_misses")), 1);
+    for (engine_key, cache_key) in [("cache_hits", "hits"), ("cache_misses", "misses")] {
+        assert_eq!(field(engine, engine_key), field(cache, cache_key));
+    }
+    shutdown_and_join(running);
+}
+
+#[test]
+fn handle_capacity_bounds_the_whole_daemon() {
+    let config = ServeConfig {
+        handle_capacity: 2,
+        ..test_config()
+    };
+    let running = start(config);
+    // Three distinct structures whose fingerprints cover both parities
+    // of `digest[0]`: whatever a fingerprint looks like, it counts
+    // against the one configured capacity.
+    let parity = |seed: u64| random_uniform::<f64>(70, 70, 6, seed).fingerprint().digest[0] % 2;
+    let first = 40;
+    let second = (first + 1..)
+        .find(|&seed| parity(seed) != parity(first))
+        .expect("some seed has the other parity");
+    let mut client = Client::connect(running.addr);
+    for seed in [first, second, second + 1] {
+        let (matrix, _, _) = matrix_fixture(70, seed);
+        let tuned = client.request(&format!("{{\"op\":\"tune\",\"matrix\":{matrix}}}"));
+        assert_eq!(status_of(&tuned), "ok", "resp: {tuned:?}");
+    }
+    let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
+    assert_eq!(
+        as_u64(field(field(&metrics, "service"), "handle_evictions")),
+        1
+    );
+    let shards = field(&metrics, "shards").as_array().expect("shards array");
+    assert_eq!(as_u64(field(&shards[0], "handle_entries")), 2);
+    shutdown_and_join(running);
+}
+
+/// An engine whose decisions are a pure function of the request: no
+/// rules (every matrix takes the measured path), CSR the only
+/// candidate, the basic kernel table, no plan search. A non-empty
+/// `quarantined` seeds open breakers, so the daemon in front of it
+/// answers every inline request from the degraded rung.
+fn pinned_engine(quarantined: Vec<KernelId>) -> Arc<Smat<f64>> {
+    let mut pinned = model().clone();
+    pinned.groups.groups.clear();
+    let config = SmatConfig {
+        fallback_formats: vec![Format::Csr],
+        plan_search: false,
+        ..SmatConfig::default()
+    };
+    let installation = Installation {
+        schema: INSTALL_SCHEMA_VERSION,
+        precision: "double".to_string(),
+        library_digest: KernelLibrary::<f64>::new().digest(),
+        probe_dim: config.probe_dim,
+        kernel_choice: KernelChoice::basic(),
+        tables: Vec::new(),
+        quarantined,
+    };
+    Arc::new(Smat::with_installation(pinned, config, installation).expect("engine builds"))
+}
+
+/// Replaces what differs between two runs of one request script — the
+/// handle's generation tag and the raced SpMM kernel's name — so reply
+/// lines compare byte for byte.
+fn masked(line: &str) -> String {
+    let mut out = line.trim_end().to_string();
+    for (marker, end) in [("\"h1:", ':'), ("\"spmm_kernel\":\"", '"')] {
+        if let Some(at) = out.find(marker) {
+            let from = at + marker.len();
+            let to = from + out[from..].find(end).expect("masked field ends");
+            out.replace_range(from..to, "_");
         }
     }
-    assert_eq!(tuned_shards, 1, "one matrix tunes on exactly one shard");
-    // The aggregated engine block sums the shard caches.
-    assert_eq!(as_u64(field(field(&metrics, "engine"), "cache_misses")), 1);
+    out
+}
+
+/// A 4x3 matrix and right-hand sides in dyadic rationals, so every
+/// product is exact whatever order a kernel sums in.
+const PINNED_MATRIX: &str = "{\"rows\":4,\"cols\":3,\"entries\":\
+    [[0,0,2],[0,2,-1],[1,1,0.5],[2,0,4],[2,1,1],[3,2,-3]]}";
+const PINNED_X: &str = "[1,2,-0.5]";
+const PINNED_BLOCK: &str = "[1,2,-0.5,0,1,0,-2,0.25,8]";
+
+/// Replies of a healthy daemon, captured at the commit before the three
+/// reply builders became one: a tune, a cold and a warm `spmv`, then
+/// `spmm` k=3 cold with `x`, cold without, warm with and warm without.
+const TUNED_REPLIES: [&str; 7] = [
+    r#"{"status":"ok","op":"tune","format":"CSR","kernel":"csr_basic","cached":false,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50"}"#,
+    r#"{"status":"ok","op":"spmv","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"ok","op":"spmv","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+];
+
+/// Replies of the degraded rung, captured at the same commit: `tune`,
+/// `spmv` with `x`, `spmm` k=3 with and without `x`.
+const DEGRADED_REPLIES: [&str; 4] = [
+    r#"{"status":"degraded","op":"tune","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined"}"#,
+    r#"{"status":"degraded","op":"spmv","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+];
+
+/// Every kind of work reply is byte-identical — field names, their
+/// order within each reply kind, and values — to what the daemon
+/// answered when the cold, warm and degraded paths each built their
+/// own.
+#[test]
+fn replies_are_byte_identical_across_the_product_paths() {
+    let inline =
+        |op: &str, rest: &str| format!("{{\"op\":\"{op}\",\"matrix\":{PINNED_MATRIX}{rest}}}");
+    let block = format!(",\"k\":3,\"x\":{PINNED_BLOCK}");
+    let vector = format!(",\"x\":{PINNED_X}");
+
+    let running = start_with(pinned_engine(Vec::new()), test_config());
+    let mut client = Client::connect(running.addr);
+    let mut ask = |frame: String| {
+        client.send(&frame);
+        client.recv_line()
+    };
+    let tune = ask(inline("tune", ""));
+    let handle = handle_of(&serde_json::parse(&tune).expect("reply is JSON"));
+    let by_handle =
+        |op: &str, rest: &str| format!("{{\"op\":\"{op}\",\"handle\":\"{handle}\"{rest}}}");
+    let replies = [
+        tune,
+        ask(inline("spmv", &vector)),
+        ask(by_handle("spmv", &vector)),
+        ask(inline("spmm", &block)),
+        ask(inline("spmm", ",\"k\":3")),
+        ask(by_handle("spmm", &block)),
+        ask(by_handle("spmm", ",\"k\":3")),
+    ];
+    assert_eq!(replies.map(|line| masked(&line)), TUNED_REPLIES);
     shutdown_and_join(running);
+
+    let benched = vec![KernelId::basic(Format::Ell)];
+    let running = start_with(pinned_engine(benched), test_config());
+    let mut client = Client::connect(running.addr);
+    let mut ask = |frame: String| {
+        client.send(&frame);
+        client.recv_line()
+    };
+    let replies = [
+        ask(inline("tune", "")),
+        ask(inline("spmv", &vector)),
+        ask(inline("spmm", &block)),
+        ask(inline("spmm", ",\"k\":3")),
+    ];
+    assert_eq!(replies.map(|line| masked(&line)), DEGRADED_REPLIES);
+    shutdown_and_join(running);
+}
+
+/// Framing does not depend on how the transport cuts the stream: the
+/// same two work frames written a byte at a time, in pieces that
+/// straddle the server's 4 KiB read size, or in one piece yield the
+/// same replies and the same frame counters.
+#[test]
+fn frames_split_at_any_byte_boundary_parse_the_same() {
+    let (matrix, x, _) = matrix_fixture(60, 29);
+    let stream = format!(
+        "{{\"op\":\"tune\",\"matrix\":{matrix}}}\n\
+         {{\"op\":\"spmv\",\"matrix\":{matrix},\"x\":{}}}\n",
+        x_json(&x)
+    );
+    assert!(stream.len() > 3 * 4097, "several pieces at every size");
+    let run = |piece: usize| {
+        let running = start_with(pinned_engine(Vec::new()), test_config());
+        let mut client = Client::connect(running.addr);
+        client.stream.set_nodelay(true).expect("nodelay");
+        for part in stream.as_bytes().chunks(piece) {
+            client.stream.write_all(part).expect("write piece");
+        }
+        let replies = [client.recv_line(), client.recv_line()].map(|line| masked(&line));
+        let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
+        let service = field(&metrics, "service");
+        let counters = [
+            "frames_valid",
+            "frames_invalid",
+            "torn_frames",
+            "oversized_frames",
+            "slow_loris_closes",
+            "requests_total",
+            "requests_ok",
+            "wire_matrix_parses",
+        ]
+        .map(|key| as_u64(field(service, key)));
+        shutdown_and_join(running);
+        (replies, counters)
+    };
+    let whole = run(stream.len());
+    // Two work frames and the metrics probe itself.
+    assert_eq!(whole.1, [3, 0, 0, 0, 0, 2, 2, 2]);
+    for piece in [1, 7, 4095, 4096, 4097] {
+        assert_eq!(run(piece), whole, "pieces of {piece} bytes");
+    }
 }
 
 #[cfg(unix)]

@@ -66,7 +66,11 @@ struct Running {
 }
 
 fn start(config: ServeConfig) -> Running {
-    let server = Server::bind_tcp("127.0.0.1:0", engine(), config).expect("bind");
+    start_with(engine(), config)
+}
+
+fn start_with(engine: Arc<Smat<f64>>, config: ServeConfig) -> Running {
+    let server = Server::bind_tcp("127.0.0.1:0", engine, config).expect("bind");
     let addr = server.local_addr().expect("tcp addr");
     let handle = server.handle();
     let join = thread::spawn(move || server.run().expect("run"));
@@ -123,6 +127,13 @@ fn status_of(v: &Value) -> &str {
     match field(v, "status") {
         Value::Str(s) => s.as_str(),
         other => panic!("status is not a string: {other:?}"),
+    }
+}
+
+fn text(v: &Value) -> String {
+    match v {
+        Value::Str(s) => s.clone(),
+        other => panic!("not a string: {other:?}"),
     }
 }
 
@@ -537,6 +548,84 @@ fn warm_handles_bypass_a_stalled_worker_pool() {
     let summary = shutdown_and_join(running);
     assert_eq!(summary.requests_total, 3);
     assert_eq!(summary.requests_handle_miss, 0);
+}
+
+/// A kernel variant that keeps faulting under the daemon is benched in
+/// the install artifact the daemon's engine was built on, whatever the
+/// matrix's fingerprint looks like: every contained fault still answers
+/// `ok` with the reference-correct product, `metrics` names the variant,
+/// and the next process to load the artifact starts with it benched.
+#[test]
+fn quarantine_tripped_through_the_daemon_reaches_the_install_artifact() {
+    let _guard = exclusive_failpoints();
+    let dir = std::env::temp_dir().join("smat_service_chaos");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("install_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let config = SmatConfig {
+        install_path: Some(path.clone()),
+        ..SmatConfig::fast()
+    };
+    let threshold = config.breaker_threshold as usize;
+    let engine = Arc::new(Smat::with_config(model().clone(), config).expect("install seals"));
+    let running = start_with(engine, ServeConfig::default());
+
+    // Tune distinct structures until one mints a handle whose
+    // fingerprint has an odd first digest word.
+    let (tuned, frame, expect) = (30..)
+        .find_map(|seed| {
+            let (frame, _, expect) = matrix_fixture(100, seed);
+            let tuned = request(running.addr, &frame);
+            assert_eq!(status_of(&tuned), "ok", "resp: {tuned:?}");
+            let handle = text(field(&tuned, "handle"));
+            let digest = handle.split(':').nth(5).expect("handle has a digest");
+            let odd = u64::from_str_radix(digest, 16).expect("hex digest") % 2 == 1;
+            odd.then_some((tuned, frame, expect))
+        })
+        .expect("some fingerprint is odd");
+    let handle = text(field(&tuned, "handle"));
+    let kernel = text(field(&tuned, "kernel"));
+    // The same `x` the fixture's reference product used, by handle.
+    let x = &frame[frame.find("\"x\":").expect("fixture frame carries x")..];
+    let warm = format!("{{\"op\":\"spmv\",\"handle\":\"{handle}\",{x}");
+
+    let _fp = smat_failpoints::scoped(
+        "exec.kernel",
+        &format!("{threshold}*panic(injected kernel fault)->off"),
+    )
+    .unwrap();
+    for call in 0..threshold {
+        let resp = request(running.addr, &warm);
+        assert_eq!(status_of(&resp), "ok", "contained fault {call}: {resp:?}");
+        let y = floats(field(&resp, "y"));
+        assert_eq!(y.len(), expect.len());
+        for (got, want) in y.iter().zip(&expect) {
+            assert!((got - want).abs() < 1e-9, "contained call {call} diverged");
+        }
+    }
+
+    let metrics = request(running.addr, "{\"op\":\"metrics\"}");
+    let benched: Vec<String> = field(field(&metrics, "engine"), "quarantined_variants")
+        .as_array()
+        .expect("array")
+        .iter()
+        .map(|q| text(field(q, "name")))
+        .collect();
+    assert_eq!(
+        benched,
+        [kernel.as_str()],
+        "metrics name the benched variant"
+    );
+    let lib = smat_kernels::KernelLibrary::<f64>::new();
+    let sealed: Vec<&str> = smat::Installation::load(&path)
+        .expect("artifact re-persisted")
+        .quarantined
+        .iter()
+        .map(|&id| lib.info(id).name)
+        .collect();
+    assert_eq!(sealed, [kernel.as_str()], "the artifact carries the bench");
+    shutdown_and_join(running);
+    std::fs::remove_file(&path).ok();
 }
 
 /// Pipelined frames during a drain: the in-flight request is answered,
