@@ -11,11 +11,122 @@
 //! To keep that
 //! bookkeeping single-writer, outcome counters are incremented at
 //! response-write time in the connection thread, never in workers.
+//!
+//! Beside the counters, every admitted work request leaves the time it
+//! spent in each stage of the connection thread (read, parse, work,
+//! encode, write) in a per-stage histogram — where a round trip's time
+//! goes, answered by the daemon itself.
 
 use crate::proto::obj;
 use serde::Value;
 use smat::{CacheStats, HandleStats, HealthReport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
+
+/// The stretches of the connection thread's time an admitted work
+/// request passes through, in order. They do not overlap, so their sums
+/// add up to no more than the round trips the clients saw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// First byte of the frame in the buffer to its newline found.
+    Read,
+    /// UTF-8 check and `parse_request`.
+    Parse,
+    /// Admission, then the registry lookup or the queue and `prepare`,
+    /// then the product.
+    Work,
+    /// Formatting the reply line.
+    Encode,
+    /// Writing it to the socket.
+    Write,
+}
+
+impl Stage {
+    /// Every stage, in request order.
+    const ALL: [Stage; 5] = [
+        Stage::Read,
+        Stage::Parse,
+        Stage::Work,
+        Stage::Encode,
+        Stage::Write,
+    ];
+
+    /// The key under `stages` in the metrics document.
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Read => "read",
+            Stage::Parse => "parse",
+            Stage::Work => "work",
+            Stage::Encode => "encode",
+            Stage::Write => "write",
+        }
+    }
+}
+
+/// Buckets of a [`StageHistogram`]: bucket `b > 0` counts durations in
+/// `[2^(b-1), 2^b)` ns, bucket 0 counts zero, and the last takes
+/// everything from 2^38 ns (about 4.6 minutes) up.
+const STAGE_BUCKETS: usize = 40;
+
+/// Durations of one stage, in log2-nanosecond buckets of relaxed
+/// atomics: recording allocates nothing and takes no lock.
+#[derive(Debug)]
+struct StageHistogram {
+    buckets: [AtomicU64; STAGE_BUCKETS],
+    sum_ns: AtomicU64,
+}
+
+impl Default for StageHistogram {
+    fn default() -> Self {
+        StageHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
+}
+
+impl StageHistogram {
+    fn observe(&self, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let bucket = (u64::BITS - ns.leading_zeros()) as usize;
+        self.buckets[bucket.min(STAGE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// `{"count", "sum_us", "p50_us", "p90_us", "p99_us"}`; a quantile
+    /// is interpolated linearly inside the bucket its rank falls in.
+    fn to_value(&self) -> Value {
+        let counts: [u64; STAGE_BUCKETS] =
+            std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed));
+        let count: u64 = counts.iter().sum();
+        let quantile_us = |q: f64| {
+            let rank = q * count as f64;
+            let mut below = 0.0;
+            for (b, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
+                let n = n as f64;
+                if below + n >= rank {
+                    let (low, high) = match b {
+                        0 => (0.0, 0.0),
+                        b => ((1u64 << (b - 1)) as f64, (1u64 << b) as f64),
+                    };
+                    return (low + (high - low) * (rank - below) / n) / 1e3;
+                }
+                below += n;
+            }
+            0.0
+        };
+        obj(vec![
+            ("count", Value::UInt(count)),
+            (
+                "sum_us",
+                Value::Float(self.sum_ns.load(Ordering::Relaxed) as f64 / 1e3),
+            ),
+            ("p50_us", Value::Float(quantile_us(0.5))),
+            ("p90_us", Value::Float(quantile_us(0.9))),
+            ("p99_us", Value::Float(quantile_us(0.99))),
+        ])
+    }
+}
 
 /// Shared counter block for one running server.
 #[derive(Debug, Default)]
@@ -69,6 +180,9 @@ pub struct ServiceMetrics {
     pub queue_high_watermark: AtomicU64,
     /// Whether the server is refusing new work and draining.
     pub draining: AtomicBool,
+    /// Per-stage durations of admitted work requests, by
+    /// [`Stage::ALL`] order.
+    stages: [StageHistogram; Stage::ALL.len()],
 }
 
 impl ServiceMetrics {
@@ -86,6 +200,21 @@ impl ServiceMetrics {
     pub fn observe_queue_depth(&self, depth: u64) {
         self.queue_high_watermark
             .fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Records that one request spent `elapsed` in `stage`.
+    pub(crate) fn observe_stage(&self, stage: Stage, elapsed: Duration) {
+        self.stages[stage as usize].observe(elapsed);
+    }
+
+    /// The `stages` object of the metrics document: one entry per
+    /// [`Stage`], each `{"count", "sum_us", "p50_us", "p90_us",
+    /// "p99_us"}`.
+    pub(crate) fn stages_value(&self) -> Value {
+        obj(Stage::ALL
+            .iter()
+            .map(|&stage| (stage.name(), self.stages[stage as usize].to_value()))
+            .collect())
     }
 
     /// Sum of the six outcome counters; equals `requests_total` once
@@ -151,6 +280,50 @@ mod tests {
         ServiceMetrics::inc(&m.requests_handle_miss);
         ServiceMetrics::inc(&m.requests_error);
         assert_eq!(m.outcomes_total(), 6);
+    }
+
+    #[test]
+    fn stage_histograms_count_sum_and_rank() {
+        let m = ServiceMetrics::default();
+        // 90 fast requests and 10 slow ones: the median sits in the
+        // fast bucket, p99 in the slow one, and a bucket's edges bound
+        // what is reported for it.
+        for _ in 0..90 {
+            m.observe_stage(Stage::Parse, Duration::from_nanos(3_000));
+        }
+        for _ in 0..10 {
+            m.observe_stage(Stage::Parse, Duration::from_micros(900));
+        }
+        m.observe_stage(Stage::Write, Duration::ZERO);
+        let stages = m.stages_value();
+        let stage = |name: &str| {
+            let fields = stages.as_object().expect("stages is an object");
+            let (_, v) = fields.iter().find(|(k, _)| k == name).expect("stage");
+            let number = |key: &str| {
+                let fields = v.as_object().expect("stage is an object");
+                match fields.iter().find(|(k, _)| k == key).expect("key").1 {
+                    Value::UInt(u) => u as f64,
+                    Value::Float(f) => f,
+                    ref other => panic!("{key} is {other:?}"),
+                }
+            };
+            ["count", "sum_us", "p50_us", "p90_us", "p99_us"].map(number)
+        };
+        let [count, sum, p50, p90, p99] = stage("parse");
+        assert_eq!(count, 100.0);
+        assert_eq!(sum, 90.0 * 3.0 + 10.0 * 900.0);
+        assert!((2.048..=4.096).contains(&p50), "p50 {p50}");
+        assert!((2.048..=4.096).contains(&p90), "p90 {p90}");
+        assert!((524.288..=1048.576).contains(&p99), "p99 {p99}");
+        assert_eq!(stage("write"), [1.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(stage("work"), [0.0; 5]);
+        let names: Vec<&str> = stages
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(names, ["read", "parse", "work", "encode", "write"]);
     }
 
     #[test]

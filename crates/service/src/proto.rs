@@ -1,11 +1,15 @@
 //! Wire protocol: one line-delimited JSON object per request and per
 //! response.
 //!
-//! Requests are parsed by hand from the [`serde::Value`] tree rather
-//! than derived: the vendored serde derive requires every struct field
-//! to be present in the input, while real clients omit optional fields
-//! (`deadline_ms`, `tenant`, `x`) freely. Responses are built as
-//! `Value` trees and serialized through [`serde_json`].
+//! Requests are read by hand rather than derived — the vendored serde
+//! derive requires every struct field to be present in the input,
+//! while real clients omit optional fields (`deadline_ms`, `tenant`,
+//! `x`) freely — and without a [`serde::Value`] tree in between:
+//! [`parse_request`] walks the frame once with [`serde_json::Reader`]
+//! and pulls `x` and the matrix `entries` straight into the vectors the
+//! engine takes (see "How a frame is read" below). Responses are small
+//! `Value` objects; the product `y` rides beside the object as `f64`s
+//! and is formatted straight into the reply line.
 //!
 //! ## Requests
 //!
@@ -51,6 +55,25 @@
 //! the client deterministically falls back to the triplet path and
 //! collects a fresh handle.
 //!
+//! ## How a frame is read
+//!
+//! One left-to-right walk checks the whole frame's syntax and keeps the
+//! *first* occurrence of each key it knows (what a lookup in a parsed
+//! tree finds), skipping the rest. A field that is well-formed JSON but
+//! not what the protocol wants never stops the walk: its verdict is
+//! noted, and when the walk ends the notes are consulted in a fixed
+//! order — `op`, then `matrix`/`handle`, `k`, `x`, `deadline_ms`,
+//! `tenant`; within a matrix `rows`, `cols`, `entries`, `nnz`, then the
+//! entries in order — so the message a client gets does not depend on
+//! the order it wrote its keys in, and a syntax error anywhere wins
+//! over all of them. Entries are pulled unchecked and assembled when
+//! the matrix object closes; [`Csr::from_triplets`] refuses an
+//! out-of-range coordinate and merges a repeated one, so a clean frame
+//! is one whose assembly succeeds with as many stored entries as were
+//! sent. Only otherwise are the entries read a second time, in order
+//! and with every check, to name the first defect and the entry it
+//! repeats.
+//!
 //! ## Responses
 //!
 //! Every response carries `"status"`: `"ok"`, `"degraded"` (correct
@@ -59,7 +82,10 @@
 //! with triplets), or `"error"`.
 
 use serde::{Serialize, Value};
+use serde_json::{Kind, Number, Reader};
 use smat_matrix::{Csr, StructuralFingerprint};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// A parsed client request.
@@ -234,8 +260,13 @@ impl Status {
 pub struct Response {
     /// Outcome class, for counting at write time.
     pub status: Status,
-    /// Full JSON body.
+    /// JSON body: an object.
     pub body: Value,
+    /// The product in wire order, written as the body's last field
+    /// `"y"`. Kept out of the tree so that no `Value` is built per
+    /// element, and handed back after the write so the vector serves
+    /// the connection's next reply.
+    pub y: Option<Vec<f64>>,
 }
 
 impl Response {
@@ -246,6 +277,7 @@ impl Response {
         Response {
             status,
             body: obj(all),
+            y: None,
         }
     }
 
@@ -306,18 +338,35 @@ impl Response {
         )
     }
 
-    /// Serializes the body as one compact line (no trailing newline).
+    /// Serializes the response as one compact line (no trailing
+    /// newline).
     pub fn to_line(&self) -> String {
-        serde_json::to_string(&Json(&self.body)).unwrap_or_else(|_| {
-            // The writer is infallible over the Value model; this arm
-            // only guards against future stub changes.
-            format!("{{\"status\":\"{}\"}}", self.status.name())
-        })
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
+    }
+
+    /// Appends the line [`Response::to_line`] returns to `line`.
+    pub(crate) fn write_line(&self, line: &mut String) {
+        serde_json::write_compact(&self.body, line);
+        if let Some(y) = &self.y {
+            // The body object holds at least `status`: reopen it.
+            line.pop();
+            line.push_str(",\"y\":[");
+            for (i, v) in y.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                serde_json::write_f64(*v, line);
+            }
+            line.push_str("]}");
+        }
     }
 }
 
 /// Adapter: the vendored serde has no `Serialize` impl for its own
-/// `Value`, so responses wrap theirs in this identity impl.
+/// `Value`, so a document handed to a `serde_json` serializer wraps
+/// its tree in this identity impl.
 pub struct Json<'a>(pub &'a Value);
 
 impl Serialize for Json<'_> {
@@ -336,25 +385,444 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// What the first occurrence of a key held, for the keys whose value
+/// is of use only as a scalar.
+enum Scalar<'a> {
+    Null,
+    Number(Number),
+    Str(Cow<'a, str>),
+    /// A bool, array or object, by its [`Value::kind`].
+    Other(&'static str),
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        Value::UInt(u) => Some(*u),
-        Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
-        _ => None,
+impl<'a> Scalar<'a> {
+    fn pull(r: &mut Reader<'a>) -> serde_json::Result<Self> {
+        Ok(match r.peek()? {
+            Kind::Null => r.null().map(|()| Scalar::Null)?,
+            Kind::Number => Scalar::Number(r.number()?),
+            Kind::Str => Scalar::Str(r.string()?),
+            Kind::Bool | Kind::Array | Kind::Object => Scalar::Other(r.skip()?),
+        })
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Scalar::Null => "null",
+            Scalar::Number(n) => n.kind(),
+            Scalar::Str(_) => "string",
+            Scalar::Other(kind) => kind,
+        }
+    }
+
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Number(n) => n.as_u64(),
+            _ => None,
+        }
     }
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
+/// What the protocol makes of a field that is well-formed JSON: noted
+/// during the walk, consulted after it.
+type Verdict<T> = Result<T, String>;
+
+/// Reads the next value: the number if it is one, `None` past anything
+/// else.
+fn number_or_skip(r: &mut Reader<'_>) -> serde_json::Result<Option<Number>> {
+    Ok(match r.peek()? {
+        Kind::Number => Some(r.number()?),
+        _ => r.skip().map(|_| None)?,
+    })
+}
+
+/// Pulls `"x"` — `null` is no vector — into the allocation of `spare`.
+/// Its length is checked later, against a matrix the walk may not have
+/// met yet.
+fn pull_x(
+    r: &mut Reader<'_>,
+    spare: &mut Vec<f64>,
+) -> serde_json::Result<Verdict<Option<Vec<f64>>>> {
+    match r.peek()? {
+        Kind::Null => r.null().map(|()| Ok(None)),
+        Kind::Array => {
+            let mut x = std::mem::take(spare);
+            x.clear();
+            // The first element that is not a finite number.
+            let mut defect = None;
+            let mut index = 0;
+            let mut more = r.begin_array()?;
+            while more {
+                match number_or_skip(r)?.map(Number::as_f64) {
+                    Some(v) if v.is_finite() => x.push(v),
+                    Some(_) => _ = defect.get_or_insert((index, "is not finite")),
+                    None => _ = defect.get_or_insert((index, "is not a number")),
+                }
+                index += 1;
+                more = r.array_continues()?;
+            }
+            Ok(match defect {
+                None => Ok(Some(x)),
+                Some((i, fault)) => Err(format!("x[{i}] {fault}")),
+            })
+        }
+        _ => {
+            let kind = r.skip()?;
+            Ok(Err(format!("\"x\" must be an array, got {kind}")))
+        }
+    }
+}
+
+/// One element of `entries`: the triplet, or what is wrong with its
+/// shape in the words that follow `entries[i]` in the message.
+type Entry = Result<(usize, usize, f64), &'static str>;
+
+fn pull_entry(r: &mut Reader<'_>) -> serde_json::Result<Entry> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(Err("must be a [row, col, value] triplet"));
+    }
+    let mut numbers = [None; 3];
+    let mut len = 0;
+    let mut more = r.begin_array()?;
+    while more {
+        let number = number_or_skip(r)?;
+        if let Some(slot) = numbers.get_mut(len) {
+            *slot = number;
+        }
+        len += 1;
+        more = r.array_continues()?;
+    }
+    let [row, col, value] = numbers;
+    let (row, col) = (row.and_then(Number::as_u64), col.and_then(Number::as_u64));
+    Ok(match (len, row, col, value) {
+        (3, Some(row), Some(col), Some(value)) => Ok((row as usize, col as usize, value.as_f64())),
+        (3, Some(_), Some(_), None) => Err("value is not a number"),
+        (3, Some(_), None, _) => Err("col is not an integer"),
+        (3, None, _, _) => Err("row is not an integer"),
+        _ => Err("must be a [row, col, value] triplet"),
+    })
+}
+
+/// The first `"entries"` array of a matrix object, pulled unchecked.
+struct WireEntries<'a> {
+    /// Every well-formed entry.
+    triplets: Vec<(usize, usize, f64)>,
+    /// Elements of the array, well-formed or not.
+    count: usize,
+    /// Every element was a triplet of numbers with a finite value.
+    well_formed: bool,
+    /// Bookmark at the array, to read it again with every check.
+    from: Reader<'a>,
+}
+
+impl<'a> WireEntries<'a> {
+    /// `None` past anything but an array; room for `reserve` entries.
+    fn pull(r: &mut Reader<'a>, reserve: usize) -> serde_json::Result<Option<Self>> {
+        if r.peek()? != Kind::Array {
+            return r.skip().map(|_| None);
+        }
+        let mut entries = WireEntries {
+            triplets: Vec::with_capacity(reserve),
+            count: 0,
+            well_formed: true,
+            from: r.clone(),
+        };
+        let mut more = r.begin_array()?;
+        while more {
+            match pull_entry(r)? {
+                Ok(triplet) => {
+                    entries.well_formed &= triplet.2.is_finite();
+                    entries.triplets.push(triplet);
+                }
+                Err(_) => entries.well_formed = false,
+            }
+            entries.count += 1;
+            more = r.array_continues()?;
+        }
+        Ok(Some(entries))
+    }
+
+    /// Reads the entries again, in order and with every check, and
+    /// names the first defect. Reject a repeated coordinate rather than
+    /// sum or last-write-wins: a duplicate on the wire is almost always
+    /// an assembly bug, and the entry indices point straight at it.
+    fn checked(self, rows: usize, cols: usize) -> Verdict<Vec<(usize, usize, f64)>> {
+        // The walk that made the bookmark has been over this text.
+        let syntax = |e: serde_json::Error| format!("invalid JSON: {e}");
+        let mut reader = self.from;
+        let mut triplets = Vec::with_capacity(self.count);
+        let mut seen: HashMap<(usize, usize), usize> = HashMap::with_capacity(self.count);
+        let mut more = reader.begin_array().map_err(syntax)?;
+        while more {
+            let i = triplets.len();
+            let (r, c, val) = pull_entry(&mut reader)
+                .map_err(syntax)?
+                .map_err(|what| format!("entries[{i}] {what}"))?;
+            if r >= rows || c >= cols {
+                return Err(format!(
+                    "entries[{i}] = ({r}, {c}) outside 0..{rows} x 0..{cols}"
+                ));
+            }
+            if !val.is_finite() {
+                return Err(format!("entries[{i}] value is not finite"));
+            }
+            if let Some(first) = seen.insert((r, c), i) {
+                return Err(format!(
+                    "entries[{i}] duplicates ({r}, {c}) first given at entries[{first}]"
+                ));
+            }
+            triplets.push((r, c, val));
+            more = reader.array_continues().map_err(syntax)?;
+        }
+        Ok(triplets)
+    }
+}
+
+/// Pulls `"matrix"` and assembles it. `frame_len` bounds what an
+/// `"nnz"` hint may reserve.
+fn pull_matrix(r: &mut Reader<'_>, frame_len: usize) -> serde_json::Result<Verdict<Csr<f64>>> {
+    if r.peek()? != Kind::Object {
+        let kind = r.skip()?;
+        return Ok(Err(format!("\"matrix\" must be an object, got {kind}")));
+    }
+    let (mut rows, mut cols, mut nnz, mut entries) = (None, None, None, None);
+    let mut more = r.begin_object()?;
+    while more {
+        let key = r.key()?;
+        let scalar = match key.as_ref() {
+            "rows" => Some(&mut rows),
+            "cols" => Some(&mut cols),
+            "nnz" => Some(&mut nnz),
+            _ => None,
+        };
+        match scalar {
+            Some(slot @ None) => *slot = Some(Scalar::pull(r)?),
+            None if key == "entries" && entries.is_none() => {
+                // An entry is at least `[0,0,0],`: a hint cannot
+                // reserve more than the frame could hold.
+                let hint = nnz.as_ref().and_then(Scalar::as_u64).unwrap_or(0);
+                let reserve = (hint as usize).min(frame_len / 8);
+                entries = Some(WireEntries::pull(r, reserve)?);
+            }
+            _ => _ = r.skip()?,
+        }
+        more = r.object_continues()?;
+    }
+    Ok(assemble(rows, cols, nnz, entries.flatten()))
+}
+
+/// Validates a matrix object's fields in the protocol's order and
+/// assembles the matrix.
+fn assemble(
+    rows: Option<Scalar<'_>>,
+    cols: Option<Scalar<'_>>,
+    nnz: Option<Scalar<'_>>,
+    entries: Option<WireEntries<'_>>,
+) -> Verdict<Csr<f64>> {
+    let dimension = |v: &Option<Scalar>| v.as_ref().and_then(Scalar::as_u64);
+    let rows = dimension(&rows).ok_or("matrix needs a non-negative integer \"rows\"")? as usize;
+    let cols = dimension(&cols).ok_or("matrix needs a non-negative integer \"cols\"")? as usize;
+    if rows == 0 || cols == 0 {
+        return Err("matrix dimensions must be positive".to_string());
+    }
+    if rows > MAX_WIRE_DIM || cols > MAX_WIRE_DIM {
+        return Err(format!(
+            "matrix dimensions {rows}x{cols} exceed the wire limit of {MAX_WIRE_DIM}"
+        ));
+    }
+    let entries =
+        entries.ok_or("matrix needs an \"entries\" array of [row, col, value] triplets")?;
+    // Optional preallocation hint; when present it must agree with the
+    // entry count, so a truncated or mis-assembled frame is rejected
+    // instead of silently building a smaller matrix.
+    match nnz {
+        None | Some(Scalar::Null) => {}
+        Some(v) => {
+            let hint = v
+                .as_u64()
+                .ok_or("matrix \"nnz\" hint must be a non-negative integer")?
+                as usize;
+            if hint != entries.count {
+                return Err(format!(
+                    "matrix \"nnz\" hint {hint} disagrees with {} entries",
+                    entries.count
+                ));
+            }
+        }
+    }
+    if entries.well_formed {
+        // Assembly refuses a coordinate outside the matrix and merges a
+        // repeated one, so as many stored entries as were sent means
+        // there was neither.
+        if let Ok(matrix) = Csr::from_triplets(rows, cols, &entries.triplets) {
+            if matrix.nnz() == entries.count {
+                return Ok(matrix);
+            }
+        }
+    }
+    let triplets = entries.checked(rows, cols)?;
+    Csr::from_triplets(rows, cols, &triplets).map_err(|e| format!("bad matrix: {e}"))
+}
+
+/// The first occurrence of every key a request may carry.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Scalar<'a>>,
+    matrix: Option<Verdict<Csr<f64>>>,
+    handle: Option<Scalar<'a>>,
+    k: Option<Scalar<'a>>,
+    x: Option<Verdict<Option<Vec<f64>>>>,
+    deadline_ms: Option<Scalar<'a>>,
+    tenant: Option<Scalar<'a>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Walks the frame: every syntax error is found here. A frame that
+    /// is not an object answers its [`Value::kind`].
+    fn pull(
+        frame: &'a str,
+        spare_x: &mut Vec<f64>,
+    ) -> serde_json::Result<Result<Self, &'static str>> {
+        let mut r = Reader::new(frame);
+        if r.peek()? != Kind::Object {
+            let kind = r.skip()?;
+            r.finish()?;
+            return Ok(Err(kind));
+        }
+        let mut fields = Fields::default();
+        let mut more = r.begin_object()?;
+        while more {
+            let key = r.key()?;
+            let scalar = match key.as_ref() {
+                "op" => Some(&mut fields.op),
+                "handle" => Some(&mut fields.handle),
+                "k" => Some(&mut fields.k),
+                "deadline_ms" => Some(&mut fields.deadline_ms),
+                "tenant" => Some(&mut fields.tenant),
+                _ => None,
+            };
+            match scalar {
+                Some(slot @ None) => *slot = Some(Scalar::pull(&mut r)?),
+                None if key == "matrix" && fields.matrix.is_none() => {
+                    fields.matrix = Some(pull_matrix(&mut r, frame.len())?);
+                }
+                None if key == "x" && fields.x.is_none() => {
+                    fields.x = Some(pull_x(&mut r, spare_x)?);
+                }
+                _ => _ = r.skip()?,
+            }
+            more = r.object_continues()?;
+        }
+        r.finish()?;
+        Ok(Ok(fields))
+    }
+
+    /// Consults the fields in the protocol's order: the first problem
+    /// in that order is the one reported.
+    fn validate(self) -> Result<Request, String> {
+        let op = match &self.op {
+            Some(Scalar::Str(op)) => op.as_ref(),
+            Some(other) => return Err(format!("\"op\" must be a string, got {}", other.kind())),
+            None => return Err("missing \"op\" field".to_string()),
+        };
+        let work_op = match op {
+            "ping" => return Ok(Request::Ping),
+            "metrics" => return Ok(Request::Metrics),
+            "shutdown" => return Ok(Request::Shutdown),
+            "tune" => WorkOp::Tune,
+            "spmv" => WorkOp::Spmv,
+            "spmm" => WorkOp::Spmm,
+            other => {
+                return Err(format!(
+                    "unknown op {other:?} (expected ping, metrics, tune, spmv, spmm, or shutdown)"
+                ))
+            }
+        };
+        let source = match (self.matrix, &self.handle) {
+            (Some(_), Some(_)) => {
+                return Err(
+                    "request carries both \"matrix\" and \"handle\"; send exactly one".into(),
+                )
+            }
+            (Some(matrix), None) => MatrixSource::Inline(matrix?),
+            (None, Some(Scalar::Str(h))) => {
+                if work_op == WorkOp::Tune {
+                    return Err(
+                        "tune needs an inline \"matrix\"; handles identify already-tuned matrices"
+                            .to_string(),
+                    );
+                }
+                MatrixSource::Handle(WireHandle::parse(h)?)
+            }
+            (None, Some(other)) => {
+                return Err(format!("\"handle\" must be a string, got {}", other.kind()))
+            }
+            (None, None) => return Err("missing \"matrix\" field (or a \"handle\")".to_string()),
+        };
+        let k = match (work_op, &self.k) {
+            (WorkOp::Spmm, Some(v)) => {
+                let k = v.as_u64().ok_or("\"k\" must be a positive integer")? as usize;
+                if k == 0 {
+                    return Err("\"k\" must be at least 1".to_string());
+                }
+                if k > MAX_WIRE_RHS {
+                    return Err(format!(
+                        "\"k\" = {k} exceeds the wire limit of {MAX_WIRE_RHS}"
+                    ));
+                }
+                k
+            }
+            (WorkOp::Spmm, None) => return Err("spmm needs a positive integer \"k\"".to_string()),
+            (_, Some(_)) => return Err(format!("\"k\" is only valid for spmm, not {op}")),
+            (_, None) => 1,
+        };
+        let x = match self.x.transpose()?.flatten() {
+            None => None,
+            Some(x) => {
+                let cols = match &source {
+                    MatrixSource::Inline(m) => m.cols(),
+                    MatrixSource::Handle(h) => h.fingerprint.cols,
+                };
+                // A forged handle can claim any column count.
+                let wanted = cols.saturating_mul(k);
+                if x.len() != wanted {
+                    return Err(if work_op == WorkOp::Spmm {
+                        format!(
+                            "\"x\" has {} entries but an spmm block needs cols*k = {wanted}",
+                            x.len()
+                        )
+                    } else {
+                        format!(
+                            "\"x\" has {} entries but the matrix has {cols} columns",
+                            x.len()
+                        )
+                    });
+                }
+                Some(x)
+            }
+        };
+        let deadline = match &self.deadline_ms {
+            None | Some(Scalar::Null) => None,
+            Some(v) => Some(Duration::from_millis(
+                v.as_u64()
+                    .ok_or("\"deadline_ms\" must be a non-negative integer")?,
+            )),
+        };
+        let tenant = match self.tenant {
+            None | Some(Scalar::Null) => String::new(),
+            Some(Scalar::Str(s)) => s.into_owned(),
+            Some(other) => {
+                return Err(format!("\"tenant\" must be a string, got {}", other.kind()))
+            }
+        };
+        Ok(Request::Work(Box::new(WorkRequest {
+            op: work_op,
+            source,
+            x,
+            k,
+            deadline,
+            tenant,
+        })))
     }
 }
 
@@ -365,118 +833,22 @@ fn as_f64(v: &Value) -> Option<f64> {
 /// Returns a client-facing message describing the first problem (bad
 /// JSON, unknown op, malformed matrix, non-finite values).
 pub fn parse_request(frame: &str) -> Result<Request, String> {
-    let value = serde_json::parse(frame).map_err(|e| format!("invalid JSON: {e}"))?;
-    let fields = value
-        .as_object()
-        .ok_or_else(|| format!("request must be a JSON object, got {}", value.kind()))?;
-    let op = match get(fields, "op") {
-        Some(Value::Str(op)) => op.as_str(),
-        Some(other) => return Err(format!("\"op\" must be a string, got {}", other.kind())),
-        None => return Err("missing \"op\" field".to_string()),
-    };
-    let work_op = match op {
-        "ping" => return Ok(Request::Ping),
-        "metrics" => return Ok(Request::Metrics),
-        "shutdown" => return Ok(Request::Shutdown),
-        "tune" => WorkOp::Tune,
-        "spmv" => WorkOp::Spmv,
-        "spmm" => WorkOp::Spmm,
-        other => {
-            return Err(format!(
-                "unknown op {other:?} (expected ping, metrics, tune, spmv, spmm, or shutdown)"
-            ))
-        }
-    };
-    let source = match (get(fields, "matrix"), get(fields, "handle")) {
-        (Some(_), Some(_)) => {
-            return Err("request carries both \"matrix\" and \"handle\"; send exactly one".into())
-        }
-        (Some(m), None) => MatrixSource::Inline(parse_matrix(m)?),
-        (None, Some(Value::Str(h))) => {
-            if work_op == WorkOp::Tune {
-                return Err(
-                    "tune needs an inline \"matrix\"; handles identify already-tuned matrices"
-                        .to_string(),
-                );
-            }
-            MatrixSource::Handle(WireHandle::parse(h)?)
-        }
-        (None, Some(other)) => {
-            return Err(format!("\"handle\" must be a string, got {}", other.kind()))
-        }
-        (None, None) => return Err("missing \"matrix\" field (or a \"handle\")".to_string()),
-    };
-    let k = match (work_op, get(fields, "k")) {
-        (WorkOp::Spmm, Some(v)) => {
-            let k = as_u64(v).ok_or("\"k\" must be a positive integer")? as usize;
-            if k == 0 {
-                return Err("\"k\" must be at least 1".to_string());
-            }
-            if k > MAX_WIRE_RHS {
-                return Err(format!(
-                    "\"k\" = {k} exceeds the wire limit of {MAX_WIRE_RHS}"
-                ));
-            }
-            k
-        }
-        (WorkOp::Spmm, None) => return Err("spmm needs a positive integer \"k\"".to_string()),
-        (_, Some(_)) => return Err(format!("\"k\" is only valid for spmm, not {op}")),
-        (_, None) => 1,
-    };
-    let x = match get(fields, "x") {
-        None | Some(Value::Null) => None,
-        Some(v) => {
-            let items = v
-                .as_array()
-                .ok_or_else(|| format!("\"x\" must be an array, got {}", v.kind()))?;
-            let mut x = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let f = as_f64(item).ok_or_else(|| format!("x[{i}] is not a number"))?;
-                if !f.is_finite() {
-                    return Err(format!("x[{i}] is not finite"));
-                }
-                x.push(f);
-            }
-            let cols = match &source {
-                MatrixSource::Inline(m) => m.cols(),
-                MatrixSource::Handle(h) => h.fingerprint.cols,
-            };
-            if x.len() != cols * k {
-                return Err(if work_op == WorkOp::Spmm {
-                    format!(
-                        "\"x\" has {} entries but an spmm block needs cols*k = {}",
-                        x.len(),
-                        cols * k
-                    )
-                } else {
-                    format!(
-                        "\"x\" has {} entries but the matrix has {cols} columns",
-                        x.len()
-                    )
-                });
-            }
-            Some(x)
-        }
-    };
-    let deadline = match get(fields, "deadline_ms") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(Duration::from_millis(
-            as_u64(v).ok_or("\"deadline_ms\" must be a non-negative integer")?,
-        )),
-    };
-    let tenant = match get(fields, "tenant") {
-        None | Some(Value::Null) => String::new(),
-        Some(Value::Str(s)) => s.clone(),
-        Some(other) => return Err(format!("\"tenant\" must be a string, got {}", other.kind())),
-    };
-    Ok(Request::Work(Box::new(WorkRequest {
-        op: work_op,
-        source,
-        x,
-        k,
-        deadline,
-        tenant,
-    })))
+    parse_request_into(frame, &mut Vec::new())
+}
+
+/// [`parse_request`] for a caller that parses frame after frame: the
+/// request's `x`, if it carries one, takes over the allocation of
+/// `spare_x` (left empty), so a vector handed back after each request
+/// is grown once, not once per frame.
+///
+/// # Errors
+///
+/// As [`parse_request`].
+pub(crate) fn parse_request_into(frame: &str, spare_x: &mut Vec<f64>) -> Result<Request, String> {
+    Fields::pull(frame, spare_x)
+        .map_err(|e| format!("invalid JSON: {e}"))?
+        .map_err(|kind| format!("request must be a JSON object, got {kind}"))?
+        .validate()
 }
 
 /// Cap on right-hand-side columns per spmm request: keeps the dense
@@ -490,83 +862,13 @@ const MAX_WIRE_RHS: usize = 1 << 12;
 /// would allocate row pointers for it.
 const MAX_WIRE_DIM: usize = 1 << 24;
 
-fn parse_matrix(v: &Value) -> Result<Csr<f64>, String> {
-    let fields = v
-        .as_object()
-        .ok_or_else(|| format!("\"matrix\" must be an object, got {}", v.kind()))?;
-    let rows = get(fields, "rows")
-        .and_then(as_u64)
-        .ok_or("matrix needs a non-negative integer \"rows\"")? as usize;
-    let cols = get(fields, "cols")
-        .and_then(as_u64)
-        .ok_or("matrix needs a non-negative integer \"cols\"")? as usize;
-    if rows == 0 || cols == 0 {
-        return Err("matrix dimensions must be positive".to_string());
-    }
-    if rows > MAX_WIRE_DIM || cols > MAX_WIRE_DIM {
-        return Err(format!(
-            "matrix dimensions {rows}x{cols} exceed the wire limit of {MAX_WIRE_DIM}"
-        ));
-    }
-    let entries = get(fields, "entries")
-        .and_then(Value::as_array)
-        .ok_or("matrix needs an \"entries\" array of [row, col, value] triplets")?;
-    // Optional preallocation hint; when present it must agree with the
-    // entry count, so a truncated or mis-assembled frame is rejected
-    // instead of silently building a smaller matrix.
-    let nnz_hint = match get(fields, "nnz") {
-        None | Some(Value::Null) => None,
-        Some(v) => {
-            Some(as_u64(v).ok_or("matrix \"nnz\" hint must be a non-negative integer")? as usize)
-        }
-    };
-    if let Some(hint) = nnz_hint {
-        if hint != entries.len() {
-            return Err(format!(
-                "matrix \"nnz\" hint {hint} disagrees with {} entries",
-                entries.len()
-            ));
-        }
-    }
-    let capacity = nnz_hint.unwrap_or(entries.len());
-    let mut triplets = Vec::with_capacity(capacity);
-    let mut seen: std::collections::HashMap<(usize, usize), usize> =
-        std::collections::HashMap::with_capacity(capacity);
-    for (i, entry) in entries.iter().enumerate() {
-        let triple = entry
-            .as_array()
-            .filter(|t| t.len() == 3)
-            .ok_or_else(|| format!("entries[{i}] must be a [row, col, value] triplet"))?;
-        let r = as_u64(&triple[0]).ok_or_else(|| format!("entries[{i}] row is not an integer"))?
-            as usize;
-        let c = as_u64(&triple[1]).ok_or_else(|| format!("entries[{i}] col is not an integer"))?
-            as usize;
-        let val =
-            as_f64(&triple[2]).ok_or_else(|| format!("entries[{i}] value is not a number"))?;
-        if r >= rows || c >= cols {
-            return Err(format!(
-                "entries[{i}] = ({r}, {c}) outside 0..{rows} x 0..{cols}"
-            ));
-        }
-        if !val.is_finite() {
-            return Err(format!("entries[{i}] value is not finite"));
-        }
-        if let Some(first) = seen.insert((r, c), i) {
-            // Reject rather than sum or last-write-wins: a duplicate
-            // coordinate on the wire is almost always an assembly bug,
-            // and the entry indices point straight at it.
-            return Err(format!(
-                "entries[{i}] duplicates ({r}, {c}) first given at entries[{first}]"
-            ));
-        }
-        triplets.push((r, c, val));
-    }
-    Csr::from_triplets(rows, cols, &triplets).map_err(|e| format!("bad matrix: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
 
     #[test]
     fn parses_ops_without_optional_fields() {

@@ -26,7 +26,9 @@
 //! `{"op":"spmv","handle":...,"x":[...]}` is served *inline on the
 //! connection thread*: no triplet parse, no conversion, no prepare,
 //! no queue hop — just a registry lookup and the frozen kernel replay
-//! into per-connection preallocated buffers. Unknown, evicted, or
+//! into per-connection buffers: the frame, `x`, `y` and the reply line
+//! each live in a buffer the connection owns and reuses, so nothing a
+//! warm call allocates grows with the vectors. Unknown, evicted, or
 //! other-generation handles answer `handle_miss` with the fingerprint
 //! echoed, so clients fall back to the triplet path deterministically.
 //!
@@ -54,9 +56,10 @@
 
 use crate::admission::{BoundedQueue, TokenBuckets};
 use crate::config::ServeConfig;
-use crate::metrics::{shard_entry, ServiceMetrics};
+use crate::metrics::{shard_entry, ServiceMetrics, Stage};
 use crate::proto::{
-    obj, parse_request, MatrixSource, Request, Response, Status, WireHandle, WorkOp, WorkRequest,
+    obj, parse_request_into, MatrixSource, Request, Response, Status, WireHandle, WorkOp,
+    WorkRequest,
 };
 use serde::{Serialize, Value};
 use smat::{HandleRegistry, Smat, TunedSpmv};
@@ -74,6 +77,10 @@ use std::time::{Duration, Instant};
 
 /// Accept-loop poll granularity while the listener is non-blocking.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Least room the connection loop offers a socket read: a frame of
+/// megabytes arrives in a few dozen reads, not thousands.
+const READ_STEP: usize = 64 << 10;
 
 /// Slack added to the reply wait beyond the request deadline, so a
 /// worker's own deadline-miss answer wins over the connection thread's
@@ -125,13 +132,23 @@ impl Shared {
     }
 }
 
-/// Per-thread reusable product buffers (one per connection, one per
-/// worker): sized on first use and reused for every later product on
-/// that thread, so a warm `spmv` allocates nothing but its reply frame.
+/// Per-thread reusable buffers (one set per connection, one per
+/// worker): sized on first use and reused for every later request on
+/// that thread, so what a warm `spmv` allocates — the boxed request and
+/// the reply's few small fields — does not grow with its vectors.
 #[derive(Default)]
 struct Scratch {
+    /// The engine's operands, row-major.
     x: Vec<f64>,
     y: Vec<f64>,
+    /// Spare for the next request's wire `x` to be parsed into; the
+    /// request hands it back when answered on this thread.
+    wire_x: Vec<f64>,
+    /// Spare for the next reply's wire-order `y`; the reply hands it
+    /// back once written.
+    wire_y: Vec<f64>,
+    /// The reply line being written (connection threads only).
+    line: String,
 }
 
 /// What was bound: TCP socket or Unix-domain socket.
@@ -431,15 +448,22 @@ impl Server {
 
 fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
     let _ = conn.set_read_timeout(shared.config.read_timeout);
+    if let Conn::Tcp(stream) = &conn {
+        // A reply is one write of a whole line: nothing for Nagle to
+        // coalesce, only an ACK to wait for.
+        let _ = stream.set_nodelay(true);
+    }
+    // `buf[..filled]` holds received bytes; the rest is room for the
+    // next read, grown (and zeroed) only when a frame outgrows it.
     let mut buf: Vec<u8> = Vec::new();
+    let mut filled = 0;
     // Bytes at the front of `buf` already known to hold no newline, so
     // a long frame is searched once, not once per read.
     let mut scanned = 0;
-    let mut chunk = [0u8; 4096];
     let mut frame_started: Option<Instant> = None;
     let mut scratch = Scratch::default();
     'conn: loop {
-        if shared.draining() && buf.is_empty() {
+        if shared.draining() && filled == 0 {
             // Idle connection during drain: close; the client
             // reconnects elsewhere. Mid-frame connections fall through
             // and get to finish (bounded by the frame timeout).
@@ -451,40 +475,45 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
             ServiceMetrics::inc(&shared.metrics.torn_frames);
             break;
         }
-        match conn.read(&mut chunk) {
+        if buf.len() - filled < READ_STEP {
+            buf.resize((2 * buf.len()).max(filled + READ_STEP), 0);
+        }
+        match conn.read(&mut buf[filled..]) {
             Ok(0) => {
-                if !buf.is_empty() {
+                if filled > 0 {
                     ServiceMetrics::inc(&shared.metrics.torn_frames);
                 }
                 break;
             }
             Ok(n) => {
-                if frame_started.is_none() {
-                    frame_started = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-                while let Some(len) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                let mut started = *frame_started.get_or_insert_with(Instant::now);
+                filled += n;
+                // Frames are answered in place; what follows the last
+                // one moves to the front once per read.
+                let mut consumed = 0;
+                while let Some(len) = buf[scanned..filled].iter().position(|&b| b == b'\n') {
                     let pos = scanned + len;
-                    frame_started = if pos + 1 == buf.len() {
-                        None
-                    } else {
-                        Some(Instant::now())
-                    };
-                    let open = process_frame(shared, &mut conn, &mut scratch, &buf[..pos]);
-                    buf.drain(..=pos);
-                    scanned = 0;
-                    if !open {
+                    let (frame, read) = (&buf[consumed..pos], started.elapsed());
+                    consumed = pos + 1;
+                    scanned = consumed;
+                    if !process_frame(shared, &mut conn, &mut scratch, frame, read) {
                         break 'conn;
                     }
+                    started = Instant::now();
                 }
-                scanned = buf.len();
-                if buf.len() > shared.config.max_frame_bytes {
+                frame_started = (consumed < filled).then_some(started);
+                if consumed > 0 {
+                    buf.copy_within(consumed..filled, 0);
+                    filled -= consumed;
+                }
+                scanned = filled;
+                if filled > shared.config.max_frame_bytes {
                     ServiceMetrics::inc(&shared.metrics.oversized_frames);
                     let resp = Response::error(format!(
                         "frame exceeds {} bytes; closing connection",
                         shared.config.max_frame_bytes
                     ));
-                    write_response(shared, &mut conn, &resp, false);
+                    write_response(shared, &mut conn, &mut scratch.line, &resp, false);
                     break;
                 }
             }
@@ -504,7 +533,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
                 }
             }
             Err(_) => {
-                if !buf.is_empty() {
+                if filled > 0 {
                     ServiceMetrics::inc(&shared.metrics.torn_frames);
                 }
                 break;
@@ -513,45 +542,49 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
     }
 }
 
-/// Handles one complete frame. Returns `false` when the connection
+/// Handles one complete frame (newline stripped) that took `read` to
+/// arrive, first byte to newline. Returns `false` when the connection
 /// should close (shutdown acknowledged, or the response write failed).
 fn process_frame(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     scratch: &mut Scratch,
     frame: &[u8],
+    read: Duration,
 ) -> bool {
+    let parse_started = Instant::now();
     let text = match std::str::from_utf8(frame) {
         Ok(t) => t,
         Err(_) => {
             ServiceMetrics::inc(&shared.metrics.frames_invalid);
             let resp = Response::error("frame is not valid UTF-8");
-            return write_response(shared, conn, &resp, false);
+            return write_response(shared, conn, &mut scratch.line, &resp, false);
         }
     };
     if text.trim().is_empty() {
         return true;
     }
-    let request = match parse_request(text) {
+    let request = match parse_request_into(text, &mut scratch.wire_x) {
         Ok(r) => r,
         Err(msg) => {
             ServiceMetrics::inc(&shared.metrics.frames_invalid);
             let resp = Response::error(msg);
-            return write_response(shared, conn, &resp, false);
+            return write_response(shared, conn, &mut scratch.line, &resp, false);
         }
     };
     ServiceMetrics::inc(&shared.metrics.frames_valid);
     match request {
         Request::Ping => {
             let resp = Response::with(Status::Ok, vec![("op", Value::Str("ping".to_string()))]);
-            write_response(shared, conn, &resp, false)
+            write_response(shared, conn, &mut scratch.line, &resp, false)
         }
         Request::Metrics => {
             let resp = Response {
                 status: Status::Ok,
                 body: metrics_value(shared),
+                y: None,
             };
-            write_response(shared, conn, &resp, false)
+            write_response(shared, conn, &mut scratch.line, &resp, false)
         }
         Request::Shutdown => {
             shared.begin_drain();
@@ -562,7 +595,7 @@ fn process_frame(
                     ("draining", Value::Bool(true)),
                 ],
             );
-            write_response(shared, conn, &resp, false);
+            write_response(shared, conn, &mut scratch.line, &resp, false);
             false
         }
         Request::Work(work) => {
@@ -572,15 +605,24 @@ fn process_frame(
                 // what the zero-matrix-work assertion pins.
                 ServiceMetrics::inc(&shared.metrics.wire_matrix_parses);
             }
-            let resp = handle_work(shared, *work, scratch);
-            write_response(shared, conn, &resp, true)
+            let m = &shared.metrics;
+            m.observe_stage(Stage::Read, read);
+            let work_started = Instant::now();
+            m.observe_stage(Stage::Parse, work_started - parse_started);
+            let mut resp = handle_work(shared, *work, scratch);
+            m.observe_stage(Stage::Work, work_started.elapsed());
+            let open = write_response(shared, conn, &mut scratch.line, &resp, true);
+            if let Some(y) = resp.y.take() {
+                scratch.wire_y = y;
+            }
+            open
         }
     }
 }
 
 /// The admission ladder for one tune/spmv request. Always returns a
 /// response; the connection thread writes and counts it.
-fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -> Response {
+fn handle_work(shared: &Arc<Shared>, mut work: WorkRequest, scratch: &mut Scratch) -> Response {
     ServiceMetrics::inc(&shared.metrics.requests_total);
     if let Err(retry) = shared.buckets.try_take(&work.tenant) {
         ServiceMetrics::inc(&shared.metrics.shed_tenant);
@@ -609,7 +651,7 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
                     "stale generation: handle was minted by another server instance",
                 );
             }
-            return match shared.handles.lookup(&handle.fingerprint) {
+            let resp = match shared.handles.lookup(&handle.fingerprint) {
                 Some(tuned) => {
                     let fields = vec![
                         ("op", Value::Str(work.op.name().to_string())),
@@ -625,6 +667,12 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
                 }
                 None => Response::handle_miss(&handle, "unknown or evicted handle"),
             };
+            // The request ends on this thread: its vector is the next
+            // frame's to parse into.
+            if let Some(x) = work.x.take() {
+                scratch.wire_x = x;
+            }
+            return resp;
         }
         MatrixSource::Inline(ref m) => m,
     };
@@ -672,7 +720,9 @@ fn handle_work(shared: &Arc<Shared>, work: WorkRequest, scratch: &mut Scratch) -
 /// sides) while `run` sees the engine's interleaved row-major layout,
 /// `x[c * k + j]` in and `y[r * k + j]` out; a single column is both at
 /// once. The reply gains `spmm_kernel` (when `run` names one) and `k`
-/// for `spmm`, then `y`. A `tune` runs nothing; a failed `run` answers
+/// for `spmm`, then `y` — carried beside the body as the product's
+/// `f64`s in wire order, in a vector the reply borrows from `scratch`
+/// until it is written. A `tune` runs nothing; a failed `run` answers
 /// an error carrying its message.
 fn product_reply(
     status: Status,
@@ -686,7 +736,7 @@ fn product_reply(
         return Response::with(status, fields);
     }
     let k = work.k;
-    let Scratch { x, y } = scratch;
+    let Scratch { x, y, wire_y, .. } = scratch;
     x.clear();
     x.resize(cols * k, 1.0);
     if let Some(wire) = &work.x {
@@ -708,12 +758,14 @@ fn product_reply(
         }
         fields.push(("k", Value::UInt(k as u64)));
     }
-    let mut out = Vec::with_capacity(rows * k);
+    let mut out = std::mem::take(wire_y);
+    out.clear();
     for j in 0..k {
-        out.extend((0..rows).map(|r| Value::Float(y[r * k + j])));
+        out.extend((0..rows).map(|r| y[r * k + j]));
     }
-    fields.push(("y", Value::Array(out)));
-    Response::with(status, fields)
+    let mut resp = Response::with(status, fields);
+    resp.y = Some(out);
+    resp
 }
 
 fn kernel_name(shared: &Shared, tuned: &TunedSpmv<f64>) -> &'static str {
@@ -723,7 +775,7 @@ fn kernel_name(shared: &Shared, tuned: &TunedSpmv<f64>) -> &'static str {
 /// Completes a reply about a tuned matrix with the product `work` asks
 /// for, run through the engine's containment boundary — what a warm
 /// handle call and the tail of a cold job both do. Zero matrix work,
-/// zero allocation beyond the reply frame.
+/// and no allocation that grows with the vectors.
 fn tuned_reply(
     shared: &Shared,
     status: Status,
@@ -875,13 +927,20 @@ fn process_job(shared: &Arc<Shared>, job: Job, scratch: &mut Scratch) -> Respons
 // Responses and metrics
 // ---------------------------------------------------------------------
 
-/// Writes `resp` as one line. When `count` is set (admitted work
-/// requests only) the outcome counter is incremented first, so the
-/// quiesced invariant `requests_total == Σ outcomes` holds even if the
-/// client vanished before the write.
-fn write_response(shared: &Arc<Shared>, conn: &mut Conn, resp: &Response, count: bool) -> bool {
+/// Writes `resp` as one line, formatted into the connection's reused
+/// `line` buffer. When `count` is set (admitted work requests only)
+/// the outcome counter is incremented first, so the quiesced invariant
+/// `requests_total == Σ outcomes` holds even if the client vanished
+/// before the write, and the encode and write stages are timed.
+fn write_response(
+    shared: &Arc<Shared>,
+    conn: &mut Conn,
+    line: &mut String,
+    resp: &Response,
+    count: bool,
+) -> bool {
+    let m = &shared.metrics;
     if count {
-        let m = &shared.metrics;
         let counter = match resp.status {
             Status::Ok => &m.requests_ok,
             Status::Degraded => &m.requests_degraded,
@@ -895,24 +954,29 @@ fn write_response(shared: &Arc<Shared>, conn: &mut Conn, resp: &Response, count:
     // Failpoint `service.respond`: the write faults as if the client
     // closed its receive side.
     if smat_failpoints::check("service.respond").is_some() {
-        ServiceMetrics::inc(&shared.metrics.respond_faults);
+        ServiceMetrics::inc(&m.respond_faults);
         return false;
     }
-    let mut line = resp.to_line();
+    let encode_started = Instant::now();
+    line.clear();
+    resp.write_line(line);
     line.push('\n');
-    match conn.write_all(line.as_bytes()).and_then(|()| conn.flush()) {
-        Ok(()) => true,
-        Err(_) => {
-            ServiceMetrics::inc(&shared.metrics.respond_faults);
-            false
-        }
+    let write_started = Instant::now();
+    let written = conn.write_all(line.as_bytes()).and_then(|()| conn.flush());
+    if count {
+        m.observe_stage(Stage::Encode, write_started - encode_started);
+        m.observe_stage(Stage::Write, write_started.elapsed());
     }
+    if written.is_err() {
+        ServiceMetrics::inc(&m.respond_faults);
+    }
+    written.is_ok()
 }
 
 /// Builds the metrics JSON: service counters, the engine health report
 /// (breaker states, quarantined kernels, coalesced waits, dispatch
-/// faults, cache traffic), and the one-entry `shards` array with the
-/// cache and handle-registry counters.
+/// faults, cache traffic), the one-entry `shards` array with the cache
+/// and handle-registry counters, and the per-stage time histograms.
 fn metrics_value(shared: &Arc<Shared>) -> Value {
     let m = &shared.metrics;
     let g = ServiceMetrics::get;
@@ -976,5 +1040,6 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
             "shards",
             Value::Array(vec![shard_entry(&cache, &report, &handles)]),
         ),
+        ("stages", m.stages_value()),
     ])
 }

@@ -284,6 +284,41 @@ fn invalid_frames_answer_errors_without_dropping_the_connection() {
     assert_eq!(summary.requests_total, 0);
 }
 
+/// A frame nested deeper than any honest one is a malformed frame like
+/// any other: the reader stops following it at a fixed depth instead of
+/// recursing as deep as a 100 KB line of brackets asks — which, before
+/// the cap, overflowed the connection thread's stack and took the whole
+/// process down past every `catch_unwind`.
+#[test]
+fn deeply_nested_frames_are_refused_not_recursed_into() {
+    let running = start(test_config());
+    let mut client = Client::connect(running.addr);
+    let invalid = |running: &Running| {
+        let service_metrics = running.handle.metrics_snapshot();
+        as_u64(field(field(&service_metrics, "service"), "frames_invalid"))
+    };
+    for frame in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        let before = invalid(&running);
+        let refused = client.request(&frame);
+        assert_eq!(status_of(&refused), "error");
+        match field(&refused, "message") {
+            Value::Str(m) => assert!(
+                m.starts_with("invalid JSON: nesting deeper than 128"),
+                "message: {m}"
+            ),
+            other => panic!("message is {other:?}"),
+        }
+        // Exactly one reply: the next line answers the next frame, on
+        // the same connection.
+        let pong = client.request("{\"op\":\"ping\"}");
+        assert_eq!(status_of(&pong), "ok");
+        assert_eq!(field(&pong, "op"), &Value::Str("ping".to_string()));
+        assert_eq!(invalid(&running), before + 1);
+    }
+    let summary = shutdown_and_join(running);
+    assert_eq!(summary.requests_total, 0);
+}
+
 #[test]
 fn oversized_frames_close_the_connection() {
     let config = ServeConfig {
@@ -546,6 +581,73 @@ fn warm_handle_path_does_zero_matrix_work() {
     let summary = shutdown_and_join(running);
     assert_eq!(summary.requests_total, (WARM_CALLS + 1) as u64);
     assert_eq!(summary.requests_handle_miss, 0);
+}
+
+/// The daemon's own account of where a request's time goes: every
+/// admitted work request is counted once in each stage, and the stages
+/// (which do not overlap) add up to no more than the round trips the
+/// client measured around them.
+#[test]
+fn stage_histograms_account_for_every_warm_request() {
+    const WARM_CALLS: u64 = 60;
+    const STAGES: [&str; 5] = ["read", "parse", "work", "encode", "write"];
+    let running = start(test_config());
+    let (matrix, x, _) = matrix_fixture(400, 33);
+    let mut client = Client::connect(running.addr);
+    let tuned = client.request(&format!("{{\"op\":\"tune\",\"matrix\":{matrix}}}"));
+    let warm_frame = format!(
+        "{{\"op\":\"spmv\",\"handle\":\"{}\",\"x\":{}}}",
+        handle_of(&tuned),
+        x_json(&x)
+    );
+    let stages = |running: &Running| {
+        let metrics = running.handle.metrics_snapshot();
+        STAGES.map(|stage| {
+            let entry = field(field(&metrics, "stages"), stage).clone();
+            let micros = |key: &str| match field(&entry, key) {
+                Value::Float(f) => *f,
+                other => panic!("{stage}.{key} is {other:?}"),
+            };
+            let quantiles = [micros("p50_us"), micros("p90_us"), micros("p99_us")];
+            assert!(
+                quantiles.windows(2).all(|w| w[0] <= w[1]),
+                "{stage} quantiles are ordered: {quantiles:?}"
+            );
+            (as_u64(field(&entry, "count")), micros("sum_us"))
+        })
+    };
+    // The cold tune went through every stage once as well.
+    let before = stages(&running);
+    assert_eq!(before.map(|(count, _)| count), [1; 5]);
+    let mut round_trips_us = 0.0;
+    for _ in 0..WARM_CALLS {
+        let sent = Instant::now();
+        client.send(&warm_frame);
+        let line = client.recv_line();
+        round_trips_us += sent.elapsed().as_secs_f64() * 1e6;
+        assert!(line.starts_with("{\"status\":\"ok\""), "line: {line}");
+    }
+    // The connection answers in order: once the ping is back, the last
+    // warm request's write has been recorded.
+    assert_eq!(status_of(&client.request("{\"op\":\"ping\"}")), "ok");
+    let after = stages(&running);
+    let mut accounted_us = 0.0;
+    for (stage, (was, now)) in STAGES.iter().zip(before.iter().zip(&after)) {
+        assert_eq!(now.0 - was.0, WARM_CALLS, "{stage} count");
+        assert!(now.1 > was.1, "{stage} took some time");
+        accounted_us += now.1 - was.1;
+    }
+    assert!(
+        accounted_us <= round_trips_us,
+        "stages account for {accounted_us} us of {round_trips_us} us of round trips"
+    );
+    // Pings, metrics and malformed frames are not work requests.
+    client.request("not json");
+    assert_eq!(
+        stages(&running).map(|(count, _)| count),
+        [WARM_CALLS + 1; 5]
+    );
+    shutdown_and_join(running);
 }
 
 #[test]
@@ -885,6 +987,34 @@ const DEGRADED_REPLIES: [&str; 4] = [
     r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
 ];
 
+/// A matrix and a vector whose product overflows: row 0 is `inf - inf`
+/// (NaN), row 1 `inf`. JSON has no word for either.
+const OVERFLOWING: &str = "\"matrix\":{\"rows\":2,\"cols\":2,\"entries\":\
+    [[0,0,1e308],[0,1,1e308],[1,0,1e308]]},\"x\":[10,-10]";
+
+/// What a client parses out of a reply's `y` formats back to the very
+/// digits the line carries — the floats cross the wire bit for bit —
+/// and a non-finite element is `null`.
+fn assert_y_round_trips(line: &str) {
+    let line = line.trim_end();
+    let Some(at) = line.find("\"y\":[") else {
+        return;
+    };
+    let digits = &line[at + "\"y\":[".len()..line.len() - "]}".len()];
+    let parsed = serde_json::parse(line).expect("reply is JSON");
+    let y: Vec<String> = field(&parsed, "y")
+        .as_array()
+        .expect("y is an array")
+        .iter()
+        .map(|v| match v {
+            Value::Float(f) => format!("{f:?}"),
+            Value::Null => "null".to_string(),
+            other => panic!("y holds {other:?}"),
+        })
+        .collect();
+    assert_eq!(y.join(","), digits);
+}
+
 /// Every kind of work reply is byte-identical — field names, their
 /// order within each reply kind, and values — to what the daemon
 /// answered when the cold, warm and degraded paths each built their
@@ -915,7 +1045,15 @@ fn replies_are_byte_identical_across_the_product_paths() {
         ask(by_handle("spmm", &block)),
         ask(by_handle("spmm", ",\"k\":3")),
     ];
+    replies.iter().for_each(|line| assert_y_round_trips(line));
     assert_eq!(replies.map(|line| masked(&line)), TUNED_REPLIES);
+    let overflowed = ask(format!("{{\"op\":\"spmv\",{OVERFLOWING}}}"));
+    assert!(overflowed.starts_with("{\"status\":\"ok\""), "{overflowed}");
+    assert!(
+        overflowed.ends_with(",\"y\":[null,null]}\n"),
+        "{overflowed}"
+    );
+    assert_y_round_trips(&overflowed);
     shutdown_and_join(running);
 
     let benched = vec![KernelId::basic(Format::Ell)];
@@ -931,7 +1069,14 @@ fn replies_are_byte_identical_across_the_product_paths() {
         ask(inline("spmm", &block)),
         ask(inline("spmm", ",\"k\":3")),
     ];
+    replies.iter().for_each(|line| assert_y_round_trips(line));
     assert_eq!(replies.map(|line| masked(&line)), DEGRADED_REPLIES);
+    let overflowed = ask(format!("{{\"op\":\"spmv\",{OVERFLOWING}}}"));
+    assert!(
+        overflowed.ends_with(",\"y\":[null,null]}\n"),
+        "{overflowed}"
+    );
+    assert_y_round_trips(&overflowed);
     shutdown_and_join(running);
 }
 
