@@ -248,10 +248,14 @@ impl<T: Scalar> CompiledHierarchy<T> {
         let tuning = engine
             .zip(before)
             .map(|(e, before)| e.cache_stats().since(&before));
+        // Tuned operators name their kernel by index into the tuning
+        // engine's table (which may hold registered variants), so the
+        // cycle replays them through a copy of that table.
+        let lib = engine.map_or_else(KernelLibrary::new, |e| e.library().clone());
         Self {
             levels,
             coarse_lu,
-            lib: KernelLibrary::new(),
+            lib,
             tuning,
         }
     }
@@ -608,5 +612,66 @@ mod tests {
         c.v_cycle(&cfg, &b, &mut x, &mut ws);
         let r1 = c.residual_norm(&b, &x);
         assert!(r1 < 0.5 * r0, "degraded cycle too weak: {r0} -> {r1}");
+    }
+    /// A variant registered on the engine's library and chosen by its
+    /// model must be the kernel the V-cycle replays: the compiled
+    /// hierarchy dispatches through the tuning engine's table, where
+    /// the variant's index means something.
+    #[test]
+    fn registered_kernel_chosen_by_the_model_runs_inside_the_v_cycle() {
+        use smat::{SmatConfig, Trainer};
+        use smat_matrix::gen::{random_uniform, tridiagonal};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn counting_csr(m: &smat_matrix::AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            m.spmv(x, y).expect("sized vectors");
+        }
+
+        let t1 = tridiagonal::<f64>(300);
+        let t2 = random_uniform::<f64>(250, 250, 6, 1);
+        let mut model = Trainer::new(SmatConfig::fast())
+            .train(&[&t1, &t2])
+            .unwrap()
+            .model;
+        let registered = KernelLibrary::<f64>::new().variant_count(Format::Csr);
+        model.kernel_choice.set(Format::Csr, registered);
+        model.groups.groups.clear();
+        let cfg = SmatConfig {
+            confidence_threshold: 1.1,
+            fallback_formats: vec![Format::Csr],
+            ..SmatConfig::fast()
+        };
+        let mut engine = smat::Smat::<f64>::with_config(model, cfg).unwrap();
+        let id = engine.library_mut().register(
+            Format::Csr,
+            "csr_counting",
+            smat_kernels::StrategySet::default(),
+            counting_csr,
+        );
+        assert_eq!(id.variant, registered);
+
+        let a = laplacian_2d_5pt::<f64>(16, 16);
+        let n = a.rows();
+        let c = CompiledHierarchy::with_smat(&setup(a, &AmgConfig::default()), &engine);
+        assert_eq!(c.degraded_ops(), 0, "the registered kernel is healthy");
+        assert!(c.levels.iter().all(|l| match &l.a {
+            OpApply::Tuned(t) => t.kernel() == id,
+            OpApply::Plain(_) => false,
+        }));
+
+        let tuning_calls = CALLS.load(Ordering::Relaxed);
+        let b = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        let mut ws = Workspace::new();
+        let r0 = c.residual_norm(&b, &x);
+        c.v_cycle(&CycleConfig::default(), &b, &mut x, &mut ws);
+        let r1 = c.residual_norm(&b, &x);
+        assert!(r1 < 0.5 * r0, "cycle too weak: {r0} -> {r1}");
+        assert!(
+            CALLS.load(Ordering::Relaxed) > tuning_calls,
+            "the V-cycle must run the registered kernel"
+        );
     }
 }

@@ -434,6 +434,7 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
                     &any,
                     Duration::from_millis(5),
                     config.candidate_deadline,
+                    &[],
                 );
                 let best = table.scoreboard().best_variant;
                 println!("{format}:");
@@ -523,6 +524,7 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
                         8,
                         Duration::from_millis(5),
                         config.candidate_deadline,
+                        &[],
                     );
                     let best = table.scoreboard().best_variant;
                     println!("  spmm (k = 8):");

@@ -14,15 +14,19 @@
 //! plus atomic counters), which is what keeps the surrounding
 //! [`crate::Smat`] engine `Send + Sync` behind a shared reference.
 
+use crate::error::Result;
 use crate::integrity::fnv1a64_of_debug;
+use crate::lru::Lru;
+use crate::retry::RetryPolicy;
 use crate::runtime::DecisionPath;
+use crate::sealed;
 use serde::{Deserialize, Serialize};
 use smat_features::FeatureVector;
 use smat_kernels::{ExecPlan, KernelId};
-use smat_matrix::{Format, StructuralFingerprint};
-use std::collections::HashMap;
+use smat_matrix::{Format, Scalar, StructuralFingerprint};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A replayable multi-RHS (SpMM) pick: the winning tiled kernel and its
@@ -124,25 +128,21 @@ impl CacheStats {
 /// insertion, verified on every hit.
 #[derive(Debug)]
 struct Slot {
-    stamp: u64,
     checksum: u64,
     decision: CachedDecision,
 }
 
-/// Bounded LRU map from structural fingerprints to tuning decisions.
+/// Bounded LRU map from structural fingerprints to tuning decisions:
+/// the shared [`Lru`] store plus a checksum per entry and the
+/// `prepare` counters.
 #[derive(Debug)]
 pub(crate) struct TuningCache {
-    /// fingerprint → checksummed slot. The stamp-scan eviction is
-    /// O(len), fine at the small capacities tuning uses.
-    map: Mutex<HashMap<StructuralFingerprint, Slot>>,
-    capacity: usize,
-    clock: AtomicU64,
+    map: Mutex<Lru<Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     hit_nanos: AtomicU64,
     miss_nanos: AtomicU64,
     corrupt_evictions: AtomicU64,
-    poison_recoveries: AtomicU64,
     coalesced_waits: AtomicU64,
 }
 
@@ -151,38 +151,13 @@ impl TuningCache {
     /// caching (every lookup misses, nothing is stored).
     pub fn new(capacity: usize) -> Self {
         TuningCache {
-            map: Mutex::new(HashMap::new()),
-            capacity,
-            clock: AtomicU64::new(0),
+            map: Mutex::new(Lru::new(capacity, 0)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             hit_nanos: AtomicU64::new(0),
             miss_nanos: AtomicU64::new(0),
             corrupt_evictions: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
-        }
-    }
-
-    /// Locks the entry map, recovering from poisoning instead of
-    /// propagating it.
-    ///
-    /// A poisoned lock means a panic unwound through a critical
-    /// section, so a slot may be half-updated. Every cached decision is
-    /// recomputable by re-tuning, so the safe recovery is cheap: drop
-    /// all resident entries, clear the poison flag (later locks are
-    /// clean again) and count the event so operators can see it in
-    /// [`CacheStats::poison_recoveries`].
-    fn lock_map(&self) -> MutexGuard<'_, HashMap<StructuralFingerprint, Slot>> {
-        match self.map.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.clear();
-                self.map.clear_poison();
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                guard
-            }
         }
     }
 
@@ -195,55 +170,30 @@ impl TuningCache {
     /// a miss, forcing a re-tune instead of replaying a poisoned
     /// decision.
     pub fn get(&self, key: &StructuralFingerprint) -> Option<CachedDecision> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.lock_map();
+        let mut map = Lru::lock(&self.map);
         let slot = map.get_mut(key)?;
         if fnv1a64_of_debug(&slot.decision) != slot.checksum {
             map.remove(key);
             self.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        slot.stamp = stamp;
         Some(slot.decision.clone())
     }
 
     /// Inserts a decision, evicting the least-recently-used entry when
     /// full.
     pub fn insert(&self, key: StructuralFingerprint, decision: CachedDecision) {
-        if self.capacity == 0 {
-            return;
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.lock_map();
+        let mut map = Lru::lock(&self.map);
         // Failpoint `cache.insert` runs while the lock is held: a
         // scripted `panic` unwinds through this critical section and
-        // poisons the mutex — exactly the condition `lock_map` must
+        // poisons the mutex — exactly the condition `Lru::lock` must
         // recover from — while a scripted `fail` models an insertion
         // refusal (the decision is simply not cached).
-        if let Some(_fault) = smat_failpoints::check("cache.insert") {
+        if smat_failpoints::check("cache.insert").is_some() {
             return;
         }
-        if map.len() >= self.capacity && !map.contains_key(&key) {
-            if let Some(oldest) = map
-                .iter()
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(k, _)| *k)
-            {
-                map.remove(&oldest);
-            }
-        }
         let checksum = fnv1a64_of_debug(&decision);
-        map.insert(
-            key,
-            Slot {
-                stamp,
-                checksum,
-                decision,
-            },
-        );
+        map.insert(key, Slot { checksum, decision }, 0);
     }
 
     /// Records the outcome and latency of one `prepare` call.
@@ -266,16 +216,16 @@ impl TuningCache {
 
     /// A consistent snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let entries = self.lock_map().len();
+        let map = Lru::lock(&self.map);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            capacity: self.capacity,
+            entries: map.len(),
+            capacity: map.capacity,
             hit_time: Duration::from_nanos(self.hit_nanos.load(Ordering::Relaxed)),
             miss_time: Duration::from_nanos(self.miss_nanos.load(Ordering::Relaxed)),
             corrupt_evictions: self.corrupt_evictions.load(Ordering::Relaxed),
-            poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
+            poison_recoveries: map.poison_recoveries,
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
         }
     }
@@ -284,19 +234,19 @@ impl TuningCache {
     /// after it was cached); the next lookup re-tunes. Returns whether
     /// an entry was resident.
     pub fn remove(&self, key: &StructuralFingerprint) -> bool {
-        self.lock_map().remove(key).is_some()
+        Lru::lock(&self.map).remove(key).is_some()
     }
 
     /// Drops every entry; counters are preserved.
     pub fn clear(&self) {
-        self.lock_map().clear();
+        Lru::lock(&self.map).clear();
     }
 
     /// Copies out every resident entry, for persistence. Checksums are
     /// re-verified so a corrupt entry is dropped (and counted) rather
     /// than written to disk.
     pub fn snapshot(&self) -> Vec<(StructuralFingerprint, CachedDecision)> {
-        let mut map = self.lock_map();
+        let mut map = Lru::lock(&self.map);
         let mut corrupt: Vec<StructuralFingerprint> = Vec::new();
         let mut out: Vec<(StructuralFingerprint, CachedDecision)> = Vec::new();
         for (key, slot) in map.iter() {
@@ -322,6 +272,44 @@ impl TuningCache {
             self.insert(key, decision);
         }
     }
+
+    /// Seals the resident entries to `path` (see [`crate::sealed`]),
+    /// stamped with the `T` engine's precision and the digest of the
+    /// kernel library their kernel ids index into. Returns the number
+    /// of entries written.
+    pub fn save<T: Scalar>(&self, path: &Path, digest: u64, policy: RetryPolicy) -> Result<usize> {
+        let snapshot = Snapshot {
+            precision: T::PRECISION_NAME.to_string(),
+            library_digest: digest,
+            entries: self.snapshot(),
+        };
+        sealed::save(&snapshot, path, "cache.persist", policy)?;
+        Ok(snapshot.entries.len())
+    }
+
+    /// Absorbs a snapshot written by [`Self::save`] after verifying its
+    /// checksum, precision and library digest, in that order. Returns
+    /// the number of entries absorbed.
+    pub fn load<T: Scalar>(&self, path: &Path, digest: u64, policy: RetryPolicy) -> Result<usize> {
+        let what = "tuning cache snapshot";
+        let snapshot: Snapshot = sealed::load(what, path, "cache.load", policy)?;
+        sealed::check_stamp::<T>(what, &snapshot.precision, snapshot.library_digest, digest)?;
+        let count = snapshot.entries.len();
+        self.absorb(snapshot.entries);
+        Ok(count)
+    }
+}
+
+/// What a tuning-cache snapshot file seals.
+#[derive(Serialize, Deserialize)]
+struct Snapshot {
+    /// Precision of the engine that wrote the snapshot.
+    precision: String,
+    /// [`smat_kernels::KernelLibrary::digest`] of the engine that wrote
+    /// the snapshot: the entries' kernel ids are raw indices into its
+    /// tables.
+    library_digest: u64,
+    entries: Vec<(StructuralFingerprint, CachedDecision)>,
 }
 
 #[cfg(test)]

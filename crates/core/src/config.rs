@@ -1,7 +1,6 @@
 //! Configuration of the SMAT auto-tuner.
 
 use serde::{Deserialize, Serialize};
-use smat_learn::TreeParams;
 use smat_matrix::Format;
 use std::time::Duration;
 
@@ -30,10 +29,6 @@ pub struct SmatConfig {
     /// Rule-group confidence below which the runtime falls back to
     /// execute-and-measure (the paper's "threshold").
     pub confidence_threshold: f64,
-    /// Decision-tree induction parameters.
-    pub tree_params: TreeParams,
-    /// Accepted accuracy gap when tailoring the ruleset (the paper's 1%).
-    pub tailor_tolerance: f64,
     /// Measurement budget per kernel variant during the offline search.
     pub search_budget: Duration,
     /// Measurement budget per candidate format in the execute-and-measure
@@ -48,33 +43,11 @@ pub struct SmatConfig {
     /// recorded as failed instead of stalling the tuning pipeline. The
     /// deadline is cooperative: it is checked between repetitions.
     pub candidate_deadline: Duration,
-    /// Cap on DIA conversion fill, as a multiple of `nnz`.
-    pub dia_fill_limit: usize,
-    /// Cap on ELL conversion fill, as a multiple of `nnz`.
-    pub ell_fill_limit: usize,
-    /// Cap on BCSR conversion fill (stored block entries), as a
-    /// multiple of `nnz`.
-    pub bcsr_fill_limit: usize,
-    /// Vector backend for the `Simd`-tagged kernel variants.
-    /// [`smat_kernels::SimdBackend::Auto`] (the default) uses AVX2 when
-    /// the CPU reports it; `Portable` pins the bit-identical unrolled
-    /// scalar loop. Applied process-globally when the engine is built.
-    pub simd_backend: smat_kernels::SimdBackend,
     /// Upper bound, in bytes, on the estimated allocation of any single
     /// format conversion (DIA/ELL dense slabs, HYB split). Conversions
     /// whose up-front estimate exceeds it are refused before allocating
     /// and the candidate format is pruned. `None` means unlimited.
     pub conversion_budget_bytes: Option<usize>,
-    /// When `true` (the default), [`crate::Smat::prepare`] screens the
-    /// input for non-finite values before feature extraction and routes
-    /// poisoned matrices to the degraded reference path instead of
-    /// letting NaN/Inf flow through tuning measurements.
-    pub screen_inputs: bool,
-    /// Fraction of the corpus held out for evaluation during training
-    /// (the paper trains on 2055 of 2386 matrices ≈ 86%).
-    pub test_fraction: f64,
-    /// Seed for the train/test shuffle.
-    pub split_seed: u64,
     /// Dimension of the per-format probe matrices used by the offline
     /// kernel search.
     pub probe_dim: usize,
@@ -108,22 +81,11 @@ pub struct SmatConfig {
     /// worst-case latency a waiter can ever see; it never blocks
     /// forever.
     pub single_flight_wait: Duration,
-    /// Requested size of the persistent worker pool the parallel
-    /// kernels dispatch on. `None` (the default) sizes the pool to the
-    /// machine's core count. The pool is process-global and built
-    /// lazily on first parallel dispatch, so only the first engine (or
-    /// an earlier direct kernel call) can influence it — a later,
-    /// different request is ignored.
-    pub pool_threads: Option<usize>,
-    /// When `true` (the default), tuning extends the kernel scoreboard
-    /// with a *plan* search over chunk policy and fan-out width for the
-    /// chosen parallel CSR kernel — but only when the R feature reports
-    /// a scale-free (power-law) row-degree distribution, the structures
-    /// where uniform row splits lose. Near-uniform matrices skip the
-    /// extra candidates entirely.
-    pub plan_search: bool,
     /// Measurement budget per (policy, width) candidate during the plan
-    /// search.
+    /// search, which extends the kernel scoreboard over chunk policy and
+    /// fan-out width for a chosen parallel CSR kernel — only when the R
+    /// feature reports a scale-free (power-law) row-degree distribution,
+    /// the structures where uniform row splits lose.
     pub plan_search_budget: Duration,
     /// When `true`, [`crate::Smat::spmv`] scans the output vector for
     /// non-finite values after the planned dispatch and, if the inputs
@@ -151,20 +113,11 @@ impl Default for SmatConfig {
     fn default() -> Self {
         Self {
             confidence_threshold: 0.85,
-            tree_params: TreeParams::default(),
-            tailor_tolerance: 0.01,
             search_budget: Duration::from_millis(10),
             fallback_budget: Duration::from_millis(5),
             fallback_formats: vec![Format::Csr, Format::Coo],
             candidate_deadline: smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
-            dia_fill_limit: smat_matrix::DEFAULT_DIA_FILL_LIMIT,
-            ell_fill_limit: smat_matrix::DEFAULT_ELL_FILL_LIMIT,
-            bcsr_fill_limit: smat_matrix::DEFAULT_BCSR_FILL_LIMIT,
-            simd_backend: smat_kernels::SimdBackend::Auto,
             conversion_budget_bytes: None,
-            screen_inputs: true,
-            test_fraction: 0.14,
-            split_seed: 0x5AA7,
             probe_dim: 20_000,
             excluded_attributes: Vec::new(),
             cache_capacity: 64,
@@ -172,8 +125,6 @@ impl Default for SmatConfig {
             persist_retries: 2,
             persist_backoff: Duration::from_millis(20),
             single_flight_wait: Duration::from_secs(30),
-            pool_threads: None,
-            plan_search: true,
             plan_search_budget: Duration::from_millis(2),
             screen_outputs: false,
             breaker_threshold: 3,
@@ -198,14 +149,13 @@ impl SmatConfig {
         }
     }
 
-    /// The per-format conversion limits implied by this configuration,
-    /// ready for [`smat_matrix::AnyMatrix::convert_from_csr_with`].
+    /// The conversion limits implied by this configuration — the
+    /// default fill caps plus the configured byte budget — ready for
+    /// [`smat_matrix::AnyMatrix::convert_from_csr_with`].
     pub fn conversion_limits(&self) -> smat_matrix::ConversionLimits {
         smat_matrix::ConversionLimits {
-            dia_fill_limit: self.dia_fill_limit,
-            ell_fill_limit: self.ell_fill_limit,
-            bcsr_fill_limit: self.bcsr_fill_limit,
             budget_bytes: self.conversion_budget_bytes,
+            ..Default::default()
         }
     }
 }
@@ -217,13 +167,11 @@ mod tests {
     #[test]
     fn default_reproduces_paper_choices() {
         let c = SmatConfig::default();
-        assert_eq!(c.tailor_tolerance, 0.01);
         assert_eq!(c.fallback_formats, vec![Format::Csr, Format::Coo]);
         assert_eq!(GROUP_ORDER[0], Format::Dia);
         assert_eq!(GROUP_ORDER[3], Format::Bcsr4);
         assert_eq!(GROUP_ORDER[6], Format::Coo);
         assert_eq!(GROUP_ORDER.len(), Format::COUNT);
-        assert_eq!(c.simd_backend, smat_kernels::SimdBackend::Auto);
         assert!(c.confidence_threshold > 0.0 && c.confidence_threshold < 1.0);
     }
 
@@ -241,11 +189,10 @@ mod tests {
             ..SmatConfig::default()
         };
         let limits = c.conversion_limits();
-        assert_eq!(limits.dia_fill_limit, c.dia_fill_limit);
-        assert_eq!(limits.ell_fill_limit, c.ell_fill_limit);
-        assert_eq!(limits.bcsr_fill_limit, c.bcsr_fill_limit);
         assert_eq!(limits.budget_bytes, Some(1 << 20));
-        assert!(c.screen_inputs);
+        let defaults = smat_matrix::ConversionLimits::default();
+        assert_eq!(limits.ell_fill_limit, defaults.ell_fill_limit);
+        assert_eq!(SmatConfig::default().conversion_limits(), defaults);
     }
 
     #[test]

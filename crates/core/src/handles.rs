@@ -21,9 +21,9 @@
 //! stays alive until the in-flight calls that hold it finish; eviction
 //! only severs the registry's own reference.
 
+use crate::lru::Lru;
 use crate::runtime::TunedSpmv;
 use smat_matrix::{Scalar, StructuralFingerprint};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,21 +48,9 @@ pub struct HandleStats {
     pub budget_bytes: usize,
 }
 
-/// One resident handle plus its LRU stamp.
-struct Slot<T> {
-    tuned: Arc<TunedSpmv<T>>,
-    bytes: usize,
-    stamp: u64,
-}
-
-/// Map plus the byte gauge it must stay consistent with, under one
-/// lock.
-struct Inner<T> {
-    map: HashMap<StructuralFingerprint, Slot<T>>,
-    resident_bytes: usize,
-}
-
-/// A bounded, byte-budgeted LRU of prepared matrices.
+/// A bounded, byte-budgeted LRU of prepared matrices: the shared
+/// [`Lru`] store holding `Arc`s, weighted by
+/// [`TunedSpmv::resident_bytes`].
 ///
 /// `capacity` bounds the entry count (`0` disables the registry:
 /// inserts are not retained and every lookup misses). `budget_bytes`
@@ -72,43 +60,19 @@ struct Inner<T> {
 /// a registry that cannot hold its newest handle would make the warm
 /// path unreachable for exactly the matrix the client just shipped.
 pub struct HandleRegistry<T> {
-    inner: Mutex<Inner<T>>,
-    capacity: usize,
-    budget_bytes: usize,
-    clock: AtomicU64,
+    store: Mutex<Lru<Arc<TunedSpmv<T>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl<T: Scalar> HandleRegistry<T> {
     /// An empty registry with the given bounds.
     pub fn new(capacity: usize, budget_bytes: usize) -> Self {
         HandleRegistry {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                resident_bytes: 0,
-            }),
-            capacity,
-            budget_bytes,
-            clock: AtomicU64::new(0),
+            store: Mutex::new(Lru::new(capacity, budget_bytes)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Recovers the map from a panicked insert/lookup instead of
-    /// propagating poison: the registry is a cache, and a torn entry
-    /// set is strictly better than a wedged serving layer.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Registers a prepared matrix under its fingerprint, returning
@@ -117,94 +81,40 @@ impl<T: Scalar> HandleRegistry<T> {
     /// pattern, fresh values — so the registry never holds two copies
     /// of one fingerprint and re-tuned values win deterministically.
     pub fn insert(&self, tuned: TunedSpmv<T>) -> Arc<TunedSpmv<T>> {
-        let key = tuned.fingerprint();
-        let bytes = tuned.resident_bytes();
+        let (key, bytes) = (tuned.fingerprint(), tuned.resident_bytes());
         let arc = Arc::new(tuned);
-        if self.capacity == 0 {
-            return arc;
-        }
-        let stamp = self.tick();
-        let mut inner = self.lock();
-        if let Some(old) = inner.map.remove(&key) {
-            inner.resident_bytes = inner.resident_bytes.saturating_sub(old.bytes);
-        }
-        inner.resident_bytes += bytes;
-        inner.map.insert(
-            key,
-            Slot {
-                tuned: Arc::clone(&arc),
-                bytes,
-                stamp,
-            },
-        );
-        // Enforce both bounds, never evicting the entry just inserted.
-        while inner.map.len() > 1
-            && (inner.map.len() > self.capacity
-                || (self.budget_bytes > 0 && inner.resident_bytes > self.budget_bytes))
-        {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(v) => {
-                    if let Some(slot) = inner.map.remove(&v) {
-                        inner.resident_bytes = inner.resident_bytes.saturating_sub(slot.bytes);
-                    }
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
+        Lru::lock(&self.store).insert(key, Arc::clone(&arc), bytes);
         arc
     }
 
     /// Looks up a resident handle by fingerprint, refreshing its LRU
     /// stamp. Counts a hit or a miss either way.
     pub fn lookup(&self, key: &StructuralFingerprint) -> Option<Arc<TunedSpmv<T>>> {
-        let stamp = self.tick();
-        let mut inner = self.lock();
-        match inner.map.get_mut(key) {
-            Some(slot) => {
-                slot.stamp = stamp;
-                let arc = Arc::clone(&slot.tuned);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(arc)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = Lru::lock(&self.store).get_mut(key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Drops one resident handle. Returns whether it was present.
     /// Not counted as an eviction — this is the caller's decision,
     /// not a bound firing.
     pub fn remove(&self, key: &StructuralFingerprint) -> bool {
-        let mut inner = self.lock();
-        if let Some(slot) = inner.map.remove(key) {
-            inner.resident_bytes = inner.resident_bytes.saturating_sub(slot.bytes);
-            true
-        } else {
-            false
-        }
+        Lru::lock(&self.store).remove(key).is_some()
     }
 
     /// Drops every resident handle (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.resident_bytes = 0;
+        Lru::lock(&self.store).clear();
     }
 
     /// Handles currently resident.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        Lru::lock(&self.store).len()
     }
 
     /// Whether the registry holds no handles.
@@ -214,15 +124,51 @@ impl<T: Scalar> HandleRegistry<T> {
 
     /// A snapshot of the registry's counters and bounds.
     pub fn stats(&self) -> HandleStats {
-        let inner = self.lock();
+        let store = Lru::lock(&self.store);
         HandleStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            resident_bytes: inner.resident_bytes,
-            capacity: self.capacity,
-            budget_bytes: self.budget_bytes,
+            evictions: store.evictions,
+            entries: store.len(),
+            resident_bytes: store.weight(),
+            capacity: store.capacity,
+            budget_bytes: store.budget,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::tests::engine;
+    use smat_matrix::gen::tridiagonal;
+
+    #[test]
+    fn poisoned_lock_recovers_by_dropping_the_resident_handles() {
+        let e = engine();
+        let reg = Arc::new(HandleRegistry::new(4, 0));
+        let held = reg.insert(e.prepare(&tridiagonal::<f64>(120)));
+        // Poison the mutex: a thread panics while holding the lock.
+        let poisoner = Arc::clone(&reg);
+        let joined = std::thread::spawn(move || {
+            let _guard = poisoner.store.lock().unwrap();
+            panic!("poisoning the handle registry");
+        })
+        .join();
+        assert!(joined.is_err(), "the poisoning thread must have panicked");
+        // The next access recovers: the entries go, the byte gauge with
+        // them, and nothing is counted as an eviction.
+        assert!(reg.lookup(&held.fingerprint()).is_none());
+        let stats = reg.stats();
+        assert_eq!(
+            (stats.entries, stats.resident_bytes, stats.evictions),
+            (0, 0, 0)
+        );
+        // The handle handed out earlier and the registry both stay usable.
+        let again = reg.insert(e.prepare(&tridiagonal::<f64>(120)));
+        assert_eq!(again.fingerprint(), held.fingerprint());
+        let resolved = reg.lookup(&again.fingerprint()).expect("re-registered");
+        assert!(Arc::ptr_eq(&resolved, &again));
+        assert_eq!(reg.stats().resident_bytes, again.resident_bytes());
     }
 }

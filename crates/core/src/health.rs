@@ -253,6 +253,16 @@ impl HealthState {
         self.attention.load(Ordering::Relaxed) != 0
     }
 
+    /// A fresh breaker: closed, no incidents, the configured backoff.
+    fn closed_breaker(&self) -> Breaker {
+        Breaker {
+            state: BreakerState::Closed,
+            incidents: 0,
+            backoff: self.backoff0,
+            reopen_at: 0,
+        }
+    }
+
     fn lock_breakers(&self) -> std::sync::MutexGuard<'_, HashMap<KernelId, Breaker>> {
         self.breakers.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -326,12 +336,7 @@ impl HealthState {
             ring.push(incident);
         }
         let mut breakers = self.lock_breakers();
-        let b = breakers.entry(kernel).or_insert(Breaker {
-            state: BreakerState::Closed,
-            incidents: 0,
-            backoff: self.backoff0,
-            reopen_at: 0,
-        });
+        let b = breakers.entry(kernel).or_insert(self.closed_breaker());
         b.incidents = b.incidents.saturating_add(1);
         if probing || b.state == BreakerState::HalfOpen {
             // A failed re-probe re-opens with doubled (capped) backoff.
@@ -376,12 +381,7 @@ impl HealthState {
         }
         let mut breakers = self.lock_breakers();
         for &kernel in kernels {
-            let entry = breakers.entry(kernel).or_insert(Breaker {
-                state: BreakerState::Closed,
-                incidents: 0,
-                backoff: self.backoff0,
-                reopen_at: 0,
-            });
+            let entry = breakers.entry(kernel).or_insert(self.closed_breaker());
             if entry.state == BreakerState::Closed {
                 entry.state = BreakerState::Open;
                 entry.incidents = self.threshold;
@@ -498,25 +498,10 @@ impl HealthState {
             quarantine_evictions: self.quarantine_evictions.load(Ordering::Relaxed),
             degraded_prepares: self.degraded_prepares.load(Ordering::Relaxed),
             recent_incidents,
-            dispatch_fault_count: 0,
-            coalesced_waits: 0,
-            poison_recoveries: 0,
-            corrupt_evictions: 0,
-            cache_hits: 0,
-            cache_misses: 0,
+            // The dispatch and tuning-cache counters are the engine's to
+            // mirror in (`Smat::health_report`).
+            ..HealthReport::default()
         }
-    }
-}
-
-/// Renders a caught panic payload as a string (the common `&str` and
-/// `String` payload types; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

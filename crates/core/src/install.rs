@@ -11,8 +11,9 @@
 //! [`crate::SmatConfig::install_path`] is set.
 
 use crate::config::SmatConfig;
-use crate::error::{Result, SmatError};
-use crate::integrity::fnv1a64;
+use crate::error::Result;
+use crate::retry::RetryPolicy;
+use crate::sealed;
 use crate::train::Trainer;
 use serde::{Deserialize, Serialize};
 use smat_kernels::{KernelChoice, KernelId, KernelLibrary, PerfTable};
@@ -75,41 +76,11 @@ pub struct Installation {
     pub quarantined: Vec<KernelId>,
 }
 
-/// The on-disk envelope: the installation plus an FNV-1a checksum of
-/// its canonical (compact JSON) serialization. A tampered or truncated
-/// file fails verification on load and is regenerated by
-/// [`Installation::load_or_run`] instead of silently steering every
-/// SpMV onto the wrong kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SealedInstallation {
-    /// FNV-1a over the compact-JSON serialization of `payload`.
-    checksum: u64,
-    /// The installation itself.
-    payload: Installation,
-}
-
-/// The checksum input: the payload's compact JSON rendering. Struct
-/// serialization order is fixed, so this is deterministic across a
-/// save/load round trip.
-fn payload_checksum(payload: &Installation) -> Result<u64> {
-    let canonical = serde_json::to_string(payload).map_err(smat_learn::PersistError::from)?;
-    Ok(fnv1a64(canonical.as_bytes()))
-}
-
 impl Installation {
     /// Runs the kernel search now, without touching disk.
     pub fn run<T: Scalar>(config: &SmatConfig) -> Self {
-        Self::run_excluding::<T>(config, &[])
-    }
-
-    /// Runs the kernel search with a quarantine set: the listed
-    /// variants are excluded from the scoreboard (recorded as failed
-    /// candidates, like any `CandidateFailed` row) and carried into the
-    /// artifact's `quarantined` field.
-    pub fn run_excluding<T: Scalar>(config: &SmatConfig, quarantined: &[KernelId]) -> Self {
         let lib = KernelLibrary::<T>::new();
-        let trainer = Trainer::new(config.clone());
-        let (kernel_choice, tables) = trainer.search_kernels_excluding(&lib, quarantined);
+        let (kernel_choice, tables) = Trainer::new(config.clone()).search_kernels(&lib);
         Installation {
             schema: INSTALL_SCHEMA_VERSION,
             precision: T::PRECISION_NAME.to_string(),
@@ -117,35 +88,31 @@ impl Installation {
             probe_dim: config.probe_dim,
             kernel_choice,
             tables,
-            quarantined: quarantined.to_vec(),
+            quarantined: Vec::new(),
         }
     }
 
     /// Saves the installation as pretty JSON, sealed with a content
-    /// checksum and written atomically (`<path>.tmp` + rename).
+    /// checksum and written atomically (`<path>.tmp` + rename; see
+    /// [`crate::sealed`]). Transient I/O failures are retried under the
+    /// default [`SmatConfig`]'s policy.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] on I/O or serialization
     /// failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        // Failpoint `install.save`: scripted write failure for the
-        // whole sealed-envelope save, ahead of the finer-grained
-        // `persist.write`/`persist.rename` sites inside `save_json`.
-        if let Some(fault) = smat_failpoints::check("install.save") {
-            return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                fault.into(),
-            )));
-        }
-        let sealed = SealedInstallation {
-            checksum: payload_checksum(self)?,
-            payload: self.clone(),
-        };
-        smat_learn::save_json(&sealed, path)?;
-        Ok(())
+        self.save_with(path.as_ref(), RetryPolicy::default())
+    }
+
+    /// [`Self::save`] under an engine's configured retry policy.
+    pub(crate) fn save_with(&self, path: &Path, policy: RetryPolicy) -> Result<()> {
+        sealed::save(self, path, "install.save", policy)
     }
 
     /// Loads a previously saved installation, verifying its checksum.
+    /// Transient I/O failures are retried under the default
+    /// [`SmatConfig`]'s policy.
     ///
     /// # Errors
     ///
@@ -153,26 +120,18 @@ impl Installation {
     /// failure, and [`crate::SmatError::Corrupt`] when the file parses
     /// but its contents do not match the recorded checksum.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        // Failpoint `install.load`: scripted read failure, as if the
-        // artifact vanished or the mount dropped mid-read.
-        if let Some(fault) = smat_failpoints::check("install.load") {
-            return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                fault.into(),
-            )));
-        }
-        let sealed: SealedInstallation = smat_learn::load_json(path)?;
-        let actual = payload_checksum(&sealed.payload)?;
-        if actual != sealed.checksum {
-            return Err(SmatError::Corrupt {
-                what: format!("installation artifact {}", path.display()),
-                detail: format!(
-                    "checksum mismatch: recorded {:#018x}, contents hash to {actual:#018x}",
-                    sealed.checksum
-                ),
-            });
-        }
-        Ok(sealed.payload)
+        Self::load_with(path.as_ref(), RetryPolicy::default())
+    }
+
+    fn load_with(path: &Path, policy: RetryPolicy) -> Result<Self> {
+        sealed::load("installation artifact", path, "install.load", policy)
+    }
+
+    /// Whether this installation may steer a `T` engine of this build:
+    /// same precision, same kernel-library rows.
+    pub(crate) fn check_stamp<T: Scalar>(&self) -> Result<()> {
+        let live = KernelLibrary::<T>::new().digest();
+        sealed::check_stamp::<T>("installation", &self.precision, self.library_digest, live)
     }
 
     /// Loads the installation from `path` if it exists and matches this
@@ -191,30 +150,27 @@ impl Installation {
     ///
     /// Returns [`crate::SmatError::Persist`] only when *writing* a
     /// fresh installation fails after exhausting the configured
-    /// [`crate::SmatConfig::persist_retries`] (transient I/O failures
-    /// are retried with backoff; permanent errors surface immediately);
-    /// unreadable existing files fall back to regeneration.
+    /// [`crate::SmatConfig::persist_retries`] (transient I/O failures,
+    /// reading or writing, are retried with backoff; permanent errors
+    /// surface immediately); unreadable existing files fall back to
+    /// regeneration.
     pub fn load_or_run<T: Scalar>(
         path: impl AsRef<Path>,
         config: &SmatConfig,
     ) -> Result<(Self, bool)> {
         let path = path.as_ref();
+        let policy = RetryPolicy::from_config(config);
         if path.exists() {
-            if let Ok(installed) = Self::load(path) {
+            if let Ok(installed) = Self::load_with(path, policy) {
                 if installed.schema == INSTALL_SCHEMA_VERSION
-                    && installed.precision == T::PRECISION_NAME
-                    && installed.library_digest == KernelLibrary::<T>::new().digest()
+                    && installed.check_stamp::<T>().is_ok()
                 {
                     return Ok((installed, true));
                 }
             }
         }
         let fresh = Self::run::<T>(config);
-        crate::retry::retry_transient(
-            crate::retry::RetryPolicy::from_config(config),
-            "install.save",
-            || fresh.save(path),
-        )?;
+        fresh.save_with(path, policy)?;
         Ok((fresh, false))
     }
 }

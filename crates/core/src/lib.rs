@@ -51,9 +51,11 @@ mod health;
 mod install;
 mod integrity;
 mod interface;
+mod lru;
 mod model;
 mod retry;
 mod runtime;
+mod sealed;
 mod stats;
 mod train;
 
@@ -68,4 +70,4 @@ pub use model::{class_names, group_class_order, FormatDecision, TrainStats, Trai
 pub use runtime::{DecisionPath, Smat, TunedSpmv};
 pub use smat_kernels::ExecPlan;
 pub use stats::{accuracy, analyze, basic_csr_time, tuned_gflops, AnalysisRow, SmatStats};
-pub use train::{consultation_order, label_best_format, measure_formats, Trainer, TrainingOutput};
+pub use train::{label_best_format, measure_formats, Trainer, TrainingOutput};

@@ -4,10 +4,12 @@
 
 use crate::config::GROUP_ORDER;
 use crate::error::Result;
+use crate::retry::RetryPolicy;
+use crate::sealed;
 use serde::{Deserialize, Serialize};
 use smat_features::FeatureVector;
 use smat_kernels::KernelChoice;
-use smat_learn::{GroupDecision, RuleGroups, RuleSet};
+use smat_learn::{RuleGroups, RuleSet};
 use smat_matrix::Format;
 use std::path::Path;
 
@@ -54,28 +56,36 @@ impl TrainedModel {
     /// rules (no early-exit bookkeeping — the runtime handles lazy `R`).
     pub fn predict(&self, features: &FeatureVector) -> FormatDecision {
         let d = self.groups.decide(&features.as_array());
-        FormatDecision::from_group_decision(d)
+        FormatDecision {
+            format: Format::from_index(d.class),
+            confidence: d.confidence,
+            matched: d.matched,
+        }
     }
 
-    /// Saves the model as JSON.
+    /// Saves the model as pretty JSON, sealed with a content checksum
+    /// and written atomically (see [`crate::sealed`]).
     ///
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] on I/O or serialization
     /// failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        smat_learn::save_json(self, path)?;
-        Ok(())
+        sealed::save(self, path.as_ref(), "model.save", RetryPolicy::default())
     }
 
-    /// Loads a model saved by [`TrainedModel::save`].
+    /// Loads a model saved by [`TrainedModel::save`], verifying its
+    /// checksum: the rules steer every decision, so a file edited after
+    /// it was saved is refused even when it still parses.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] on I/O or deserialization
-    /// failure.
+    /// failure, and [`crate::SmatError::Corrupt`] when the contents do
+    /// not match the recorded checksum.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(smat_learn::load_json(path)?)
+        let policy = RetryPolicy::default();
+        sealed::load("trained model", path.as_ref(), "model.load", policy)
     }
 }
 
@@ -89,18 +99,6 @@ pub struct FormatDecision {
     pub confidence: f64,
     /// Whether a rule matched (as opposed to the default class).
     pub matched: bool,
-}
-
-impl FormatDecision {
-    /// Converts a learner [`GroupDecision`] (class indices) into format
-    /// terms.
-    pub fn from_group_decision(d: GroupDecision) -> Self {
-        FormatDecision {
-            format: Format::from_index(d.class),
-            confidence: d.confidence,
-            matched: d.matched,
-        }
-    }
 }
 
 /// Class names for the learner's datasets, in [`Format::index`] order.

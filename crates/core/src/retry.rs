@@ -27,6 +27,14 @@ pub(crate) struct RetryPolicy {
     pub base_backoff: Duration,
 }
 
+impl Default for RetryPolicy {
+    /// The default [`crate::SmatConfig`]'s policy, for the save/load
+    /// entry points that take no configuration.
+    fn default() -> Self {
+        Self::from_config(&crate::SmatConfig::default())
+    }
+}
+
 impl RetryPolicy {
     /// The policy configured by a [`crate::SmatConfig`].
     pub fn from_config(config: &crate::SmatConfig) -> Self {

@@ -12,17 +12,14 @@
 use crate::cache::{CacheStats, CachedDecision, CachedSpmm, TuningCache};
 use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
-use crate::health::{
-    panic_message, Admission, ExecIncident, FaultKind, HealthReport, HealthState, PoolMode,
-};
+use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState, PoolMode};
 use crate::install::Installation;
-use crate::integrity::fnv1a64;
 use crate::model::TrainedModel;
-use crate::retry::{retry_transient, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::stats::SmatStats;
 use serde::{Deserialize, Serialize};
 use smat_features::{extract_structure, FeatureVector};
-use smat_kernels::timing::{gflops, measure_guarded};
+use smat_kernels::timing::{gflops, measure_guarded, panic_message};
 use smat_kernels::{ExecPlan, KernelId, KernelLibrary, Op};
 use smat_learn::ClassGroup;
 use smat_matrix::{AnyMatrix, Csr, Format, Scalar, StructuralFingerprint};
@@ -158,14 +155,10 @@ impl Drop for InflightGuard<'_> {
 /// the tuning cache).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SpmmPick {
-    /// A tiled SpMM kernel with its searched chunk plan: the warm
+    /// A tiled SpMM kernel with its searched chunk plan (row-granular
+    /// and k-agnostic), as the tuning cache stores it: the warm
     /// zero-allocation path.
-    Tiled {
-        /// The winning SpMM kernel (`op == Op::Spmm`).
-        kernel: KernelId,
-        /// The searched chunk plan, row-granular and k-agnostic.
-        plan: ExecPlan,
-    },
+    Tiled(CachedSpmm),
     /// The format has no tiled SpMM kernels (COO/DIA/HYB) or none
     /// survived measurement: serve column by column through the
     /// reference SpMV kernel (the degraded, allocating tier).
@@ -187,20 +180,6 @@ pub struct TunedSpmv<T> {
     /// `OnceLock` so the first `spmm` call can attach it through a
     /// shared reference; cloning carries the resolved pick along.
     spmm: OnceLock<SpmmPick>,
-}
-
-/// Equality ignores the lazily-attached SpMM pick: it is a tuning
-/// cache keyed by the same decision, not part of the decision itself.
-impl<T: PartialEq> PartialEq for TunedSpmv<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.matrix == other.matrix
-            && self.kernel == other.kernel
-            && self.plan == other.plan
-            && self.features == other.features
-            && self.decision == other.decision
-            && self.prepare_time == other.prepare_time
-            && self.fingerprint == other.fingerprint
-    }
 }
 
 impl<T: Scalar> TunedSpmv<T> {
@@ -253,15 +232,7 @@ impl<T: Scalar> TunedSpmv<T> {
     /// before that call, and for formats served per-column.
     pub fn spmm_kernel(&self) -> Option<KernelId> {
         match self.spmm.get() {
-            Some(SpmmPick::Tiled { kernel, .. }) => Some(*kernel),
-            _ => None,
-        }
-    }
-
-    /// The searched SpMM chunk plan, when a tiled pick is attached.
-    pub fn spmm_plan(&self) -> Option<&ExecPlan> {
-        match self.spmm.get() {
-            Some(SpmmPick::Tiled { plan, .. }) => Some(plan),
+            Some(SpmmPick::Tiled(pick)) => Some(pick.kernel),
             _ => None,
         }
     }
@@ -355,14 +326,6 @@ impl<T: Scalar> Smat<T> {
                 data: T::PRECISION_NAME,
             });
         }
-        if let Some(n) = config.pool_threads {
-            smat_kernels::exec::set_thread_target(n);
-        }
-        // Process-global like the pool target: the Simd-tagged kernels
-        // read the policy at dispatch time, so the last engine built
-        // wins. Both backends are bit-identical, so a race here can
-        // never change results.
-        smat_kernels::simd::set_backend(config.simd_backend);
         let mut installation = None;
         let mut installation_from_disk = false;
         if let Some(path) = &config.install_path {
@@ -408,17 +371,7 @@ impl<T: Scalar> Smat<T> {
         config: SmatConfig,
         installation: Installation,
     ) -> Result<Self> {
-        if installation.precision != T::PRECISION_NAME {
-            return Err(SmatError::PrecisionMismatch {
-                model: installation.precision.clone(),
-                data: T::PRECISION_NAME,
-            });
-        }
-        check_library_digest(
-            "installation",
-            installation.library_digest,
-            KernelLibrary::<T>::new().digest(),
-        )?;
+        installation.check_stamp::<T>()?;
         model.kernel_choice = installation.kernel_choice.clone();
         let mut config = config;
         config.install_path = None;
@@ -534,34 +487,9 @@ impl<T: Scalar> Smat<T> {
     /// Returns [`SmatError::Persist`] when writing fails after
     /// exhausting the retries.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        let path = path.as_ref();
-        let entries = self.cache.snapshot();
-        let count = entries.len();
-        let sealed = SealedCacheSnapshot {
-            checksum: snapshot_checksum(&entries)?,
-            precision: T::PRECISION_NAME.to_string(),
-            library_digest: self.lib.digest(),
-            entries,
-        };
-        self.snapshot_io("cache.persist", || {
-            Ok(smat_learn::save_json(&sealed, path)?)
-        })?;
-        Ok(count)
-    }
-
-    /// One whole-snapshot I/O step, retried on transient failures per
-    /// [`SmatConfig::persist_retries`]. `site` names both the retry
-    /// label and the failpoint (`cache.persist` / `cache.load`) that
-    /// scripts a transient failure of the step.
-    fn snapshot_io<R>(&self, site: &'static str, mut io: impl FnMut() -> Result<R>) -> Result<R> {
-        retry_transient(RetryPolicy::from_config(&self.config), site, || {
-            if let Some(fault) = smat_failpoints::check(site) {
-                return Err(SmatError::Persist(smat_learn::PersistError::Io(
-                    fault.into(),
-                )));
-            }
-            io()
-        })
+        let policy = RetryPolicy::from_config(&self.config);
+        self.cache
+            .save::<T>(path.as_ref(), self.lib.digest(), policy)
     }
 
     /// Warm-starts the tuning cache from a snapshot written by
@@ -582,33 +510,9 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::PrecisionMismatch`] when the snapshot was taken by
     /// an engine of the other precision.
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        let path = path.as_ref();
-        let sealed: SealedCacheSnapshot =
-            self.snapshot_io("cache.load", || Ok(smat_learn::load_json(path)?))?;
-        let actual = snapshot_checksum(&sealed.entries)?;
-        if actual != sealed.checksum {
-            return Err(SmatError::Corrupt {
-                what: format!("tuning cache snapshot {}", path.display()),
-                detail: format!(
-                    "checksum mismatch: recorded {:#018x}, contents hash to {actual:#018x}",
-                    sealed.checksum
-                ),
-            });
-        }
-        if sealed.precision != T::PRECISION_NAME {
-            return Err(SmatError::PrecisionMismatch {
-                model: sealed.precision,
-                data: T::PRECISION_NAME,
-            });
-        }
-        check_library_digest(
-            "tuning cache snapshot",
-            sealed.library_digest,
-            self.lib.digest(),
-        )?;
-        let count = sealed.entries.len();
-        self.cache.absorb(sealed.entries);
-        Ok(count)
+        let policy = RetryPolicy::from_config(&self.config);
+        self.cache
+            .load::<T>(path.as_ref(), self.lib.digest(), policy)
     }
 
     /// Tunes a matrix: Figure 7's runtime procedure, fronted by the
@@ -714,10 +618,10 @@ impl<T: Scalar> Smat<T> {
                     // quarantined kernel is dropped and re-tuned.
                     let spmm = match &hit.spmm {
                         Some(cached) if !self.health.quarantined(cached.kernel) => {
-                            OnceLock::from(SpmmPick::Tiled {
+                            OnceLock::from(SpmmPick::Tiled(CachedSpmm {
                                 kernel: cached.kernel,
                                 plan: fresh(&cached.plan),
-                            })
+                            }))
                         }
                         _ => OnceLock::new(),
                     };
@@ -830,8 +734,8 @@ impl<T: Scalar> Smat<T> {
 
     /// Upgrades the default plan for `kernel` on `matrix` by searching
     /// chunk policy and fan-out width ([`smat_kernels::search_plan`]).
-    /// The search only runs where it can pay: the knob is on, the
-    /// kernel has a parallel planned path on a physical CSR matrix, and
+    /// The search only runs where it can pay: the kernel has a
+    /// parallel planned path on a physical CSR matrix, and
     /// the R feature (computed lazily here if no rule group already
     /// forced it) reports a scale-free row-degree distribution — the
     /// structures where uniform row splits lose. Near-uniform matrices
@@ -848,7 +752,7 @@ impl<T: Scalar> Smat<T> {
         req_deadline: Option<Instant>,
     ) -> ExecPlan {
         let default_plan = planner.plan_for(&self.lib, matrix, kernel);
-        if !self.config.plan_search || default_plan.is_serial() || matrix.format() != Format::Csr {
+        if default_plan.is_serial() || matrix.format() != Format::Csr {
             return default_plan;
         }
         if !*r_computed {
@@ -915,13 +819,11 @@ impl<T: Scalar> Smat<T> {
         // Input screening: a poisoned matrix (NaN/Inf values) would
         // corrupt every fallback measurement and the tuned result
         // alike, so it is quarantined to the reference path up front.
-        let limits = self.config.conversion_limits();
-        if self.config.screen_inputs {
-            if let Some((row, col)) = csr.first_non_finite() {
-                let reason = format!("non-finite value at ({row}, {col}); input quarantined");
-                return self.degrade(csr, features, reason, t0, fingerprint);
-            }
+        if let Some((row, col)) = csr.first_non_finite() {
+            let reason = format!("non-finite value at ({row}, {col}); input quarantined");
+            return self.degrade(csr, features, reason, t0, fingerprint);
         }
+        let limits = self.config.conversion_limits();
         // One planner per tuning run: the fallback candidates below are
         // conversions of one matrix whose kernels may share a chunk
         // policy, and the winner is planned again on the way out — the
@@ -1268,7 +1170,7 @@ impl<T: Scalar> Smat<T> {
         if let (Some(path), Some(installation)) = (&self.config.install_path, &self.installation) {
             let mut snapshot = installation.clone();
             snapshot.quarantined = self.health.quarantined_kernels();
-            let _ = snapshot.save(path);
+            let _ = snapshot.save_with(path, RetryPolicy::from_config(&self.config));
         }
     }
 
@@ -1316,7 +1218,7 @@ impl<T: Scalar> Smat<T> {
                 self.health.tick(Op::Spmm);
                 self.run_spmm_fallback(tuned, x, y, k)
             }
-            SpmmPick::Tiled { kernel, plan } => self.execute(tuned, *kernel, plan, x, y, k),
+            SpmmPick::Tiled(pick) => self.execute(tuned, pick.kernel, &pick.plan, x, y, k),
         }
     }
 
@@ -1338,7 +1240,7 @@ impl<T: Scalar> Smat<T> {
         // something to win on.
         let probe_k = k.max(4);
         let excluded = self.health.quarantined_kernels();
-        let table = smat_kernels::measure_spmm_excluding(
+        let table = smat_kernels::measure_spmm(
             &self.lib,
             &tuned.matrix,
             probe_k,
@@ -1356,7 +1258,7 @@ impl<T: Scalar> Smat<T> {
             variant: best,
         };
         let mut plan = self.lib.plan_for(&tuned.matrix, kernel);
-        if self.config.plan_search && !plan.is_serial() {
+        if !plan.is_serial() {
             if let Some(found) = smat_kernels::search_spmm_plan(
                 &self.lib,
                 &tuned.matrix,
@@ -1368,23 +1270,17 @@ impl<T: Scalar> Smat<T> {
                 plan = found.plan;
             }
         }
+        let pick = CachedSpmm { kernel, plan };
         // Attach the pick to the cached decision (if one is resident)
         // so the next `prepare` of this structure replays it.
         if let Some(hit) = self.cache.get(&tuned.fingerprint) {
             if hit.spmm.is_none() {
-                self.cache.insert(
-                    tuned.fingerprint,
-                    CachedDecision {
-                        spmm: Some(CachedSpmm {
-                            kernel,
-                            plan: plan.clone(),
-                        }),
-                        ..hit
-                    },
-                );
+                let spmm = Some(pick.clone());
+                self.cache
+                    .insert(tuned.fingerprint, CachedDecision { spmm, ..hit });
             }
         }
-        SpmmPick::Tiled { kernel, plan }
+        SpmmPick::Tiled(pick)
     }
 
     /// The per-column SpMM tier for formats without tiled kernels:
@@ -1430,32 +1326,6 @@ impl<T: Scalar> Smat<T> {
     }
 }
 
-/// The on-disk envelope of a tuning-cache snapshot: entries plus an
-/// FNV-1a checksum of their canonical (compact JSON) serialization, the
-/// precision they were tuned under and the kernel library they index
-/// into — the same sealing scheme as [`crate::Installation`] artifacts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SealedCacheSnapshot {
-    /// FNV-1a over the compact-JSON serialization of `entries`.
-    checksum: u64,
-    /// Precision of the engine that wrote the snapshot.
-    precision: String,
-    /// [`KernelLibrary::digest`] of the engine that wrote the snapshot:
-    /// the entries' kernel ids are raw indices into its tables.
-    library_digest: u64,
-    /// The snapshotted cache entries.
-    entries: Vec<(StructuralFingerprint, CachedDecision)>,
-}
-
-/// The checksum input: the entries' compact JSON rendering (struct
-/// serialization order is fixed, so this is deterministic across a
-/// save/load round trip).
-fn snapshot_checksum(entries: &[(StructuralFingerprint, CachedDecision)]) -> Result<u64> {
-    let canonical =
-        serde_json::to_string(&entries.to_vec()).map_err(smat_learn::PersistError::from)?;
-    Ok(fnv1a64(canonical.as_bytes()))
-}
-
 /// Runs a reference path that has nothing below it. A panic here is the
 /// double fault — the serial reference itself failed — and surfaces as
 /// [`SmatError::KernelPanic`] naming `what` ran.
@@ -1463,22 +1333,6 @@ fn last_resort(what: impl FnOnce() -> String, run: impl FnOnce()) -> Result<()> 
     catch_unwind(AssertUnwindSafe(run)).map_err(|payload| SmatError::KernelPanic {
         what: what(),
         message: panic_message(payload.as_ref()),
-    })
-}
-
-/// Refuses a persisted artifact whose kernel indices were recorded
-/// against other variant tables than this build's: replaying them would
-/// run a different kernel, or index out of range on every call.
-fn check_library_digest(what: &str, recorded: u64, live: u64) -> Result<()> {
-    if recorded == live {
-        return Ok(());
-    }
-    Err(SmatError::Corrupt {
-        what: what.to_string(),
-        detail: format!(
-            "written under kernel library digest {recorded:#018x}, this build's is \
-             {live:#018x}; its variant indices name different kernels"
-        ),
     })
 }
 
@@ -1515,7 +1369,7 @@ fn group_tests_r(group: &ClassGroup) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{class_names, group_class_order, TrainStats};
     use smat_features::ATTRIBUTE_NAMES;
@@ -1577,7 +1431,7 @@ mod tests {
         }
     }
 
-    fn engine() -> Smat<f64> {
+    pub(crate) fn engine() -> Smat<f64> {
         Smat::with_config(model(), SmatConfig::fast()).unwrap()
     }
 
@@ -1816,7 +1670,7 @@ mod tests {
         let again = e.prepare(&m);
         assert!(again.decision().is_cached());
         assert_eq!(again.spmm_kernel(), Some(kernel));
-        assert_eq!(again.spmm_plan(), tuned.spmm_plan());
+        assert_eq!(again.spmm.get(), tuned.spmm.get());
         // … and the replayed product is bit-identical (same kernel,
         // same plan, same reduction order).
         let mut y2 = vec![0.0; m.rows() * k];
@@ -1942,19 +1796,6 @@ mod tests {
         let tuned2 = e.prepare(&healthy);
         assert!(!tuned2.decision().is_degraded());
         assert!(!tuned2.decision().is_cached());
-    }
-
-    #[test]
-    fn screening_can_be_disabled() {
-        let cfg = SmatConfig {
-            screen_inputs: false,
-            ..SmatConfig::fast()
-        };
-        let e = Smat::<f64>::with_config(model(), cfg).unwrap();
-        let mut m = tridiagonal::<f64>(200);
-        m.values_mut()[3] = f64::INFINITY;
-        let tuned = e.prepare(&m);
-        assert!(!tuned.decision().is_degraded());
     }
 
     #[test]
@@ -2220,7 +2061,6 @@ mod tests {
         // the reference kernel too: that is the data's fault, not the
         // kernel's, so no incident is recorded.
         let cfg = SmatConfig {
-            screen_inputs: false,
             screen_outputs: true,
             ..SmatConfig::fast()
         };

@@ -56,16 +56,21 @@ pub struct AnalysisRow {
     pub format_gflops: [f64; Format::COUNT],
 }
 
+/// Median time of `run` over a repetition count that one probe run
+/// sizes to take roughly `budget`.
+fn median_within(budget: Duration, mut run: impl FnMut()) -> Duration {
+    let t0 = Instant::now();
+    run();
+    let reps = reps_for_budget(t0.elapsed(), budget, 3, 32);
+    time_median(run, 0, reps)
+}
+
 /// Measures the time of one basic (serial, unoptimized) CSR SpMV — the
 /// denominator of the paper's overhead metric.
 pub fn basic_csr_time<T: Scalar>(m: &Csr<T>, budget: Duration) -> Duration {
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
-    let t0 = Instant::now();
-    smat_kernels::csr::basic(m, &x, &mut y);
-    let one = t0.elapsed();
-    let reps = reps_for_budget(one, budget, 3, 32);
-    time_median(|| smat_kernels::csr::basic(m, &x, &mut y), 0, reps)
+    median_within(budget, || smat_kernels::csr::basic(m, &x, &mut y))
 }
 
 /// Measures the tuned SpMV's throughput.
@@ -73,18 +78,8 @@ pub fn tuned_gflops<T: Scalar>(engine: &Smat<T>, tuned: &TunedSpmv<T>, budget: D
     let m = tuned.matrix();
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
-    let t0 = Instant::now();
-    engine.spmv(tuned, &x, &mut y).expect("sized vectors");
-    let one = t0.elapsed();
-    let reps = reps_for_budget(one, budget, 3, 32);
-    let med = time_median(
-        || {
-            engine.spmv(tuned, &x, &mut y).expect("sized vectors");
-        },
-        0,
-        reps,
-    );
-    gflops(m.nnz(), med)
+    let run = || engine.spmv(tuned, &x, &mut y).expect("sized vectors");
+    gflops(m.nnz(), median_within(budget, run))
 }
 
 /// Runs the full Table 3 analysis for one matrix: SMAT's decision path,

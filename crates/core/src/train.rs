@@ -2,15 +2,16 @@
 //! construction (training labels by exhaustive measurement), model
 //! generation (tree → ruleset → ordering → tailoring → grouping).
 
-use crate::config::{SmatConfig, GROUP_ORDER};
+use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
 use crate::model::{class_names, group_class_order, TrainStats, TrainedModel};
 use smat_features::{extract_features, ATTRIBUTE_NAMES};
 use smat_kernels::timing::{gflops, measure_guarded};
-use smat_kernels::{
-    measure_format_excluding, KernelChoice, KernelId, KernelLibrary, PerfTable, Planner,
+use smat_kernels::{measure_format, KernelChoice, KernelLibrary, PerfTable, Planner};
+use smat_learn::{
+    order_by_contribution, tailor, Dataset, DecisionTree, RuleGroups, RuleSet, TreeParams,
+    DEFAULT_TAILOR_TOLERANCE,
 };
-use smat_learn::{order_by_contribution, tailor, Dataset, DecisionTree, RuleGroups, RuleSet};
 use smat_matrix::gen::{
     banded, block_sparse, fixed_degree, power_law, random_skewed, random_uniform,
 };
@@ -110,19 +111,6 @@ impl Trainer {
         &self,
         lib: &KernelLibrary<T>,
     ) -> (KernelChoice, Vec<PerfTable>) {
-        self.search_kernels_excluding(lib, &[])
-    }
-
-    /// [`Self::search_kernels`] with a quarantine list: the excluded
-    /// variants are recorded on the scoreboard as failed candidates
-    /// (reason `"quarantined"`) and can never win, so a machine whose
-    /// runtime health subsystem has tripped a breaker re-tunes around
-    /// the faulty kernel rather than re-selecting it.
-    pub fn search_kernels_excluding<T: Scalar>(
-        &self,
-        lib: &KernelLibrary<T>,
-        excluded: &[KernelId],
-    ) -> (KernelChoice, Vec<PerfTable>) {
         let n = self.config.probe_dim.max(64);
         let mut choice = KernelChoice::basic();
         let mut tables = Vec::with_capacity(Format::COUNT);
@@ -141,12 +129,12 @@ impl Trainer {
             };
             let any = AnyMatrix::convert_from_csr(&probe, format)
                 .expect("probe matrices convert to their own format");
-            let table = measure_format_excluding(
+            let table = measure_format(
                 lib,
                 &any,
                 self.config.search_budget,
                 self.config.candidate_deadline,
-                excluded,
+                &[],
             );
             choice.set(format, table.scoreboard().best_variant);
             tables.push(table);
@@ -195,11 +183,11 @@ impl Trainer {
             masked = database.neutralize(&self.config.excluded_attributes);
             &masked
         };
-        let tree = DecisionTree::fit(database, self.config.tree_params);
+        let tree = DecisionTree::fit(database, TreeParams::default());
         let raw = RuleSet::from_tree(&tree, database);
         let ordered = order_by_contribution(&raw, database);
         let train_accuracy = ordered.accuracy(database);
-        let tailored = tailor(&ordered, database, self.config.tailor_tolerance);
+        let tailored = tailor(&ordered, database, DEFAULT_TAILOR_TOLERANCE);
         let tailored_accuracy = tailored.accuracy(database);
         let groups = RuleGroups::from_ruleset(&tailored, &group_class_order());
         let counts = database.class_counts();
@@ -264,11 +252,6 @@ impl Trainer {
             perf_tables,
         })
     }
-}
-
-/// Consultation order of the rule groups, re-exported for diagnostics.
-pub fn consultation_order() -> [Format; Format::COUNT] {
-    GROUP_ORDER
 }
 
 #[cfg(test)]

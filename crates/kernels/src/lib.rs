@@ -16,22 +16,21 @@
 //!
 //! # Examples
 //!
-//! Search for the best kernels on this machine, then run the chosen CSR
-//! kernel:
+//! Search for the best CSR kernel on this machine, then run it:
 //!
 //! ```
-//! use smat_kernels::{search_kernels, KernelLibrary};
-//! use smat_matrix::{gen::random_uniform, AnyMatrix, Format};
+//! use smat_kernels::{measure_format, KernelLibrary, DEFAULT_CANDIDATE_DEADLINE};
+//! use smat_matrix::{gen::random_uniform, AnyMatrix};
 //! use std::time::Duration;
 //!
 //! let lib = KernelLibrary::<f64>::new();
-//! let probe = random_uniform::<f64>(500, 500, 8, 42);
-//! let (choice, _tables) = search_kernels(&lib, &probe, Duration::from_millis(1));
+//! let a = AnyMatrix::Csr(random_uniform::<f64>(500, 500, 8, 42));
+//! let budget = Duration::from_millis(1);
+//! let table = measure_format(&lib, &a, budget, DEFAULT_CANDIDATE_DEADLINE, &[]);
 //!
 //! let x = vec![1.0; 500];
 //! let mut y = vec![0.0; 500];
-//! let a = AnyMatrix::Csr(probe);
-//! lib.run(&a, choice.kernel(Format::Csr).variant, &x, &mut y);
+//! lib.run(&a, table.scoreboard().best_variant, &x, &mut y);
 //! assert!(y.iter().any(|&v| v != 0.0));
 //! ```
 
@@ -59,9 +58,8 @@ pub mod timing;
 pub use plan::ExecPlan;
 pub use registry::{ChunkPolicy, KernelFn, KernelId, KernelInfo, KernelLibrary, Op, Planner};
 pub use search::{
-    measure_format, measure_format_excluding, measure_spmm, measure_spmm_excluding, search_kernels,
-    search_kernels_excluding, search_plan, search_spmm_plan, KernelChoice, PerfRecord, PerfTable,
-    PlanSample, PlanSearch, RecordStatus, Scoreboard, DEFAULT_CANDIDATE_DEADLINE,
+    measure_format, measure_spmm, search_plan, search_spmm_plan, KernelChoice, PerfRecord,
+    PerfTable, PlanSample, PlanSearch, RecordStatus, Scoreboard, DEFAULT_CANDIDATE_DEADLINE,
 };
 pub use simd::SimdBackend;
 pub use strategy::{Strategy, StrategySet};

@@ -116,6 +116,7 @@ pub(crate) fn kernel_rows(rows: &[(&'static str, &[Strategy])]) -> Vec<KernelInf
 /// assert_eq!(y, [3.0, 4.0]);
 /// # Ok::<(), smat_matrix::MatrixError>(())
 /// ```
+#[derive(Clone)]
 pub struct KernelLibrary<T: Scalar> {
     /// The SpMV table: per [`Format::index`], the ordered rows.
     spmv: [Vec<KernelInfo>; Format::COUNT],

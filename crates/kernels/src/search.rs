@@ -14,7 +14,7 @@ use crate::registry::{KernelId, KernelLibrary, Op, Planner};
 use crate::strategy::{Strategy, StrategySet};
 use crate::timing::{gflops, measure_guarded, MeasureOutcome};
 use serde::{Deserialize, Serialize};
-use smat_matrix::{AnyMatrix, Csr, Format, Scalar};
+use smat_matrix::{AnyMatrix, Format, Scalar};
 use std::time::Duration;
 
 /// Performance gap (GFLOPS) below which a strategy is considered to have
@@ -173,8 +173,9 @@ pub struct Scoreboard {
     pub best_variant: usize,
 }
 
-/// Per-format kernel selection produced by [`search_kernels`]: the
-/// "optimal kernel" box of the paper's Figure 4.
+/// Per-format kernel selection, one scoreboard winner
+/// ([`measure_format`]) per format: the "optimal kernel" box of the
+/// paper's Figure 4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelChoice {
     /// Chosen variant index per format, indexed by [`Format::index`].
@@ -204,8 +205,8 @@ impl KernelChoice {
     }
 }
 
-/// Default per-candidate deadline used by [`search_kernels`] and any
-/// caller that has no configured deadline of its own.
+/// Default per-candidate deadline, for callers that have no configured
+/// deadline of their own.
 pub const DEFAULT_CANDIDATE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Measures every variant of `format` on the probe matrix and returns the
@@ -216,21 +217,13 @@ pub const DEFAULT_CANDIDATE_DEADLINE: Duration = Duration::from_secs(2);
 /// kernel invocation runs inside [`measure_guarded`]'s `catch_unwind`,
 /// so a panicking or over-deadline variant is recorded as
 /// [`RecordStatus::CandidateFailed`] rather than aborting the search.
-pub fn measure_format<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &AnyMatrix<T>,
-    budget: Duration,
-    deadline: Duration,
-) -> PerfTable {
-    measure_format_excluding(lib, probe, budget, deadline, &[])
-}
-
-/// [`measure_format`] with a quarantine set: variants listed in
-/// `excluded` are never executed — their rows are recorded as
+///
+/// `excluded` is a quarantine set: the variants it lists are never
+/// executed — their rows are recorded as
 /// [`RecordStatus::CandidateFailed`] with reason `"quarantined"`, so
 /// the scoreboard treats them exactly like a variant that failed in the
 /// harness (excluded from strategy pairing and from selection).
-pub fn measure_format_excluding<T: Scalar>(
+pub fn measure_format<T: Scalar>(
     lib: &KernelLibrary<T>,
     probe: &AnyMatrix<T>,
     budget: Duration,
@@ -297,79 +290,13 @@ fn measure_table<T: Scalar>(
     PerfTable { format, records }
 }
 
-/// Runs the full offline kernel search on a probe matrix (given in the
-/// unified CSR format): measures every variant of every format and picks
-/// the scoreboard winner per format.
-///
-/// Formats whose conversion fails on the probe (e.g. DIA on a scattered
-/// matrix) keep their basic variant and get an empty perf table; a
-/// format whose every variant fails in the harness likewise keeps its
-/// basic variant (the scoreboard never selects a failed row).
-pub fn search_kernels<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &Csr<T>,
-    budget_per_variant: Duration,
-) -> (KernelChoice, Vec<PerfTable>) {
-    search_kernels_excluding(lib, probe, budget_per_variant, &[])
-}
-
-/// [`search_kernels`] with a quarantine set: the listed variants are
-/// excluded from every format's scoreboard (recorded as failed
-/// candidates with reason `"quarantined"`), so a kernel benched by the
-/// runtime circuit breaker can never be re-selected by a search run
-/// while its breaker is open.
-pub fn search_kernels_excluding<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &Csr<T>,
-    budget_per_variant: Duration,
-    excluded: &[KernelId],
-) -> (KernelChoice, Vec<PerfTable>) {
-    let mut choice = KernelChoice::basic();
-    let mut tables = Vec::with_capacity(Format::COUNT);
-    for format in Format::ALL {
-        match AnyMatrix::convert_from_csr(probe, format) {
-            Ok(any) => {
-                let table = measure_format_excluding(
-                    lib,
-                    &any,
-                    budget_per_variant,
-                    DEFAULT_CANDIDATE_DEADLINE,
-                    excluded,
-                );
-                choice.set(format, table.scoreboard().best_variant);
-                tables.push(table);
-            }
-            Err(_) => {
-                tables.push(PerfTable {
-                    format,
-                    records: Vec::new(),
-                });
-            }
-        }
-    }
-    (choice, tables)
-}
-
 /// Measures every SpMM variant of the probe's format at RHS batch width
 /// `k` and returns the performance record table. The mirror of
-/// [`measure_format`] for the batched tier: throughput counts
-/// `2 * nnz * k` flops per call, rows index the library's SpMM tables,
-/// and a
-/// format with no SpMM kernels (COO/DIA/HYB) yields an empty table.
+/// [`measure_format`] for the batched tier, `excluded` included:
+/// throughput counts `2 * nnz * k` flops per call, rows index the
+/// library's SpMM tables, and a format with no SpMM kernels
+/// (COO/DIA/HYB) yields an empty table.
 pub fn measure_spmm<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &AnyMatrix<T>,
-    k: usize,
-    budget: Duration,
-    deadline: Duration,
-) -> PerfTable {
-    measure_spmm_excluding(lib, probe, k, budget, deadline, &[])
-}
-
-/// [`measure_spmm`] with a quarantine set, matching
-/// [`measure_format_excluding`]'s contract: excluded SpMM variants are
-/// recorded as failed candidates with reason `"quarantined"`.
-pub fn measure_spmm_excluding<T: Scalar>(
     lib: &KernelLibrary<T>,
     probe: &AnyMatrix<T>,
     k: usize,
@@ -596,15 +523,16 @@ mod tests {
     fn measured_search_picks_sane_kernels() {
         let lib = KernelLibrary::<f64>::new();
         let probe = random_uniform::<f64>(2000, 2000, 16, 99);
-        let (choice, tables) = search_kernels(&lib, &probe, Duration::from_millis(5));
-        assert_eq!(tables.len(), Format::COUNT);
         for f in Format::ALL {
-            let v = choice.kernel(f).variant;
+            let Ok(any) = AnyMatrix::convert_from_csr(&probe, f) else {
+                continue;
+            };
+            let budget = Duration::from_millis(5);
+            let table = measure_format(&lib, &any, budget, DEFAULT_CANDIDATE_DEADLINE, &[]);
+            let v = table.scoreboard().best_variant;
             assert!(v < lib.variant_count(f), "{f} variant {v} out of range");
-        }
-        // Every measured table has positive throughputs.
-        for t in &tables {
-            for r in &t.records {
+            // Every measured table has positive throughputs.
+            for r in &table.records {
                 assert!(r.gflops > 0.0, "{} measured 0", r.name);
             }
         }
@@ -678,6 +606,7 @@ mod tests {
             &any,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
+            &[],
         );
         assert_eq!(table.records.len(), healthy + 1);
         let poisoned = &table.records[healthy];
@@ -695,7 +624,7 @@ mod tests {
     fn quarantined_variants_are_excluded_like_failed_candidates() {
         let lib = KernelLibrary::<f64>::new();
         let probe = random_uniform::<f64>(300, 300, 6, 5);
-        let any = AnyMatrix::Csr(probe.clone());
+        let any = AnyMatrix::Csr(probe);
         // First find the winner, then quarantine it: the re-run must
         // pick someone else, and the benched row must read exactly like
         // a harness failure.
@@ -704,6 +633,7 @@ mod tests {
             &any,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
+            &[],
         );
         let winner = open.scoreboard().best_variant;
         let benched = KernelId {
@@ -711,7 +641,7 @@ mod tests {
             format: Format::Csr,
             variant: winner,
         };
-        let table = measure_format_excluding(
+        let table = measure_format(
             &lib,
             &any,
             Duration::from_micros(100),
@@ -729,10 +659,6 @@ mod tests {
             .failures()
             .iter()
             .any(|&(v, _, r)| v == winner && r == "quarantined"));
-        // The full multi-format search honors the same set.
-        let (choice, _) =
-            search_kernels_excluding(&lib, &probe, Duration::from_micros(100), &[benched]);
-        assert_ne!(choice.kernel(Format::Csr).variant, winner);
     }
 
     #[test]
@@ -807,6 +733,7 @@ mod tests {
             8,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
+            &[],
         );
         assert_eq!(table.records.len(), lib.spmm_variant_count(Format::Csr));
         assert!(table.records.iter().all(PerfRecord::is_measured));
@@ -824,7 +751,7 @@ mod tests {
             format: Format::Csr,
             variant: winner,
         };
-        let again = measure_spmm_excluding(
+        let again = measure_spmm(
             &lib,
             &any,
             8,

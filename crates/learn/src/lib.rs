@@ -47,8 +47,5 @@ pub use order::{
 };
 pub use prune::pessimistic_errors;
 pub use rules::{Condition, Op, Rule, RuleSet};
-pub use serialize::{
-    load_groups, load_json, load_ruleset, load_tree, save_groups, save_json, save_ruleset,
-    save_tree, PersistError,
-};
+pub use serialize::{load_json, save_json, PersistError};
 pub use tree::{DecisionTree, Node, NodeKind, TreeParams};

@@ -5,9 +5,6 @@
 //! disk. JSON keeps the rules human-inspectable (they are IF-THEN
 //! sentences at heart).
 
-use crate::order::RuleGroups;
-use crate::rules::RuleSet;
-use crate::tree::DecisionTree;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::error::Error;
@@ -102,65 +99,12 @@ pub fn load_json<T: DeserializeOwned>(path: impl AsRef<Path>) -> Result<T, Persi
     Ok(serde_json::from_str(&text)?)
 }
 
-/// Convenience alias: saves a ruleset.
-///
-/// # Errors
-///
-/// See [`save_json`].
-pub fn save_ruleset(rs: &RuleSet, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_json(rs, path)
-}
-
-/// Convenience alias: loads a ruleset.
-///
-/// # Errors
-///
-/// See [`load_json`].
-pub fn load_ruleset(path: impl AsRef<Path>) -> Result<RuleSet, PersistError> {
-    load_json(path)
-}
-
-/// Convenience alias: saves a decision tree.
-///
-/// # Errors
-///
-/// See [`save_json`].
-pub fn save_tree(tree: &DecisionTree, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_json(tree, path)
-}
-
-/// Convenience alias: loads a decision tree.
-///
-/// # Errors
-///
-/// See [`load_json`].
-pub fn load_tree(path: impl AsRef<Path>) -> Result<DecisionTree, PersistError> {
-    load_json(path)
-}
-
-/// Convenience alias: saves rule groups.
-///
-/// # Errors
-///
-/// See [`save_json`].
-pub fn save_groups(groups: &RuleGroups, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_json(groups, path)
-}
-
-/// Convenience alias: loads rule groups.
-///
-/// # Errors
-///
-/// See [`load_json`].
-pub fn load_groups(path: impl AsRef<Path>) -> Result<RuleGroups, PersistError> {
-    load_json(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::order::RuleGroups;
+    use crate::rules::RuleSet;
     use crate::tree::{DecisionTree, TreeParams};
 
     fn fixture() -> (DecisionTree, RuleSet, Dataset) {
@@ -179,8 +123,8 @@ mod tests {
         let dir = std::env::temp_dir().join("smat_learn_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.json");
-        save_tree(&tree, &path).unwrap();
-        let back = load_tree(&path).unwrap();
+        save_json(&tree, &path).unwrap();
+        let back: DecisionTree = load_json(&path).unwrap();
         assert_eq!(back, tree);
         std::fs::remove_file(&path).ok();
     }
@@ -191,20 +135,20 @@ mod tests {
         let dir = std::env::temp_dir().join("smat_learn_test");
         std::fs::create_dir_all(&dir).unwrap();
         let p1 = dir.join("rules.json");
-        save_ruleset(&rs, &p1).unwrap();
-        assert_eq!(load_ruleset(&p1).unwrap(), rs);
+        save_json(&rs, &p1).unwrap();
+        assert_eq!(load_json::<RuleSet>(&p1).unwrap(), rs);
 
         let groups = RuleGroups::from_ruleset(&rs, &[0, 1]);
         let p2 = dir.join("groups.json");
-        save_groups(&groups, &p2).unwrap();
-        assert_eq!(load_groups(&p2).unwrap(), groups);
+        save_json(&groups, &p2).unwrap();
+        assert_eq!(load_json::<RuleGroups>(&p2).unwrap(), groups);
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = load_tree("/nonexistent/path/tree.json").unwrap_err();
+        let err = load_json::<DecisionTree>("/nonexistent/path/tree.json").unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
         assert!(err.source().is_some());
     }
@@ -215,7 +159,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
         std::fs::write(&path, "not json at all").unwrap();
-        let err = load_tree(&path).unwrap_err();
+        let err = load_json::<DecisionTree>(&path).unwrap_err();
         assert!(matches!(err, PersistError::Json(_)));
         std::fs::remove_file(&path).ok();
     }

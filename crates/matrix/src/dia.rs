@@ -61,24 +61,7 @@ impl<T: Scalar> Dia<T> {
     /// diagonal storage would exceed `DEFAULT_DIA_FILL_LIMIT * nnz`
     /// elements.
     pub fn from_csr(csr: &Csr<T>) -> Result<Self> {
-        Self::from_csr_with_limit(csr, DEFAULT_DIA_FILL_LIMIT)
-    }
-
-    /// Converts a CSR matrix to DIA, refusing if the dense storage would
-    /// exceed `fill_limit * nnz` elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::ConversionTooExpensive`] when the bound is
-    /// exceeded.
-    pub fn from_csr_with_limit(csr: &Csr<T>, fill_limit: usize) -> Result<Self> {
-        Self::from_csr_with(
-            csr,
-            &ConversionLimits {
-                dia_fill_limit: fill_limit,
-                ..ConversionLimits::unlimited()
-            },
-        )
+        Self::from_csr_with(csr, &ConversionLimits::default())
     }
 
     /// Converts a CSR matrix to DIA under explicit [`ConversionLimits`]:
@@ -318,7 +301,11 @@ mod tests {
         let n = 64;
         let triplets: Vec<_> = (0..n).map(|i| (i, (i * i + 1) % n, 1.0f64)).collect();
         let csr = Csr::from_triplets(n, n, &triplets).unwrap();
-        let res = Dia::from_csr_with_limit(&csr, 2);
+        let limits = ConversionLimits {
+            dia_fill_limit: 2,
+            ..ConversionLimits::unlimited()
+        };
+        let res = Dia::from_csr_with(&csr, &limits);
         assert!(matches!(
             res,
             Err(MatrixError::ConversionTooExpensive { format: "DIA", .. })

@@ -51,24 +51,7 @@ impl<T: Scalar> Ell<T> {
     /// Returns [`MatrixError::ConversionTooExpensive`] when padding would
     /// exceed the limit.
     pub fn from_csr(csr: &Csr<T>) -> Result<Self> {
-        Self::from_csr_with_limit(csr, DEFAULT_ELL_FILL_LIMIT)
-    }
-
-    /// Converts a CSR matrix to ELL, refusing if the dense storage would
-    /// exceed `fill_limit * nnz` elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::ConversionTooExpensive`] when the bound is
-    /// exceeded.
-    pub fn from_csr_with_limit(csr: &Csr<T>, fill_limit: usize) -> Result<Self> {
-        Self::from_csr_with(
-            csr,
-            &ConversionLimits {
-                ell_fill_limit: fill_limit,
-                ..ConversionLimits::unlimited()
-            },
-        )
+        Self::from_csr_with(csr, &ConversionLimits::default())
     }
 
     /// Converts a CSR matrix to ELL under explicit [`ConversionLimits`]:
@@ -276,7 +259,11 @@ mod tests {
         let mut triplets: Vec<(usize, usize, f64)> = (0..n).map(|c| (0, c, 1.0)).collect();
         triplets.push((n - 1, 0, 1.0));
         let csr = Csr::from_triplets(n, n, &triplets).unwrap();
-        let res = Ell::from_csr_with_limit(&csr, 4);
+        let limits = ConversionLimits {
+            ell_fill_limit: 4,
+            ..ConversionLimits::unlimited()
+        };
+        let res = Ell::from_csr_with(&csr, &limits);
         assert!(matches!(
             res,
             Err(MatrixError::ConversionTooExpensive { format: "ELL", .. })

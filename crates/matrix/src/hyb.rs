@@ -112,7 +112,7 @@ impl<T: Scalar> Hyb<T> {
         }
         let ell_csr = Csr::from_triplets(rows, cols, &ell_triplets)
             .expect("triplets from a valid csr are in bounds");
-        let ell = Ell::from_csr_with_limit(&ell_csr, usize::MAX)
+        let ell = Ell::from_csr_with(&ell_csr, &ConversionLimits::unlimited())
             .expect("width-capped part never exceeds an unlimited budget");
         let coo = Coo::new(rows, cols, coo_r, coo_c, coo_v).expect("entries from a valid csr");
         Self {

@@ -126,9 +126,6 @@ impl Shared {
 
     fn begin_drain(&self) {
         self.metrics.draining.store(true, Ordering::Relaxed);
-        // Wake any worker parked on an empty queue so it can observe
-        // the eventual close promptly.
-        // (close() itself happens in run() after connections drain.)
     }
 }
 

@@ -920,15 +920,15 @@ fn handle_capacity_bounds_the_whole_daemon() {
 
 /// An engine whose decisions are a pure function of the request: no
 /// rules (every matrix takes the measured path), CSR the only
-/// candidate, the basic kernel table, no plan search. A non-empty
-/// `quarantined` seeds open breakers, so the daemon in front of it
-/// answers every inline request from the degraded rung.
+/// candidate, the basic kernel table (serial plans, so nothing for
+/// the plan search to race). A non-empty `quarantined` seeds open
+/// breakers, so the daemon in front of it answers every inline request
+/// from the degraded rung.
 fn pinned_engine(quarantined: Vec<KernelId>) -> Arc<Smat<f64>> {
     let mut pinned = model().clone();
     pinned.groups.groups.clear();
     let config = SmatConfig {
         fallback_formats: vec![Format::Csr],
-        plan_search: false,
         ..SmatConfig::default()
     };
     let installation = Installation {

@@ -7,7 +7,7 @@
 
 use smat::{DecisionPath, Installation, Smat, SmatConfig, SmatError, Trainer};
 use smat_kernels::{KernelLibrary, StrategySet};
-use smat_matrix::gen::{generate_corpus, random_uniform, tridiagonal, CorpusSpec};
+use smat_matrix::gen::{fixed_degree, generate_corpus, random_uniform, tridiagonal, CorpusSpec};
 use smat_matrix::io::read_matrix_market;
 use smat_matrix::utils::max_abs_diff;
 use smat_matrix::{AnyMatrix, Csr, Format, MatrixError};
@@ -146,18 +146,15 @@ fn all_candidates_panicking_degrades_not_aborts() {
 }
 
 #[test]
-fn one_dense_row_trips_the_ell_budget_and_is_pruned() {
-    // One dense row makes ELL's slab rows × max_RD: for n = 512 that is
-    // 512 × 512 slots. A 64 KiB budget refuses it up front.
-    let n = 512;
-    let mut triplets: Vec<(usize, usize, f64)> = (0..n).map(|c| (0, c, 1.0)).collect();
-    triplets.extend((1..n).map(|r| (r, r, 2.0)));
-    let m = Csr::<f64>::from_triplets(n, n, &triplets).unwrap();
+fn ell_slab_over_the_byte_budget_is_pruned() {
+    // Sixteen entries in every row: ELL's fill is exactly 1.0, so the
+    // fill cap cannot be what refuses it, but the 4096 × 16 slab (values
+    // plus column indices, 1 MiB) is far above a 64 KiB budget.
+    let m = fixed_degree::<f64>(4096, 4096, 16, 0, 17);
     let cfg = SmatConfig {
         confidence_threshold: 1.1,
         conversion_budget_bytes: Some(64 * 1024),
         fallback_formats: vec![Format::Csr, Format::Coo, Format::Ell],
-        ell_fill_limit: usize::MAX, // isolate the byte budget from the fill cap
         ..SmatConfig::fast()
     };
     let engine = train_engine_with(5, cfg);

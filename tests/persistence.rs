@@ -50,6 +50,37 @@ fn reloaded_model_makes_identical_decisions() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The rules steer every decision, so the model file is sealed like the
+/// other artifacts: edited after `save` — still valid JSON, one rule
+/// threshold changed — it is refused, not loaded.
+#[test]
+fn tampered_model_is_rejected_as_corrupt() {
+    let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 41));
+    let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
+    let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
+
+    let path = temp_path("model_tampered.json");
+    out.model.save(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let field = "\"threshold\": ";
+    let at = text.find(field).expect("the model holds a rule condition") + field.len();
+    let end = at
+        + text[at..]
+            .find([',', '\n'])
+            .expect("pretty JSON: one field a line");
+    let tampered = format!("{}31337.5{}", &text[..at], &text[end..]);
+    assert_ne!(text, tampered);
+    std::fs::write(&path, tampered).unwrap();
+
+    let err = TrainedModel::load(&path).unwrap_err();
+    assert!(
+        matches!(err, smat::SmatError::Corrupt { .. }),
+        "got {err:?}"
+    );
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn installation_round_trips_through_the_engine() {
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 35));
