@@ -339,8 +339,7 @@ impl<T: Scalar> CompiledHierarchy<T> {
     fn cycle_level(&self, level: usize, cfg: &CycleConfig, ws: &mut Workspace<T>) {
         let coarsest = level + 1 == self.levels.len();
         if coarsest {
-            let b = ws.bs[level].clone();
-            self.coarse_lu.solve(&b, &mut ws.xs[level]);
+            self.coarse_lu.solve(&ws.bs[level], &mut ws.xs[level]);
             return;
         }
         self.smooth(level, cfg, cfg.pre_sweeps, ws);

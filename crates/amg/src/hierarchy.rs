@@ -4,7 +4,7 @@
 //! Figure 11.
 
 use crate::coarsen::{coarsen, Coarsening};
-use crate::interp::{direct_interpolation, truncate_interpolation};
+use crate::interp::interpolate;
 use crate::spgemm::rap;
 use crate::strength::{StrengthGraph, DEFAULT_THETA};
 use serde::{Deserialize, Serialize};
@@ -122,10 +122,7 @@ pub fn setup<T: Scalar>(a: Csr<T>, config: &AmgConfig) -> Hierarchy<T> {
             });
             return Hierarchy { levels };
         }
-        let p = truncate_interpolation(
-            &direct_interpolation(&current, &graph, &splitting),
-            config.interp_max_elements,
-        );
+        let p = interpolate(&current, &graph, &splitting, config.interp_max_elements);
         let r = p.transpose();
         let mut coarse = rap(&r, &current, &p);
         if config.drop_tolerance > 0.0 {
@@ -149,6 +146,7 @@ pub fn setup<T: Scalar>(a: Csr<T>, config: &AmgConfig) -> Hierarchy<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use smat_matrix::gen::{laplacian_2d_5pt, laplacian_2d_9pt, laplacian_3d_7pt};
 
     #[test]
@@ -232,5 +230,34 @@ mod tests {
         };
         let h = setup(a, &cfg);
         assert_eq!(h.num_levels(), 2);
+    }
+
+    #[test]
+    fn hierarchy_equals_the_reference_set_up() {
+        for (name, a) in oracle::matrices() {
+            for coarsening in [Coarsening::RugeStuben, Coarsening::Cljp] {
+                for interp_max_elements in [0, 2, 4] {
+                    let cfg = AmgConfig {
+                        coarsening,
+                        interp_max_elements,
+                        coarse_size: 24,
+                        ..AmgConfig::default()
+                    };
+                    let h = setup(a.clone(), &cfg);
+                    assert!(
+                        h == oracle::setup(a.clone(), &cfg),
+                        "{name}: {coarsening:?}, max_elements {interp_max_elements}"
+                    );
+                    assert!(h.num_levels() >= 2, "{name} must coarsen");
+                }
+            }
+        }
+        // The drop-tolerance branch prunes the same entries.
+        let cfg = AmgConfig {
+            drop_tolerance: 0.02,
+            ..AmgConfig::default()
+        };
+        let a = laplacian_2d_9pt::<f64>(30, 30);
+        assert!(setup(a.clone(), &cfg) == oracle::setup(a, &cfg));
     }
 }

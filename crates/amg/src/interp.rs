@@ -29,86 +29,17 @@ pub fn direct_interpolation<T: Scalar>(
     graph: &StrengthGraph,
     splitting: &Splitting,
 ) -> Csr<T> {
-    assert_eq!(a.rows(), a.cols(), "interpolation needs a square matrix");
-    let n = a.rows();
-    let mut triplets: Vec<(usize, usize, T)> = Vec::new();
-
-    for i in 0..n {
-        if splitting.is_coarse(i) {
-            triplets.push((i, splitting.coarse_index[i], T::ONE));
-            continue;
-        }
-        let (cols, vals) = a.row(i);
-        let mut diag = T::ZERO;
-        let mut sum_neg_all = 0.0f64;
-        let mut sum_pos_all = 0.0f64;
-        for (&j, &v) in cols.iter().zip(vals) {
-            if j == i {
-                diag = v;
-            } else if v.to_f64() < 0.0 {
-                sum_neg_all += v.to_f64();
-            } else {
-                sum_pos_all += v.to_f64();
-            }
-        }
-        assert!(
-            diag != T::ZERO,
-            "fine point {i} has a zero diagonal; cannot interpolate"
-        );
-        // Strong coarse neighbors and their sums.
-        let strong_coarse: Vec<usize> = graph
-            .influencers(i)
-            .iter()
-            .copied()
-            .filter(|&j| splitting.is_coarse(j))
-            .collect();
-        if strong_coarse.is_empty() {
-            // The coarsening fix-up guarantees this cannot happen for
-            // points with strong connections; points with none at all
-            // were promoted to coarse. Defensive: interpolate zero.
-            continue;
-        }
-        let mut sum_neg_c = 0.0f64;
-        let mut sum_pos_c = 0.0f64;
-        for &j in &strong_coarse {
-            let v = a.get(i, j).unwrap_or(T::ZERO).to_f64();
-            if v < 0.0 {
-                sum_neg_c += v;
-            } else {
-                sum_pos_c += v;
-            }
-        }
-        let alpha = if sum_neg_c != 0.0 {
-            sum_neg_all / sum_neg_c
-        } else {
-            0.0
-        };
-        let beta = if sum_pos_c != 0.0 {
-            sum_pos_all / sum_pos_c
-        } else {
-            0.0
-        };
-        let diag_f = diag.to_f64();
-        for &j in &strong_coarse {
-            let v = a.get(i, j).unwrap_or(T::ZERO).to_f64();
-            let w = if v < 0.0 {
-                -alpha * v / diag_f
-            } else {
-                -beta * v / diag_f
-            };
-            if w != 0.0 {
-                triplets.push((i, splitting.coarse_index[j], T::from_f64(w)));
-            }
-        }
-    }
-    Csr::from_triplets(n, splitting.n_coarse, &triplets)
-        .expect("interpolation produces in-bounds triplets")
+    interpolate(a, graph, splitting, 0)
 }
 
 /// Truncates each interpolation row to its `max_elements` largest
 /// weights (by magnitude), rescaling the survivors so the row sum is
 /// preserved — Hypre's `P_max_elmts` interpolation truncation, which
 /// keeps Galerkin coarse operators from filling in.
+///
+/// **Tie rule:** among weights of equal magnitude the one in the lower
+/// column is kept (the selection is a stable sort of the row, which is
+/// in column order, by descending `|w|`).
 ///
 /// `max_elements == 0` disables truncation. Row-sum preservation keeps
 /// constants interpolated exactly, the invariant AMG convergence rests
@@ -122,38 +53,178 @@ pub fn truncate_interpolation<T: Scalar>(p: &Csr<T>, max_elements: usize) -> Csr
     if max_elements == 0 {
         return p.clone();
     }
-    let mut triplets: Vec<(usize, usize, T)> = Vec::with_capacity(p.nnz());
+    let mut out = RowWriter::new(p.rows(), p.nnz(), max_elements);
     for i in 0..p.rows() {
         let (cols, vals) = p.row(i);
-        if cols.len() <= max_elements {
-            for (&c, &v) in cols.iter().zip(vals) {
-                triplets.push((i, c, v));
-            }
+        out.row
+            .extend(cols.iter().copied().zip(vals.iter().copied()));
+        out.finish_row();
+    }
+    out.into_csr(p.cols())
+}
+
+/// Direct interpolation and truncation in one pass over `a`: each row
+/// of `P` is assembled in a scratch row, truncated there, and appended
+/// to the output arrays (see [`direct_interpolation`] and
+/// [`truncate_interpolation`] for the two rules).
+pub(crate) fn interpolate<T: Scalar>(
+    a: &Csr<T>,
+    graph: &StrengthGraph,
+    splitting: &Splitting,
+    max_elements: usize,
+) -> Csr<T> {
+    assert_eq!(a.rows(), a.cols(), "interpolation needs a square matrix");
+    let n = a.rows();
+    // One entry per coarse row; the fine rows share at most `|S|`
+    // entries, at most `max_elements` each when truncating.
+    let fine = n - splitting.n_coarse;
+    let per_row = if max_elements == 0 { n } else { max_elements };
+    let fine_nnz = graph.edges().min(fine.saturating_mul(per_row));
+    let mut out = RowWriter::new(n, splitting.n_coarse + fine_nnz, max_elements);
+
+    for i in 0..n {
+        if splitting.is_coarse(i) {
+            out.row.push((splitting.coarse_index[i], T::ONE));
+            out.finish_row();
             continue;
         }
-        let row_sum: f64 = vals.iter().map(|v| v.to_f64()).sum();
-        let mut entries: Vec<(usize, T)> = cols.iter().copied().zip(vals.iter().copied()).collect();
-        entries.sort_by(|a, b| b.1.abs().to_f64().total_cmp(&a.1.abs().to_f64()));
-        entries.truncate(max_elements);
-        let kept_sum: f64 = entries.iter().map(|(_, v)| v.to_f64()).sum();
-        let scale = if kept_sum.abs() > 1e-300 {
-            row_sum / kept_sum
+        // One forward walk of row `i`: the diagonal, the sign-split sums
+        // over all neighbors and over the strong coarse ones, whose
+        // entries are collected as (coarse column, a_ij). Row `i` and
+        // `influencers(i)` are both in column order and `coarse_index`
+        // is monotone, so the scratch row comes out sorted.
+        let (cols, vals) = a.row(i);
+        let strong = graph.influencers(i);
+        let mut s = 0;
+        let mut diag = T::ZERO;
+        let (mut sum_neg_all, mut sum_pos_all) = (0.0f64, 0.0f64);
+        let (mut sum_neg_c, mut sum_pos_c) = (0.0f64, 0.0f64);
+        for (&j, &v) in cols.iter().zip(vals) {
+            if j == i {
+                diag = v;
+            } else if v.to_f64() < 0.0 {
+                sum_neg_all += v.to_f64();
+            } else {
+                sum_pos_all += v.to_f64();
+            }
+            while s < strong.len() && strong[s] < j {
+                s += 1;
+            }
+            if s < strong.len() && strong[s] == j && splitting.is_coarse(j) {
+                if v.to_f64() < 0.0 {
+                    sum_neg_c += v.to_f64();
+                } else {
+                    sum_pos_c += v.to_f64();
+                }
+                out.row.push((splitting.coarse_index[j], v));
+            }
+        }
+        assert!(
+            diag != T::ZERO,
+            "fine point {i} has a zero diagonal; cannot interpolate"
+        );
+        // A fine point without a strong coarse neighbor cannot come out
+        // of `coarsen` (its fix-up promotes such points); if one is
+        // passed in, the scratch row is empty and it interpolates zero.
+        let alpha = if sum_neg_c != 0.0 {
+            sum_neg_all / sum_neg_c
         } else {
-            1.0
+            0.0
         };
-        for (c, v) in entries {
-            triplets.push((i, c, T::from_f64(v.to_f64() * scale)));
+        let beta = if sum_pos_c != 0.0 {
+            sum_pos_all / sum_pos_c
+        } else {
+            0.0
+        };
+        let diag_f = diag.to_f64();
+        out.row.retain_mut(|(_, value)| {
+            let v = value.to_f64();
+            let w = if v < 0.0 {
+                -alpha * v / diag_f
+            } else {
+                -beta * v / diag_f
+            };
+            *value = T::from_f64(w);
+            w != 0.0
+        });
+        out.finish_row();
+    }
+    out.into_csr(splitting.n_coarse)
+}
+
+/// Appends rows of `P` to CSR arrays, truncating each as it lands.
+struct RowWriter<T> {
+    max_elements: usize,
+    /// The row being assembled, in column order; drained by
+    /// [`Self::finish_row`].
+    row: Vec<(usize, T)>,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<T>,
+}
+
+impl<T: Scalar> RowWriter<T> {
+    fn new(rows: usize, nnz_bound: usize, max_elements: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            max_elements,
+            row: Vec::new(),
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz_bound),
+            values: Vec::with_capacity(nnz_bound),
         }
     }
-    Csr::from_triplets(p.rows(), p.cols(), &triplets).expect("truncation keeps indices in bounds")
+
+    /// Truncates the scratch row if it is wider than `max_elements`
+    /// and appends it.
+    fn finish_row(&mut self) {
+        let row = &mut self.row;
+        if self.max_elements != 0 && row.len() > self.max_elements {
+            let row_sum: f64 = row.iter().map(|(_, v)| v.to_f64()).sum();
+            // Descending |w|, equal magnitudes in column order: what a
+            // stable sort of the column-ordered row gives.
+            row.sort_unstable_by(|x, y| {
+                let (wx, wy) = (x.1.abs().to_f64(), y.1.abs().to_f64());
+                wy.total_cmp(&wx).then(x.0.cmp(&y.0))
+            });
+            row.truncate(self.max_elements);
+            let kept_sum: f64 = row.iter().map(|(_, v)| v.to_f64()).sum();
+            let scale = if kept_sum.abs() > 1e-300 {
+                row_sum / kept_sum
+            } else {
+                1.0
+            };
+            for (_, v) in row.iter_mut() {
+                *v = T::from_f64(v.to_f64() * scale);
+            }
+            row.sort_unstable_by_key(|&(c, _)| c);
+        }
+        for (c, v) in row.drain(..) {
+            self.col_idx.push(c);
+            self.values.push(v);
+        }
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    fn into_csr(self, cols: usize) -> Csr<T> {
+        Csr::from_parts_unchecked(
+            self.row_ptr.len() - 1,
+            cols,
+            self.row_ptr,
+            self.col_idx,
+            self.values,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coarsen::{coarsen, Coarsening};
+    use crate::oracle;
     use crate::strength::{StrengthGraph, DEFAULT_THETA};
-    use smat_matrix::gen::{laplacian_2d_5pt, tridiagonal};
+    use smat_matrix::gen::{laplacian_2d_5pt, laplacian_2d_9pt, tridiagonal};
 
     fn build(a: &Csr<f64>) -> (StrengthGraph, Splitting, Csr<f64>) {
         let g = StrengthGraph::build(a, DEFAULT_THETA);
@@ -232,5 +303,74 @@ mod tests {
         assert_eq!(p.rows(), a.rows());
         assert_eq!(p.cols(), s.n_coarse);
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn one_pass_matches_the_triplet_reference() {
+        for (name, a) in oracle::matrices() {
+            for method in [Coarsening::RugeStuben, Coarsening::Cljp] {
+                let g = StrengthGraph::build(&a, DEFAULT_THETA);
+                let s = coarsen(&g, method, 7);
+                let direct = oracle::direct_interpolation(&a, &g, &s);
+                assert_eq!(
+                    direct_interpolation(&a, &g, &s),
+                    direct,
+                    "{name} {method:?}"
+                );
+                for max in [0, 1, 2, 4] {
+                    let want = oracle::truncate_interpolation(&direct, max);
+                    let what = format!("{name} {method:?} max_elements {max}");
+                    assert_eq!(truncate_interpolation(&direct, max), want, "{what}");
+                    assert_eq!(interpolate(&a, &g, &s, max), want, "{what}");
+                    want.validate().unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn positive_strong_connections_take_the_beta_branch() {
+        // The classical graph never calls a positive connection strong,
+        // so the graph comes from the 9-point stencil as it is and the
+        // weights from its twin with a third of the off-diagonals
+        // flipped positive: strong coarse neighbors of both signs.
+        let (_, a) = oracle::matrices()
+            .into_iter()
+            .find(|(name, _)| *name == "positive off-diagonals")
+            .unwrap();
+        let g = StrengthGraph::build(&laplacian_2d_9pt::<f64>(18, 18), DEFAULT_THETA);
+        let s = coarsen(&g, Coarsening::RugeStuben, 0);
+        let p = direct_interpolation(&a, &g, &s);
+        assert!(
+            p.values().iter().any(|&w| w < 0.0),
+            "a positive strong coarse connection interpolates with a negative weight"
+        );
+        assert_eq!(p, oracle::direct_interpolation(&a, &g, &s));
+        for max in [2, 4] {
+            let want = oracle::truncate_interpolation(&p, max);
+            assert_eq!(interpolate(&a, &g, &s, max), want, "max_elements {max}");
+        }
+    }
+
+    #[test]
+    fn truncation_ties_keep_the_lower_columns() {
+        let p = Csr::<f64>::from_triplets(
+            1,
+            5,
+            &[
+                (0, 0, 0.125),
+                (0, 1, -0.25),
+                (0, 2, 0.25),
+                (0, 3, 0.25),
+                (0, 4, 0.125),
+            ],
+        )
+        .unwrap();
+        let t = truncate_interpolation(&p, 2);
+        assert_eq!(t.row(0).0, &[1, 2], "equal |w|: columns 1 and 2 before 3");
+        assert_eq!(t, oracle::truncate_interpolation(&p, 2));
+        let t = truncate_interpolation(&p, 4);
+        assert_eq!(t.row(0).0, &[0, 1, 2, 3]);
+        assert_eq!(t, oracle::truncate_interpolation(&p, 4));
     }
 }

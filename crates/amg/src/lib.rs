@@ -31,6 +31,8 @@ pub mod coarsen;
 mod cycle;
 mod hierarchy;
 mod interp;
+#[cfg(test)]
+mod oracle;
 mod relax;
 mod solver;
 mod spgemm;

@@ -35,8 +35,12 @@ impl StrengthGraph {
         assert_eq!(a.rows(), a.cols(), "strength graph needs a square matrix");
         assert!((0.0..=1.0).contains(&theta), "theta must be in [0, 1]");
         let n = a.rows();
+        // One sweep over `a`: `influencers` is sized once (a strong
+        // connection is a stored off-diagonal, so `nnz` bounds it) and
+        // the transpose's column counts are taken as entries are kept.
         let mut ptr = Vec::with_capacity(n + 1);
-        let mut influencers = Vec::new();
+        let mut influencers = Vec::with_capacity(a.nnz());
+        let mut t_ptr = vec![0usize; n + 1];
         ptr.push(0);
         for i in 0..n {
             let (cols, vals) = a.row(i);
@@ -52,21 +56,19 @@ impl StrengthGraph {
                 for (&j, &v) in cols.iter().zip(vals) {
                     if j != i && -v.to_f64() >= cut && -v.to_f64() > 0.0 {
                         influencers.push(j);
+                        t_ptr[j + 1] += 1;
                     }
                 }
             }
             ptr.push(influencers.len());
         }
-        // Transpose.
-        let mut t_ptr = vec![0usize; n + 1];
-        for &j in &influencers {
-            t_ptr[j + 1] += 1;
-        }
+        // Transpose: prefix-sum the counts, then scatter rows in order so
+        // every `influences` list comes out ascending.
         for i in 0..n {
             t_ptr[i + 1] += t_ptr[i];
         }
         let mut t_influences = vec![0usize; influencers.len()];
-        let mut next = t_ptr.clone();
+        let mut next = t_ptr[..n].to_vec();
         for i in 0..n {
             for &j in &influencers[ptr[i]..ptr[i + 1]] {
                 t_influences[next[j]] = i;
@@ -100,6 +102,11 @@ impl StrengthGraph {
     /// Points that `i` strongly influences (the set `S_i^T`).
     pub fn influences(&self, i: usize) -> &[usize] {
         &self.t_influences[self.t_ptr[i]..self.t_ptr[i + 1]]
+    }
+
+    /// `|S|` — the number of strong connections in the whole graph.
+    pub(crate) fn edges(&self) -> usize {
+        self.influencers.len()
     }
 
     /// `|S_i^T|` — the initial Ruge–Stüben/CLJP measure of `i`.

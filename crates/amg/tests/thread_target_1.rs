@@ -1,0 +1,8 @@
+//! `setup` at `exec::set_thread_target(1)` (see `thread_targets/mod.rs`).
+
+mod thread_targets;
+
+#[test]
+fn hierarchy_equals_the_reference_on_one_thread() {
+    thread_targets::hierarchy_equals_the_reference_at(1);
+}

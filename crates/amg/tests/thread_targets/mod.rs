@@ -1,0 +1,63 @@
+//! Shared body of the `thread_target_<n>` suites: `setup` against the
+//! reference set-up (`src/oracle.rs`, the crate's own test oracle) on
+//! operators large enough for the Galerkin products to fan out.
+//!
+//! The pool's size is fixed at its first use, process-wide, so each
+//! thread target gets a test binary of its own.
+
+// `oracle.rs` takes the crate's names through `super`: all of these
+// are in scope for it.
+use smat_amg::{
+    coarsen, setup, AmgConfig, Coarsening, Hierarchy, Level, PointType, Splitting, StrengthGraph,
+};
+use smat_kernels::exec;
+use smat_matrix::gen::{laplacian_2d_9pt, laplacian_3d_7pt};
+
+#[allow(dead_code)]
+#[path = "../../src/oracle.rs"]
+mod oracle;
+
+pub fn hierarchy_equals_the_reference_at(threads: usize) {
+    exec::set_thread_target(threads);
+    assert_eq!(
+        exec::num_threads(),
+        threads,
+        "the target must win first use"
+    );
+    let fan_outs = exec::dispatch_count();
+    for (name, a, coarsening) in [
+        (
+            "7-pt 24^3",
+            laplacian_3d_7pt(24, 24, 24),
+            Coarsening::RugeStuben,
+        ),
+        (
+            "9-pt 120^2",
+            laplacian_2d_9pt(120, 120),
+            Coarsening::RugeStuben,
+        ),
+        ("9-pt 64^2", laplacian_2d_9pt(64, 64), Coarsening::Cljp),
+        (
+            "power-law hub",
+            oracle::hub_matrix(6000),
+            Coarsening::RugeStuben,
+        ),
+    ] {
+        for interp_max_elements in [0, 4] {
+            let cfg = AmgConfig {
+                coarsening,
+                interp_max_elements,
+                ..AmgConfig::default()
+            };
+            assert!(
+                setup(a.clone(), &cfg) == oracle::setup(a.clone(), &cfg),
+                "{name}: {coarsening:?}, max_elements {interp_max_elements}, {threads} threads"
+            );
+        }
+    }
+    assert_eq!(
+        exec::dispatch_count() > fan_outs,
+        threads > 1,
+        "the products fan out exactly when there is a pool to fan out over"
+    );
+}

@@ -5,8 +5,13 @@
 //! with V-cycles in both the plain-CSR and SMAT-tuned hierarchies, and
 //! reports the solve-phase times and speedup. The paper reports 1.22x
 //! and 1.29x.
+//!
+//! Beside the solve it prints what the user pays before it: the
+//! hierarchy's depth and operator complexity, the time to build it
+//! (`setup`) and the time to tune its operators
+//! (`CompiledHierarchy::with_smat` on a cold decision cache).
 
-use smat_amg::{AmgConfig, AmgSolver, Coarsening, CycleConfig};
+use smat_amg::{setup, AmgConfig, AmgSolver, Coarsening, CompiledHierarchy, CycleConfig};
 use smat_bench::{amg_inputs, corpus_size, print_table, train_engine};
 use smat_matrix::Csr;
 use std::time::Instant;
@@ -36,7 +41,16 @@ fn bench_case(
     };
     let cycle = CycleConfig::default();
 
-    eprintln!("{label}: setting up plain hierarchy ({n} rows)...");
+    eprintln!("{label}: timing set-up ({n} rows)...");
+    let t0 = Instant::now();
+    let hierarchy = setup(a.clone(), &amg_cfg);
+    let hierarchy_ms = t0.elapsed().as_secs_f64() * 1e3;
+    engine.clear_cache();
+    let t0 = Instant::now();
+    std::hint::black_box(CompiledHierarchy::with_smat(&hierarchy, engine));
+    let tuning_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    eprintln!("{label}: setting up plain hierarchy...");
     let plain = AmgSolver::new(a.clone(), &amg_cfg, cycle);
     eprintln!("{label}: tuning hierarchy with SMAT...");
     let smart = AmgSolver::with_smat(a, &amg_cfg, cycle, engine);
@@ -59,6 +73,10 @@ fn bench_case(
     vec![
         label.to_string(),
         n.to_string(),
+        hierarchy.num_levels().to_string(),
+        format!("{:.2}", hierarchy.operator_complexity()),
+        format!("{hierarchy_ms:.0}"),
+        format!("{tuning_ms:.0}"),
         format!("{t_plain:.0}"),
         format!("{t_smat:.0}"),
         format!("{:.2}", t_plain / t_smat),
@@ -84,6 +102,10 @@ fn main() {
         &[
             "coarsen",
             "rows",
+            "levels",
+            "op. complexity",
+            "hierarchy (ms)",
+            "tuning (ms)",
             "Hypre-style AMG (ms)",
             "SMAT AMG (ms)",
             "speedup",

@@ -1,13 +1,16 @@
 //! Steady-state allocation audit: once a kernel plan (or a prepared
 //! engine handle) is warm, repeated SpMV calls must perform **zero**
 //! heap allocations and spawn **zero** threads — the contract of the
-//! persistent-pool + precomputed-plan redesign.
+//! persistent-pool + precomputed-plan redesign. The AMG cycle is held
+//! to the same contract: it is those calls plus vector updates on a
+//! sized workspace.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! whole audit lives in a single `#[test]` so no sibling test thread
 //! can allocate inside the measurement window.
 
 use smat::{Smat, SmatConfig, Trainer};
+use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Workspace};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
 use smat_matrix::{AnyMatrix, Csr, Format};
@@ -190,6 +193,42 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
         "the containment boundary counted calls"
     );
     assert_eq!(report.exec_faults, 0, "no incident on the happy path");
+
+    // --- AMG tier: a warmed cycle over a compiled hierarchy — plain and
+    // tuned operators, V and W shapes — is smoothing sweeps, residuals,
+    // transfers and one dense coarse solve on the workspace's own
+    // vectors, every product through the paths audited above.
+    let hierarchy = smat_amg::setup(
+        smat_amg::laplacian::laplacian_2d_5pt::<f64>(48, 48),
+        &AmgConfig::default(),
+    );
+    assert!(hierarchy.num_levels() >= 3, "the audit must cross levels");
+    let n = hierarchy.levels[0].a.rows();
+    let rhs: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
+    for (operators, compiled) in [
+        ("plain", CompiledHierarchy::plain(&hierarchy)),
+        ("tuned", CompiledHierarchy::with_smat(&hierarchy, &engine)),
+    ] {
+        for cycle_type in [CycleType::V, CycleType::W] {
+            let cfg = CycleConfig {
+                cycle_type,
+                ..CycleConfig::default()
+            };
+            let mut workspace = Workspace::new();
+            let mut sol = vec![0.0f64; n];
+            let (allocs, spawns) = audit(3, 30, || {
+                compiled.v_cycle(&cfg, &rhs, &mut sol, &mut workspace)
+            });
+            assert_eq!(
+                allocs, 0,
+                "heap allocations in a warm {cycle_type:?}-cycle over {operators} operators"
+            );
+            assert_eq!(
+                spawns, 0,
+                "thread spawns in a warm {cycle_type:?}-cycle over {operators} operators"
+            );
+        }
+    }
 
     // --- Batched tier: warm `Smat::spmm` replays the frozen SpMM pick
     // borrowed straight from the handle — no clone of the plan, no
