@@ -274,9 +274,10 @@ impl TuningCache {
     }
 
     /// Seals the resident entries to `path` (see [`crate::sealed`]),
-    /// stamped with the `T` engine's precision and the digest of the
-    /// kernel library their kernel ids index into. Returns the number
-    /// of entries written.
+    /// stamped with the `T` engine's precision and `digest`: the kernel
+    /// library their kernel ids index into, folded with the fingerprint
+    /// algorithm their keys come from. Returns the number of entries
+    /// written.
     pub fn save<T: Scalar>(&self, path: &Path, digest: u64, policy: RetryPolicy) -> Result<usize> {
         let snapshot = Snapshot {
             precision: T::PRECISION_NAME.to_string(),
@@ -306,8 +307,9 @@ struct Snapshot {
     /// Precision of the engine that wrote the snapshot.
     precision: String,
     /// [`smat_kernels::KernelLibrary::digest`] of the engine that wrote
-    /// the snapshot: the entries' kernel ids are raw indices into its
-    /// tables.
+    /// the snapshot (the entries' kernel ids are raw indices into its
+    /// tables) xor [`StructuralFingerprint::ALGORITHM`] (their keys are
+    /// digests under it).
     library_digest: u64,
     entries: Vec<(StructuralFingerprint, CachedDecision)>,
 }

@@ -489,7 +489,7 @@ impl<T: Scalar> Smat<T> {
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
         let policy = RetryPolicy::from_config(&self.config);
         self.cache
-            .save::<T>(path.as_ref(), self.lib.digest(), policy)
+            .save::<T>(path.as_ref(), self.cache_stamp(), policy)
     }
 
     /// Warm-starts the tuning cache from a snapshot written by
@@ -505,14 +505,23 @@ impl<T: Scalar> Smat<T> {
     /// Returns [`SmatError::Persist`] when reading fails after
     /// exhausting the retries, [`SmatError::Corrupt`] when the file
     /// parses but fails checksum verification or was written under a
-    /// kernel library with different rows (its entries address kernels
-    /// by index, so nothing is absorbed), and
+    /// kernel library with different rows or another fingerprint
+    /// algorithm (its entries address kernels by index and are keyed by
+    /// fingerprint, so nothing is absorbed), and
     /// [`SmatError::PrecisionMismatch`] when the snapshot was taken by
     /// an engine of the other precision.
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
         let policy = RetryPolicy::from_config(&self.config);
         self.cache
-            .load::<T>(path.as_ref(), self.lib.digest(), policy)
+            .load::<T>(path.as_ref(), self.cache_stamp(), policy)
+    }
+
+    /// What a tuning-cache snapshot is stamped with: the kernel library
+    /// its entries' kernel ids index into and the fingerprint algorithm
+    /// its keys were computed by. A snapshot under either other is
+    /// stale — wrong kernels, or keys no matrix will ever produce.
+    fn cache_stamp(&self) -> u64 {
+        self.lib.digest() ^ StructuralFingerprint::ALGORITHM
     }
 
     /// Tunes a matrix: Figure 7's runtime procedure, fronted by the
@@ -1283,10 +1292,14 @@ impl<T: Scalar> Smat<T> {
         SpmmPick::Tiled(pick)
     }
 
-    /// The per-column SpMM tier for formats without tiled kernels:
-    /// gather each right-hand side out of the row-major block, run the
-    /// reference SpMV, scatter the product back. Correct and contained,
-    /// but allocating — the degraded tier by construction.
+    /// The per-column SpMM tier for formats without tiled kernels: the
+    /// reference SpMV (variant 0, serial plan) once per right-hand side,
+    /// on contiguous columns. The row-major blocks are transposed a tile
+    /// of [`FALLBACK_TILE`] columns at a time — one pass over `x` to
+    /// gather a tile, one over `y` to scatter its products, instead of a
+    /// strided pass over every cache line of both per column. Correct
+    /// and contained, but allocating — the degraded tier by
+    /// construction.
     fn run_spmm_fallback(
         &self,
         tuned: &TunedSpmv<T>,
@@ -1296,17 +1309,26 @@ impl<T: Scalar> Smat<T> {
     ) -> Result<()> {
         let what = || format!("per-column {} spmm fallback", tuned.format());
         last_resort(what, || {
-            let serial = ExecPlan::serial(tuned.matrix.rows());
-            let mut xj = vec![T::ZERO; tuned.matrix.cols()];
-            let mut yj = vec![T::ZERO; tuned.matrix.rows()];
-            for j in 0..k {
-                for (c, slot) in xj.iter_mut().enumerate() {
-                    *slot = x[c * k + j];
+            let (rows, cols) = (tuned.matrix.rows(), tuned.matrix.cols());
+            let serial = ExecPlan::serial(rows);
+            let tile = FALLBACK_TILE.min(k);
+            let mut xt = vec![T::ZERO; tile * cols];
+            let mut yt = vec![T::ZERO; tile * rows];
+            for j0 in (0..k).step_by(FALLBACK_TILE) {
+                let width = tile.min(k - j0);
+                for (c, x_row) in x.chunks_exact(k).enumerate() {
+                    for (j, &v) in x_row[j0..j0 + width].iter().enumerate() {
+                        xt[j * cols + c] = v;
+                    }
                 }
-                self.lib
-                    .run_planned(&tuned.matrix, 0, &serial, &xj, &mut yj);
-                for (r, &v) in yj.iter().enumerate() {
-                    y[r * k + j] = v;
+                for j in 0..width {
+                    let (xj, yj) = (&xt[j * cols..][..cols], &mut yt[j * rows..][..rows]);
+                    self.lib.run_planned(&tuned.matrix, 0, &serial, xj, yj);
+                }
+                for (r, y_row) in y.chunks_exact_mut(k).enumerate() {
+                    for (j, slot) in y_row[j0..j0 + width].iter_mut().enumerate() {
+                        *slot = yt[j * rows + r];
+                    }
                 }
             }
         })
@@ -1325,6 +1347,11 @@ impl<T: Scalar> Smat<T> {
         Ok(tuned)
     }
 }
+
+/// Right-hand sides [`Smat::run_spmm_fallback`] transposes at a time:
+/// few enough that a tile's write streams stay in L1, and a bound on
+/// its scratch at any `k`.
+const FALLBACK_TILE: usize = 8;
 
 /// Runs a reference path that has nothing below it. A panic here is the
 /// double fault — the serial reference itself failed — and surfaces as

@@ -118,28 +118,35 @@ impl<T: Scalar> Bcsr<T> {
             "block dimensions must be in 1..=8"
         );
         let name = format_name(br, bc);
-        let rows = csr.rows();
-        let cols = csr.cols();
+        let (rows, cols) = (csr.rows(), csr.cols());
         let block_rows = rows.div_ceil(br);
-        // First pass: the distinct block columns of every block row. The
-        // per-row column lists are already sorted, so a merge + dedup
-        // gives sorted block columns without hashing.
+        // Column -> (block column, column within it); the tuner's block
+        // widths are powers of two and skip the division.
+        let split = |c: usize| match bc.is_power_of_two() {
+            true => (c >> bc.trailing_zeros(), c & (bc - 1)),
+            false => (c / bc, c % bc),
+        };
+        // The entries of block row `b`: its rows are adjacent in CSR.
+        let span = |b: usize| csr.row_ptr()[b * br]..csr.row_ptr()[((b + 1) * br).min(rows)];
+        // Count pass. `slot[j]` above the number of blocks before this
+        // block row marks block column `j` as met in it; earlier block
+        // rows leave at most that number, so nothing is reset per row.
+        let mut slot = vec![0usize; cols.div_ceil(bc)];
         let mut block_ptr = Vec::with_capacity(block_rows + 1);
         block_ptr.push(0usize);
-        let mut block_col: Vec<usize> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
+        let mut blocks = 0usize;
         for b in 0..block_rows {
-            scratch.clear();
-            for r in b * br..((b + 1) * br).min(rows) {
-                let (idx, _) = csr.row(r);
-                scratch.extend(idx.iter().map(|&c| c / bc));
+            let first = blocks;
+            for &c in &csr.col_idx()[span(b)] {
+                let (j, _) = split(c);
+                if slot[j] <= first {
+                    slot[j] = first + 1;
+                    blocks += 1;
+                }
             }
-            scratch.sort_unstable();
-            scratch.dedup();
-            block_col.extend_from_slice(&scratch);
-            block_ptr.push(block_col.len());
+            block_ptr.push(blocks);
         }
-        let stored = block_col.len().saturating_mul(br * bc);
+        let stored = blocks.saturating_mul(br * bc);
         let budget = limits.bcsr_fill_limit.saturating_mul(csr.nnz().max(1));
         if stored > budget {
             return Err(MatrixError::ConversionTooExpensive {
@@ -149,25 +156,42 @@ impl<T: Scalar> Bcsr<T> {
             });
         }
         // Allocation estimate: the dense block values plus both index
-        // arrays, checked before `values` is allocated.
+        // arrays, checked before either is allocated.
         limits.check_bytes(
             name,
             stored.saturating_mul(T::BYTES).saturating_add(
-                (block_col.len() + block_ptr.len()).saturating_mul(std::mem::size_of::<usize>()),
+                (blocks + block_ptr.len()).saturating_mul(std::mem::size_of::<usize>()),
             ),
         )?;
-        // Fill pass: scatter each entry into its block slot, located by
-        // binary search within the (sorted) block row.
+        // Fill pass, per block row: gather its distinct block columns,
+        // sort those, point `slot[j] - 1` at their blocks, scatter.
+        let mut block_col = vec![0usize; blocks];
         let mut values = vec![T::ZERO; stored];
-        for (r, c, v) in csr.iter() {
-            let b = r / br;
-            let row_blocks = &block_col[block_ptr[b]..block_ptr[b + 1]];
-            // The block exists by construction of the first pass.
-            let k = block_ptr[b]
-                + row_blocks
-                    .binary_search(&(c / bc))
-                    .expect("block recorded in first pass");
-            values[k * br * bc + (r % br) * bc + (c % bc)] = v;
+        slot.fill(0);
+        for b in 0..block_rows {
+            let first = block_ptr[b];
+            let mine = &mut block_col[first..block_ptr[b + 1]];
+            let mut met = 0;
+            for &c in &csr.col_idx()[span(b)] {
+                let (j, _) = split(c);
+                if slot[j] <= first {
+                    slot[j] = first + 1;
+                    mine[met] = j;
+                    met += 1;
+                }
+            }
+            mine.sort_unstable();
+            for (k, &j) in mine.iter().enumerate() {
+                slot[j] = first + k + 1;
+            }
+            for r in b * br..((b + 1) * br).min(rows) {
+                let (idx, vals) = csr.row(r);
+                let at = (r - b * br) * bc;
+                for (&c, &v) in idx.iter().zip(vals) {
+                    let (j, within) = split(c);
+                    values[(slot[j] - 1) * br * bc + at + within] = v;
+                }
+            }
         }
         Ok(Self {
             rows,
@@ -305,6 +329,86 @@ impl<T: Scalar> Bcsr<T> {
             y[r0..r0 + rn].copy_from_slice(&acc[..rn]);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl<T: Scalar> Bcsr<T> {
+    /// The parent commit's conversion: sort + dedup of every block
+    /// row's entries, a binary search per entry in the fill. The oracle
+    /// the marker-array routine must equal, refusals included.
+    pub(crate) fn from_csr_with_oracle(
+        csr: &Csr<T>,
+        br: usize,
+        bc: usize,
+        limits: &ConversionLimits,
+    ) -> Result<Self> {
+        assert!(
+            (1..=8).contains(&br) && (1..=8).contains(&bc),
+            "block dimensions must be in 1..=8"
+        );
+        let name = format_name(br, bc);
+        let rows = csr.rows();
+        let cols = csr.cols();
+        let block_rows = rows.div_ceil(br);
+        // First pass: the distinct block columns of every block row. The
+        // per-row column lists are already sorted, so a merge + dedup
+        // gives sorted block columns without hashing.
+        let mut block_ptr = Vec::with_capacity(block_rows + 1);
+        block_ptr.push(0usize);
+        let mut block_col: Vec<usize> = Vec::new();
+        let mut scratch: Vec<usize> = Vec::new();
+        for b in 0..block_rows {
+            scratch.clear();
+            for r in b * br..((b + 1) * br).min(rows) {
+                let (idx, _) = csr.row(r);
+                scratch.extend(idx.iter().map(|&c| c / bc));
+            }
+            scratch.sort_unstable();
+            scratch.dedup();
+            block_col.extend_from_slice(&scratch);
+            block_ptr.push(block_col.len());
+        }
+        let stored = block_col.len().saturating_mul(br * bc);
+        let budget = limits.bcsr_fill_limit.saturating_mul(csr.nnz().max(1));
+        if stored > budget {
+            return Err(MatrixError::ConversionTooExpensive {
+                format: name,
+                would_store: stored,
+                limit: budget,
+            });
+        }
+        // Allocation estimate: the dense block values plus both index
+        // arrays, checked before `values` is allocated.
+        limits.check_bytes(
+            name,
+            stored.saturating_mul(T::BYTES).saturating_add(
+                (block_col.len() + block_ptr.len()).saturating_mul(std::mem::size_of::<usize>()),
+            ),
+        )?;
+        // Fill pass: scatter each entry into its block slot, located by
+        // binary search within the (sorted) block row.
+        let mut values = vec![T::ZERO; stored];
+        for (r, c, v) in csr.iter() {
+            let b = r / br;
+            let row_blocks = &block_col[block_ptr[b]..block_ptr[b + 1]];
+            // The block exists by construction of the first pass.
+            let k = block_ptr[b]
+                + row_blocks
+                    .binary_search(&(c / bc))
+                    .expect("block recorded in first pass");
+            values[k * br * bc + (r % br) * bc + (c % bc)] = v;
+        }
+        Ok(Self {
+            rows,
+            cols,
+            nnz: csr.nnz(),
+            br,
+            bc,
+            block_ptr,
+            block_col,
+            values,
+        })
     }
 }
 

@@ -89,13 +89,24 @@ impl<T: Scalar> Coo<T> {
                 values.push(v);
             }
         }
-        Ok(Self {
+        Ok(Self::from_sorted((rows, cols), row_idx, col_idx, values))
+    }
+
+    /// Wraps arrays the caller guarantees are equally long, in bounds,
+    /// sorted by `(row, col)` and duplicate-free.
+    pub(crate) fn from_sorted(
+        (rows, cols): (usize, usize),
+        row_idx: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
+    ) -> Self {
+        Self {
             rows,
             cols,
             row_idx,
             col_idx,
             values,
-        })
+        }
     }
 
     /// Converts a CSR matrix to COO (cheap: one pass expanding row
@@ -106,13 +117,12 @@ impl<T: Scalar> Coo<T> {
             let deg = csr.row_degree(r);
             row_idx.extend(std::iter::repeat_n(r, deg));
         }
-        Self {
-            rows: csr.rows(),
-            cols: csr.cols(),
+        Self::from_sorted(
+            (csr.rows(), csr.cols()),
             row_idx,
-            col_idx: csr.col_idx().to_vec(),
-            values: csr.values().to_vec(),
-        }
+            csr.col_idx().to_vec(),
+            csr.values().to_vec(),
+        )
     }
 
     /// Converts back to CSR (cheap: row indices are already sorted).

@@ -74,23 +74,26 @@ impl<T: Scalar> Dia<T> {
     /// limit is exceeded, or [`MatrixError::BudgetExceeded`] when the
     /// estimated allocation exceeds the byte budget.
     pub fn from_csr_with(csr: &Csr<T>, limits: &ConversionLimits) -> Result<Self> {
-        let fill_limit = limits.dia_fill_limit;
-        let rows = csr.rows();
-        let cols = csr.cols();
-        // First pass: which diagonals are occupied?
-        let diag_span = rows + cols; // offsets range over (-rows, cols)
-        let mut occupied = vec![false; diag_span.max(1)];
-        for (r, c, _) in csr.iter() {
-            occupied[(c as isize - r as isize + rows as isize - 1) as usize] = true;
+        let (rows, cols) = (csr.rows(), csr.cols());
+        // A row's offsets `c - r` rise with its sorted columns, so its
+        // first and last entries bound them: the slot map below spans
+        // the matrix's band, not all `rows + cols` possible diagonals.
+        let ends = |pick: fn(&[usize]) -> Option<&usize>| {
+            (0..rows).filter_map(move |r| pick(csr.row(r).0).map(|&c| c as isize - r as isize))
+        };
+        let lo = ends(<[usize]>::first).min().unwrap_or(0);
+        let hi = ends(<[usize]>::last).max().unwrap_or(-1);
+        // Occupancy pass: `slot[offset - lo]` is 0 for an empty diagonal.
+        let mut slot = vec![0usize; (hi - lo + 1) as usize];
+        for r in 0..rows {
+            let base = r as isize + lo;
+            for &c in csr.row(r).0 {
+                slot[(c as isize - base) as usize] = 1;
+            }
         }
-        let offsets: Vec<isize> = occupied
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o)
-            .map(|(i, _)| i as isize - rows as isize + 1)
-            .collect();
-        let dense = offsets.len().saturating_mul(rows);
-        let budget = fill_limit.saturating_mul(csr.nnz().max(1));
+        let ndiags = slot.iter().filter(|&&s| s != 0).count();
+        let dense = ndiags.saturating_mul(rows);
+        let budget = limits.dia_fill_limit.saturating_mul(csr.nnz().max(1));
         if dense > budget {
             return Err(MatrixError::ConversionTooExpensive {
                 format: "DIA",
@@ -103,17 +106,22 @@ impl<T: Scalar> Dia<T> {
             "DIA",
             dense
                 .saturating_mul(T::BYTES)
-                .saturating_add(offsets.len().saturating_mul(std::mem::size_of::<isize>())),
+                .saturating_add(ndiags.saturating_mul(std::mem::size_of::<isize>())),
         )?;
-        // Map offset -> slot for the fill pass.
-        let mut slot = vec![usize::MAX; diag_span.max(1)];
-        for (d, &off) in offsets.iter().enumerate() {
-            slot[(off + rows as isize - 1) as usize] = d;
+        // Number the occupied diagonals in offset order (`slot` now holds
+        // the diagonal's index + 1), then scatter the entries.
+        let mut offsets = Vec::with_capacity(ndiags);
+        for (i, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s != 0) {
+            offsets.push(i as isize + lo);
+            *s = offsets.len();
         }
         let mut data = vec![T::ZERO; dense];
-        for (r, c, v) in csr.iter() {
-            let d = slot[(c as isize - r as isize + rows as isize - 1) as usize];
-            data[d * rows + r] = v;
+        for r in 0..rows {
+            let (idx, vals) = csr.row(r);
+            let base = r as isize + lo;
+            for (&c, &v) in idx.iter().zip(vals) {
+                data[(slot[(c as isize - base) as usize] - 1) * rows + r] = v;
+            }
         }
         Ok(Self {
             rows,
@@ -222,6 +230,63 @@ impl<T: Scalar> Dia<T> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl<T: Scalar> Dia<T> {
+    /// The parent commit's conversion: two tuple-iterator passes and a
+    /// slot map over all `rows + cols` diagonals. The oracle the banded
+    /// routine must equal, refusals included.
+    pub(crate) fn from_csr_with_oracle(csr: &Csr<T>, limits: &ConversionLimits) -> Result<Self> {
+        let fill_limit = limits.dia_fill_limit;
+        let rows = csr.rows();
+        let cols = csr.cols();
+        // First pass: which diagonals are occupied?
+        let diag_span = rows + cols; // offsets range over (-rows, cols)
+        let mut occupied = vec![false; diag_span.max(1)];
+        for (r, c, _) in csr.iter() {
+            occupied[(c as isize - r as isize + rows as isize - 1) as usize] = true;
+        }
+        let offsets: Vec<isize> = occupied
+            .iter()
+            .enumerate()
+            .filter(|&(_, &o)| o)
+            .map(|(i, _)| i as isize - rows as isize + 1)
+            .collect();
+        let dense = offsets.len().saturating_mul(rows);
+        let budget = fill_limit.saturating_mul(csr.nnz().max(1));
+        if dense > budget {
+            return Err(MatrixError::ConversionTooExpensive {
+                format: "DIA",
+                would_store: dense,
+                limit: budget,
+            });
+        }
+        // Allocation estimate: the dense value array plus the offsets.
+        limits.check_bytes(
+            "DIA",
+            dense
+                .saturating_mul(T::BYTES)
+                .saturating_add(offsets.len().saturating_mul(std::mem::size_of::<isize>())),
+        )?;
+        // Map offset -> slot for the fill pass.
+        let mut slot = vec![usize::MAX; diag_span.max(1)];
+        for (d, &off) in offsets.iter().enumerate() {
+            slot[(off + rows as isize - 1) as usize] = d;
+        }
+        let mut data = vec![T::ZERO; dense];
+        for (r, c, v) in csr.iter() {
+            let d = slot[(c as isize - r as isize + rows as isize - 1) as usize];
+            data[d * rows + r] = v;
+        }
+        Ok(Self {
+            rows,
+            cols,
+            nnz: csr.nnz(),
+            offsets,
+            data,
+        })
     }
 }
 

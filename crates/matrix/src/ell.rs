@@ -82,23 +82,33 @@ impl<T: Scalar> Ell<T> {
             "ELL",
             dense.saturating_mul(T::BYTES.saturating_add(std::mem::size_of::<usize>())),
         )?;
-        let mut data = vec![T::ZERO; dense];
-        let mut indices = vec![0usize; dense];
+        Ok(Self::pack(csr, width))
+    }
+
+    /// Packs the first `width` entries of every row, unchecked: all of
+    /// them at `max_RD`, HYB's regular part below it.
+    pub(crate) fn pack(csr: &Csr<T>, width: usize) -> Self {
+        let rows = csr.rows();
+        let mut data = vec![T::ZERO; width * rows];
+        let mut indices = vec![0usize; width * rows];
+        let mut nnz = 0;
         for r in 0..rows {
             let (cols_r, vals_r) = csr.row(r);
-            for (p, (&c, &v)) in cols_r.iter().zip(vals_r).enumerate() {
+            let cut = cols_r.len().min(width);
+            for (p, (&c, &v)) in cols_r[..cut].iter().zip(&vals_r[..cut]).enumerate() {
                 data[p * rows + r] = v;
                 indices[p * rows + r] = c;
             }
+            nnz += cut;
         }
-        Ok(Self {
+        Self {
             rows,
             cols: csr.cols(),
-            nnz: csr.nnz(),
+            nnz,
             width,
             data,
             indices,
-        })
+        }
     }
 
     /// Converts back to CSR, dropping padding.

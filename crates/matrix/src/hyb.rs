@@ -70,59 +70,53 @@ impl<T: Scalar> Hyb<T> {
     /// Returns [`MatrixError::BudgetExceeded`] when the estimated
     /// allocation exceeds the configured budget.
     pub fn from_csr_with(csr: &Csr<T>, limits: &ConversionLimits) -> Result<Self> {
-        let width = auto_width(csr);
-        let rows = csr.rows();
-        // ELL part: width * rows slots of (value + column index); COO
-        // part: one (row, col, value) triple per spilled entry.
-        let ell_slots = width.saturating_mul(rows);
-        let coo_entries: usize = (0..rows)
-            .map(|r| csr.row_degree(r).saturating_sub(width))
-            .sum();
-        let slot = T::BYTES.saturating_add(std::mem::size_of::<usize>());
-        let triple = T::BYTES.saturating_add(2 * std::mem::size_of::<usize>());
-        limits.check_bytes(
-            "HYB",
-            ell_slots
-                .saturating_mul(slot)
-                .saturating_add(coo_entries.saturating_mul(triple)),
-        )?;
-        Ok(Self::from_csr_with_width(csr, width))
+        Self::split(csr, auto_width(csr), limits)
     }
 
     /// Converts from CSR, packing the first `width` entries of each row
-    /// into the ELL part and the rest into the COO part.
+    /// into the ELL part and the rest into the COO part. The ELL part is
+    /// as wide as the longest capped row, `min(width, max_RD)` — what
+    /// [`Ell::from_csr`] of the capped rows yields — so a `width` no row
+    /// reaches pads nothing.
     pub fn from_csr_with_width(csr: &Csr<T>, width: usize) -> Self {
-        let rows = csr.rows();
-        let cols = csr.cols();
-        let mut ell_triplets: Vec<(usize, usize, T)> = Vec::new();
-        let mut coo_r = Vec::new();
-        let mut coo_c = Vec::new();
-        let mut coo_v = Vec::new();
-        for r in 0..rows {
-            let (cs, vs) = csr.row(r);
-            let cut = cs.len().min(width);
-            for (&c, &v) in cs[..cut].iter().zip(&vs[..cut]) {
-                ell_triplets.push((r, c, v));
-            }
-            for (&c, &v) in cs[cut..].iter().zip(&vs[cut..]) {
-                coo_r.push(r);
-                coo_c.push(c);
-                coo_v.push(v);
-            }
+        Self::split(csr, width, &ConversionLimits::unlimited()).expect("no budget to exceed")
+    }
+
+    /// Count, check, allocate exactly, fill: `row_ptr` sizes both parts,
+    /// [`Ell::pack`] writes the slab, the row tails go to COO in order.
+    fn split(csr: &Csr<T>, width: usize, limits: &ConversionLimits) -> Result<Self> {
+        let (rows, cols) = (csr.rows(), csr.cols());
+        let (mut ell_width, mut spill) = (0usize, 0usize);
+        for w in csr.row_ptr().windows(2) {
+            ell_width = ell_width.max((w[1] - w[0]).min(width));
+            spill += (w[1] - w[0]).saturating_sub(width);
         }
-        let ell_csr = Csr::from_triplets(rows, cols, &ell_triplets)
-            .expect("triplets from a valid csr are in bounds");
-        let ell = Ell::from_csr_with(&ell_csr, &ConversionLimits::unlimited())
-            .expect("width-capped part never exceeds an unlimited budget");
-        let coo = Coo::new(rows, cols, coo_r, coo_c, coo_v).expect("entries from a valid csr");
-        Self {
+        // ELL part: width * rows slots of (value + column index); COO
+        // part: one (row, col, value) triple per spilled entry.
+        let slot = T::BYTES.saturating_add(std::mem::size_of::<usize>());
+        let triple = T::BYTES.saturating_add(2 * std::mem::size_of::<usize>());
+        let ell_bytes = width.saturating_mul(rows).saturating_mul(slot);
+        limits.check_bytes(
+            "HYB",
+            ell_bytes.saturating_add(spill.saturating_mul(triple)),
+        )?;
+        let mut coo_r = Vec::with_capacity(spill);
+        let mut coo_c = Vec::with_capacity(spill);
+        let mut coo_v = Vec::with_capacity(spill);
+        for r in (0..rows).filter(|&r| csr.row_degree(r) > width) {
+            let (cs, vs) = csr.row(r);
+            coo_r.extend(std::iter::repeat_n(r, cs.len() - width));
+            coo_c.extend_from_slice(&cs[width..]);
+            coo_v.extend_from_slice(&vs[width..]);
+        }
+        Ok(Self {
             rows,
             cols,
             nnz: csr.nnz(),
             width,
-            ell,
-            coo,
-        }
+            ell: Ell::pack(csr, ell_width),
+            coo: Coo::from_sorted((rows, cols), coo_r, coo_c, coo_v),
+        })
     }
 
     /// Converts back to CSR. Like [`Ell::to_csr`], explicit stored zeros
@@ -233,6 +227,57 @@ fn auto_width<T: Scalar>(csr: &Csr<T>) -> usize {
         }
     }
     width
+}
+
+#[cfg(test)]
+impl<T: Scalar> Hyb<T> {
+    /// The parent commit's split: triplets of the capped rows re-sorted
+    /// through `Csr::from_triplets` and `Ell::from_csr_with`, the spill
+    /// re-sorted by `Coo::new`. The oracle the direct split must equal.
+    pub(crate) fn from_csr_with_width_oracle(csr: &Csr<T>, width: usize) -> Self {
+        let rows = csr.rows();
+        let cols = csr.cols();
+        let mut ell_triplets: Vec<(usize, usize, T)> = Vec::new();
+        let mut coo_r = Vec::new();
+        let mut coo_c = Vec::new();
+        let mut coo_v = Vec::new();
+        for r in 0..rows {
+            let (cs, vs) = csr.row(r);
+            let cut = cs.len().min(width);
+            for (&c, &v) in cs[..cut].iter().zip(&vs[..cut]) {
+                ell_triplets.push((r, c, v));
+            }
+            for (&c, &v) in cs[cut..].iter().zip(&vs[cut..]) {
+                coo_r.push(r);
+                coo_c.push(c);
+                coo_v.push(v);
+            }
+        }
+        let ell_csr = Csr::from_triplets(rows, cols, &ell_triplets)
+            .expect("triplets from a valid csr are in bounds");
+        let ell = Ell::from_csr_with(&ell_csr, &ConversionLimits::unlimited())
+            .expect("width-capped part never exceeds an unlimited budget");
+        let coo = Coo::new(rows, cols, coo_r, coo_c, coo_v).expect("entries from a valid csr");
+        Self {
+            rows,
+            cols,
+            nnz: csr.nnz(),
+            width,
+            ell,
+            coo,
+        }
+    }
+
+    /// The oracle under the parent's budget estimate.
+    pub(crate) fn from_csr_with_oracle(csr: &Csr<T>, limits: &ConversionLimits) -> Result<Self> {
+        let width = auto_width(csr);
+        let spill: usize = (0..csr.rows())
+            .map(|r| csr.row_degree(r).saturating_sub(width))
+            .sum();
+        let (slot, triple) = (T::BYTES + 8, T::BYTES + 16);
+        limits.check_bytes("HYB", width * csr.rows() * slot + spill * triple)?;
+        Ok(Self::from_csr_with_width_oracle(csr, width))
+    }
 }
 
 #[cfg(test)]

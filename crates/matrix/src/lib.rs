@@ -40,6 +40,8 @@ mod ell;
 mod error;
 mod fingerprint;
 mod hyb;
+#[cfg(test)]
+mod oracle;
 mod scalar;
 
 pub mod gen;

@@ -969,13 +969,13 @@ const PINNED_BLOCK: &str = "[1,2,-0.5,0,1,0,-2,0.25,8]";
 /// reply builders became one: a tune, a cold and a warm `spmv`, then
 /// `spmm` k=3 cold with `x`, cold without, warm with and warm without.
 const TUNED_REPLIES: [&str; 7] = [
-    r#"{"status":"ok","op":"tune","format":"CSR","kernel":"csr_basic","cached":false,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50"}"#,
-    r#"{"status":"ok","op":"spmv","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","y":[2.5,1.0,6.0,1.5]}"#,
-    r#"{"status":"ok","op":"spmv","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"y":[2.5,1.0,6.0,1.5]}"#,
-    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
-    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
-    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
-    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:c74676fa5624ac40:2c22810beaaaae50","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+    r#"{"status":"ok","op":"tune","format":"CSR","kernel":"csr_basic","cached":false,"handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc"}"#,
+    r#"{"status":"ok","op":"spmv","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"ok","op":"spmv","handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","format":"CSR","kernel":"csr_basic","warm":true,"y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"ok","op":"spmm","format":"CSR","kernel":"csr_basic","cached":true,"handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"ok","op":"spmm","handle":"h1:_:4:3:6:9503142b5bd764b9:823afd517f3c34bc","format":"CSR","kernel":"csr_basic","warm":true,"spmm_kernel":"_","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
 ];
 
 /// Replies of the degraded rung, captured at the same commit: `tune`,

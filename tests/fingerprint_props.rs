@@ -105,6 +105,30 @@ proptest! {
     }
 
     #[test]
+    fn a_single_word_edit_changes_both_halves(
+        (row_ptr, col_idx, pick, delta) in (
+            proptest::collection::vec(0usize..1_000_000, 0..24),
+            proptest::collection::vec(0usize..1_000_000, 0..24),
+            0usize..48,
+            1usize..1_000_000,
+        )
+    ) {
+        // `of_pattern` hashes whatever arrays it is given, so the edit
+        // need not keep them a valid CSR: one word, anywhere in either
+        // array, at any position relative to the lanes.
+        let base = StructuralFingerprint::of_pattern(3, 3, &row_ptr, &col_idx);
+        let (mut rp, mut ci) = (row_ptr.clone(), col_idx.clone());
+        let target = if pick % 2 == 1 { &mut ci } else { &mut rp };
+        if !target.is_empty() {
+            let at = (pick / 2) % target.len();
+            target[at] += delta;
+            let edited = StructuralFingerprint::of_pattern(3, 3, &rp, &ci);
+            prop_assert_ne!(edited.digest[0], base.digest[0]);
+            prop_assert_ne!(edited.digest[1], base.digest[1]);
+        }
+    }
+
+    #[test]
     fn key_is_stable_across_clone_and_rebuild(m in arb_matrix()) {
         // Rebuilding the same logical matrix from its own triplets (a
         // fresh allocation, same structure) reproduces the key, so the
@@ -118,18 +142,29 @@ proptest! {
 
 #[test]
 fn fingerprints_rarely_collide_across_a_family() {
-    // 5000 distinct structures; the 128-bit key must separate them all.
+    // 20 000 distinct structures; the 128-bit key must separate them
+    // all, and so must each 64-bit half on its own.
     let mut seen = std::collections::HashSet::<StructuralFingerprint>::new();
-    for n in 2..102usize {
-        for shift in 0..50usize {
-            let t = [(0usize, shift % n, 1.0f64), (n - 1, (shift + 1) % n, 1.0)];
+    let mut halves = [
+        std::collections::HashSet::<u64>::new(),
+        std::collections::HashSet::<u64>::new(),
+    ];
+    for n in 2..202usize {
+        for shift in 0..100usize {
+            // The halves digest `row_ptr` (here: n) and `col_idx` (here:
+            // shift) only, so those two must differ across the family.
+            let t = [(0usize, shift, 1.0f64), (n - 1, shift + 1, 1.0)];
             let m = Csr::from_triplets(n, n + shift, &t).unwrap();
-            seen.insert(m.fingerprint());
+            let fp = m.fingerprint();
+            seen.insert(fp);
+            halves[0].insert(fp.digest[0]);
+            halves[1].insert(fp.digest[1]);
         }
     }
     assert_eq!(
         seen.len(),
-        100 * 50,
+        200 * 100,
         "every distinct structure got a distinct key"
     );
+    assert_eq!((halves[0].len(), halves[1].len()), (200 * 100, 200 * 100));
 }

@@ -272,6 +272,61 @@ fn cache_snapshot_from_a_different_kernel_library_is_refused() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The snapshot's keys are fingerprints, and a fingerprint means
+/// something only under the algorithm that computed it. A snapshot
+/// sealed by the build before the lane-parallel fingerprint — stamped
+/// with the bare kernel-library digest, checksum valid — is refused as
+/// stale rather than absorbed as entries no matrix will ever hit.
+#[test]
+fn cache_snapshot_under_the_previous_fingerprint_stamp_is_refused() {
+    let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 41));
+    let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
+    let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
+    let m = random_uniform::<f64>(240, 240, 5, 29);
+    let engine = Smat::<f64>::with_config(out.model.clone(), SmatConfig::fast()).unwrap();
+    engine.prepare(&m);
+    let path = temp_path("cache_snapshot_previous_stamp.json");
+    assert_eq!(engine.save_cache(&path).unwrap(), 1);
+
+    // Reseal under the parent's stamp. The envelope is pretty JSON
+    // `{"checksum": C, "payload": P}`; C is FNV-1a over P rendered
+    // compactly, which is P's pretty text minus its whitespace (no
+    // string in a snapshot contains any).
+    let live = smat_kernels::KernelLibrary::<f64>::new().digest();
+    let stamp = live ^ smat_matrix::StructuralFingerprint::ALGORITHM;
+    let text = std::fs::read_to_string(&path).unwrap();
+    let stale = text.replacen(
+        &format!("\"library_digest\": {stamp}"),
+        &format!("\"library_digest\": {live}"),
+        1,
+    );
+    assert_ne!(text, stale, "the snapshot carries the folded stamp");
+    let payload_at = stale.find("\"payload\": ").unwrap() + "\"payload\": ".len();
+    let payload = &stale[payload_at..stale.rfind('}').unwrap()];
+    let compact: String = payload.chars().filter(|c| !c.is_whitespace()).collect();
+    let checksum = compact.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let checksum_at = stale.find("\"checksum\": ").unwrap() + "\"checksum\": ".len();
+    let checksum_end = checksum_at + stale[checksum_at..].find(',').unwrap();
+    let resealed = format!(
+        "{}{checksum}{}",
+        &stale[..checksum_at],
+        &stale[checksum_end..]
+    );
+    std::fs::write(&path, resealed).unwrap();
+
+    let fresh = Smat::<f64>::with_config(out.model, SmatConfig::fast()).unwrap();
+    let err = fresh.load_cache(&path).unwrap_err();
+    assert_eq!(err.taxonomy(), "corrupt", "got {err}");
+    assert!(
+        err.to_string().contains("kernel library digest"),
+        "the stale-stamp refusal, not a checksum mismatch: {err}"
+    );
+    assert_eq!(fresh.cache_stats().entries, 0, "nothing was absorbed");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn model_json_is_human_inspectable() {
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(80, 33));

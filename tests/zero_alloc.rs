@@ -3,7 +3,9 @@
 //! heap allocations and spawn **zero** threads — the contract of the
 //! persistent-pool + precomputed-plan redesign. The AMG cycle is held
 //! to the same contract: it is those calls plus vector updates on a
-//! sized workspace.
+//! sized workspace. Format conversions are held to the opposite, equally
+//! exact contract: they may allocate their result and one documented
+//! marker array, and nothing else.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! whole audit lives in a single `#[test]` so no sibling test thread
@@ -13,7 +15,7 @@ use smat::{Smat, SmatConfig, Trainer};
 use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Workspace};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
-use smat_matrix::{AnyMatrix, Csr, Format};
+use smat_matrix::{AnyMatrix, Bcsr, ConversionLimits, Csr, Dia, Format, Hyb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,18 +23,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    REQUESTED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -60,8 +68,69 @@ fn audit(warmup: usize, calls: usize, mut f: impl FnMut()) -> (u64, u64) {
     (allocations() - a0, smat_kernels::exec::spawn_count() - s0)
 }
 
+/// (blocks, bytes) requested of the allocator while `f` runs, and `f`'s
+/// result.
+fn tally<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = (allocations(), REQUESTED_BYTES.load(Ordering::Relaxed));
+    let result = f();
+    let after = (allocations(), REQUESTED_BYTES.load(Ordering::Relaxed));
+    ((after.0 - before.0, after.1 - before.1), result)
+}
+
+/// Conversions are count → check → allocate exactly → fill: what one
+/// asks of the allocator is its result's arrays plus one documented
+/// marker/slot array, to the byte. A triplet list, a per-block-row
+/// scratch vector or a growing `Vec` coming back shows here as an extra
+/// block or extra bytes.
+fn conversions_allocate_their_result_and_one_marker_array() {
+    const W: u64 = std::mem::size_of::<usize>() as u64;
+    let limits = ConversionLimits::default();
+
+    // HYB: ELL values + indices, three COO arrays, and the row-degree
+    // histogram (`max_RD + 2` counters) of the width heuristic.
+    let skew = smat_matrix::gen::random_skewed::<f64>(3_000, 3_000, 8, 0.05, 12, 51);
+    let max_rd = (0..skew.rows()).map(|r| skew.row_degree(r)).max().unwrap() as u64;
+    let ((blocks, bytes), hyb) = tally(|| Hyb::from_csr_with(&skew, &limits).expect("fits"));
+    assert!(hyb.coo_part().nnz() > 0 && hyb.ell_part().nnz() > 0);
+    let ell_slots = hyb.ell_part().data().len() as u64;
+    let resident = ell_slots * (8 + W) + hyb.coo_part().nnz() as u64 * (8 + 2 * W);
+    assert!(blocks <= 6, "HYB conversion made {blocks} allocations");
+    assert!(
+        bytes <= resident + (max_rd + 2) * W,
+        "HYB conversion requested {bytes} B for a {resident} B result"
+    );
+
+    // BCSR: block_ptr, block_col, values, and the block-column slot map
+    // (`ceil(cols / bc)` words).
+    let blocked = smat_matrix::gen::block_sparse_varied::<f64>(2_400, 4, 6, 52);
+    let ((blocks, bytes), bcsr) =
+        tally(|| Bcsr::from_csr_with(&blocked, 4, 4, &limits).expect("fits"));
+    let resident = bcsr.values().len() as u64 * 8
+        + (bcsr.block_col().len() + bcsr.block_ptr().len()) as u64 * W;
+    assert!(blocks <= 5, "BCSR conversion made {blocks} allocations");
+    assert!(
+        bytes <= resident + blocked.cols().div_ceil(4) as u64 * W,
+        "BCSR conversion requested {bytes} B for a {resident} B result"
+    );
+
+    // DIA: offsets, data, and the slot map over the band (here offsets
+    // -40..=40, far narrower than `rows + cols`).
+    let band = smat_matrix::gen::banded::<f64>(5_000, &[-40, -1, 0, 1, 40], 0.9, 53);
+    let ((blocks, bytes), dia) = tally(|| Dia::from_csr_with(&band, &limits).expect("fits"));
+    let resident = dia.data().len() as u64 * 8 + dia.offsets().len() as u64 * W;
+    assert!(blocks <= 5, "DIA conversion made {blocks} allocations");
+    assert!(
+        bytes <= resident + 81 * W,
+        "DIA conversion requested {bytes} B for a {resident} B result"
+    );
+}
+
 #[test]
 fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
+    // --- Conversion tier: before any pool thread exists, so the counts
+    // are this thread's alone.
+    conversions_allocate_their_result_and_one_marker_array();
+
     // --- Kernel level: every builtin parallel variant through its plan.
     let lib = KernelLibrary::<f64>::new();
     let m = random_uniform::<f64>(500, 500, 9, 41);
