@@ -77,9 +77,12 @@ COMMANDS:
   serve     run the tuning-as-a-service daemon: line-delimited JSON requests
             (ping/metrics/tune/spmv/spmm/shutdown) over TCP (--addr, port 0
             picks an ephemeral port printed as `listening on ...`) or a Unix
-            socket (--socket); bounded admission queue with load shedding,
-            per-tenant token buckets, per-request deadlines, and a degradation
-            ladder; tuned matrices are parked in the daemon's handle registry
+            socket (--socket); each request is served on its connection's
+            thread, with at most --workers concurrent tuning runs and --queue
+            requests waiting for one (the rest are shed or, from
+            --degrade-watermark waiting, answered by the reference kernel);
+            per-tenant token buckets and per-request deadlines; tuned
+            matrices are parked in the daemon's handle registry
             (--handle-capacity entries under --handle-budget-bytes, both per
             daemon) so follow-up requests that send the returned handle skip
             parsing and tuning entirely; --cache preloads the tuning-cache

@@ -7,15 +7,16 @@ use std::time::Duration;
 /// default; tests shrink the limits to force each policy to fire.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads pulling from the admission queue.
+    /// Tuning runs allowed at once: the admission gate's permits. Each
+    /// runs on the connection thread of the request it serves.
     pub workers: usize,
-    /// Bound on queued (admitted, not yet started) requests. A full
-    /// queue sheds with retry-after; it never buffers unboundedly.
+    /// Bound on requests waiting for a permit. A full line sheds with
+    /// retry-after; it never buffers unboundedly.
     pub queue_capacity: usize,
-    /// Queue depth at which the degradation ladder kicks in: at or
-    /// above this depth, new requests are served immediately through
-    /// the reference serial CSR path (counted degraded) instead of
-    /// queuing behind the backlog.
+    /// Line length at which the degradation ladder kicks in: with this
+    /// many waiting, new requests are served immediately through the
+    /// reference serial CSR path (counted degraded) instead of joining
+    /// the line.
     pub degrade_watermark: usize,
     /// Deadline applied to requests that do not carry `deadline_ms`.
     pub default_deadline: Duration,

@@ -6,9 +6,13 @@
 //! Unix-domain socket. The serving layer adds what a shared tuner
 //! needs and the engine alone cannot provide:
 //!
-//! - **Admission control**: a bounded queue that sheds with an
-//!   explicit retry-after instead of buffering without bound, and
-//!   per-tenant token-bucket budgets.
+//! - **Admission control**: a gate that lets `workers` requests tune
+//!   at once and `queue_capacity` wait in arrival order, shedding the
+//!   rest with an explicit retry-after instead of buffering without
+//!   bound, and per-tenant token-bucket budgets over a bounded map.
+//! - **One thread per request**: the connection thread that read a
+//!   frame parses, admits, tunes, multiplies and answers it; nothing
+//!   is handed to a pool and no reply waits on another thread.
 //! - **Deadlines**: per-request deadlines propagated into the
 //!   engine's own cooperative measurement deadlines via
 //!   [`smat::Smat::prepare_with_deadline`], so a hurried request can
@@ -16,8 +20,8 @@
 //! - **Coalescing**: identical structural fingerprints from different
 //!   clients collapse onto one tuning run through the engine's
 //!   single-flight `prepare`.
-//! - **Degradation**: when the engine is unhealthy or the backlog
-//!   deep, requests are answered immediately through the reference
+//! - **Degradation**: when the engine is unhealthy or the line at the
+//!   gate long, requests are answered immediately through the reference
 //!   serial CSR path and counted as degraded — correct now beats
 //!   tuned late.
 //! - **Warm handles**: a successful tune/spmv response carries a

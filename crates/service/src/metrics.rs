@@ -10,7 +10,8 @@
 //! admitted request is answered exactly once, by exactly one outcome.
 //! To keep that
 //! bookkeeping single-writer, outcome counters are incremented at
-//! response-write time in the connection thread, never in workers.
+//! response-write time, by the connection thread that served the
+//! request.
 //!
 //! Beside the counters, every admitted work request leaves the time it
 //! spent in each stage of the connection thread (read, parse, work,
@@ -32,7 +33,7 @@ pub(crate) enum Stage {
     Read,
     /// UTF-8 check and `parse_request`.
     Parse,
-    /// Admission, then the registry lookup or the queue and `prepare`,
+    /// Admission, then the registry lookup or the gate and `prepare`,
     /// then the product.
     Work,
     /// Formatting the reply line.
@@ -176,7 +177,8 @@ pub struct ServiceMetrics {
     pub shed_queue_full: AtomicU64,
     /// Shed subtotal: server draining.
     pub shed_draining: AtomicU64,
-    /// Highest queue depth observed at any enqueue.
+    /// Longest line at the admission gate, as seen by a request
+    /// joining it.
     pub queue_high_watermark: AtomicU64,
     /// Whether the server is refusing new work and draining.
     pub draining: AtomicBool,

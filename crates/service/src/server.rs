@@ -1,16 +1,16 @@
 //! The serving loop: listener, connection threads, admission ladder,
-//! the one engine, worker pool, and graceful drain.
+//! the one engine, and graceful drain.
 //!
 //! ## Thread shape
 //!
-//! One accept loop (the thread that called [`Server::run`]), one
-//! thread per live connection, and a fixed pool of
-//! [`ServeConfig::workers`] tuning workers behind a bounded queue.
-//! Connection threads do everything cheap — framing, parsing,
-//! admission, shedding, the degraded reference product, and the warm
-//! handle path — and only tuning work crosses the queue. Replies
-//! travel back over a per-job mpsc channel bounded by the request
-//! deadline, so a connection thread can never wedge on a lost worker.
+//! One accept loop (the thread that called [`Server::run`]) and one
+//! thread per live connection, which does everything its requests need
+//! — framing, parsing, admission, the degraded reference product, the
+//! warm handle path, and tuning: a request is never handed to another
+//! thread. Concurrent tuning is bounded by the admission [`Gate`]:
+//! [`ServeConfig::workers`] permits, and at most
+//! [`ServeConfig::queue_capacity`] connection threads waiting for one,
+//! in arrival order and never past their deadlines.
 //!
 //! ## One engine and the warm path
 //!
@@ -23,38 +23,38 @@
 //!
 //! A successful tune/spmv/spmm response carries a `handle` — the
 //! fingerprint plus this server's generation tag. A follow-up
-//! `{"op":"spmv","handle":...,"x":[...]}` is served *inline on the
-//! connection thread*: no triplet parse, no conversion, no prepare,
-//! no queue hop — just a registry lookup and the frozen kernel replay
-//! into per-connection buffers: the frame, `x`, `y` and the reply line
-//! each live in a buffer the connection owns and reuses, so nothing a
-//! warm call allocates grows with the vectors. Unknown, evicted, or
-//! other-generation handles answer `handle_miss` with the fingerprint
-//! echoed, so clients fall back to the triplet path deterministically.
+//! `{"op":"spmv","handle":...,"x":[...]}` never touches the gate: no
+//! triplet parse, no conversion, no prepare, no wait — just a registry
+//! lookup and the frozen kernel replay into per-connection buffers:
+//! the frame, `x`, `y` and the reply line each live in a buffer the
+//! connection owns and reuses, so nothing a warm call allocates grows
+//! with the vectors. Unknown, evicted, or other-generation handles
+//! answer `handle_miss` with the fingerprint echoed, so clients fall
+//! back to the triplet path deterministically.
 //!
 //! ## Degradation ladder (per request)
 //!
 //! 1. tenant token bucket empty → shed with retry-after;
 //! 2. deadline already expired → deadline miss;
 //! 3. draining → shed;
-//! 4. engine unhealthy (pool demoted, quarantine active) or backlog at
-//!    the watermark → serve the reference serial CSR product *now*,
+//! 4. engine unhealthy (pool demoted, quarantine active) or the line
+//!    at the watermark → serve the reference serial CSR product *now*,
 //!    counted degraded — a correct answer immediately instead of a
-//!    queued answer late;
-//! 5. queue full → shed with retry-after;
-//! 6. otherwise queue for tuning; the worker clamps every measurement
-//!    to the request deadline via `prepare_with_deadline`.
+//!    tuned answer late;
+//! 5. line full → shed with retry-after;
+//! 6. otherwise wait for a permit, then tune here; every measurement
+//!    is clamped to the request deadline via `prepare_with_deadline`.
 //!
 //! ## Shutdown
 //!
 //! `{"op":"shutdown"}` (the SIGTERM analog in this vendored-std
 //! environment) flips the drain flag: the accept loop closes the
 //! listener, connection threads finish their in-flight frames and
-//! responses, the queue is closed and drained by the workers, and the
-//! tuning-cache snapshot is persisted if configured. [`Server::run`]
-//! then returns a [`DrainSummary`] and the process can exit 0.
+//! responses (a wait at the gate included), and the tuning-cache
+//! snapshot is persisted if configured. [`Server::run`] then returns a
+//! [`DrainSummary`] and the process can exit 0.
 
-use crate::admission::{BoundedQueue, TokenBuckets};
+use crate::admission::{Gate, Refused, TokenBuckets};
 use crate::config::ServeConfig;
 use crate::metrics::{shard_entry, ServiceMetrics, Stage};
 use crate::proto::{
@@ -63,15 +63,16 @@ use crate::proto::{
 };
 use serde::{Serialize, Value};
 use smat::{HandleRegistry, Smat, TunedSpmv};
+use smat_kernels::panic_message;
 use smat_matrix::Csr;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::{fs::FileTypeExt, net::UnixListener, net::UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -82,9 +83,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// megabytes arrives in a few dozen reads, not thousands.
 const READ_STEP: usize = 64 << 10;
 
-/// Slack added to the reply wait beyond the request deadline, so a
-/// worker's own deadline-miss answer wins over the connection thread's
-/// local timeout when both fire together.
+/// How far past its deadline a tuning run may return and still answer
+/// for itself (it clamps itself to the deadline) before the reply
+/// becomes an `in_flight` miss.
 const REPLY_GRACE: Duration = Duration::from_millis(250);
 
 /// Distinguishes handles minted by different server incarnations (the
@@ -98,16 +99,7 @@ fn next_generation() -> u64 {
         | (GENERATION_SEQ.fetch_add(1, Ordering::Relaxed) & 0xf_ffff)
 }
 
-/// One admitted tuning job crossing the queue. The source is always
-/// inline: handle requests are served on the connection thread and
-/// never queue.
-struct Job {
-    work: WorkRequest,
-    deadline: Instant,
-    reply: mpsc::Sender<Response>,
-}
-
-/// State shared by the accept loop, connection threads, and workers.
+/// State shared by the accept loop and the connection threads.
 struct Shared {
     engine: Arc<Smat<f64>>,
     /// Prepared matrices the warm path replays, by fingerprint.
@@ -115,7 +107,7 @@ struct Shared {
     generation: u64,
     config: ServeConfig,
     metrics: ServiceMetrics,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     buckets: TokenBuckets,
 }
 
@@ -129,22 +121,22 @@ impl Shared {
     }
 }
 
-/// Per-thread reusable buffers (one set per connection, one per
-/// worker): sized on first use and reused for every later request on
-/// that thread, so what a warm `spmv` allocates — the boxed request and
-/// the reply's few small fields — does not grow with its vectors.
+/// A connection's reusable buffers: sized on first use and reused for
+/// every later request on that connection, so what a warm `spmv`
+/// allocates — the boxed request and the reply's few small fields —
+/// does not grow with its vectors.
 #[derive(Default)]
 struct Scratch {
     /// The engine's operands, row-major.
     x: Vec<f64>,
     y: Vec<f64>,
     /// Spare for the next request's wire `x` to be parsed into; the
-    /// request hands it back when answered on this thread.
+    /// request hands it back once answered.
     wire_x: Vec<f64>,
     /// Spare for the next reply's wire-order `y`; the reply hands it
     /// back once written.
     wire_y: Vec<f64>,
-    /// The reply line being written (connection threads only).
+    /// The reply line being written.
     line: String,
 }
 
@@ -239,9 +231,9 @@ impl ServerHandle {
         self.shared.draining()
     }
 
-    /// Current admission-queue depth.
+    /// Requests waiting at the admission gate right now.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.gate.waiters()
     }
 
     /// The metrics JSON served by the `metrics` op.
@@ -269,11 +261,12 @@ impl Server {
     }
 
     /// Binds a Unix-domain socket at `path`, replacing a stale socket
-    /// file left by a previous run.
+    /// file left by a previous run — and nothing but a socket.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Refuses a path that holds anything else (the message names it);
+    /// otherwise propagates the bind failure.
     #[cfg(unix)]
     pub fn bind_unix(
         path: impl Into<PathBuf>,
@@ -281,7 +274,11 @@ impl Server {
         config: ServeConfig,
     ) -> io::Result<Self> {
         let path = path.into();
-        if path.exists() {
+        if let Ok(found) = std::fs::symlink_metadata(&path) {
+            if !found.file_type().is_socket() {
+                let what = format!("{} exists and is not a socket", path.display());
+                return Err(io::Error::new(io::ErrorKind::AlreadyExists, what));
+            }
             std::fs::remove_file(&path)?;
         }
         let listener = UnixListener::bind(&path)?;
@@ -297,7 +294,7 @@ impl Server {
     fn with_listener(listener: Listener, engine: Arc<Smat<f64>>, config: ServeConfig) -> Self {
         let config = config.normalized();
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
+            gate: Gate::new(config.workers, config.queue_capacity),
             buckets: TokenBuckets::new(config.tenant_rate, config.tenant_burst),
             metrics: ServiceMetrics::default(),
             handles: HandleRegistry::new(config.handle_capacity, config.handle_budget_bytes),
@@ -342,16 +339,6 @@ impl Server {
                 let _ = shared.engine.load_cache(path);
             }
         }
-
-        let workers: Vec<_> = (0..shared.config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("smat-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning a worker thread")
-            })
-            .collect();
 
         match &listener {
             Listener::Tcp(l) => l.set_nonblocking(true)?,
@@ -411,12 +398,6 @@ impl Server {
         }
         drop(listener);
         for handle in conns {
-            let _ = handle.join();
-        }
-        // No producers remain; close the queue so workers drain the
-        // backlog and exit.
-        shared.queue.close();
-        for handle in workers {
             let _ = handle.join();
         }
 
@@ -595,7 +576,7 @@ fn process_frame(
             write_response(shared, conn, &mut scratch.line, &resp, false);
             false
         }
-        Request::Work(work) => {
+        Request::Work(mut work) => {
             if matches!(work.source, MatrixSource::Inline(_)) {
                 // The audit counter for the triplet path: warm handle
                 // frames never pass through here, which is exactly
@@ -606,8 +587,13 @@ fn process_frame(
             m.observe_stage(Stage::Read, read);
             let work_started = Instant::now();
             m.observe_stage(Stage::Parse, work_started - parse_started);
-            let mut resp = handle_work(shared, *work, scratch);
+            let mut resp = handle_work(shared, &work, scratch);
             m.observe_stage(Stage::Work, work_started.elapsed());
+            // Whichever rung answered, the request ends here: its
+            // vector is the next frame's to parse into.
+            if let Some(x) = work.x.take() {
+                scratch.wire_x = x;
+            }
             let open = write_response(shared, conn, &mut scratch.line, &resp, true);
             if let Some(y) = resp.y.take() {
                 scratch.wire_y = y;
@@ -617,12 +603,13 @@ fn process_frame(
     }
 }
 
-/// The admission ladder for one tune/spmv request. Always returns a
-/// response; the connection thread writes and counts it.
-fn handle_work(shared: &Arc<Shared>, mut work: WorkRequest, scratch: &mut Scratch) -> Response {
-    ServiceMetrics::inc(&shared.metrics.requests_total);
+/// The admission ladder for one work request, rung by rung. Always
+/// returns a response; the caller writes and counts it.
+fn handle_work(shared: &Shared, work: &WorkRequest, scratch: &mut Scratch) -> Response {
+    let m = &shared.metrics;
+    ServiceMetrics::inc(&m.requests_total);
     if let Err(retry) = shared.buckets.try_take(&work.tenant) {
-        ServiceMetrics::inc(&shared.metrics.shed_tenant);
+        ServiceMetrics::inc(&m.shed_tenant);
         return Response::shed(retry, "tenant budget exhausted");
     }
     let budget = work
@@ -634,48 +621,39 @@ fn handle_work(shared: &Arc<Shared>, mut work: WorkRequest, scratch: &mut Scratc
         return Response::deadline_miss("admission");
     }
     if shared.draining() {
-        ServiceMetrics::inc(&shared.metrics.shed_draining);
+        ServiceMetrics::inc(&m.shed_draining);
         return Response::shed(shared.config.shed_retry_after, "server is draining");
     }
-    // Warm path: a handle request never queues, never parses, never
-    // prepares. The registry lookup and the frozen kernel replay both
-    // happen right here on the connection thread.
-    let matrix = match work.source {
-        MatrixSource::Handle(handle) => {
-            if handle.generation != shared.generation {
-                return Response::handle_miss(
-                    &handle,
-                    "stale generation: handle was minted by another server instance",
-                );
-            }
-            let resp = match shared.handles.lookup(&handle.fingerprint) {
-                Some(tuned) => {
-                    let fields = vec![
-                        ("op", Value::Str(work.op.name().to_string())),
-                        ("handle", Value::Str(handle.encode())),
-                        ("format", Value::Str(tuned.format().to_string())),
-                        (
-                            "kernel",
-                            Value::Str(kernel_name(shared, &tuned).to_string()),
-                        ),
-                        ("warm", Value::Bool(true)),
-                    ];
-                    tuned_reply(shared, Status::Ok, fields, &work, &tuned, scratch)
-                }
-                None => Response::handle_miss(&handle, "unknown or evicted handle"),
-            };
-            // The request ends on this thread: its vector is the next
-            // frame's to parse into.
-            if let Some(x) = work.x.take() {
-                scratch.wire_x = x;
-            }
-            return resp;
+    let matrix = match &work.source {
+        // Warm path: a handle request never waits, never parses, never
+        // prepares — a registry lookup and the frozen kernel replay.
+        MatrixSource::Handle(handle) if handle.generation != shared.generation => {
+            return Response::handle_miss(
+                handle,
+                "stale generation: handle was minted by another server instance",
+            );
         }
-        MatrixSource::Inline(ref m) => m,
+        MatrixSource::Handle(handle) => {
+            let Some(tuned) = shared.handles.lookup(&handle.fingerprint) else {
+                return Response::handle_miss(handle, "unknown or evicted handle");
+            };
+            let fields = vec![
+                ("op", Value::Str(work.op.name().to_string())),
+                ("handle", Value::Str(handle.encode())),
+                ("format", Value::Str(tuned.format().to_string())),
+                (
+                    "kernel",
+                    Value::Str(kernel_name(shared, &tuned).to_string()),
+                ),
+                ("warm", Value::Bool(true)),
+            ];
+            return tuned_reply(shared, Status::Ok, fields, work, &tuned, scratch);
+        }
+        MatrixSource::Inline(matrix) => matrix,
     };
-    // Degradation ladder: an unhealthy engine or a deep backlog means
-    // a correct answer *now* beats a tuned answer late.
-    let depth = shared.queue.len();
+    // An unhealthy engine or a long line means a correct answer *now*
+    // beats a tuned answer late.
+    let depth = shared.gate.waiters();
     if shared.engine.pool_demoted()
         || shared.engine.quarantine_active()
         || depth >= shared.config.degrade_watermark
@@ -688,26 +666,32 @@ fn handle_work(shared: &Arc<Shared>, mut work: WorkRequest, scratch: &mut Scratc
         } else {
             "engine health: pool demoted or kernels quarantined".to_string()
         };
-        return degraded_now(&work, matrix, &reason, scratch);
+        return degraded_now(work, matrix, &reason, scratch);
     }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        work,
-        deadline,
-        reply: tx,
-    };
-    match shared.queue.push(job) {
-        Ok(depth) => shared.metrics.observe_queue_depth(depth as u64),
-        Err(_rejected) => {
-            ServiceMetrics::inc(&shared.metrics.shed_queue_full);
+    let queued = |depth: usize| m.observe_queue_depth(depth as u64);
+    let permit = match shared.gate.enter(deadline, queued) {
+        Ok(permit) => permit,
+        Err(Refused::Full) => {
+            ServiceMetrics::inc(&m.shed_queue_full);
             return Response::shed(shared.config.shed_retry_after, "admission queue full");
         }
+        Err(Refused::Expired) => return Response::deadline_miss("queued"),
+    };
+    // Containment boundary: a panic anywhere in tuning becomes an error
+    // *response* to the request that caused it, and the permit goes
+    // back either way.
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        tune_here(shared, work, matrix, deadline, scratch)
+    }));
+    drop(permit);
+    let resp = ran.unwrap_or_else(|payload| {
+        Response::error(format!("worker panicked: {}", panic_message(&*payload)))
+    });
+    if Instant::now() > deadline + REPLY_GRACE {
+        // The run ignored its deadline; what it tuned stays registered.
+        return Response::deadline_miss("in_flight");
     }
-    let wait = deadline.saturating_duration_since(Instant::now()) + REPLY_GRACE;
-    match rx.recv_timeout(wait) {
-        Ok(resp) => resp,
-        Err(_) => Response::deadline_miss("in_flight"),
-    }
+    resp
 }
 
 /// Runs the product `work` asks for and completes `fields` into the
@@ -771,7 +755,7 @@ fn kernel_name(shared: &Shared, tuned: &TunedSpmv<f64>) -> &'static str {
 
 /// Completes a reply about a tuned matrix with the product `work` asks
 /// for, run through the engine's containment boundary — what a warm
-/// handle call and the tail of a cold job both do. Zero matrix work,
+/// handle call and the tail of a cold request both do. Zero matrix work,
 /// and no allocation that grows with the vectors.
 fn tuned_reply(
     shared: &Shared,
@@ -838,52 +822,22 @@ fn degraded_now(
     )
 }
 
-// ---------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>) {
-    let mut scratch = Scratch::default();
-    while let Some(job) = shared.queue.pop() {
-        let reply = job.reply.clone();
-        // Containment boundary: a panic anywhere in tuning becomes an
-        // error *response*; the worker thread itself never dies, so
-        // the pool cannot be wedged by a poisoned request.
-        let resp = catch_unwind(AssertUnwindSafe(|| process_job(shared, job, &mut scratch)))
-            .unwrap_or_else(|payload| {
-                Response::error(format!("worker panicked: {}", panic_text(&payload)))
-            });
-        // The client may have given up (deadline, disconnect); a dead
-        // channel is not the worker's problem.
-        let _ = reply.send(resp);
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
-}
-
-fn process_job(shared: &Arc<Shared>, job: Job, scratch: &mut Scratch) -> Response {
-    // Failpoint `service.worker`: scripted worker faults and stalls.
+/// Ladder rung 6, under a permit: tune `matrix`, run the product, mint
+/// and register the handle.
+fn tune_here(
+    shared: &Shared,
+    work: &WorkRequest,
+    matrix: &Csr<f64>,
+    deadline: Instant,
+    scratch: &mut Scratch,
+) -> Response {
+    // Failpoint `service.worker`: scripted tuning faults and stalls.
     if let Some(fault) = smat_failpoints::check("service.worker") {
         return Response::error(fault.to_string());
     }
-    if job.deadline <= Instant::now() {
+    if deadline <= Instant::now() {
         return Response::deadline_miss("queued");
     }
-    let Job { work, deadline, .. } = job;
-    let matrix: &Csr<f64> = match &work.source {
-        MatrixSource::Inline(m) => m,
-        MatrixSource::Handle(_) => {
-            // Handle requests are answered inline on the connection
-            // thread and never queue; this arm is a contract guard.
-            return Response::error("internal: handle request crossed the tuning queue");
-        }
-    };
     let tuned = shared.engine.prepare_with_deadline(matrix, deadline);
     let status = if tuned.decision().is_degraded() {
         Status::Degraded
@@ -913,7 +867,7 @@ fn process_job(shared: &Arc<Shared>, job: Job, scratch: &mut Scratch) -> Respons
         };
         fields.push(("handle", Value::Str(wire.encode())));
     }
-    let resp = tuned_reply(shared, status, fields, &work, &tuned, scratch);
+    let resp = tuned_reply(shared, status, fields, work, &tuned, scratch);
     if resp.status == Status::Ok {
         shared.handles.insert(tuned);
     }
@@ -1010,7 +964,7 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
         ("shed_tenant", Value::UInt(g(&m.shed_tenant))),
         ("shed_queue_full", Value::UInt(g(&m.shed_queue_full))),
         ("shed_draining", Value::UInt(g(&m.shed_draining))),
-        ("queue_depth", Value::UInt(shared.queue.len() as u64)),
+        ("queue_depth", Value::UInt(shared.gate.waiters() as u64)),
         (
             "queue_capacity",
             Value::UInt(shared.config.queue_capacity as u64),

@@ -1,18 +1,19 @@
 //! End-to-end tests of the tuning service over real sockets: protocol
 //! round trips, admission policies, client misbehavior, and graceful
 //! drain. Everything here runs without failpoints — the scripted-fault
-//! scenarios live in the workspace chaos suite.
+//! scenarios live in the workspace chaos suite; where a test needs a
+//! tuning run to stall, it registers a kernel that waits for the test.
 
 use serde::Value;
 use smat::{Installation, Smat, SmatConfig, TrainedModel, Trainer, INSTALL_SCHEMA_VERSION};
-use smat_kernels::{KernelChoice, KernelId, KernelLibrary};
+use smat_kernels::{KernelChoice, KernelFn, KernelId, KernelLibrary, StrategySet};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
-use smat_matrix::{Csr, Format};
+use smat_matrix::{AnyMatrix, Csr, Format};
 use smat_service::server::DrainSummary;
 use smat_service::{ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -478,13 +479,11 @@ fn concurrent_clients_are_all_answered_and_counters_balance() {
     let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
     let service = field(&metrics, "service");
     assert_eq!(as_u64(field(service, "requests_total")), CLIENTS as u64);
-    let outcomes = as_u64(field(service, "requests_ok"))
-        + as_u64(field(service, "requests_degraded"))
-        + as_u64(field(service, "requests_shed"))
-        + as_u64(field(service, "deadline_misses"))
-        + as_u64(field(service, "requests_handle_miss"))
-        + as_u64(field(service, "requests_error"));
-    assert_eq!(outcomes, CLIENTS as u64, "every request counted once");
+    assert_eq!(
+        outcomes(service),
+        CLIENTS as u64,
+        "every request counted once"
+    );
     // All eight share one structural fingerprint: at most one tuning
     // run, the rest answered from cache or coalesced onto the leader.
     let engine = field(&metrics, "engine");
@@ -616,7 +615,10 @@ fn stage_histograms_account_for_every_warm_request() {
             (as_u64(field(&entry, "count")), micros("sum_us"))
         })
     };
-    // The cold tune went through every stage once as well.
+    // The cold tune went through every stage once as well — its write
+    // is recorded once the write returns, which a ping on the same
+    // connection (answered in order) is the way to wait for.
+    assert_eq!(status_of(&client.request("{\"op\":\"ping\"}")), "ok");
     let before = stages(&running);
     assert_eq!(before.map(|(count, _)| count), [1; 5]);
     let mut round_trips_us = 0.0;
@@ -925,22 +927,197 @@ fn handle_capacity_bounds_the_whole_daemon() {
 /// breakers, so the daemon in front of it answers every inline request
 /// from the degraded rung.
 fn pinned_engine(quarantined: Vec<KernelId>) -> Arc<Smat<f64>> {
+    pinned_engine_with(quarantined, None)
+}
+
+/// [`pinned_engine`], with `csr_kernel` (when given) registered and
+/// chosen as the CSR kernel, so every tuning run measures it.
+fn pinned_engine_with(
+    quarantined: Vec<KernelId>,
+    csr_kernel: Option<KernelFn<f64>>,
+) -> Arc<Smat<f64>> {
     let mut pinned = model().clone();
     pinned.groups.groups.clear();
     let config = SmatConfig {
         fallback_formats: vec![Format::Csr],
         ..SmatConfig::default()
     };
+    let builtin = KernelLibrary::<f64>::new();
+    let mut kernel_choice = KernelChoice::basic();
+    if csr_kernel.is_some() {
+        kernel_choice.set(Format::Csr, builtin.variant_count(Format::Csr));
+    }
     let installation = Installation {
         schema: INSTALL_SCHEMA_VERSION,
         precision: "double".to_string(),
-        library_digest: KernelLibrary::<f64>::new().digest(),
+        library_digest: builtin.digest(),
         probe_dim: config.probe_dim,
-        kernel_choice: KernelChoice::basic(),
+        kernel_choice,
         tables: Vec::new(),
         quarantined,
     };
-    Arc::new(Smat::with_installation(pinned, config, installation).expect("engine builds"))
+    let mut engine = Smat::with_installation(pinned, config, installation).expect("engine builds");
+    if let Some(kernel) = csr_kernel {
+        let strategies = StrategySet::default();
+        engine
+            .library_mut()
+            .register(Format::Csr, "csr_held", strategies, kernel);
+    }
+    Arc::new(engine)
+}
+
+/// What the gate test and its registered kernel share: while `hold` is
+/// set a call of the kernel parks, after counting itself in `entered`.
+struct Hold {
+    hold: bool,
+    entered: usize,
+}
+
+static HOLD: (Mutex<Hold>, Condvar) = (
+    Mutex::new(Hold {
+        hold: false,
+        entered: 0,
+    }),
+    Condvar::new(),
+);
+
+/// The reference CSR product, once the test lets it through.
+fn held_csr(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
+    let (state, changed) = &HOLD;
+    let mut state = state.lock().unwrap();
+    state.entered += 1;
+    changed.notify_all();
+    while state.hold {
+        state = changed.wait(state).unwrap();
+    }
+    drop(state);
+    match m {
+        AnyMatrix::Csr(csr) => csr.spmv(x, y).expect("reference SpMV"),
+        other => panic!("registered for CSR, handed {:?}", other.format()),
+    }
+}
+
+/// The six outcome counters of the `service` block, summed.
+fn outcomes(service: &Value) -> u64 {
+    [
+        "requests_ok",
+        "requests_degraded",
+        "requests_shed",
+        "deadline_misses",
+        "requests_handle_miss",
+        "requests_error",
+    ]
+    .iter()
+    .map(|key| as_u64(field(service, key)))
+    .sum()
+}
+
+/// One permit, a line of two: of five concurrent cold requests one
+/// tunes, two wait for it in arrival order, and the other two are
+/// answered at once — nobody waits outside the line. A waiter whose
+/// deadline passes in line is answered `queued` and never tunes.
+#[test]
+fn gate_runs_one_lines_up_two_and_answers_the_rest_at_once() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 2,
+        degrade_watermark: 2,
+        ..test_config()
+    };
+    let running = start_with(pinned_engine_with(Vec::new(), Some(held_csr)), config);
+    // Distinct structures: nothing coalesces, nothing hits the cache.
+    let frame = |seed: u64, deadline_ms: u64| {
+        let (matrix, x, _) = matrix_fixture(60, seed);
+        format!(
+            "{{\"op\":\"spmv\",\"deadline_ms\":{deadline_ms},\"matrix\":{matrix},\"x\":{}}}",
+            x_json(&x)
+        )
+    };
+    // `unanswered` requests are in flight: admitted and counted in
+    // `requests_total`, in no outcome counter yet.
+    let assert_balance = |unanswered: u64| {
+        let metrics = running.handle.metrics_snapshot();
+        let service = field(&metrics, "service");
+        assert_eq!(
+            as_u64(field(service, "requests_total")),
+            outcomes(service) + unanswered,
+            "service: {service:?}"
+        );
+    };
+    let (state, changed) = &HOLD;
+    state.lock().unwrap().hold = true;
+
+    // The first request takes the permit and parks inside its tuning
+    // run; the next two stand in line behind it, the second of them
+    // with a deadline it will not make.
+    let mut first = Client::connect(running.addr);
+    first.send(&frame(51, 20_000));
+    let parked = changed
+        .wait_timeout_while(state.lock().unwrap(), Duration::from_secs(30), |s| {
+            s.entered == 0
+        })
+        .unwrap();
+    assert!(!parked.1.timed_out(), "the first request never tuned");
+    drop(parked);
+    let mut second = Client::connect(running.addr);
+    second.send(&frame(52, 20_000));
+    wait_until(|| running.handle.queue_depth() == 1, "one in line");
+    let mut hurried = Client::connect(running.addr);
+    hurried.send(&frame(53, 1_000));
+    wait_until(|| running.handle.queue_depth() == 2, "two in line");
+    assert_balance(3);
+
+    // The line is at the watermark (and its bound): the fourth and the
+    // fifth are answered while the permit is still held.
+    for seed in [54, 55] {
+        let resp = one_shot(running.addr, &frame(seed, 20_000));
+        match status_of(&resp) {
+            "degraded" => match field(&resp, "reason") {
+                Value::Str(reason) => assert!(reason.contains("backlog 2"), "{reason}"),
+                other => panic!("reason is {other:?}"),
+            },
+            "shed" => assert_eq!(
+                field(&resp, "reason"),
+                &Value::Str("admission queue full".to_string())
+            ),
+            other => panic!("answered {other} with the line full: {resp:?}"),
+        }
+        assert_eq!(running.handle.queue_depth(), 2, "nobody else waits");
+        assert_balance(3);
+    }
+
+    // Still held: the hurried waiter gives up in line.
+    let missed = hurried.recv();
+    assert_eq!(status_of(&missed), "deadline_miss", "{missed:?}");
+    assert_eq!(field(&missed, "stage"), &Value::Str("queued".to_string()));
+    assert_eq!(running.handle.queue_depth(), 1, "its place is free");
+    assert_balance(2);
+
+    state.lock().unwrap().hold = false;
+    changed.notify_all();
+    for (client, unanswered) in [(&mut first, 1), (&mut second, 0)] {
+        let resp = client.recv();
+        assert_eq!(status_of(&resp), "ok", "{resp:?}");
+        assert_eq!(field(&resp, "kernel"), &Value::Str("csr_held".to_string()));
+        // The second's reply may already be counted when the first's
+        // is read; never fewer than what the test has not read yet.
+        let metrics = running.handle.metrics_snapshot();
+        let service = field(&metrics, "service");
+        assert!(as_u64(field(service, "requests_total")) <= outcomes(service) + unanswered);
+    }
+    assert_balance(0);
+
+    let metrics = running.handle.metrics_snapshot();
+    let service = field(&metrics, "service");
+    assert_eq!(as_u64(field(service, "queue_depth")), 0);
+    assert_eq!(as_u64(field(service, "queue_high_watermark")), 2);
+    assert_eq!(as_u64(field(service, "deadline_misses")), 1);
+    // Two tuning runs, not three: the hurried waiter's never started.
+    assert_eq!(as_u64(field(field(&metrics, "engine"), "cache_misses")), 2);
+    let summary = shutdown_and_join(running);
+    assert_eq!(summary.requests_total, 5);
+    assert_eq!(summary.requests_ok, 2);
+    assert_eq!(summary.requests_degraded + summary.requests_shed, 2);
 }
 
 /// Replaces what differs between two runs of one request script — the
@@ -1146,4 +1323,35 @@ fn unix_socket_serves_the_same_protocol() {
     assert!(line.contains("draining"), "line: {line}");
     join.join().expect("server thread");
     assert!(!path.exists(), "socket file removed on drain");
+}
+
+/// `bind_unix` replaces what a previous run left behind — a socket —
+/// and nothing else: a regular file at the path is somebody's data.
+#[cfg(unix)]
+#[test]
+fn bind_unix_replaces_a_stale_socket_but_refuses_a_regular_file() {
+    use std::os::unix::net::UnixListener;
+    let dir = std::env::temp_dir().join("smat_service_tests");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let stale = dir.join(format!("stale_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&stale);
+    // Dropping a listener closes it and leaves its file behind.
+    drop(UnixListener::bind(&stale).expect("bind the first time"));
+    assert!(stale.exists());
+    Server::bind_unix(&stale, engine(), test_config()).expect("a stale socket is replaced");
+    std::fs::remove_file(&stale).ok();
+
+    let precious = dir.join(format!("model_{}.json", std::process::id()));
+    std::fs::write(&precious, "not a socket").expect("write file");
+    let refused = Server::bind_unix(&precious, engine(), test_config())
+        .err()
+        .expect("a regular file is not replaced");
+    let message = refused.to_string();
+    assert!(
+        message.contains(&precious.display().to_string()) && message.contains("not a socket"),
+        "message: {message}"
+    );
+    let kept = std::fs::read_to_string(&precious).expect("file still there");
+    assert_eq!(kept, "not a socket");
+    std::fs::remove_file(&precious).ok();
 }

@@ -11,8 +11,34 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Held by every test that saves or loads an artifact. With
+/// `--features failpoints` the registry is process-global and the
+/// `failpoint_schedules` module scripts the sites every save passes
+/// (`persist.write`, `persist.rename`, ...), so a save in a test running
+/// beside it would fail on a schedule it never wrote: such tests
+/// serialize through this lock and start from a clean registry. Without
+/// the feature nothing can be scripted and the guard is empty.
+struct ArtifactGuard {
+    #[cfg(feature = "failpoints")]
+    _held: std::sync::MutexGuard<'static, ()>,
+}
+
+fn exclusive_artifacts() -> ArtifactGuard {
+    #[cfg(feature = "failpoints")]
+    {
+        use std::sync::{Mutex, PoisonError};
+        static FAILPOINTS: Mutex<()> = Mutex::new(());
+        let _held = FAILPOINTS.lock().unwrap_or_else(PoisonError::into_inner);
+        smat_failpoints::reset();
+        ArtifactGuard { _held }
+    }
+    #[cfg(not(feature = "failpoints"))]
+    ArtifactGuard {}
+}
+
 #[test]
 fn model_round_trips_through_json() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 31));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -26,6 +52,7 @@ fn model_round_trips_through_json() {
 
 #[test]
 fn reloaded_model_makes_identical_decisions() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 32));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -51,10 +78,13 @@ fn reloaded_model_makes_identical_decisions() {
 }
 
 /// The rules steer every decision, so the model file is sealed like the
-/// other artifacts: edited after `save` — still valid JSON, one rule
-/// threshold changed — it is refused, not loaded.
+/// other artifacts: edited after `save` — still valid JSON, the class
+/// every unmatched matrix gets changed — it is refused, not loaded.
+/// (The default class, not a rule threshold: the labels are measured
+/// live, and under load a training run can end with no rule at all.)
 #[test]
 fn tampered_model_is_rejected_as_corrupt() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 41));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -62,13 +92,14 @@ fn tampered_model_is_rejected_as_corrupt() {
     let path = temp_path("model_tampered.json");
     out.model.save(&path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    let field = "\"threshold\": ";
-    let at = text.find(field).expect("the model holds a rule condition") + field.len();
+    let field = "\"default_class\": ";
+    let at = text.find(field).expect("a ruleset names its default") + field.len();
     let end = at
         + text[at..]
             .find([',', '\n'])
             .expect("pretty JSON: one field a line");
-    let tampered = format!("{}31337.5{}", &text[..at], &text[end..]);
+    let class: usize = text[at..end].parse().expect("a class index");
+    let tampered = format!("{}{}{}", &text[..at], (class + 1) % 7, &text[end..]);
     assert_ne!(text, tampered);
     std::fs::write(&path, tampered).unwrap();
 
@@ -83,6 +114,7 @@ fn tampered_model_is_rejected_as_corrupt() {
 
 #[test]
 fn installation_round_trips_through_the_engine() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 35));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -126,6 +158,7 @@ fn installation_round_trips_through_the_engine() {
 
 #[test]
 fn installation_round_trips_with_a_quarantine_set() {
+    let _serial = exclusive_artifacts();
     use smat_kernels::KernelId;
     use smat_matrix::Format;
 
@@ -163,6 +196,7 @@ fn installation_round_trips_with_a_quarantine_set() {
 /// current schema instead of trusting a quarantine-blind table.
 #[test]
 fn schema_3_artifact_missing_the_quarantine_field_regenerates() {
+    let _serial = exclusive_artifacts();
     let path = temp_path("installation_schema3.json");
     std::fs::remove_file(&path).ok();
     let cfg = SmatConfig::fast();
@@ -207,6 +241,7 @@ fn schema_3_artifact_missing_the_quarantine_field_regenerates() {
 /// written — is refused by every door, never replayed.
 #[test]
 fn artifact_from_a_different_kernel_library_is_refused() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 39));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -246,6 +281,7 @@ fn artifact_from_a_different_kernel_library_is_refused() {
 /// from it and tunes afresh.
 #[test]
 fn cache_snapshot_from_a_different_kernel_library_is_refused() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 40));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -279,6 +315,7 @@ fn cache_snapshot_from_a_different_kernel_library_is_refused() {
 /// stale rather than absorbed as entries no matrix will ever hit.
 #[test]
 fn cache_snapshot_under_the_previous_fingerprint_stamp_is_refused() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 41));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -329,6 +366,7 @@ fn cache_snapshot_under_the_previous_fingerprint_stamp_is_refused() {
 
 #[test]
 fn model_json_is_human_inspectable() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(80, 33));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -345,6 +383,7 @@ fn model_json_is_human_inspectable() {
 
 #[test]
 fn cache_snapshot_round_trips_between_engines() {
+    let _serial = exclusive_artifacts();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(100, 36));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
     let out = Trainer::new(SmatConfig::fast()).train(&matrices).unwrap();
@@ -389,17 +428,7 @@ mod failpoint_schedules {
     use super::*;
     use proptest::prelude::*;
     use smat::Installation;
-    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
-    /// The failpoint registry is process-global; the two property tests
-    /// below serialize through this lock and reset it up front.
-    static FAILPOINTS: Mutex<()> = Mutex::new(());
-
-    fn exclusive_failpoints() -> MutexGuard<'static, ()> {
-        let guard = FAILPOINTS.lock().unwrap_or_else(PoisonError::into_inner);
-        smat_failpoints::reset();
-        guard
-    }
+    use std::sync::OnceLock;
 
     /// One kernel search shared across every proptest case. Carries a
     /// non-empty quarantine set so every torn-artifact case also
@@ -463,7 +492,7 @@ mod failpoint_schedules {
             (w1, r1, s1) in (arb_spec(), arb_spec(), arb_spec()),
             (w2, r2, s2) in (arb_spec(), arb_spec(), arb_spec()),
         ) {
-            let _serial = exclusive_failpoints();
+            let _serial = exclusive_artifacts();
             let path = temp_path("fp_install_prop.json");
             std::fs::remove_file(&path).ok();
             let install = installation();
@@ -505,7 +534,7 @@ mod failpoint_schedules {
         fn cache_snapshots_are_absent_or_valid_never_torn(
             (w, r, c) in (arb_spec(), arb_spec(), arb_spec()),
         ) {
-            let _serial = exclusive_failpoints();
+            let _serial = exclusive_artifacts();
             let path = temp_path("fp_cache_prop.json");
             std::fs::remove_file(&path).ok();
             let e = engine();
