@@ -70,10 +70,10 @@ COMMANDS:
   rules     print the trained IF-THEN ruleset
   health    exercise the warm SpMV path (--calls times on a --dim synthetic
             matrix) and report the engine's execution-health counters:
-            contained faults, quarantined kernel variants, pool degradation,
-            cache/concurrency recoveries, and the warm handle-registry
-            counters; --json emits the machine-readable report (with the
-            daemon's one-entry `shards` array) for monitoring pipelines
+            contained faults, quarantined kernel variants, cache/concurrency
+            recoveries, and the warm handle-registry counters; --json emits
+            the machine-readable report (with the daemon's one-entry
+            `shards` array) for monitoring pipelines
   serve     run the tuning-as-a-service daemon: line-delimited JSON requests
             (ping/metrics/tune/spmv/spmm/shutdown) over TCP (--addr, port 0
             picks an ephemeral port printed as `listening on ...`) or a Unix
@@ -709,15 +709,6 @@ fn cmd_health(args: &Args) -> Result<(), String> {
     println!(
         "  re-probes: {} readmitted / {} failed",
         report.reprobe_successes, report.reprobe_failures
-    );
-    println!(
-        "  pool: {} demotion(s), currently {}",
-        report.pool_demotions,
-        if report.pool_demoted {
-            "DEMOTED to the serial rung"
-        } else {
-            "healthy"
-        }
     );
     println!(
         "  prepare: {} degraded, {} quarantine evictions",

@@ -101,12 +101,8 @@ pub struct SmatConfig {
     /// Initial backoff, counted in engine `spmv` calls, before an open
     /// breaker half-opens for a guarded re-probe. Each failed re-probe
     /// doubles the backoff (capped); a successful one closes the
-    /// breaker. The same policy paces pool re-probes after a demotion.
+    /// breaker.
     pub breaker_backoff_calls: u64,
-    /// Consecutive `spmv` calls observing pool dispatch faults after
-    /// which the engine demotes itself to the serial backend (the
-    /// degradation ladder's last rung before per-call fallback).
-    pub pool_fault_threshold: u32,
 }
 
 impl Default for SmatConfig {
@@ -129,7 +125,6 @@ impl Default for SmatConfig {
             screen_outputs: false,
             breaker_threshold: 3,
             breaker_backoff_calls: 32,
-            pool_fault_threshold: 3,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Runtime health: execution-time fault containment state.
 //!
 //! PRs 2–3 contained faults at *tuning* time; this module contains them
-//! at *serving* time. It tracks three cooperating mechanisms:
+//! at *serving* time. It tracks two cooperating mechanisms:
 //!
 //! 1. **Incident log** — every contained execution fault (a kernel
 //!    panic caught by [`crate::Smat::spmv`]'s containment boundary, or
@@ -14,9 +14,9 @@
 //!    `CandidateFailed` scoreboard row, its cached decisions evicted on
 //!    hit. A call-counted exponential backoff paces the half-open
 //!    re-probe that can readmit it.
-//! 3. **Pool degradation ladder** — repeated pool dispatch faults
-//!    demote the engine to serial plans; the same backoff policy paces
-//!    pool re-probes.
+//!
+//! A faulted pool dispatch needs nothing here: `smat_pool` runs the
+//! job inline and the call's result is already correct.
 //!
 //! The happy path is lock-free and allocation-free: one relaxed
 //! counter increment per call plus one load of the attention gate.
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use smat_kernels::KernelId;
 use smat_matrix::StructuralFingerprint;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on the call-counted re-probe backoff, so a chronically
@@ -108,15 +108,10 @@ pub struct HealthReport {
     pub breaker_trips: u64,
     /// Variants currently away from `Closed`.
     pub quarantined_variants: Vec<QuarantinedVariant>,
-    /// Half-open (variant) and pool re-probes that readmitted.
+    /// Half-open variant re-probes that readmitted.
     pub reprobe_successes: u64,
-    /// Half-open (variant) and pool re-probes that faulted again.
+    /// Half-open variant re-probes that faulted again.
     pub reprobe_failures: u64,
-    /// Times the engine demoted itself to the serial backend after
-    /// repeated pool dispatch faults.
-    pub pool_demotions: u64,
-    /// Whether the engine is currently serving on the serial rung.
-    pub pool_demoted: bool,
     /// Cached decisions evicted because their kernel was quarantined.
     pub quarantine_evictions: u64,
     /// `prepare` calls that returned a degraded (reference-path)
@@ -125,11 +120,6 @@ pub struct HealthReport {
     /// The most recent contained incidents (bounded ring, oldest
     /// first).
     pub recent_incidents: Vec<ExecIncident>,
-    /// Mirror of the process-global
-    /// [`smat_kernels::exec::dispatch_fault_count`]: pool chunk
-    /// dispatches that faulted (worker panic transferred to the
-    /// caller). Feeds the pool degradation ladder.
-    pub dispatch_fault_count: u64,
     /// Mirror of [`crate::CacheStats::coalesced_waits`].
     pub coalesced_waits: u64,
     /// Mirror of [`crate::CacheStats::poison_recoveries`].
@@ -152,18 +142,6 @@ pub(crate) enum Admission {
     Probe,
     /// Quarantined: serve the reference path, record nothing.
     Fallback,
-}
-
-/// Which plan the pool ladder hands the current call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PoolMode {
-    /// Pool healthy: dispatch the tuned (parallel) plan.
-    Normal,
-    /// Demoted: substitute a serial plan.
-    Demoted,
-    /// This call claimed the pool re-probe: dispatch the tuned plan
-    /// and report the outcome.
-    Probe,
 }
 
 /// Per-variant breaker bookkeeping (behind the registry mutex).
@@ -198,19 +176,12 @@ pub(crate) struct HealthState {
     reprobe_failures: AtomicU64,
     quarantine_evictions: AtomicU64,
     degraded_prepares: AtomicU64,
-    pool_demotions: AtomicU64,
-    pool_demoted: AtomicBool,
-    pool_probing: AtomicBool,
-    pool_fault_streak: AtomicU32,
-    pool_reprobe_at: AtomicU64,
-    pool_backoff: AtomicU64,
     threshold: u32,
     backoff0: u64,
-    pool_threshold: u32,
 }
 
 impl HealthState {
-    pub(crate) fn new(threshold: u32, backoff_calls: u64, pool_threshold: u32) -> Self {
+    pub(crate) fn new(threshold: u32, backoff_calls: u64) -> Self {
         Self {
             calls: AtomicU64::new(0),
             spmv_calls: AtomicU64::new(0),
@@ -224,15 +195,8 @@ impl HealthState {
             reprobe_failures: AtomicU64::new(0),
             quarantine_evictions: AtomicU64::new(0),
             degraded_prepares: AtomicU64::new(0),
-            pool_demotions: AtomicU64::new(0),
-            pool_demoted: AtomicBool::new(false),
-            pool_probing: AtomicBool::new(false),
-            pool_fault_streak: AtomicU32::new(0),
-            pool_reprobe_at: AtomicU64::new(0),
-            pool_backoff: AtomicU64::new(backoff_calls.max(1)),
             threshold: threshold.max(1),
             backoff0: backoff_calls.max(1),
-            pool_threshold: pool_threshold.max(1),
         }
     }
 
@@ -403,63 +367,6 @@ impl HealthState {
         self.degraded_prepares.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pool-ladder gate for one call carrying a *parallel* plan.
-    pub(crate) fn pool_mode(&self, call: u64) -> PoolMode {
-        if !self.pool_demoted.load(Ordering::Relaxed) {
-            return PoolMode::Normal;
-        }
-        if call >= self.pool_reprobe_at.load(Ordering::Relaxed)
-            && self
-                .pool_probing
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            return PoolMode::Probe;
-        }
-        PoolMode::Demoted
-    }
-
-    /// Reports the pool-dispatch outcome of one call that went through
-    /// the pool (mode `Normal` or `Probe`). `faulted` means the
-    /// process-global dispatch-fault counter advanced during the call.
-    pub(crate) fn pool_outcome(&self, faulted: bool, probe: bool, call: u64) {
-        if probe {
-            if faulted {
-                let backoff = (self.pool_backoff.load(Ordering::Relaxed).saturating_mul(2))
-                    .min(MAX_BACKOFF_CALLS);
-                self.pool_backoff.store(backoff, Ordering::Relaxed);
-                self.pool_reprobe_at
-                    .store(call + backoff, Ordering::Relaxed);
-                self.reprobe_failures.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.pool_demoted.store(false, Ordering::Relaxed);
-                self.pool_fault_streak.store(0, Ordering::Relaxed);
-                self.pool_backoff.store(self.backoff0, Ordering::Relaxed);
-                self.reprobe_successes.fetch_add(1, Ordering::Relaxed);
-            }
-            self.pool_probing.store(false, Ordering::Relaxed);
-            return;
-        }
-        if !faulted {
-            self.pool_fault_streak.store(0, Ordering::Relaxed);
-            return;
-        }
-        let streak = self.pool_fault_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= self.pool_threshold && !self.pool_demoted.swap(true, Ordering::Relaxed) {
-            let backoff = self.backoff0;
-            self.pool_backoff.store(backoff, Ordering::Relaxed);
-            self.pool_reprobe_at
-                .store(call + backoff, Ordering::Relaxed);
-            self.pool_demotions.fetch_add(1, Ordering::Relaxed);
-            self.pool_fault_streak.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the engine currently serves parallel plans serially.
-    pub(crate) fn pool_is_demoted(&self) -> bool {
-        self.pool_demoted.load(Ordering::Relaxed)
-    }
-
     /// Assembles the serializable snapshot. `name_of` resolves a
     /// [`KernelId`] to its registry name for the report.
     pub(crate) fn report(&self, name_of: impl Fn(KernelId) -> String) -> HealthReport {
@@ -493,13 +400,11 @@ impl HealthState {
             quarantined_variants,
             reprobe_successes: self.reprobe_successes.load(Ordering::Relaxed),
             reprobe_failures: self.reprobe_failures.load(Ordering::Relaxed),
-            pool_demotions: self.pool_demotions.load(Ordering::Relaxed),
-            pool_demoted: self.pool_demoted.load(Ordering::Relaxed),
             quarantine_evictions: self.quarantine_evictions.load(Ordering::Relaxed),
             degraded_prepares: self.degraded_prepares.load(Ordering::Relaxed),
             recent_incidents,
-            // The dispatch and tuning-cache counters are the engine's to
-            // mirror in (`Smat::health_report`).
+            // The tuning-cache counters are the engine's to mirror in
+            // (`Smat::health_report`).
             ..HealthReport::default()
         }
     }
@@ -529,7 +434,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_backs_off() {
-        let h = HealthState::new(3, 8, 3);
+        let h = HealthState::new(3, 8);
         assert!(!h.needs_attention());
         assert!(!h.on_fault(incident(1), false, 1));
         assert!(!h.on_fault(incident(1), false, 2));
@@ -565,7 +470,7 @@ mod tests {
 
     #[test]
     fn seeded_quarantine_behaves_like_a_tripped_breaker() {
-        let h = HealthState::new(3, 4, 3);
+        let h = HealthState::new(3, 4);
         h.seed_quarantine(&[kid(2)]);
         assert!(h.quarantined(kid(2)));
         assert_eq!(h.admit(kid(2), 1), Admission::Fallback);
@@ -579,38 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_ladder_demotes_after_streak_and_reprobes() {
-        let h = HealthState::new(3, 8, 3);
-        assert_eq!(h.pool_mode(1), PoolMode::Normal);
-        h.pool_outcome(true, false, 1);
-        h.pool_outcome(true, false, 2);
-        assert!(!h.pool_is_demoted());
-        // A clean call resets the streak.
-        h.pool_outcome(false, false, 3);
-        h.pool_outcome(true, false, 4);
-        h.pool_outcome(true, false, 5);
-        h.pool_outcome(true, false, 6);
-        assert!(h.pool_is_demoted());
-        assert_eq!(h.pool_mode(7), PoolMode::Demoted);
-        // Past the backoff, exactly one call probes.
-        assert_eq!(h.pool_mode(14), PoolMode::Probe);
-        assert_eq!(h.pool_mode(14), PoolMode::Demoted);
-        // A faulted probe re-demotes with doubled backoff …
-        h.pool_outcome(true, true, 14);
-        assert_eq!(h.pool_mode(14 + 15), PoolMode::Demoted);
-        assert_eq!(h.pool_mode(14 + 16), PoolMode::Probe);
-        // … and a clean probe promotes.
-        h.pool_outcome(false, true, 30);
-        assert!(!h.pool_is_demoted());
-        assert_eq!(h.pool_mode(31), PoolMode::Normal);
-        let r = h.report(|_| String::new());
-        assert_eq!(r.pool_demotions, 1);
-        assert!(!r.pool_demoted);
-    }
-
-    #[test]
     fn incident_ring_is_bounded() {
-        let h = HealthState::new(u32::MAX, 8, 3);
+        let h = HealthState::new(u32::MAX, 8);
         for i in 0..(INCIDENT_RING + 10) {
             h.on_fault(incident(i % 3), false, i as u64);
         }
@@ -621,7 +496,7 @@ mod tests {
 
     #[test]
     fn report_serializes_with_stable_keys() {
-        let h = HealthState::new(1, 2, 3);
+        let h = HealthState::new(1, 2);
         h.on_fault(incident(1), false, 1);
         let r = h.report(|k| format!("csr_{}", k.variant));
         let json = serde_json::to_string(&r).unwrap();
@@ -634,12 +509,9 @@ mod tests {
             "quarantined_variants",
             "reprobe_successes",
             "reprobe_failures",
-            "pool_demotions",
-            "pool_demoted",
             "quarantine_evictions",
             "degraded_prepares",
             "recent_incidents",
-            "dispatch_fault_count",
             "coalesced_waits",
             "poison_recoveries",
             "corrupt_evictions",

@@ -12,11 +12,10 @@
 use crate::cache::{CacheStats, CachedDecision, CachedSpmm, TuningCache};
 use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
-use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState, PoolMode};
+use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState};
 use crate::install::Installation;
 use crate::model::TrainedModel;
 use crate::retry::RetryPolicy;
-use crate::stats::SmatStats;
 use serde::{Deserialize, Serialize};
 use smat_features::{extract_structure, FeatureVector};
 use smat_kernels::timing::{gflops, measure_guarded, panic_message};
@@ -289,8 +288,8 @@ pub struct Smat<T: Scalar> {
     inflight: Mutex<HashMap<StructuralFingerprint, Arc<Inflight>>>,
     installation: Option<Installation>,
     installation_from_disk: bool,
-    /// Execution-time fault containment: incident log, per-variant
-    /// circuit breakers, pool degradation ladder.
+    /// Execution-time fault containment: incident log and per-variant
+    /// circuit breakers.
     health: HealthState,
 }
 
@@ -334,11 +333,7 @@ impl<T: Scalar> Smat<T> {
             installation = Some(installed);
             installation_from_disk = from_disk;
         }
-        let health = HealthState::new(
-            config.breaker_threshold,
-            config.breaker_backoff_calls,
-            config.pool_fault_threshold,
-        );
+        let health = HealthState::new(config.breaker_threshold, config.breaker_backoff_calls);
         // A reloaded artifact carries the quarantine set a previous
         // process accumulated: those variants stay benched (behind an
         // open breaker, so the usual half-open re-probe applies).
@@ -423,38 +418,21 @@ impl<T: Scalar> Smat<T> {
     }
 
     /// A serializable snapshot of the engine's execution health:
-    /// contained faults, breaker/quarantine state, pool degradation,
-    /// and the concurrency/persistence counters mirrored from the
-    /// tuning cache. The payload of `smat health --json`.
+    /// contained faults, breaker/quarantine state, and the
+    /// concurrency/persistence counters mirrored from the tuning cache.
+    /// The payload of `smat health --json`.
     pub fn health_report(&self) -> HealthReport {
         let cache = self.cache.stats();
         let mut report = self.health.report(|k| {
             let row = self.lib.table(k.op, k.format).get(k.variant);
             row.map(|info| info.name.to_string()).unwrap_or_default()
         });
-        report.dispatch_fault_count = smat_kernels::exec::dispatch_fault_count();
         report.coalesced_waits = cache.coalesced_waits;
         report.poison_recoveries = cache.poison_recoveries;
         report.corrupt_evictions = cache.corrupt_evictions;
         report.cache_hits = cache.hits;
         report.cache_misses = cache.misses;
         report
-    }
-
-    /// The combined operability snapshot: cache counters plus the
-    /// health report.
-    pub fn stats(&self) -> SmatStats {
-        SmatStats {
-            cache: self.cache.stats(),
-            health: self.health_report(),
-        }
-    }
-
-    /// Whether the degradation ladder currently serves parallel plans
-    /// on the serial rung (repeated pool dispatch faults; see
-    /// [`Smat::health_report`]).
-    pub fn pool_demoted(&self) -> bool {
-        self.health.pool_is_demoted()
     }
 
     /// Whether any kernel variant's circuit breaker is currently away
@@ -574,10 +552,14 @@ impl<T: Scalar> Smat<T> {
     }
 
     fn prepare_opt(&self, csr: &Csr<T>, req_deadline: Option<Instant>) -> TunedSpmv<T> {
-        if self.config.cache_capacity == 0 {
-            return self.tune(csr, csr.fingerprint(), req_deadline);
-        }
         let t0 = Instant::now();
+        if self.config.cache_capacity == 0 {
+            // Nothing to publish, so no single-flight either; the call
+            // still counts as a miss.
+            let tuned = self.tune(csr, csr.fingerprint(), req_deadline);
+            self.cache.record(false, t0.elapsed());
+            return tuned;
+        }
         let key = csr.fingerprint();
         let limits = self.config.conversion_limits();
         let mut wait_deadline = t0 + self.config.single_flight_wait;
@@ -990,9 +972,7 @@ impl<T: Scalar> Smat<T> {
     /// decisions evicted) until a call-counted exponential backoff
     /// admits one half-open re-probe. With
     /// [`SmatConfig::screen_outputs`] set, a non-finite product from
-    /// finite inputs counts as an incident too. Repeated pool dispatch
-    /// faults demote the engine to serial plans (see
-    /// [`Smat::health_report`]).
+    /// finite inputs counts as an incident too.
     ///
     /// # Errors
     ///
@@ -1020,28 +1000,6 @@ impl<T: Scalar> Smat<T> {
     ) -> Result<()> {
         let reference = |y: &mut [T]| self.run_reference(tuned, kernel.op, x, y, k);
         let call = self.health.tick(kernel.op);
-        // Degradation ladder: a demoted engine substitutes a serial
-        // plan for parallel dispatches until a pool re-probe succeeds.
-        // The substitute plan is built per call (demoted rung only —
-        // never the happy path, so the zero-allocation guarantee
-        // holds).
-        let mut watch_pool = false;
-        let mut pool_probe = false;
-        let serial_plan;
-        let mut plan = plan;
-        if !plan.is_serial() {
-            match self.health.pool_mode(call) {
-                PoolMode::Normal => watch_pool = true,
-                PoolMode::Probe => {
-                    watch_pool = true;
-                    pool_probe = true;
-                }
-                PoolMode::Demoted => {
-                    serial_plan = ExecPlan::serial(tuned.matrix.rows());
-                    plan = &serial_plan;
-                }
-            }
-        }
         // Breaker admission, keyed by the kernel id — an SpMM pick
         // quarantines independently of the handle's SpMV kernel.
         // `needs_attention` is one relaxed load, so a healthy engine
@@ -1054,11 +1012,6 @@ impl<T: Scalar> Smat<T> {
                 Admission::Fallback => return reference(y),
             }
         }
-        let faults_before = if watch_pool {
-            smat_kernels::exec::dispatch_fault_count()
-        } else {
-            0
-        };
         // The containment boundary. Failpoint `exec.kernel`: a
         // scripted fault inside the guard becomes a contained kernel
         // panic, exactly like a real one.
@@ -1111,10 +1064,6 @@ impl<T: Scalar> Smat<T> {
         }
         if probing && healthy {
             self.health.on_probe_success(kernel);
-        }
-        if watch_pool {
-            let faulted = smat_kernels::exec::dispatch_fault_count() > faults_before;
-            self.health.pool_outcome(faulted, pool_probe, call);
         }
         outcome
     }
@@ -2108,13 +2057,31 @@ pub(crate) mod tests {
         let m = tridiagonal::<f64>(100);
         e.prepare(&m); // miss
         e.prepare(&m); // hit
-        let stats = e.stats();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.misses, 1);
-        assert_eq!(stats.health_report().cache_hits, 1);
-        assert_eq!(stats.health_report().cache_misses, 1);
-        assert_eq!(stats.health.exec_faults, 0);
-        assert!(stats.health.quarantined_variants.is_empty());
+        let cache = e.cache_stats();
+        assert_eq!(cache.hits, 1);
+        assert_eq!(cache.misses, 1);
+        let health = e.health_report();
+        assert_eq!(health.cache_hits, 1);
+        assert_eq!(health.cache_misses, 1);
+        assert_eq!(health.exec_faults, 0);
+        assert!(health.quarantined_variants.is_empty());
+    }
+
+    #[test]
+    fn uncached_engine_counts_every_prepare_as_a_miss() {
+        let config = SmatConfig {
+            cache_capacity: 0,
+            ..SmatConfig::fast()
+        };
+        let e = Smat::with_config(model(), config).unwrap();
+        let m = tridiagonal::<f64>(100);
+        for _ in 0..3 {
+            e.prepare(&m);
+        }
+        let cache = e.cache_stats();
+        assert_eq!(cache.hits, 0);
+        assert_eq!(cache.misses, 3);
+        assert!(cache.miss_time > Duration::ZERO);
     }
 
     #[test]

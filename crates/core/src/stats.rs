@@ -1,33 +1,11 @@
 //! Accuracy and overhead analysis — the machinery behind the paper's
 //! Table 3 and the §7.3 accuracy numbers.
 
-use crate::cache::CacheStats;
-use crate::health::HealthReport;
 use crate::runtime::{DecisionPath, Smat, TunedSpmv};
 use crate::train::label_best_format;
 use smat_kernels::timing::{gflops, reps_for_budget, time_median};
 use smat_matrix::{Csr, Format, Scalar};
 use std::time::{Duration, Instant};
-
-/// One-stop operability snapshot of a running [`Smat`] engine: the
-/// decision-cache counters plus the runtime-health report (execution
-/// faults, breaker state, pool degradation). Obtained from
-/// [`Smat::stats`].
-#[derive(Debug, Clone)]
-pub struct SmatStats {
-    /// Decision-cache counters (hits, misses, evictions, recoveries).
-    pub cache: CacheStats,
-    /// Runtime-health counters and the current quarantine set.
-    pub health: HealthReport,
-}
-
-impl SmatStats {
-    /// The health half of the snapshot (convenience for callers that
-    /// only monitor fault containment).
-    pub fn health_report(&self) -> &HealthReport {
-        &self.health
-    }
-}
 
 /// One row of the Table 3 analysis for a single matrix.
 #[derive(Debug, Clone, PartialEq)]

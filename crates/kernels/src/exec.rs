@@ -38,13 +38,6 @@ pub fn dispatch_count() -> u64 {
     smat_pool::dispatch_count()
 }
 
-/// Dispatches the `pool.dispatch` failpoint diverted to the inline
-/// fallback; the runtime's degradation ladder samples this around
-/// every parallel call to detect a faulting pool.
-pub fn dispatch_fault_count() -> u64 {
-    smat_pool::dispatch_fault_count()
-}
-
 /// Validates a chunk boundary list against an output slice: starts at
 /// 0, ends at `len`, non-decreasing.
 ///

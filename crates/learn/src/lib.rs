@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-mod boost;
 mod dataset;
 mod eval;
 mod order;
@@ -39,7 +38,6 @@ mod rules;
 mod serialize;
 mod tree;
 
-pub use boost::{BoostParams, BoostedTrees};
 pub use dataset::{Dataset, DatasetError, Record};
 pub use eval::{cross_validate, ConfusionMatrix, CrossValidation};
 pub use order::{

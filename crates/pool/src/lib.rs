@@ -65,10 +65,6 @@ static SPAWNS: AtomicU64 = AtomicU64::new(0);
 /// Parallel dispatches actually fanned out to the workers (inline
 /// fallbacks are not counted).
 static DISPATCHES: AtomicU64 = AtomicU64::new(0);
-/// Dispatches diverted to the inline-serial fallback by the
-/// `pool.dispatch` failpoint. The runtime's degradation ladder watches
-/// this counter to detect a faulting pool.
-static DISPATCH_FAULTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set inside pool workers so nested [`parallel_for`] calls run
@@ -182,15 +178,6 @@ pub fn dispatch_count() -> u64 {
     DISPATCHES.load(Ordering::Relaxed)
 }
 
-/// Number of dispatches the `pool.dispatch` failpoint diverted to the
-/// inline-serial fallback. Always 0 without the `failpoints` feature.
-/// The results of diverted dispatches are still correct — this counter
-/// only reports that the pool path faulted, so callers (the runtime's
-/// degradation ladder) can demote to a serial plan and re-probe later.
-pub fn dispatch_fault_count() -> u64 {
-    DISPATCH_FAULTS.load(Ordering::Relaxed)
-}
-
 /// Claims chunks from the shared cursor until the job is exhausted.
 /// Panics are caught per chunk; the first payload is kept for the
 /// dispatcher to re-throw.
@@ -275,7 +262,6 @@ pub fn parallel_for(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     // touched, so a scripted `panic` unwinds cleanly, a `fail` forces
     // the inline-serial fallback and a `delay` stalls the dispatcher.
     if smat_failpoints::check("pool.dispatch").is_some() {
-        DISPATCH_FAULTS.fetch_add(1, Ordering::Relaxed);
         run_inline(chunks, body);
         return;
     }

@@ -345,7 +345,6 @@ fn main() {
     // The engine block must carry the fault-containment counters the
     // health schema pins.
     for key in [
-        "dispatch_fault_count",
         "coalesced_waits",
         "cache_misses",
         "spmv_calls",

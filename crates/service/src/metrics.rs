@@ -233,7 +233,7 @@ impl ServiceMetrics {
 
 /// The entry of the `shards` array in the `metrics` document and in
 /// `smat health --json`: one engine's decision-cache counters,
-/// quarantined variant names, pool state and handle-registry counters.
+/// quarantined variant names and handle-registry counters.
 /// The array has exactly one entry — the daemon runs one engine — and
 /// stays an array because monitoring gates index it.
 pub fn shard_entry(cache: &CacheStats, health: &HealthReport, handles: &HandleStats) -> Value {
@@ -256,7 +256,6 @@ pub fn shard_entry(cache: &CacheStats, health: &HealthReport, handles: &HandleSt
             "quarantined",
             Value::Array(quarantined.map(|q| Value::Str(q.name.clone())).collect()),
         ),
-        ("pool_demoted", Value::Bool(health.pool_demoted)),
         ("handle_hits", Value::UInt(handles.hits)),
         ("handle_misses", Value::UInt(handles.misses)),
         ("handle_evictions", Value::UInt(handles.evictions)),

@@ -37,8 +37,8 @@
 //! 1. tenant token bucket empty → shed with retry-after;
 //! 2. deadline already expired → deadline miss;
 //! 3. draining → shed;
-//! 4. engine unhealthy (pool demoted, quarantine active) or the line
-//!    at the watermark → serve the reference serial CSR product *now*,
+//! 4. engine unhealthy (a kernel quarantined) or the line at the
+//!    watermark → serve the reference serial CSR product *now*,
 //!    counted degraded — a correct answer immediately instead of a
 //!    tuned answer late;
 //! 5. line full → shed with retry-after;
@@ -654,17 +654,14 @@ fn handle_work(shared: &Shared, work: &WorkRequest, scratch: &mut Scratch) -> Re
     // An unhealthy engine or a long line means a correct answer *now*
     // beats a tuned answer late.
     let depth = shared.gate.waiters();
-    if shared.engine.pool_demoted()
-        || shared.engine.quarantine_active()
-        || depth >= shared.config.degrade_watermark
-    {
+    if shared.engine.quarantine_active() || depth >= shared.config.degrade_watermark {
         let reason = if depth >= shared.config.degrade_watermark {
             format!(
                 "backlog {depth} at the degrade watermark {}",
                 shared.config.degrade_watermark
             )
         } else {
-            "engine health: pool demoted or kernels quarantined".to_string()
+            "engine health: kernels quarantined".to_string()
         };
         return degraded_now(work, matrix, &reason, scratch);
     }
@@ -925,8 +922,8 @@ fn write_response(
 }
 
 /// Builds the metrics JSON: service counters, the engine health report
-/// (breaker states, quarantined kernels, coalesced waits, dispatch
-/// faults, cache traffic), the one-entry `shards` array with the cache
+/// (breaker states, quarantined kernels, coalesced waits, cache
+/// traffic), the one-entry `shards` array with the cache
 /// and handle-registry counters, and the per-stage time histograms.
 fn metrics_value(shared: &Arc<Shared>) -> Value {
     let m = &shared.metrics;

@@ -211,7 +211,6 @@ fn ping_metrics_and_shutdown_round_trip() {
     // The engine block is the full health report, including the
     // counters the issue calls out by name.
     let engine = field(&metrics, "engine");
-    as_u64(field(engine, "dispatch_fault_count"));
     as_u64(field(engine, "coalesced_waits"));
     field(engine, "quarantined_variants").as_array().unwrap();
 
@@ -1158,10 +1157,10 @@ const TUNED_REPLIES: [&str; 7] = [
 /// Replies of the degraded rung, captured at the same commit: `tune`,
 /// `spmv` with `x`, `spmm` k=3 with and without `x`.
 const DEGRADED_REPLIES: [&str; 4] = [
-    r#"{"status":"degraded","op":"tune","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined"}"#,
-    r#"{"status":"degraded","op":"spmv","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","y":[2.5,1.0,6.0,1.5]}"#,
-    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
-    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: pool demoted or kernels quarantined","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+    r#"{"status":"degraded","op":"tune","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined"}"#,
+    r#"{"status":"degraded","op":"spmv","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
 ];
 
 /// A matrix and a vector whose product overflows: row 0 is `inf - inf`

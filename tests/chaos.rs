@@ -509,12 +509,11 @@ fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
     assert_eq!(engine.health_report().exec_faults, 2);
 }
 
-/// The pool degradation ladder at engine level: scripted dispatch
-/// faults demote warm serving to serial plans (results stay correct
-/// throughout), and a clean re-probe after the backoff promotes the
-/// engine back to the parallel rung.
+/// A pool fault storm at engine level: every scripted dispatch fault is
+/// absorbed by the pool's inline run, so warm serving stays correct,
+/// records no kernel incident and keeps fanning out through the pool.
 #[test]
-fn pool_fault_storm_demotes_to_serial_and_reprobes_back() {
+fn pool_fault_storm_is_absorbed_by_the_pool() {
     let _serial = exclusive_failpoints();
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(120, 57));
     let matrices: Vec<&Csr<f64>> = corpus.iter().map(|e| &e.matrix).collect();
@@ -534,12 +533,7 @@ fn pool_fault_storm_demotes_to_serial_and_reprobes_back() {
             out.model.kernel_choice.set(f, v);
         }
     }
-    let cfg = SmatConfig {
-        pool_fault_threshold: 2,
-        breaker_backoff_calls: 4,
-        ..SmatConfig::fast()
-    };
-    let engine = Smat::with_config(out.model, cfg).expect("precision matches");
+    let engine = Smat::with_config(out.model, SmatConfig::fast()).expect("precision matches");
     let m = random_uniform::<f64>(400, 400, 8, 99);
     let tuned = engine.prepare(&m);
     assert!(
@@ -551,44 +545,26 @@ fn pool_fault_storm_demotes_to_serial_and_reprobes_back() {
         .collect();
     let mut expect = vec![0.0; m.rows()];
     m.spmv(&x, &mut expect).expect("reference SpMV runs");
-    let check = || {
+
+    // Scripted after prepare so tuning itself never crosses the site.
+    let _g = smat_failpoints::scoped("pool.dispatch", "3*fail(pool offline)->off").unwrap();
+    const CALLS: u64 = 8;
+    for _ in 0..CALLS {
         let mut y = vec![f64::NAN; m.rows()];
         engine.spmv(&tuned, &x, &mut y).expect("SpMV stays Ok");
         assert!(
             max_abs_diff(&y, &expect) < 1e-10,
             "a dispatch fault corrupted the product"
         );
-    };
-
-    // Scripted after prepare so tuning itself never crosses the site.
-    let _g = smat_failpoints::scoped("pool.dispatch", "3*fail(pool offline)->off").unwrap();
-    let mut calls = 0;
-    while !engine.pool_demoted() && calls < 20 {
-        check();
-        calls += 1;
     }
-    assert!(
-        engine.pool_demoted(),
-        "repeated dispatch faults must demote the engine"
-    );
-    // Demoted serving substitutes serial plans per call — correct, and
-    // off the pool entirely — until the backoff admits a re-probe that
-    // finds the (exhausted) schedule healthy and promotes.
-    let mut more = 0;
-    while engine.pool_demoted() && more < 100 {
-        check();
-        more += 1;
-    }
-    assert!(
-        !engine.pool_demoted(),
-        "a clean re-probe must promote back to the parallel rung"
-    );
     let r = engine.health_report();
-    assert_eq!(r.pool_demotions, 1);
-    assert!(!r.pool_demoted);
-    assert!(r.reprobe_successes >= 1);
     assert_eq!(r.exec_faults, 0, "dispatch faults are not kernel incidents");
-    check(); // healthy parallel steady state again
+    assert!(r.quarantined_variants.is_empty());
+    assert_eq!(
+        smat_failpoints::hits("pool.dispatch"),
+        CALLS,
+        "every call, faulted or not, still dispatches through the pool"
+    );
 }
 
 /// Quarantine survives the sealed install artifact: a breaker tripped
