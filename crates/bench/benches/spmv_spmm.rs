@@ -81,10 +81,10 @@ fn main() {
         .collect();
     let mut y8 = vec![0.0f64; n * kmax];
     e.spmm(&tuned, &x8, &mut y8, kmax).expect("spmm tune call");
-    let pick = tuned
-        .spmm_kernel()
-        .map(|id| e.library().info(id).name.to_string())
-        .unwrap_or_else(|| "per_column_fallback".to_string());
+    let pick = e
+        .library()
+        .info(tuned.spmm_kernel().expect("the first spmm attached a pick"))
+        .name;
     println!("  searched SpMM pick: {pick}");
 
     // Baseline: k separate tuned SpMV calls is 1 call's median times k.
@@ -159,10 +159,14 @@ fn main() {
     e.spmm(&replayed, &x8, &mut y8_replay, kmax)
         .expect("replayed spmm");
     e.spmm(&tuned, &x8, &mut y8, kmax).expect("spmm refresh");
-    let replay_kernel = replayed
-        .spmm_kernel()
-        .map(|id| e.library().info(id).name.to_string())
-        .unwrap_or_else(|| "per_column_fallback".to_string());
+    let replay_kernel = e
+        .library()
+        .info(
+            replayed
+                .spmm_kernel()
+                .expect("the first spmm attached a pick"),
+        )
+        .name;
     let replay_bitwise =
         replayed.decision().is_cached() && replay_kernel == pick && y8_replay == y8;
     assert!(

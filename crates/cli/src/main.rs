@@ -517,36 +517,32 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
                     }
                 }
                 // The batched tier: the SpMM scoreboard at the widest
-                // searched RHS width (k = 8). Formats without tiled
-                // SpMM kernels (COO/DIA/HYB) are served per-column by
-                // the runtime and report nothing here.
-                if lib.spmm_variant_count(format) > 0 {
-                    let table = smat_kernels::measure_spmm(
-                        &lib,
-                        &any,
-                        8,
-                        Duration::from_millis(5),
-                        config.candidate_deadline,
-                        &[],
-                    );
-                    let best = table.scoreboard().best_variant;
-                    println!("  spmm (k = 8):");
-                    for (v, rec) in table.records.iter().enumerate() {
-                        match &rec.status {
-                            smat_kernels::RecordStatus::Measured => println!(
-                                "    {:<28} {:>8.2} GFLOPS  [{}]{}",
-                                rec.name,
-                                rec.gflops,
-                                rec.strategies,
-                                if v == best {
-                                    "  <= scoreboard pick"
-                                } else {
-                                    ""
-                                }
-                            ),
-                            smat_kernels::RecordStatus::CandidateFailed { reason } => {
-                                println!("    {:<28} failed: {reason}", rec.name)
+                // searched RHS width (k = 8).
+                let table = smat_kernels::measure_spmm(
+                    &lib,
+                    &any,
+                    8,
+                    Duration::from_millis(5),
+                    config.candidate_deadline,
+                    &[],
+                );
+                let best = table.scoreboard().best_variant;
+                println!("  spmm (k = 8):");
+                for (v, rec) in table.records.iter().enumerate() {
+                    match &rec.status {
+                        smat_kernels::RecordStatus::Measured => println!(
+                            "    {:<28} {:>8.2} GFLOPS  [{}]{}",
+                            rec.name,
+                            rec.gflops,
+                            rec.strategies,
+                            if v == best {
+                                "  <= scoreboard pick"
+                            } else {
+                                ""
                             }
+                        ),
+                        smat_kernels::RecordStatus::CandidateFailed { reason } => {
+                            println!("    {:<28} failed: {reason}", rec.name)
                         }
                     }
                 }

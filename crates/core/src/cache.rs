@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// A replayable multi-RHS (SpMM) pick: the winning tiled kernel and its
-/// searched execution plan. Structure-only like the rest of the
+/// A replayable multi-RHS (SpMM) pick: the winning kernel of the
+/// format's SpMM table and its searched execution plan. Structure-only like the rest of the
 /// decision — the rhs-tile width lives on the kernel's strategy bits
 /// and the plan's chunk bounds depend only on the pattern, so a pick
 /// computed once per fingerprint replays bit-identically for any
@@ -62,7 +62,7 @@ pub(crate) struct CachedDecision {
     pub plan: ExecPlan,
     /// The multi-RHS pick, populated lazily by the first
     /// [`crate::Smat::spmm`] call on the structure (`None` until then,
-    /// or when the format has no tiled SpMM kernels).
+    /// or when no SpMM candidate survived measurement).
     pub spmm: Option<CachedSpmm>,
 }
 

@@ -149,21 +149,6 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// The multi-RHS execution pick attached lazily to a [`TunedSpmv`] by
-/// the first [`Smat::spmm`] call on the handle (or pre-populated from
-/// the tuning cache).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SpmmPick {
-    /// A tiled SpMM kernel with its searched chunk plan (row-granular
-    /// and k-agnostic), as the tuning cache stores it: the warm
-    /// zero-allocation path.
-    Tiled(CachedSpmm),
-    /// The format has no tiled SpMM kernels (COO/DIA/HYB) or none
-    /// survived measurement: serve column by column through the
-    /// reference SpMV kernel (the degraded, allocating tier).
-    PerColumn,
-}
-
 /// A matrix prepared for repeated SpMV: physically stored in the tuned
 /// format, with the architecture-searched kernel attached.
 #[derive(Debug, Clone)]
@@ -175,10 +160,12 @@ pub struct TunedSpmv<T> {
     decision: DecisionPath,
     prepare_time: Duration,
     fingerprint: StructuralFingerprint,
-    /// The lazily-tuned multi-RHS pick (see [`Smat::spmm`]). A
-    /// `OnceLock` so the first `spmm` call can attach it through a
-    /// shared reference; cloning carries the resolved pick along.
-    spmm: OnceLock<SpmmPick>,
+    /// The lazily-tuned multi-RHS pick — an SpMM kernel and its
+    /// row-granular, k-agnostic plan (see [`Smat::spmm`]). A `OnceLock`
+    /// so the first `spmm` call (or a tuning-cache hit) can attach it
+    /// through a shared reference; cloning carries the resolved pick
+    /// along.
+    spmm: OnceLock<CachedSpmm>,
 }
 
 impl<T: Scalar> TunedSpmv<T> {
@@ -226,14 +213,11 @@ impl<T: Scalar> TunedSpmv<T> {
         self.fingerprint
     }
 
-    /// The tiled multi-RHS kernel attached by the first [`Smat::spmm`]
-    /// call on this handle (or replayed from the tuning cache). `None`
-    /// before that call, and for formats served per-column.
+    /// The multi-RHS kernel attached by the first [`Smat::spmm`] call
+    /// on this handle (or replayed from the tuning cache). `None` only
+    /// before that call: every format has an SpMM tier.
     pub fn spmm_kernel(&self) -> Option<KernelId> {
-        match self.spmm.get() {
-            Some(SpmmPick::Tiled(pick)) => Some(pick.kernel),
-            _ => None,
-        }
+        self.spmm.get().map(|pick| pick.kernel)
     }
 
     /// Estimated resident footprint of the prepared matrix, in bytes:
@@ -609,10 +593,10 @@ impl<T: Scalar> Smat<T> {
                     // quarantined kernel is dropped and re-tuned.
                     let spmm = match &hit.spmm {
                         Some(cached) if !self.health.quarantined(cached.kernel) => {
-                            OnceLock::from(SpmmPick::Tiled(CachedSpmm {
+                            OnceLock::from(CachedSpmm {
                                 kernel: cached.kernel,
                                 plan: fresh(&cached.plan),
-                            }))
+                            })
                         }
                         _ => OnceLock::new(),
                     };
@@ -1069,10 +1053,9 @@ impl<T: Scalar> Smat<T> {
     }
 
     /// Re-executes `tuned` through the reference (variant 0) kernel of
-    /// its format for `op`, with its default serial dispatch; formats
-    /// without SpMM kernels take the per-column path for a multi-RHS
-    /// product. Every kernel fully overwrites `y`, so this also
-    /// restores output clobbered by a faulted tuned run.
+    /// its format for `op`, with its default serial dispatch. Every
+    /// kernel fully overwrites `y`, so this also restores output
+    /// clobbered by a faulted tuned run.
     fn run_reference(
         &self,
         tuned: &TunedSpmv<T>,
@@ -1087,9 +1070,6 @@ impl<T: Scalar> Smat<T> {
                 || format!("reference {format} kernel"),
                 || self.lib.run(m, 0, x, y),
             ),
-            Op::Spmm if self.lib.spmm_variant_count(format) == 0 => {
-                self.run_spmm_fallback(tuned, x, y, k)
-            }
             Op::Spmm => last_resort(
                 || format!("reference {format} spmm kernel"),
                 || self.lib.run_spmm(m, 0, x, y, k),
@@ -1139,20 +1119,20 @@ impl<T: Scalar> Smat<T> {
     /// `x` and `y` are dense row-major blocks: `x.len() == cols * k`
     /// with element `(c, j)` at `x[c * k + j]`, and `y.len() == rows *
     /// k` likewise. The first call on a [`TunedSpmv`] handle tunes the
-    /// multi-RHS dimension — it measures the format's register-tiled
-    /// SpMM variants (quarantined ones excluded), picks the winner via
-    /// the scoreboard, searches its chunk plan, and attaches the pick
-    /// to the handle and to the structural-fingerprint cache — so a
-    /// later `prepare` of the same structure replays it without
-    /// re-measuring. Every subsequent call is the warm path:
-    /// zero-allocation replay of the attached kernel and plan.
+    /// multi-RHS dimension — it measures the format's SpMM variants
+    /// (quarantined ones excluded), picks the winner via the
+    /// scoreboard, searches its chunk plan, and attaches the pick to
+    /// the handle and to the structural-fingerprint cache — so a later
+    /// `prepare` of the same structure replays it without re-measuring.
+    /// Every format has an SpMM tier, so [`TunedSpmv::spmm_kernel`] is
+    /// `None` only before that first call. Every subsequent call is
+    /// the warm path: zero-allocation replay of the attached kernel and
+    /// plan.
     ///
     /// Row-granular picks are bitwise identical to `k` independent
-    /// [`Smat::spmv`] reference calls gathered per column; merge-path
-    /// picks reassociate row segments exactly like their SpMV
-    /// counterparts. Formats without tiled SpMM kernels (COO, DIA,
-    /// HYB) serve column by column through the reference SpMV kernel —
-    /// correct but allocating, the degraded tier.
+    /// reference SpMV calls of the handle's format gathered per column;
+    /// merge-path picks reassociate row segments exactly like their
+    /// SpMV counterparts.
     ///
     /// A kernel panic or screened non-finite product is contained
     /// exactly as in `spmv`: the incident is recorded against the SpMM
@@ -1171,16 +1151,11 @@ impl<T: Scalar> Smat<T> {
         if k == 0 {
             return Ok(());
         }
-        match tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k)) {
-            SpmmPick::PerColumn => {
-                self.health.tick(Op::Spmm);
-                self.run_spmm_fallback(tuned, x, y, k)
-            }
-            SpmmPick::Tiled(pick) => self.execute(tuned, pick.kernel, &pick.plan, x, y, k),
-        }
+        let pick = tuned.spmm.get_or_init(|| self.tune_spmm(tuned, k));
+        self.execute(tuned, pick.kernel, &pick.plan, x, y, k)
     }
 
-    /// First-call SpMM tuning: measure the format's tiled variants
+    /// First-call SpMM tuning: measure the format's variants
     /// (quarantined ones excluded from the candidate set, like any
     /// `CandidateFailed` row), pick the winner via the scoreboard, then
     /// search its chunk plan. The resulting pick is written back to the
@@ -1188,11 +1163,10 @@ impl<T: Scalar> Smat<T> {
     /// The pick itself is k-agnostic — the rhs-tile width lives on the
     /// winning variant's strategy bits and the plan's chunk bounds are
     /// row-granular — so it serves every later `k` bit-identically.
-    fn tune_spmm(&self, tuned: &TunedSpmv<T>, k: usize) -> SpmmPick {
+    /// When no candidate survives measurement the handle gets row 0 on
+    /// a serial plan, uncached, so a later `prepare` tunes afresh.
+    fn tune_spmm(&self, tuned: &TunedSpmv<T>, k: usize) -> CachedSpmm {
         let format = tuned.matrix.format();
-        if self.lib.spmm_variant_count(format) == 0 {
-            return SpmmPick::PerColumn;
-        }
         // Measure at a genuinely multi-RHS width even when the first
         // call is the k = 1 degenerate, so the tile dimension has
         // something to win on.
@@ -1208,7 +1182,10 @@ impl<T: Scalar> Smat<T> {
         );
         let best = table.scoreboard().best_variant;
         if !table.records.get(best).is_some_and(|r| r.is_measured()) {
-            return SpmmPick::PerColumn;
+            return CachedSpmm {
+                kernel: KernelId::spmm_basic(format),
+                plan: ExecPlan::serial(tuned.matrix.rows()),
+            };
         }
         let kernel = KernelId {
             op: Op::Spmm,
@@ -1238,49 +1215,7 @@ impl<T: Scalar> Smat<T> {
                     .insert(tuned.fingerprint, CachedDecision { spmm, ..hit });
             }
         }
-        SpmmPick::Tiled(pick)
-    }
-
-    /// The per-column SpMM tier for formats without tiled kernels: the
-    /// reference SpMV (variant 0, serial plan) once per right-hand side,
-    /// on contiguous columns. The row-major blocks are transposed a tile
-    /// of [`FALLBACK_TILE`] columns at a time — one pass over `x` to
-    /// gather a tile, one over `y` to scatter its products, instead of a
-    /// strided pass over every cache line of both per column. Correct
-    /// and contained, but allocating — the degraded tier by
-    /// construction.
-    fn run_spmm_fallback(
-        &self,
-        tuned: &TunedSpmv<T>,
-        x: &[T],
-        y: &mut [T],
-        k: usize,
-    ) -> Result<()> {
-        let what = || format!("per-column {} spmm fallback", tuned.format());
-        last_resort(what, || {
-            let (rows, cols) = (tuned.matrix.rows(), tuned.matrix.cols());
-            let serial = ExecPlan::serial(rows);
-            let tile = FALLBACK_TILE.min(k);
-            let mut xt = vec![T::ZERO; tile * cols];
-            let mut yt = vec![T::ZERO; tile * rows];
-            for j0 in (0..k).step_by(FALLBACK_TILE) {
-                let width = tile.min(k - j0);
-                for (c, x_row) in x.chunks_exact(k).enumerate() {
-                    for (j, &v) in x_row[j0..j0 + width].iter().enumerate() {
-                        xt[j * cols + c] = v;
-                    }
-                }
-                for j in 0..width {
-                    let (xj, yj) = (&xt[j * cols..][..cols], &mut yt[j * rows..][..rows]);
-                    self.lib.run_planned(&tuned.matrix, 0, &serial, xj, yj);
-                }
-                for (r, y_row) in y.chunks_exact_mut(k).enumerate() {
-                    for (j, slot) in y_row[j0..j0 + width].iter_mut().enumerate() {
-                        *slot = yt[j * rows + r];
-                    }
-                }
-            }
-        })
+        pick
     }
 
     /// One-shot unified interface: tune and multiply in one call. For
@@ -1296,11 +1231,6 @@ impl<T: Scalar> Smat<T> {
         Ok(tuned)
     }
 }
-
-/// Right-hand sides [`Smat::run_spmm_fallback`] transposes at a time:
-/// few enough that a tile's write streams stay in L1, and a bound on
-/// its scratch at any `k`.
-const FALLBACK_TILE: usize = 8;
 
 /// Runs a reference path that has nothing below it. A panic here is the
 /// double fault — the serial reference itself failed — and surfaces as
@@ -1657,20 +1587,70 @@ pub(crate) mod tests {
         );
     }
 
+    /// An engine whose one rule (`M > 0`, confident) sends every input
+    /// to `format`.
+    fn forced_engine(format: Format) -> Smat<f64> {
+        let mut m = model();
+        m.ruleset.rules = vec![Rule {
+            conditions: vec![Condition {
+                attr: 0,
+                op: Op::Gt,
+                threshold: 0.0,
+            }],
+            class: format.index(),
+            covered: 20,
+            correct: 20,
+        }];
+        m.groups = RuleGroups::from_ruleset(&m.ruleset, &group_class_order());
+        Smat::with_config(m, SmatConfig::fast()).unwrap()
+    }
+
     #[test]
-    fn spmm_serves_per_column_for_formats_without_tiled_kernels() {
-        let e = engine();
-        let m = tridiagonal::<f64>(400);
-        let tuned = e.prepare(&m);
-        assert_eq!(tuned.format(), Format::Dia, "DIA rule should fire");
-        let k = 3;
-        let x: Vec<f64> = (0..m.cols() * k).map(|i| 1.0 + (i % 7) as f64).collect();
-        let mut y = vec![f64::NAN; m.rows() * k];
-        e.spmm(&tuned, &x, &mut y, k).unwrap();
-        assert!(tuned.spmm_kernel().is_none(), "per-column tier has no pick");
-        let expect = per_column_reference(&m, &x, k);
-        for (a, b) in y.iter().zip(&expect) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+    fn spmm_attaches_a_pick_for_dia_coo_and_hyb_and_replays_it_from_the_cache() {
+        use smat_matrix::gen::random_skewed;
+        for (format, m) in [
+            (Format::Dia, tridiagonal::<f64>(400)),
+            (Format::Coo, power_law::<f64>(900, 200, 2.0, 7)),
+            (Format::Hyb, random_skewed::<f64>(600, 600, 6, 0.05, 12, 4)),
+        ] {
+            let e = forced_engine(format);
+            let tuned = e.prepare(&m);
+            assert_eq!(tuned.format(), format);
+            assert!(
+                tuned.spmm_kernel().is_none(),
+                "{format}: pick attaches lazily"
+            );
+            let k = 5;
+            let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.07).sin()).collect();
+            let mut y1 = vec![f64::NAN; m.rows() * k];
+            e.spmm(&tuned, &x, &mut y1, k).unwrap();
+            let kernel = tuned.spmm_kernel().expect("first call attaches a pick");
+            assert_eq!((kernel.op, kernel.format), (smat_kernels::Op::Spmm, format));
+            // Bitwise k calls of the format's own reference SpMV.
+            for j in 0..k {
+                let xj: Vec<f64> = (0..m.cols()).map(|c| x[c * k + j]).collect();
+                let mut yj = vec![0.0; m.rows()];
+                e.library().run(tuned.matrix(), 0, &xj, &mut yj);
+                for r in 0..m.rows() {
+                    assert_eq!(
+                        y1[r * k + j].to_bits(),
+                        yj[r].to_bits(),
+                        "{format} ({r}, {j})"
+                    );
+                }
+            }
+            // A later prepare replays the pick before any spmm call, and
+            // the replayed product is bit-identical.
+            let again = e.prepare(&m);
+            assert!(again.decision().is_cached());
+            assert_eq!(again.spmm.get(), tuned.spmm.get());
+            let mut y2 = vec![f64::NAN; m.rows() * k];
+            e.spmm(&again, &x, &mut y2, k).unwrap();
+            assert!(
+                y1.iter().zip(&y2).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{format}: cache replay must be bit-identical"
+            );
+            assert_eq!(e.health_report().spmm_calls, 2);
         }
     }
 

@@ -96,17 +96,29 @@ pub fn run<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strateg
     check_dims(m, x, y);
     y.fill(T::ZERO);
     let unroll = strategies.contains(Strategy::Unroll);
-    let whole = ([0, m.nnz()], [0, y.len()]);
-    let (entry_bounds, row_bounds) = match &plan.entry_bounds {
-        Some(eb) if eb.last() == Some(&m.nnz()) && eb.len() == plan.bounds.len() => {
-            (&eb[..], &plan.bounds[..])
-        }
-        _ => (&whole.0[..], &whole.1[..]),
-    };
-    exec::for_each_row_chunk(y, row_bounds, |ci, y_chunk| {
-        let entries = (entry_bounds[ci], entry_bounds[ci + 1]);
-        scatter(m, x, y_chunk, row_bounds[ci], entries, unroll);
+    with_entry_chunks(m, plan, |entry_bounds, row_bounds| {
+        exec::for_each_row_chunk(y, row_bounds, |ci, y_chunk| {
+            let entries = (entry_bounds[ci], entry_bounds[ci + 1]);
+            scatter(m, x, y_chunk, row_bounds[ci], entries, unroll);
+        });
     });
+}
+
+/// Calls `f(entry_bounds, row_bounds)` with the plan's entry-aligned
+/// chunks when they were built for this matrix's entry count, else
+/// with the whole entry range as one chunk — the COO SpMV and SpMM
+/// dispatches' shared reading of a plan.
+pub(crate) fn with_entry_chunks<T: Scalar, R>(
+    m: &Coo<T>,
+    plan: &ExecPlan,
+    f: impl FnOnce(&[usize], &[usize]) -> R,
+) -> R {
+    match &plan.entry_bounds {
+        Some(eb) if eb.last() == Some(&m.nnz()) && eb.len() == plan.bounds.len() => {
+            f(eb, &plan.bounds)
+        }
+        _ => f(&[0, m.nnz()], &[0, m.rows()]),
+    }
 }
 
 /// The COO variant table (row 0 is the basic kernel).

@@ -1,8 +1,8 @@
 //! CSR SpMV kernel variants.
 //!
 //! One planned entry point ([`run`]) spanning the strategy lattice from
-//! the basic loop through register blocking, explicit SIMD (see
-//! [`crate::simd`]), threading, nonzero balancing and merge-path:
+//! the basic loop through register blocking, threading, nonzero
+//! balancing and merge-path:
 //! the strategy set picks the row body, the [`ExecPlan`] says how the
 //! rows fan out (a serial variant is the one-chunk plan). All compute
 //! `y = A * x` and `assert!` the vector lengths in debug and release.
@@ -31,20 +31,12 @@ fn row_scalar<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
     acc
 }
 
-/// Rows `r0..r0 + y_chunk.len()` of the product, each through `dot`.
-/// Generic over the row body so every inner loop gets its own
-/// monomorphized row sweep (no per-row dispatch).
+/// Rows `r0..r0 + y_chunk.len()` of the product, each in stream order.
 #[inline]
-fn rows_into<T: Scalar>(
-    m: &Csr<T>,
-    x: &[T],
-    y_chunk: &mut [T],
-    r0: usize,
-    dot: impl Fn(&[usize], &[T], &[T]) -> T,
-) {
+fn rows_into<T: Scalar>(m: &Csr<T>, x: &[T], y_chunk: &mut [T], r0: usize) {
     for (i, yr) in y_chunk.iter_mut().enumerate() {
         let (idx, val) = m.row(r0 + i);
-        *yr = dot(idx, val, x);
+        *yr = row_scalar(idx, val, x);
     }
 }
 
@@ -52,36 +44,7 @@ fn rows_into<T: Scalar>(
 /// denominator of the "SMAT overhead" column in Table 3.
 pub fn basic<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T]) {
     check_dims(m, x, y);
-    rows_into(m, x, y, 0, row_scalar);
-}
-
-/// One row's dot product with 4-way unrolled, split-accumulator inner
-/// loop (auto-vectorization friendly) — the portable body behind the
-/// `Simd` variants (see [`crate::simd::row_dot`]).
-///
-/// Reduction-order contract (shared with the AVX2 backend, see
-/// [`crate::simd`]): accumulator `j` sums positions `k ≡ j (mod 4)` in
-/// row order, the tail folds into accumulator 0, and the final
-/// reduction is `(a0 + a1) + (a2 + a3)`.
-#[inline]
-pub(crate) fn row_unrolled<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
-    let n = val.len();
-    let mut acc0 = T::ZERO;
-    let mut acc1 = T::ZERO;
-    let mut acc2 = T::ZERO;
-    let mut acc3 = T::ZERO;
-    let chunks = n / 4;
-    for c in 0..chunks {
-        let k = 4 * c;
-        acc0 += val[k] * x[idx[k]];
-        acc1 += val[k + 1] * x[idx[k + 1]];
-        acc2 += val[k + 2] * x[idx[k + 2]];
-        acc3 += val[k + 3] * x[idx[k + 3]];
-    }
-    for k in 4 * chunks..n {
-        acc0 += val[k] * x[idx[k]];
-    }
-    (acc0 + acc1) + (acc2 + acc3)
+    rows_into(m, x, y, 0);
 }
 
 /// Rows `r0..r0 + y_chunk.len()` with two-row register blocking:
@@ -118,9 +81,9 @@ fn rows_blocked2<T: Scalar>(m: &Csr<T>, x: &[T], y_chunk: &mut [T], r0: usize) {
 
 /// Runs the CSR variant tagged `strategies` over the plan's chunks —
 /// the one planned dispatch of this format. `Merge` replays the plan's
-/// entry bounds, `Block` selects the two-row body, `Simd` the vector
-/// backend's row dot, otherwise the basic row loop; row chunks fan out
-/// over the pool, a one-chunk plan runs inline on the caller.
+/// entry bounds, `Block` selects the two-row body, otherwise the basic
+/// row loop; row chunks fan out over the pool, a one-chunk plan runs
+/// inline on the caller.
 ///
 /// # Panics
 ///
@@ -135,24 +98,11 @@ pub fn run<T: Scalar>(m: &Csr<T>, x: &[T], y: &mut [T], plan: &ExecPlan, strateg
         exec::for_each_row_chunk(y, bounds, |ci, chunk| {
             rows_blocked2(m, x, chunk, bounds[ci]);
         });
-    } else if strategies.contains(Strategy::Simd) {
-        run_chunks(m, x, y, bounds, crate::simd::row_dot);
     } else {
-        run_chunks(m, x, y, bounds, row_scalar);
+        exec::for_each_row_chunk(y, bounds, |ci, chunk| {
+            rows_into(m, x, chunk, bounds[ci]);
+        });
     }
-}
-
-/// Fans the row sweep out over `bounds` with one row body.
-fn run_chunks<T: Scalar>(
-    m: &Csr<T>,
-    x: &[T],
-    y: &mut [T],
-    bounds: &[usize],
-    dot: impl Fn(&[usize], &[T], &[T]) -> T + Sync,
-) {
-    exec::for_each_row_chunk(y, bounds, |ci, chunk| {
-        rows_into(m, x, chunk, bounds[ci], &dot);
-    });
 }
 
 /// Dot product of one contiguous entry segment `lo..hi`, accumulated
@@ -272,10 +222,8 @@ pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
     kernel_rows(&[
         ("csr_basic", &[]),
-        ("csr_simd", &[Simd]),
         ("csr_block2", &[Block]),
         ("csr_parallel", &[Parallel]),
-        ("csr_parallel_simd", &[Parallel, Simd]),
         ("csr_parallel_balanced", &[Parallel, Balance]),
         ("csr_merge", &[Parallel, Merge]),
     ])

@@ -202,7 +202,6 @@ pub fn variants() -> Vec<KernelInfo> {
     use Strategy::*;
     kernel_rows(&[
         ("dia_basic", &[]),
-        ("dia_simd", &[Simd]),
         ("dia_block2", &[Block]),
         ("dia_block2_unroll", &[Block, Unroll]),
         ("dia_parallel", &[Parallel]),

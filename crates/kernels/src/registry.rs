@@ -120,9 +120,8 @@ pub(crate) fn kernel_rows(rows: &[(&'static str, &[Strategy])]) -> Vec<KernelInf
 pub struct KernelLibrary<T: Scalar> {
     /// The SpMV table: per [`Format::index`], the ordered rows.
     spmv: [Vec<KernelInfo>; Format::COUNT],
-    /// The multi-RHS (SpMM) table. Formats with no rows here (COO,
-    /// DIA, HYB) have no batched kernels; the engine falls back to
-    /// per-column SpMV for them.
+    /// The multi-RHS (SpMM) table: per format, the ordered rows (every
+    /// builtin format has a batched tier).
     spmm: [Vec<KernelInfo>; Format::COUNT],
     /// Entry points of the user-registered SpMV rows, per format: they
     /// are the last `registered[f].len()` rows of `spmv[f]`. Only
@@ -160,18 +159,20 @@ impl<T: Scalar> KernelLibrary<T> {
                 Format::Bcsr4 => bcsr::variants4(),
             }),
             spmm: Format::ALL.map(|format| match format {
-                Format::Csr => spmm::csr_variants(),
+                Format::Dia => spmm::dia_variants(),
                 Format::Ell => spmm::ell_variants(),
+                Format::Csr => spmm::csr_variants(),
+                Format::Coo => spmm::coo_variants(),
+                Format::Hyb => spmm::hyb_variants(),
                 Format::Bcsr2 => spmm::bcsr_variants2(),
                 Format::Bcsr4 => spmm::bcsr_variants4(),
-                Format::Coo | Format::Dia | Format::Hyb => Vec::new(),
             }),
             registered: Format::ALL.map(|_| Vec::new()),
         }
     }
 
     /// The ordered rows of one `(op, format)` table, indexed by variant
-    /// id (empty for an op the format has no kernels for).
+    /// id.
     pub fn table(&self, op: Op, format: Format) -> &[KernelInfo] {
         match op {
             Op::Spmv => &self.spmv[format.index()],
@@ -198,8 +199,7 @@ impl<T: Scalar> KernelLibrary<T> {
         self.spmv.iter().map(Vec::len).sum()
     }
 
-    /// Number of SpMM (multi-RHS) variants for `format`; 0 for formats
-    /// without a batched tier (COO, DIA, HYB).
+    /// Number of SpMM (multi-RHS) variants for `format`.
     pub fn spmm_variant_count(&self, format: Format) -> usize {
         self.spmm_variants(format).len()
     }
@@ -210,7 +210,7 @@ impl<T: Scalar> KernelLibrary<T> {
     }
 
     /// Metadata for every SpMM variant of `format`, indexed by variant
-    /// id (empty for formats without a batched tier).
+    /// id.
     pub fn spmm_variants(&self, format: Format) -> &[KernelInfo] {
         self.table(Op::Spmm, format)
     }
@@ -434,9 +434,8 @@ impl<T: Scalar> KernelLibrary<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `variant` is out of range, the matrix's format has no
-    /// SpMM tier (COO, DIA, HYB), or the buffer lengths don't equal
-    /// `cols * k` / `rows * k`.
+    /// Panics if `variant` is out of range or the buffer lengths don't
+    /// equal `cols * k` / `rows * k`.
     pub fn run_spmm(&self, m: &AnyMatrix<T>, variant: usize, x: &[T], y: &mut [T], k: usize) {
         let id = KernelId {
             op: Op::Spmm,
@@ -465,9 +464,11 @@ impl<T: Scalar> KernelLibrary<T> {
         let s = self.spmm_variants(m.format())[variant].strategies;
         match m {
             AnyMatrix::Csr(m) => spmm::run_csr(m, x, y, k, plan, s),
+            AnyMatrix::Coo(m) => spmm::run_coo(m, x, y, k, plan, s),
+            AnyMatrix::Dia(m) => spmm::run_dia(m, x, y, k, plan, s),
             AnyMatrix::Ell(m) => spmm::run_ell(m, x, y, k, plan, s),
+            AnyMatrix::Hyb(m) => spmm::run_hyb(m, x, y, k, plan, s),
             AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => spmm::run_bcsr(m, x, y, k, plan, s),
-            other => unreachable!("format {} has no SpMM rows to index", other.format()),
         }
     }
 }
@@ -542,10 +543,6 @@ mod tests {
         for op in [Op::Spmv, Op::Spmm] {
             for f in Format::ALL {
                 let rows = lib.table(op, f);
-                if op == Op::Spmm && matches!(f, Format::Coo | Format::Dia | Format::Hyb) {
-                    assert!(rows.is_empty(), "{f} has no batched tier");
-                    continue;
-                }
                 assert!(
                     rows[0].strategies.is_empty(),
                     "{op:?} {f}: row 0 must be basic"
@@ -574,8 +571,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(lib.total_variants(), 32);
-        assert_eq!(lib.total_spmm_variants(), 29);
+        assert_eq!(lib.total_variants(), 29);
+        assert_eq!(lib.total_spmm_variants(), 38);
         let id = KernelId::spmm_basic(Format::Csr);
         assert_eq!(id.op, Op::Spmm);
         assert_eq!(lib.info(id).name, "csr_spmm_basic");
@@ -829,7 +826,7 @@ mod tests {
         let x: Vec<f64> = (0..70 * k)
             .map(|i| 0.25 * ((i % 11) as f64) - 0.5)
             .collect();
-        for f in [Format::Csr, Format::Ell, Format::Bcsr2, Format::Bcsr4] {
+        for f in Format::ALL {
             let any = AnyMatrix::convert_from_csr_with(
                 &csr,
                 f,

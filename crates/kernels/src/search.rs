@@ -293,9 +293,8 @@ fn measure_table<T: Scalar>(
 /// Measures every SpMM variant of the probe's format at RHS batch width
 /// `k` and returns the performance record table. The mirror of
 /// [`measure_format`] for the batched tier, `excluded` included:
-/// throughput counts `2 * nnz * k` flops per call, rows index the
-/// library's SpMM tables, and a format with no SpMM kernels
-/// (COO/DIA/HYB) yields an empty table.
+/// throughput counts `2 * nnz * k` flops per call and rows index the
+/// library's SpMM tables.
 pub fn measure_spmm<T: Scalar>(
     lib: &KernelLibrary<T>,
     probe: &AnyMatrix<T>,

@@ -10,24 +10,18 @@
 //! made on one code path replay on the other without numeric drift. The
 //! contract is upheld by construction:
 //!
-//! - **CSR row products** use four split accumulators: accumulator `j`
-//!   sums the entries at positions `k ≡ j (mod 4)` in row order, the
-//!   `nnz % 4` tail folds into accumulator 0, and the final reduction is
-//!   `(a0 + a1) + (a2 + a3)`. The AVX2 path keeps one accumulator per
-//!   lane — the same four partial sums in the same order — and performs
-//!   separate multiply and add instructions (**no FMA**: fused rounding
-//!   would diverge from the portable two-rounding sequence). The lane
-//!   extraction reduces in the identical tree.
-//! - **ELL slab and DIA diagonal sweeps** are element-wise independent
-//!   (`y[i] += d[i] * x[...]`, one multiply + one add per element), so
-//!   any vector width computes the identical result; again mul + add,
-//!   never FMA.
+//! **ELL slab and DIA diagonal sweeps** are element-wise independent
+//! (`y[i] += d[i] * x[...]`, one multiply + one add per element), so any
+//! vector width computes the identical result — with separate multiply
+//! and add instructions (**no FMA**: fused rounding would diverge from
+//! the portable two-rounding sequence). The SpMM tile bodies in
+//! [`crate::spmm`] keep one RHS column per lane under the same rule.
 //!
 //! No fast-math reassociation is ever applied. Consequently the backend
 //! is a pure throughput knob: [`set_backend`] may flip mid-run and no
 //! observable value changes.
 
-use crate::scalar_cast::{cast_mut, cast_ref, cast_val};
+use crate::scalar_cast::{cast_mut, cast_ref};
 use smat_matrix::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -86,28 +80,6 @@ pub(crate) fn avx2_active() -> bool {
     {
         false
     }
-}
-
-/// Sparse dot product of one CSR row against `x` under the four-lane
-/// reduction contract (see module docs).
-#[inline]
-pub(crate) fn row_dot<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        if crate::scalar_cast::is_f64::<T>() {
-            // SAFETY: AVX2 support was just detected.
-            let r =
-                unsafe { avx2::row_dot_f64(idx, cast_ref::<T, f64>(val), cast_ref::<T, f64>(x)) };
-            return cast_val::<f64, T>(r);
-        }
-        if crate::scalar_cast::is_f32::<T>() {
-            // SAFETY: AVX2 support was just detected.
-            let r =
-                unsafe { avx2::row_dot_f32(idx, cast_ref::<T, f32>(val), cast_ref::<T, f32>(x)) };
-            return cast_val::<f32, T>(r);
-        }
-    }
-    crate::csr::row_unrolled(idx, val, x)
 }
 
 /// One ELL slab step: `y[i] += d[i] * x[idx[i]]` for every `i`
@@ -211,62 +183,11 @@ fn portable_axpy_pointwise<T: Scalar>(d: &[T], xs: &[T], ys: &mut [T]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2 bodies. Every function: mul + add only (no FMA), lane `j`
-    //! holds partial sum `j`, tails run the portable scalar code —
-    //! upholding the module's reduction-order contract.
+    //! AVX2 bodies. Every function: mul + add only (no FMA), one
+    //! element per lane, tails run the portable scalar code — upholding
+    //! the module's reduction-order contract.
 
     use core::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support. `idx` entries must be
-    /// in-bounds for `x` (a CSR structural invariant).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_dot_f64(idx: &[usize], val: &[f64], x: &[f64]) -> f64 {
-        let n = val.len();
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_pd();
-        for c in 0..chunks {
-            let k = 4 * c;
-            // usize is 64-bit on x86_64: the index quad loads directly.
-            let vi = _mm256_loadu_si256(idx.as_ptr().add(k) as *const __m256i);
-            let xg = _mm256_i64gather_pd::<8>(x.as_ptr(), vi);
-            let vv = _mm256_loadu_pd(val.as_ptr().add(k));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(vv, xg));
-        }
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-        let [mut a0, a1, a2, a3] = lanes;
-        for k in 4 * chunks..n {
-            a0 += val[k] * x[idx[k]];
-        }
-        (a0 + a1) + (a2 + a3)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support. `idx` entries must be
-    /// in-bounds for `x`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_dot_f32(idx: &[usize], val: &[f32], x: &[f32]) -> f32 {
-        let n = val.len();
-        let chunks = n / 4;
-        let mut acc = _mm_setzero_ps();
-        for c in 0..chunks {
-            let k = 4 * c;
-            let vi = _mm256_loadu_si256(idx.as_ptr().add(k) as *const __m256i);
-            let xg = _mm256_i64gather_ps::<4>(x.as_ptr(), vi);
-            let vv = _mm_loadu_ps(val.as_ptr().add(k));
-            acc = _mm_add_ps(acc, _mm_mul_ps(vv, xg));
-        }
-        let mut lanes = [0.0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        let [mut a0, a1, a2, a3] = lanes;
-        for k in 4 * chunks..n {
-            a0 += val[k] * x[idx[k]];
-        }
-        (a0 + a1) + (a2 + a3)
-    }
 
     /// # Safety
     ///
@@ -380,21 +301,6 @@ mod tests {
             .map(|_| (next() % 1000) as f64 * 0.19 - 95.0)
             .collect();
         (idx, val, x)
-    }
-
-    #[test]
-    fn row_dot_matches_portable_bitwise() {
-        for n in [0, 1, 3, 4, 5, 7, 8, 63, 64, 257] {
-            let (idx, val, x) = corpus_f64(n, 97, n as u64 + 1);
-            let portable = crate::csr::row_unrolled(&idx, &val, &x);
-            let dispatched = row_dot(&idx, &val, &x);
-            assert_eq!(
-                portable.to_bits(),
-                dispatched.to_bits(),
-                "n={n} backend={}",
-                active_backend()
-            );
-        }
     }
 
     #[test]

@@ -2,34 +2,39 @@
 //! sides stored row-major (`X` is `cols * k`, `Y` is `rows * k`,
 //! element `(r, j)` at `r * k + j`).
 //!
-//! The batched tier amortizes matrix traffic across RHS columns: each
-//! nonzero is loaded once per *tile* of columns instead of once per
-//! column, with the tile's partial sums held in registers. Tile widths
-//! 2/4/8 are separate registry variants tagged `Tile2`/`Tile4`/`Tile8`
-//! — the width is a searched dimension, scored by the scoreboard like
-//! any other strategy (see `ISSUE`/DESIGN §17).
+//! Every format has a batched tier. It amortizes matrix traffic across
+//! RHS columns: each stored entry is loaded once per *tile* of columns
+//! instead of once per column, with the tile's partial sums held in
+//! registers. Every non-merge kernel is one row-major sweep: per output
+//! row, `W` lane accumulators per tile, and the row's `k` outputs
+//! written once. Tile widths are registry variants tagged
+//! `Tile2`/`Tile4`/`Tile8` — the width is a searched dimension, scored
+//! by the scoreboard like any other strategy (DESIGN §17).
 //!
 //! # Reduction-order contract
 //!
-//! Every kernel here accumulates each output element `(r, j)` in
-//! nonzero *stream order*, exactly like the corresponding SpMV kernel
-//! accumulates `y[r]` — columns of a tile live in independent
-//! accumulators (lanes), so tiling never reassociates a column's sum.
-//! Consequently all serial and row-chunked variants are **bitwise
-//! identical** to `k` independent basic-SpMV calls on every input, and
-//! the AVX2 tile backend (broadcast value × contiguous X-tile load,
-//! separate mul + add, no FMA) is bitwise identical to the portable
-//! fallback by construction. Only the merge-path variants reassociate
-//! (they split rows mid-stream, like `csr_merge`), and they remain
-//! bit-stable across replays of the same plan and exact on
-//! dyadic-rational inputs.
+//! Every kernel here accumulates each output element `(r, j)` in the
+//! order its format's *basic* SpMV accumulates `y[r]`: CSR and COO in
+//! entry order, DIA over diagonals in offset order, ELL over packed
+//! slots (padding included), HYB over the ELL slots then the row's COO
+//! overflow entries, BCSR over blocks then block columns. Columns of a
+//! tile live in independent accumulators (lanes), so tiling never
+//! reassociates a column's sum. Consequently all serial and row-chunked
+//! variants are **bitwise identical** to `k` independent basic-SpMV
+//! calls of their format on every input, and the AVX2 tile backend
+//! (broadcast value × contiguous X-tile load, separate mul + add, no
+//! FMA) is bitwise identical to the portable fallback by construction.
+//! Only the merge-path variants reassociate (they split rows
+//! mid-stream, like `csr_merge`), and they remain bit-stable across
+//! replays of the same plan and exact on dyadic-rational inputs.
 
 use crate::exec;
 use crate::partition::MAX_MERGE_CHUNKS;
 use crate::plan::ExecPlan;
 use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
-use smat_matrix::{Bcsr, Csr, Ell, Scalar};
+use smat_matrix::{Bcsr, Coo, Csr, Dia, Ell, Hyb, Scalar};
+use std::ops::Range;
 
 #[inline]
 fn check_dims<T>(rows: usize, cols: usize, x: &[T], y: &[T], k: usize) {
@@ -38,8 +43,74 @@ fn check_dims<T>(rows: usize, cols: usize, x: &[T], y: &[T], k: usize) {
     assert_eq!(y.len(), rows * k, "y length must equal rows * k");
 }
 
-/// One CSR row's tile of `W` column dot products, portable body: lane
-/// `l` accumulates column `j0 + l` in stream order.
+/// Monomorphizes a `::<T, W>`-generic sweep for the strategy set's tile
+/// width (`W = 1` without a `Tile*` strategy: column-at-a-time, the
+/// table's row 0).
+macro_rules! by_tile_width {
+    ($strategies:expr, $sweep:ident($($arg:expr),* $(,)?)) => {
+        match $strategies.tile_width() {
+            2 => $sweep::<_, 2>($($arg),*),
+            4 => $sweep::<_, 4>($($arg),*),
+            8 => $sweep::<_, 8>($($arg),*),
+            _ => $sweep::<_, 1>($($arg),*),
+        }
+    };
+}
+
+/// Writes one output row's `k` columns `yr` once: `W`-wide tiles from
+/// `tile(j0)`, then the `k % W` tail columns from `col(j)` — the same
+/// body at width 1, so every element keeps its stream order.
+#[inline(always)]
+fn emit_row<T: Scalar, const W: usize>(
+    yr: &mut [T],
+    tile: impl Fn(usize) -> [T; W],
+    col: impl Fn(usize) -> [T; 1],
+) {
+    let k = yr.len();
+    let mut j0 = 0;
+    while j0 + W <= k {
+        yr[j0..j0 + W].copy_from_slice(&tile(j0));
+        j0 += W;
+    }
+    for (j, slot) in yr.iter_mut().enumerate().skip(j0) {
+        *slot = col(j)[0];
+    }
+}
+
+/// Adds one stored entry `(c, v)` to the lane accumulators: lane `l`
+/// takes `v * x[c * k + j0 + l]`.
+#[inline(always)]
+fn add_entry<T: Scalar, const W: usize>(
+    acc: &mut [T; W],
+    c: usize,
+    v: T,
+    x: &[T],
+    k: usize,
+    j0: usize,
+) {
+    let xb = &x[c * k + j0..c * k + j0 + W];
+    for (a, &xv) in acc.iter_mut().zip(xb) {
+        *a += v * xv;
+    }
+}
+
+/// [`add_entry`] over entries `(idx, val)` in stream order.
+#[inline(always)]
+fn add_entries<T: Scalar, const W: usize>(
+    acc: &mut [T; W],
+    idx: &[usize],
+    val: &[T],
+    x: &[T],
+    k: usize,
+    j0: usize,
+) {
+    for (&c, &v) in idx.iter().zip(val) {
+        add_entry(acc, c, v, x, k, j0);
+    }
+}
+
+/// One CSR row's (or COO row run's) tile of `W` column dot products,
+/// portable body: lane `l` accumulates column `j0 + l` in stream order.
 #[inline]
 fn row_tile<T: Scalar, const W: usize>(
     idx: &[usize],
@@ -49,12 +120,7 @@ fn row_tile<T: Scalar, const W: usize>(
     j0: usize,
 ) -> [T; W] {
     let mut acc = [T::ZERO; W];
-    for (&c, &v) in idx.iter().zip(val) {
-        let xb = &x[c * k + j0..c * k + j0 + W];
-        for (a, &xv) in acc.iter_mut().zip(xb) {
-            *a += v * xv;
-        }
-    }
+    add_entries(&mut acc, idx, val, x, k, j0);
     acc
 }
 
@@ -118,36 +184,6 @@ fn row_tile_dispatch<T: Scalar, const W: usize>(
     row_tile::<T, W>(idx, val, x, k, j0)
 }
 
-/// Computes one CSR row's full `k` output columns into `yr`: tiles of
-/// `W` first, then a scalar column-at-a-time tail for `k % W`.
-#[inline]
-fn row_into<T: Scalar, const W: usize>(
-    idx: &[usize],
-    val: &[T],
-    x: &[T],
-    k: usize,
-    yr: &mut [T],
-    simd: bool,
-) {
-    let mut j0 = 0;
-    while j0 + W <= k {
-        let acc = if simd {
-            row_tile_dispatch::<T, W>(idx, val, x, k, j0)
-        } else {
-            row_tile::<T, W>(idx, val, x, k, j0)
-        };
-        yr[j0..j0 + W].copy_from_slice(&acc);
-        j0 += W;
-    }
-    for j in j0..k {
-        let mut acc = T::ZERO;
-        for (&c, &v) in idx.iter().zip(val) {
-            acc += v * x[c * k + j];
-        }
-        yr[j] = acc;
-    }
-}
-
 #[inline]
 fn csr_chunks<T: Scalar, const W: usize>(
     m: &Csr<T>,
@@ -161,7 +197,14 @@ fn csr_chunks<T: Scalar, const W: usize>(
         let r0 = bounds[ci];
         for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
             let (idx, val) = m.row(r0 + i);
-            row_into::<T, W>(idx, val, x, k, yr, simd);
+            let tile = |j0| {
+                if simd {
+                    row_tile_dispatch::<T, W>(idx, val, x, k, j0)
+                } else {
+                    row_tile::<T, W>(idx, val, x, k, j0)
+                }
+            };
+            emit_row(yr, tile, |j| row_tile(idx, val, x, k, j));
         }
     });
 }
@@ -188,19 +231,13 @@ pub fn run_csr<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    let width = strategies.tile_width();
     let merge = strategies.contains(Strategy::Merge);
     let entry_bounds = plan
         .entry_bounds
         .as_deref()
         .filter(|eb| merge && plan.chunks() > 1 && eb.len() == plan.bounds.len());
     if let Some(eb) = entry_bounds {
-        return match width {
-            2 => csr_merge_with::<T, 2>(m, x, y, k, eb, &plan.bounds),
-            4 => csr_merge_with::<T, 4>(m, x, y, k, eb, &plan.bounds),
-            8 => csr_merge_with::<T, 8>(m, x, y, k, eb, &plan.bounds),
-            _ => csr_merge_with::<T, 1>(m, x, y, k, eb, &plan.bounds),
-        };
+        return by_tile_width!(strategies, csr_merge_with(m, x, y, k, eb, &plan.bounds));
     }
     // A merge variant handed a plan without entry bounds (serial,
     // degraded or foreign) runs the tiled row body over one chunk — the
@@ -208,12 +245,7 @@ pub fn run_csr<T: Scalar>(
     let whole = [0, m.rows()];
     let bounds = if merge { &whole[..] } else { &plan.bounds[..] };
     let simd = strategies.contains(Strategy::Simd);
-    match width {
-        2 => csr_chunks::<T, 2>(m, x, y, k, bounds, simd),
-        4 => csr_chunks::<T, 4>(m, x, y, k, bounds, simd),
-        8 => csr_chunks::<T, 8>(m, x, y, k, bounds, simd),
-        _ => csr_chunks::<T, 1>(m, x, y, k, bounds, simd),
-    }
+    by_tile_width!(strategies, csr_chunks(m, x, y, k, bounds, simd))
 }
 
 /// Tile of `W` column dot products over one contiguous entry segment
@@ -329,51 +361,24 @@ fn csr_merge_with<T: Scalar, const W: usize>(
     }
 }
 
-/// ELL SpMM over rows `[r0, r1)` writing into `y_chunk` (length
-/// `(r1 - r0) * k`): column-major slot sweep per tile, so each output
-/// element accumulates slots in ascending order exactly like
-/// the basic ELL SpMV does per column.
-fn ell_rows<T: Scalar, const W: usize>(
+/// One ELL row's tile: packed slots in ascending order, padding
+/// included — the basic ELL SpMV's order per column.
+#[inline]
+fn ell_tile<T: Scalar, const W: usize>(
     m: &Ell<T>,
+    r: usize,
     x: &[T],
-    y_chunk: &mut [T],
     k: usize,
-    r0: usize,
-    r1: usize,
-) {
-    y_chunk.fill(T::ZERO);
-    let rows = m.rows();
-    let data = m.data();
-    let idx = m.indices();
-    let n = r1 - r0;
-    let mut j0 = 0;
-    while j0 + W <= k {
-        for p in 0..m.width() {
-            let dcol = &data[p * rows + r0..p * rows + r1];
-            let icol = &idx[p * rows + r0..p * rows + r1];
-            for r in 0..n {
-                let v = dcol[r];
-                let xb = &x[icol[r] * k + j0..];
-                let yb = &mut y_chunk[r * k + j0..r * k + j0 + W];
-                for (l, slot) in yb.iter_mut().enumerate() {
-                    *slot += v * xb[l];
-                }
-            }
-        }
-        j0 += W;
+    j0: usize,
+) -> [T; W] {
+    let (rows, data, idx) = (m.rows(), m.data(), m.indices());
+    let mut acc = [T::ZERO; W];
+    for p in 0..m.width() {
+        add_entry(&mut acc, idx[p * rows + r], data[p * rows + r], x, k, j0);
     }
-    for j in j0..k {
-        for p in 0..m.width() {
-            let dcol = &data[p * rows + r0..p * rows + r1];
-            let icol = &idx[p * rows + r0..p * rows + r1];
-            for r in 0..n {
-                y_chunk[r * k + j] += dcol[r] * x[icol[r] * k + j];
-            }
-        }
-    }
+    acc
 }
 
-#[inline]
 fn ell_chunks<T: Scalar, const W: usize>(
     m: &Ell<T>,
     x: &[T],
@@ -382,7 +387,15 @@ fn ell_chunks<T: Scalar, const W: usize>(
     bounds: &[usize],
 ) {
     exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-        ell_rows::<T, W>(m, x, chunk, k, bounds[ci], bounds[ci + 1]);
+        let r0 = bounds[ci];
+        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
+            let r = r0 + i;
+            emit_row(
+                yr,
+                |j0| ell_tile::<T, W>(m, r, x, k, j0),
+                |j| ell_tile(m, r, x, k, j),
+            );
+        }
     });
 }
 
@@ -402,12 +415,186 @@ pub fn run_ell<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    match strategies.tile_width() {
-        2 => ell_chunks::<T, 2>(m, x, y, k, &plan.bounds),
-        4 => ell_chunks::<T, 4>(m, x, y, k, &plan.bounds),
-        8 => ell_chunks::<T, 8>(m, x, y, k, &plan.bounds),
-        _ => ell_chunks::<T, 1>(m, x, y, k, &plan.bounds),
+    by_tile_width!(strategies, ell_chunks(m, x, y, k, &plan.bounds))
+}
+
+/// One DIA row's tile: diagonals in offset order, each where its column
+/// `r + off` exists (fill included) — the basic DIA SpMV's order per
+/// column.
+#[inline]
+fn dia_tile<T: Scalar, const W: usize>(
+    m: &Dia<T>,
+    r: usize,
+    x: &[T],
+    k: usize,
+    j0: usize,
+) -> [T; W] {
+    let (rows, cols, data) = (m.rows(), m.cols(), m.data());
+    let mut acc = [T::ZERO; W];
+    for (d, &off) in m.offsets().iter().enumerate() {
+        let c = r.wrapping_add_signed(off);
+        if c < cols {
+            add_entry(&mut acc, c, data[d * rows + r], x, k, j0);
+        }
     }
+    acc
+}
+
+fn dia_chunks<T: Scalar, const W: usize>(
+    m: &Dia<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    bounds: &[usize],
+) {
+    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
+        let r0 = bounds[ci];
+        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
+            let r = r0 + i;
+            emit_row(
+                yr,
+                |j0| dia_tile::<T, W>(m, r, x, k, j0),
+                |j| dia_tile(m, r, x, k, j),
+            );
+        }
+    });
+}
+
+/// Runs the DIA SpMM variant tagged `strategies` over the plan's row
+/// chunks.
+///
+/// # Panics
+///
+/// Same conditions as [`run_csr`].
+pub fn run_dia<T: Scalar>(
+    m: &Dia<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    plan: &ExecPlan,
+    strategies: StrategySet,
+) {
+    check_dims(m.rows(), m.cols(), x, y, k);
+    by_tile_width!(strategies, dia_chunks(m, x, y, k, &plan.bounds))
+}
+
+/// Advances the cursor `e` over row `r`'s run of a row-sorted entry
+/// stream (`row_idx`, ending at `end`) and returns the run.
+#[inline]
+fn row_run(row_idx: &[usize], e: &mut usize, end: usize, r: usize) -> Range<usize> {
+    let lo = *e;
+    while *e < end && row_idx[*e] == r {
+        *e += 1;
+    }
+    lo..*e
+}
+
+fn coo_chunks<T: Scalar, const W: usize>(
+    m: &Coo<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    entry_bounds: &[usize],
+    row_bounds: &[usize],
+) {
+    let (row_idx, col_idx, values) = (m.row_idx(), m.col_idx(), m.values());
+    exec::for_each_row_chunk_scaled(y, row_bounds, k, |ci, chunk| {
+        let (r0, mut e, end) = (row_bounds[ci], entry_bounds[ci], entry_bounds[ci + 1]);
+        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
+            let run = row_run(row_idx, &mut e, end, r0 + i);
+            let (idx, val) = (&col_idx[run.clone()], &values[run]);
+            emit_row(
+                yr,
+                |j0| row_tile::<T, W>(idx, val, x, k, j0),
+                |j| row_tile(idx, val, x, k, j),
+            );
+        }
+        assert_eq!(e, end, "entry bounds must align with the plan's row chunks");
+    });
+}
+
+/// Runs the COO SpMM variant tagged `strategies` over the plan's
+/// entry-aligned chunks (or the whole entry range as one chunk, exactly
+/// like [`crate::coo::run`]): each row's run of entries streams through
+/// the tile accumulators in entry order.
+///
+/// # Panics
+///
+/// Same conditions as [`run_csr`], plus entry bounds that do not align
+/// with the plan's row bounds.
+pub fn run_coo<T: Scalar>(
+    m: &Coo<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    plan: &ExecPlan,
+    strategies: StrategySet,
+) {
+    check_dims(m.rows(), m.cols(), x, y, k);
+    crate::coo::with_entry_chunks(m, plan, |entry_bounds, row_bounds| {
+        by_tile_width!(strategies, coo_chunks(m, x, y, k, entry_bounds, row_bounds))
+    })
+}
+
+/// One HYB row's tile: the ELL part's slots, then the row's run `(idx,
+/// val)` of COO overflow entries — the basic HYB SpMV's order per
+/// column.
+#[inline]
+fn hyb_tile<T: Scalar, const W: usize>(
+    m: &Hyb<T>,
+    r: usize,
+    (idx, val): (&[usize], &[T]),
+    x: &[T],
+    k: usize,
+    j0: usize,
+) -> [T; W] {
+    let mut acc = ell_tile(m.ell_part(), r, x, k, j0);
+    add_entries(&mut acc, idx, val, x, k, j0);
+    acc
+}
+
+fn hyb_chunks<T: Scalar, const W: usize>(
+    m: &Hyb<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    bounds: &[usize],
+) {
+    let coo = m.coo_part();
+    let (row_idx, col_idx, values) = (coo.row_idx(), coo.col_idx(), coo.values());
+    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
+        let r0 = bounds[ci];
+        let mut e = row_idx.partition_point(|&r| r < r0);
+        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
+            let r = r0 + i;
+            let run = row_run(row_idx, &mut e, row_idx.len(), r);
+            let extra = (&col_idx[run.clone()], &values[run]);
+            emit_row(
+                yr,
+                |j0| hyb_tile::<T, W>(m, r, extra, x, k, j0),
+                |j| hyb_tile(m, r, extra, x, k, j),
+            );
+        }
+    });
+}
+
+/// Runs the HYB SpMM variant tagged `strategies` over the plan's row
+/// chunks: per row, the ELL slots and then the row's COO overflow run
+/// accumulate in registers and the row is written once.
+///
+/// # Panics
+///
+/// Same conditions as [`run_csr`].
+pub fn run_hyb<T: Scalar>(
+    m: &Hyb<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    plan: &ExecPlan,
+    strategies: StrategySet,
+) {
+    check_dims(m.rows(), m.cols(), x, y, k);
+    by_tile_width!(strategies, hyb_chunks(m, x, y, k, &plan.bounds))
 }
 
 /// BCSR SpMM for one column tile `[j0, j0 + W)` over rows `[r0, r1)`:
@@ -478,6 +665,18 @@ fn bcsr_rows<T: Scalar, const W: usize>(
     }
 }
 
+fn bcsr_chunks<T: Scalar, const W: usize>(
+    m: &Bcsr<T>,
+    x: &[T],
+    y: &mut [T],
+    k: usize,
+    bounds: &[usize],
+) {
+    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
+        bcsr_rows::<T, W>(m, x, chunk, k, bounds[ci], bounds[ci + 1]);
+    });
+}
+
 /// Runs the BCSR SpMM variant tagged `strategies` over the plan's row
 /// chunks, for both block sizes (no `Tile*` strategy: column-at-a-time,
 /// the containment reference).
@@ -494,20 +693,7 @@ pub fn run_bcsr<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    let bounds = &plan.bounds[..];
-    macro_rules! fan {
-        ($w:literal) => {
-            exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-                bcsr_rows::<T, $w>(m, x, chunk, k, bounds[ci], bounds[ci + 1]);
-            })
-        };
-    }
-    match strategies.tile_width() {
-        2 => fan!(2),
-        4 => fan!(4),
-        8 => fan!(8),
-        _ => fan!(1),
-    }
+    by_tile_width!(strategies, bcsr_chunks(m, x, y, k, &plan.bounds))
 }
 
 /// The CSR SpMM variant table: basic, tiled, SIMD-tiled, row-parallel
@@ -565,6 +751,36 @@ pub fn bcsr_variants2() -> Vec<KernelInfo> {
 /// The 4x4 BCSR SpMM variant table.
 pub fn bcsr_variants4() -> Vec<KernelInfo> {
     bcsr_spmm_rows!("bcsr4")
+}
+
+/// The three rows of a format whose batched tier is one tile width:
+/// column-at-a-time (row 0, the containment reference), serial 8-wide
+/// tiles, and the same tiles fanned out over the plan's chunks.
+macro_rules! tiled_spmm_rows {
+    ($prefix:literal) => {{
+        use Strategy::*;
+        kernel_rows(&[
+            (concat!($prefix, "_spmm_basic"), &[]),
+            (concat!($prefix, "_spmm_t8"), &[Tile8]),
+            (concat!($prefix, "_spmm_parallel_t8"), &[Parallel, Tile8]),
+        ])
+    }};
+}
+
+/// The DIA SpMM variant table.
+pub fn dia_variants() -> Vec<KernelInfo> {
+    tiled_spmm_rows!("dia")
+}
+
+/// The COO SpMM variant table (its parallel row replays the
+/// entry-aligned plan of the COO SpMV fan-out).
+pub fn coo_variants() -> Vec<KernelInfo> {
+    tiled_spmm_rows!("coo")
+}
+
+/// The HYB SpMM variant table.
+pub fn hyb_variants() -> Vec<KernelInfo> {
+    tiled_spmm_rows!("hyb")
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -677,7 +893,9 @@ mod tests {
     use super::*;
     use crate::partition::merge_path_bounds;
     use crate::plan::ChunkPolicy;
+    use crate::registry::{KernelId, KernelLibrary, Op};
     use smat_matrix::gen::{power_law, random_uniform};
+    use smat_matrix::{AnyMatrix, ConversionLimits, Format};
 
     /// `k` independent basic SpMV calls, interleaved into the row-major
     /// SpMM layout — the semantic reference for every kernel here.
@@ -796,6 +1014,104 @@ mod tests {
                 assert_eq!(y, expect, "{}", info.name);
             }
         }
+    }
+
+    /// `k` calls of the format's own basic SpMV (variant 0, serial plan)
+    /// on gathered columns: what the engine served for DIA, COO and HYB
+    /// before they had a batched tier.
+    fn per_column_basic(
+        lib: &KernelLibrary<f64>,
+        m: &AnyMatrix<f64>,
+        x: &[f64],
+        k: usize,
+    ) -> Vec<f64> {
+        let mut expect = vec![0.0; m.rows() * k];
+        let serial = ExecPlan::serial(m.rows());
+        for j in 0..k {
+            let xj: Vec<f64> = (0..m.cols()).map(|c| x[c * k + j]).collect();
+            let mut yj = vec![f64::NAN; m.rows()];
+            lib.run_planned(m, 0, &serial, &xj, &mut yj);
+            for r in 0..m.rows() {
+                expect[r * k + j] = yj[r];
+            }
+        }
+        expect
+    }
+
+    /// Row-major sweeps keep each element in its format's basic SpMV
+    /// order, so every row of every row-granular format is bitwise equal
+    /// to k basic SpMV calls on arbitrary values (fill, padding and the
+    /// HYB overflow included), under the serial plan, the default plan
+    /// and an odd fan-out.
+    #[test]
+    fn row_major_sweeps_match_their_basic_spmv_bitwise() {
+        use smat_matrix::gen::{banded, fixed_degree, random_skewed};
+        let lib = KernelLibrary::<f64>::new();
+        let inputs = [
+            (
+                Format::Dia,
+                banded::<f64>(211, &[-37, -2, 0, 1, 53], 0.6, 7),
+            ),
+            (
+                Format::Dia,
+                Csr::from_triplets(5, 9, &[(0, 8, 1.5), (4, 0, -2.0)]).unwrap(),
+            ),
+            (Format::Coo, power_law::<f64>(400, 120, 1.9, 11)),
+            (Format::Hyb, random_skewed::<f64>(300, 280, 6, 0.05, 12, 4)),
+            (Format::Ell, fixed_degree::<f64>(207, 190, 5, 2, 19)),
+        ];
+        for (format, csr) in inputs {
+            let any =
+                AnyMatrix::convert_from_csr_with(&csr, format, &ConversionLimits::unlimited())
+                    .unwrap();
+            if let AnyMatrix::Hyb(h) = &any {
+                assert!(h.coo_part().nnz() > 0, "want a nonempty overflow part");
+            }
+            for k in [1usize, 3, 4, 8, 9, 17] {
+                let x: Vec<f64> = (0..csr.cols() * k)
+                    .map(|i| (i as f64 * 0.37).sin())
+                    .collect();
+                let expect = per_column_basic(&lib, &any, &x, k);
+                for (v, info) in lib.spmm_variants(format).iter().enumerate() {
+                    let id = KernelId {
+                        op: Op::Spmm,
+                        format,
+                        variant: v,
+                    };
+                    let policy = lib.chunk_policy(&any, id);
+                    for plan in [
+                        ExecPlan::serial(any.rows()),
+                        lib.plan_for(&any, id),
+                        lib.build_plan_sized(&any, policy, 3),
+                    ] {
+                        let mut y = vec![f64::NAN; any.rows() * k];
+                        lib.run_spmm_planned(&any, v, &plan, &x, &mut y, k);
+                        assert!(
+                            bitwise(&y, &expect),
+                            "{} @ k={k} under {}",
+                            info.name,
+                            plan.policy
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry bounds must align")]
+    fn coo_rejects_entry_bounds_of_another_matrix() {
+        let coo = Coo::from_csr(&random_uniform::<f64>(40, 40, 3, 5));
+        // Right entry count, wrong row split: chunk 0 claims rows 0..2
+        // but is handed the first half of the entries.
+        let half = coo.nnz() / 2;
+        let plan = ExecPlan::chunked(
+            ChunkPolicy::EntryAligned,
+            vec![0, 2, 40],
+            Some(vec![0, half, coo.nnz()]),
+        );
+        let mut y = vec![0.0; 40 * 2];
+        run_coo(&coo, &[1.0; 80], &mut y, 2, &plan, StrategySet::EMPTY);
     }
 
     #[test]

@@ -123,10 +123,6 @@ fn plain_parallel_variants_are_bit_identical_to_serial_basic() {
                 if !info.strategies.contains(Strategy::Parallel)
                     || info.strategies.contains(Strategy::Unroll)
                     || info.strategies.contains(Strategy::Block)
-                    // The CSR vector row dot is the 4-lane split
-                    // accumulator shape (DIA/ELL `Simd` steps are
-                    // element-wise, so those stay in the sweep).
-                    || (format == Format::Csr && info.strategies.contains(Strategy::Simd))
                     // Merge-path splits rows mid-stream and reassociates
                     // their sums, so it matches basic bitwise only on
                     // exactly-representable values — covered by the

@@ -46,16 +46,19 @@ fn model() -> &'static TrainedModel {
 }
 
 fn engine() -> Arc<Smat<f64>> {
-    let mut config = SmatConfig::default();
-    // Followers must outlast a failpoint-stretched leader so the
-    // stampede coalesces instead of timing out into degradation.
-    config.single_flight_wait = Duration::from_secs(60);
-    // An impossible confidence bar forces every tuning run through the
-    // execute-and-measure fallback, whose measurements pass the
-    // `search.measure` failpoint — the lever the stampede test uses to
-    // stretch the leader's run. The predicted path measures nothing,
-    // so in release it can publish before any follower even starts.
-    config.confidence_threshold = 1.1;
+    let config = SmatConfig {
+        // Followers must outlast a failpoint-stretched leader so the
+        // stampede coalesces instead of timing out into degradation.
+        single_flight_wait: Duration::from_secs(60),
+        // An impossible confidence bar forces every tuning run through
+        // the execute-and-measure fallback, whose measurements pass the
+        // `search.measure` failpoint — the lever the stampede test uses
+        // to stretch the leader's run. The predicted path measures
+        // nothing, so in release it can publish before any follower
+        // even starts.
+        confidence_threshold: 1.1,
+        ..SmatConfig::default()
+    };
     Arc::new(Smat::with_config(model().clone(), config).expect("engine builds"))
 }
 

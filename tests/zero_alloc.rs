@@ -11,10 +11,13 @@
 //! whole audit lives in a single `#[test]` so no sibling test thread
 //! can allocate inside the measurement window.
 
-use smat::{Smat, SmatConfig, Trainer};
+use smat::{group_class_order, Smat, SmatConfig, TrainedModel, Trainer};
 use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Workspace};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
-use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
+use smat_learn::{Condition, Op, Rule, RuleGroups};
+use smat_matrix::gen::{
+    banded, generate_corpus, power_law, random_skewed, random_uniform, CorpusSpec,
+};
 use smat_matrix::{AnyMatrix, Bcsr, ConversionLimits, Csr, Dia, Format, Hyb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,6 +126,24 @@ fn conversions_allocate_their_result_and_one_marker_array() {
         bytes <= resident + 81 * W,
         "DIA conversion requested {bytes} B for a {resident} B result"
     );
+}
+
+/// `base` with its rules replaced by one confident rule (`M > 0`) that
+/// sends every input to `format`.
+fn forced(base: &TrainedModel, format: Format) -> TrainedModel {
+    let mut model = base.clone();
+    model.ruleset.rules = vec![Rule {
+        conditions: vec![Condition {
+            attr: 0,
+            op: Op::Gt,
+            threshold: 0.0,
+        }],
+        class: format.index(),
+        covered: 20,
+        correct: 20,
+    }];
+    model.groups = RuleGroups::from_ruleset(&model.ruleset, &group_class_order());
+    model
 }
 
 #[test]
@@ -301,44 +322,47 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
 
     // --- Batched tier: warm `Smat::spmm` replays the frozen SpMM pick
     // borrowed straight from the handle — no clone of the plan, no
-    // per-call gather buffers on the tiled path — through the same
-    // containment boundary as SpMV. Forced onto the measured CSR path
-    // (threshold above 1.0 disables rule shortcuts, and with no rule
-    // groups no rule-matched format joins the CSR candidate) so the
-    // pick is a real tiled kernel, not the allocating per-column
-    // fallback.
-    let mut csr_only = out.model.clone();
-    csr_only.groups.groups.clear();
-    let spmm_engine = Smat::<f64>::with_config(
-        csr_only,
-        SmatConfig {
-            confidence_threshold: 1.1,
-            fallback_formats: vec![Format::Csr],
-            ..SmatConfig::fast()
-        },
-    )
-    .expect("precision ok");
-    let tuned = spmm_engine.prepare(&m);
+    // per-call buffers — through the same containment boundary as SpMV.
+    // Every format has a tier, so the audit holds a DIA, a COO, a HYB
+    // and a CSR handle to it; each engine's one confident rule sends
+    // every input to its format.
     let k = 4;
-    let xb: Vec<f64> = (0..m.cols() * k)
-        .map(|i| 0.5 - (i % 9) as f64 * 0.0625)
-        .collect();
-    let mut yb = vec![0.0f64; m.rows() * k];
-    let (allocs, spawns) = audit(5, 100, || {
-        spmm_engine
-            .spmm(&tuned, &xb, &mut yb, k)
-            .expect("prepared SpMM runs");
-    });
-    assert_eq!(allocs, 0, "heap allocations in warm prepared-engine SpMM");
-    assert_eq!(spawns, 0, "thread spawns in warm prepared-engine SpMM");
-    assert!(
-        tuned.spmm_kernel().is_some(),
-        "the CSR pick is a tiled SpMM kernel, not the per-column fallback"
-    );
-    assert!(
-        spmm_engine.health_report().spmm_calls >= 105,
-        "the op-labeled call clock counted the batched calls"
-    );
+    for (format, a) in [
+        (Format::Dia, banded::<f64>(600, &[-7, -1, 0, 1, 7], 1.0, 44)),
+        (Format::Coo, power_law::<f64>(900, 200, 2.0, 45)),
+        (Format::Hyb, random_skewed::<f64>(800, 800, 6, 0.05, 12, 46)),
+        (Format::Csr, m.clone()),
+    ] {
+        let engine = Smat::<f64>::with_config(forced(&out.model, format), SmatConfig::fast())
+            .expect("precision ok");
+        let tuned = engine.prepare(&a);
+        assert_eq!(tuned.format(), format, "the forced rule decides");
+        let xb: Vec<f64> = (0..a.cols() * k)
+            .map(|i| 0.5 - (i % 9) as f64 * 0.0625)
+            .collect();
+        let mut yb = vec![0.0f64; a.rows() * k];
+        let (allocs, spawns) = audit(5, 100, || {
+            engine
+                .spmm(&tuned, &xb, &mut yb, k)
+                .expect("prepared SpMM runs");
+        });
+        assert_eq!(
+            allocs, 0,
+            "{format}: heap allocations in warm prepared-engine SpMM"
+        );
+        assert_eq!(
+            spawns, 0,
+            "{format}: thread spawns in warm prepared-engine SpMM"
+        );
+        assert!(
+            tuned.spmm_kernel().is_some(),
+            "{format}: the first call attached a pick"
+        );
+        assert!(
+            engine.health_report().spmm_calls >= 105,
+            "the op-labeled call clock counted the batched calls"
+        );
+    }
 
     // --- Output screening enabled: the non-finite scan is a pure read
     // over `y` and must not change the zero-allocation contract.
