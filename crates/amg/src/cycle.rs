@@ -6,12 +6,24 @@
 //! integration, where "SMAT chooses DIA format for A-operators at the
 //! first few levels, and ELL format for most P-operators" by replacing
 //! SpMV calls with the SMAT interface.
+//!
+//! A cycle runs each product once. Level 0 works on the caller's `b`
+//! and `x`; every level's residual `b - A x` is formed in place in one
+//! scratch vector, which then takes the prolongated correction. A
+//! coarser level is entered from zero, so its first Jacobi sweep needs
+//! no product, and a solve hands the residual it took for its
+//! convergence test to the next cycle's first Jacobi sweep. The
+//! iterates are bitwise those of the cycle that ran every product (kept
+//! in `oracle.rs` and compared there).
 
 use crate::hierarchy::Hierarchy;
-use crate::relax::{gauss_seidel, jacobi_update, residual, symmetric_gauss_seidel, Relaxation};
+use crate::relax::{
+    gauss_seidel, jacobi_from_zero, jacobi_step, symmetric_gauss_seidel, Relaxation,
+};
 use serde::{Deserialize, Serialize};
 use smat::{Smat, TunedSpmv};
 use smat_kernels::KernelLibrary;
+use smat_matrix::utils::norm2;
 use smat_matrix::{Csr, Format, Scalar};
 
 /// Multigrid cycle shape.
@@ -187,9 +199,12 @@ impl<T: Scalar> DenseLu<T> {
 /// One compiled level.
 #[derive(Debug)]
 pub struct CompiledLevel<T> {
-    /// The grid operator, possibly tuned.
+    /// The grid operator, possibly tuned. Every product with `A` — Jacobi
+    /// sweeps, cycle residuals, a solve's convergence test, PCG — runs
+    /// through it.
     pub a: OpApply<T>,
-    /// The operator kept in CSR for Gauss–Seidel and diagnostics.
+    /// A second, untuned CSR copy of the operator, read only by the
+    /// Gauss–Seidel smoothers, which sweep its rows in place.
     pub a_csr: Csr<T>,
     /// Diagonal of `A` (for Jacobi).
     pub diag: Vec<T>,
@@ -197,6 +212,43 @@ pub struct CompiledLevel<T> {
     pub p: Option<OpApply<T>>,
     /// Restriction, possibly tuned.
     pub r: Option<OpApply<T>>,
+    /// The first row of `diag` that is zero, found once at compile time:
+    /// a Jacobi sweep on this level panics with it instead of testing
+    /// every row.
+    zero_diagonal: Option<usize>,
+}
+
+impl<T: Scalar> CompiledLevel<T> {
+    /// `r = b - A x`: the product written into `r`, then subtracted from
+    /// `b` in place.
+    fn residual(&self, lib: &KernelLibrary<T>, b: &[T], x: &[T], r: &mut [T]) {
+        self.a.apply(lib, x, r);
+        for (ri, &bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
+    }
+}
+
+/// What a level's iterate holds when its part of a cycle starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Start {
+    /// Zero, not yet written: a coarser level's first visit, or a
+    /// preconditioner application.
+    Zero,
+    /// An iterate whose product with `A` has not been taken.
+    Guess,
+    /// An iterate whose residual `b - A x` is already in the level's
+    /// scratch vector.
+    Residual,
+}
+
+/// One level's vectors during a cycle: its right-hand side, its iterate
+/// and the scratch vector that holds first its residual, then its
+/// prolongated correction.
+struct Vectors<'a, T> {
+    b: &'a [T],
+    x: &'a mut [T],
+    r: &'a mut [T],
 }
 
 /// A hierarchy compiled for execution: operators bound to kernels, the
@@ -236,12 +288,16 @@ impl<T: Scalar> CompiledHierarchy<T> {
         let levels: Vec<CompiledLevel<T>> = h
             .levels
             .iter()
-            .map(|l| CompiledLevel {
-                a: tune(&l.a),
-                a_csr: l.a.clone(),
-                diag: l.a.diagonal(),
-                p: l.p.as_ref().map(&tune),
-                r: l.r.as_ref().map(&tune),
+            .map(|l| {
+                let diag = l.a.diagonal();
+                CompiledLevel {
+                    a: tune(&l.a),
+                    a_csr: l.a.clone(),
+                    zero_diagonal: diag.iter().position(|&d| d == T::ZERO),
+                    diag,
+                    p: l.p.as_ref().map(&tune),
+                    r: l.r.as_ref().map(&tune),
+                }
             })
             .collect();
         let coarse_lu = DenseLu::factor(&h.levels.last().expect("non-empty hierarchy").a);
@@ -307,124 +363,219 @@ impl<T: Scalar> CompiledHierarchy<T> {
     ///
     /// Panics if `b`/`x` lengths do not match the finest operator.
     pub fn v_cycle(&self, cfg: &CycleConfig, b: &[T], x: &mut [T], ws: &mut Workspace<T>) {
-        assert_eq!(b.len(), self.levels[0].a_csr.rows(), "b length");
+        self.cycle(cfg, Start::Guess, b, x, ws);
+    }
+
+    /// [`Self::v_cycle`] from a stated start: `Start::Zero` writes `x`
+    /// without reading it, and `Start::Residual` takes `b - A x` from
+    /// the workspace, where [`Self::fine_residual_norm`] left it.
+    pub(crate) fn cycle(
+        &self,
+        cfg: &CycleConfig,
+        start: Start,
+        b: &[T],
+        x: &mut [T],
+        ws: &mut Workspace<T>,
+    ) {
+        assert_eq!(b.len(), self.levels[0].a.rows(), "b length");
         assert_eq!(x.len(), b.len(), "x length");
         ws.ensure(self);
-        ws.bs[0].copy_from_slice(b);
-        ws.xs[0].copy_from_slice(x);
-        self.cycle_level(0, cfg, ws);
-        x.copy_from_slice(&ws.xs[0]);
+        let fine = Vectors {
+            b,
+            x,
+            r: &mut ws.fine,
+        };
+        self.cycle_level(0, cfg, start, fine, &mut ws.coarse);
     }
 
-    fn smooth(&self, level: usize, cfg: &CycleConfig, sweeps: usize, ws: &mut Workspace<T>) {
+    /// Runs `sweeps` smoothing sweeps on level `level` and returns what
+    /// its iterate holds afterwards.
+    fn smooth(
+        &self,
+        level: usize,
+        cfg: &CycleConfig,
+        sweeps: usize,
+        start: Start,
+        v: &mut Vectors<'_, T>,
+    ) -> Start {
         let l = &self.levels[level];
-        for _ in 0..sweeps {
-            match cfg.relax {
-                Relaxation::Jacobi { omega } => {
-                    // Route the product through the (possibly tuned) kernel.
-                    let (x, scratch) = (&mut ws.xs[level], &mut ws.scratch[level]);
-                    l.a.apply(&self.lib, x, scratch);
-                    jacobi_update(&l.diag, omega, scratch, &ws.bs[level], x);
+        if sweeps == 0 {
+            if start == Start::Zero {
+                v.x.fill(T::ZERO);
+                return Start::Guess;
+            }
+            return start;
+        }
+        match cfg.relax {
+            Relaxation::Jacobi { omega } => {
+                if let Some(row) = l.zero_diagonal {
+                    panic!("zero diagonal at row {row}");
                 }
-                Relaxation::GaussSeidel => {
-                    gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
+                let w = T::from_f64(omega);
+                match start {
+                    Start::Zero => jacobi_from_zero(&l.diag, w, v.b, v.x),
+                    Start::Residual => jacobi_step(&l.diag, w, v.r, v.x),
+                    Start::Guess => {
+                        l.residual(&self.lib, v.b, v.x, v.r);
+                        jacobi_step(&l.diag, w, v.r, v.x);
+                    }
                 }
-                Relaxation::SymmetricGaussSeidel => {
-                    symmetric_gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
+                for _ in 1..sweeps {
+                    l.residual(&self.lib, v.b, v.x, v.r);
+                    jacobi_step(&l.diag, w, v.r, v.x);
+                }
+            }
+            Relaxation::GaussSeidel | Relaxation::SymmetricGaussSeidel => {
+                if start == Start::Zero {
+                    v.x.fill(T::ZERO);
+                }
+                for _ in 0..sweeps {
+                    if matches!(cfg.relax, Relaxation::GaussSeidel) {
+                        gauss_seidel(&l.a_csr, v.b, v.x);
+                    } else {
+                        symmetric_gauss_seidel(&l.a_csr, v.b, v.x);
+                    }
                 }
             }
         }
+        Start::Guess
     }
 
-    fn cycle_level(&self, level: usize, cfg: &CycleConfig, ws: &mut Workspace<T>) {
-        let coarsest = level + 1 == self.levels.len();
-        if coarsest {
-            self.coarse_lu.solve(&ws.bs[level], &mut ws.xs[level]);
+    fn cycle_level(
+        &self,
+        level: usize,
+        cfg: &CycleConfig,
+        start: Start,
+        mut v: Vectors<'_, T>,
+        coarser: &mut [Coarse<T>],
+    ) {
+        if level + 1 == self.levels.len() {
+            // The factorization writes every entry of `x`.
+            self.coarse_lu.solve(v.b, v.x);
             return;
         }
-        self.smooth(level, cfg, cfg.pre_sweeps, ws);
-        // Residual through the tuned kernel: r = b - A x.
-        {
-            let l = &self.levels[level];
-            l.a.apply(&self.lib, &ws.xs[level], &mut ws.scratch[level]);
-            for i in 0..ws.scratch[level].len() {
-                ws.rs[level][i] = ws.bs[level][i] - ws.scratch[level][i];
-            }
+        let l = &self.levels[level];
+        if self.smooth(level, cfg, cfg.pre_sweeps, start, &mut v) != Start::Residual {
+            l.residual(&self.lib, v.b, v.x, v.r);
         }
-        // Restrict to the next level's right-hand side.
-        {
-            let (head, tail) = ws.bs.split_at_mut(level + 1);
-            let _ = head;
-            let r_op = self.levels[level].r.as_ref().expect("non-coarsest level");
-            r_op.apply(&self.lib, &ws.rs[level], &mut tail[0]);
-        }
-        ws.xs[level + 1].fill(T::ZERO);
-        let gamma = match cfg.cycle_type {
-            CycleType::V => 1,
-            CycleType::W => 2,
+        let (next, deeper) = coarser.split_first_mut().expect("non-coarsest level");
+        let r_op = l.r.as_ref().expect("non-coarsest level");
+        r_op.apply(&self.lib, v.r, &mut next.b);
+        // A W-cycle's second visit starts from the first one's iterate;
+        // revisits collapse on the coarsest pair.
+        let visits = match cfg.cycle_type {
+            CycleType::W if level + 2 < self.levels.len() => 2,
+            _ => 1,
         };
-        for visit in 0..gamma {
-            if visit > 0 && level + 2 == self.levels.len() {
-                break; // W-cycle revisits collapse on the coarsest pair
-            }
-            self.cycle_level(level + 1, cfg, ws);
+        for visit in 0..visits {
+            let start = if visit == 0 {
+                Start::Zero
+            } else {
+                Start::Guess
+            };
+            self.cycle_level(level + 1, cfg, start, next.vectors(), deeper);
         }
-        // Prolongate and correct.
-        {
-            let p_op = self.levels[level].p.as_ref().expect("non-coarsest level");
-            let (xs_head, xs_tail) = ws.xs.split_at_mut(level + 1);
-            p_op.apply(&self.lib, &xs_tail[0], &mut ws.scratch[level]);
-            let x = &mut xs_head[level];
-            for (xi, &si) in x.iter_mut().zip(ws.scratch[level].iter()) {
-                *xi += si;
-            }
+        // Prolongate into the scratch vector and correct.
+        let p_op = l.p.as_ref().expect("non-coarsest level");
+        p_op.apply(&self.lib, &next.x, v.r);
+        for (xi, &ci) in v.x.iter_mut().zip(v.r.iter()) {
+            *xi += ci;
         }
-        self.smooth(level, cfg, cfg.post_sweeps, ws);
+        self.smooth(level, cfg, cfg.post_sweeps, Start::Guess, &mut v);
     }
 
-    /// Computes the finest-level residual norm `||b - A x||`.
+    /// `r = b - A x` on the finest level, through the compiled operator.
+    ///
+    /// # Panics
+    ///
+    /// Panics on vector length mismatch.
+    pub(crate) fn fine_residual(&self, b: &[T], x: &[T], r: &mut [T]) {
+        assert_eq!(b.len(), r.len(), "b length");
+        self.levels[0].residual(&self.lib, b, x, r);
+    }
+
+    /// `y = A x` on the finest level, through the compiled operator.
+    pub(crate) fn apply_fine(&self, x: &[T], y: &mut [T]) {
+        self.levels[0].a.apply(&self.lib, x, y);
+    }
+
+    /// `||b - A x||` on the finest level, with `b - A x` left in the
+    /// workspace for a cycle that starts from `Start::Residual`.
+    pub(crate) fn fine_residual_norm(&self, b: &[T], x: &[T], ws: &mut Workspace<T>) -> f64 {
+        ws.ensure(self);
+        self.fine_residual(b, x, &mut ws.fine);
+        norm2(&ws.fine).to_f64()
+    }
+
+    /// Computes the finest-level residual norm `||b - A x||`, through the
+    /// compiled operator.
     pub fn residual_norm(&self, b: &[T], x: &[T]) -> f64 {
         let mut r = vec![T::ZERO; b.len()];
-        residual(&self.levels[0].a_csr, x, b, &mut r);
-        smat_matrix::utils::norm2(&r).to_f64()
+        self.fine_residual(b, x, &mut r);
+        norm2(&r).to_f64()
     }
 }
 
 /// Reusable per-level vectors for cycling (avoids per-cycle allocation).
+/// Level 0's `b` and `x` are the caller's; the workspace holds its
+/// scratch vector and every coarser level's three vectors.
 #[derive(Debug, Default)]
 pub struct Workspace<T> {
-    xs: Vec<Vec<T>>,
-    bs: Vec<Vec<T>>,
-    rs: Vec<Vec<T>>,
-    scratch: Vec<Vec<T>>,
+    fine: Vec<T>,
+    coarse: Vec<Coarse<T>>,
+}
+
+/// A coarser level's right-hand side, iterate and scratch vector.
+#[derive(Debug)]
+struct Coarse<T> {
+    b: Vec<T>,
+    x: Vec<T>,
+    r: Vec<T>,
+}
+
+impl<T> Coarse<T> {
+    fn vectors(&mut self) -> Vectors<'_, T> {
+        Vectors {
+            b: &self.b,
+            x: &mut self.x,
+            r: &mut self.r,
+        }
+    }
 }
 
 impl<T: Scalar> Workspace<T> {
     /// Creates an empty workspace; it sizes itself on first use.
     pub fn new() -> Self {
         Self {
-            xs: Vec::new(),
-            bs: Vec::new(),
-            rs: Vec::new(),
-            scratch: Vec::new(),
+            fine: Vec::new(),
+            coarse: Vec::new(),
         }
     }
 
     fn ensure(&mut self, h: &CompiledHierarchy<T>) {
-        if self.xs.len() == h.levels.len()
+        let (first, rest) = h.levels.split_first().expect("non-empty hierarchy");
+        if self.fine.len() == first.a.rows()
+            && self.coarse.len() == rest.len()
             && self
-                .xs
+                .coarse
                 .iter()
-                .zip(&h.levels)
-                .all(|(v, l)| v.len() == l.a_csr.rows())
+                .zip(rest)
+                .all(|(v, l)| v.x.len() == l.a.rows())
         {
             return;
         }
-        let dims: Vec<usize> = h.levels.iter().map(|l| l.a_csr.rows()).collect();
-        self.xs = dims.iter().map(|&n| vec![T::ZERO; n]).collect();
-        self.bs = dims.iter().map(|&n| vec![T::ZERO; n]).collect();
-        self.rs = dims.iter().map(|&n| vec![T::ZERO; n]).collect();
-        self.scratch = dims.iter().map(|&n| vec![T::ZERO; n]).collect();
+        self.fine = vec![T::ZERO; first.a.rows()];
+        self.coarse = rest
+            .iter()
+            .map(|l| {
+                let n = l.a.rows();
+                Coarse {
+                    b: vec![T::ZERO; n],
+                    x: vec![T::ZERO; n],
+                    r: vec![T::ZERO; n],
+                }
+            })
+            .collect();
     }
 }
 
@@ -612,14 +763,33 @@ mod tests {
         let r1 = c.residual_norm(&b, &x);
         assert!(r1 < 0.5 * r0, "degraded cycle too weak: {r0} -> {r1}");
     }
+    /// An engine whose every decision is CSR run by `f`, registered on
+    /// its library under `name`, and `f`'s id.
+    fn engine_running(
+        name: &'static str,
+        f: smat_kernels::KernelFn<f64>,
+    ) -> (smat::Smat<f64>, smat_kernels::KernelId) {
+        let csr_only = crate::oracle::engine_for(Format::Csr);
+        let mut model = csr_only.model().clone();
+        let registered = KernelLibrary::<f64>::new().variant_count(Format::Csr);
+        model.kernel_choice.set(Format::Csr, registered);
+        let mut engine = smat::Smat::with_config(model, csr_only.config().clone()).unwrap();
+        let id = engine.library_mut().register(
+            Format::Csr,
+            name,
+            smat_kernels::StrategySet::default(),
+            f,
+        );
+        assert_eq!(id.variant, registered);
+        (engine, id)
+    }
+
     /// A variant registered on the engine's library and chosen by its
     /// model must be the kernel the V-cycle replays: the compiled
     /// hierarchy dispatches through the tuning engine's table, where
     /// the variant's index means something.
     #[test]
     fn registered_kernel_chosen_by_the_model_runs_inside_the_v_cycle() {
-        use smat::{SmatConfig, Trainer};
-        use smat_matrix::gen::{random_uniform, tridiagonal};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -627,29 +797,7 @@ mod tests {
             CALLS.fetch_add(1, Ordering::Relaxed);
             m.spmv(x, y).expect("sized vectors");
         }
-
-        let t1 = tridiagonal::<f64>(300);
-        let t2 = random_uniform::<f64>(250, 250, 6, 1);
-        let mut model = Trainer::new(SmatConfig::fast())
-            .train(&[&t1, &t2])
-            .unwrap()
-            .model;
-        let registered = KernelLibrary::<f64>::new().variant_count(Format::Csr);
-        model.kernel_choice.set(Format::Csr, registered);
-        model.groups.groups.clear();
-        let cfg = SmatConfig {
-            confidence_threshold: 1.1,
-            fallback_formats: vec![Format::Csr],
-            ..SmatConfig::fast()
-        };
-        let mut engine = smat::Smat::<f64>::with_config(model, cfg).unwrap();
-        let id = engine.library_mut().register(
-            Format::Csr,
-            "csr_counting",
-            smat_kernels::StrategySet::default(),
-            counting_csr,
-        );
-        assert_eq!(id.variant, registered);
+        let (engine, id) = engine_running("csr_counting", counting_csr);
 
         let a = laplacian_2d_5pt::<f64>(16, 16);
         let n = a.rows();
@@ -672,5 +820,120 @@ mod tests {
             CALLS.load(Ordering::Relaxed) > tuning_calls,
             "the V-cycle must run the registered kernel"
         );
+    }
+
+    /// Each product of a Jacobi V-cycle runs once: level 0's `A` for the
+    /// pre-sweep, the residual and the post-sweep; every coarser
+    /// non-coarsest `A` twice (its first sweep starts from zero); each
+    /// transfer once. A `k`-cycle solve adds one level-0 product per
+    /// cycle, its convergence test, whose residual the next pre-sweep
+    /// reuses: `1 + 3k` in all.
+    #[test]
+    fn each_product_runs_once_per_cycle_and_once_per_convergence_test() {
+        use crate::solver::AmgSolver;
+        use std::collections::BTreeMap;
+        use std::sync::Mutex;
+
+        type Counts = BTreeMap<(usize, usize), usize>;
+        static CALLS: Mutex<Counts> = Mutex::new(BTreeMap::new());
+        fn counting_csr(m: &smat_matrix::AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
+            *CALLS
+                .lock()
+                .unwrap()
+                .entry((m.rows(), m.cols()))
+                .or_default() += 1;
+            m.spmv(x, y).expect("sized vectors");
+        }
+        fn since(before: &Counts) -> Counts {
+            let mut delta = CALLS.lock().unwrap().clone();
+            for (shape, n) in delta.iter_mut() {
+                *n -= before.get(shape).copied().unwrap_or(0);
+            }
+            delta.retain(|_, n| *n > 0);
+            delta
+        }
+        let (engine, id) = engine_running("csr_counting_by_shape", counting_csr);
+
+        let a = laplacian_2d_5pt::<f64>(24, 24);
+        let n = a.rows();
+        let cycle = CycleConfig::default();
+        let solver = AmgSolver::with_smat(a, &AmgConfig::default(), cycle, &engine);
+        let c = solver.compiled();
+        assert!(c.num_levels() >= 4, "the count must cross coarser levels");
+        for l in &c.levels {
+            for op in [Some(&l.a), l.p.as_ref(), l.r.as_ref()]
+                .into_iter()
+                .flatten()
+            {
+                assert!(matches!(op, OpApply::Tuned(t) if t.kernel() == id));
+            }
+        }
+        // Per cycle: every non-coarsest level's `A`, `P` and `R`.
+        let mut per_cycle = Counts::new();
+        for (level, pair) in c.levels.windows(2).enumerate() {
+            let (rows, coarse) = (pair[0].a.rows(), pair[1].a.rows());
+            per_cycle.insert((rows, rows), if level == 0 { 3 } else { 2 });
+            per_cycle.insert((rows, coarse), 1);
+            per_cycle.insert((coarse, rows), 1);
+        }
+
+        let b = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        let mut ws = Workspace::new();
+        let before = CALLS.lock().unwrap().clone();
+        c.v_cycle(&cycle, &b, &mut x, &mut ws);
+        assert_eq!(since(&before), per_cycle, "one V-cycle");
+
+        x.fill(0.0);
+        let before = CALLS.lock().unwrap().clone();
+        let stats = solver.solve(&b, &mut x, 1e-8, 100);
+        assert!(stats.converged);
+        let k = stats.iterations;
+        let mut want: Counts = per_cycle.iter().map(|(&s, &m)| (s, m * k)).collect();
+        want.insert((n, n), 1 + 3 * k);
+        assert_eq!(since(&before), want, "a {k}-cycle solve");
+    }
+
+    /// The cycle's iterates are the reference cycle's, bit for bit, after each of
+    /// three cycles: every smoother, V and W, 0–2 sweeps each side, plain
+    /// and tuned operators, on each oracle hierarchy.
+    #[test]
+    fn cycles_match_the_reference_bit_for_bit() {
+        use crate::oracle::{
+            cycle_configs, cycle_hierarchies, cycle_rhs, engine_for, same_bits, ReferenceCycle,
+            ReferenceWorkspace,
+        };
+
+        let plain_lib = KernelLibrary::new();
+        for (name, h, format) in cycle_hierarchies() {
+            let engine = engine_for(format);
+            let n = h.levels[0].a.rows();
+            let b = cycle_rhs(n);
+            let x0: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.25 - 0.5).collect();
+            for (operators, c, lib) in [
+                ("plain", CompiledHierarchy::plain(&h), &plain_lib),
+                (
+                    "tuned",
+                    CompiledHierarchy::with_smat(&h, &engine),
+                    engine.library(),
+                ),
+            ] {
+                let reference = ReferenceCycle { h: &c, lib };
+                for cfg in cycle_configs() {
+                    let (mut x, mut want) = (x0.clone(), x0.clone());
+                    let mut ws = Workspace::new();
+                    let mut reference_ws = ReferenceWorkspace::default();
+                    for cycle in 1..=3 {
+                        c.v_cycle(&cfg, &b, &mut x, &mut ws);
+                        reference.v_cycle(&cfg, &b, &mut want, &mut reference_ws);
+                        assert!(
+                            same_bits(&x, &want),
+                            "{name}, {operators} {:?}, {cfg:?}: cycle {cycle} left other bits",
+                            c.a_formats()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

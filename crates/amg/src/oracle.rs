@@ -3,18 +3,26 @@
 //! Gustavson loop, kept verbatim so the tests can assert that the
 //! routines in use return the same splitting, `P`, product and
 //! [`Hierarchy`] — `==`, so bitwise — plus the matrices they are
-//! compared on.
+//! compared on. Beside them, the cycle and solve loop as they stood
+//! before each product ran once ([`ReferenceCycle`]), against which the
+//! iterates are compared bit for bit.
 //!
 //! Compiled into the crate's unit tests and, by `#[path]`, into
 //! `tests/thread_targets/`; every name comes through `super` so the
 //! file reads the same from both.
 
 use super::coarsen::cljp;
-use super::{AmgConfig, Coarsening, Hierarchy, Level, PointType, Splitting, StrengthGraph};
+use super::{
+    gauss_seidel, jacobi_update, residual, symmetric_gauss_seidel, AmgConfig, Coarsening,
+    CompiledHierarchy, CycleConfig, CycleType, Hierarchy, Level, PointType, Relaxation, SolveStats,
+    Splitting, StrengthGraph,
+};
+use smat_kernels::KernelLibrary;
 use smat_matrix::gen::{
     laplacian_2d_5pt, laplacian_2d_9pt, laplacian_3d_7pt, power_law, random_uniform,
 };
-use smat_matrix::Csr;
+use smat_matrix::utils::norm2;
+use smat_matrix::{Csr, Format};
 use std::collections::BinaryHeap;
 
 /// Ruge–Stüben first pass over a lazy-update `BinaryHeap` with stale
@@ -346,4 +354,251 @@ pub fn matrices() -> Vec<(&'static str, Csr<f64>)> {
         ("power-law hub", hub_matrix(400)),
         ("positive off-diagonals", dominant(18 * 18, &mixed)),
     ]
+}
+
+/// The hierarchies the cycle oracle runs on — three stencils at the
+/// default configuration and a two-level hierarchy (one smoothed level
+/// above the dense solve) — each with the format its tuned compile
+/// offers every operator ([`engine_for`]).
+pub fn cycle_hierarchies() -> Vec<(&'static str, Hierarchy<f64>, Format)> {
+    let cfg = AmgConfig::default();
+    let two_levels = AmgConfig {
+        max_levels: 2,
+        ..AmgConfig::default()
+    };
+    vec![
+        (
+            "5-pt 24^2",
+            super::setup(laplacian_2d_5pt(24, 24), &cfg),
+            Format::Bcsr2,
+        ),
+        (
+            "9-pt 40^2",
+            super::setup(laplacian_2d_9pt(40, 40), &cfg),
+            Format::Dia,
+        ),
+        (
+            "7-pt 12^3",
+            super::setup(laplacian_3d_7pt(12, 12, 12), &cfg),
+            Format::Hyb,
+        ),
+        (
+            "two-level 5-pt 16^2",
+            super::setup(laplacian_2d_5pt(16, 16), &two_levels),
+            Format::Ell,
+        ),
+    ]
+}
+
+/// An engine that trusts no rule and measures `format` alone, so each
+/// operator it prepares runs `format`'s kernel where the conversion is
+/// allowed and CSR's where it is refused.
+pub fn engine_for(format: Format) -> smat::Smat<f64> {
+    use smat::{SmatConfig, Trainer};
+    let t1 = smat_matrix::gen::tridiagonal::<f64>(300);
+    let t2 = random_uniform::<f64>(250, 250, 6, 1);
+    let mut model = Trainer::new(SmatConfig::fast())
+        .train(&[&t1, &t2])
+        .unwrap()
+        .model;
+    model.groups.groups.clear();
+    let cfg = SmatConfig {
+        confidence_threshold: 1.1,
+        fallback_formats: vec![format],
+        ..SmatConfig::fast()
+    };
+    smat::Smat::with_config(model, cfg).unwrap()
+}
+
+/// Every cycle shape the oracle compares: each smoother, V and W, and
+/// 0–2 pre- and post-sweeps.
+pub fn cycle_configs() -> Vec<CycleConfig> {
+    let mut configs = Vec::new();
+    for relax in [
+        Relaxation::Jacobi { omega: 2.0 / 3.0 },
+        Relaxation::GaussSeidel,
+        Relaxation::SymmetricGaussSeidel,
+    ] {
+        for cycle_type in [CycleType::V, CycleType::W] {
+            for pre_sweeps in 0..=2 {
+                for post_sweeps in 0..=2 {
+                    configs.push(CycleConfig {
+                        pre_sweeps,
+                        post_sweeps,
+                        relax,
+                        cycle_type,
+                    });
+                }
+            }
+        }
+    }
+    configs
+}
+
+/// A right-hand side with exact zeros of both signs among its entries
+/// (the zero-iterate sweep must keep their bits too).
+pub fn cycle_rhs(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| match i % 13 {
+            0 => -0.0,
+            _ => ((i * 37) % 17) as f64 / 8.0 - 1.0,
+        })
+        .collect()
+}
+
+/// Whether two vectors are equal to the bit.
+pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The cycle as it stood before each product ran once: `b` and `x`
+/// copied through the workspace, a product before every Jacobi sweep
+/// (a coarser level's first one on its zero iterate), a separate
+/// residual buffer, and every residual norm on the CSR copy `a_csr`.
+/// `lib` is the table the hierarchy's tuned operators name their
+/// kernels in: the tuning engine's.
+pub struct ReferenceCycle<'a> {
+    pub h: &'a CompiledHierarchy<f64>,
+    pub lib: &'a KernelLibrary<f64>,
+}
+
+/// [`ReferenceCycle`]'s per-level vectors, level 0 included.
+#[derive(Default)]
+pub struct ReferenceWorkspace {
+    xs: Vec<Vec<f64>>,
+    bs: Vec<Vec<f64>>,
+    rs: Vec<Vec<f64>>,
+    scratch: Vec<Vec<f64>>,
+}
+
+impl ReferenceWorkspace {
+    fn ensure(&mut self, h: &CompiledHierarchy<f64>) {
+        if self.xs.len() == h.levels.len()
+            && self
+                .xs
+                .iter()
+                .zip(&h.levels)
+                .all(|(v, l)| v.len() == l.a_csr.rows())
+        {
+            return;
+        }
+        let dims: Vec<usize> = h.levels.iter().map(|l| l.a_csr.rows()).collect();
+        self.xs = dims.iter().map(|&n| vec![0.0; n]).collect();
+        self.bs = dims.iter().map(|&n| vec![0.0; n]).collect();
+        self.rs = dims.iter().map(|&n| vec![0.0; n]).collect();
+        self.scratch = dims.iter().map(|&n| vec![0.0; n]).collect();
+    }
+}
+
+impl ReferenceCycle<'_> {
+    pub fn v_cycle(
+        &self,
+        cfg: &CycleConfig,
+        b: &[f64],
+        x: &mut [f64],
+        ws: &mut ReferenceWorkspace,
+    ) {
+        assert_eq!(b.len(), self.h.levels[0].a_csr.rows(), "b length");
+        assert_eq!(x.len(), b.len(), "x length");
+        ws.ensure(self.h);
+        ws.bs[0].copy_from_slice(b);
+        ws.xs[0].copy_from_slice(x);
+        self.cycle_level(0, cfg, ws);
+        x.copy_from_slice(&ws.xs[0]);
+    }
+
+    fn smooth(&self, level: usize, cfg: &CycleConfig, sweeps: usize, ws: &mut ReferenceWorkspace) {
+        let l = &self.h.levels[level];
+        for _ in 0..sweeps {
+            match cfg.relax {
+                Relaxation::Jacobi { omega } => {
+                    let (x, scratch) = (&mut ws.xs[level], &mut ws.scratch[level]);
+                    l.a.apply(self.lib, x, scratch);
+                    jacobi_update(&l.diag, omega, scratch, &ws.bs[level], x);
+                }
+                Relaxation::GaussSeidel => {
+                    gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
+                }
+                Relaxation::SymmetricGaussSeidel => {
+                    symmetric_gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
+                }
+            }
+        }
+    }
+
+    fn cycle_level(&self, level: usize, cfg: &CycleConfig, ws: &mut ReferenceWorkspace) {
+        let coarsest = level + 1 == self.h.levels.len();
+        if coarsest {
+            self.h.coarse_lu.solve(&ws.bs[level], &mut ws.xs[level]);
+            return;
+        }
+        self.smooth(level, cfg, cfg.pre_sweeps, ws);
+        {
+            let l = &self.h.levels[level];
+            l.a.apply(self.lib, &ws.xs[level], &mut ws.scratch[level]);
+            for i in 0..ws.scratch[level].len() {
+                ws.rs[level][i] = ws.bs[level][i] - ws.scratch[level][i];
+            }
+        }
+        {
+            let (_, tail) = ws.bs.split_at_mut(level + 1);
+            let r_op = self.h.levels[level].r.as_ref().expect("non-coarsest level");
+            r_op.apply(self.lib, &ws.rs[level], &mut tail[0]);
+        }
+        ws.xs[level + 1].fill(0.0);
+        let gamma = match cfg.cycle_type {
+            CycleType::V => 1,
+            CycleType::W => 2,
+        };
+        for visit in 0..gamma {
+            if visit > 0 && level + 2 == self.h.levels.len() {
+                break;
+            }
+            self.cycle_level(level + 1, cfg, ws);
+        }
+        {
+            let p_op = self.h.levels[level].p.as_ref().expect("non-coarsest level");
+            let (xs_head, xs_tail) = ws.xs.split_at_mut(level + 1);
+            p_op.apply(self.lib, &xs_tail[0], &mut ws.scratch[level]);
+            let x = &mut xs_head[level];
+            for (xi, &si) in x.iter_mut().zip(ws.scratch[level].iter()) {
+                *xi += si;
+            }
+        }
+        self.smooth(level, cfg, cfg.post_sweeps, ws);
+    }
+
+    pub fn residual_norm(&self, b: &[f64], x: &[f64]) -> f64 {
+        let mut r = vec![0.0; b.len()];
+        residual(&self.h.levels[0].a_csr, x, b, &mut r);
+        norm2(&r)
+    }
+
+    /// `AmgSolver::solve`'s loop over this cycle.
+    pub fn solve(
+        &self,
+        cfg: &CycleConfig,
+        b: &[f64],
+        x: &mut [f64],
+        rel_tol: f64,
+        max_cycles: usize,
+    ) -> SolveStats {
+        let bnorm = norm2(b).max(f64::MIN_POSITIVE);
+        let mut ws = ReferenceWorkspace::default();
+        let mut residuals = vec![self.residual_norm(b, x)];
+        let mut converged = residuals[0] <= rel_tol * bnorm;
+        let mut iterations = 0;
+        while !converged && iterations < max_cycles {
+            self.v_cycle(cfg, b, x, &mut ws);
+            iterations += 1;
+            let r = self.residual_norm(b, x);
+            residuals.push(r);
+            converged = r <= rel_tol * bnorm;
+        }
+        SolveStats {
+            iterations,
+            residuals,
+            converged,
+        }
+    }
 }

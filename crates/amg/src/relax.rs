@@ -64,6 +64,28 @@ pub fn jacobi_update<T: Scalar>(diag: &[T], omega: f64, ax: &[T], b: &[T], x: &m
     }
 }
 
+/// One weighted-Jacobi step from a residual already formed in `r`
+/// (`r = b - A x`): `x += omega D^{-1} r`. Each element is
+/// [`jacobi_update`]'s expression, so the same bits; the caller has
+/// checked the diagonal for zeros once, which leaves a straight zip that
+/// vectorizes.
+pub(crate) fn jacobi_step<T: Scalar>(diag: &[T], w: T, r: &[T], x: &mut [T]) {
+    for ((xi, &ri), &di) in x.iter_mut().zip(r).zip(diag) {
+        *xi += w * ri / di;
+    }
+}
+
+/// The first weighted-Jacobi sweep from a zero iterate, with no product:
+/// `x = 0 + omega D^{-1} (b - 0)`. For a finite operator this is bit for
+/// bit the step after `x.fill(0)` and a product `A 0`: that product is a
+/// signed zero, `b - (±0)` is `b` wherever `b` is nonzero, and the
+/// leading `0 +` makes every zero result `+0` just as `x += ...` did.
+pub(crate) fn jacobi_from_zero<T: Scalar>(diag: &[T], w: T, b: &[T], x: &mut [T]) {
+    for ((xi, &bi), &di) in x.iter_mut().zip(b).zip(diag) {
+        *xi = T::ZERO + w * bi / di;
+    }
+}
+
 /// One weighted-Jacobi sweep computing the product internally with the
 /// reference CSR SpMV.
 ///
@@ -202,6 +224,29 @@ mod tests {
         a.spmv(&x2.clone(), &mut ax).unwrap();
         jacobi_update(&diag, 0.7, &ax, &b, &mut x2);
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn the_zero_iterate_sweep_is_the_step_after_a_product_with_zero() {
+        let a = laplacian_2d_5pt::<f64>(6, 6);
+        let n = a.rows();
+        let diag = a.diagonal();
+        // Signed zeros, and a subnormal whose step underflows to -0.
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 4 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => -5e-324,
+                _ => i as f64 * 0.3 - 5.0,
+            })
+            .collect();
+        let mut want = vec![0.0; n];
+        let mut ax = vec![0.0; n];
+        a.spmv(&want, &mut ax).unwrap();
+        jacobi_update(&diag, 2.0 / 3.0, &ax, &b, &mut want);
+        let mut x = vec![f64::NAN; n];
+        jacobi_from_zero(&diag, 2.0 / 3.0, &b, &mut x);
+        assert!(x.iter().zip(&want).all(|(x, w)| x.to_bits() == w.to_bits()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! gradients, and AMG-preconditioned CG (Hypre's standard usage: "AMG is
 //! used as a preconditioner such as conjugate gradients").
 
-use crate::cycle::{CompiledHierarchy, CycleConfig, Workspace};
+use crate::cycle::{CompiledHierarchy, CycleConfig, Start, Workspace};
 use crate::hierarchy::{setup, AmgConfig, Hierarchy};
 use crate::relax::residual;
 use smat::Smat;
@@ -109,13 +109,17 @@ impl<T: Scalar> AmgSolver<T> {
     pub fn solve(&self, b: &[T], x: &mut [T], rel_tol: f64, max_cycles: usize) -> SolveStats {
         let bnorm = norm2(b).to_f64().max(f64::MIN_POSITIVE);
         let mut ws = Workspace::new();
-        let mut residuals = vec![self.compiled.residual_norm(b, x)];
+        // Each convergence test leaves `b - A x` in the workspace, and
+        // the next cycle's first Jacobi sweep starts from it instead of
+        // taking the product again.
+        let mut residuals = vec![self.compiled.fine_residual_norm(b, x, &mut ws)];
         let mut converged = residuals[0] <= rel_tol * bnorm;
         let mut iterations = 0;
         while !converged && iterations < max_cycles {
-            self.compiled.v_cycle(&self.cycle, b, x, &mut ws);
+            self.compiled
+                .cycle(&self.cycle, Start::Residual, b, x, &mut ws);
             iterations += 1;
-            let r = self.compiled.residual_norm(b, x);
+            let r = self.compiled.fine_residual_norm(b, x, &mut ws);
             residuals.push(r);
             converged = r <= rel_tol * bnorm;
         }
@@ -133,15 +137,15 @@ impl<T: Scalar> AmgSolver<T> {
     ///
     /// Panics on vector length mismatch.
     pub fn pcg(&self, b: &[T], x: &mut [T], rel_tol: f64, max_iters: usize) -> SolveStats {
-        let a = &self.compiled.levels[0].a_csr;
-        let n = a.rows();
+        let n = self.compiled.levels[0].a.rows();
         assert_eq!(b.len(), n, "b length");
         assert_eq!(x.len(), n, "x length");
         let bnorm = norm2(b).to_f64().max(f64::MIN_POSITIVE);
         let mut ws = Workspace::new();
 
+        // Every product with `A` goes through the compiled operator.
         let mut r = vec![T::ZERO; n];
-        residual(a, x, b, &mut r);
+        self.compiled.fine_residual(b, x, &mut r);
         let mut residuals = vec![norm2(&r).to_f64()];
         if residuals[0] <= rel_tol * bnorm {
             return SolveStats {
@@ -152,14 +156,15 @@ impl<T: Scalar> AmgSolver<T> {
         }
         // z = M^{-1} r via one V-cycle from zero.
         let mut z = vec![T::ZERO; n];
-        self.compiled.v_cycle(&self.cycle, &r, &mut z, &mut ws);
+        self.compiled
+            .cycle(&self.cycle, Start::Zero, &r, &mut z, &mut ws);
         let mut p = z.clone();
         let mut rz = dot(&r, &z);
         let mut ap = vec![T::ZERO; n];
         let mut converged = false;
         let mut iterations = 0;
         for _ in 0..max_iters {
-            a.spmv(&p, &mut ap).expect("validated dimensions");
+            self.compiled.apply_fine(&p, &mut ap);
             let pap = dot(&p, &ap);
             if pap.to_f64().abs() < 1e-300 {
                 break;
@@ -174,8 +179,8 @@ impl<T: Scalar> AmgSolver<T> {
                 converged = true;
                 break;
             }
-            z.fill(T::ZERO);
-            self.compiled.v_cycle(&self.cycle, &r, &mut z, &mut ws);
+            self.compiled
+                .cycle(&self.cycle, Start::Zero, &r, &mut z, &mut ws);
             let rz_new = dot(&r, &z);
             let beta = rz_new / rz;
             rz = rz_new;
@@ -353,5 +358,60 @@ mod tests {
         let stats = solver.solve(&b, &mut x, 1e-10, 10);
         assert!(stats.converged);
         assert_eq!(stats.iterations, 0);
+    }
+
+    /// `solve` returns the reference loop's `x` and iteration count, bit
+    /// for bit (its convergence test reads the compiled operator, so the
+    /// residual history is the reference's exactly where that operator
+    /// is the plain CSR one).
+    #[test]
+    fn solve_matches_the_reference() {
+        use crate::oracle::{
+            cycle_configs, cycle_hierarchies, cycle_rhs, engine_for, same_bits, ReferenceCycle,
+        };
+        use smat_kernels::KernelLibrary;
+
+        let plain_lib = KernelLibrary::new();
+        let configs: Vec<CycleConfig> = cycle_configs()
+            .into_iter()
+            .filter(|c| c.pre_sweeps + c.post_sweeps == 2)
+            .collect();
+        for (name, h, format) in cycle_hierarchies() {
+            let engine = engine_for(format);
+            let n = h.levels[0].a.rows();
+            let b = cycle_rhs(n);
+            let x0: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.5).collect();
+            for (operators, lib) in [("plain", &plain_lib), ("tuned", engine.library())] {
+                for &cycle in &configs {
+                    let compiled = if operators == "plain" {
+                        CompiledHierarchy::plain(&h)
+                    } else {
+                        CompiledHierarchy::with_smat(&h, &engine)
+                    };
+                    let solver = AmgSolver {
+                        hierarchy: h.clone(),
+                        compiled,
+                        cycle,
+                    };
+                    let (mut x, mut want) = (x0.clone(), x0.clone());
+                    let got = solver.solve(&b, &mut x, 1e-8, 40);
+                    let reference = ReferenceCycle {
+                        h: solver.compiled(),
+                        lib,
+                    }
+                    .solve(&cycle, &b, &mut want, 1e-8, 40);
+                    let case = format!("{name}, {operators}, {cycle:?}");
+                    assert_eq!(got.iterations, reference.iterations, "{case}");
+                    assert_eq!(got.converged, reference.converged, "{case}");
+                    assert!(same_bits(&x, &want), "{case}: other bits in x");
+                    if operators == "plain" {
+                        assert!(
+                            same_bits(&got.residuals, &reference.residuals),
+                            "{case}: other residuals"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,9 @@
 // `oracle.rs` takes the crate's names through `super`: all of these
 // are in scope for it.
 use smat_amg::{
-    coarsen, setup, AmgConfig, Coarsening, Hierarchy, Level, PointType, Splitting, StrengthGraph,
+    coarsen, gauss_seidel, jacobi_update, residual, setup, symmetric_gauss_seidel, AmgConfig,
+    Coarsening, CompiledHierarchy, CycleConfig, CycleType, Hierarchy, Level, PointType, Relaxation,
+    SolveStats, Splitting, StrengthGraph,
 };
 use smat_kernels::exec;
 use smat_matrix::gen::{laplacian_2d_9pt, laplacian_3d_7pt};

@@ -118,6 +118,37 @@ fn amg_pcg_beats_plain_cg() {
 }
 
 #[test]
+fn amg_pcg_converges_on_tuned_operators() {
+    // PCG's residual and `A p` products run through the compiled finest
+    // operator, as its preconditioning cycles do: the tuned solver
+    // converges in the plain one's iterations, to a solution of `A`
+    // checked by the plain CSR product.
+    let e = engine();
+    let a = laplacian_2d_9pt::<f64>(40, 40);
+    let n = a.rows();
+    let b = rhs(n);
+    let (cfg, cycle) = (AmgConfig::default(), CycleConfig::default());
+    let plain = AmgSolver::new(a.clone(), &cfg, cycle);
+    let tuned = AmgSolver::with_smat(a.clone(), &cfg, cycle, &e);
+    let mut x1 = vec![0.0; n];
+    let s1 = plain.pcg(&b, &mut x1, 1e-9, 200);
+    let mut x2 = vec![0.0; n];
+    let s2 = tuned.pcg(&b, &mut x2, 1e-9, 200);
+    assert!(s1.converged && s2.converged);
+    assert!(
+        s2.iterations.abs_diff(s1.iterations) <= 1,
+        "tuned pcg {} vs plain {}",
+        s2.iterations,
+        s1.iterations
+    );
+    let mut ax = vec![0.0; n];
+    a.spmv(&x2, &mut ax).unwrap();
+    let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|e| e * e).sum::<f64>().sqrt();
+    let r = norm(&mut b.iter().zip(&ax).map(|(b, ax)| b - ax));
+    assert!(r <= 1e-8 * norm(&mut b.iter().copied()), "residual {r}");
+}
+
+#[test]
 fn gauss_seidel_hierarchy_with_smat_transfer_operators() {
     // Gauss-Seidel relaxation cannot use tuned kernels, but transfer
     // operators still can; make sure the mixed configuration is correct.

@@ -12,7 +12,7 @@
 //! can allocate inside the measurement window.
 
 use smat::{group_class_order, Smat, SmatConfig, TrainedModel, Trainer};
-use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Workspace};
+use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Relaxation, Workspace};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
 use smat_learn::{Condition, Op, Rule, RuleGroups};
 use smat_matrix::gen::{
@@ -285,9 +285,11 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     assert_eq!(report.exec_faults, 0, "no incident on the happy path");
 
     // --- AMG tier: a warmed cycle over a compiled hierarchy — plain and
-    // tuned operators, V and W shapes — is smoothing sweeps, residuals,
-    // transfers and one dense coarse solve on the workspace's own
-    // vectors, every product through the paths audited above.
+    // tuned operators, V and W shapes, each smoother at one and two
+    // sweeps — is smoothing sweeps (a coarser level's first Jacobi sweep
+    // from zero, without a product), residuals, transfers and one dense
+    // coarse solve on the caller's vectors and the workspace's own,
+    // every product through the paths audited above.
     let hierarchy = smat_amg::setup(
         smat_amg::laplacian::laplacian_2d_5pt::<f64>(48, 48),
         &AmgConfig::default(),
@@ -299,24 +301,34 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
         ("plain", CompiledHierarchy::plain(&hierarchy)),
         ("tuned", CompiledHierarchy::with_smat(&hierarchy, &engine)),
     ] {
-        for cycle_type in [CycleType::V, CycleType::W] {
-            let cfg = CycleConfig {
-                cycle_type,
-                ..CycleConfig::default()
-            };
-            let mut workspace = Workspace::new();
-            let mut sol = vec![0.0f64; n];
-            let (allocs, spawns) = audit(3, 30, || {
-                compiled.v_cycle(&cfg, &rhs, &mut sol, &mut workspace)
-            });
-            assert_eq!(
-                allocs, 0,
-                "heap allocations in a warm {cycle_type:?}-cycle over {operators} operators"
-            );
-            assert_eq!(
-                spawns, 0,
-                "thread spawns in a warm {cycle_type:?}-cycle over {operators} operators"
-            );
+        for relax in [
+            Relaxation::default(),
+            Relaxation::GaussSeidel,
+            Relaxation::SymmetricGaussSeidel,
+        ] {
+            for sweeps in [1, 2] {
+                for cycle_type in [CycleType::V, CycleType::W] {
+                    let cfg = CycleConfig {
+                        pre_sweeps: sweeps,
+                        post_sweeps: sweeps,
+                        relax,
+                        cycle_type,
+                    };
+                    let mut workspace = Workspace::new();
+                    let mut sol = vec![0.0f64; n];
+                    let (allocs, spawns) = audit(3, 30, || {
+                        compiled.v_cycle(&cfg, &rhs, &mut sol, &mut workspace)
+                    });
+                    assert_eq!(
+                        allocs, 0,
+                        "heap allocations in a warm cycle over {operators} operators: {cfg:?}"
+                    );
+                    assert_eq!(
+                        spawns, 0,
+                        "thread spawns in a warm cycle over {operators} operators: {cfg:?}"
+                    );
+                }
+            }
         }
     }
 
