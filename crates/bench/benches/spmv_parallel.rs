@@ -22,10 +22,10 @@
 //! overhead only; the artifact records the resolved width so readers
 //! can tell.
 
-use criterion::black_box;
 use smat_kernels::{ChunkPolicy, ExecPlan, KernelLibrary};
 use smat_matrix::gen::{power_law, random_uniform};
 use smat_matrix::{AnyMatrix, Csr, Format};
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Series {

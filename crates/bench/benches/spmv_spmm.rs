@@ -20,10 +20,10 @@
 //! `SMAT_BENCH_QUICK=1` shrinks the matrix and sample counts;
 //! `SMAT_BENCH_THREADS=N` requests the pool width before first use.
 
-use criterion::black_box;
 use smat::{Smat, SmatConfig, Trainer};
 use smat_matrix::gen::random_uniform;
 use smat_matrix::Format;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn config() -> SmatConfig {

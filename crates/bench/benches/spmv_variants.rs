@@ -17,10 +17,10 @@
 //! * Variants are timed through `run_planned` / `run_spmm_planned` with
 //!   their default plan — the one dispatch the search times and the
 //!   engine serves.
-//! * The estimator is the quiet floor: all variants of a format take
-//!   one sample per round, round-robin, and a variant's time is its
-//!   fastest round — a busy spell on a shared host slows a whole round,
-//!   not one variant.
+//! * The estimator is the tuner's own (`timing::measure_round_robin`):
+//!   all variants of a format take one sample per round, round-robin,
+//!   and a variant's time is its fastest round — a busy spell on a
+//!   shared host slows a whole round, not one variant.
 //! * The front is per `(matrix, precision, threads)` cell (and per `k`
 //!   for SpMM); ratios are comparable within a format, not across.
 //! * The pool is sized once per process, so each thread count runs in a
@@ -32,7 +32,7 @@
 //! `SMAT_BENCH_QUICK=1` shrinks the matrices and rounds for CI smoke
 //! runs.
 
-use criterion::black_box;
+use smat_kernels::timing::{measure_round_robin, MARGIN};
 use smat_kernels::{simd, KernelId, KernelInfo, KernelLibrary, Op};
 use smat_matrix::gen::{
     banded, block_sparse, fixed_degree, laplacian_2d_9pt, power_law, random_skewed, random_uniform,
@@ -40,11 +40,13 @@ use smat_matrix::gen::{
 use smat_matrix::{AnyMatrix, ConversionLimits, Csr, Format, Scalar};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::Duration;
 
 /// A variant must come within this factor of its format's front
-/// somewhere to stay.
-const WITHIN: f64 = 1.10;
+/// somewhere to stay: the front may not beat it by more than the margin
+/// the tuner's `decide` demands of a challenger.
+const WITHIN: f64 = 1.0 + MARGIN;
 /// RHS widths the SpMM tier is swept at.
 const SPMM_WIDTHS: [usize; 4] = [2, 4, 8, 16];
 
@@ -105,28 +107,24 @@ fn suited<T: Scalar>(format: Format, n: usize) -> Vec<(&'static str, Csr<T>)> {
     }
 }
 
-/// Quiet floor of every variant in `rows` on one cell: `rounds` rounds,
-/// each taking one sample (`iters` calls) of every variant in turn.
-fn floors_ns(
-    rows: &[KernelInfo],
-    rounds: usize,
-    iters: u32,
-    mut call: impl FnMut(usize),
-) -> Vec<u128> {
-    let mut floor = vec![u128::MAX; rows.len()];
-    for v in 0..rows.len() {
-        call(v); // warm-up: pool start, lazy statics, page faults
-    }
-    for _ in 0..rounds {
-        for (v, best) in floor.iter_mut().enumerate() {
-            let t = Instant::now();
-            for _ in 0..iters {
-                call(v);
-            }
-            *best = (*best).min(t.elapsed().as_nanos() / u128::from(iters));
-        }
-    }
-    floor
+/// Quiet floor, in ns per call, of `count` rows on one cell: the tuner's
+/// round-robin at `rounds` samples of `iters` calls each per row.
+fn floors(count: usize, rounds: usize, iters: u32, mut call: impl FnMut(usize)) -> Vec<u128> {
+    let outcomes = measure_round_robin(
+        count,
+        |v| (0..iters).for_each(|_| call(v)),
+        rounds..=rounds,
+        Duration::ZERO,
+        Duration::MAX,
+        None,
+    );
+    outcomes
+        .iter()
+        .map(|o| match o.ok() {
+            Some(floor) => floor.as_nanos() / u128::from(iters),
+            None => panic!("a library row failed the sweep: {:?}", o.failure()),
+        })
+        .collect()
 }
 
 /// One thread count's share of the sweep, printed as tab-separated
@@ -165,20 +163,20 @@ fn sweep<T: Scalar>(precision: &str, n: usize, rounds: usize, iters: u32) {
             let plan = plans(Op::Spmv, rows.len());
             let x = vec![T::ONE; m.cols()];
             let mut y = vec![T::ZERO; m.rows()];
-            let floors = floors_ns(rows, rounds, iters, |v| {
+            let ns = floors(rows.len(), rounds, iters, |v| {
                 lib.run_planned(black_box(&any), v, &plan[v], black_box(&x), &mut y)
             });
-            emit("spmv", matrix, rows, &floors);
+            emit("spmv", matrix, rows, &ns);
 
             let rows = lib.spmm_variants(format);
             let plan = plans(Op::Spmm, rows.len());
             for k in SPMM_WIDTHS.into_iter().filter(|_| !rows.is_empty()) {
                 let x = vec![T::ONE; m.cols() * k];
                 let mut y = vec![T::ZERO; m.rows() * k];
-                let floors = floors_ns(rows, rounds, 1, |v| {
+                let ns = floors(rows.len(), rounds, 1, |v| {
                     lib.run_spmm_planned(black_box(&any), v, &plan[v], black_box(&x), &mut y, k)
                 });
-                emit("spmm", &format!("{matrix}@{k}"), rows, &floors);
+                emit("spmm", &format!("{matrix}@{k}"), rows, &ns);
             }
         }
     }
@@ -254,7 +252,7 @@ fn format_block(
             .collect();
         let _ = writeln!(
             out,
-            "        {{\"name\": \"{}\", \"strategies\": [{}], \"row0\": {row0}, \"pinned\": {is_pinned}, \"closest_to_front\": {overall:.3},\n         \"closest\": {{{}}},\n         \"floors_ns\": {{{}}}}}{}",
+            "        {{\"name\": \"{}\", \"strategies\": [{}], \"row0\": {row0}, \"pinned\": {is_pinned}, \"closest_to_front\": {overall:.3},\n         \"closest\": {{{}}},\n         \"floor_ns\": {{{}}}}}{}",
             info.name,
             strategies.join(", "),
             closest.join(", "),

@@ -6,12 +6,15 @@
 
 use smat::{accuracy, Smat, Trainer};
 use smat_bench::{corpus_size, harness_config, print_table};
+use smat_features::extract_features;
+use smat_kernels::measure_round_robin;
 use smat_learn::ConfusionMatrix;
 use smat_matrix::gen::{generate_corpus, CorpusSpec};
 use smat_matrix::{Csr, Format, Scalar};
+use std::hint::black_box;
 use std::time::Duration;
 
-fn evaluate<T: Scalar>(count: usize, seed: u64) -> (f64, Vec<Vec<String>>) {
+fn evaluate<T: Scalar>(count: usize, seed: u64) -> (f64, Vec<Vec<String>>, String) {
     let spec = CorpusSpec {
         count,
         seed,
@@ -31,6 +34,38 @@ fn evaluate<T: Scalar>(count: usize, seed: u64) -> (f64, Vec<Vec<String>>) {
     let named: Vec<(String, &Csr<T>)> = test.iter().map(|e| (e.name.clone(), &e.matrix)).collect();
     let (acc, rows) = accuracy(&engine, &named, Duration::from_millis(1));
 
+    // What rule tailoring buys at run time: the held-out matrices
+    // classified through the full ordered ruleset vs the tailored groups.
+    let model = engine.model();
+    let features: Vec<_> = test
+        .iter()
+        .map(|e| extract_features(&e.matrix).as_array())
+        .collect();
+    let timed = measure_round_robin(
+        2,
+        |i| {
+            for v in &features {
+                if i == 0 {
+                    black_box(model.ruleset.classify(v));
+                } else {
+                    black_box(model.groups.decide(v));
+                }
+            }
+        },
+        64..=64,
+        Duration::ZERO,
+        Duration::MAX,
+        None,
+    );
+    let ns = |i: usize| timed[i].ok().unwrap_or_default().as_nanos() / features.len() as u128;
+    let tailoring = format!(
+        "classification: full ruleset ({} rules) {} ns vs tailored groups ({} rules) {} ns per matrix",
+        model.ruleset.len(),
+        ns(0),
+        model.groups.rule_count(),
+        ns(1)
+    );
+
     // Confusion matrix over the held-out set.
     let mut counts = vec![vec![0usize; Format::COUNT]; Format::COUNT];
     for r in &rows {
@@ -47,30 +82,31 @@ fn evaluate<T: Scalar>(count: usize, seed: u64) -> (f64, Vec<Vec<String>>) {
         row.push(format!("{:.0}%", 100.0 * cm.recall(i)));
         table.push(row);
     }
-    (acc, table)
+    (acc, table, tailoring)
 }
 
 fn main() {
     let count = corpus_size();
+    // One column per format, so the table tracks the format set.
+    let headers: Vec<&str> = std::iter::once("actual\\SMAT")
+        .chain(Format::ALL.map(Format::name))
+        .chain(["recall"])
+        .collect();
     println!("== §7.3 accuracy: SMAT prediction vs exhaustive best on held-out matrices ==");
     println!("(corpus: {count} matrices, 14% held out)\n");
 
     eprintln!("evaluating single precision...");
-    let (acc_sp, cm_sp) = evaluate::<f32>(count, 0xACC);
+    let (acc_sp, cm_sp, tailoring_sp) = evaluate::<f32>(count, 0xACC);
     println!("single precision: accuracy {:.0}%", acc_sp * 100.0);
-    print_table(
-        &["actual\\SMAT", "DIA", "ELL", "CSR", "COO", "HYB", "recall"],
-        &cm_sp,
-    );
+    println!("{tailoring_sp}");
+    print_table(&headers, &cm_sp);
     println!();
 
     eprintln!("evaluating double precision...");
-    let (acc_dp, cm_dp) = evaluate::<f64>(count, 0xACC);
+    let (acc_dp, cm_dp, tailoring_dp) = evaluate::<f64>(count, 0xACC);
     println!("double precision: accuracy {:.0}%", acc_dp * 100.0);
-    print_table(
-        &["actual\\SMAT", "DIA", "ELL", "CSR", "COO", "HYB", "recall"],
-        &cm_dp,
-    );
+    println!("{tailoring_dp}");
+    print_table(&headers, &cm_dp);
 
     println!("\npaper: 92% (SP) / 82% (DP) on Intel, 85% / 82% on AMD.");
     println!("note: our metric counts the *final* SMAT choice (prediction or fallback),");

@@ -7,32 +7,14 @@
 //! COO), while coarser levels drift toward CSR as the operators fill in
 //! and lose diagonal structure.
 
+use smat::label_best_format;
 use smat_amg::{setup, AmgConfig, Coarsening};
 use smat_bench::{fmt_gflops, print_table};
 use smat_features::extract_features;
-use smat_kernels::timing::{gflops, reps_for_budget, time_median};
-use smat_kernels::KernelLibrary;
+use smat_kernels::{KernelChoice, KernelLibrary};
 use smat_matrix::gen::laplacian_3d_7pt;
-use smat_matrix::{AnyMatrix, Csr, Format};
+use smat_matrix::Format;
 use std::time::Duration;
-
-fn measure(lib: &KernelLibrary<f64>, m: &Csr<f64>) -> [Option<f64>; Format::COUNT] {
-    let x = vec![1.0; m.cols()];
-    let mut y = vec![0.0; m.rows()];
-    let mut out = [None; Format::COUNT];
-    for f in Format::ALL {
-        let Ok(any) = AnyMatrix::convert_from_csr(m, f) else {
-            continue;
-        };
-        let t0 = std::time::Instant::now();
-        lib.run(&any, 0, &x, &mut y);
-        let one = t0.elapsed();
-        let reps = reps_for_budget(one, Duration::from_millis(3), 3, 16);
-        let med = time_median(|| lib.run(&any, 0, &x, &mut y), 0, reps);
-        out[f.index()] = Some(gflops(m.nnz(), med));
-    }
-    out
-}
 
 fn main() {
     let n = std::env::var("SMAT_FIG1_DIM")
@@ -52,18 +34,17 @@ fn main() {
 
     let mut rows = Vec::new();
     for (lvl, level) in h.levels.iter().enumerate() {
-        let perf = measure(&lib, &level.a);
+        let (best, perf) = label_best_format(
+            &lib,
+            &KernelChoice::basic(),
+            &level.a,
+            Duration::from_millis(3),
+        );
         let feats = extract_features(&level.a);
-        let best = Format::ALL
-            .into_iter()
-            .filter_map(|f| perf[f.index()].map(|g| (f, g)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(f, _)| f.name())
-            .unwrap_or("n/a");
         let cell = |f: Format| {
-            perf[f.index()]
-                .map(fmt_gflops)
-                .unwrap_or_else(|| "n/a".into())
+            Some(perf[f.index()])
+                .filter(|&g| g > 0.0)
+                .map_or_else(|| "n/a".into(), fmt_gflops)
         };
         rows.push(vec![
             lvl.to_string(),
@@ -76,7 +57,7 @@ fn main() {
             cell(Format::Csr),
             cell(Format::Coo),
             cell(Format::Hyb),
-            best.to_string(),
+            best.name().to_string(),
         ]);
     }
     print_table(

@@ -5,33 +5,11 @@
 //! like the paper's "without meticulous implementations") and the
 //! max/min ratio — the paper reports gaps up to ~6x.
 
+use smat::measure_formats;
 use smat_bench::{fmt_gflops, print_table, representative_suite, suite_scale};
-use smat_kernels::timing::{gflops, reps_for_budget, time_median};
-use smat_kernels::KernelLibrary;
-use smat_matrix::{AnyMatrix, Format, Scalar};
+use smat_kernels::{KernelChoice, KernelLibrary};
+use smat_matrix::Format;
 use std::time::Duration;
-
-fn measure_basic<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    m: &smat_matrix::Csr<T>,
-    budget: Duration,
-) -> [Option<f64>; Format::COUNT] {
-    let x = vec![T::ONE; m.cols()];
-    let mut y = vec![T::ZERO; m.rows()];
-    let mut out = [None; Format::COUNT];
-    for f in Format::ALL {
-        let Ok(any) = AnyMatrix::convert_from_csr(m, f) else {
-            continue;
-        };
-        let t0 = std::time::Instant::now();
-        lib.run(&any, 0, &x, &mut y);
-        let one = t0.elapsed();
-        let reps = reps_for_budget(one, budget, 3, 16);
-        let med = time_median(|| lib.run(&any, 0, &x, &mut y), 0, reps);
-        out[f.index()] = Some(gflops(m.nnz(), med));
-    }
-    out
-}
 
 fn main() {
     println!("== Figure 3: SpMV GFLOPS variance across basic formats (double precision) ==\n");
@@ -41,14 +19,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for e in &suite {
-        let perf = measure_basic(&lib, &e.matrix, budget);
-        let present: Vec<f64> = perf.iter().flatten().copied().collect();
+        let perf = measure_formats(&lib, &KernelChoice::basic(), &e.matrix, budget);
+        let present: Vec<f64> = perf.iter().copied().filter(|&g| g > 0.0).collect();
         let max = present.iter().copied().fold(f64::MIN, f64::max);
         let min = present.iter().copied().fold(f64::MAX, f64::min);
         let cell = |f: Format| {
-            perf[f.index()]
-                .map(fmt_gflops)
-                .unwrap_or_else(|| "n/a".into())
+            Some(perf[f.index()])
+                .filter(|&g| g > 0.0)
+                .map_or_else(|| "n/a".into(), fmt_gflops)
         };
         rows.push(vec![
             format!("{:>2}", e.id),

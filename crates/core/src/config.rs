@@ -29,19 +29,25 @@ pub struct SmatConfig {
     /// Rule-group confidence below which the runtime falls back to
     /// execute-and-measure (the paper's "threshold").
     pub confidence_threshold: f64,
-    /// Measurement budget per kernel variant during the offline search.
+    /// Measurement budget per kernel variant during the offline search:
+    /// the sampling time each candidate buys, with the samples of all of
+    /// a format's variants interleaved round by round
+    /// ([`smat_kernels::measure_round_robin`]).
     pub search_budget: Duration,
     /// Measurement budget per candidate format in the execute-and-measure
-    /// fallback.
+    /// fallback (and per format when labeling training matrices), with
+    /// the candidates' samples interleaved round by round.
     pub fallback_budget: Duration,
     /// Formats benchmarked by the fallback. The paper's Table 3 runs
     /// "CSR+COO" (the two formats with cheap conversions); the predicted
     /// format, if any, is always added.
     pub fallback_formats: Vec<Format>,
-    /// Hard wall-clock deadline per measured candidate (probe plus all
-    /// timed repetitions). A candidate that exceeds it is abandoned and
-    /// recorded as failed instead of stalling the tuning pipeline. The
-    /// deadline is cooperative: it is checked between repetitions.
+    /// Hard deadline per measured candidate, on the time that candidate
+    /// itself has run (probe plus samples; the other candidates' samples
+    /// interleaved with them do not count). A candidate that exceeds it
+    /// is abandoned and recorded as failed instead of stalling the
+    /// tuning pipeline. The deadline is cooperative: it is checked
+    /// before each sample.
     pub candidate_deadline: Duration,
     /// Upper bound, in bytes, on the estimated allocation of any single
     /// format conversion (DIA/ELL dense slabs, HYB split). Conversions
@@ -82,7 +88,8 @@ pub struct SmatConfig {
     /// forever.
     pub single_flight_wait: Duration,
     /// Measurement budget per (policy, width) candidate during the plan
-    /// search, which extends the kernel scoreboard over chunk policy and
+    /// search, with the candidates' samples interleaved round by round.
+    /// The search extends the kernel scoreboard over chunk policy and
     /// fan-out width for a chosen parallel CSR kernel — only when the R
     /// feature reports a scale-free (power-law) row-degree distribution,
     /// the structures where uniform row splits lose.

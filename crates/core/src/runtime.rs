@@ -18,7 +18,7 @@ use crate::model::TrainedModel;
 use crate::retry::RetryPolicy;
 use serde::{Deserialize, Serialize};
 use smat_features::{extract_structure, FeatureVector};
-use smat_kernels::timing::{gflops, measure_guarded, panic_message};
+use smat_kernels::timing::{decide, gflops, measure_round_robin, panic_message};
 use smat_kernels::{ExecPlan, KernelId, KernelLibrary, Op};
 use smat_learn::ClassGroup;
 use smat_matrix::{AnyMatrix, Csr, Format, Scalar, StructuralFingerprint};
@@ -41,9 +41,11 @@ pub enum DecisionPath {
         confidence: f64,
     },
     /// Execute-and-measure fallback ran; each candidate's measured
-    /// throughput is recorded.
+    /// throughput is recorded. CSR was kept unless another format beat
+    /// it by more than [`smat_kernels::MARGIN`].
     Measured {
-        /// `(format, gflops)` per successfully benchmarked candidate.
+        /// `(format, gflops)` per successfully benchmarked candidate, at
+        /// its quiet floor.
         candidates: Vec<(Format, f64)>,
         /// `(format, reason)` per candidate that was pruned (conversion
         /// refused by a resource budget) or failed measurement (panic,
@@ -522,11 +524,12 @@ impl<T: Scalar> Smat<T> {
     ///
     /// The deadline propagates into every blocking or measured stage of
     /// the tuning pipeline: the single-flight follower wait is clamped
-    /// to it, each execute-and-measure candidate's
-    /// [`smat_kernels::measure_guarded`] deadline is clamped to the
-    /// time remaining, and the plan search is skipped once the budget
-    /// is spent. Like `prepare`, the call never fails: a deadline that
-    /// expires before tuning completes yields a
+    /// to it, the execute-and-measure candidates' deadline is clamped to
+    /// the time remaining and their measurement
+    /// ([`smat_kernels::measure_round_robin`]) stops before the next
+    /// sample once it passes, and the plan search is skipped once the
+    /// budget is spent. Like `prepare`, the call never fails: a deadline
+    /// that expires before tuning completes yields a
     /// [`DecisionPath::Degraded`] result served by the reference CSR
     /// kernel (and, per the degraded contract, nothing is cached). A
     /// cache hit is served regardless of the deadline — replay is the
@@ -863,69 +866,63 @@ impl<T: Scalar> Smat<T> {
             }
         }
 
-        // Execute-and-measure fallback over the candidate formats.
-        let mut candidates: Vec<Format> = self.config.fallback_formats.clone();
+        // Execute-and-measure fallback: convert every candidate format
+        // (a conversion refused by a limit prunes the candidate, it is
+        // not an error), measure the survivors together, and keep CSR
+        // unless another format beats it by more than the margin.
+        let mut formats: Vec<Format> = self.config.fallback_formats.clone();
         for f in first_match.map(|(f, _)| f).into_iter().chain([Format::Csr]) {
-            if !candidates.contains(&f) {
-                candidates.push(f);
+            if !formats.contains(&f) {
+                formats.push(f);
+            }
+        }
+        let mut failures: Vec<(Format, String)> = Vec::new();
+        let mut converted = Vec::with_capacity(formats.len());
+        for format in formats {
+            match AnyMatrix::convert_from_csr_with(csr, format, &limits) {
+                Ok(any) => {
+                    // Planned outside the timed closure: the candidate is
+                    // timed through the dispatch that will serve it, and
+                    // the winner's plan below is a planner hit.
+                    let kernel = self.effective_kernel(format);
+                    let plan = planner.plan_for(&self.lib, &any, kernel);
+                    converted.push((any, kernel.variant, plan));
+                }
+                Err(e) => failures.push((format, format!("conversion refused: {e}"))),
             }
         }
         let x = vec![T::ONE; csr.cols()];
         let mut y = vec![T::ZERO; csr.rows()];
-        let mut measured: Vec<(Format, f64)> = Vec::with_capacity(candidates.len());
-        let mut failures: Vec<(Format, String)> = Vec::new();
-        let mut best: Option<(Format, f64, AnyMatrix<T>)> = None;
-        for format in candidates {
-            // A conversion refused by a limit is a pruned candidate,
-            // not an error: tuning continues with the survivors.
-            let any = match AnyMatrix::convert_from_csr_with(csr, format, &limits) {
-                Ok(any) => any,
-                Err(e) => {
-                    failures.push((format, format!("conversion refused: {e}")));
-                    continue;
-                }
-            };
-            // Planned outside the timed closure: the candidate is timed
-            // through the dispatch that will serve it, and the winner's
-            // plan below is a planner hit.
-            let kernel = self.effective_kernel(format);
-            let plan = planner.plan_for(&self.lib, &any, kernel);
-            // The request deadline clamps both the measurement budget
-            // and the per-candidate deadline. An exhausted budget fails
-            // the remaining candidates fast (zero-deadline timeout)
-            // instead of blowing through the request's latency bound.
-            let candidate_deadline =
-                clamp_to_deadline(self.config.candidate_deadline, req_deadline);
-            let outcome = measure_guarded(
-                || {
-                    self.lib
-                        .run_planned(&any, kernel.variant, &plan, &x, &mut y)
-                },
-                clamp_to_deadline(self.config.fallback_budget, req_deadline),
-                candidate_deadline,
-                1,
-                16,
-            );
+        // The request deadline clamps the budget and the per-candidate
+        // deadline, and stops the measurement before the next sample
+        // once it passes: the unfinished candidates fail fast instead of
+        // blowing through the request's latency bound.
+        let outcomes = measure_round_robin(
+            converted.len(),
+            |i| {
+                let (any, variant, plan) = &converted[i];
+                self.lib.run_planned(any, *variant, plan, &x, &mut y)
+            },
+            1..=16,
+            clamp_to_deadline(self.config.fallback_budget, req_deadline),
+            clamp_to_deadline(self.config.candidate_deadline, req_deadline),
+            req_deadline,
+        );
+        let mut candidates: Vec<(Format, f64)> = Vec::with_capacity(converted.len());
+        for ((any, ..), outcome) in converted.iter().zip(&outcomes) {
             match outcome.ok() {
-                Some(med) => {
-                    let g = gflops(csr.nnz(), med);
-                    measured.push((format, g));
-                    if best.as_ref().is_none_or(|&(_, bg, _)| g > bg) {
-                        best = Some((format, g, any));
-                    }
-                }
-                None => {
-                    let reason = outcome
-                        .failure()
-                        .unwrap_or_else(|| "measurement failed".to_string());
-                    failures.push((format, reason));
-                }
+                Some(floor) => candidates.push((any.format(), gflops(csr.nnz(), floor))),
+                None => failures.push((any.format(), outcome.failure().unwrap_or_default())),
             }
         }
-        match best {
-            Some((_, _, matrix)) => {
+        let csr_slot = converted
+            .iter()
+            .position(|(any, ..)| any.format() == Format::Csr);
+        match decide(&outcomes, csr_slot) {
+            Some(winner) => {
+                let (matrix, ..) = converted.swap_remove(winner);
                 let decision = DecisionPath::Measured {
-                    candidates: measured,
+                    candidates,
                     failures,
                 };
                 attach(matrix, decision, features, r_computed, &mut planner)
@@ -1279,7 +1276,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::model::{class_names, group_class_order, TrainStats};
     use smat_features::ATTRIBUTE_NAMES;
-    use smat_kernels::KernelChoice;
+    use smat_kernels::{KernelChoice, KernelFn};
     use smat_learn::{Condition, Op, Rule, RuleGroups, RuleSet};
     use smat_matrix::gen::{power_law, random_uniform, tridiagonal};
 
@@ -1474,14 +1471,87 @@ pub(crate) mod tests {
             }
             other => panic!("expected fallback, got {other:?}"),
         }
-        // The chosen format is the measured argmax.
+        // CSR is kept unless the measured argmax beats it by more than
+        // the margin, in which case the argmax is chosen.
         if let DecisionPath::Measured { candidates, .. } = tuned.decision() {
-            let best = candidates
+            let (best, best_g) = candidates
                 .iter()
+                .copied()
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap()
-                .0;
-            assert_eq!(tuned.format(), best);
+                .unwrap();
+            let csr_g = candidates.iter().find(|c| c.0 == Format::Csr).unwrap().1;
+            let clears = best_g > csr_g * (1.0 + smat_kernels::MARGIN);
+            assert_eq!(tuned.format(), if clears { best } else { Format::Csr });
+        }
+    }
+
+    /// `units` units of busy work the optimizer cannot elide.
+    fn spin(units: u64) {
+        let mut acc = 0u64;
+        for i in 0..units * 1_000 {
+            acc = acc.wrapping_add(std::hint::black_box(i));
+        }
+        std::hint::black_box(acc);
+    }
+
+    /// An always-measure, uncached engine racing CSR against COO, whose
+    /// chosen kernels are registered spin loops: CSR's does three units
+    /// of work, `coo_spin` whatever it does.
+    fn spin_race_engine(coo_spin: KernelFn<f64>) -> Smat<f64> {
+        fn csr_spin(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
+            spin(3);
+        }
+        let lib = KernelLibrary::<f64>::new();
+        let mut m = model();
+        m.ruleset.rules.clear();
+        m.groups = RuleGroups::from_ruleset(&m.ruleset, &group_class_order());
+        m.kernel_choice
+            .set(Format::Csr, lib.variant_count(Format::Csr));
+        m.kernel_choice
+            .set(Format::Coo, lib.variant_count(Format::Coo));
+        let cfg = SmatConfig {
+            fallback_formats: vec![Format::Csr, Format::Coo],
+            fallback_budget: Duration::from_millis(5),
+            cache_capacity: 0,
+            ..SmatConfig::fast()
+        };
+        let mut e = Smat::with_config(m, cfg).unwrap();
+        let none = smat_kernels::StrategySet::default();
+        e.library_mut()
+            .register(Format::Csr, "csr_spin", none, csr_spin);
+        e.library_mut()
+            .register(Format::Coo, "coo_spin", none, coo_spin);
+        e
+    }
+
+    #[test]
+    fn fallback_keeps_csr_unless_a_challenger_clears_the_margin() {
+        fn coo_equal(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
+            spin(3);
+        }
+        fn coo_third(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
+            spin(1);
+        }
+        let m = random_uniform::<f64>(300, 300, 6, 12);
+        for (coo_spin, expect) in [
+            (coo_equal as KernelFn<f64>, Format::Csr),
+            (coo_third, Format::Coo),
+        ] {
+            let e = spin_race_engine(coo_spin);
+            for call in 0..20 {
+                let tuned = e.prepare(&m);
+                assert!(
+                    matches!(tuned.decision(), DecisionPath::Measured { .. }),
+                    "call {call}: {:?}",
+                    tuned.decision()
+                );
+                assert_eq!(
+                    tuned.format(),
+                    expect,
+                    "call {call}: {:?}",
+                    tuned.decision()
+                );
+            }
         }
     }
 

@@ -3,9 +3,9 @@
 
 use crate::runtime::{DecisionPath, Smat, TunedSpmv};
 use crate::train::label_best_format;
-use smat_kernels::timing::{gflops, reps_for_budget, time_median};
+use smat_kernels::timing::{gflops, measure_round_robin};
 use smat_matrix::{Csr, Format, Scalar};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One row of the Table 3 analysis for a single matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,13 +34,12 @@ pub struct AnalysisRow {
     pub format_gflops: [f64; Format::COUNT],
 }
 
-/// Median time of `run` over a repetition count that one probe run
-/// sizes to take roughly `budget`.
-fn median_within(budget: Duration, mut run: impl FnMut()) -> Duration {
-    let t0 = Instant::now();
-    run();
-    let reps = reps_for_budget(t0.elapsed(), budget, 3, 32);
-    time_median(run, 0, reps)
+/// Floor of `run` over as many samples as `budget` buys (zero if it
+/// panicked).
+fn floor_within(budget: Duration, mut run: impl FnMut()) -> Duration {
+    measure_round_robin(1, |_| run(), 3..=32, budget, Duration::MAX, None)[0]
+        .ok()
+        .unwrap_or_default()
 }
 
 /// Measures the time of one basic (serial, unoptimized) CSR SpMV — the
@@ -48,7 +47,7 @@ fn median_within(budget: Duration, mut run: impl FnMut()) -> Duration {
 pub fn basic_csr_time<T: Scalar>(m: &Csr<T>, budget: Duration) -> Duration {
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
-    median_within(budget, || smat_kernels::csr::basic(m, &x, &mut y))
+    floor_within(budget, || smat_kernels::csr::basic(m, &x, &mut y))
 }
 
 /// Measures the tuned SpMV's throughput.
@@ -57,7 +56,7 @@ pub fn tuned_gflops<T: Scalar>(engine: &Smat<T>, tuned: &TunedSpmv<T>, budget: D
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
     let run = || engine.spmv(tuned, &x, &mut y).expect("sized vectors");
-    gflops(m.nnz(), median_within(budget, run))
+    gflops(m.nnz(), floor_within(budget, run))
 }
 
 /// Runs the full Table 3 analysis for one matrix: SMAT's decision path,

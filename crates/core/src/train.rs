@@ -6,8 +6,8 @@ use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
 use crate::model::{class_names, group_class_order, TrainStats, TrainedModel};
 use smat_features::{extract_features, ATTRIBUTE_NAMES};
-use smat_kernels::timing::{gflops, measure_guarded};
-use smat_kernels::{measure_format, KernelChoice, KernelLibrary, PerfTable, Planner};
+use smat_kernels::timing::{decide, gflops, measure_round_robin};
+use smat_kernels::{measure_format, ExecPlan, KernelChoice, KernelLibrary, PerfTable, Planner};
 use smat_learn::{
     order_by_contribution, tailor, Dataset, DecisionTree, RuleGroups, RuleSet, TreeParams,
     DEFAULT_TAILOR_TOLERANCE,
@@ -25,57 +25,64 @@ use std::time::Duration;
 ///
 /// This is the ground-truth labeling step: the paper's "Best_Format"
 /// target attribute comes from exactly this exhaustive measurement.
-/// Every kernel execution is panic-isolated and deadlined, so a single
-/// misbehaving candidate cannot abort corpus labeling.
+/// Every format `m` converts to is held at once and measured in one
+/// round-robin ([`smat_kernels::measure_round_robin`]), so every kernel
+/// execution is panic-isolated and deadlined and a single misbehaving
+/// candidate cannot abort corpus labeling.
 pub fn measure_formats<T: Scalar>(
     lib: &KernelLibrary<T>,
     choice: &KernelChoice,
     m: &Csr<T>,
     budget: Duration,
 ) -> [f64; Format::COUNT] {
-    let x = vec![T::ONE; m.cols()];
-    let mut y = vec![T::ZERO; m.rows()];
-    let mut out = [0.0f64; Format::COUNT];
-    // One planner for all of `m`'s conversions: the partitions are
-    // either shape-only (equal rows) or specific to one format.
-    let mut planner = Planner::new();
-    for format in Format::ALL {
-        let Ok(any) = AnyMatrix::convert_from_csr(m, format) else {
-            continue;
-        };
-        let kernel = choice.kernel(format);
-        let plan = planner.plan_for(lib, &any, kernel);
-        let outcome = measure_guarded(
-            || lib.run_planned(&any, kernel.variant, &plan, &x, &mut y),
-            budget,
-            smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
-            3,
-            32,
-        );
-        if let Some(med) = outcome.ok() {
-            out[format.index()] = gflops(m.nnz(), med);
-        }
-    }
-    out
+    label_best_format(lib, choice, m, budget).1
 }
 
-/// The measured best format for `m` (ties and all-zero rows fall back to
-/// CSR, the unified default).
+/// The measured best format for `m` and [`measure_formats`]' numbers:
+/// [`decide`] over one measurement of every format `m` converts to, so
+/// CSR unless another format beats it by more than
+/// [`smat_kernels::MARGIN`] (and CSR when nothing measured).
 pub fn label_best_format<T: Scalar>(
     lib: &KernelLibrary<T>,
     choice: &KernelChoice,
     m: &Csr<T>,
     budget: Duration,
 ) -> (Format, [f64; Format::COUNT]) {
-    let perf = measure_formats(lib, choice, m, budget);
-    let mut best = Format::Csr;
-    let mut best_g = perf[Format::Csr.index()];
-    for f in Format::ALL {
-        if perf[f.index()] > best_g {
-            best_g = perf[f.index()];
-            best = f;
+    // One planner for all of `m`'s conversions: the partitions are
+    // either shape-only (equal rows) or specific to one format.
+    let mut planner = Planner::new();
+    let converted: Vec<(AnyMatrix<T>, usize, ExecPlan)> = Format::ALL
+        .into_iter()
+        .filter_map(|format| AnyMatrix::convert_from_csr(m, format).ok())
+        .map(|any| {
+            let kernel = choice.kernel(any.format());
+            let plan = planner.plan_for(lib, &any, kernel);
+            (any, kernel.variant, plan)
+        })
+        .collect();
+    let x = vec![T::ONE; m.cols()];
+    let mut y = vec![T::ZERO; m.rows()];
+    let outcomes = measure_round_robin(
+        converted.len(),
+        |i| {
+            let (any, variant, plan) = &converted[i];
+            lib.run_planned(any, *variant, plan, &x, &mut y)
+        },
+        3..=32,
+        budget,
+        smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
+        None,
+    );
+    let mut perf = [0.0f64; Format::COUNT];
+    for ((any, ..), outcome) in converted.iter().zip(&outcomes) {
+        if let Some(floor) = outcome.ok() {
+            perf[any.format().index()] = gflops(m.nnz(), floor);
         }
     }
+    let csr = converted
+        .iter()
+        .position(|(any, ..)| any.format() == Format::Csr);
+    let best = decide(&outcomes, csr).map_or(Format::Csr, |i| converted[i].0.format());
     (best, perf)
 }
 

@@ -11,8 +11,9 @@
 //! * the offline kernel [`search`]: performance-record table plus the
 //!   paper's scoreboard algorithm (§5.2);
 //! * MKL-style [`mod@reference`] baselines used by the Figure 10 comparison;
-//! * [`timing`] helpers shared with the runtime's execute-and-measure
-//!   fallback.
+//! * the [`timing`] estimator every tuning measurement goes through —
+//!   the search above, the runtime's execute-and-measure fallback and
+//!   the training labels — and its one selection rule.
 //!
 //! # Examples
 //!
@@ -63,4 +64,4 @@ pub use search::{
 };
 pub use simd::SimdBackend;
 pub use strategy::{Strategy, StrategySet};
-pub use timing::{measure_guarded, panic_message, MeasureOutcome};
+pub use timing::{decide, measure_round_robin, panic_message, MeasureOutcome, MARGIN};

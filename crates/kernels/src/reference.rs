@@ -16,12 +16,9 @@
 use crate::partition::{default_parts, equal_row_bounds};
 use crate::plan::{ChunkPolicy, ExecPlan};
 use crate::strategy::StrategySet;
-use crate::timing::{gflops, reps_for_budget, time_median};
+use crate::timing::{decide, gflops, measure_round_robin};
 use smat_matrix::{Coo, Csr, Dia, Scalar};
 use std::time::Duration;
-
-/// A boxed SpMV routine `(x, y)` closed over its matrix.
-type SpmvClosure<'a, T> = Box<dyn FnMut(&[T], &mut [T]) + 'a>;
 
 /// Reference CSR SpMV (`mkl_xcsrgemv` stand-in): row-parallel basic
 /// kernel. A vendor routine has no plan handle, so it partitions the
@@ -66,35 +63,34 @@ pub fn coogemv<T: Scalar>(m: &Coo<T>, x: &[T], y: &mut [T]) {
 }
 
 /// Measured throughput of the best reference routine on a matrix given in
-/// CSR (the paper's MKL number): max over the DIA, CSR and COO routines.
+/// CSR (the paper's MKL number): max over the DIA, CSR and COO routines,
+/// measured together as three candidates of one round-robin.
 ///
 /// Returns `(gflops, routine_name)`. Formats whose conversion is refused
 /// (oversized DIA fill) are skipped, as a library user would skip them.
 pub fn best_of_reference<T: Scalar>(m: &Csr<T>, budget: Duration) -> (f64, &'static str) {
     let x = vec![T::ONE; m.cols()];
     let mut y = vec![T::ZERO; m.rows()];
-    let nnz = m.nnz();
-    let mut best = (0.0f64, "none");
-
-    let mut consider = |name: &'static str, mut run: SpmvClosure<'_, T>| {
-        let t0 = std::time::Instant::now();
-        run(&x, &mut y);
-        let one = t0.elapsed();
-        let reps = reps_for_budget(one, budget, 3, 64);
-        let med = time_median(|| run(&x, &mut y), 1, reps);
-        let g = gflops(nnz, med);
-        if g > best.0 {
-            best = (g, name);
-        }
-    };
-
-    consider("csrgemv", Box::new(|x, y| csrgemv(m, x, y)));
     let coo = Coo::from_csr(m);
-    consider("coogemv", Box::new(|x, y| coogemv(&coo, x, y)));
-    if let Ok(dia) = Dia::from_csr(m) {
-        consider("diagemv", Box::new(move |x, y| diagemv(&dia, x, y)));
-    }
-    best
+    let dia = Dia::from_csr(m).ok();
+    let names = ["csrgemv", "coogemv", "diagemv"];
+    let outcomes = measure_round_robin(
+        if dia.is_some() { 3 } else { 2 },
+        |i| match (i, &dia) {
+            (0, _) => csrgemv(m, &x, &mut y),
+            (1, _) => coogemv(&coo, &x, &mut y),
+            (_, Some(dia)) => diagemv(dia, &x, &mut y),
+            (_, None) => {}
+        },
+        3..=64,
+        budget,
+        Duration::MAX,
+        None,
+    );
+    // The paper's baseline is the maximum, so no routine is preferred.
+    decide(&outcomes, None)
+        .and_then(|i| Some((gflops(m.nnz(), outcomes[i].ok()?), names[i])))
+        .unwrap_or((0.0, "none"))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use crate::plan::{ChunkPolicy, ExecPlan};
 use crate::registry::{KernelId, KernelLibrary, Op, Planner};
 use crate::strategy::{Strategy, StrategySet};
-use crate::timing::{gflops, measure_guarded, MeasureOutcome};
+use crate::timing::{decide, gflops, measure_round_robin, MeasureOutcome};
 use serde::{Deserialize, Serialize};
 use smat_matrix::{AnyMatrix, Format, Scalar};
 use std::time::Duration;
@@ -212,11 +212,11 @@ pub const DEFAULT_CANDIDATE_DEADLINE: Duration = Duration::from_secs(2);
 /// Measures every variant of `format` on the probe matrix and returns the
 /// performance record table.
 ///
-/// `budget` bounds the total measurement time per variant; `deadline` is
-/// the hard per-variant cap enforced by the guarded harness. Every
-/// kernel invocation runs inside [`measure_guarded`]'s `catch_unwind`,
-/// so a panicking or over-deadline variant is recorded as
-/// [`RecordStatus::CandidateFailed`] rather than aborting the search.
+/// `budget` is the sampling time each variant buys, with the variants'
+/// samples interleaved ([`measure_round_robin`]); `deadline` is the hard
+/// per-variant cap. Every kernel invocation runs inside the estimator's
+/// `catch_unwind`, so a panicking or over-deadline variant is recorded
+/// as [`RecordStatus::CandidateFailed`] rather than aborting the search.
 ///
 /// `excluded` is a quarantine set: the variants it lists are never
 /// executed — their rows are recorded as
@@ -230,63 +230,78 @@ pub fn measure_format<T: Scalar>(
     deadline: Duration,
     excluded: &[KernelId],
 ) -> PerfTable {
-    let x = vec![T::ONE; probe.cols()];
-    let mut y = vec![T::ZERO; probe.rows()];
-    measure_table(lib, probe, Op::Spmv, 1, excluded, |v, plan| {
-        measure_guarded(
-            || lib.run_planned(probe, v, plan, &x, &mut y),
-            budget,
-            deadline,
-            3,
-            64,
-        )
-    })
+    measure_table(lib, probe, Op::Spmv, 1, budget, deadline, excluded)
 }
 
-/// The performance-record table of one `(op, format)`: every row of
-/// the library's table measured through `measure`, which is handed the
-/// variant index and its default plan — built here, once per candidate
-/// and outside the timed closure, so the search times exactly the
-/// planned dispatch the engine serves. Excluded rows are recorded as
-/// failed with reason `"quarantined"` without running.
+/// The performance-record table of one `(op, format)` at RHS width `k`:
+/// every row of the library's table measured together, each through its
+/// default plan — built here, once per candidate and outside the timed
+/// closure, so the search times exactly the planned dispatch the engine
+/// serves. Excluded rows are recorded as failed with reason
+/// `"quarantined"` without running.
 fn measure_table<T: Scalar>(
     lib: &KernelLibrary<T>,
     probe: &AnyMatrix<T>,
     op: Op,
     k: usize,
+    budget: Duration,
+    deadline: Duration,
     excluded: &[KernelId],
-    mut measure: impl FnMut(usize, &ExecPlan) -> MeasureOutcome,
 ) -> PerfTable {
+    let x = vec![T::ONE; probe.cols() * k];
+    let mut y = vec![T::ZERO; probe.rows() * k];
     let format = probe.format();
     let rows = lib.table(op, format);
     let mut planner = Planner::new();
-    let mut records = Vec::with_capacity(rows.len());
-    for (variant, info) in rows.iter().enumerate() {
-        let id = KernelId {
+    let live: Vec<(usize, ExecPlan)> = (0..rows.len())
+        .map(|variant| KernelId {
             op,
             format,
             variant,
-        };
-        let (gflops, status) = if excluded.contains(&id) {
-            let reason = "quarantined".into();
-            (0.0, RecordStatus::CandidateFailed { reason })
-        } else {
-            let plan = planner.plan_for(lib, probe, id);
-            match measure(variant, &plan) {
-                MeasureOutcome::Ok(med) => (gflops(probe.nnz() * k, med), RecordStatus::Measured),
-                failed => {
-                    let reason = failed.failure().unwrap_or_else(|| "unknown failure".into());
+        })
+        .filter(|id| !excluded.contains(id))
+        .map(|id| (id.variant, planner.plan_for(lib, probe, id)))
+        .collect();
+    let outcomes = measure_round_robin(
+        live.len(),
+        |i| {
+            let (v, plan) = (live[i].0, &live[i].1);
+            match op {
+                Op::Spmv => lib.run_planned(probe, v, plan, &x, &mut y),
+                Op::Spmm => lib.run_spmm_planned(probe, v, plan, &x, &mut y, k),
+            }
+        },
+        3..=64,
+        budget,
+        deadline,
+        None,
+    );
+    let mut measured = live.iter().map(|&(v, _)| v).zip(outcomes).peekable();
+    let records = rows
+        .iter()
+        .enumerate()
+        .map(|(variant, info)| {
+            let (gflops, status) = match measured.next_if(|(v, _)| *v == variant) {
+                None => {
+                    let reason = "quarantined".into();
                     (0.0, RecordStatus::CandidateFailed { reason })
                 }
+                Some((_, MeasureOutcome::Ok { floor, .. })) => {
+                    (gflops(probe.nnz() * k, floor), RecordStatus::Measured)
+                }
+                Some((_, failed)) => {
+                    let reason = failed.failure().unwrap_or_default();
+                    (0.0, RecordStatus::CandidateFailed { reason })
+                }
+            };
+            PerfRecord {
+                name: info.name.to_string(),
+                strategies: info.strategies,
+                gflops,
+                status,
             }
-        };
-        records.push(PerfRecord {
-            name: info.name.to_string(),
-            strategies: info.strategies,
-            gflops,
-            status,
-        });
-    }
+        })
+        .collect();
     PerfTable { format, records }
 }
 
@@ -303,17 +318,7 @@ pub fn measure_spmm<T: Scalar>(
     deadline: Duration,
     excluded: &[KernelId],
 ) -> PerfTable {
-    let x = vec![T::ONE; probe.cols() * k];
-    let mut y = vec![T::ZERO; probe.rows() * k];
-    measure_table(lib, probe, Op::Spmm, k, excluded, |v, plan| {
-        measure_guarded(
-            || lib.run_spmm_planned(probe, v, plan, &x, &mut y, k),
-            budget,
-            deadline,
-            3,
-            64,
-        )
-    })
+    measure_table(lib, probe, Op::Spmm, k, budget, deadline, excluded)
 }
 
 /// One measured (chunk policy, fan-out width) candidate from
@@ -335,7 +340,7 @@ pub struct PlanSample {
 /// can show the whole searched grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanSearch {
-    /// The fastest measured plan, ready to cache and replay.
+    /// The winning plan, ready to cache and replay.
     pub plan: ExecPlan,
     /// Index of the winning sample in `samples`.
     pub best: usize,
@@ -352,11 +357,12 @@ pub struct PlanSearch {
 /// re-size their entry split, while plain row-chunk CSR kernels race
 /// `EqualRows` against `NnzBalanced` (both replay through the same
 /// planned dispatch, so the policy is interchangeable). Widths cover
-/// `{1, t, 2t, 4t}` for `t` backend threads — width 1 lets the search
-/// conclude that serial execution wins on small or hopelessly skewed
-/// inputs. Returns `None` for kernels without a parallel planned path
-/// (nothing to search) or when every candidate fails in the guarded
-/// harness.
+/// `{1, t, 2t, 4t}` for `t` backend threads, and the one-chunk plan is
+/// the preferred candidate of [`decide`]: a fan-out plan replaces it
+/// only when it wins by more than the margin, so small or hopelessly
+/// skewed inputs stay serial. Returns `None` for kernels without a
+/// parallel planned path (nothing to search) or when every candidate
+/// fails in the estimator.
 pub fn search_plan<T: Scalar>(
     lib: &KernelLibrary<T>,
     m: &AnyMatrix<T>,
@@ -364,28 +370,20 @@ pub fn search_plan<T: Scalar>(
     budget: Duration,
     deadline: Duration,
 ) -> Option<PlanSearch> {
-    let x = vec![T::ONE; m.cols()];
-    let mut y = vec![T::ZERO; m.rows()];
-    search_plan_grid(lib, m, id, 1, |plan| {
-        measure_guarded(
-            || lib.run_planned(m, id.variant, plan, &x, &mut y),
-            budget,
-            deadline,
-            2,
-            16,
-        )
-    })
+    search_plan_grid(lib, m, id, 1, budget, deadline)
 }
 
 /// The policy × width grid behind [`search_plan`] and
-/// [`search_spmm_plan`]: builds each candidate plan, times it through
-/// `measure`, and keeps the fastest. `k` scales the flop count.
+/// [`search_spmm_plan`]: builds every candidate plan, measures them
+/// together replaying `id` at RHS width `k`, and keeps [`decide`]'s pick
+/// with the one-chunk plan preferred.
 fn search_plan_grid<T: Scalar>(
     lib: &KernelLibrary<T>,
     m: &AnyMatrix<T>,
     id: KernelId,
     k: usize,
-    mut measure: impl FnMut(&ExecPlan) -> MeasureOutcome,
+    budget: Duration,
+    deadline: Duration,
 ) -> Option<PlanSearch> {
     let policies: Vec<ChunkPolicy> = match lib.chunk_policy(m, id) {
         ChunkPolicy::Serial => return None,
@@ -399,28 +397,44 @@ fn search_plan_grid<T: Scalar>(
     widths.sort_unstable();
     widths.dedup();
 
-    let mut samples = Vec::new();
-    let mut best: Option<(usize, f64, ExecPlan)> = None;
-    for &policy in &policies {
-        for &parts in &widths {
-            let plan = lib.build_plan_sized(m, policy, parts);
-            let MeasureOutcome::Ok(med) = measure(&plan) else {
-                continue;
-            };
-            let g = gflops(m.nnz() * k, med);
-            samples.push(PlanSample {
-                policy,
-                parts,
+    let x = vec![T::ONE; m.cols() * k];
+    let mut y = vec![T::ZERO; m.rows() * k];
+    // Width 1 sorts first, so candidate 0 is the one-chunk plan.
+    let mut grid: Vec<(ChunkPolicy, usize, ExecPlan)> = policies
+        .iter()
+        .flat_map(|&policy| widths.iter().map(move |&parts| (policy, parts)))
+        .map(|(policy, parts)| (policy, parts, lib.build_plan_sized(m, policy, parts)))
+        .collect();
+    let outcomes = measure_round_robin(
+        grid.len(),
+        |i| match id.op {
+            Op::Spmv => lib.run_planned(m, id.variant, &grid[i].2, &x, &mut y),
+            Op::Spmm => lib.run_spmm_planned(m, id.variant, &grid[i].2, &x, &mut y, k),
+        },
+        2..=16,
+        budget,
+        deadline,
+        None,
+    );
+    let winner = decide(&outcomes, Some(0))?;
+    let samples = grid
+        .iter()
+        .zip(&outcomes)
+        .filter_map(|((policy, parts, plan), outcome)| {
+            Some(PlanSample {
+                policy: *policy,
+                parts: *parts,
                 chunks: plan.chunks(),
-                gflops: g,
-            });
-            if best.as_ref().is_none_or(|(_, bg, _)| g > *bg) {
-                best = Some((samples.len() - 1, g, plan));
-            }
-        }
-    }
-    best.map(|(best, _, plan)| PlanSearch {
-        plan,
+                gflops: gflops(m.nnz() * k, outcome.ok()?),
+            })
+        })
+        .collect();
+    let best = outcomes[..winner]
+        .iter()
+        .filter(|o| o.ok().is_some())
+        .count();
+    Some(PlanSearch {
+        plan: grid.swap_remove(winner).2,
         best,
         samples,
     })
@@ -441,17 +455,7 @@ pub fn search_spmm_plan<T: Scalar>(
     budget: Duration,
     deadline: Duration,
 ) -> Option<PlanSearch> {
-    let x = vec![T::ONE; m.cols() * k];
-    let mut y = vec![T::ZERO; m.rows() * k];
-    search_plan_grid(lib, m, id, k, |plan| {
-        measure_guarded(
-            || lib.run_spmm_planned(m, id.variant, plan, &x, &mut y, k),
-            budget,
-            deadline,
-            2,
-            16,
-        )
-    })
+    search_plan_grid(lib, m, id, k, budget, deadline)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use smat_matrix::gen::{
 use smat_matrix::{AnyMatrix, Bcsr, ConversionLimits, Csr, Dia, Format, Hyb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Counts every allocation entry point; frees are not interesting here.
 struct CountingAlloc;
@@ -128,6 +129,33 @@ fn conversions_allocate_their_result_and_one_marker_array() {
     );
 }
 
+/// The tuning estimator allocates its sample storage once per call: one
+/// measurement asks the allocator for as many blocks at 64 rounds as at
+/// one.
+fn one_measurement_allocates_the_same_at_any_round_count() {
+    let blocks = |rounds: usize| {
+        let ((blocks, _), outcomes) = tally(|| {
+            smat_kernels::measure_round_robin(
+                3,
+                |i| {
+                    std::hint::black_box(i);
+                },
+                rounds..=rounds,
+                Duration::ZERO,
+                Duration::MAX,
+                None,
+            )
+        });
+        assert!(outcomes.iter().all(|o| o.ok().is_some()));
+        blocks
+    };
+    assert_eq!(
+        blocks(1),
+        blocks(64),
+        "a measurement's allocations grew with its round count"
+    );
+}
+
 /// `base` with its rules replaced by one confident rule (`M > 0`) that
 /// sends every input to `format`.
 fn forced(base: &TrainedModel, format: Format) -> TrainedModel {
@@ -151,6 +179,7 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     // --- Conversion tier: before any pool thread exists, so the counts
     // are this thread's alone.
     conversions_allocate_their_result_and_one_marker_array();
+    one_measurement_allocates_the_same_at_any_round_count();
 
     // --- Kernel level: every builtin parallel variant through its plan.
     let lib = KernelLibrary::<f64>::new();
