@@ -12,7 +12,7 @@
 //! strength graph alone.
 //!
 //! The unassigned points live in one indexed priority queue
-//! ([`MeasureQueue`]): a measure bump is an increase-key, an
+//! (`MeasureQueue`): a measure bump is an increase-key, an
 //! F-assignment a removal, so the queue holds each unassigned point
 //! exactly once — `n` entries at most, no stale ones — and the pass
 //! performs at most `n` removals and `|S|` bumps.

@@ -1,20 +1,7 @@
 //! `smat` — command-line interface for the SMAT auto-tuner.
 //!
-//! ```text
-//! smat train    --out MODEL.json [--corpus N] [--seed S] [--single]
-//!               [--min-dim D] [--max-dim D]
-//! smat install  --out INSTALL.json [--probe-dim D]
-//! smat predict  --model MODEL.json MATRIX.mtx
-//! smat tune     --model MODEL.json [--install INSTALL.json] [--cache CACHE.json]
-//!               [--repeat N] MATRIX.mtx
-//! smat bench    [--variants] MATRIX.mtx
-//! smat features MATRIX.mtx
-//! smat rules    --model MODEL.json
-//! smat health   --model MODEL.json [--json] [--calls N] [--dim D]
-//! smat serve    --model MODEL.json [--addr HOST:PORT | --socket PATH]
-//!               [--workers N] [--queue N] [--deadline-ms MS]
-//!               [--cache CACHE.json] [--handle-capacity N] [--handle-budget-bytes B]
-//! ```
+//! The one synopsis of every command and flag is `USAGE`, printed by
+//! `smat help`.
 //!
 //! Matrices are Matrix Market files (the UF/SuiteSparse distribution
 //! format); models are the JSON artifacts produced by `smat train`.
@@ -50,7 +37,7 @@ USAGE:
                 [--install INSTALL.json] [--cache CACHE.json]
                 [--workers N] [--queue N] [--degrade-watermark N]
                 [--deadline-ms MS] [--max-deadline-ms MS]
-                [--tenant-rate R] [--tenant-burst B]
+                [--tenant-rate R] [--tenant-burst B] [--max-frame-bytes B]
                 [--handle-capacity N] [--handle-budget-bytes B]
 
 COMMANDS:
@@ -72,8 +59,9 @@ COMMANDS:
             matrix) and report the engine's execution-health counters:
             contained faults, quarantined kernel variants, cache/concurrency
             recoveries, and the warm handle-registry counters; --json emits
-            the machine-readable report (with the daemon's one-entry
-            `shards` array) for monitoring pipelines
+            the machine-readable health report plus the daemon's one-entry
+            `shards` array (cache and handle counters) for monitoring
+            pipelines
   serve     run the tuning-as-a-service daemon: line-delimited JSON requests
             (ping/metrics/tune/spmv/spmm/shutdown) over TCP (--addr, port 0
             picks an ephemeral port printed as `listening on ...`) or a Unix
@@ -664,18 +652,8 @@ fn cmd_health(args: &Args) -> Result<(), String> {
             Value::Object(fields) => fields,
             other => return Err(format!("health report is not an object: {}", other.kind())),
         };
-        let push = |fields: &mut Vec<(String, Value)>, k: &str, v: Value| {
-            fields.push((k.to_string(), v));
-        };
-        push(&mut fields, "handle_hits", Value::UInt(handles.hits));
-        push(&mut fields, "handle_misses", Value::UInt(handles.misses));
-        push(
-            &mut fields,
-            "handle_evictions",
-            Value::UInt(handles.evictions),
-        );
         let entry = smat_service::metrics::shard_entry(&engine.cache_stats(), &report, &handles);
-        push(&mut fields, "shards", Value::Array(vec![entry]));
+        fields.push(("shards".to_string(), Value::Array(vec![entry])));
         let merged = Value::Object(fields);
         let json = serde_json::to_string_pretty(&smat_service::proto::Json(&merged))
             .map_err(|e| e.to_string())?;
@@ -714,13 +692,14 @@ fn cmd_health(args: &Args) -> Result<(), String> {
         "  handles: {} hits / {} misses / {} evictions; {} resident ({} bytes)",
         handles.hits, handles.misses, handles.evictions, handles.entries, handles.resident_bytes
     );
+    let cache = engine.cache_stats();
     println!(
         "  cache: {} hits / {} misses; {} corrupt evictions, {} poison recoveries, {} coalesced waits",
-        report.cache_hits,
-        report.cache_misses,
-        report.corrupt_evictions,
-        report.poison_recoveries,
-        report.coalesced_waits
+        cache.hits,
+        cache.misses,
+        cache.corrupt_evictions,
+        cache.poison_recoveries,
+        cache.coalesced_waits
     );
     for incident in &report.recent_incidents {
         println!(

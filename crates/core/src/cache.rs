@@ -17,7 +17,6 @@
 use crate::error::Result;
 use crate::integrity::fnv1a64_of_debug;
 use crate::lru::Lru;
-use crate::retry::RetryPolicy;
 use crate::runtime::DecisionPath;
 use crate::sealed;
 use serde::{Deserialize, Serialize};
@@ -278,22 +277,22 @@ impl TuningCache {
     /// library their kernel ids index into, folded with the fingerprint
     /// algorithm their keys come from. Returns the number of entries
     /// written.
-    pub fn save<T: Scalar>(&self, path: &Path, digest: u64, policy: RetryPolicy) -> Result<usize> {
+    pub fn save<T: Scalar>(&self, path: &Path, digest: u64) -> Result<usize> {
         let snapshot = Snapshot {
             precision: T::PRECISION_NAME.to_string(),
             library_digest: digest,
             entries: self.snapshot(),
         };
-        sealed::save(&snapshot, path, "cache.persist", policy)?;
+        sealed::save(&snapshot, path, "cache.persist")?;
         Ok(snapshot.entries.len())
     }
 
     /// Absorbs a snapshot written by [`Self::save`] after verifying its
     /// checksum, precision and library digest, in that order. Returns
     /// the number of entries absorbed.
-    pub fn load<T: Scalar>(&self, path: &Path, digest: u64, policy: RetryPolicy) -> Result<usize> {
+    pub fn load<T: Scalar>(&self, path: &Path, digest: u64) -> Result<usize> {
         let what = "tuning cache snapshot";
-        let snapshot: Snapshot = sealed::load(what, path, "cache.load", policy)?;
+        let snapshot: Snapshot = sealed::load(what, path, "cache.load")?;
         sealed::check_stamp::<T>(what, &snapshot.precision, snapshot.library_digest, digest)?;
         let count = snapshot.entries.len();
         self.absorb(snapshot.entries);

@@ -22,8 +22,38 @@ pub const GROUP_ORDER: [Format; Format::COUNT] = [
     Format::Coo,
 ];
 
+/// Consecutive contained execution faults after which a variant's
+/// circuit breaker trips from `Closed` to `Open`: the variant is
+/// quarantined and excluded from candidate sets.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
+/// Initial backoff, counted in engine calls (`spmv` + `spmm`), before an
+/// open breaker half-opens for a guarded re-probe. Each failed re-probe
+/// doubles it (capped); a successful one closes the breaker.
+pub const BREAKER_BACKOFF_CALLS: u64 = 32;
+
+/// Extra attempts after the first failure when saving or loading a
+/// tuning artifact (installation, cache snapshot, model) hits a
+/// *transient* error (see [`crate::SmatError::is_transient`]). Permanent
+/// errors are never retried.
+pub const PERSIST_RETRIES: u32 = 2;
+
+/// Base delay of the exponential backoff between persistence retries:
+/// attempt `k` sleeps `PERSIST_BACKOFF * 2^k` plus up to 50%
+/// deterministic jitter, so concurrent retriers decorrelate.
+pub const PERSIST_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Longest a [`crate::Smat::prepare`] call waits on another thread's
+/// in-flight tuning run for the same fingerprint before degrading to the
+/// reference kernel. A request deadline
+/// ([`crate::Smat::prepare_with_deadline`]) shortens it; nothing
+/// lengthens it, so a waiter never blocks forever.
+pub const SINGLE_FLIGHT_WAIT: Duration = Duration::from_secs(30);
+
 /// Tuning knobs of the SMAT system. [`SmatConfig::default`] reproduces
-/// the paper's setup.
+/// the paper's setup. The fault layer's settings are constants
+/// ([`BREAKER_THRESHOLD`], [`BREAKER_BACKOFF_CALLS`], [`PERSIST_RETRIES`],
+/// [`PERSIST_BACKOFF`], [`SINGLE_FLIGHT_WAIT`]), not fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SmatConfig {
     /// Rule-group confidence below which the runtime falls back to
@@ -70,23 +100,6 @@ pub struct SmatConfig {
     /// saving the search on first use — and adopts its
     /// [`smat_kernels::KernelChoice`] over the model's.
     pub install_path: Option<std::path::PathBuf>,
-    /// Extra attempts after the first failure when persisting or
-    /// loading tuning artifacts (installation files, cache snapshots)
-    /// hits a *transient* error (see
-    /// [`crate::SmatError::is_transient`]). 0 disables retrying;
-    /// permanent errors are never retried.
-    pub persist_retries: u32,
-    /// Base delay of the exponential backoff between persistence
-    /// retries. Attempt `k` sleeps `persist_backoff * 2^k` plus up to
-    /// 50% deterministic jitter, so retry storms from concurrent
-    /// processes decorrelate.
-    pub persist_backoff: Duration,
-    /// How long a [`crate::Smat::prepare`] call waits on another
-    /// thread's in-flight tuning run for the same fingerprint before
-    /// giving up and degrading to the reference kernel. Bounds the
-    /// worst-case latency a waiter can ever see; it never blocks
-    /// forever.
-    pub single_flight_wait: Duration,
     /// Measurement budget per (policy, width) candidate during the plan
     /// search, with the candidates' samples interleaved round by round.
     /// The search extends the kernel scoreboard over chunk policy and
@@ -101,15 +114,6 @@ pub struct SmatConfig {
     /// variant's circuit breaker. Off by default — the scan costs one
     /// pass over `y` per call.
     pub screen_outputs: bool,
-    /// Consecutive contained execution faults after which a variant's
-    /// circuit breaker trips from `Closed` to `Open` (the variant is
-    /// quarantined and excluded from candidate sets).
-    pub breaker_threshold: u32,
-    /// Initial backoff, counted in engine `spmv` calls, before an open
-    /// breaker half-opens for a guarded re-probe. Each failed re-probe
-    /// doubles the backoff (capped); a successful one closes the
-    /// breaker.
-    pub breaker_backoff_calls: u64,
 }
 
 impl Default for SmatConfig {
@@ -125,13 +129,8 @@ impl Default for SmatConfig {
             excluded_attributes: Vec::new(),
             cache_capacity: 64,
             install_path: None,
-            persist_retries: 2,
-            persist_backoff: Duration::from_millis(20),
-            single_flight_wait: Duration::from_secs(30),
             plan_search_budget: Duration::from_millis(2),
             screen_outputs: false,
-            breaker_threshold: 3,
-            breaker_backoff_calls: 32,
         }
     }
 }
@@ -145,7 +144,6 @@ impl SmatConfig {
             fallback_budget: Duration::from_micros(200),
             candidate_deadline: Duration::from_millis(250),
             probe_dim: 1_500,
-            persist_backoff: Duration::from_millis(1),
             plan_search_budget: Duration::from_micros(100),
             ..Self::default()
         }

@@ -49,7 +49,7 @@ pub struct HandleStats {
 }
 
 /// A bounded, byte-budgeted LRU of prepared matrices: the shared
-/// [`Lru`] store holding `Arc`s, weighted by
+/// `Lru` store holding `Arc`s, weighted by
 /// [`TunedSpmv::resident_bytes`].
 ///
 /// `capacity` bounds the entry count (`0` disables the registry:

@@ -9,11 +9,12 @@
 //!    an [`ExecIncident`] in a bounded ring.
 //! 2. **Per-variant circuit breakers** — a `Closed → Open → HalfOpen`
 //!    state machine keyed by [`KernelId`]. After
-//!    [`crate::SmatConfig::breaker_threshold`] incidents a variant is
+//!    [`BREAKER_THRESHOLD`] incidents a variant is
 //!    *quarantined*: excluded from candidate sets like a
 //!    `CandidateFailed` scoreboard row, its cached decisions evicted on
-//!    hit. A call-counted exponential backoff paces the half-open
-//!    re-probe that can readmit it.
+//!    hit. A call-counted exponential backoff, starting at
+//!    [`BREAKER_BACKOFF_CALLS`], paces the half-open re-probe that can
+//!    readmit it.
 //!
 //! A faulted pool dispatch needs nothing here: `smat_pool` runs the
 //! job inline and the call's result is already correct.
@@ -24,6 +25,7 @@
 //! from `Closed` (or while recording a fault, which is never the happy
 //! path).
 
+use crate::config::{BREAKER_BACKOFF_CALLS, BREAKER_THRESHOLD};
 use serde::{Deserialize, Serialize};
 use smat_kernels::KernelId;
 use smat_matrix::StructuralFingerprint;
@@ -120,16 +122,6 @@ pub struct HealthReport {
     /// The most recent contained incidents (bounded ring, oldest
     /// first).
     pub recent_incidents: Vec<ExecIncident>,
-    /// Mirror of [`crate::CacheStats::coalesced_waits`].
-    pub coalesced_waits: u64,
-    /// Mirror of [`crate::CacheStats::poison_recoveries`].
-    pub poison_recoveries: u64,
-    /// Mirror of [`crate::CacheStats::corrupt_evictions`].
-    pub corrupt_evictions: u64,
-    /// Mirror of [`crate::CacheStats::hits`].
-    pub cache_hits: u64,
-    /// Mirror of [`crate::CacheStats::misses`].
-    pub cache_misses: u64,
 }
 
 /// What the breaker lets one call do.
@@ -156,7 +148,7 @@ struct Breaker {
 /// The engine's mutable health state. Interior-mutable and `Sync`:
 /// counters are relaxed atomics, the breaker registry and incident
 /// ring are mutexes touched only off the happy path.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct HealthState {
     /// Monotonic engine call clock (`spmv` + `spmm`); backoffs count in
     /// its units.
@@ -176,30 +168,9 @@ pub(crate) struct HealthState {
     reprobe_failures: AtomicU64,
     quarantine_evictions: AtomicU64,
     degraded_prepares: AtomicU64,
-    threshold: u32,
-    backoff0: u64,
 }
 
 impl HealthState {
-    pub(crate) fn new(threshold: u32, backoff_calls: u64) -> Self {
-        Self {
-            calls: AtomicU64::new(0),
-            spmv_calls: AtomicU64::new(0),
-            spmm_calls: AtomicU64::new(0),
-            attention: AtomicUsize::new(0),
-            breakers: Mutex::new(HashMap::new()),
-            incidents: Mutex::new(Vec::new()),
-            exec_faults: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            reprobe_successes: AtomicU64::new(0),
-            reprobe_failures: AtomicU64::new(0),
-            quarantine_evictions: AtomicU64::new(0),
-            degraded_prepares: AtomicU64::new(0),
-            threshold: threshold.max(1),
-            backoff0: backoff_calls.max(1),
-        }
-    }
-
     /// Advances the call clock for one call of `op`; returns the
     /// current call number.
     pub(crate) fn tick(&self, op: smat_kernels::Op) -> u64 {
@@ -217,15 +188,13 @@ impl HealthState {
         self.attention.load(Ordering::Relaxed) != 0
     }
 
-    /// A fresh breaker: closed, no incidents, the configured backoff.
-    fn closed_breaker(&self) -> Breaker {
-        Breaker {
-            state: BreakerState::Closed,
-            incidents: 0,
-            backoff: self.backoff0,
-            reopen_at: 0,
-        }
-    }
+    /// A fresh breaker: closed, no incidents, the initial backoff.
+    const CLOSED: Breaker = Breaker {
+        state: BreakerState::Closed,
+        incidents: 0,
+        backoff: BREAKER_BACKOFF_CALLS,
+        reopen_at: 0,
+    };
 
     fn lock_breakers(&self) -> std::sync::MutexGuard<'_, HashMap<KernelId, Breaker>> {
         self.breakers.lock().unwrap_or_else(PoisonError::into_inner)
@@ -267,7 +236,7 @@ impl HealthState {
     }
 
     /// Every variant currently away from `Closed` (the persisted
-    /// quarantine set).
+    /// quarantine set), in [`kernel_order`].
     pub(crate) fn quarantined_kernels(&self) -> Vec<KernelId> {
         if !self.needs_attention() {
             return Vec::new();
@@ -278,7 +247,7 @@ impl HealthState {
             .filter(|(_, b)| b.state != BreakerState::Closed)
             .map(|(k, _)| *k)
             .collect();
-        list.sort_by_key(|k| (k.format.index(), k.variant));
+        list.sort_by_key(|&k| kernel_order(k));
         list
     }
 
@@ -300,7 +269,7 @@ impl HealthState {
             ring.push(incident);
         }
         let mut breakers = self.lock_breakers();
-        let b = breakers.entry(kernel).or_insert(self.closed_breaker());
+        let b = breakers.entry(kernel).or_insert(Self::CLOSED);
         b.incidents = b.incidents.saturating_add(1);
         if probing || b.state == BreakerState::HalfOpen {
             // A failed re-probe re-opens with doubled (capped) backoff.
@@ -310,9 +279,9 @@ impl HealthState {
             self.reprobe_failures.fetch_add(1, Ordering::Relaxed);
             return true;
         }
-        if b.state == BreakerState::Closed && b.incidents >= self.threshold {
+        if b.state == BreakerState::Closed && b.incidents >= BREAKER_THRESHOLD {
             b.state = BreakerState::Open;
-            b.backoff = self.backoff0;
+            b.backoff = BREAKER_BACKOFF_CALLS;
             b.reopen_at = call + b.backoff;
             self.attention.fetch_add(1, Ordering::Relaxed);
             self.breaker_trips.fetch_add(1, Ordering::Relaxed);
@@ -329,7 +298,7 @@ impl HealthState {
             if b.state != BreakerState::Closed {
                 b.state = BreakerState::Closed;
                 b.incidents = 0;
-                b.backoff = self.backoff0;
+                b.backoff = BREAKER_BACKOFF_CALLS;
                 self.attention.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -345,12 +314,12 @@ impl HealthState {
         }
         let mut breakers = self.lock_breakers();
         for &kernel in kernels {
-            let entry = breakers.entry(kernel).or_insert(self.closed_breaker());
+            let entry = breakers.entry(kernel).or_insert(Self::CLOSED);
             if entry.state == BreakerState::Closed {
                 entry.state = BreakerState::Open;
-                entry.incidents = self.threshold;
-                entry.backoff = self.backoff0;
-                entry.reopen_at = self.backoff0;
+                entry.incidents = BREAKER_THRESHOLD;
+                entry.backoff = BREAKER_BACKOFF_CALLS;
+                entry.reopen_at = BREAKER_BACKOFF_CALLS;
                 self.attention.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -383,7 +352,7 @@ impl HealthState {
                     reopen_at: b.reopen_at,
                 })
                 .collect();
-            list.sort_by_key(|q| (q.kernel.format.index(), q.kernel.variant));
+            list.sort_by_key(|q| kernel_order(q.kernel));
             list
         };
         let recent_incidents = self
@@ -403,11 +372,17 @@ impl HealthState {
             quarantine_evictions: self.quarantine_evictions.load(Ordering::Relaxed),
             degraded_prepares: self.degraded_prepares.load(Ordering::Relaxed),
             recent_incidents,
-            // The tuning-cache counters are the engine's to mirror in
-            // (`Smat::health_report`).
-            ..HealthReport::default()
         }
     }
+}
+
+/// The one order of every quarantine list — the report's and the
+/// persisted artifact's: by op, then format, then variant. An SpMV and
+/// an SpMM id that share a format and variant are distinct breakers, so
+/// the op must be part of the key or their order would follow the
+/// registry's hash order.
+fn kernel_order(k: KernelId) -> (u8, usize, usize) {
+    (k.op as u8, k.format.index(), k.variant)
 }
 
 #[cfg(test)]
@@ -434,34 +409,38 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_backs_off() {
-        let h = HealthState::new(3, 8);
+        const T: u64 = BREAKER_THRESHOLD as u64;
+        const B: u64 = BREAKER_BACKOFF_CALLS;
+        let h = HealthState::default();
         assert!(!h.needs_attention());
-        assert!(!h.on_fault(incident(1), false, 1));
-        assert!(!h.on_fault(incident(1), false, 2));
-        // Third incident trips the breaker.
-        assert!(h.on_fault(incident(1), false, 3));
+        for call in 1..T {
+            assert!(!h.on_fault(incident(1), false, call));
+        }
+        // The threshold-th incident trips the breaker.
+        assert!(h.on_fault(incident(1), false, T));
         assert!(h.needs_attention());
         assert!(h.quarantined(kid(1)));
         assert_eq!(h.quarantined_kernels(), vec![kid(1)]);
         // Inside the backoff window: fallback. A different variant is
         // unaffected.
-        assert_eq!(h.admit(kid(1), 5), Admission::Fallback);
-        assert_eq!(h.admit(kid(2), 5), Admission::Run);
+        assert_eq!(h.admit(kid(1), T + 1), Admission::Fallback);
+        assert_eq!(h.admit(kid(2), T + 1), Admission::Run);
         // Past the window: exactly one call claims the probe; a racing
         // call still falls back.
-        assert_eq!(h.admit(kid(1), 11), Admission::Probe);
-        assert_eq!(h.admit(kid(1), 11), Admission::Fallback);
+        assert_eq!(h.admit(kid(1), T + B), Admission::Probe);
+        assert_eq!(h.admit(kid(1), T + B), Admission::Fallback);
         // Failed probe doubles the backoff.
-        assert!(h.on_fault(incident(1), true, 12));
-        assert_eq!(h.admit(kid(1), 12 + 15), Admission::Fallback);
-        assert_eq!(h.admit(kid(1), 12 + 16), Admission::Probe);
+        let failed = T + B + 1;
+        assert!(h.on_fault(incident(1), true, failed));
+        assert_eq!(h.admit(kid(1), failed + 2 * B - 1), Admission::Fallback);
+        assert_eq!(h.admit(kid(1), failed + 2 * B), Admission::Probe);
         // Successful probe closes and readmits.
         h.on_probe_success(kid(1));
         assert!(!h.quarantined(kid(1)));
         assert!(!h.needs_attention());
-        assert_eq!(h.admit(kid(1), 100), Admission::Run);
+        assert_eq!(h.admit(kid(1), failed + 4 * B), Admission::Run);
         let r = h.report(|_| String::new());
-        assert_eq!(r.exec_faults, 4);
+        assert_eq!(r.exec_faults, T + 1);
         assert_eq!(r.breaker_trips, 1);
         assert_eq!(r.reprobe_failures, 1);
         assert_eq!(r.reprobe_successes, 1);
@@ -470,11 +449,15 @@ mod tests {
 
     #[test]
     fn seeded_quarantine_behaves_like_a_tripped_breaker() {
-        let h = HealthState::new(3, 4);
+        let h = HealthState::default();
         h.seed_quarantine(&[kid(2)]);
         assert!(h.quarantined(kid(2)));
         assert_eq!(h.admit(kid(2), 1), Admission::Fallback);
-        assert_eq!(h.admit(kid(2), 4), Admission::Probe);
+        assert_eq!(
+            h.admit(kid(2), BREAKER_BACKOFF_CALLS - 1),
+            Admission::Fallback
+        );
+        assert_eq!(h.admit(kid(2), BREAKER_BACKOFF_CALLS), Admission::Probe);
         h.on_probe_success(kid(2));
         assert!(!h.quarantined(kid(2)));
         // Re-seeding an already-closed breaker re-opens it once.
@@ -485,7 +468,7 @@ mod tests {
 
     #[test]
     fn incident_ring_is_bounded() {
-        let h = HealthState::new(u32::MAX, 8);
+        let h = HealthState::default();
         for i in 0..(INCIDENT_RING + 10) {
             h.on_fault(incident(i % 3), false, i as u64);
         }
@@ -496,8 +479,10 @@ mod tests {
 
     #[test]
     fn report_serializes_with_stable_keys() {
-        let h = HealthState::new(1, 2);
-        h.on_fault(incident(1), false, 1);
+        let h = HealthState::default();
+        for call in 1..=BREAKER_THRESHOLD {
+            h.on_fault(incident(1), false, call.into());
+        }
         let r = h.report(|k| format!("csr_{}", k.variant));
         let json = serde_json::to_string(&r).unwrap();
         for key in [
@@ -512,11 +497,6 @@ mod tests {
             "quarantine_evictions",
             "degraded_prepares",
             "recent_incidents",
-            "coalesced_waits",
-            "poison_recoveries",
-            "corrupt_evictions",
-            "cache_hits",
-            "cache_misses",
         ] {
             assert!(json.contains(&format!("\"{key}\"")), "missing key {key}");
         }

@@ -12,7 +12,6 @@
 
 use crate::config::SmatConfig;
 use crate::error::Result;
-use crate::retry::RetryPolicy;
 use crate::sealed;
 use crate::train::Trainer;
 use serde::{Deserialize, Serialize};
@@ -93,26 +92,21 @@ impl Installation {
     }
 
     /// Saves the installation as pretty JSON, sealed with a content
-    /// checksum and written atomically (`<path>.tmp` + rename; see
-    /// [`crate::sealed`]). Transient I/O failures are retried under the
-    /// default [`SmatConfig`]'s policy.
+    /// checksum and written atomically (`<path>.tmp` + rename).
+    /// Transient I/O failures are retried [`crate::PERSIST_RETRIES`]
+    /// times.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] on I/O or serialization
     /// failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.save_with(path.as_ref(), RetryPolicy::default())
-    }
-
-    /// [`Self::save`] under an engine's configured retry policy.
-    pub(crate) fn save_with(&self, path: &Path, policy: RetryPolicy) -> Result<()> {
-        sealed::save(self, path, "install.save", policy)
+        sealed::save(self, path.as_ref(), "install.save")
     }
 
     /// Loads a previously saved installation, verifying its checksum.
-    /// Transient I/O failures are retried under the default
-    /// [`SmatConfig`]'s policy.
+    /// Transient I/O failures are retried [`crate::PERSIST_RETRIES`]
+    /// times.
     ///
     /// # Errors
     ///
@@ -120,11 +114,7 @@ impl Installation {
     /// failure, and [`crate::SmatError::Corrupt`] when the file parses
     /// but its contents do not match the recorded checksum.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::load_with(path.as_ref(), RetryPolicy::default())
-    }
-
-    fn load_with(path: &Path, policy: RetryPolicy) -> Result<Self> {
-        sealed::load("installation artifact", path, "install.load", policy)
+        sealed::load("installation artifact", path.as_ref(), "install.load")
     }
 
     /// Whether this installation may steer a `T` engine of this build:
@@ -149,8 +139,8 @@ impl Installation {
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] only when *writing* a
-    /// fresh installation fails after exhausting the configured
-    /// [`crate::SmatConfig::persist_retries`] (transient I/O failures,
+    /// fresh installation fails after [`crate::PERSIST_RETRIES`] retries
+    /// (transient I/O failures,
     /// reading or writing, are retried with backoff; permanent errors
     /// surface immediately); unreadable existing files fall back to
     /// regeneration.
@@ -159,9 +149,8 @@ impl Installation {
         config: &SmatConfig,
     ) -> Result<(Self, bool)> {
         let path = path.as_ref();
-        let policy = RetryPolicy::from_config(config);
         if path.exists() {
-            if let Ok(installed) = Self::load_with(path, policy) {
+            if let Ok(installed) = Self::load(path) {
                 if installed.schema == INSTALL_SCHEMA_VERSION
                     && installed.check_stamp::<T>().is_ok()
                 {
@@ -170,7 +159,7 @@ impl Installation {
             }
         }
         let fresh = Self::run::<T>(config);
-        fresh.save_with(path, policy)?;
+        fresh.save(path)?;
         Ok((fresh, false))
     }
 }

@@ -60,7 +60,10 @@ mod stats;
 mod train;
 
 pub use cache::CacheStats;
-pub use config::{SmatConfig, GROUP_ORDER};
+pub use config::{
+    SmatConfig, BREAKER_BACKOFF_CALLS, BREAKER_THRESHOLD, GROUP_ORDER, PERSIST_BACKOFF,
+    PERSIST_RETRIES, SINGLE_FLIGHT_WAIT,
+};
 pub use error::{Result, SmatError};
 pub use handles::{HandleRegistry, HandleStats};
 pub use health::{BreakerState, ExecIncident, FaultKind, HealthReport, QuarantinedVariant};

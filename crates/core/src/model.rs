@@ -4,7 +4,6 @@
 
 use crate::config::GROUP_ORDER;
 use crate::error::Result;
-use crate::retry::RetryPolicy;
 use crate::sealed;
 use serde::{Deserialize, Serialize};
 use smat_features::FeatureVector;
@@ -64,14 +63,14 @@ impl TrainedModel {
     }
 
     /// Saves the model as pretty JSON, sealed with a content checksum
-    /// and written atomically (see [`crate::sealed`]).
+    /// and written atomically (`<path>.tmp` + rename).
     ///
     /// # Errors
     ///
     /// Returns [`crate::SmatError::Persist`] on I/O or serialization
     /// failure.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        sealed::save(self, path.as_ref(), "model.save", RetryPolicy::default())
+        sealed::save(self, path.as_ref(), "model.save")
     }
 
     /// Loads a model saved by [`TrainedModel::save`], verifying its
@@ -84,8 +83,7 @@ impl TrainedModel {
     /// failure, and [`crate::SmatError::Corrupt`] when the contents do
     /// not match the recorded checksum.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let policy = RetryPolicy::default();
-        sealed::load("trained model", path.as_ref(), "model.load", policy)
+        sealed::load("trained model", path.as_ref(), "model.load")
     }
 }
 

@@ -10,12 +10,11 @@
 //! formats.
 
 use crate::cache::{CacheStats, CachedDecision, CachedSpmm, TuningCache};
-use crate::config::SmatConfig;
+use crate::config::{SmatConfig, SINGLE_FLIGHT_WAIT};
 use crate::error::{Result, SmatError};
 use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState};
 use crate::install::Installation;
 use crate::model::TrainedModel;
-use crate::retry::RetryPolicy;
 use serde::{Deserialize, Serialize};
 use smat_features::{extract_structure, FeatureVector};
 use smat_kernels::timing::{decide, gflops, measure_round_robin, panic_message};
@@ -319,7 +318,7 @@ impl<T: Scalar> Smat<T> {
             installation = Some(installed);
             installation_from_disk = from_disk;
         }
-        let health = HealthState::new(config.breaker_threshold, config.breaker_backoff_calls);
+        let health = HealthState::default();
         // A reloaded artifact carries the quarantine set a previous
         // process accumulated: those variants stay benched (behind an
         // open breaker, so the usual half-open re-probe applies).
@@ -404,29 +403,13 @@ impl<T: Scalar> Smat<T> {
     }
 
     /// A serializable snapshot of the engine's execution health:
-    /// contained faults, breaker/quarantine state, and the
-    /// concurrency/persistence counters mirrored from the tuning cache.
-    /// The payload of `smat health --json`.
+    /// contained faults and breaker/quarantine state. The tuning
+    /// cache's counters are [`Smat::cache_stats`]'s alone.
     pub fn health_report(&self) -> HealthReport {
-        let cache = self.cache.stats();
-        let mut report = self.health.report(|k| {
+        self.health.report(|k| {
             let row = self.lib.table(k.op, k.format).get(k.variant);
             row.map(|info| info.name.to_string()).unwrap_or_default()
-        });
-        report.coalesced_waits = cache.coalesced_waits;
-        report.poison_recoveries = cache.poison_recoveries;
-        report.corrupt_evictions = cache.corrupt_evictions;
-        report.cache_hits = cache.hits;
-        report.cache_misses = cache.misses;
-        report
-    }
-
-    /// Whether any kernel variant's circuit breaker is currently away
-    /// from `Closed`. One relaxed atomic load — cheap enough for a
-    /// serving layer to consult per request when deciding whether to
-    /// shed load or serve degraded.
-    pub fn quarantine_active(&self) -> bool {
-        self.health.needs_attention()
+        })
     }
 
     /// Drops every cached tuning decision (counters are preserved).
@@ -443,17 +426,15 @@ impl<T: Scalar> Smat<T> {
     /// Returns the number of entries written. Corrupt entries are
     /// evicted, not persisted.
     ///
-    /// Transient I/O failures are retried per
-    /// [`SmatConfig::persist_retries`] with exponential backoff.
+    /// Transient I/O failures are retried [`crate::PERSIST_RETRIES`]
+    /// times with exponential backoff.
     ///
     /// # Errors
     ///
     /// Returns [`SmatError::Persist`] when writing fails after
     /// exhausting the retries.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        let policy = RetryPolicy::from_config(&self.config);
-        self.cache
-            .save::<T>(path.as_ref(), self.cache_stamp(), policy)
+        self.cache.save::<T>(path.as_ref(), self.cache_stamp())
     }
 
     /// Warm-starts the tuning cache from a snapshot written by
@@ -461,8 +442,8 @@ impl<T: Scalar> Smat<T> {
     /// Entries are absorbed through normal LRU insertion (capacity
     /// still applies). Returns the number of entries absorbed.
     ///
-    /// Transient I/O failures are retried per
-    /// [`SmatConfig::persist_retries`] with exponential backoff.
+    /// Transient I/O failures are retried [`crate::PERSIST_RETRIES`]
+    /// times with exponential backoff.
     ///
     /// # Errors
     ///
@@ -475,9 +456,7 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::PrecisionMismatch`] when the snapshot was taken by
     /// an engine of the other precision.
     pub fn load_cache(&self, path: impl AsRef<Path>) -> Result<usize> {
-        let policy = RetryPolicy::from_config(&self.config);
-        self.cache
-            .load::<T>(path.as_ref(), self.cache_stamp(), policy)
+        self.cache.load::<T>(path.as_ref(), self.cache_stamp())
     }
 
     /// What a tuning-cache snapshot is stamped with: the kernel library
@@ -500,9 +479,8 @@ impl<T: Scalar> Smat<T> {
     ///
     /// Never fails — if every exotic conversion is refused the matrix
     /// stays in CSR with the searched CSR kernel, and a thread that
-    /// waits out [`SmatConfig::single_flight_wait`] on another thread's
-    /// tuning run degrades to the reference kernel instead of blocking
-    /// forever.
+    /// waits out [`SINGLE_FLIGHT_WAIT`] on another thread's tuning run
+    /// degrades to the reference kernel instead of blocking forever.
     ///
     /// # Concurrency: single-flight tuning
     ///
@@ -513,8 +491,8 @@ impl<T: Scalar> Smat<T> {
     /// counted in [`CacheStats::coalesced_waits`]. A leader that
     /// degrades publishes nothing, so one woken follower simply becomes
     /// the next leader. Follower waiting is bounded by
-    /// [`SmatConfig::single_flight_wait`] from call entry; on timeout
-    /// the call returns a [`DecisionPath::Degraded`] result.
+    /// [`SINGLE_FLIGHT_WAIT`] from call entry; on timeout the call
+    /// returns a [`DecisionPath::Degraded`] result.
     pub fn prepare(&self, csr: &Csr<T>) -> TunedSpmv<T> {
         self.prepare_opt(csr, None)
     }
@@ -523,12 +501,12 @@ impl<T: Scalar> Smat<T> {
     /// layers that promise per-request latency bounds.
     ///
     /// The deadline propagates into every blocking or measured stage of
-    /// the tuning pipeline: the single-flight follower wait is clamped
-    /// to it, the execute-and-measure candidates' deadline is clamped to
-    /// the time remaining and their measurement
-    /// ([`smat_kernels::measure_round_robin`]) stops before the next
-    /// sample once it passes, and the plan search is skipped once the
-    /// budget is spent. Like `prepare`, the call never fails: a deadline
+    /// the tuning pipeline: the single-flight follower wait is
+    /// `min(SINGLE_FLIGHT_WAIT, deadline)`, the execute-and-measure
+    /// candidates' deadline is clamped to the time remaining and their
+    /// measurement ([`smat_kernels::measure_round_robin`]) stops before
+    /// the next sample once it passes, and the plan search is skipped
+    /// once the budget is spent. Like `prepare`, the call never fails: a deadline
     /// that expires before tuning completes yields a
     /// [`DecisionPath::Degraded`] result served by the reference CSR
     /// kernel (and, per the degraded contract, nothing is cached). A
@@ -549,7 +527,8 @@ impl<T: Scalar> Smat<T> {
         }
         let key = csr.fingerprint();
         let limits = self.config.conversion_limits();
-        let mut wait_deadline = t0 + self.config.single_flight_wait;
+        // The follower's one wait bound.
+        let mut wait_deadline = t0 + SINGLE_FLIGHT_WAIT;
         if let Some(d) = req_deadline {
             wait_deadline = wait_deadline.min(d);
         }
@@ -664,23 +643,15 @@ impl<T: Scalar> Smat<T> {
                 self.cache.record(false, t0.elapsed());
                 return tuned;
             };
-            // Follower: wait for the leader, bounded by the configured
+            // Follower: wait for the leader, bounded by the wait
             // deadline, then loop to replay its published decision (or
             // take over leadership if it degraded).
             self.cache.record_coalesced_wait();
             if !marker.wait_until(wait_deadline) {
                 let features = extract_structure(csr).features;
-                let reason = if req_deadline.is_some_and(|d| d <= Instant::now()) {
-                    "request deadline expired while waiting on an in-flight tuning run; \
-                     serving the reference kernel"
-                        .to_string()
-                } else {
-                    format!(
-                        "single-flight wait exceeded {:?}; serving the reference kernel",
-                        self.config.single_flight_wait
-                    )
-                };
-                let tuned = self.degrade(csr, features, reason, t0, key);
+                let reason = "single-flight wait ended before the in-flight tuning run did; \
+                              serving the reference kernel";
+                let tuned = self.degrade(csr, features, reason.to_string(), t0, key);
                 self.cache.record(false, t0.elapsed());
                 return tuned;
             }
@@ -947,7 +918,7 @@ impl<T: Scalar> Smat<T> {
     /// [`ExecIncident`], and the call re-executes through the reference
     /// (variant 0) kernel of the tuned format — so the caller still
     /// gets `Ok` with a correct product. After
-    /// [`SmatConfig::breaker_threshold`] incidents the variant's
+    /// [`crate::BREAKER_THRESHOLD`] incidents the variant's
     /// circuit breaker opens: it is quarantined (served by the
     /// reference path, excluded from future candidate sets, its cached
     /// decisions evicted) until a call-counted exponential backoff
@@ -1105,7 +1076,7 @@ impl<T: Scalar> Smat<T> {
         if let (Some(path), Some(installation)) = (&self.config.install_path, &self.installation) {
             let mut snapshot = installation.clone();
             snapshot.quarantined = self.health.quarantined_kernels();
-            let _ = snapshot.save_with(path, RetryPolicy::from_config(&self.config));
+            let _ = snapshot.save(path);
         }
     }
 
@@ -1915,11 +1886,7 @@ pub(crate) mod tests {
         fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("kernel exploded at serve time");
         }
-        let cfg = SmatConfig {
-            breaker_threshold: 2,
-            ..SmatConfig::fast()
-        };
-        let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
+        let mut e = engine();
         let id = e
             .library_mut()
             .register(Format::Csr, "csr_bad", StrategySet::default(), bad_csr);
@@ -1931,19 +1898,20 @@ pub(crate) mod tests {
         let mut y = vec![0.0; 200];
         // Every call returns Ok with the reference-path product, even
         // though the tuned kernel panics on each one.
-        for _ in 0..2 {
+        let threshold = u64::from(crate::BREAKER_THRESHOLD);
+        for _ in 0..threshold {
             y.fill(f64::NAN);
             e.spmv(&tuned, &x, &mut y).unwrap();
             assert_eq!(y, expect);
         }
         let report = e.health_report();
-        assert_eq!(report.calls, 2);
-        assert_eq!(report.exec_faults, 2);
+        assert_eq!(report.calls, threshold);
+        assert_eq!(report.exec_faults, threshold);
         assert_eq!(report.breaker_trips, 1);
         assert_eq!(report.quarantined_variants.len(), 1);
         assert_eq!(report.quarantined_variants[0].kernel, id);
         assert_eq!(report.quarantined_variants[0].name, "csr_bad");
-        assert_eq!(report.recent_incidents.len(), 2);
+        assert_eq!(report.recent_incidents.len(), threshold as usize);
         assert_eq!(report.recent_incidents[0].kind, FaultKind::Panic);
         assert_eq!(report.recent_incidents[0].fingerprint, m.fingerprint());
         assert!(report.recent_incidents[0].payload.contains("exploded"));
@@ -1951,7 +1919,7 @@ pub(crate) mod tests {
         // the kernel runs, so no further incidents accrue.
         e.spmv(&tuned, &x, &mut y).unwrap();
         assert_eq!(y, expect);
-        assert_eq!(e.health_report().exec_faults, 2);
+        assert_eq!(e.health_report().exec_faults, threshold);
     }
 
     #[test]
@@ -1966,12 +1934,7 @@ pub(crate) mod tests {
             m.spmv(x, y).expect("sized vectors");
         }
         HEALED.store(false, Ordering::Relaxed);
-        let cfg = SmatConfig {
-            breaker_threshold: 2,
-            breaker_backoff_calls: 4,
-            ..SmatConfig::fast()
-        };
-        let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
+        let mut e = engine();
         let id =
             e.library_mut()
                 .register(Format::Csr, "csr_flaky", StrategySet::default(), flaky_csr);
@@ -1981,16 +1944,19 @@ pub(crate) mod tests {
         let mut y = vec![0.0; 150];
         let mut expect = vec![0.0; 150];
         m.spmv(&x, &mut expect).unwrap();
-        // Calls 1-2 fault and trip the breaker (reopen_at = 2 + 4 = 6);
-        // calls 3-5 divert to the reference path.
-        for _ in 0..5 {
+        // The first BREAKER_THRESHOLD calls fault and trip the breaker
+        // (reopen_at = threshold + backoff); the calls before reopen_at
+        // divert to the reference path.
+        let threshold = u64::from(crate::BREAKER_THRESHOLD);
+        let reopen_at = threshold + crate::BREAKER_BACKOFF_CALLS;
+        for _ in 1..reopen_at {
             e.spmv(&tuned, &x, &mut y).unwrap();
             assert_eq!(y, expect);
         }
-        assert_eq!(e.health_report().exec_faults, 2);
+        assert_eq!(e.health_report().exec_faults, threshold);
         assert!(!e.health_report().quarantined_variants.is_empty());
-        // Call 6 claims the half-open probe; the kernel has healed, so
-        // the breaker closes and the variant is readmitted.
+        // Call reopen_at claims the half-open probe; the kernel has
+        // healed, so the breaker closes and the variant is readmitted.
         HEALED.store(true, Ordering::Relaxed);
         e.spmv(&tuned, &x, &mut y).unwrap();
         assert_eq!(y, expect);
@@ -2005,11 +1971,7 @@ pub(crate) mod tests {
         fn bad_csr(_: &AnyMatrix<f64>, _: &[f64], _: &mut [f64]) {
             panic!("cached variant gone bad");
         }
-        let cfg = SmatConfig {
-            breaker_threshold: 1,
-            ..SmatConfig::fast()
-        };
-        let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
+        let mut e = engine();
         let id = e.library_mut().register(
             Format::Csr,
             "csr_cached_bad",
@@ -2033,10 +1995,12 @@ pub(crate) mod tests {
         let hit = e.prepare(&m);
         assert!(hit.decision().is_cached());
         assert_eq!(hit.kernel(), id);
-        // One fault quarantines the variant (threshold 1).
+        // BREAKER_THRESHOLD faults quarantine the variant.
         let x = vec![1.0; 180];
         let mut y = vec![0.0; 180];
-        e.spmv(&hit, &x, &mut y).unwrap();
+        for _ in 0..crate::BREAKER_THRESHOLD {
+            e.spmv(&hit, &x, &mut y).unwrap();
+        }
         assert_eq!(e.health_report().quarantined_variants.len(), 1);
         // The next prepare finds the entry poisoned, evicts it and
         // re-tunes to a different kernel.
@@ -2055,7 +2019,6 @@ pub(crate) mod tests {
         }
         let cfg = SmatConfig {
             screen_outputs: true,
-            breaker_threshold: 1,
             ..SmatConfig::fast()
         };
         let mut e = Smat::<f64>::with_config(model(), cfg).unwrap();
@@ -2071,12 +2034,15 @@ pub(crate) mod tests {
         let mut y = vec![0.0; 120];
         let mut expect = vec![0.0; 120];
         m.spmv(&x, &mut expect).unwrap();
-        e.spmv(&tuned, &x, &mut y).unwrap();
-        // Screening caught the NaN, re-ran the reference, and served
-        // the clean product.
-        assert_eq!(y, expect);
+        for _ in 0..crate::BREAKER_THRESHOLD {
+            y.fill(0.0);
+            e.spmv(&tuned, &x, &mut y).unwrap();
+            // Screening caught the NaN, re-ran the reference, and served
+            // the clean product.
+            assert_eq!(y, expect);
+        }
         let report = e.health_report();
-        assert_eq!(report.exec_faults, 1);
+        assert_eq!(report.exec_faults, u64::from(crate::BREAKER_THRESHOLD));
         assert_eq!(report.recent_incidents[0].kind, FaultKind::NonFinite);
         assert_eq!(report.quarantined_variants.len(), 1);
     }
@@ -2102,7 +2068,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stats_facade_mirrors_cache_counters_into_the_report() {
+    fn cache_counters_live_in_cache_stats_alone() {
         let e = engine();
         let m = tridiagonal::<f64>(100);
         e.prepare(&m); // miss
@@ -2110,11 +2076,59 @@ pub(crate) mod tests {
         let cache = e.cache_stats();
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 1);
-        let health = e.health_report();
-        assert_eq!(health.cache_hits, 1);
-        assert_eq!(health.cache_misses, 1);
-        assert_eq!(health.exec_faults, 0);
-        assert!(health.quarantined_variants.is_empty());
+        let health = serde_json::to_string(&e.health_report()).unwrap();
+        for mirror in ["cache_hits", "cache_misses", "coalesced_waits"] {
+            assert!(!health.contains(mirror), "{mirror} in {health}");
+        }
+    }
+
+    #[test]
+    fn quarantine_lists_keep_one_order_on_every_engine() {
+        let spmv = KernelId {
+            op: smat_kernels::Op::Spmv,
+            format: Format::Csr,
+            variant: 1,
+        };
+        let spmm = KernelId {
+            op: smat_kernels::Op::Spmm,
+            ..spmv
+        };
+        let path = cache_tmp("quarantine_order.json");
+        let digest = KernelLibrary::<f64>::new().digest();
+        // Each engine's breaker registry is a fresh `HashMap`, so an
+        // order that followed the map would differ across engines.
+        for round in 0..20 {
+            let seeded = if round % 2 == 0 {
+                vec![spmv, spmm]
+            } else {
+                vec![spmm, spmv]
+            };
+            let installation = Installation {
+                schema: crate::INSTALL_SCHEMA_VERSION,
+                precision: "double".into(),
+                library_digest: digest,
+                probe_dim: 0,
+                kernel_choice: KernelChoice::basic(),
+                tables: Vec::new(),
+                quarantined: seeded,
+            };
+            let mut e =
+                Smat::<f64>::with_installation(model(), SmatConfig::fast(), installation).unwrap();
+            let reported: Vec<KernelId> = e
+                .health_report()
+                .quarantined_variants
+                .iter()
+                .map(|q| q.kernel)
+                .collect();
+            assert_eq!(reported, [spmv, spmm], "round {round}");
+            // An adopted installation has no path; give it one so the
+            // engine re-saves it as a breaker trip does.
+            e.config.install_path = Some(path.clone());
+            e.persist_quarantine();
+            let saved = Installation::load(&path).unwrap().quarantined;
+            assert_eq!(saved, [spmv, spmm], "round {round}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! precision and kernel-library digest they were produced under;
 //! [`check_stamp`] verifies those, in that order, after the checksum.
 //!
-//! Each whole-artifact step is retried on transient I/O failures under
-//! the caller's [`RetryPolicy`], and its `site` names both the retry
+//! Each whole-artifact step is retried on transient I/O failures
+//! ([`crate::PERSIST_RETRIES`] times), and its `site` names both the retry
 //! label and the failpoint that scripts such a failure (`install.save`,
 //! `install.load`, `cache.persist`, `cache.load`, `model.save`,
 //! `model.load`), ahead of the finer `persist.*` sites inside the JSON
@@ -22,7 +22,7 @@
 
 use crate::error::{Result, SmatError};
 use crate::integrity::fnv1a64;
-use crate::retry::{retry_transient, RetryPolicy};
+use crate::retry::retry_transient;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use smat_learn::PersistError;
@@ -45,14 +45,13 @@ fn checksum<P: Serialize>(payload: &P) -> Result<u64> {
     Ok(fnv1a64(canonical.as_bytes()))
 }
 
-/// One whole-artifact I/O step under the retry policy and the `site`
+/// One whole-artifact I/O step under the retry loop and the `site`
 /// failpoint.
 fn io<R>(
     site: &'static str,
-    policy: RetryPolicy,
     mut step: impl FnMut() -> std::result::Result<R, PersistError>,
 ) -> Result<R> {
-    retry_transient(policy, site, || {
+    retry_transient(site, || {
         if let Some(fault) = smat_failpoints::check(site) {
             return Err(SmatError::Persist(PersistError::Io(fault.into())));
         }
@@ -65,18 +64,13 @@ fn io<R>(
 /// # Errors
 ///
 /// Returns [`SmatError::Persist`] on serialization failure, or when
-/// writing still fails after the policy's retries.
-pub(crate) fn save<P: Serialize>(
-    payload: &P,
-    path: &Path,
-    site: &'static str,
-    policy: RetryPolicy,
-) -> Result<()> {
+/// writing still fails after the retries.
+pub(crate) fn save<P: Serialize>(payload: &P, path: &Path, site: &'static str) -> Result<()> {
     let sealed = Sealed {
         checksum: checksum(payload)?,
         payload,
     };
-    io(site, policy, || smat_learn::save_json(&sealed, path))
+    io(site, || smat_learn::save_json(&sealed, path))
 }
 
 /// Reads the artifact at `path` and verifies its checksum. `what`
@@ -85,16 +79,15 @@ pub(crate) fn save<P: Serialize>(
 /// # Errors
 ///
 /// Returns [`SmatError::Persist`] when reading still fails after the
-/// policy's retries or the file does not parse as a sealed `P`, and
+/// retries or the file does not parse as a sealed `P`, and
 /// [`SmatError::Corrupt`] when it parses but its contents do not match
 /// the recorded checksum.
 pub(crate) fn load<P: Serialize + DeserializeOwned>(
     what: &str,
     path: &Path,
     site: &'static str,
-    policy: RetryPolicy,
 ) -> Result<P> {
-    let sealed: Sealed<P> = io(site, policy, || smat_learn::load_json(path))?;
+    let sealed: Sealed<P> = io(site, || smat_learn::load_json(path))?;
     let actual = checksum(&sealed.payload)?;
     if actual != sealed.checksum {
         return Err(SmatError::Corrupt {

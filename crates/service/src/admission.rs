@@ -60,7 +60,7 @@ impl TokenBuckets {
     }
 
     /// Takes one token from `tenant`'s bucket; a tenant not seen before
-    /// has a full one. At [`TENANT_BOUND`] buckets, those that have
+    /// has a full one. At `TENANT_BOUND` buckets, those that have
     /// refilled to `burst` are dropped first — a full bucket is what an
     /// unseen tenant gets, so nothing is forgotten — and if all of them
     /// are still owed tokens the newcomer is refused: neither a spent

@@ -3,8 +3,17 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// Poll granularity of blocking socket reads; also bounds how stale the
+/// drain flag can be observed by a connection thread.
+pub const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Retry hint returned with queue-full and drain sheds.
+pub const SHED_RETRY_AFTER: Duration = Duration::from_millis(250);
+
 /// Configuration of the serving loop. Everything has a production-ish
-/// default; tests shrink the limits to force each policy to fire.
+/// default; tests shrink the limits to force each policy to fire. The
+/// read poll and the shed retry hint are constants ([`READ_TIMEOUT`],
+/// [`SHED_RETRY_AFTER`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Tuning runs allowed at once: the admission gate's permits. Each
@@ -29,15 +38,10 @@ pub struct ServeConfig {
     /// Hard cap on one line-delimited frame. A connection exceeding it
     /// is answered with an error and closed.
     pub max_frame_bytes: usize,
-    /// Poll granularity of blocking socket reads; also bounds how
-    /// stale the drain flag can be observed by a connection thread.
-    pub read_timeout: Duration,
     /// Wall-clock budget to complete one started frame. A client that
     /// dribbles bytes slower than this is disconnected (slow-loris
     /// defense).
     pub frame_timeout: Duration,
-    /// Retry hint returned with queue-full / drain sheds.
-    pub shed_retry_after: Duration,
     /// When set, the tuning-cache snapshot is persisted here during
     /// graceful shutdown (and preloaded at startup if present).
     pub cache_snapshot: Option<PathBuf>,
@@ -60,9 +64,7 @@ impl Default for ServeConfig {
             tenant_rate: 50.0,
             tenant_burst: 100.0,
             max_frame_bytes: 8 << 20,
-            read_timeout: Duration::from_millis(25),
             frame_timeout: Duration::from_secs(10),
-            shed_retry_after: Duration::from_millis(250),
             cache_snapshot: None,
             handle_capacity: 32,
             handle_budget_bytes: 256 << 20,
@@ -78,9 +80,6 @@ impl ServeConfig {
         self.queue_capacity = self.queue_capacity.max(1);
         self.degrade_watermark = self.degrade_watermark.clamp(1, self.queue_capacity);
         self.max_frame_bytes = self.max_frame_bytes.max(64);
-        if self.read_timeout.is_zero() {
-            self.read_timeout = Duration::from_millis(25);
-        }
         self
     }
 }
@@ -96,7 +95,6 @@ mod tests {
             queue_capacity: 0,
             degrade_watermark: 0,
             max_frame_bytes: 1,
-            read_timeout: Duration::ZERO,
             ..ServeConfig::default()
         }
         .normalized();
@@ -104,7 +102,6 @@ mod tests {
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.degrade_watermark, 1);
         assert!(c.max_frame_bytes >= 64);
-        assert!(!c.read_timeout.is_zero());
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! - **Coalescing**: identical structural fingerprints from different
 //!   clients collapse onto one tuning run through the engine's
 //!   single-flight `prepare`.
-//! - **Degradation**: when the engine is unhealthy or the line at the
-//!   gate long, requests are answered immediately through the reference
-//!   serial CSR path and counted as degraded — correct now beats
-//!   tuned late.
+//! - **Degradation**: when the line at the gate is long, requests are
+//!   answered immediately through the reference serial CSR path and
+//!   counted as degraded — correct now beats tuned late. A quarantined
+//!   kernel is the engine's to route around, not a reason to degrade.
 //! - **Warm handles**: a successful tune/spmv response carries a
 //!   `handle` (structural fingerprint + server generation); follow-up
 //!   requests that send the handle instead of triplets skip parsing,
@@ -52,7 +52,7 @@ pub mod metrics;
 pub mod proto;
 pub mod server;
 
-pub use config::ServeConfig;
+pub use config::{ServeConfig, READ_TIMEOUT, SHED_RETRY_AFTER};
 pub use metrics::ServiceMetrics;
 pub use proto::{MatrixSource, Request, Response, Status, WireHandle, WorkOp, WorkRequest};
 pub use server::{DrainSummary, Server, ServerHandle};

@@ -232,8 +232,9 @@ impl ServiceMetrics {
 }
 
 /// The entry of the `shards` array in the `metrics` document and in
-/// `smat health --json`: one engine's decision-cache counters,
-/// quarantined variant names and handle-registry counters.
+/// `smat health --json`: one engine's decision-cache counters (their
+/// one home — the health report does not copy them), quarantined
+/// variant names and handle-registry counters.
 /// The array has exactly one entry — the daemon runs one engine — and
 /// stays an array because monitoring gates index it.
 pub fn shard_entry(cache: &CacheStats, health: &HealthReport, handles: &HandleStats) -> Value {

@@ -37,10 +37,11 @@
 //! 1. tenant token bucket empty → shed with retry-after;
 //! 2. deadline already expired → deadline miss;
 //! 3. draining → shed;
-//! 4. engine unhealthy (a kernel quarantined) or the line at the
-//!    watermark → serve the reference serial CSR product *now*,
-//!    counted degraded — a correct answer immediately instead of a
-//!    tuned answer late;
+//! 4. the line at the watermark → serve the reference serial CSR
+//!    product *now*, counted degraded — a correct answer immediately
+//!    instead of a tuned answer late. A quarantined kernel is no reason
+//!    to degrade: the engine already tunes around it (`prepare`
+//!    substitutes row 0) and serves each benched call by the reference;
 //! 5. line full → shed with retry-after;
 //! 6. otherwise wait for a permit, then tune here; every measurement
 //!    is clamped to the request deadline via `prepare_with_deadline`.
@@ -55,7 +56,7 @@
 //! [`DrainSummary`] and the process can exit 0.
 
 use crate::admission::{Gate, Refused, TokenBuckets};
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, READ_TIMEOUT, SHED_RETRY_AFTER};
 use crate::metrics::{shard_entry, ServiceMetrics, Stage};
 use crate::proto::{
     obj, parse_request_into, MatrixSource, Request, Response, Status, WireHandle, WorkOp,
@@ -425,7 +426,7 @@ impl Server {
 // ---------------------------------------------------------------------
 
 fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
-    let _ = conn.set_read_timeout(shared.config.read_timeout);
+    let _ = conn.set_read_timeout(READ_TIMEOUT);
     if let Conn::Tcp(stream) = &conn {
         // A reply is one write of a whole line: nothing for Nagle to
         // coalesce, only an ACK to wait for.
@@ -622,7 +623,7 @@ fn handle_work(shared: &Shared, work: &WorkRequest, scratch: &mut Scratch) -> Re
     }
     if shared.draining() {
         ServiceMetrics::inc(&m.shed_draining);
-        return Response::shed(shared.config.shed_retry_after, "server is draining");
+        return Response::shed(SHED_RETRY_AFTER, "server is draining");
     }
     let matrix = match &work.source {
         // Warm path: a handle request never waits, never parses, never
@@ -651,18 +652,12 @@ fn handle_work(shared: &Shared, work: &WorkRequest, scratch: &mut Scratch) -> Re
         }
         MatrixSource::Inline(matrix) => matrix,
     };
-    // An unhealthy engine or a long line means a correct answer *now*
-    // beats a tuned answer late.
+    // A long line means a correct answer *now* beats a tuned answer
+    // late.
     let depth = shared.gate.waiters();
-    if shared.engine.quarantine_active() || depth >= shared.config.degrade_watermark {
-        let reason = if depth >= shared.config.degrade_watermark {
-            format!(
-                "backlog {depth} at the degrade watermark {}",
-                shared.config.degrade_watermark
-            )
-        } else {
-            "engine health: kernels quarantined".to_string()
-        };
+    let watermark = shared.config.degrade_watermark;
+    if depth >= watermark {
+        let reason = format!("backlog {depth} at the degrade watermark {watermark}");
         return degraded_now(work, matrix, &reason, scratch);
     }
     let queued = |depth: usize| m.observe_queue_depth(depth as u64);
@@ -670,7 +665,7 @@ fn handle_work(shared: &Shared, work: &WorkRequest, scratch: &mut Scratch) -> Re
         Ok(permit) => permit,
         Err(Refused::Full) => {
             ServiceMetrics::inc(&m.shed_queue_full);
-            return Response::shed(shared.config.shed_retry_after, "admission queue full");
+            return Response::shed(SHED_RETRY_AFTER, "admission queue full");
         }
         Err(Refused::Expired) => return Response::deadline_miss("queued"),
     };
@@ -922,9 +917,9 @@ fn write_response(
 }
 
 /// Builds the metrics JSON: service counters, the engine health report
-/// (breaker states, quarantined kernels, coalesced waits, cache
-/// traffic), the one-entry `shards` array with the cache
-/// and handle-registry counters, and the per-stage time histograms.
+/// (breaker states, quarantined kernels), the one-entry `shards` array
+/// with the cache and handle-registry counters, and the per-stage time
+/// histograms.
 fn metrics_value(shared: &Arc<Shared>) -> Value {
     let m = &shared.metrics;
     let g = ServiceMetrics::get;

@@ -211,7 +211,6 @@ fn seeded_protocol_fuzz_never_panics_and_every_frame_gets_one_reply() {
     let engine = Arc::new(Smat::with_config(model, SmatConfig::default()).expect("engine"));
     let config = ServeConfig {
         workers: 2,
-        read_timeout: Duration::from_millis(10),
         // The fuzz is one very chatty tenant.
         tenant_rate: 1e9,
         tenant_burst: 1e9,

@@ -6,14 +6,14 @@
 
 use serde::Value;
 use smat::{Installation, Smat, SmatConfig, TrainedModel, Trainer, INSTALL_SCHEMA_VERSION};
-use smat_kernels::{KernelChoice, KernelFn, KernelId, KernelLibrary, StrategySet};
+use smat_kernels::{KernelChoice, KernelFn, KernelLibrary, StrategySet};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
 use smat_matrix::{AnyMatrix, Csr, Format};
 use smat_service::server::DrainSummary;
 use smat_service::{ServeConfig, Server, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,6 @@ fn start_with(engine: Arc<Smat<f64>>, config: ServeConfig) -> Running {
 fn test_config() -> ServeConfig {
     ServeConfig {
         workers: 2,
-        read_timeout: Duration::from_millis(10),
         frame_timeout: Duration::from_millis(400),
         ..ServeConfig::default()
     }
@@ -114,6 +113,13 @@ fn status_of(v: &Value) -> &str {
         Value::Str(s) => s.as_str(),
         other => panic!("status is not a string: {other:?}"),
     }
+}
+
+/// The decision-cache counters of a metrics document: `shards[0].cache`,
+/// their one home.
+fn shard_cache(metrics: &Value) -> &Value {
+    let shards = field(metrics, "shards").as_array().expect("shards array");
+    field(&shards[0], "cache")
 }
 
 fn as_u64(v: &Value) -> u64 {
@@ -208,11 +214,11 @@ fn ping_metrics_and_shutdown_round_trip() {
         as_u64(field(service, key));
     }
     assert_eq!(field(service, "draining"), &Value::Bool(false));
-    // The engine block is the full health report, including the
-    // counters the issue calls out by name.
+    // The engine block is the full health report; the cache counters
+    // are the shard entry's.
     let engine = field(&metrics, "engine");
-    as_u64(field(engine, "coalesced_waits"));
     field(engine, "quarantined_variants").as_array().unwrap();
+    as_u64(field(shard_cache(&metrics), "coalesced_waits"));
 
     let summary = shutdown_and_join(running);
     assert_eq!(summary.requests_total, 0);
@@ -485,8 +491,7 @@ fn concurrent_clients_are_all_answered_and_counters_balance() {
     );
     // All eight share one structural fingerprint: at most one tuning
     // run, the rest answered from cache or coalesced onto the leader.
-    let engine = field(&metrics, "engine");
-    assert_eq!(as_u64(field(engine, "cache_misses")), 1);
+    assert_eq!(as_u64(field(shard_cache(&metrics), "misses")), 1);
     shutdown_and_join(running);
 }
 
@@ -537,9 +542,11 @@ fn warm_handle_path_does_zero_matrix_work() {
     // of the matrix-work counters.
     let before = one_shot(running.addr, "{\"op\":\"metrics\"}");
     let parses_before = as_u64(field(field(&before, "service"), "wire_matrix_parses"));
-    let engine_before = field(&before, "engine");
-    let prepares_before =
-        as_u64(field(engine_before, "cache_hits")) + as_u64(field(engine_before, "cache_misses"));
+    let prepares = |metrics: &Value| {
+        let cache = shard_cache(metrics);
+        as_u64(field(cache, "hits")) + as_u64(field(cache, "misses"))
+    };
+    let prepares_before = prepares(&before);
     let hits_before = as_u64(field(field(&before, "service"), "handle_hits"));
 
     let warm_frame = format!(
@@ -566,9 +573,8 @@ fn warm_handle_path_does_zero_matrix_work() {
         parses_before,
         "warm calls must not parse wire matrices"
     );
-    let engine_after = field(&after, "engine");
     assert_eq!(
-        as_u64(field(engine_after, "cache_hits")) + as_u64(field(engine_after, "cache_misses")),
+        prepares(&after),
         prepares_before,
         "warm calls must not reach prepare"
     );
@@ -838,7 +844,7 @@ fn stampede_on_one_matrix_coalesces_to_one_tune_and_one_handle() {
     let metrics = one_shot(running.addr, "{\"op\":\"metrics\"}");
     // Single-flight coalescing: one structural fingerprint tunes
     // exactly once.
-    assert_eq!(as_u64(field(field(&metrics, "engine"), "cache_misses")), 1);
+    assert_eq!(as_u64(field(shard_cache(&metrics), "misses")), 1);
     let summary = shutdown_and_join(running);
     assert_eq!(summary.requests_total, 2 * CLIENTS as u64);
     assert_eq!(summary.requests_handle_miss, 0);
@@ -879,12 +885,16 @@ fn metrics_expose_the_one_entry_shards_array() {
         as_u64(field(shard, key));
     }
     assert_eq!(as_u64(field(shard, "handle_entries")), 1);
-    // The engine block and the entry report the same decision cache.
-    let engine = field(&metrics, "engine");
-    assert_eq!(as_u64(field(engine, "cache_misses")), 1);
-    for (engine_key, cache_key) in [("cache_hits", "hits"), ("cache_misses", "misses")] {
-        assert_eq!(field(engine, engine_key), field(cache, cache_key));
-    }
+    assert_eq!(as_u64(field(cache, "misses")), 1);
+    // The entry is the counters' one home: the engine block holds no
+    // copy of them.
+    let engine = field(&metrics, "engine")
+        .as_object()
+        .expect("engine object");
+    assert!(
+        engine.iter().all(|(key, _)| !key.starts_with("cache_")),
+        "engine block: {engine:?}"
+    );
     shutdown_and_join(running);
 }
 
@@ -922,19 +932,9 @@ fn handle_capacity_bounds_the_whole_daemon() {
 /// An engine whose decisions are a pure function of the request: no
 /// rules (every matrix takes the measured path), CSR the only
 /// candidate, the basic kernel table (serial plans, so nothing for
-/// the plan search to race). A non-empty `quarantined` seeds open
-/// breakers, so the daemon in front of it answers every inline request
-/// from the degraded rung.
-fn pinned_engine(quarantined: Vec<KernelId>) -> Arc<Smat<f64>> {
-    pinned_engine_with(quarantined, None)
-}
-
-/// [`pinned_engine`], with `csr_kernel` (when given) registered and
-/// chosen as the CSR kernel, so every tuning run measures it.
-fn pinned_engine_with(
-    quarantined: Vec<KernelId>,
-    csr_kernel: Option<KernelFn<f64>>,
-) -> Arc<Smat<f64>> {
+/// the plan search to race). `csr_kernel`, when given, is registered
+/// and chosen as the CSR kernel, so every tuning run measures it.
+fn pinned_engine(csr_kernel: Option<KernelFn<f64>>) -> Arc<Smat<f64>> {
     let mut pinned = model().clone();
     pinned.groups.groups.clear();
     let config = SmatConfig {
@@ -953,7 +953,7 @@ fn pinned_engine_with(
         probe_dim: config.probe_dim,
         kernel_choice,
         tables: Vec::new(),
-        quarantined,
+        quarantined: Vec::new(),
     };
     let mut engine = Smat::with_installation(pinned, config, installation).expect("engine builds");
     if let Some(kernel) = csr_kernel {
@@ -965,8 +965,9 @@ fn pinned_engine_with(
     Arc::new(engine)
 }
 
-/// What the gate test and its registered kernel share: while `hold` is
-/// set a call of the kernel parks, after counting itself in `entered`.
+/// What a test holding a tuning run and its registered kernel share:
+/// while `hold` is set a call of the kernel parks, after counting
+/// itself in `entered`. Tests that hold take [`HOLDER`] first.
 struct Hold {
     hold: bool,
     entered: usize,
@@ -979,6 +980,36 @@ static HOLD: (Mutex<Hold>, Condvar) = (
     }),
     Condvar::new(),
 );
+
+/// Serializes the tests that hold [`HOLD`]: the test harness runs them
+/// on parallel threads, and one's release must not free the other's
+/// parked run.
+static HOLDER: Mutex<()> = Mutex::new(());
+
+/// Sets [`HOLD`], sends `frame` on `first` and waits until its tuning
+/// run has parked in the held kernel.
+fn park_one_run(first: &mut Client, frame: &str) {
+    let (state, changed) = &HOLD;
+    {
+        let mut state = state.lock().unwrap();
+        state.hold = true;
+        state.entered = 0;
+    }
+    first.send(frame);
+    let parked = changed
+        .wait_timeout_while(state.lock().unwrap(), Duration::from_secs(30), |s| {
+            s.entered == 0
+        })
+        .unwrap();
+    assert!(!parked.1.timed_out(), "the first request never tuned");
+}
+
+/// Lets every parked and later run of the held kernel through.
+fn release_runs() {
+    let (state, changed) = &HOLD;
+    state.lock().unwrap().hold = false;
+    changed.notify_all();
+}
 
 /// The reference CSR product, once the test lets it through.
 fn held_csr(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
@@ -994,6 +1025,16 @@ fn held_csr(m: &AnyMatrix<f64>, x: &[f64], y: &mut [f64]) {
         AnyMatrix::Csr(csr) => csr.spmv(x, y).expect("reference SpMV"),
         other => panic!("registered for CSR, handed {:?}", other.format()),
     }
+}
+
+/// An `spmv` frame on a structure of its own per `seed`: nothing
+/// coalesces, nothing hits the cache.
+fn held_frame(seed: u64, deadline_ms: u64) -> String {
+    let (matrix, x, _) = matrix_fixture(60, seed);
+    format!(
+        "{{\"op\":\"spmv\",\"deadline_ms\":{deadline_ms},\"matrix\":{matrix},\"x\":{}}}",
+        x_json(&x)
+    )
 }
 
 /// The six outcome counters of the `service` block, summed.
@@ -1023,15 +1064,8 @@ fn gate_runs_one_lines_up_two_and_answers_the_rest_at_once() {
         degrade_watermark: 2,
         ..test_config()
     };
-    let running = start_with(pinned_engine_with(Vec::new(), Some(held_csr)), config);
-    // Distinct structures: nothing coalesces, nothing hits the cache.
-    let frame = |seed: u64, deadline_ms: u64| {
-        let (matrix, x, _) = matrix_fixture(60, seed);
-        format!(
-            "{{\"op\":\"spmv\",\"deadline_ms\":{deadline_ms},\"matrix\":{matrix},\"x\":{}}}",
-            x_json(&x)
-        )
-    };
+    let _holder = HOLDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let running = start_with(pinned_engine(Some(held_csr)), config);
     // `unanswered` requests are in flight: admitted and counted in
     // `requests_total`, in no outcome counter yet.
     let assert_balance = |unanswered: u64| {
@@ -1043,33 +1077,24 @@ fn gate_runs_one_lines_up_two_and_answers_the_rest_at_once() {
             "service: {service:?}"
         );
     };
-    let (state, changed) = &HOLD;
-    state.lock().unwrap().hold = true;
 
     // The first request takes the permit and parks inside its tuning
     // run; the next two stand in line behind it, the second of them
     // with a deadline it will not make.
     let mut first = Client::connect(running.addr);
-    first.send(&frame(51, 20_000));
-    let parked = changed
-        .wait_timeout_while(state.lock().unwrap(), Duration::from_secs(30), |s| {
-            s.entered == 0
-        })
-        .unwrap();
-    assert!(!parked.1.timed_out(), "the first request never tuned");
-    drop(parked);
+    park_one_run(&mut first, &held_frame(51, 20_000));
     let mut second = Client::connect(running.addr);
-    second.send(&frame(52, 20_000));
+    second.send(&held_frame(52, 20_000));
     wait_until(|| running.handle.queue_depth() == 1, "one in line");
     let mut hurried = Client::connect(running.addr);
-    hurried.send(&frame(53, 1_000));
+    hurried.send(&held_frame(53, 1_000));
     wait_until(|| running.handle.queue_depth() == 2, "two in line");
     assert_balance(3);
 
     // The line is at the watermark (and its bound): the fourth and the
     // fifth are answered while the permit is still held.
     for seed in [54, 55] {
-        let resp = one_shot(running.addr, &frame(seed, 20_000));
+        let resp = one_shot(running.addr, &held_frame(seed, 20_000));
         match status_of(&resp) {
             "degraded" => match field(&resp, "reason") {
                 Value::Str(reason) => assert!(reason.contains("backlog 2"), "{reason}"),
@@ -1092,8 +1117,7 @@ fn gate_runs_one_lines_up_two_and_answers_the_rest_at_once() {
     assert_eq!(running.handle.queue_depth(), 1, "its place is free");
     assert_balance(2);
 
-    state.lock().unwrap().hold = false;
-    changed.notify_all();
+    release_runs();
     for (client, unanswered) in [(&mut first, 1), (&mut second, 0)] {
         let resp = client.recv();
         assert_eq!(status_of(&resp), "ok", "{resp:?}");
@@ -1112,7 +1136,7 @@ fn gate_runs_one_lines_up_two_and_answers_the_rest_at_once() {
     assert_eq!(as_u64(field(service, "queue_high_watermark")), 2);
     assert_eq!(as_u64(field(service, "deadline_misses")), 1);
     // Two tuning runs, not three: the hurried waiter's never started.
-    assert_eq!(as_u64(field(field(&metrics, "engine"), "cache_misses")), 2);
+    assert_eq!(as_u64(field(shard_cache(&metrics), "misses")), 2);
     let summary = shutdown_and_join(running);
     assert_eq!(summary.requests_total, 5);
     assert_eq!(summary.requests_ok, 2);
@@ -1155,12 +1179,13 @@ const TUNED_REPLIES: [&str; 7] = [
 ];
 
 /// Replies of the degraded rung, captured at the same commit: `tune`,
-/// `spmv` with `x`, `spmm` k=3 with and without `x`.
+/// `spmv` with `x`, `spmm` k=3 with and without `x`. Only `reason` has
+/// changed since: the rung is now reached through the backlog.
 const DEGRADED_REPLIES: [&str; 4] = [
-    r#"{"status":"degraded","op":"tune","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined"}"#,
-    r#"{"status":"degraded","op":"spmv","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","y":[2.5,1.0,6.0,1.5]}"#,
-    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
-    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"engine health: kernels quarantined","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
+    r#"{"status":"degraded","op":"tune","format":"csr","kernel":"csr_basic_serial","reason":"backlog 1 at the degrade watermark 1"}"#,
+    r#"{"status":"degraded","op":"spmv","format":"csr","kernel":"csr_basic_serial","reason":"backlog 1 at the degrade watermark 1","y":[2.5,1.0,6.0,1.5]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"backlog 1 at the degrade watermark 1","k":3,"y":[2.5,1.0,6.0,1.5,0.0,0.5,1.0,0.0,-12.0,0.125,-7.75,-24.0]}"#,
+    r#"{"status":"degraded","op":"spmm","format":"csr","kernel":"csr_basic_serial","reason":"backlog 1 at the degrade watermark 1","k":3,"y":[1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0,1.0,0.5,5.0,-3.0]}"#,
 ];
 
 /// A matrix and a vector whose product overflows: row 0 is `inf - inf`
@@ -1202,7 +1227,7 @@ fn replies_are_byte_identical_across_the_product_paths() {
     let block = format!(",\"k\":3,\"x\":{PINNED_BLOCK}");
     let vector = format!(",\"x\":{PINNED_X}");
 
-    let running = start_with(pinned_engine(Vec::new()), test_config());
+    let running = start_with(pinned_engine(None), test_config());
     let mut client = Client::connect(running.addr);
     let mut ask = |frame: String| {
         client.send(&frame);
@@ -1232,8 +1257,21 @@ fn replies_are_byte_identical_across_the_product_paths() {
     assert_y_round_trips(&overflowed);
     shutdown_and_join(running);
 
-    let benched = vec![KernelId::basic(Format::Ell)];
-    let running = start_with(pinned_engine(benched), test_config());
+    // The degraded rung: one run parked in a held kernel and one request
+    // in line behind it put the line at the watermark.
+    let _holder = HOLDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        degrade_watermark: 1,
+        ..test_config()
+    };
+    let running = start_with(pinned_engine(Some(held_csr)), config);
+    let mut parked = Client::connect(running.addr);
+    park_one_run(&mut parked, &held_frame(61, 20_000));
+    let mut waiting = Client::connect(running.addr);
+    waiting.send(&held_frame(62, 20_000));
+    wait_until(|| running.handle.queue_depth() == 1, "one in line");
     let mut client = Client::connect(running.addr);
     let mut ask = |frame: String| {
         client.send(&frame);
@@ -1253,6 +1291,11 @@ fn replies_are_byte_identical_across_the_product_paths() {
         "{overflowed}"
     );
     assert_y_round_trips(&overflowed);
+    release_runs();
+    for held in [&mut parked, &mut waiting] {
+        let resp = held.recv();
+        assert_eq!(status_of(&resp), "ok", "{resp:?}");
+    }
     shutdown_and_join(running);
 }
 
@@ -1270,7 +1313,7 @@ fn frames_split_at_any_byte_boundary_parse_the_same() {
     );
     assert!(stream.len() > 3 * 4097, "several pieces at every size");
     let run = |piece: usize| {
-        let running = start_with(pinned_engine(Vec::new()), test_config());
+        let running = start_with(pinned_engine(None), test_config());
         let mut client = Client::connect(running.addr);
         client.stream.set_nodelay(true).expect("nodelay");
         for part in stream.as_bytes().chunks(piece) {

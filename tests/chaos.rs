@@ -10,7 +10,10 @@
 //! production build carries only inert no-op sites).
 #![cfg(feature = "failpoints")]
 
-use smat::{BreakerState, DecisionPath, FaultKind, Installation, Smat, SmatConfig, Trainer};
+use smat::{
+    BreakerState, DecisionPath, FaultKind, Installation, Smat, SmatConfig, Trainer,
+    BREAKER_BACKOFF_CALLS, BREAKER_THRESHOLD, PERSIST_RETRIES,
+};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
 use smat_matrix::gen::{generate_corpus, power_law, random_uniform, tridiagonal, CorpusSpec};
 use smat_matrix::io::read_matrix_market;
@@ -18,7 +21,7 @@ use smat_matrix::utils::max_abs_diff;
 use smat_matrix::{AnyMatrix, Csr, Format, MatrixError};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 16;
 
@@ -179,14 +182,14 @@ fn poisoned_cache_lock_recovers_and_the_engine_stays_usable() {
     );
 }
 
-/// A follower that waits out `single_flight_wait` on a stalled leader
-/// degrades to the reference kernel instead of blocking forever.
+/// A follower whose one wait bound — `min(SINGLE_FLIGHT_WAIT, request
+/// deadline)` — passes on a stalled leader degrades to the reference
+/// kernel instead of blocking forever.
 #[test]
 fn follower_degrades_when_the_leader_outlives_the_wait_deadline() {
     let _serial = exclusive_failpoints();
     let cfg = SmatConfig {
         confidence_threshold: 1.1, // force the (stallable) measured path
-        single_flight_wait: Duration::from_millis(100),
         ..SmatConfig::fast()
     };
     let engine = Arc::new(train_engine_with(53, cfg));
@@ -204,7 +207,7 @@ fn follower_degrades_when_the_leader_outlives_the_wait_deadline() {
     };
     // Give the leader time to claim the in-flight marker.
     thread::sleep(Duration::from_millis(30));
-    let follower = engine.prepare(&m);
+    let follower = engine.prepare_with_deadline(&m, Instant::now() + Duration::from_millis(100));
     match follower.decision() {
         DecisionPath::Degraded { reason } => {
             assert!(
@@ -227,31 +230,27 @@ fn follower_degrades_when_the_leader_outlives_the_wait_deadline() {
 }
 
 /// Transient cache-snapshot I/O failures are retried until the schedule
-/// clears; the hit counter proves the retry loop ran exactly as
-/// configured.
+/// clears; the hit counter proves the retry loop ran `PERSIST_RETRIES`
+/// times.
 #[test]
 fn cache_snapshot_io_is_retried_through_transient_failures() {
     let _serial = exclusive_failpoints();
-    let cfg = SmatConfig {
-        persist_retries: 3,
-        persist_backoff: Duration::from_millis(1),
-        ..SmatConfig::fast()
-    };
-    let engine = train_engine_with(54, cfg);
+    let engine = train_engine_with(54, SmatConfig::fast());
     engine.prepare(&tridiagonal::<f64>(200));
     let path = tmp("cache_retry.json");
     std::fs::remove_file(&path).ok();
 
     {
-        let _g = smat_failpoints::scoped("cache.persist", "2*fail(disk full)->off").unwrap();
+        let schedule = format!("{PERSIST_RETRIES}*fail(disk full)->off");
+        let _g = smat_failpoints::scoped("cache.persist", &schedule).unwrap();
         let written = engine
             .save_cache(&path)
             .expect("retries must absorb the failures");
         assert_eq!(written, 1);
         assert_eq!(
             smat_failpoints::hits("cache.persist"),
-            3,
-            "two scripted failures, then the successful attempt"
+            u64::from(1 + PERSIST_RETRIES),
+            "every retry failed but the last, which landed"
         );
     }
     {
@@ -267,13 +266,16 @@ fn cache_snapshot_io_is_retried_through_transient_failures() {
         .is_cached());
 
     // An unyielding failure exhausts the budget and surfaces as a
-    // transient persist error: 1 attempt + 3 retries, then give up.
+    // transient persist error: 1 attempt + the retries, then give up.
     {
         let _g = smat_failpoints::scoped("cache.persist", "fail(disk gone)").unwrap();
         let err = engine.save_cache(&path).unwrap_err();
         assert_eq!(err.taxonomy(), "persist");
         assert!(err.is_transient());
-        assert_eq!(smat_failpoints::hits("cache.persist"), 4);
+        assert_eq!(
+            smat_failpoints::hits("cache.persist"),
+            u64::from(1 + PERSIST_RETRIES)
+        );
     }
     // The exhausted save never touched the valid artifact.
     engine.clear_cache();
@@ -287,20 +289,20 @@ fn cache_snapshot_io_is_retried_through_transient_failures() {
 #[test]
 fn install_artifacts_survive_scripted_io_faults() {
     let _serial = exclusive_failpoints();
-    let cfg = SmatConfig {
-        persist_retries: 2,
-        persist_backoff: Duration::from_millis(1),
-        ..SmatConfig::fast()
-    };
+    let cfg = SmatConfig::fast();
     let path = tmp("install_chaos.json");
     std::fs::remove_file(&path).ok();
 
     // load_or_run retries the save through a transient schedule.
     {
-        let _g = smat_failpoints::scoped("install.save", "2*fail(flaky mount)->off").unwrap();
+        let schedule = format!("{PERSIST_RETRIES}*fail(flaky mount)->off");
+        let _g = smat_failpoints::scoped("install.save", &schedule).unwrap();
         let (_, from_disk) = Installation::load_or_run::<f64>(&path, &cfg).unwrap();
         assert!(!from_disk);
-        assert_eq!(smat_failpoints::hits("install.save"), 3);
+        assert_eq!(
+            smat_failpoints::hits("install.save"),
+            u64::from(1 + PERSIST_RETRIES)
+        );
     }
     assert!(Installation::load(&path).is_ok(), "the retried save landed");
 
@@ -312,15 +314,18 @@ fn install_artifacts_survive_scripted_io_faults() {
         assert!(!from_disk, "an unreadable artifact must regenerate");
     }
 
-    // An unyielding write failure exhausts the retry budget: a clean,
-    // taxonomy-named error, not a panic. 1 attempt + 2 retries.
+    // An unyielding write failure exhausts the retries: a clean,
+    // taxonomy-named error, not a panic.
     std::fs::remove_file(&path).ok();
     {
         let _g = smat_failpoints::scoped("install.save", "fail(disk gone)").unwrap();
         let err = Installation::load_or_run::<f64>(&path, &cfg).unwrap_err();
         assert_eq!(err.taxonomy(), "persist");
         assert!(err.is_transient());
-        assert_eq!(smat_failpoints::hits("install.save"), 3);
+        assert_eq!(
+            smat_failpoints::hits("install.save"),
+            u64::from(1 + PERSIST_RETRIES)
+        );
         assert!(!path.exists(), "no torn artifact may be left behind");
     }
     std::fs::remove_file(&path).ok();
@@ -419,18 +424,15 @@ fn pool_dispatch_faults_fall_back_inline_without_corrupting_results() {
 /// The execution-time containment acceptance run: a kernel scripted to
 /// panic on warm calls never propagates. Every `spmv` returns `Ok` with
 /// a reference-correct product, the variant is quarantined after
-/// `breaker_threshold` incidents, excluded from the next `prepare`'s
+/// `BREAKER_THRESHOLD` incidents, excluded from the next `prepare`'s
 /// candidate set (its cached decision evicted), and readmitted by a
-/// successful half-open re-probe once the call-counted backoff elapses.
+/// successful half-open re-probe once the call-counted backoff
+/// (`BREAKER_BACKOFF_CALLS`) elapses.
 #[test]
 fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
     let _serial = exclusive_failpoints();
-    let cfg = SmatConfig {
-        breaker_threshold: 2,
-        breaker_backoff_calls: 4,
-        ..SmatConfig::fast()
-    };
-    let engine = train_engine_with(56, cfg);
+    let threshold = u64::from(BREAKER_THRESHOLD);
+    let engine = train_engine_with(56, SmatConfig::fast());
     let m = random_uniform::<f64>(300, 300, 8, 77);
     let tuned = engine.prepare(&m);
     let bad = tuned.kernel();
@@ -448,17 +450,20 @@ fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
         );
     };
 
-    // Calls 1–2: the kernel panics mid-call on a scripted schedule. Both
-    // faults are contained — the caller sees `Ok` and a correct product
-    // served by the reference path — and the second trips the breaker.
-    let _g = smat_failpoints::scoped("exec.kernel", "2*panic(injected kernel fault)->off").unwrap();
-    check(&engine, &tuned);
-    check(&engine, &tuned);
+    // The first BREAKER_THRESHOLD calls: the kernel panics mid-call on
+    // a scripted schedule. Every fault is contained — the caller sees
+    // `Ok` and a correct product served by the reference path — and
+    // the last trips the breaker.
+    let schedule = format!("{threshold}*panic(injected kernel fault)->off");
+    let _g = smat_failpoints::scoped("exec.kernel", &schedule).unwrap();
+    for _ in 0..threshold {
+        check(&engine, &tuned);
+    }
     let r = engine.health_report();
-    assert_eq!(r.calls, 2);
-    assert_eq!(r.exec_faults, 2);
+    assert_eq!(r.calls, threshold);
+    assert_eq!(r.exec_faults, threshold);
     assert_eq!(r.breaker_trips, 1);
-    assert_eq!(r.recent_incidents.len(), 2);
+    assert_eq!(r.recent_incidents.len(), threshold as usize);
     assert!(r
         .recent_incidents
         .iter()
@@ -470,8 +475,12 @@ fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
     assert_eq!(q.len(), 1, "exactly one variant is benched");
     assert_eq!(q[0].kernel, bad);
     assert_eq!(q[0].state, BreakerState::Open);
-    assert_eq!(q[0].incidents, 2);
-    assert_eq!(q[0].reopen_at, 2 + 4, "backoff counts in call-clock units");
+    assert_eq!(q[0].incidents, BREAKER_THRESHOLD);
+    let reopen_at = threshold + BREAKER_BACKOFF_CALLS;
+    assert_eq!(
+        q[0].reopen_at, reopen_at,
+        "backoff counts in call-clock units"
+    );
 
     // The next prepare finds the cached decision pointing at the benched
     // kernel, evicts it, and re-tunes with the variant excluded.
@@ -484,29 +493,35 @@ fn scripted_kernel_panics_are_contained_quarantined_and_readmitted() {
             "a quarantined variant must not be re-attached"
         );
     }
-    check(&engine, &tuned2); // call 3, healthy substitute kernel
+    check(&engine, &tuned2); // healthy substitute kernel
 
-    // Calls 4–5 on the original handle sit inside the backoff window:
-    // served by the reference path, no new incidents recorded.
-    check(&engine, &tuned);
-    check(&engine, &tuned);
+    // The calls on the original handle before `reopen_at` sit inside
+    // the backoff window: served by the reference path, no new
+    // incidents recorded.
+    while engine.health_report().calls + 1 < reopen_at {
+        check(&engine, &tuned);
+    }
     let r = engine.health_report();
-    assert_eq!(r.exec_faults, 2, "fallback service records no incidents");
+    assert_eq!(
+        r.exec_faults, threshold,
+        "fallback service records no incidents"
+    );
     assert_eq!(r.quarantined_variants.len(), 1);
 
-    // Call 6 reaches `reopen_at`: the breaker half-opens, this call
-    // claims the re-probe, the (now healed) kernel runs cleanly, and the
-    // variant is readmitted.
+    // Call `reopen_at`: the breaker half-opens, this call claims the
+    // re-probe, the (now healed) kernel runs cleanly, and the variant is
+    // readmitted.
     check(&engine, &tuned);
     let r = engine.health_report();
+    assert_eq!(r.calls, reopen_at);
     assert_eq!(r.reprobe_successes, 1);
     assert_eq!(r.reprobe_failures, 0);
     assert!(
         r.quarantined_variants.is_empty(),
         "a clean re-probe must close the breaker"
     );
-    check(&engine, &tuned); // call 7: healthy steady state again
-    assert_eq!(engine.health_report().exec_faults, 2);
+    check(&engine, &tuned); // healthy steady state again
+    assert_eq!(engine.health_report().exec_faults, threshold);
 }
 
 /// A pool fault storm at engine level: every scripted dispatch fault is
@@ -576,8 +591,6 @@ fn quarantine_persists_through_the_install_artifact() {
     let path = tmp("quarantine_install.json");
     std::fs::remove_file(&path).ok();
     let cfg = SmatConfig {
-        breaker_threshold: 1,
-        breaker_backoff_calls: 1_000,
         install_path: Some(path.clone()),
         ..SmatConfig::fast()
     };
@@ -593,8 +606,11 @@ fn quarantine_persists_through_the_install_artifact() {
     let tuned = engine.prepare(&m);
     let bad = tuned.kernel();
     {
-        let _g = smat_failpoints::scoped("exec.kernel", "1*panic(wedged)->off").unwrap();
-        assert_usable(&engine, &tuned, &m);
+        let schedule = format!("{BREAKER_THRESHOLD}*panic(wedged)->off");
+        let _g = smat_failpoints::scoped("exec.kernel", &schedule).unwrap();
+        for _ in 0..BREAKER_THRESHOLD {
+            assert_usable(&engine, &tuned, &m);
+        }
     }
     assert_eq!(engine.health_report().breaker_trips, 1);
     // The trip re-persisted the artifact with the quarantine set.

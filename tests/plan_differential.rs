@@ -46,8 +46,8 @@ fn test_vector<T: Scalar>(cols: usize) -> Vec<T> {
 
 /// `run_planned` with a fresh plan must produce bit-for-bit the same
 /// output as `run` — same partition geometry, same accumulation order —
-/// and so must the serial plan the runtime substitutes on its demoted
-/// rung: a plan only says how rows fan out, never how a row is summed.
+/// and so must the serial plan a degraded decision runs on: a plan only
+/// says how rows fan out, never how a row is summed.
 /// (Merge-path is the exception by design: its serial fallback is the
 /// unsplit row order.)
 fn sweep_planned_equals_unplanned<T: Scalar>() {

@@ -12,7 +12,7 @@
 #![cfg(feature = "failpoints")]
 
 use serde::Value;
-use smat::{Smat, SmatConfig, TrainedModel, Trainer};
+use smat::{Smat, SmatConfig, TrainedModel, Trainer, BREAKER_THRESHOLD};
 use smat_matrix::gen::{generate_corpus, random_uniform, CorpusSpec};
 use smat_matrix::Csr;
 use smat_service::server::DrainSummary;
@@ -46,10 +46,10 @@ fn model() -> &'static TrainedModel {
 }
 
 fn engine() -> Arc<Smat<f64>> {
+    // Followers wait `min(SINGLE_FLIGHT_WAIT, request deadline)` on a
+    // failpoint-stretched leader, so the stampede's generous explicit
+    // deadline lets it coalesce instead of timing out into degradation.
     let config = SmatConfig {
-        // Followers must outlast a failpoint-stretched leader so the
-        // stampede coalesces instead of timing out into degradation.
-        single_flight_wait: Duration::from_secs(60),
         // An impossible confidence bar forces every tuning run through
         // the execute-and-measure fallback, whose measurements pass the
         // `search.measure` failpoint — the lever the stampede test uses
@@ -83,7 +83,6 @@ fn start_with(engine: Arc<Smat<f64>>, config: ServeConfig) -> Running {
 fn base_config() -> ServeConfig {
     ServeConfig {
         workers: 2,
-        read_timeout: Duration::from_millis(10),
         frame_timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     }
@@ -146,6 +145,12 @@ fn as_u64(v: &Value) -> u64 {
         Value::Int(i) if *i >= 0 => *i as u64,
         other => panic!("not a u64: {other:?}"),
     }
+}
+
+/// The decision-cache counters of a metrics document: `shards[0].cache`.
+fn shard_cache(metrics: &Value) -> &Value {
+    let shards = field(metrics, "shards").as_array().expect("shards array");
+    field(&shards[0], "cache")
 }
 
 fn floats(v: &Value) -> Vec<f64> {
@@ -265,7 +270,7 @@ fn stampede_on_one_fingerprint_tunes_once_and_answers_everyone() {
 
     let metrics = request(running.addr, "{\"op\":\"metrics\"}");
     let service = field(&metrics, "service");
-    let engine = field(&metrics, "engine");
+    let cache = shard_cache(&metrics);
     assert_eq!(as_u64(field(service, "requests_total")), CLIENTS as u64);
     let outcomes = as_u64(field(service, "requests_ok"))
         + as_u64(field(service, "requests_degraded"))
@@ -278,12 +283,12 @@ fn stampede_on_one_fingerprint_tunes_once_and_answers_everyone() {
         "every request counted exactly once"
     );
     assert_eq!(
-        as_u64(field(engine, "cache_misses")),
+        as_u64(field(cache, "misses")),
         1,
         "one fingerprint, one tuning run"
     );
     assert!(
-        as_u64(field(engine, "coalesced_waits")) >= 1,
+        as_u64(field(cache, "coalesced_waits")) >= 1,
         "concurrent workers coalesced onto the in-flight run"
     );
     let capacity = as_u64(field(service, "queue_capacity"));
@@ -558,6 +563,9 @@ fn warm_handles_bypass_a_stalled_worker_pool() {
 /// matrix's fingerprint looks like: every contained fault still answers
 /// `ok` with the reference-correct product, `metrics` names the variant,
 /// and the next process to load the artifact starts with it benched.
+/// The bench is the engine's one fault policy: a later inline request
+/// is tuned around the benched variant and answered `ok`, not sent to
+/// the degraded rung.
 #[test]
 fn quarantine_tripped_through_the_daemon_reaches_the_install_artifact() {
     let _guard = exclusive_failpoints();
@@ -569,7 +577,7 @@ fn quarantine_tripped_through_the_daemon_reaches_the_install_artifact() {
         install_path: Some(path.clone()),
         ..SmatConfig::fast()
     };
-    let threshold = config.breaker_threshold as usize;
+    let threshold = BREAKER_THRESHOLD as usize;
     let engine = Arc::new(Smat::with_config(model().clone(), config).expect("install seals"));
     let running = start_with(engine, ServeConfig::default());
 
@@ -620,13 +628,28 @@ fn quarantine_tripped_through_the_daemon_reaches_the_install_artifact() {
         "metrics name the benched variant"
     );
     let lib = smat_kernels::KernelLibrary::<f64>::new();
-    let sealed: Vec<&str> = smat::Installation::load(&path)
+    let sealed_ids = smat::Installation::load(&path)
         .expect("artifact re-persisted")
-        .quarantined
-        .iter()
-        .map(|&id| lib.info(id).name)
-        .collect();
+        .quarantined;
+    let sealed: Vec<&str> = sealed_ids.iter().map(|&id| lib.info(id).name).collect();
     assert_eq!(sealed, [kernel.as_str()], "the artifact carries the bench");
+
+    // A new structure after the trip is tuned, not degraded, and never
+    // onto the benched variant (row 0 serves even when benched: there
+    // is nothing below it).
+    let (fresh, _, fresh_expect) = matrix_fixture(100, 7);
+    let resp = request(running.addr, &fresh);
+    assert_eq!(status_of(&resp), "ok", "tuned around the bench: {resp:?}");
+    if sealed_ids[0].variant != 0 {
+        assert_ne!(
+            text(field(&resp, "kernel")),
+            kernel,
+            "benched variant attached"
+        );
+    }
+    for (got, want) in floats(field(&resp, "y")).iter().zip(&fresh_expect) {
+        assert!((got - want).abs() < 1e-9, "post-trip product diverged");
+    }
     shutdown_and_join(running);
     std::fs::remove_file(&path).ok();
 }
