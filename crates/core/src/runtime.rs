@@ -1504,25 +1504,33 @@ pub(crate) mod tests {
             spin(1);
         }
         let m = random_uniform::<f64>(300, 300, 6, 12);
+        // A floor of equal spins still jitters by more than the margin on
+        // a shared host, so an equal challenger now and then measures
+        // ahead by more than the margin and wins. Every call must follow
+        // the rule on its own floors; the expected format must win most
+        // calls.
         for (coo_spin, expect) in [
             (coo_equal as KernelFn<f64>, Format::Csr),
             (coo_third, Format::Coo),
         ] {
             let e = spin_race_engine(coo_spin);
+            let mut expected = 0;
             for call in 0..20 {
                 let tuned = e.prepare(&m);
-                assert!(
-                    matches!(tuned.decision(), DecisionPath::Measured { .. }),
-                    "call {call}: {:?}",
-                    tuned.decision()
-                );
+                let DecisionPath::Measured { candidates, .. } = tuned.decision() else {
+                    panic!("call {call}: {:?}", tuned.decision());
+                };
+                let g = |f| candidates.iter().find(|c| c.0 == f).unwrap().1;
+                let clears = g(Format::Coo) > g(Format::Csr) * (1.0 + smat_kernels::MARGIN);
                 assert_eq!(
                     tuned.format(),
-                    expect,
+                    if clears { Format::Coo } else { Format::Csr },
                     "call {call}: {:?}",
                     tuned.decision()
                 );
+                expected += usize::from(tuned.format() == expect);
             }
+            assert!(expected >= 15, "{expect:?} won {expected} of 20 calls");
         }
     }
 

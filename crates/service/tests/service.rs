@@ -1216,6 +1216,88 @@ fn assert_y_round_trips(line: &str) {
     assert_eq!(y.join(","), digits);
 }
 
+/// A reply's `y` is the text `{:?}` gives each element, `null` where it
+/// is not finite, and every finite element reads back bit for bit
+/// through `serde_json::Reader` — for the doubles where shortest digits
+/// and the plain/exponent layout are easiest to get wrong.
+#[test]
+fn reply_numbers_are_debug_text_and_read_back_exactly() {
+    let ulps = |f: f64| {
+        let bits = f.to_bits();
+        [f64::from_bits(bits - 1), f, f64::from_bits(bits + 1)]
+    };
+    let two53 = 9_007_199_254_740_992.0;
+    let mut y = vec![
+        0.0,
+        5e-324,
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        two53 - 1.0,
+        two53,
+        two53 + 2.0,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    y.extend(ulps(1e16));
+    y.extend(ulps(1e-4));
+    // Shortest-digit ties, which std rounds up: an odd multiple of
+    // 2^-(s+1) whose spacing 2^-(s+m) lies between 10^-s and 5·10^-s
+    // (5^(s-1) < 2^m < 5^s) is halfway between two s-place decimals,
+    // with no shorter one in reach. One per band, from 2^50 + 1/4
+    // (`.2`/`.3`) down to s = 23 near 2^-24; the mantissa is
+    // 2^52 + 2^(m-1). A power of two's interval is half as wide below,
+    // and of those only 2^-25 ties.
+    y.push(1.0 / (1u64 << 25) as f64);
+    for s in 1..=23u32 {
+        for m in (1..=52u32).filter(|&m| 5u64.pow(s - 1) < 1 << m && 1 << m < 5u64.pow(s)) {
+            let exponent = u64::from(1023 + 52 - s - m);
+            y.push(f64::from_bits(exponent << 52 | 1 << (m - 1)));
+        }
+    }
+    // Every power of ten a double can hold.
+    y.extend((-323..=308).map(|k| format!("1e{k}").parse::<f64>().unwrap()));
+    let y: Vec<f64> = y.into_iter().flat_map(|f| [f, -f]).collect();
+
+    let mut response = smat_service::Response::with(smat_service::Status::Ok, Vec::new());
+    response.y = Some(y.clone());
+    let line = response.to_line();
+    let texts: Vec<String> = y
+        .iter()
+        .map(|v| {
+            if v.is_finite() {
+                format!("{v:?}")
+            } else {
+                "null".to_string()
+            }
+        })
+        .collect();
+    assert_eq!(
+        line,
+        format!("{{\"status\":\"ok\",\"y\":[{}]}}", texts.join(","))
+    );
+
+    let mut r = serde_json::Reader::new(&line);
+    assert!(r.begin_object().unwrap());
+    assert_eq!(r.key().unwrap(), "status");
+    assert_eq!(r.string().unwrap(), "ok");
+    assert!(r.object_continues().unwrap());
+    assert_eq!(r.key().unwrap(), "y");
+    let mut more = r.begin_array().unwrap();
+    for v in &y {
+        assert!(more, "y ended early");
+        if v.is_finite() {
+            let back = r.number().unwrap().as_f64();
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        } else {
+            r.null().unwrap();
+        }
+        more = r.array_continues().unwrap();
+    }
+    assert!(!more && !r.object_continues().unwrap());
+    r.finish().unwrap();
+}
+
 /// Every kind of work reply is byte-identical — field names, their
 /// order within each reply kind, and values — to what the daemon
 /// answered when the cold, warm and degraded paths each built their

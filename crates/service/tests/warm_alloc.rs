@@ -1,8 +1,9 @@
 //! Allocation audit of the daemon's warm path: what a steady-state
-//! `spmv` by handle allocates must not depend on how long its vectors
-//! are. The frame, `x`, the wire-order `y` and the reply line each live
-//! in a buffer the connection owns and reuses; a vector grown by
-//! doubling per request, or a fresh reply `String`, shows up here as a
+//! `spmv`, or `spmm` over four columns, by handle allocates must not
+//! depend on how long its vectors are. The frame, `x`, the wire-order
+//! `y` and the reply line each live in a buffer the connection owns and
+//! reuses; a vector grown by doubling per request, a fresh reply
+//! `String`, or a number written through a temporary shows up here as a
 //! count that rises with `n`.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator (as in
@@ -63,9 +64,10 @@ fn round_trip(stream: &mut TcpStream, frame: &[u8], reply: &mut [u8]) -> usize {
     filled
 }
 
-/// Allocations, process-wide, over `MEASURED` steady-state warm `spmv`
-/// requests on an `n`-column tridiagonal matrix.
-fn warm_allocations(engine: Arc<Smat<f64>>, n: usize) -> u64 {
+/// Allocations, process-wide, over `MEASURED` steady-state warm `op`
+/// requests with `k` right-hand sides on an `n`-column tridiagonal
+/// matrix.
+fn warm_allocations(engine: Arc<Smat<f64>>, op: &str, k: usize, n: usize) -> u64 {
     let config = ServeConfig {
         workers: 1,
         tenant_rate: 1e9,
@@ -80,7 +82,7 @@ fn warm_allocations(engine: Arc<Smat<f64>>, n: usize) -> u64 {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
     stream.set_nodelay(true).expect("nodelay");
-    let mut reply = vec![0u8; 64 + 32 * n];
+    let mut reply = vec![0u8; 128 + 32 * n * k];
 
     let entries: Vec<String> = (0..n)
         .flat_map(|r| {
@@ -96,11 +98,17 @@ fn warm_allocations(engine: Arc<Smat<f64>>, n: usize) -> u64 {
     let tuned = std::str::from_utf8(&reply[..len]).expect("utf-8");
     let at = tuned.find("\"handle\":\"").expect("a handle came back") + "\"handle\":\"".len();
     let handle = &tuned[at..at + tuned[at..].find('"').expect("handle ends")];
-    let x: Vec<String> = (0..n)
+    let x: Vec<String> = (0..n * k)
         .map(|i| format!("{:?}", (i as f64 * 0.37).sin()))
         .collect();
+    // `k` is a field of `spmm` frames only.
+    let k_field = if op == "spmm" {
+        format!(",\"k\":{k}")
+    } else {
+        String::new()
+    };
     let frame = format!(
-        "{{\"op\":\"spmv\",\"handle\":\"{handle}\",\"x\":[{}]}}\n",
+        "{{\"op\":\"{op}\",\"handle\":\"{handle}\"{k_field},\"x\":[{}]}}\n",
         x.join(",")
     )
     .into_bytes();
@@ -129,16 +137,20 @@ fn warm_requests_allocate_the_same_at_any_vector_length() {
         .expect("training succeeds")
         .model;
     let engine = Arc::new(Smat::with_config(model, SmatConfig::default()).expect("engine"));
-    let short = warm_allocations(Arc::clone(&engine), 1_000);
-    let long = warm_allocations(engine, 16_000);
-    assert_eq!(
-        short, long,
-        "allocations over {MEASURED} warm requests: n = 1000 vs n = 16000"
-    );
-    // A request does allocate — its boxed form, the reply's few small
-    // fields — just nothing that grows with `n`.
-    assert!(
-        short > 0 && short.is_multiple_of(MEASURED as u64),
-        "{short}"
-    );
+    // `spmm` replies are four times longer: the writer allocates
+    // nothing per number.
+    for (op, k) in [("spmv", 1), ("spmm", 4)] {
+        let short = warm_allocations(Arc::clone(&engine), op, k, 1_000);
+        let long = warm_allocations(Arc::clone(&engine), op, k, 16_000);
+        assert_eq!(
+            short, long,
+            "allocations over {MEASURED} warm {op} requests: n = 1000 vs n = 16000"
+        );
+        // A request does allocate — its boxed form, the reply's few
+        // small fields — just nothing that grows with `n`.
+        assert!(
+            short > 0 && short.is_multiple_of(MEASURED as u64),
+            "{op}: {short}"
+        );
+    }
 }
