@@ -64,13 +64,27 @@ impl Stage {
     }
 }
 
-/// Buckets of a [`StageHistogram`]: bucket `b > 0` counts durations in
-/// `[2^(b-1), 2^b)` ns, bucket 0 counts zero, and the last takes
-/// everything from 2^38 ns (about 4.6 minutes) up.
-const STAGE_BUCKETS: usize = 40;
+/// The three inner edges of an octave, `2^(j/4)` for `j = 1, 2, 3`,
+/// times 2^63: a duration shifted so that its top bit is bit 63 is
+/// compared with them to find its sub-bucket.
+const SUB_EDGES: [u64; 3] = [
+    0x9837_F051_8DB8_A96F,
+    0xB504_F333_F9DE_6484,
+    0xD744_FCCA_D69D_6AF4,
+];
 
-/// Durations of one stage, in log2-nanosecond buckets of relaxed
-/// atomics: recording allocates nothing and takes no lock.
+/// Sub-buckets per octave of a [`StageHistogram`]: each bucket spans a
+/// ratio of 2^(1/4), under 19%, so an interpolated quantile is never
+/// further than that from the durations it stands for.
+const SUB_BUCKETS: u32 = SUB_EDGES.len() as u32 + 1;
+
+/// Buckets of a [`StageHistogram`]: bucket `b > 0` counts durations in
+/// `[2^((b-1)/4), 2^(b/4))` ns, bucket 0 counts zero, and the last takes
+/// everything from 2^38 ns (about 4.6 minutes) up.
+const STAGE_BUCKETS: usize = 38 * SUB_BUCKETS as usize + 2;
+
+/// Durations of one stage, in quarter-octave nanosecond buckets of
+/// relaxed atomics: recording allocates nothing and takes no lock.
 #[derive(Debug)]
 struct StageHistogram {
     buckets: [AtomicU64; STAGE_BUCKETS],
@@ -87,10 +101,29 @@ impl Default for StageHistogram {
 }
 
 impl StageHistogram {
+    /// The bucket of a duration of `ns` nanoseconds.
+    fn bucket(ns: u64) -> usize {
+        if ns == 0 {
+            return 0;
+        }
+        let octave = u64::BITS - 1 - ns.leading_zeros();
+        let top = ns << ns.leading_zeros();
+        let sub = SUB_EDGES.iter().filter(|&&edge| top >= edge).count() as u32;
+        ((octave * SUB_BUCKETS + sub + 1) as usize).min(STAGE_BUCKETS - 1)
+    }
+
+    /// `[low, high)` edges of bucket `b`, in ns.
+    fn edges(b: usize) -> (f64, f64) {
+        let edge = |k: usize| (k as f64 / f64::from(SUB_BUCKETS)).exp2();
+        match b {
+            0 => (0.0, 0.0),
+            b => (edge(b - 1), edge(b)),
+        }
+    }
+
     fn observe(&self, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let bucket = (u64::BITS - ns.leading_zeros()) as usize;
-        self.buckets[bucket.min(STAGE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
@@ -106,10 +139,7 @@ impl StageHistogram {
             for (b, &n) in counts.iter().enumerate().filter(|(_, &n)| n > 0) {
                 let n = n as f64;
                 if below + n >= rank {
-                    let (low, high) = match b {
-                        0 => (0.0, 0.0),
-                        b => ((1u64 << (b - 1)) as f64, (1u64 << b) as f64),
-                    };
+                    let (low, high) = Self::edges(b);
                     return (low + (high - low) * (rank - below) / n) / 1e3;
                 }
                 below += n;
@@ -314,9 +344,17 @@ mod tests {
         let [count, sum, p50, p90, p99] = stage("parse");
         assert_eq!(count, 100.0);
         assert_eq!(sum, 90.0 * 3.0 + 10.0 * 900.0);
-        assert!((2.048..=4.096).contains(&p50), "p50 {p50}");
-        assert!((2.048..=4.096).contains(&p90), "p90 {p90}");
-        assert!((524.288..=1048.576).contains(&p99), "p99 {p99}");
+        // 3 µs falls in [2^11.5, 2^11.75) ns, 900 µs in [2^19.75, 2^20):
+        // a quantile is within 19% of the durations it stands for.
+        assert!((2.896..=3.445).contains(&p50), "p50 {p50}");
+        assert!((2.896..=3.445).contains(&p90), "p90 {p90}");
+        assert!((881.743..=1048.576).contains(&p99), "p99 {p99}");
+        for (quantile, truth) in [(p50, 3.0), (p90, 3.0), (p99, 900.0)] {
+            assert!(
+                (quantile / truth - 1.0).abs() < 0.19,
+                "{quantile} for {truth}"
+            );
+        }
         assert_eq!(stage("write"), [1.0, 0.0, 0.0, 0.0, 0.0]);
         assert_eq!(stage("work"), [0.0; 5]);
         let names: Vec<&str> = stages
@@ -326,6 +364,32 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(names, ["read", "parse", "work", "encode", "write"]);
+    }
+
+    #[test]
+    fn every_duration_lies_between_its_buckets_edges() {
+        for (j, &edge) in SUB_EDGES.iter().enumerate() {
+            let want = ((j + 1) as f64 / 4.0).exp2();
+            assert!((edge as f64 / (1u64 << 63) as f64 - want).abs() < 1e-15);
+        }
+        assert_eq!(StageHistogram::bucket(0), 0);
+        let mut ns = 2u64;
+        while ns < 1 << 38 {
+            for d in [ns - 1, ns, ns + 1, ns + ns / 7, ns + ns / 3, ns + ns / 2] {
+                let b = StageHistogram::bucket(d);
+                let (low, high) = StageHistogram::edges(b);
+                // The float edges are the integer ones to within rounding.
+                assert!(
+                    low <= d as f64 + 1e-6 * low && (d as f64) < high * (1.0 + 1e-12),
+                    "{d} in bucket {b}"
+                );
+                assert!(b == 0 || high / low < 1.19, "bucket {b}");
+            }
+            ns *= 2;
+        }
+        assert_eq!(StageHistogram::bucket(u64::MAX), STAGE_BUCKETS - 1);
+        assert_eq!(StageHistogram::bucket(1 << 38), STAGE_BUCKETS - 1);
+        assert_eq!(StageHistogram::bucket((1 << 38) - 1), STAGE_BUCKETS - 2);
     }
 
     #[test]

@@ -447,20 +447,7 @@ fn pull_x(
         Kind::Array => {
             let mut x = std::mem::take(spare);
             x.clear();
-            // The first element that is not a finite number.
-            let mut defect = None;
-            let mut index = 0;
-            let mut more = r.begin_array()?;
-            while more {
-                match number_or_skip(r)?.map(Number::as_f64) {
-                    Some(v) if v.is_finite() => x.push(v),
-                    Some(_) => _ = defect.get_or_insert((index, "is not finite")),
-                    None => _ = defect.get_or_insert((index, "is not a number")),
-                }
-                index += 1;
-                more = r.array_continues()?;
-            }
-            Ok(match defect {
+            Ok(match r.f64s(&mut x)? {
                 None => Ok(Some(x)),
                 Some((i, fault)) => Err(format!("x[{i}] {fault}")),
             })

@@ -470,7 +470,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
                 // Frames are answered in place; what follows the last
                 // one moves to the front once per read.
                 let mut consumed = 0;
-                while let Some(len) = buf[scanned..filled].iter().position(|&b| b == b'\n') {
+                while let Some(len) = find_newline(&buf[scanned..filled]) {
                     let pos = scanned + len;
                     let (frame, read) = (&buf[consumed..pos], started.elapsed());
                     consumed = pos + 1;
@@ -519,6 +519,32 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Conn) {
             }
         }
     }
+}
+
+/// Offset of the first `\n` in `bytes`, eight bytes per step: a word
+/// XORed with eight newlines has a zero byte where `bytes` has one, and
+/// `(v - 0x01…01) & !v & 0x80…80` flags zero bytes. A borrow can flag
+/// a byte above a zero byte too, never one below the first, so the
+/// lowest flag is the first newline. Every byte a frame carries passes
+/// through here, so its cost per byte is most of the `read` stage.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let word =
+            u64::from_le_bytes(word.try_into().unwrap_or_default()) ^ (ONES * u64::from(b'\n'));
+        let zeros = word.wrapping_sub(ONES) & !word & (ONES << 7);
+        if zeros != 0 {
+            return Some(at + (zeros.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| at + i)
 }
 
 /// Handles one complete frame (newline stripped) that took `read` to
@@ -985,4 +1011,43 @@ fn metrics_value(shared: &Arc<Shared>) -> Value {
         ),
         ("stages", m.stages_value()),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::find_newline;
+
+    #[test]
+    fn newline_search_agrees_with_a_byte_scan() {
+        // Every length and every position of the first newline, with
+        // bytes either side that a borrow could mistake (`\t`, `\v`,
+        // 0x8a), and later newlines that must not win.
+        for len in 0..=64usize {
+            let mut bytes: Vec<u8> = (0..len)
+                .map(|i| [b'a', b'\t', 0x0b, 0x8a, 0][i % 5])
+                .collect();
+            assert_eq!(find_newline(&bytes), None, "len {len}");
+            for first in 0..len {
+                for (k, b) in bytes.iter_mut().enumerate() {
+                    *b = if k == first || (k > first && k % 3 == 0) {
+                        b'\n'
+                    } else {
+                        [b'a', b'\t', 0x0b, 0x8a, 0][k % 5]
+                    };
+                }
+                let want = bytes.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(&bytes), want, "len {len}, first {first}");
+                assert_eq!(want, Some(first));
+                // And from every offset into the same buffer.
+                for from in 0..=len {
+                    let rest = &bytes[from..];
+                    assert_eq!(
+                        find_newline(rest),
+                        rest.iter().position(|&b| b == b'\n'),
+                        "len {len}, first {first}, from {from}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1298,6 +1298,196 @@ fn reply_numbers_are_debug_text_and_read_back_exactly() {
     r.finish().unwrap();
 }
 
+/// The exact decimal value of the double halfway between positive
+/// finite `f` and the next double up, written out in full: `(2m + 1) ·
+/// 2^(e - 1)` for `f = m · 2^e`, whose digits end where its power of
+/// two (as a power of five over a power of ten) runs out.
+fn halfway_above(f: f64) -> String {
+    const BASE: u64 = 1_000_000_000;
+    let bits = f.to_bits();
+    let (exponent, fraction) = ((bits >> 52) as i32, bits & ((1 << 52) - 1));
+    let (m, e) = if exponent == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, exponent - 1075)
+    };
+    let n = 2 * m + 1;
+    let k = e - 1;
+    // n · 2^k for k >= 0; n · 5^-k, to be read with -k places after the
+    // point, for k < 0. Little-endian base-10^9 limbs.
+    let mut limbs = vec![n % BASE, n / BASE % BASE, n / (BASE * BASE)];
+    let factor = if k >= 0 { 2 } else { 5 };
+    for _ in 0..k.unsigned_abs() {
+        let mut carry = 0;
+        for limb in &mut limbs {
+            let wide = *limb * factor + carry;
+            *limb = wide % BASE;
+            carry = wide / BASE;
+        }
+        if carry > 0 {
+            limbs.push(carry);
+        }
+    }
+    while limbs.len() > 1 && limbs.last() == Some(&0) {
+        limbs.pop();
+    }
+    let mut digits = limbs.last().expect("a limb").to_string();
+    for limb in limbs.iter().rev().skip(1) {
+        digits.push_str(&format!("{limb:09}"));
+    }
+    if k >= 0 {
+        return digits;
+    }
+    let places = k.unsigned_abs() as usize;
+    if digits.len() <= places {
+        digits = "0".repeat(places + 1 - digits.len()) + &digits;
+    }
+    let point = digits.len() - places;
+    format!("{}.{}", &digits[..point], &digits[point..])
+}
+
+/// Every hard spelling of a number, sent as `x` of a warm `spmv`, reaches
+/// the product as the double `str::parse` makes of it: the reply's `y`
+/// is, digit for digit, the in-process product of the `str::parse`d `x`
+/// by a diagonal of ones, which shows every bit of every element.
+#[test]
+fn x_is_read_bit_for_bit_at_the_daemon_boundary() {
+    let mut texts: Vec<String> = Vec::new();
+    // Shortest, 17 significant digits, and 25: past the 19 a u64 holds.
+    fn push_spellings(f: f64, texts: &mut Vec<String>) {
+        texts.push(format!("{f:?}"));
+        texts.push(format!("{f:.16e}"));
+        texts.push(format!("{f:.24e}"));
+    }
+    // The shortest texts of the digit-tie bands and 2^-25, and the
+    // smaller candidate of each, which reads back to the same double.
+    let mut ties = vec![1.0 / (1u64 << 25) as f64];
+    for s in 1..=23u32 {
+        for m in (1..=52u32).filter(|&m| 5u64.pow(s - 1) < 1 << m && 1 << m < 5u64.pow(s)) {
+            let exponent = u64::from(1023 + 52 - s - m);
+            ties.push(f64::from_bits(exponent << 52 | 1 << (m - 1)));
+        }
+    }
+    for f in ties {
+        let text = format!("{f:?}");
+        let end = text.find('e').unwrap_or(text.len());
+        let mut smaller = text.clone().into_bytes();
+        smaller[end - 1] -= 1;
+        texts.push(String::from_utf8(smaller).expect("ASCII"));
+        push_spellings(f, &mut texts);
+    }
+    // Powers of ten, as `1ek` and as the doubles either side.
+    for k in -324..=308 {
+        let text = format!("1e{k}");
+        let f: f64 = text.parse().expect("a float");
+        texts.push(text);
+        if f > 0.0 {
+            for g in [
+                f64::from_bits(f.to_bits() - 1),
+                f,
+                f64::from_bits(f.to_bits() + 1),
+            ] {
+                push_spellings(g, &mut texts);
+            }
+        }
+    }
+    // Subnormals, the extremes of the range, and a spread of doubles.
+    let mut state = 0x5EED_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut doubles = vec![
+        5e-324,
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1.0,
+        0.1,
+        9_007_199_254_740_992.0,
+    ];
+    doubles.extend((0..64).map(|_| f64::from_bits(next() & ((1 << 52) - 1))));
+    doubles.extend((0..256).map(|_| f64::from_bits(next() % (0x7FF << 52))));
+    doubles.extend((0..256).map(|_| (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0));
+    for &f in &doubles {
+        push_spellings(f, &mut texts);
+        push_spellings(-f, &mut texts);
+    }
+    // Exact halfway points, in full: ties to even, just below the
+    // subnormal floor included. The one above `f64::MAX` is infinite.
+    for &f in doubles
+        .iter()
+        .filter(|f| **f > 0.0 && **f < f64::MAX)
+        .take(80)
+    {
+        texts.push(halfway_above(f));
+        texts.push(format!("-{}", halfway_above(f)));
+    }
+    texts.push(halfway_above(0.0));
+    // From 2^46 up a halfway point has at most 19 digits, so it is read
+    // from the folded digits, not by the fallback: the region where a
+    // short decimal can be an exact tie (`…5e-4` to `…e23`).
+    for e in 46..64 {
+        for _ in 0..4 {
+            let f = (1u64 << e) as f64 * (1.0 + (next() >> 12) as f64 / (1u64 << 52) as f64);
+            texts.push(halfway_above(f));
+        }
+    }
+    texts.extend(
+        [
+            "0.000000000000000000000000000001234",
+            "00000000000000000000000012.5",
+            "-0000000000000000000000000.75",
+            "0.1000000000000000055511151231257827021181583404541015625",
+            "1E+2",
+            "-0.0",
+            "-0",
+            "7",
+            "2.4703282292062327e-324",
+            "2.4703282292062328e-324",
+            "1.7976931348623158e308",
+            "9007199254740993",
+        ]
+        .map(String::from),
+    );
+    let x: Vec<f64> = texts.iter().map(|t| t.parse().expect(t)).collect();
+    assert!(x.iter().all(|v| v.is_finite()));
+
+    let n = x.len();
+    let ones: Vec<String> = (0..n).map(|i| format!("[{i},{i},1.0]")).collect();
+    let matrix = format!(
+        "{{\"rows\":{n},\"cols\":{n},\"entries\":[{}]}}",
+        ones.join(",")
+    );
+    let reference = Csr::from_triplets(n, n, &(0..n).map(|i| (i, i, 1.0)).collect::<Vec<_>>())
+        .expect("the diagonal assembles");
+    let mut want = vec![0.0; n];
+    reference.spmv(&x, &mut want).expect("in-process product");
+    let want: Vec<String> = want.iter().map(|v| format!("{v:?}")).collect();
+
+    let running = start_with(pinned_engine(None), test_config());
+    let mut client = Client::connect(running.addr);
+    let tuned = client.request(&format!("{{\"op\":\"tune\",\"matrix\":{matrix}}}"));
+    assert_eq!(status_of(&tuned), "ok", "{tuned:?}");
+    client.send(&format!(
+        "{{\"op\":\"spmv\",\"handle\":\"{}\",\"x\":[{}]}}",
+        handle_of(&tuned),
+        texts.join(",")
+    ));
+    let line = client.recv_line();
+    let line = line.trim_end();
+    assert!(line.contains("\"warm\":true"), "{line}");
+    let at = line.find("\"y\":[").expect("a y") + "\"y\":[".len();
+    let got: Vec<&str> = line[at..line.len() - "]}".len()].split(',').collect();
+    assert_eq!(got.len(), n);
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "x[{i}] = {}", texts[i]);
+    }
+    shutdown_and_join(running);
+}
+
 /// Every kind of work reply is byte-identical — field names, their
 /// order within each reply kind, and values — to what the daemon
 /// answered when the cold, warm and degraded paths each built their
