@@ -162,12 +162,17 @@ impl<T: Scalar> Csr<T> {
     /// Triplets may be unsorted; duplicate coordinates are summed (the
     /// Matrix Market convention). Explicit zeros are kept — sparsity
     /// *structure* is meaningful to the auto-tuner independent of values.
+    /// Triplets in strictly increasing `(row, col)` order — what
+    /// [`Csr::iter`] yields — are copied straight into place; any other
+    /// order is sorted first. Both give the same arrays.
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::IndexOutOfBounds`] if a triplet lies outside
-    /// `rows x cols`.
+    /// Returns [`MatrixError::IndexOutOfBounds`] for the first triplet
+    /// that lies outside `rows x cols`.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, T)]) -> Result<Self> {
+        let mut ordered = true;
+        let mut last = None;
         for &(r, c, _) in triplets {
             if r >= rows || c >= cols {
                 return Err(MatrixError::IndexOutOfBounds {
@@ -177,7 +182,39 @@ impl<T: Scalar> Csr<T> {
                     cols,
                 });
             }
+            ordered &= last < Some((r, c));
+            last = Some((r, c));
         }
+        Ok(if ordered {
+            Self::from_ordered_triplets(rows, cols, triplets)
+        } else {
+            Self::from_unordered_triplets(rows, cols, triplets)
+        })
+    }
+
+    /// [`Csr::from_triplets`] for in-range triplets in strictly
+    /// increasing `(row, col)` order: no entry moves and none merges.
+    fn from_ordered_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, T)]) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        for (i, &(r, _, _)) in triplets.iter().enumerate() {
+            // Every row up to `r` not yet started starts here.
+            while row_ptr.len() <= r {
+                row_ptr.push(i);
+            }
+        }
+        row_ptr.resize(rows + 1, triplets.len());
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            col_idx: triplets.iter().map(|&(_, c, _)| c).collect(),
+            values: triplets.iter().map(|&(_, _, v)| v).collect(),
+        }
+    }
+
+    /// [`Csr::from_triplets`] for in-range triplets in any order.
+    fn from_unordered_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, T)]) -> Self {
         // Counting sort by row, then sort each row by column and merge dups.
         let mut counts = vec![0usize; rows + 1];
         for &(r, _, _) in triplets {
@@ -213,13 +250,13 @@ impl<T: Scalar> Csr<T> {
             }
             row_ptr.push(col_idx.len());
         }
-        Ok(Self {
+        Self {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-        })
+        }
     }
 
     /// Builds a CSR matrix from a dense row-major array, storing every
@@ -570,6 +607,93 @@ mod tests {
     fn from_triplets_out_of_bounds() {
         let e = Csr::<f64>::from_triplets(2, 2, &[(2, 0, 1.0)]).unwrap_err();
         assert!(matches!(e, MatrixError::IndexOutOfBounds { .. }));
+    }
+
+    /// What `from_triplets` did with every input before ordered ones
+    /// were copied straight: the range check, then the counting sort.
+    fn by_counting_sort(rows: usize, cols: usize, t: &[(usize, usize, f64)]) -> Result<Csr<f64>> {
+        if let Some(&(row, col, _)) = t.iter().find(|&&(r, c, _)| r >= rows || c >= cols) {
+            return Err(MatrixError::IndexOutOfBounds {
+                row,
+                col,
+                rows,
+                cols,
+            });
+        }
+        Ok(Csr::from_unordered_triplets(rows, cols, t))
+    }
+
+    type Arrays = (Vec<usize>, Vec<usize>, Vec<u64>);
+    type Triplets = Vec<(usize, usize, f64)>;
+
+    fn arrays(m: &Csr<f64>) -> Arrays {
+        let bits = m.values().iter().map(|v| v.to_bits()).collect();
+        (m.row_ptr().to_vec(), m.col_idx().to_vec(), bits)
+    }
+
+    #[test]
+    fn ordered_triplets_assemble_as_the_counting_sort_does() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
+        let mut big = Vec::new();
+        let mut state = 0x5EED_u64;
+        for r in 0..300 {
+            for c in 0..300 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                if state >> 60 == 0 {
+                    big.push((r, c, (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5));
+                }
+            }
+        }
+        let example: Vec<_> = example().iter().collect();
+        let cases: Vec<(usize, usize, Triplets)> = vec![
+            (4, 4, example.clone()),
+            (4, 4, example.iter().rev().copied().collect()),
+            (300, 300, big.clone()),
+            (300, 300, big.iter().rev().copied().collect()),
+            (3, 3, vec![]),
+            (1, 1, vec![(0, 0, -0.0)]),
+            // Empty rows first, between and last.
+            (6, 4, vec![(2, 0, 1.0), (2, 3, nan), (4, 1, -0.0)]),
+            (6, 4, vec![(0, 1, 1.0), (5, 0, 2.0)]),
+            // Duplicates, adjacent or not, in otherwise sorted input.
+            (2, 2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)]),
+            (2, 2, vec![(0, 0, 1.0), (1, 1, 3.0), (1, 1, 0.5)]),
+            (
+                2,
+                2,
+                vec![(1, 1, 1.0), (0, 0, 2.0), (1, 1, 3.0), (0, 1, -1.0)],
+            ),
+            // Sorted by row only, and sorted by column only.
+            (2, 3, vec![(0, 2, 1.0), (0, 0, 2.0), (1, 1, 3.0)]),
+            (3, 2, vec![(2, 0, 1.0), (0, 1, 2.0)]),
+            // Out of range: first, in the middle of sorted input, by
+            // column, after a disorder, and twice (the first is named).
+            (2, 2, vec![(2, 0, 1.0)]),
+            (
+                3,
+                3,
+                vec![(0, 0, 1.0), (1, 1, 1.0), (3, 0, 1.0), (2, 2, 1.0)],
+            ),
+            (3, 3, vec![(0, 0, 1.0), (1, 7, 1.0)]),
+            (3, 3, vec![(1, 1, 1.0), (0, 0, 1.0), (2, 5, 1.0)]),
+            (3, 3, vec![(0, 9, 1.0), (9, 0, 1.0)]),
+        ];
+        for (rows, cols, t) in &cases {
+            let (rows, cols) = (*rows, *cols);
+            // `MatrixError` has no `PartialEq`: compare what it says.
+            let outcome = |m: Result<Csr<f64>>| m.map(|m| arrays(&m)).map_err(|e| format!("{e:?}"));
+            let want = outcome(by_counting_sort(rows, cols, t));
+            let got = outcome(Csr::from_triplets(rows, cols, t));
+            assert_eq!(got, want, "{rows}x{cols} {t:?}");
+            let ordered = t.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+            if ordered && want.is_ok() {
+                let direct = Csr::from_ordered_triplets(rows, cols, t);
+                assert_eq!(Ok(arrays(&direct)), want, "{rows}x{cols} {t:?}");
+                direct.validate().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -66,8 +66,10 @@
 //! `tenant`; within a matrix `rows`, `cols`, `entries`, `nnz`, then the
 //! entries in order — so the message a client gets does not depend on
 //! the order it wrote its keys in, and a syntax error anywhere wins
-//! over all of them. Entries are pulled unchecked and assembled when
-//! the matrix object closes; [`Csr::from_triplets`] refuses an
+//! over all of them. Entries are pulled unchecked — plain
+//! `[row, col, value]` elements by [`Reader::triplets`] in one pass, any
+//! other element by the per-element walk — and assembled when the
+//! matrix object closes; [`Csr::from_triplets`] refuses an
 //! out-of-range coordinate and merges a repeated one, so a clean frame
 //! is one whose assembly succeeds with as many stored entries as were
 //! sent. Only otherwise are the entries read a second time, in order
@@ -508,25 +510,22 @@ impl<'a> WireEntries<'a> {
         if r.peek()? != Kind::Array {
             return r.skip().map(|_| None);
         }
-        let mut entries = WireEntries {
-            triplets: Vec::with_capacity(reserve),
-            count: 0,
-            well_formed: true,
-            from: r.clone(),
-        };
-        let mut more = r.begin_array()?;
-        while more {
-            match pull_entry(r)? {
-                Ok(triplet) => {
-                    entries.well_formed &= triplet.2.is_finite();
-                    entries.triplets.push(triplet);
-                }
-                Err(_) => entries.well_formed = false,
-            }
-            entries.count += 1;
-            more = r.array_continues()?;
-        }
-        Ok(Some(entries))
+        let from = r.clone();
+        let mut triplets = Vec::with_capacity(reserve);
+        // The reader takes plain triplets, all finite, itself; every
+        // other element is read here as the checked walk reads it.
+        let mut well_formed = true;
+        let count = r.triplets(&mut triplets, |r| {
+            let entry = pull_entry(r)?;
+            well_formed &= entry.is_ok_and(|(_, _, v)| v.is_finite());
+            Ok(entry.ok())
+        })?;
+        Ok(Some(WireEntries {
+            triplets,
+            count,
+            well_formed,
+            from,
+        }))
     }
 
     /// Reads the entries again, in order and with every check, and
@@ -1109,6 +1108,167 @@ mod tests {
             err.contains("entries[2]") && err.contains("entries[0]"),
             "err: {err}"
         );
+    }
+
+    /// What reading an `entries` array left: the triplets (values by
+    /// bits), the element count, `well_formed`, and what `finish` says
+    /// of the text after it — where the reader stopped — or the syntax
+    /// error that stopped the read.
+    type PulledEntries = Result<(Vec<(usize, usize, u64)>, usize, bool, String), String>;
+
+    fn pulled_entries(
+        mut r: Reader<'_>,
+        triplets: Vec<(usize, usize, f64)>,
+        count: usize,
+        well_formed: bool,
+    ) -> PulledEntries {
+        let bits = triplets.iter().map(|&(r, c, v)| (r, c, v.to_bits()));
+        let rest = r.finish().err().map(|e| e.to_string()).unwrap_or_default();
+        Ok((bits.collect(), count, well_formed, rest))
+    }
+
+    /// Enters `depth` arrays, so that `entries` sits that deep.
+    fn reader_at_depth(text: &str, depth: usize) -> Reader<'_> {
+        let mut r = Reader::new(text);
+        for _ in 0..depth {
+            assert!(r.begin_array().unwrap());
+        }
+        r
+    }
+
+    /// The loop `WireEntries::pull` ran before the reader took plain
+    /// triplets itself: `pull_entry` on every element.
+    fn element_walk(text: &str, depth: usize) -> PulledEntries {
+        let mut r = reader_at_depth(text, depth);
+        let syntax = |e: serde_json::Error| e.to_string();
+        let (mut triplets, mut count, mut well_formed) = (Vec::new(), 0, true);
+        let mut more = r.begin_array().map_err(syntax)?;
+        while more {
+            match pull_entry(&mut r).map_err(syntax)? {
+                Ok(triplet) => {
+                    well_formed &= triplet.2.is_finite();
+                    triplets.push(triplet);
+                }
+                Err(_) => well_formed = false,
+            }
+            count += 1;
+            more = r.array_continues().map_err(syntax)?;
+        }
+        pulled_entries(r, triplets, count, well_formed)
+    }
+
+    fn entries_loop(text: &str, depth: usize) -> PulledEntries {
+        let mut r = reader_at_depth(text, depth);
+        let entries = WireEntries::pull(&mut r, 0)
+            .map_err(|e| e.to_string())?
+            .expect("an array");
+        let (triplets, count, well_formed) = (entries.triplets, entries.count, entries.well_formed);
+        pulled_entries(r, triplets, count, well_formed)
+    }
+
+    /// The reader's plain-triplet loop and `pull_entry` on whatever it
+    /// declines read every array as `pull_entry` alone did: the same
+    /// triplets, count, verdict, stopping point and syntax errors.
+    #[test]
+    fn entries_loop_is_the_element_walk() {
+        const CLEAN: &[&str] = &[
+            "[3,14,0.5]",
+            "[0,0,1.0]",
+            "[12,7,-2.5e-3]",
+            "[123456789012345678,999999999999999999,0.30000000000000004]",
+            "[5,5,-0]",
+            "[5,6,7]",
+            "[007,00,1.]",
+            "[1,2,12345678901234567890123]",
+            "[2,3,1e-400]",
+        ];
+        const DECLINED: &[&str] = &[
+            // Whitespace inside the brackets.
+            "[ 1 , 2 , 3.5 ]",
+            "[1,2,3 ]",
+            "[\n1,\t2,\r3]",
+            // Coordinates that are numbers but not plain integers.
+            "[1.0,2,3]",
+            "[1,1e0,3]",
+            "[1E0,2,3]",
+            "[-0,1,2]",
+            "[1,-0,2]",
+            "[-1,0,1]",
+            "[0.5,0,1]",
+            // 19- and 20-digit coordinates.
+            "[1234567890123456789,0,1]",
+            "[0,9999999999999999999,1]",
+            "[12345678901234567890,0,1]",
+            "[0,99999999999999999999,1]",
+            // Values that are no number, and coordinates that are none.
+            "[0,0,\"1\"]",
+            "[0,0,true]",
+            "[0,0,false]",
+            "[0,0,null]",
+            "[0,0,[1]]",
+            "[0,0,{\"v\":1}]",
+            "[\"0\",0,1]",
+            "[0,null,1]",
+            "[[0],0,1]",
+            // Too short, too long, empty, not finite, not an array.
+            "[0,0]",
+            "[0,0,1,2]",
+            "[]",
+            "[0,0,1e999]",
+            "[0,0,-1e999]",
+            "5",
+            "null",
+            "{}",
+            "\"[0,0,1]\"",
+        ];
+        const BROKEN: &[&str] = &[
+            "[0,0,1e]",
+            "[0,0,-]",
+            "[0 0 1]",
+            "[0,0,1,]",
+            "[0,0,1",
+            "[1,tru,0]",
+            "[0,0,1]]",
+            "[0,,1]",
+        ];
+        let mut state = 0x3E_u64;
+        let mut below = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut texts = vec![
+            "[]".to_string(),
+            " [ ] ".to_string(),
+            format!("[{}]", CLEAN.join(",")),
+            format!("[{}]", DECLINED.join(",")),
+        ];
+        for _ in 0..3_000 {
+            let mut text = String::from(["[", "[ ", " [\n"][below(3)]);
+            for i in 0..below(9) {
+                if i > 0 {
+                    text.push_str([",", ",", ", ", " ,"][below(4)]);
+                }
+                text.push_str(match below(3) {
+                    0 => DECLINED[below(DECLINED.len())],
+                    _ => CLEAN[below(CLEAN.len())],
+                });
+            }
+            if below(8) == 0 {
+                text.push_str(if text.ends_with(']') { "," } else { "" });
+                text.push_str(BROKEN[below(BROKEN.len())]);
+            }
+            text.push_str(["]", " ]", "]@", "]"][below(4)]);
+            texts.push(text);
+        }
+        for text in &texts {
+            assert_eq!(entries_loop(text, 0), element_walk(text, 0), "{text}");
+        }
+        // At the reader's depth limit an element's brackets are refused.
+        let deep = "[".repeat(127) + "[[0,0,1]]";
+        assert!(element_walk(&deep, 127).is_err());
+        assert_eq!(entries_loop(&deep, 127), element_walk(&deep, 127));
     }
 
     #[test]
