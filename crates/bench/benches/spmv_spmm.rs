@@ -4,7 +4,7 @@
 //!
 //! The engine prepares the uniform control matrix once, lets the first
 //! `spmm` call run the SpMM variant search at the widest width (k = 8,
-//! so the winning rhs tile is chosen by search, not defaulted), then
+//! so the winning row is chosen by search, not defaulted), then
 //! replays the frozen pick at k in {1, 2, 4, 8}. Amortizing the row
 //! pointer and column index traffic across the batch is the whole
 //! point: `ns_per_column` must drop as k grows, with the target at

@@ -48,7 +48,7 @@ use std::time::Duration;
 /// the tuner's `decide` demands of a challenger.
 const WITHIN: f64 = 1.0 + MARGIN;
 /// RHS widths the SpMM tier is swept at.
-const SPMM_WIDTHS: [usize; 4] = [2, 4, 8, 16];
+const SPMM_WIDTHS: [usize; 6] = [2, 3, 4, 5, 8, 16];
 
 /// Matrices each format is measured on: the offline search's probe
 /// archetype, the shapes the end-to-end benchmark feeds that format,

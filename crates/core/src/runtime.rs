@@ -1114,8 +1114,11 @@ impl<T: Scalar> Smat<T> {
     /// [`SmatError::KernelPanic`] only when the reference re-execution
     /// itself panics.
     pub fn spmm(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T], k: usize) -> Result<()> {
-        check_len("smat spmm x", tuned.matrix.cols() * k, x.len())?;
-        check_len("smat spmm y", tuned.matrix.rows() * k, y.len())?;
+        // An extent past `usize::MAX` matches no buffer (a slice holds
+        // at most `isize::MAX` bytes): saturate instead of wrapping.
+        let extent = |n: usize| n.saturating_mul(k);
+        check_len("smat spmm x", extent(tuned.matrix.cols()), x.len())?;
+        check_len("smat spmm y", extent(tuned.matrix.rows()), y.len())?;
         if k == 0 {
             return Ok(());
         }
@@ -1128,16 +1131,16 @@ impl<T: Scalar> Smat<T> {
     /// `CandidateFailed` row), pick the winner via the scoreboard, then
     /// search its chunk plan. The resulting pick is written back to the
     /// structural-fingerprint cache so later `prepare` calls replay it.
-    /// The pick itself is k-agnostic — the rhs-tile width lives on the
-    /// winning variant's strategy bits and the plan's chunk bounds are
-    /// row-granular — so it serves every later `k` bit-identically.
+    /// The pick itself is k-agnostic — a tiled variant covers any `k`
+    /// with 8-wide tiles and a 4-2-1 tail, and the plan's chunk bounds
+    /// are row-granular — so it serves every later `k` bit-identically.
     /// When no candidate survives measurement the handle gets row 0 on
     /// a serial plan, uncached, so a later `prepare` tunes afresh.
     fn tune_spmm(&self, tuned: &TunedSpmv<T>, k: usize) -> CachedSpmm {
         let format = tuned.matrix.format();
         // Measure at a genuinely multi-RHS width even when the first
-        // call is the k = 1 degenerate, so the tile dimension has
-        // something to win on.
+        // call is the k = 1 degenerate: at k = 1 every tiled row runs
+        // its width-1 body and the rows would tie.
         let probe_k = k.max(4);
         let excluded = self.health.quarantined_kernels();
         let table = smat_kernels::measure_spmm(
@@ -1727,6 +1730,43 @@ pub(crate) mod tests {
         for (a, b) in y1.iter().zip(&expect) {
             assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn spmm_rejects_a_block_extent_past_usize_before_tuning() {
+        let e = forced_engine(Format::Dia);
+        let m = Csr::<f64>::identity(3072);
+        let tuned = e.prepare(&m);
+        assert_eq!(tuned.format(), Format::Dia);
+        // 3072 * k is 2^64 + 2048: wrapped, it would match these blocks.
+        let k = usize::MAX / 3072 + 1;
+        let x = vec![1.0; 2048];
+        let mut y = vec![0.0; 2048];
+        assert!(matches!(
+            e.spmm(&tuned, &x, &mut y, k),
+            Err(SmatError::Matrix(_))
+        ));
+        // Refused before tuning: nothing ran, nothing was recorded, and
+        // the handle's pick is still open.
+        let report = e.health_report();
+        assert_eq!(
+            (report.calls, report.spmm_calls, report.exec_faults),
+            (0, 0, 0)
+        );
+        assert!(report.recent_incidents.is_empty());
+        assert!(tuned.spmm_kernel().is_none());
+        // A later valid call tunes for real and picks a tiled row.
+        let k = 2;
+        let x: Vec<f64> = (0..3072 * k).map(|i| i as f64).collect();
+        let mut y = vec![f64::NAN; 3072 * k];
+        e.spmm(&tuned, &x, &mut y, k).unwrap();
+        assert_eq!(y, x);
+        let kernel = tuned.spmm_kernel().expect("a valid call attaches a pick");
+        assert!(e
+            .library()
+            .info(kernel)
+            .strategies
+            .contains(smat_kernels::Strategy::Tile8));
     }
 
     #[test]

@@ -158,15 +158,7 @@ impl<T: Scalar> KernelLibrary<T> {
                 Format::Bcsr2 => bcsr::variants2(),
                 Format::Bcsr4 => bcsr::variants4(),
             }),
-            spmm: Format::ALL.map(|format| match format {
-                Format::Dia => spmm::dia_variants(),
-                Format::Ell => spmm::ell_variants(),
-                Format::Csr => spmm::csr_variants(),
-                Format::Coo => spmm::coo_variants(),
-                Format::Hyb => spmm::hyb_variants(),
-                Format::Bcsr2 => spmm::bcsr_variants2(),
-                Format::Bcsr4 => spmm::bcsr_variants4(),
-            }),
+            spmm: Format::ALL.map(spmm::variants),
             registered: Format::ALL.map(|_| Vec::new()),
         }
     }
@@ -572,7 +564,14 @@ mod tests {
             }
         }
         assert_eq!(lib.total_variants(), 29);
-        assert_eq!(lib.total_spmm_variants(), 38);
+        assert_eq!(lib.total_spmm_variants(), 23);
+        // One tile width: every SpMM row but the column-at-a-time row 0
+        // tiles along the 8-4-2-1 ladder.
+        for f in Format::ALL {
+            for row in &lib.spmm_variants(f)[1..] {
+                assert!(row.strategies.contains(Strategy::Tile8), "{}", row.name);
+            }
+        }
         let id = KernelId::spmm_basic(Format::Csr);
         assert_eq!(id.op, Op::Spmm);
         assert_eq!(lib.info(id).name, "csr_spmm_basic");

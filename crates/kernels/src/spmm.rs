@@ -7,9 +7,10 @@
 //! instead of once per column, with the tile's partial sums held in
 //! registers. Every non-merge kernel is one row-major sweep: per output
 //! row, `W` lane accumulators per tile, and the row's `k` outputs
-//! written once. Tile widths are registry variants tagged
-//! `Tile2`/`Tile4`/`Tile8` — the width is a searched dimension, scored
-//! by the scoreboard like any other strategy (DESIGN §17).
+//! written once. A tiled row (`Tile8`) covers `k` with 8-wide tiles and
+//! finishes the `k % 8` tail columns with at most one 4-, one 2- and
+//! one 1-wide tile (`ladder`), so one row serves every `k`; row 0 of
+//! each table runs column-at-a-time (DESIGN §17).
 //!
 //! # Reduction-order contract
 //!
@@ -33,48 +34,86 @@ use crate::partition::MAX_MERGE_CHUNKS;
 use crate::plan::ExecPlan;
 use crate::registry::{kernel_rows, KernelInfo};
 use crate::strategy::{Strategy, StrategySet};
-use smat_matrix::{Bcsr, Coo, Csr, Dia, Ell, Hyb, Scalar};
+use smat_matrix::{Bcsr, Coo, Csr, Dia, Ell, Format, Hyb, Scalar};
 use std::ops::Range;
 
 #[inline]
 fn check_dims<T>(rows: usize, cols: usize, x: &[T], y: &[T], k: usize) {
     assert!(k >= 1, "at least one RHS column required");
-    assert_eq!(x.len(), cols * k, "x length must equal cols * k");
-    assert_eq!(y.len(), rows * k, "y length must equal rows * k");
+    let extent = |n: usize| n.checked_mul(k).expect("block extent overflows usize");
+    assert_eq!(x.len(), extent(cols), "x length must equal cols * k");
+    assert_eq!(y.len(), extent(rows), "y length must equal rows * k");
 }
 
-/// Monomorphizes a `::<T, W>`-generic sweep for the strategy set's tile
-/// width (`W = 1` without a `Tile*` strategy: column-at-a-time, the
-/// table's row 0).
+/// Monomorphizes `$sweep`, an expression generic over the const `$w`,
+/// for the strategy set's tile width (`1` without `Tile8`:
+/// column-at-a-time, the table's row 0).
 macro_rules! by_tile_width {
-    ($strategies:expr, $sweep:ident($($arg:expr),* $(,)?)) => {
-        match $strategies.tile_width() {
-            2 => $sweep::<_, 2>($($arg),*),
-            4 => $sweep::<_, 4>($($arg),*),
-            8 => $sweep::<_, 8>($($arg),*),
-            _ => $sweep::<_, 1>($($arg),*),
+    ($strategies:expr, |$w:ident| $sweep:expr) => {
+        if $strategies.tile_width() == 8 {
+            const $w: usize = 8;
+            $sweep
+        } else {
+            const $w: usize = 1;
+            $sweep
         }
     };
 }
 
-/// Writes one output row's `k` columns `yr` once: `W`-wide tiles from
-/// `tile(j0)`, then the `k % W` tail columns from `col(j)` — the same
-/// body at width 1, so every element keeps its stream order.
+/// A kernel body over the RHS columns `j0..j0 + W`, monomorphized per
+/// width: one output row's tile ([`emit_row`]), one BCSR row range's,
+/// or one whole merge-path sweep.
+trait ColumnTile {
+    fn tile<const W: usize>(&mut self, j0: usize);
+}
+
+/// Covers columns `0..k` with `W`-wide tiles, then finishes the
+/// `k % W` tail with at most one 4-, one 2- and one 1-wide tile. Lanes
+/// never mix, so every column keeps its stream order at every width.
 #[inline(always)]
-fn emit_row<T: Scalar, const W: usize>(
-    yr: &mut [T],
-    tile: impl Fn(usize) -> [T; W],
-    col: impl Fn(usize) -> [T; 1],
-) {
-    let k = yr.len();
+fn ladder<const W: usize>(k: usize, body: &mut impl ColumnTile) {
     let mut j0 = 0;
     while j0 + W <= k {
-        yr[j0..j0 + W].copy_from_slice(&tile(j0));
+        body.tile::<W>(j0);
         j0 += W;
     }
-    for (j, slot) in yr.iter_mut().enumerate().skip(j0) {
-        *slot = col(j)[0];
+    if W > 4 && j0 + 4 <= k {
+        body.tile::<4>(j0);
+        j0 += 4;
     }
+    if W > 2 && j0 + 2 <= k {
+        body.tile::<2>(j0);
+        j0 += 2;
+    }
+    if W > 1 && j0 < k {
+        body.tile::<1>(j0);
+    }
+}
+
+/// One output row's tile of `W` column dot products, each lane in its
+/// format's basic-SpMV order.
+trait RowTile<T> {
+    fn tile<const W: usize>(&self, x: &[T], k: usize, j0: usize) -> [T; W];
+}
+
+/// Writes one output row's `k` columns `yr` once, tile by tile along
+/// the [`ladder`].
+#[inline(always)]
+fn emit_row<T: Scalar, const W: usize>(yr: &mut [T], x: &[T], row: impl RowTile<T>) {
+    struct Emit<'a, T, R> {
+        yr: &'a mut [T],
+        x: &'a [T],
+        row: R,
+    }
+    impl<T: Scalar, R: RowTile<T>> ColumnTile for Emit<'_, T, R> {
+        #[inline(always)]
+        fn tile<const W: usize>(&mut self, j0: usize) {
+            let k = self.yr.len();
+            let t = self.row.tile::<W>(self.x, k, j0);
+            self.yr[j0..j0 + W].copy_from_slice(&t);
+        }
+    }
+    ladder::<W>(yr.len(), &mut Emit { yr, x, row });
 }
 
 /// Adds one stored entry `(c, v)` to the lane accumulators: lane `l`
@@ -184,39 +223,48 @@ fn row_tile_dispatch<T: Scalar, const W: usize>(
     row_tile::<T, W>(idx, val, x, k, j0)
 }
 
-#[inline]
-fn csr_chunks<T: Scalar, const W: usize>(
-    m: &Csr<T>,
+/// A CSR row or COO row run `(idx, val)`; `simd` routes its tiles
+/// through [`row_tile_dispatch`].
+#[derive(Clone, Copy)]
+struct EntryRow<'a, T>(&'a [usize], &'a [T], bool);
+
+impl<T: Scalar> RowTile<T> for EntryRow<'_, T> {
+    #[inline(always)]
+    fn tile<const W: usize>(&self, x: &[T], k: usize, j0: usize) -> [T; W] {
+        let EntryRow(idx, val, simd) = *self;
+        if simd {
+            row_tile_dispatch::<T, W>(idx, val, x, k, j0)
+        } else {
+            row_tile::<T, W>(idx, val, x, k, j0)
+        }
+    }
+}
+
+/// The row-major sweep of a row body `row(r)` over the plan's row
+/// chunks, each output row written once along the [`ladder`].
+fn sweep_rows<T: Scalar, const W: usize, R: RowTile<T>>(
     x: &[T],
     y: &mut [T],
     k: usize,
     bounds: &[usize],
-    simd: bool,
+    row: impl Fn(usize) -> R + Sync,
 ) {
     exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-        let r0 = bounds[ci];
         for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
-            let (idx, val) = m.row(r0 + i);
-            let tile = |j0| {
-                if simd {
-                    row_tile_dispatch::<T, W>(idx, val, x, k, j0)
-                } else {
-                    row_tile::<T, W>(idx, val, x, k, j0)
-                }
-            };
-            emit_row(yr, tile, |j| row_tile(idx, val, x, k, j));
+            emit_row::<T, W>(yr, x, row(bounds[ci] + i));
         }
     });
 }
 
 /// Runs the CSR SpMM variant tagged `strategies` over the plan — the
-/// one planned dispatch of this format's batched tier. The `Tile*`
-/// strategy picks the register-tile width (none: column-at-a-time, the
-/// containment reference and the `k = 1` degenerate kernel), `Simd`
-/// routes full tiles through the vector backend (bit-identical), and
-/// `Merge` replays the plan's entry bounds; otherwise rows fan out over
-/// the plan's row chunks (rows are never split, so per-column
-/// accumulation order is the same at every fan-out width).
+/// one planned dispatch of this format's batched tier. `Tile8` covers
+/// the columns with 8-wide tiles and a 4-2-1 tail (without it:
+/// column-at-a-time, the containment reference and the `k = 1`
+/// degenerate kernel), `Simd` routes the 8- and 4-wide tiles through
+/// the vector backend (bit-identical), and `Merge` replays the plan's
+/// entry bounds; otherwise rows fan out over the plan's row chunks
+/// (rows are never split, so per-column accumulation order is the same
+/// at every fan-out width).
 ///
 /// # Panics
 ///
@@ -237,7 +285,9 @@ pub fn run_csr<T: Scalar>(
         .as_deref()
         .filter(|eb| merge && plan.chunks() > 1 && eb.len() == plan.bounds.len());
     if let Some(eb) = entry_bounds {
-        return by_tile_width!(strategies, csr_merge_with(m, x, y, k, eb, &plan.bounds));
+        return by_tile_width!(strategies, |W| {
+            csr_merge_with::<_, W>(m, x, y, k, eb, &plan.bounds)
+        });
     }
     // A merge variant handed a plan without entry bounds (serial,
     // degraded or foreign) runs the tiled row body over one chunk — the
@@ -245,7 +295,11 @@ pub fn run_csr<T: Scalar>(
     let whole = [0, m.rows()];
     let bounds = if merge { &whole[..] } else { &plan.bounds[..] };
     let simd = strategies.contains(Strategy::Simd);
-    by_tile_width!(strategies, csr_chunks(m, x, y, k, bounds, simd))
+    let row = |r| {
+        let (idx, val) = m.row(r);
+        EntryRow(idx, val, simd)
+    };
+    by_tile_width!(strategies, |W| sweep_rows::<_, W, _>(x, y, k, bounds, row))
 }
 
 /// Tile of `W` column dot products over one contiguous entry segment
@@ -272,71 +326,84 @@ fn segment_tile<T: Scalar, const W: usize>(
     acc
 }
 
-/// One column-tile's merge-path sweep: the SpMM analogue of
-/// `csr::run_merge_chunks`, with per-chunk carry *tiles* and the same
-/// ascending serial fix-up — bit-stable across replays of one plan.
-fn merge_chunks_tile<T: Scalar, const W: usize>(
-    m: &Csr<T>,
-    x: &[T],
-    y: &mut [T],
+/// The merge-path SpMM over validated `bounds` and their aligned
+/// `entry_bounds`.
+struct MergeSweep<'a, T> {
+    m: &'a Csr<T>,
+    x: &'a [T],
+    y: &'a mut [T],
     k: usize,
-    j0: usize,
-    entry_bounds: &[usize],
-    bounds: &[usize],
-) {
-    let chunks = bounds.len() - 1;
-    debug_assert!(chunks >= 2, "single-chunk sweeps take the serial path");
-    assert!(
-        chunks <= MAX_MERGE_CHUNKS,
-        "merge fan-out exceeds carry capacity"
-    );
-    let ptr = m.row_ptr();
-    let mut carry = [[T::ZERO; W]; MAX_MERGE_CHUNKS];
-    let carry_base = carry.as_mut_ptr() as usize;
-    let y_base = y.as_mut_ptr() as usize;
-    exec::for_each_chunk(chunks, &|ci| {
-        let (e0, e1) = (entry_bounds[ci], entry_bounds[ci + 1]);
-        let (w0, w1) = (bounds[ci], bounds[ci + 1]);
-        let head_end = if w0 < w1 { ptr[w0].min(e1) } else { e1 };
-        if e0 < head_end {
-            let c = segment_tile::<T, W>(m, e0, head_end, x, k, j0);
-            // SAFETY: each chunk index is claimed exactly once and
-            // writes only its own carry slot; `ci < chunks <=
-            // MAX_MERGE_CHUNKS` keeps the write in bounds, and the
-            // carry array outlives the fan-out (the caller participates
-            // in the pool drain before `for_each_chunk` returns).
-            unsafe { *(carry_base as *mut [T; W]).add(ci) = c };
-        }
-        for r in w0..w1 {
-            let lo = ptr[r];
-            let hi = ptr[r + 1].min(e1);
-            let v = segment_tile::<T, W>(m, lo, hi, x, k, j0);
-            // SAFETY: row ownership is a partition (validated bounds),
-            // so no two chunks write the same output tile; `r < rows`
-            // and `j0 + W <= k` keep the writes within `y`.
-            unsafe {
-                let dst = (y_base as *mut T).add(r * k + j0);
-                for (l, &vl) in v.iter().enumerate() {
-                    *dst.add(l) = vl;
+    entry_bounds: &'a [usize],
+    bounds: &'a [usize],
+}
+
+impl<T: Scalar> ColumnTile for MergeSweep<'_, T> {
+    /// One column tile's merge-path sweep: the SpMM analogue of
+    /// `csr::run_merge_chunks`, with per-chunk carry *tiles* and the
+    /// same ascending serial fix-up — bit-stable across replays of one
+    /// plan.
+    fn tile<const W: usize>(&mut self, j0: usize) {
+        let MergeSweep {
+            m,
+            x,
+            k,
+            entry_bounds,
+            bounds,
+            ..
+        } = *self;
+        let chunks = bounds.len() - 1;
+        debug_assert!(chunks >= 2, "single-chunk sweeps take the serial path");
+        assert!(
+            chunks <= MAX_MERGE_CHUNKS,
+            "merge fan-out exceeds carry capacity"
+        );
+        let ptr = m.row_ptr();
+        let mut carry = [[T::ZERO; W]; MAX_MERGE_CHUNKS];
+        let carry_base = carry.as_mut_ptr() as usize;
+        let y_base = self.y.as_mut_ptr() as usize;
+        exec::for_each_chunk(chunks, &|ci| {
+            let (e0, e1) = (entry_bounds[ci], entry_bounds[ci + 1]);
+            let (w0, w1) = (bounds[ci], bounds[ci + 1]);
+            let head_end = if w0 < w1 { ptr[w0].min(e1) } else { e1 };
+            if e0 < head_end {
+                let c = segment_tile::<T, W>(m, e0, head_end, x, k, j0);
+                // SAFETY: each chunk index is claimed exactly once and
+                // writes only its own carry slot; `ci < chunks <=
+                // MAX_MERGE_CHUNKS` keeps the write in bounds, and the
+                // carry array outlives the fan-out (the caller
+                // participates in the pool drain before `for_each_chunk`
+                // returns).
+                unsafe { *(carry_base as *mut [T; W]).add(ci) = c };
+            }
+            for r in w0..w1 {
+                let v = segment_tile::<T, W>(m, ptr[r], ptr[r + 1].min(e1), x, k, j0);
+                // SAFETY: row ownership is a partition (validated
+                // bounds), so no two chunks write the same output tile;
+                // `r < rows` and `j0 + W <= k` keep the writes within `y`.
+                unsafe {
+                    let dst = (y_base as *mut T).add(r * k + j0);
+                    for (l, &vl) in v.iter().enumerate() {
+                        *dst.add(l) = vl;
+                    }
                 }
             }
-        }
-    });
-    // Serial fix-up in ascending chunk order: fixed association.
-    for ci in 1..chunks {
-        let (e0, e1) = (entry_bounds[ci], entry_bounds[ci + 1]);
-        let (w0, w1) = (bounds[ci], bounds[ci + 1]);
-        let head_end = if w0 < w1 { ptr[w0].min(e1) } else { e1 };
-        if e0 < head_end {
-            for (l, &c) in carry[ci].iter().enumerate() {
-                y[(w0 - 1) * k + j0 + l] += c;
+        });
+        // Serial fix-up in ascending chunk order: fixed association.
+        for ci in 1..chunks {
+            let (e0, e1) = (entry_bounds[ci], entry_bounds[ci + 1]);
+            let (w0, w1) = (bounds[ci], bounds[ci + 1]);
+            let head_end = if w0 < w1 { ptr[w0].min(e1) } else { e1 };
+            if e0 < head_end {
+                for (l, &c) in carry[ci].iter().enumerate() {
+                    self.y[(w0 - 1) * k + j0 + l] += c;
+                }
             }
         }
     }
 }
 
-/// Drives the merge-path SpMM: one sweep per `W`-wide column tile,
-/// then width-1 sweeps for the `k % W` tail columns.
+/// Drives the merge-path SpMM: one sweep per column tile along the
+/// [`ladder`].
 fn csr_merge_with<T: Scalar, const W: usize>(
     m: &Csr<T>,
     x: &[T],
@@ -351,57 +418,38 @@ fn csr_merge_with<T: Scalar, const W: usize>(
         bounds.len(),
         "entry bounds must align with row bounds"
     );
-    let mut j0 = 0;
-    while j0 + W <= k {
-        merge_chunks_tile::<T, W>(m, x, y, k, j0, entry_bounds, bounds);
-        j0 += W;
-    }
-    for j in j0..k {
-        merge_chunks_tile::<T, 1>(m, x, y, k, j, entry_bounds, bounds);
-    }
+    let mut sweep = MergeSweep {
+        m,
+        x,
+        y,
+        k,
+        entry_bounds,
+        bounds,
+    };
+    ladder::<W>(k, &mut sweep);
 }
 
-/// One ELL row's tile: packed slots in ascending order, padding
-/// included — the basic ELL SpMV's order per column.
-#[inline]
-fn ell_tile<T: Scalar, const W: usize>(
-    m: &Ell<T>,
-    r: usize,
-    x: &[T],
-    k: usize,
-    j0: usize,
-) -> [T; W] {
-    let (rows, data, idx) = (m.rows(), m.data(), m.indices());
-    let mut acc = [T::ZERO; W];
-    for p in 0..m.width() {
-        add_entry(&mut acc, idx[p * rows + r], data[p * rows + r], x, k, j0);
-    }
-    acc
-}
+/// One ELL row: packed slots in ascending order, padding included — the
+/// basic ELL SpMV's order per column.
+#[derive(Clone, Copy)]
+struct EllRow<'a, T>(&'a Ell<T>, usize);
 
-fn ell_chunks<T: Scalar, const W: usize>(
-    m: &Ell<T>,
-    x: &[T],
-    y: &mut [T],
-    k: usize,
-    bounds: &[usize],
-) {
-    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-        let r0 = bounds[ci];
-        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
-            let r = r0 + i;
-            emit_row(
-                yr,
-                |j0| ell_tile::<T, W>(m, r, x, k, j0),
-                |j| ell_tile(m, r, x, k, j),
-            );
+impl<T: Scalar> RowTile<T> for EllRow<'_, T> {
+    #[inline(always)]
+    fn tile<const W: usize>(&self, x: &[T], k: usize, j0: usize) -> [T; W] {
+        let EllRow(m, r) = *self;
+        let (rows, data, idx) = (m.rows(), m.data(), m.indices());
+        let mut acc = [T::ZERO; W];
+        for p in 0..m.width() {
+            add_entry(&mut acc, idx[p * rows + r], data[p * rows + r], x, k, j0);
         }
-    });
+        acc
+    }
 }
 
 /// Runs the ELL SpMM variant tagged `strategies` over the plan's row
-/// chunks (no `Tile*` strategy: column-at-a-time, the format's
-/// containment reference).
+/// chunks (no `Tile8`: column-at-a-time, the format's containment
+/// reference).
 ///
 /// # Panics
 ///
@@ -415,49 +463,36 @@ pub fn run_ell<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    by_tile_width!(strategies, ell_chunks(m, x, y, k, &plan.bounds))
+    let bounds = &plan.bounds;
+    by_tile_width!(strategies, |W| sweep_rows::<_, W, _>(
+        x,
+        y,
+        k,
+        bounds,
+        |r| EllRow(m, r)
+    ))
 }
 
-/// One DIA row's tile: diagonals in offset order, each where its column
+/// One DIA row: diagonals in offset order, each where its column
 /// `r + off` exists (fill included) — the basic DIA SpMV's order per
 /// column.
-#[inline]
-fn dia_tile<T: Scalar, const W: usize>(
-    m: &Dia<T>,
-    r: usize,
-    x: &[T],
-    k: usize,
-    j0: usize,
-) -> [T; W] {
-    let (rows, cols, data) = (m.rows(), m.cols(), m.data());
-    let mut acc = [T::ZERO; W];
-    for (d, &off) in m.offsets().iter().enumerate() {
-        let c = r.wrapping_add_signed(off);
-        if c < cols {
-            add_entry(&mut acc, c, data[d * rows + r], x, k, j0);
-        }
-    }
-    acc
-}
+#[derive(Clone, Copy)]
+struct DiaRow<'a, T>(&'a Dia<T>, usize);
 
-fn dia_chunks<T: Scalar, const W: usize>(
-    m: &Dia<T>,
-    x: &[T],
-    y: &mut [T],
-    k: usize,
-    bounds: &[usize],
-) {
-    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-        let r0 = bounds[ci];
-        for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
-            let r = r0 + i;
-            emit_row(
-                yr,
-                |j0| dia_tile::<T, W>(m, r, x, k, j0),
-                |j| dia_tile(m, r, x, k, j),
-            );
+impl<T: Scalar> RowTile<T> for DiaRow<'_, T> {
+    #[inline(always)]
+    fn tile<const W: usize>(&self, x: &[T], k: usize, j0: usize) -> [T; W] {
+        let DiaRow(m, r) = *self;
+        let (rows, cols, data) = (m.rows(), m.cols(), m.data());
+        let mut acc = [T::ZERO; W];
+        for (d, &off) in m.offsets().iter().enumerate() {
+            let c = r.wrapping_add_signed(off);
+            if c < cols {
+                add_entry(&mut acc, c, data[d * rows + r], x, k, j0);
+            }
         }
-    });
+        acc
+    }
 }
 
 /// Runs the DIA SpMM variant tagged `strategies` over the plan's row
@@ -475,7 +510,14 @@ pub fn run_dia<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    by_tile_width!(strategies, dia_chunks(m, x, y, k, &plan.bounds))
+    let bounds = &plan.bounds;
+    by_tile_width!(strategies, |W| sweep_rows::<_, W, _>(
+        x,
+        y,
+        k,
+        bounds,
+        |r| DiaRow(m, r)
+    ))
 }
 
 /// Advances the cursor `e` over row `r`'s run of a row-sorted entry
@@ -502,12 +544,8 @@ fn coo_chunks<T: Scalar, const W: usize>(
         let (r0, mut e, end) = (row_bounds[ci], entry_bounds[ci], entry_bounds[ci + 1]);
         for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
             let run = row_run(row_idx, &mut e, end, r0 + i);
-            let (idx, val) = (&col_idx[run.clone()], &values[run]);
-            emit_row(
-                yr,
-                |j0| row_tile::<T, W>(idx, val, x, k, j0),
-                |j| row_tile(idx, val, x, k, j),
-            );
+            let row = EntryRow(&col_idx[run.clone()], &values[run], false);
+            emit_row::<T, W>(yr, x, row);
         }
         assert_eq!(e, end, "entry bounds must align with the plan's row chunks");
     });
@@ -532,25 +570,25 @@ pub fn run_coo<T: Scalar>(
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
     crate::coo::with_entry_chunks(m, plan, |entry_bounds, row_bounds| {
-        by_tile_width!(strategies, coo_chunks(m, x, y, k, entry_bounds, row_bounds))
+        by_tile_width!(strategies, |W| {
+            coo_chunks::<_, W>(m, x, y, k, entry_bounds, row_bounds)
+        })
     })
 }
 
-/// One HYB row's tile: the ELL part's slots, then the row's run `(idx,
-/// val)` of COO overflow entries — the basic HYB SpMV's order per
-/// column.
-#[inline]
-fn hyb_tile<T: Scalar, const W: usize>(
-    m: &Hyb<T>,
-    r: usize,
-    (idx, val): (&[usize], &[T]),
-    x: &[T],
-    k: usize,
-    j0: usize,
-) -> [T; W] {
-    let mut acc = ell_tile(m.ell_part(), r, x, k, j0);
-    add_entries(&mut acc, idx, val, x, k, j0);
-    acc
+/// One HYB row: the ELL part's slots, then the row's run of COO
+/// overflow entries — the basic HYB SpMV's order per column.
+#[derive(Clone, Copy)]
+struct HybRow<'a, T>(EllRow<'a, T>, EntryRow<'a, T>);
+
+impl<T: Scalar> RowTile<T> for HybRow<'_, T> {
+    #[inline(always)]
+    fn tile<const W: usize>(&self, x: &[T], k: usize, j0: usize) -> [T; W] {
+        let HybRow(ell, EntryRow(idx, val, _)) = *self;
+        let mut acc = ell.tile(x, k, j0);
+        add_entries(&mut acc, idx, val, x, k, j0);
+        acc
+    }
 }
 
 fn hyb_chunks<T: Scalar, const W: usize>(
@@ -568,12 +606,8 @@ fn hyb_chunks<T: Scalar, const W: usize>(
         for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
             let r = r0 + i;
             let run = row_run(row_idx, &mut e, row_idx.len(), r);
-            let extra = (&col_idx[run.clone()], &values[run]);
-            emit_row(
-                yr,
-                |j0| hyb_tile::<T, W>(m, r, extra, x, k, j0),
-                |j| hyb_tile(m, r, extra, x, k, j),
-            );
+            let extra = EntryRow(&col_idx[run.clone()], &values[run], false);
+            emit_row::<T, W>(yr, x, HybRow(EllRow(m.ell_part(), r), extra));
         }
     });
 }
@@ -594,13 +628,34 @@ pub fn run_hyb<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    by_tile_width!(strategies, hyb_chunks(m, x, y, k, &plan.bounds))
+    by_tile_width!(strategies, |W| hyb_chunks::<_, W>(m, x, y, k, &plan.bounds))
 }
 
-/// BCSR SpMM for one column tile `[j0, j0 + W)` over rows `[r0, r1)`:
-/// per block row, `br * W` partial sums stay in registers while the
-/// row's blocks stream left to right (columns left to right within a
-/// block — the same order as the basic BCSR SpMV per output column).
+/// BCSR SpMM over rows `[r0, r1)`, written to that range's slice
+/// `y_chunk` of the output.
+struct BcsrRows<'a, T> {
+    m: &'a Bcsr<T>,
+    x: &'a [T],
+    y_chunk: &'a mut [T],
+    k: usize,
+    r0: usize,
+    r1: usize,
+}
+
+impl<T: Scalar> ColumnTile for BcsrRows<'_, T> {
+    fn tile<const W: usize>(&mut self, j0: usize) {
+        let (m, x, k, r0, r1) = (self.m, self.x, self.k, self.r0, self.r1);
+        bcsr_rows_tile::<T, W>(m, x, self.y_chunk, k, r0, r1, j0);
+    }
+}
+
+/// One column tile `[j0, j0 + W)` of [`BcsrRows`]: per block row,
+/// `br * W` partial sums stay in registers while the row's blocks
+/// stream left to right (columns left to right within a block — the
+/// same order as the basic BCSR SpMV per output column). Kept out of
+/// line: inlined once per ladder width into the chunk loop, the 8-wide
+/// body ran at about half speed.
+#[inline(never)]
 fn bcsr_rows_tile<T: Scalar, const W: usize>(
     m: &Bcsr<T>,
     x: &[T],
@@ -645,26 +700,6 @@ fn bcsr_rows_tile<T: Scalar, const W: usize>(
     }
 }
 
-/// BCSR SpMM over rows `[r0, r1)`: `W`-wide tiles then width-1 tail
-/// columns.
-fn bcsr_rows<T: Scalar, const W: usize>(
-    m: &Bcsr<T>,
-    x: &[T],
-    y_chunk: &mut [T],
-    k: usize,
-    r0: usize,
-    r1: usize,
-) {
-    let mut j0 = 0;
-    while j0 + W <= k {
-        bcsr_rows_tile::<T, W>(m, x, y_chunk, k, r0, r1, j0);
-        j0 += W;
-    }
-    for j in j0..k {
-        bcsr_rows_tile::<T, 1>(m, x, y_chunk, k, r0, r1, j);
-    }
-}
-
 fn bcsr_chunks<T: Scalar, const W: usize>(
     m: &Bcsr<T>,
     x: &[T],
@@ -672,14 +707,25 @@ fn bcsr_chunks<T: Scalar, const W: usize>(
     k: usize,
     bounds: &[usize],
 ) {
-    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
-        bcsr_rows::<T, W>(m, x, chunk, k, bounds[ci], bounds[ci + 1]);
+    exec::for_each_row_chunk_scaled(y, bounds, k, |ci, y_chunk| {
+        let (r0, r1) = (bounds[ci], bounds[ci + 1]);
+        ladder::<W>(
+            k,
+            &mut BcsrRows {
+                m,
+                x,
+                y_chunk,
+                k,
+                r0,
+                r1,
+            },
+        );
     });
 }
 
 /// Runs the BCSR SpMM variant tagged `strategies` over the plan's row
-/// chunks, for both block sizes (no `Tile*` strategy: column-at-a-time,
-/// the containment reference).
+/// chunks, for both block sizes (no `Tile8`: column-at-a-time, the
+/// containment reference).
 ///
 /// # Panics
 ///
@@ -693,94 +739,46 @@ pub fn run_bcsr<T: Scalar>(
     strategies: StrategySet,
 ) {
     check_dims(m.rows(), m.cols(), x, y, k);
-    by_tile_width!(strategies, bcsr_chunks(m, x, y, k, &plan.bounds))
+    by_tile_width!(strategies, |W| bcsr_chunks::<_, W>(
+        m,
+        x,
+        y,
+        k,
+        &plan.bounds
+    ))
 }
 
-/// The CSR SpMM variant table: basic, tiled, SIMD-tiled, row-parallel
-/// tiled and merge-path tiled rows.
-pub fn csr_variants() -> Vec<KernelInfo> {
+/// A format's SpMM variant table. Every table is column-at-a-time
+/// (row 0, the containment reference), serial tiles, and the same
+/// tiles fanned out over the plan's chunks (COO's replays the
+/// entry-aligned plan of its SpMV fan-out); CSR adds SIMD-tiled and
+/// merge-path tiled rows.
+pub fn variants(format: Format) -> Vec<KernelInfo> {
     use Strategy::*;
-    kernel_rows(&[
-        ("csr_spmm_basic", &[]),
-        ("csr_spmm_t2", &[Tile2]),
-        ("csr_spmm_t4", &[Tile4]),
-        ("csr_spmm_t8", &[Tile8]),
-        ("csr_spmm_simd_t4", &[Tile4, Simd]),
-        ("csr_spmm_simd_t8", &[Tile8, Simd]),
-        ("csr_spmm_parallel_t2", &[Parallel, Tile2]),
-        ("csr_spmm_parallel_t4", &[Parallel, Tile4]),
-        ("csr_spmm_parallel_t8", &[Parallel, Tile8]),
-        ("csr_spmm_merge_t2", &[Parallel, Merge, Tile2]),
-        ("csr_spmm_merge_t4", &[Parallel, Merge, Tile4]),
-        ("csr_spmm_merge_t8", &[Parallel, Merge, Tile8]),
-    ])
-}
-
-/// The ELL SpMM variant table.
-pub fn ell_variants() -> Vec<KernelInfo> {
-    use Strategy::*;
-    kernel_rows(&[
-        ("ell_spmm_basic", &[]),
-        ("ell_spmm_t2", &[Tile2]),
-        ("ell_spmm_t4", &[Tile4]),
-        ("ell_spmm_t8", &[Tile8]),
-        ("ell_spmm_parallel_t2", &[Parallel, Tile2]),
-        ("ell_spmm_parallel_t4", &[Parallel, Tile4]),
-        ("ell_spmm_parallel_t8", &[Parallel, Tile8]),
-    ])
-}
-
-macro_rules! bcsr_spmm_rows {
-    ($prefix:literal) => {{
-        use Strategy::*;
-        kernel_rows(&[
-            (concat!($prefix, "_spmm_basic"), &[]),
-            (concat!($prefix, "_spmm_t2"), &[Tile2]),
-            (concat!($prefix, "_spmm_t4"), &[Tile4]),
-            (concat!($prefix, "_spmm_t8"), &[Tile8]),
-            (concat!($prefix, "_spmm_parallel_t4"), &[Parallel, Tile4]),
-        ])
-    }};
-}
-
-/// The 2x2 BCSR SpMM variant table.
-pub fn bcsr_variants2() -> Vec<KernelInfo> {
-    bcsr_spmm_rows!("bcsr2")
-}
-
-/// The 4x4 BCSR SpMM variant table.
-pub fn bcsr_variants4() -> Vec<KernelInfo> {
-    bcsr_spmm_rows!("bcsr4")
-}
-
-/// The three rows of a format whose batched tier is one tile width:
-/// column-at-a-time (row 0, the containment reference), serial 8-wide
-/// tiles, and the same tiles fanned out over the plan's chunks.
-macro_rules! tiled_spmm_rows {
-    ($prefix:literal) => {{
-        use Strategy::*;
-        kernel_rows(&[
-            (concat!($prefix, "_spmm_basic"), &[]),
-            (concat!($prefix, "_spmm_t8"), &[Tile8]),
-            (concat!($prefix, "_spmm_parallel_t8"), &[Parallel, Tile8]),
-        ])
-    }};
-}
-
-/// The DIA SpMM variant table.
-pub fn dia_variants() -> Vec<KernelInfo> {
-    tiled_spmm_rows!("dia")
-}
-
-/// The COO SpMM variant table (its parallel row replays the
-/// entry-aligned plan of the COO SpMV fan-out).
-pub fn coo_variants() -> Vec<KernelInfo> {
-    tiled_spmm_rows!("coo")
-}
-
-/// The HYB SpMM variant table.
-pub fn hyb_variants() -> Vec<KernelInfo> {
-    tiled_spmm_rows!("hyb")
+    macro_rules! tiled_rows {
+        ($prefix:literal) => {
+            kernel_rows(&[
+                (concat!($prefix, "_spmm_basic"), &[]),
+                (concat!($prefix, "_spmm_t8"), &[Tile8]),
+                (concat!($prefix, "_spmm_parallel_t8"), &[Parallel, Tile8]),
+            ])
+        };
+    }
+    match format {
+        Format::Csr => kernel_rows(&[
+            ("csr_spmm_basic", &[]),
+            ("csr_spmm_t8", &[Tile8]),
+            ("csr_spmm_simd_t8", &[Tile8, Simd]),
+            ("csr_spmm_parallel_t8", &[Parallel, Tile8]),
+            ("csr_spmm_merge_t8", &[Parallel, Merge, Tile8]),
+        ]),
+        Format::Dia => tiled_rows!("dia"),
+        Format::Ell => tiled_rows!("ell"),
+        Format::Coo => tiled_rows!("coo"),
+        Format::Hyb => tiled_rows!("hyb"),
+        Format::Bcsr2 => tiled_rows!("bcsr2"),
+        Format::Bcsr4 => tiled_rows!("bcsr4"),
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -937,13 +935,13 @@ mod tests {
     #[test]
     fn row_granular_csr_variants_match_per_column_spmv_bitwise() {
         let m = random_uniform::<f64>(157, 111, 7, 5);
-        for k in [1usize, 2, 3, 5, 8, 9] {
+        for k in [1usize, 2, 3, 5, 6, 8, 9, 12, 15] {
             let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.31).sin()).collect();
             let expect = per_column_reference(&m, &x, k);
             // Row-granular kernels never reassociate a column's sum, so
             // they are bitwise on arbitrary (non-dyadic) values under
             // every plan.
-            for info in csr_variants() {
+            for info in variants(Format::Csr) {
                 if info.strategies.contains(Strategy::Merge) {
                     continue;
                 }
@@ -964,10 +962,10 @@ mod tests {
             (0..64).map(|c| (0, c, 0.25 * (1 + c % 5) as f64)).collect();
         triplets.extend((1..17).map(|r| (r, r % 64, 0.5 * (r % 3) as f64)));
         let m = Csr::from_triplets(17, 64, &triplets).unwrap();
-        for k in [1usize, 3, 4, 8, 10] {
+        for k in [1usize, 3, 4, 6, 8, 10, 12, 15] {
             let x = dyadic_x(64, k);
             let expect = per_column_reference(&m, &x, k);
-            for info in csr_variants() {
+            for info in variants(Format::Csr) {
                 if !info.strategies.contains(Strategy::Merge) {
                     continue;
                 }
@@ -987,18 +985,18 @@ mod tests {
         let m = power_law::<f64>(600, 150, 2.0, 7);
         let k = 5usize;
         let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.11).cos()).collect();
-        let merge_t4: StrategySet = [Strategy::Parallel, Strategy::Merge, Strategy::Tile4]
+        let merge_t8: StrategySet = [Strategy::Parallel, Strategy::Merge, Strategy::Tile8]
             .into_iter()
             .collect();
         let plan = merge_plan(&m, 6);
         let mut y1 = vec![f64::NAN; 600 * k];
         let mut y2 = vec![f64::NAN; 600 * k];
-        run_csr(&m, &x, &mut y1, k, &plan, merge_t4);
-        run_csr(&m, &x, &mut y2, k, &plan, merge_t4);
+        run_csr(&m, &x, &mut y1, k, &plan, merge_t8);
+        run_csr(&m, &x, &mut y2, k, &plan, merge_t8);
         assert!(y1.iter().zip(&y2).all(|(a, b)| a == b), "replay unstable");
         // Degraded (serial) plan: still correct, serial order.
         let mut y3 = vec![f64::NAN; 600 * k];
-        run_csr(&m, &x, &mut y3, k, &ExecPlan::serial(600), merge_t4);
+        run_csr(&m, &x, &mut y3, k, &ExecPlan::serial(600), merge_t8);
         assert!(bitwise(&y3, &per_column_reference(&m, &x, k)));
     }
 
@@ -1007,7 +1005,7 @@ mod tests {
         let m = Csr::<f64>::from_triplets(4, 4, &[(1, 1, 2.0)]).unwrap();
         let x = dyadic_x(4, 1);
         let expect = per_column_reference(&m, &x, 1);
-        for info in csr_variants() {
+        for info in variants(Format::Csr) {
             for plan in plans(&m) {
                 let mut y = vec![f64::NAN; 4];
                 run_csr(&m, &x, &mut y, 1, &plan, info.strategies);
@@ -1067,7 +1065,7 @@ mod tests {
             if let AnyMatrix::Hyb(h) = &any {
                 assert!(h.coo_part().nnz() > 0, "want a nonempty overflow part");
             }
-            for k in [1usize, 3, 4, 8, 9, 17] {
+            for k in [1usize, 3, 4, 6, 8, 9, 12, 15, 17] {
                 let x: Vec<f64> = (0..csr.cols() * k)
                     .map(|i| (i as f64 * 0.37).sin())
                     .collect();

@@ -38,28 +38,22 @@ pub enum Strategy {
     /// partials fixed up serially afterwards. Immune to the single-hot-row
     /// imbalance that defeats every row-granular partition (CSR only).
     Merge,
-    /// Multi-RHS register tiling over 2 right-hand-side columns per
-    /// matrix sweep (SpMM kernels only). The tile width is a *searched*
-    /// dimension: each width is a separate registry entry, so the
-    /// scoreboard scores tiling like any other strategy.
-    Tile2,
-    /// Multi-RHS register tiling over 4 columns per sweep.
-    Tile4,
-    /// Multi-RHS register tiling over 8 columns per sweep.
+    /// Multi-RHS register tiling (SpMM kernels only): 8 right-hand-side
+    /// columns per matrix sweep, the `k % 8` tail finished in one 4-,
+    /// one 2- and one 1-wide sweep at most. Without it a kernel runs
+    /// column-at-a-time.
     Tile8,
 }
 
 impl Strategy {
     /// All strategies, in bit order.
-    pub const ALL: [Strategy; 9] = [
+    pub const ALL: [Strategy; 7] = [
         Strategy::Unroll,
         Strategy::Parallel,
         Strategy::Balance,
         Strategy::Block,
         Strategy::Simd,
         Strategy::Merge,
-        Strategy::Tile2,
-        Strategy::Tile4,
         Strategy::Tile8,
     ];
 
@@ -71,9 +65,7 @@ impl Strategy {
             Strategy::Block => 8,
             Strategy::Simd => 16,
             Strategy::Merge => 32,
-            Strategy::Tile2 => 64,
-            Strategy::Tile4 => 128,
-            Strategy::Tile8 => 256,
+            Strategy::Tile8 => 64,
         }
     }
 
@@ -86,8 +78,6 @@ impl Strategy {
             Strategy::Block => "block",
             Strategy::Simd => "simd",
             Strategy::Merge => "merge",
-            Strategy::Tile2 => "tile2",
-            Strategy::Tile4 => "tile4",
             Strategy::Tile8 => "tile8",
         }
     }
@@ -162,15 +152,11 @@ impl StrategySet {
         }
     }
 
-    /// The multi-RHS register-tile width this set encodes: 2/4/8 for the
-    /// `Tile*` strategies, 1 when none is present (column-at-a-time).
+    /// The multi-RHS register-tile width this set encodes: 8 with
+    /// [`Strategy::Tile8`], 1 without it (column-at-a-time).
     pub fn tile_width(self) -> usize {
         if self.contains(Strategy::Tile8) {
             8
-        } else if self.contains(Strategy::Tile4) {
-            4
-        } else if self.contains(Strategy::Tile2) {
-            2
         } else {
             1
         }
@@ -240,14 +226,12 @@ mod tests {
         let s: StrategySet = Strategy::ALL.into_iter().collect();
         let back: StrategySet = s.iter().collect();
         assert_eq!(s, back);
-        assert_eq!(s.len(), 9);
+        assert_eq!(s.len(), 7);
     }
 
     #[test]
     fn tile_width_decodes() {
         assert_eq!(StrategySet::EMPTY.tile_width(), 1);
-        assert_eq!(StrategySet::EMPTY.with(Strategy::Tile2).tile_width(), 2);
-        assert_eq!(StrategySet::EMPTY.with(Strategy::Tile4).tile_width(), 4);
         assert_eq!(
             StrategySet::EMPTY
                 .with(Strategy::Tile8)

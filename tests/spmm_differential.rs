@@ -9,8 +9,8 @@
 //! on dyadic rationals — where every partial sum is exact — any
 //! reassociation, FMA contraction, or tile/tail mix-up would show up
 //! as a bitwise divergence. The sweep pins the interesting widths:
-//! `k = 1` (degenerate batch), the tile widths themselves (2, 4, 8),
-//! and tails where `k % tile != 0` (3, 5, 7, 9).
+//! `k = 1` (degenerate batch), every step of the 8-4-2-1 tile ladder
+//! alone (2, 4, 8) and combined (3, 5, 6, 7, 9, 12, 15).
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -124,7 +124,7 @@ fn sweep_spmm_equals_k_spmv<T: Scalar>() {
             ) else {
                 continue;
             };
-            for k in [1usize, 2, 3, 4, 5, 7, 8, 9] {
+            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15] {
                 let x = dyadic_block::<T>(m.cols(), k);
                 let expect = per_column_reference(&m, &x, k);
                 for (v, info) in lib.spmm_variants(format).iter().enumerate() {
@@ -184,7 +184,7 @@ fn spmm_simd_backend_is_bit_identical_to_portable() {
     let lib = KernelLibrary::<f64>::new();
     let m = random_uniform::<f64>(200, 180, 7, 60);
     let any = AnyMatrix::Csr(m.clone());
-    for k in [1usize, 3, 4, 8, 9] {
+    for k in [1usize, 3, 4, 6, 8, 9, 12, 15] {
         let x: Vec<f64> = (0..m.cols() * k)
             .map(|i| (i as f64 * 0.7312).sin() * 3.0)
             .collect();
