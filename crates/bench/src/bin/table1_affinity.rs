@@ -30,7 +30,7 @@ fn main() {
     let trainer = Trainer::new(harness_config());
     let (choice, _) = trainer.search_kernels(&lib);
 
-    // domain -> [dia, ell, csr, coo] counts.
+    // domain -> winner counts, one per format in `Format::index` order.
     let mut table: BTreeMap<&'static str, [usize; Format::COUNT]> = BTreeMap::new();
     let mut totals = [0usize; Format::COUNT];
     for entry in &corpus {
@@ -39,56 +39,28 @@ fn main() {
         totals[best.index()] += 1;
     }
 
+    // One column per format, so every winner a row counts is shown.
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut order: Vec<(&str, [usize; Format::COUNT])> = table.into_iter().collect();
     order.sort_by_key(|(_, c)| std::cmp::Reverse(c.iter().sum::<usize>()));
     for (domain, counts) in order {
-        rows.push(vec![
-            domain.to_string(),
-            counts[Format::Csr.index()].to_string(),
-            counts[Format::Coo.index()].to_string(),
-            counts[Format::Dia.index()].to_string(),
-            counts[Format::Ell.index()].to_string(),
-            counts[Format::Hyb.index()].to_string(),
-            counts.iter().sum::<usize>().to_string(),
-        ]);
+        let mut row = vec![domain.to_string()];
+        row.extend(counts.iter().map(|n| n.to_string()));
+        row.push(counts.iter().sum::<usize>().to_string());
+        rows.push(row);
     }
     let total: usize = totals.iter().sum();
-    rows.push(vec![
-        "Percentage".into(),
-        format!(
-            "{:.0}%",
-            100.0 * totals[Format::Csr.index()] as f64 / total as f64
-        ),
-        format!(
-            "{:.0}%",
-            100.0 * totals[Format::Coo.index()] as f64 / total as f64
-        ),
-        format!(
-            "{:.0}%",
-            100.0 * totals[Format::Dia.index()] as f64 / total as f64
-        ),
-        format!(
-            "{:.0}%",
-            100.0 * totals[Format::Ell.index()] as f64 / total as f64
-        ),
-        format!(
-            "{:.0}%",
-            100.0 * totals[Format::Hyb.index()] as f64 / total as f64
-        ),
-        total.to_string(),
-    ]);
-    print_table(
-        &[
-            "Application Domain",
-            "CSR",
-            "COO",
-            "DIA",
-            "ELL",
-            "HYB",
-            "Total",
-        ],
-        &rows,
+    let mut percentages = vec!["Percentage".to_string()];
+    percentages.extend(
+        totals
+            .iter()
+            .map(|&n| format!("{:.0}%", 100.0 * n as f64 / total as f64)),
     );
+    percentages.push(total.to_string());
+    rows.push(percentages);
+    let mut headers = vec!["Application Domain"];
+    headers.extend(Format::ALL.iter().map(|f| f.name()));
+    headers.push("Total");
+    print_table(&headers, &rows);
     println!("\nPaper's split over the UF collection: CSR 63%, COO 21%, DIA 9%, ELL 7%.");
 }

@@ -316,14 +316,19 @@ mod tests {
 
     #[test]
     fn reps_budgeting() {
-        // Candidate 1 costs ~10x candidate 0: it buys the minimum while
-        // candidate 0 runs to the clamp's ceiling.
+        // Candidate 1 sleeps half the budget: it buys the minimum while
+        // candidate 0, a spin far below `budget / 8` even under load
+        // (a sleep's wake-up can take longer), runs to the ceiling.
         let runs = RefCell::new([0usize; 2]);
         let out = measure_round_robin(
             2,
             |i| {
                 runs.borrow_mut()[i] += 1;
-                std::thread::sleep(Duration::from_micros(if i == 0 { 200 } else { 2_000 }));
+                if i == 0 {
+                    spin();
+                } else {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
             },
             2..=8,
             Duration::from_millis(4),

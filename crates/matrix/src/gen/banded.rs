@@ -1,6 +1,7 @@
 //! Banded / multi-diagonal matrices with controllable diagonal occupancy.
 
 use super::random::random_value;
+use super::rows::Rows;
 use crate::{Csr, Scalar};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,21 +39,65 @@ pub fn banded<T: Scalar>(n: usize, offsets: &[isize], density: f64, seed: u64) -
         );
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::new();
-    for &off in offsets {
-        for r in 0..n {
-            let c = r as isize + off;
-            if c < 0 || c >= n as isize {
-                continue;
-            }
+    let ndiags = offsets.len();
+    // Draw diagonal by diagonal: `taken[r * ndiags + d]` says whether
+    // diagonal `d` holds an entry in row `r`, and `drawn` holds each
+    // diagonal's values in row order, from `next[d]` on.
+    let mut taken = vec![false; n * ndiags];
+    let mut drawn = Vec::new();
+    let mut next = Vec::with_capacity(ndiags);
+    for (d, &off) in offsets.iter().enumerate() {
+        next.push(drawn.len());
+        for r in diagonal_rows(n, off) {
             if density >= 1.0 || rng.gen::<f64>() < density {
-                triplets.push((r, c as usize, random_value::<T>(&mut rng)));
+                taken[r * ndiags + d] = true;
+                drawn.push(random_value::<T>(&mut rng));
             }
         }
     }
-    // Diagonals can overlap only if offsets repeat; from_triplets sums dups,
-    // which keeps the structure correct either way.
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    let mut out = Rows::new(n, n, drawn.len());
+    // A row copies each diagonal's next value and keeps it only if the
+    // diagonal has an entry there, with no branch on the density's coin
+    // flips; one slot past the last diagonal's values keeps that read in
+    // bounds.
+    drawn.push(T::ZERO);
+    // Then row by row. With distinct offsets a row gathers its entries
+    // in offset order, which is column order. A repeated offset puts
+    // two entries in one column: such a matrix gathers in draw order and
+    // sorts and sums each row as `Csr::from_triplets` does, so repeated
+    // draws add up in the order they always have.
+    let mut order: Vec<usize> = (0..ndiags).collect();
+    order.sort_by_key(|&d| offsets[d]);
+    let repeats = order.windows(2).any(|w| offsets[w[0]] == offsets[w[1]]);
+    if repeats {
+        order.sort(); // back to draw order
+    }
+    let mut row = vec![(0, T::ZERO); ndiags];
+    for r in 0..n {
+        let mut len = 0;
+        for &d in &order {
+            let t = usize::from(taken[r * ndiags + d]);
+            row[len] = ((r as isize + offsets[d]) as usize, drawn[next[d]]);
+            len += t;
+            next[d] += t;
+        }
+        if repeats {
+            out.push_unsorted_row(&mut row[..len]);
+        } else {
+            for &(c, v) in &row[..len] {
+                out.push(c, v);
+            }
+            out.end_row();
+        }
+    }
+    out.finish()
+}
+
+/// The rows in which diagonal `off` of an `n x n` matrix lies.
+fn diagonal_rows(n: usize, off: isize) -> std::ops::Range<usize> {
+    let first = off.min(0).unsigned_abs();
+    let end = n - off.max(0).unsigned_abs();
+    first..end
 }
 
 /// The classic tridiagonal `[-1, 2, -1]` matrix (1-D Poisson).
@@ -62,17 +107,18 @@ pub fn banded<T: Scalar>(n: usize, offsets: &[isize], density: f64, seed: u64) -
 /// Panics if `n == 0`.
 pub fn tridiagonal<T: Scalar>(n: usize) -> Csr<T> {
     assert!(n > 0, "empty matrix requested");
-    let mut triplets = Vec::with_capacity(3 * n);
+    let mut out = Rows::new(n, n, 3 * n - 2);
     for i in 0..n {
         if i > 0 {
-            triplets.push((i, i - 1, T::from_f64(-1.0)));
+            out.push(i - 1, T::from_f64(-1.0));
         }
-        triplets.push((i, i, T::from_f64(2.0)));
+        out.push(i, T::from_f64(2.0));
         if i + 1 < n {
-            triplets.push((i, i + 1, T::from_f64(-1.0)));
+            out.push(i + 1, T::from_f64(-1.0));
         }
+        out.end_row();
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 #[cfg(test)]
@@ -99,6 +145,25 @@ mod tests {
     fn zero_density_gives_empty() {
         let m = banded::<f64>(10, &[0, 1], 0.0, 3);
         assert_eq!(m.nnz(), 0);
+    }
+
+    #[test]
+    fn repeated_offset_stores_the_sum_of_both_draws() {
+        // Full density draws no coin flips: the diagonals draw their
+        // values in `offsets` order, each in row order.
+        let n = 40;
+        let m = banded::<f64>(n, &[0, 1, 0], 1.0, 7);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut draw =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| random_value(&mut rng)).collect() };
+        let (first, upper, second) = (draw(n), draw(n - 1), draw(n));
+        assert_eq!(m.nnz(), n + n - 1);
+        for r in 0..n {
+            assert_eq!(m.get(r, r), Some(first[r] + second[r]), "row {r}");
+        }
+        for (r, &v) in upper.iter().enumerate() {
+            assert_eq!(m.get(r, r + 1), Some(v), "row {r}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! locality, as in structural / FEM matrices.
 
 use super::random::random_value;
+use super::rows::{capacity_for, Rows};
 use crate::{Csr, Scalar};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,28 +47,12 @@ pub fn block_sparse<T: Scalar>(
         "blocks_per_row must be in 1..={nb}"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::with_capacity(nb * blocks_per_row * block_size * block_size);
+    let nnz = nb * blocks_per_row * block_size * block_size;
+    let mut out = BlockRows::new(n, block_size, nnz);
     for br in 0..nb {
-        // BTreeSet keeps iteration order deterministic so the generated
-        // values are a pure function of the seed.
-        let mut cols = std::collections::BTreeSet::new();
-        cols.insert(br); // diagonal block
-        while cols.len() < blocks_per_row {
-            cols.insert(rng.gen_range(0..nb));
-        }
-        for &bc in &cols {
-            for i in 0..block_size {
-                for j in 0..block_size {
-                    triplets.push((
-                        br * block_size + i,
-                        bc * block_size + j,
-                        random_value::<T>(&mut rng),
-                    ));
-                }
-            }
-        }
+        out.push_block_row(&mut rng, br, blocks_per_row);
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 /// Like [`block_sparse`], but each block row draws its own block count
@@ -95,27 +80,71 @@ pub fn block_sparse_varied<T: Scalar>(
         "max_blocks_per_row must be in 1..={nb}"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::new();
+    let mean = (1 + max_blocks_per_row) as f64 / 2.0;
+    let mut out = BlockRows::new(
+        n,
+        block_size,
+        capacity_for(n as f64 * mean * block_size as f64),
+    );
     for br in 0..nb {
         let bpr = rng.gen_range(1..=max_blocks_per_row);
-        let mut cols = std::collections::BTreeSet::new();
-        cols.insert(br);
-        while cols.len() < bpr.max(1) {
-            cols.insert(rng.gen_range(0..nb));
-        }
-        for &bc in &cols {
-            for i in 0..block_size {
-                for j in 0..block_size {
-                    triplets.push((
-                        br * block_size + i,
-                        bc * block_size + j,
-                        random_value::<T>(&mut rng),
-                    ));
-                }
-            }
+        out.push_block_row(&mut rng, br, bpr);
+    }
+    out.finish()
+}
+
+/// Block rows appended to a matrix one at a time.
+struct BlockRows<T> {
+    out: Rows<T>,
+    bs: usize,
+    nb: usize,
+    /// The current block row's block columns, ascending.
+    blocks: Vec<usize>,
+    /// Its values in draw order: block by block, each row-major.
+    drawn: Vec<T>,
+}
+
+impl<T: Scalar> BlockRows<T> {
+    fn new(n: usize, bs: usize, nnz: usize) -> Self {
+        Self {
+            out: Rows::new(n, n, nnz),
+            bs,
+            nb: n / bs,
+            blocks: Vec::new(),
+            drawn: Vec::new(),
         }
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+
+    /// Appends the `bs` rows of block row `br`: its diagonal block and
+    /// random others until it has `count`, each block's values drawn
+    /// in ascending block-column order.
+    fn push_block_row(&mut self, rng: &mut SmallRng, br: usize, count: usize) {
+        let bs = self.bs;
+        self.blocks.clear();
+        self.blocks.push(br);
+        while self.blocks.len() < count {
+            let bc = rng.gen_range(0..self.nb);
+            if let Err(at) = self.blocks.binary_search(&bc) {
+                self.blocks.insert(at, bc);
+            }
+        }
+        self.drawn.clear();
+        self.drawn
+            .extend((0..self.blocks.len() * bs * bs).map(|_| random_value::<T>(rng)));
+        for i in 0..bs {
+            for (k, &bc) in self.blocks.iter().enumerate() {
+                let block_row = &self.drawn[(k * bs + i) * bs..][..bs];
+                for (j, &v) in block_row.iter().enumerate() {
+                    self.out.push(bc * bs + j, v);
+                }
+            }
+            self.out.end_row();
+        }
+    }
+
+    fn finish(self) -> Csr<T> {
+        self.out.finish()
+    }
 }
 
 #[cfg(test)]

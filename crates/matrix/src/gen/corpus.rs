@@ -206,7 +206,7 @@ pub fn generate_corpus<T: Scalar>(spec: &CorpusSpec) -> Vec<CorpusEntry<T>> {
 }
 
 /// Log-uniform dimension draw in `[min_dim, max_dim]`.
-fn draw_dim(rng: &mut SmallRng, spec: &CorpusSpec) -> usize {
+pub(super) fn draw_dim(rng: &mut SmallRng, spec: &CorpusSpec) -> usize {
     let lo = (spec.min_dim as f64).ln();
     let hi = (spec.max_dim as f64).ln();
     (lo + rng.gen::<f64>() * (hi - lo)).exp().round() as usize
@@ -277,7 +277,7 @@ fn generate_one<T: Scalar>(
 
 /// Draws `ndiags` distinct diagonal offsets, always including 0, biased
 /// toward the principal diagonal as real banded matrices are.
-fn draw_offsets(rng: &mut SmallRng, n: usize, ndiags: usize) -> Vec<isize> {
+pub(super) fn draw_offsets(rng: &mut SmallRng, n: usize, ndiags: usize) -> Vec<isize> {
     let mut set = std::collections::BTreeSet::new();
     set.insert(0isize);
     let max_off = (n as isize - 1).min(n as isize / 2).max(1);

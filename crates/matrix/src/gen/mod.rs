@@ -22,8 +22,11 @@
 pub mod banded;
 pub mod block;
 pub mod corpus;
+#[cfg(test)]
+mod oracle;
 pub mod powerlaw;
 pub mod random;
+mod rows;
 pub mod stencil;
 
 pub use banded::{banded, tridiagonal};

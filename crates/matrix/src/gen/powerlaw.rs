@@ -7,7 +7,8 @@
 //! produces adjacency-like matrices whose degree distribution follows a
 //! discrete power law with a chosen exponent.
 
-use super::random::random_value;
+use super::random::ColumnSampler;
+use super::rows::{capacity_for, Rows};
 use crate::{Csr, Scalar};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,38 +48,39 @@ pub fn power_law<T: Scalar>(n: usize, max_degree: usize, exponent: f64, seed: u6
     // Cumulative distribution over k = 1..=max_degree with P(k) ~ k^-exp.
     let mut cdf = Vec::with_capacity(max_degree);
     let mut acc = 0.0f64;
+    let mut first_moment = 0.0f64;
     for k in 1..=max_degree {
-        acc += (k as f64).powf(-exponent);
+        let p = (k as f64).powf(-exponent);
+        acc += p;
+        first_moment += k as f64 * p;
         cdf.push(acc);
     }
     let total = acc;
+    let mean_degree = first_moment / total;
+    // A row's degree is one more than the number of `cdf` entries below
+    // its draw `u`. `guide[b]` counts those below the `b`-th of
+    // `max_degree` equal slices of the total: a start a step or two from
+    // `u`'s count on average, which the two loops below then walk to
+    // exactly (`cdf` never decreases), with no binary search per row.
+    let guide: Vec<usize> = (0..max_degree)
+        .map(|b| cdf.partition_point(|&c| c < total * b as f64 / max_degree as f64))
+        .collect();
 
-    let mut triplets = Vec::new();
-    for r in 0..n {
-        let u = rng.gen::<f64>() * total;
-        let k = cdf.partition_point(|&c| c < u) + 1;
-        let k = k.min(max_degree);
-        // Sample k distinct columns.
-        if k * 4 >= n {
-            let mut picked: Vec<usize> = (0..n).collect();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                picked.swap(i, j);
-            }
-            for &c in &picked[..k] {
-                triplets.push((r, c, random_value::<T>(&mut rng)));
-            }
-        } else {
-            let mut seen = std::collections::HashSet::with_capacity(k);
-            while seen.len() < k {
-                let c = rng.gen_range(0..n);
-                if seen.insert(c) {
-                    triplets.push((r, c, random_value::<T>(&mut rng)));
-                }
-            }
+    let mut sampler = ColumnSampler::new(n);
+    let mut out = Rows::new(n, n, capacity_for(n as f64 * mean_degree));
+    for _ in 0..n {
+        let x = rng.gen::<f64>();
+        let u = x * total;
+        let mut below = guide[((x * max_degree as f64) as usize).min(max_degree - 1)];
+        while below > 0 && cdf[below - 1] >= u {
+            below -= 1;
         }
+        while below < max_degree && cdf[below] < u {
+            below += 1;
+        }
+        sampler.push_row(&mut out, &mut rng, (below + 1).min(max_degree));
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 #[cfg(test)]

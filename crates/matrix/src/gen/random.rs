@@ -1,5 +1,6 @@
 //! Unstructured random sparse matrices.
 
+use super::rows::{capacity_for, Rows};
 use crate::{Csr, Scalar};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,12 +31,18 @@ pub fn random_uniform<T: Scalar>(rows: usize, cols: usize, avg_degree: usize, se
     assert!(rows > 0 && cols > 0, "empty matrix requested");
     assert!(avg_degree > 0, "avg_degree must be positive");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::with_capacity(rows * avg_degree);
-    for r in 0..rows {
-        let deg = rng.gen_range(1..=(2 * avg_degree).min(cols));
-        push_row(&mut triplets, &mut rng, r, cols, deg);
+    let mut sampler = ColumnSampler::new(cols);
+    let widest = (2 * avg_degree).min(cols);
+    let mut out = Rows::new(
+        rows,
+        cols,
+        capacity_for(rows as f64 * (1 + widest) as f64 / 2.0),
+    );
+    for _ in 0..rows {
+        let deg = rng.gen_range(1..=widest);
+        sampler.push_row(&mut out, &mut rng, deg);
     }
-    Csr::from_triplets(rows, cols, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 /// Generates a random sparse matrix with (near-)fixed row degree
@@ -62,16 +69,17 @@ pub fn fixed_degree<T: Scalar>(
         "degree + jitter exceeds column count"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::with_capacity(rows * degree);
-    for r in 0..rows {
+    let mut sampler = ColumnSampler::new(cols);
+    let mut out = Rows::new(rows, cols, rows * (degree + jitter));
+    for _ in 0..rows {
         let deg = if jitter == 0 {
             degree
         } else {
             rng.gen_range(degree.saturating_sub(jitter).max(1)..=degree + jitter)
         };
-        push_row(&mut triplets, &mut rng, r, cols, deg);
+        sampler.push_row(&mut out, &mut rng, deg);
     }
-    Csr::from_triplets(rows, cols, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 /// Generates a random sparse matrix with skewed row degrees: most rows
@@ -113,54 +121,153 @@ pub fn random_skewed<T: Scalar>(
         "heavy_fraction must be in [0, 1]"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut triplets = Vec::with_capacity(rows * avg_degree);
-    for r in 0..rows {
+    let mut sampler = ColumnSampler::new(cols);
+    let light = (2 * avg_degree).min(cols);
+    let heavy = (heavy_factor * avg_degree).min(cols).max(avg_degree);
+    let mean = (1.0 - heavy_fraction) * (1 + light) as f64 / 2.0
+        + heavy_fraction * (avg_degree + heavy) as f64 / 2.0;
+    let mut out = Rows::new(rows, cols, capacity_for(rows as f64 * mean));
+    for _ in 0..rows {
         let deg = if rng.gen::<f64>() < heavy_fraction {
-            rng.gen_range(avg_degree..=(heavy_factor * avg_degree).min(cols).max(avg_degree))
+            rng.gen_range(avg_degree..=heavy)
         } else {
-            rng.gen_range(1..=(2 * avg_degree).min(cols))
+            rng.gen_range(1..=light)
         };
-        push_row(&mut triplets, &mut rng, r, cols, deg);
+        sampler.push_row(&mut out, &mut rng, deg);
     }
-    Csr::from_triplets(rows, cols, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
-/// Appends `deg` distinct random entries for row `r`.
-fn push_row<T: Scalar>(
-    triplets: &mut Vec<(usize, usize, T)>,
-    rng: &mut SmallRng,
-    r: usize,
+/// Draws rows of distinct random columns, each with a random value,
+/// for one matrix.
+///
+/// A row of degree `deg` takes its columns by rejection (`deg * 4 <
+/// cols`) or by a partial Fisher-Yates shuffle of `0..cols` (denser
+/// rows, where rejection would loop). The draws are fixed: rejection
+/// draws a column and, if it is new to the row, that entry's value at
+/// once; the shuffle swaps `deg` times and then draws the values in
+/// picked order.
+///
+/// The bookkeeping lives as long as the matrix, not the row, and is
+/// O(`cols`) words: a bitset of the row's columns with a summary bit
+/// per bitset word, each column's value, and one identity permutation
+/// that a shuffled row restores by undoing its swaps. A row comes out
+/// in column order by walking the set bits, clearing them as it goes,
+/// unless it is too short for that walk to beat sorting its columns.
+pub(super) struct ColumnSampler<T> {
     cols: usize,
-    deg: usize,
-) {
-    let deg = deg.min(cols);
-    if deg * 4 >= cols {
-        // Dense-ish row: reservoir-style selection avoids rejection loops.
-        let mut picked: Vec<usize> = (0..cols).collect();
-        for i in 0..deg {
-            let j = rng.gen_range(i..cols);
-            picked.swap(i, j);
+    /// Bit `c % 64` of `taken[c / 64]`: column `c` is in the current row.
+    taken: Vec<u64>,
+    /// Bit `w % 64` of `nonzero[w / 64]`: `taken[w]` is not zero.
+    nonzero: Vec<u64>,
+    /// The current row's value in each of its columns.
+    value: Vec<T>,
+    /// The current row's columns, in draw order.
+    picked: Vec<usize>,
+    /// `0..cols` between rows (allocated by the first shuffled row).
+    perm: Vec<usize>,
+    swaps: Vec<usize>,
+}
+
+/// Rows this short sort their columns rather than walk the bitset.
+const SORTED_ROW: usize = 4;
+
+impl<T: Scalar> ColumnSampler<T> {
+    pub(super) fn new(cols: usize) -> Self {
+        let words = cols.div_ceil(64);
+        Self {
+            cols,
+            taken: vec![0; words],
+            nonzero: vec![0; words.div_ceil(64)],
+            value: vec![T::ZERO; cols],
+            picked: Vec::new(),
+            perm: Vec::new(),
+            swaps: Vec::new(),
         }
-        for &c in &picked[..deg] {
-            triplets.push((r, c, random_value(rng)));
+    }
+
+    /// Adds column `c` to the row; `false` if it was already there.
+    #[inline]
+    fn take(&mut self, c: usize) -> bool {
+        let (w, bit) = (c / 64, 1u64 << (c % 64));
+        if self.taken[w] & bit != 0 {
+            return false;
         }
-    } else {
-        let mut seen = std::collections::HashSet::with_capacity(deg);
-        while seen.len() < deg {
-            let c = rng.gen_range(0..cols);
-            if seen.insert(c) {
-                triplets.push((r, c, random_value(rng)));
+        self.taken[w] |= bit;
+        self.nonzero[w / 64] |= 1u64 << (w % 64);
+        self.picked.push(c);
+        true
+    }
+
+    /// Draws `deg` (at most `cols`) distinct entries and appends them to
+    /// `out` as its next row.
+    pub(super) fn push_row(&mut self, out: &mut Rows<T>, rng: &mut SmallRng, deg: usize) {
+        let cols = self.cols;
+        let deg = deg.min(cols);
+        self.picked.clear();
+        if deg * 4 >= cols {
+            if self.perm.is_empty() {
+                self.perm = (0..cols).collect();
+            }
+            self.swaps.clear();
+            for i in 0..deg {
+                let j = rng.gen_range(i..cols);
+                self.perm.swap(i, j);
+                self.swaps.push(j);
+            }
+            for i in 0..deg {
+                let c = self.perm[i];
+                self.take(c);
+                self.value[c] = random_value(rng);
+            }
+            for (i, &j) in self.swaps.iter().enumerate().rev() {
+                self.perm.swap(i, j);
+            }
+        } else {
+            while self.picked.len() < deg {
+                let c = rng.gen_range(0..cols);
+                if self.take(c) {
+                    self.value[c] = random_value(rng);
+                }
             }
         }
+        if deg <= SORTED_ROW.max(self.nonzero.len()) {
+            self.picked.sort_unstable();
+            for &c in &self.picked {
+                out.push(c, self.value[c]);
+                self.taken[c / 64] = 0;
+                self.nonzero[c / 4096] = 0;
+            }
+        } else {
+            for s in 0..self.nonzero.len() {
+                let mut words = std::mem::take(&mut self.nonzero[s]);
+                while words != 0 {
+                    let w = s * 64 + words.trailing_zeros() as usize;
+                    words &= words - 1;
+                    let mut bits = std::mem::take(&mut self.taken[w]);
+                    while bits != 0 {
+                        let c = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        out.push(c, self.value[c]);
+                    }
+                }
+            }
+        }
+        out.end_row();
     }
 }
 
 /// A nonzero value in `[-1, -0.1] ∪ [0.1, 1]` — bounded away from zero so
 /// structural nonzeros never vanish numerically.
+///
+/// The sign draw sets the sign bit rather than branching (it is a coin
+/// flip, so a branch mispredicts half the time); `mag` is positive, so
+/// this is exactly `±1.0 * mag`.
+#[inline]
 pub(crate) fn random_value<T: Scalar>(rng: &mut SmallRng) -> T {
     let mag = 0.1 + 0.9 * rng.gen::<f64>();
-    let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-    T::from_f64(sign * mag)
+    let negative = !rng.gen::<bool>();
+    T::from_f64(f64::from_bits(mag.to_bits() | (u64::from(negative) << 63)))
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! operators are exactly such stencils — strongly diagonal matrices that
 //! favor DIA.
 
+use super::rows::Rows;
 use crate::{Csr, Scalar};
 
 /// 1-D Laplacian (tridiagonal `[-1, 2, -1]`) on `n` points.
@@ -26,27 +27,30 @@ pub fn laplacian_1d<T: Scalar>(n: usize) -> Csr<T> {
 pub fn laplacian_2d_5pt<T: Scalar>(nx: usize, ny: usize) -> Csr<T> {
     assert!(nx > 0 && ny > 0, "empty grid requested");
     let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut triplets = Vec::with_capacity(5 * n);
+    // Each row's entries in column order: up, left, center, right, down.
+    let nnz = n + 2 * ((nx - 1) * ny + nx * (ny - 1));
+    let mut out = Rows::new(n, n, nnz);
+    let off = T::from_f64(-1.0);
     for i in 0..nx {
         for j in 0..ny {
-            let row = idx(i, j);
-            triplets.push((row, row, T::from_f64(4.0)));
+            let row = i * ny + j;
             if i > 0 {
-                triplets.push((row, idx(i - 1, j), T::from_f64(-1.0)));
-            }
-            if i + 1 < nx {
-                triplets.push((row, idx(i + 1, j), T::from_f64(-1.0)));
+                out.push(row - ny, off);
             }
             if j > 0 {
-                triplets.push((row, idx(i, j - 1), T::from_f64(-1.0)));
+                out.push(row - 1, off);
             }
+            out.push(row, T::from_f64(4.0));
             if j + 1 < ny {
-                triplets.push((row, idx(i, j + 1), T::from_f64(-1.0)));
+                out.push(row + 1, off);
             }
+            if i + 1 < nx {
+                out.push(row + ny, off);
+            }
+            out.end_row();
         }
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 /// 2-D 9-point Laplacian on an `nx x ny` grid: center `8`, all eight
@@ -58,27 +62,21 @@ pub fn laplacian_2d_5pt<T: Scalar>(nx: usize, ny: usize) -> Csr<T> {
 pub fn laplacian_2d_9pt<T: Scalar>(nx: usize, ny: usize) -> Csr<T> {
     assert!(nx > 0 && ny > 0, "empty grid requested");
     let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut triplets = Vec::with_capacity(9 * n);
+    // Neighbors row above, then own row, then row below: column order.
+    let nnz = n + 2 * ((nx - 1) * ny + nx * (ny - 1) + 2 * (nx - 1) * (ny - 1));
+    let mut out = Rows::new(n, n, nnz);
     for i in 0..nx {
         for j in 0..ny {
-            let row = idx(i, j);
-            triplets.push((row, row, T::from_f64(8.0)));
-            for di in -1isize..=1 {
-                for dj in -1isize..=1 {
-                    if di == 0 && dj == 0 {
-                        continue;
-                    }
-                    let (ni, nj) = (i as isize + di, j as isize + dj);
-                    if ni < 0 || nj < 0 || ni >= nx as isize || nj >= ny as isize {
-                        continue;
-                    }
-                    triplets.push((row, idx(ni as usize, nj as usize), T::from_f64(-1.0)));
+            for ni in i.saturating_sub(1)..(i + 2).min(nx) {
+                for nj in j.saturating_sub(1)..(j + 2).min(ny) {
+                    let center = ni == i && nj == j;
+                    out.push(ni * ny + nj, T::from_f64(if center { 8.0 } else { -1.0 }));
                 }
             }
+            out.end_row();
         }
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 /// 3-D 7-point Laplacian on an `nx x ny x nz` grid: center `6`, the six
@@ -90,35 +88,38 @@ pub fn laplacian_2d_9pt<T: Scalar>(nx: usize, ny: usize) -> Csr<T> {
 pub fn laplacian_3d_7pt<T: Scalar>(nx: usize, ny: usize, nz: usize) -> Csr<T> {
     assert!(nx > 0 && ny > 0 && nz > 0, "empty grid requested");
     let n = nx * ny * nz;
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
-    let mut triplets = Vec::with_capacity(7 * n);
+    let nnz = n + 2 * ((nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1));
+    let mut out = Rows::new(n, n, nnz);
+    let (plane, line) = (ny * nz, nz);
+    let off = T::from_f64(-1.0);
     for i in 0..nx {
         for j in 0..ny {
             for k in 0..nz {
-                let row = idx(i, j, k);
-                triplets.push((row, row, T::from_f64(6.0)));
+                let row = (i * ny + j) * nz + k;
                 if i > 0 {
-                    triplets.push((row, idx(i - 1, j, k), T::from_f64(-1.0)));
-                }
-                if i + 1 < nx {
-                    triplets.push((row, idx(i + 1, j, k), T::from_f64(-1.0)));
+                    out.push(row - plane, off);
                 }
                 if j > 0 {
-                    triplets.push((row, idx(i, j - 1, k), T::from_f64(-1.0)));
-                }
-                if j + 1 < ny {
-                    triplets.push((row, idx(i, j + 1, k), T::from_f64(-1.0)));
+                    out.push(row - line, off);
                 }
                 if k > 0 {
-                    triplets.push((row, idx(i, j, k - 1), T::from_f64(-1.0)));
+                    out.push(row - 1, off);
                 }
+                out.push(row, T::from_f64(6.0));
                 if k + 1 < nz {
-                    triplets.push((row, idx(i, j, k + 1), T::from_f64(-1.0)));
+                    out.push(row + 1, off);
                 }
+                if j + 1 < ny {
+                    out.push(row + line, off);
+                }
+                if i + 1 < nx {
+                    out.push(row + plane, off);
+                }
+                out.end_row();
             }
         }
     }
-    Csr::from_triplets(n, n, &triplets).expect("generator produces in-bounds triplets")
+    out.finish()
 }
 
 #[cfg(test)]
