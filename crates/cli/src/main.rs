@@ -420,33 +420,14 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
     for format in Format::ALL {
         match smat_matrix::AnyMatrix::convert_from_csr_with(m, format, &limits) {
             Ok(any) => {
-                let table = smat_kernels::measure_format(
-                    &lib,
-                    &any,
-                    Duration::from_millis(5),
-                    config.candidate_deadline,
-                    &[],
-                );
-                let best = table.scoreboard().best_variant;
+                let measure = |op, k| {
+                    let budget = Duration::from_millis(5);
+                    let deadline = config.candidate_deadline;
+                    smat_kernels::measure_table(&lib, &any, op, k, budget, deadline, &[])
+                };
+                let table = measure(smat_kernels::Op::Spmv, 1);
                 println!("{format}:");
-                for (v, rec) in table.records.iter().enumerate() {
-                    match &rec.status {
-                        smat_kernels::RecordStatus::Measured => println!(
-                            "  {:<28} {:>8.2} GFLOPS  [{}]{}",
-                            rec.name,
-                            rec.gflops,
-                            rec.strategies,
-                            if v == best {
-                                "  <= scoreboard pick"
-                            } else {
-                                ""
-                            }
-                        ),
-                        smat_kernels::RecordStatus::CandidateFailed { reason } => {
-                            println!("  {:<28} failed: {reason}", rec.name)
-                        }
-                    }
-                }
+                let best = print_scoreboard(&table, "  ");
                 // The plan-search grid for CSR: the (chunk policy,
                 // fan-out width) candidates the runtime races when the
                 // R feature reports a skewed matrix, with the winner
@@ -483,6 +464,7 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
                             &lib,
                             &any,
                             id,
+                            1,
                             Duration::from_millis(2),
                             config.candidate_deadline,
                         ) {
@@ -506,34 +488,8 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
                 }
                 // The batched tier: the SpMM scoreboard at the widest
                 // searched RHS width (k = 8).
-                let table = smat_kernels::measure_spmm(
-                    &lib,
-                    &any,
-                    8,
-                    Duration::from_millis(5),
-                    config.candidate_deadline,
-                    &[],
-                );
-                let best = table.scoreboard().best_variant;
                 println!("  spmm (k = 8):");
-                for (v, rec) in table.records.iter().enumerate() {
-                    match &rec.status {
-                        smat_kernels::RecordStatus::Measured => println!(
-                            "    {:<28} {:>8.2} GFLOPS  [{}]{}",
-                            rec.name,
-                            rec.gflops,
-                            rec.strategies,
-                            if v == best {
-                                "  <= scoreboard pick"
-                            } else {
-                                ""
-                            }
-                        ),
-                        smat_kernels::RecordStatus::CandidateFailed { reason } => {
-                            println!("    {:<28} failed: {reason}", rec.name)
-                        }
-                    }
-                }
+                print_scoreboard(&measure(smat_kernels::Op::Spmm, 8), "    ");
             }
             Err(e) => println!(
                 "{format}: skipped — {}",
@@ -542,6 +498,30 @@ fn bench_variants(m: &Csr<f64>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Prints one `bench --variants` scoreboard, each row behind `indent`
+/// and the scoreboard pick marked; returns the pick.
+fn print_scoreboard(table: &smat_kernels::PerfTable, indent: &str) -> usize {
+    let best = table.scoreboard().best_variant;
+    for (v, rec) in table.records.iter().enumerate() {
+        let name = &rec.name;
+        match &rec.status {
+            smat_kernels::RecordStatus::Measured => {
+                let pick = if v == best {
+                    "  <= scoreboard pick"
+                } else {
+                    ""
+                };
+                let (g, strategies) = (rec.gflops, rec.strategies);
+                println!("{indent}{name:<28} {g:>8.2} GFLOPS  [{strategies}]{pick}");
+            }
+            smat_kernels::RecordStatus::CandidateFailed { reason } => {
+                println!("{indent}{name:<28} failed: {reason}")
+            }
+        }
+    }
+    best
 }
 
 fn cmd_bench(args: &Args) -> Result<(), String> {

@@ -42,26 +42,27 @@ pub(crate) struct CachedSpmm {
     pub plan: ExecPlan,
 }
 
-/// A replayable tuning decision, everything from a [`crate::TunedSpmv`]
-/// except the matrix payload itself.
+/// A tuning decision: what a [`crate::TunedSpmv`] holds beside its
+/// matrix, and what the cache stores per fingerprint. Everything in it
+/// is structure-only, so it replays for any matrix sharing the pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CachedDecision {
+pub(crate) struct Decision {
     /// The chosen storage format.
     pub format: Format,
     /// The searched kernel for that format.
     pub kernel: KernelId,
-    /// Features extracted on the original miss (structure-only, so
-    /// valid for every matrix sharing the fingerprint).
+    /// Features extracted on the original miss (`R` only if it was
+    /// needed).
     pub features: FeatureVector,
-    /// How the original decision was reached.
+    /// How the decision was reached.
     pub source: DecisionPath,
-    /// Precomputed chunk bounds for the chosen kernel. Structure-only
-    /// like the features, so replayable across value changes; rebuilt
-    /// on hit when stale (built for a different thread count).
+    /// Precomputed chunk bounds for the chosen kernel; rebuilt on hit
+    /// when stale (built for a different thread count).
     pub plan: ExecPlan,
-    /// The multi-RHS pick, populated lazily by the first
+    /// The cache's multi-RHS pick, written by the first
     /// [`crate::Smat::spmm`] call on the structure (`None` until then,
-    /// or when no SpMM candidate survived measurement).
+    /// or when no SpMM candidate survived measurement). A handle moves
+    /// it into its own lazily-filled slot, so this is `None` there.
     pub spmm: Option<CachedSpmm>,
 }
 
@@ -128,7 +129,7 @@ impl CacheStats {
 #[derive(Debug)]
 struct Slot {
     checksum: u64,
-    decision: CachedDecision,
+    decision: Decision,
 }
 
 /// Bounded LRU map from structural fingerprints to tuning decisions:
@@ -168,7 +169,7 @@ impl TuningCache {
     /// contents no longer match is evicted and the lookup answered as
     /// a miss, forcing a re-tune instead of replaying a poisoned
     /// decision.
-    pub fn get(&self, key: &StructuralFingerprint) -> Option<CachedDecision> {
+    pub fn get(&self, key: &StructuralFingerprint) -> Option<Decision> {
         let mut map = Lru::lock(&self.map);
         let slot = map.get_mut(key)?;
         if fnv1a64_of_debug(&slot.decision) != slot.checksum {
@@ -181,7 +182,7 @@ impl TuningCache {
 
     /// Inserts a decision, evicting the least-recently-used entry when
     /// full.
-    pub fn insert(&self, key: StructuralFingerprint, decision: CachedDecision) {
+    pub fn insert(&self, key: StructuralFingerprint, decision: Decision) {
         let mut map = Lru::lock(&self.map);
         // Failpoint `cache.insert` runs while the lock is held: a
         // scripted `panic` unwinds through this critical section and
@@ -244,10 +245,10 @@ impl TuningCache {
     /// Copies out every resident entry, for persistence. Checksums are
     /// re-verified so a corrupt entry is dropped (and counted) rather
     /// than written to disk.
-    pub fn snapshot(&self) -> Vec<(StructuralFingerprint, CachedDecision)> {
+    pub fn snapshot(&self) -> Vec<(StructuralFingerprint, Decision)> {
         let mut map = Lru::lock(&self.map);
         let mut corrupt: Vec<StructuralFingerprint> = Vec::new();
-        let mut out: Vec<(StructuralFingerprint, CachedDecision)> = Vec::new();
+        let mut out: Vec<(StructuralFingerprint, Decision)> = Vec::new();
         for (key, slot) in map.iter() {
             if fnv1a64_of_debug(&slot.decision) == slot.checksum {
                 out.push((*key, slot.decision.clone()));
@@ -266,7 +267,7 @@ impl TuningCache {
 
     /// Replays previously snapshotted entries into the cache (normal
     /// LRU insertion: capacity still applies).
-    pub fn absorb(&self, entries: Vec<(StructuralFingerprint, CachedDecision)>) {
+    pub fn absorb(&self, entries: Vec<(StructuralFingerprint, Decision)>) {
         for (key, decision) in entries {
             self.insert(key, decision);
         }
@@ -310,7 +311,7 @@ struct Snapshot {
     /// tables) xor [`StructuralFingerprint::ALGORITHM`] (their keys are
     /// digests under it).
     library_digest: u64,
-    entries: Vec<(StructuralFingerprint, CachedDecision)>,
+    entries: Vec<(StructuralFingerprint, Decision)>,
 }
 
 #[cfg(test)]
@@ -318,8 +319,8 @@ mod tests {
     use super::*;
     use smat_matrix::gen::{random_uniform, tridiagonal};
 
-    fn decision(format: Format) -> CachedDecision {
-        CachedDecision {
+    fn decision(format: Format) -> Decision {
+        Decision {
             format,
             kernel: KernelId {
                 op: smat_kernels::Op::Spmv,
@@ -476,6 +477,64 @@ mod tests {
         assert!(!cache.remove(&k1), "already gone");
         assert!(cache.get(&k1).is_none());
         assert_eq!(cache.get(&k2).unwrap().format, Format::Ell);
+    }
+
+    /// The snapshot layout of one entry, captured before the handle and
+    /// the cache shared one decision type: a snapshot written by either
+    /// side loads on the other.
+    #[test]
+    fn snapshot_entry_layout_is_pinned() {
+        let cache = TuningCache::new(4);
+        let key = tridiagonal::<f64>(50).fingerprint();
+        let kernel = |op, variant| KernelId {
+            op,
+            format: Format::Csr,
+            variant,
+        };
+        let mut features = [0.0; 11];
+        for (i, f) in features.iter_mut().enumerate() {
+            *f = (i + 1) as f64;
+        }
+        cache.insert(
+            key,
+            Decision {
+                format: Format::Csr,
+                kernel: kernel(smat_kernels::Op::Spmv, 2),
+                features: FeatureVector::from_array(features),
+                source: DecisionPath::Measured {
+                    candidates: vec![(Format::Csr, 1.5), (Format::Coo, 0.25)],
+                    failures: vec![(Format::Ell, "conversion refused".into())],
+                },
+                plan: ExecPlan::serial(50),
+                spmm: Some(CachedSpmm {
+                    kernel: kernel(smat_kernels::Op::Spmm, 3),
+                    plan: ExecPlan::serial(50),
+                }),
+            },
+        );
+        let plan = r#"{"bounds":[0,50],"entry_bounds":null,"threads":1,"policy":"Serial"}"#;
+        let expect = [
+            r#"[[{"rows":50,"cols":50,"nnz":148,"digest":[7633221296085066301,12190563415374210543]},"#,
+            r#"{"format":"Csr","kernel":{"op":"Spmv","format":"Csr","variant":2},"#,
+            r#""features":{"m":1.0,"n":2.0,"nnz":3.0,"aver_rd":4.0,"max_rd":5.0,"var_rd":6.0,"#,
+            r#""ndiags":7.0,"ntdiags_ratio":8.0,"er_dia":9.0,"er_ell":10.0,"r":11.0},"#,
+            r#""source":{"Measured":{"candidates":[["Csr",1.5],["Coo",0.25]],"#,
+            r#""failures":[["Ell","conversion refused"]]}},"plan":PLAN,"#,
+            r#""spmm":{"kernel":{"op":"Spmm","format":"Csr","variant":3},"plan":PLAN}}]]"#,
+        ]
+        .concat()
+        .replace("PLAN", plan);
+        assert_eq!(serde_json::to_string(&cache.snapshot()).unwrap(), expect);
+        // The sealed file's checksum covers that rendering, stamps
+        // included.
+        let path = std::env::temp_dir().join("smat_cache_layout_pin.json");
+        cache.save::<f64>(&path, 0x1234).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            text.starts_with("{\n  \"checksum\": 14658768812297580309,\n"),
+            "{text}"
+        );
     }
 
     #[test]

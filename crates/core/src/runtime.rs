@@ -9,19 +9,20 @@
 //! prediction or falls back to execute-and-measure over the candidate
 //! formats.
 
-use crate::cache::{CacheStats, CachedDecision, CachedSpmm, TuningCache};
+use crate::cache::{CacheStats, CachedSpmm, Decision, TuningCache};
 use crate::config::{SmatConfig, SINGLE_FLIGHT_WAIT};
 use crate::error::{Result, SmatError};
 use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthState};
 use crate::install::Installation;
 use crate::model::TrainedModel;
 use serde::{Deserialize, Serialize};
-use smat_features::{extract_structure, FeatureVector};
+use smat_features::{extract_structure, FeatureVector, StructureFeatures};
 use smat_kernels::timing::{decide, gflops, measure_round_robin, panic_message};
-use smat_kernels::{ExecPlan, KernelId, KernelLibrary, Op};
-use smat_learn::ClassGroup;
-use smat_matrix::{AnyMatrix, Csr, Format, Scalar, StructuralFingerprint};
+use smat_kernels::{measure_table, search_plan, ExecPlan, KernelId, KernelLibrary, Op, Planner};
+use smat_learn::{ClassGroup, RuleGroups};
+use smat_matrix::{AnyMatrix, ConversionLimits, Csr, Format, Scalar, StructuralFingerprint};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -155,10 +156,9 @@ impl Drop for InflightGuard<'_> {
 #[derive(Debug, Clone)]
 pub struct TunedSpmv<T> {
     matrix: AnyMatrix<T>,
-    kernel: KernelId,
-    plan: ExecPlan,
-    features: FeatureVector,
-    decision: DecisionPath,
+    /// The tuning decision: the value the cache stores, its `spmm` slot
+    /// left empty (the pick lives in `spmm` below).
+    decision: Decision,
     prepare_time: Duration,
     fingerprint: StructuralFingerprint,
     /// The lazily-tuned multi-RHS pick — an SpMM kernel and its
@@ -170,6 +170,24 @@ pub struct TunedSpmv<T> {
 }
 
 impl<T: Scalar> TunedSpmv<T> {
+    /// The one constructor: `decision`'s SpMM pick, if the cache had
+    /// one, moves into the handle's slot.
+    fn new(
+        matrix: AnyMatrix<T>,
+        mut decision: Decision,
+        fingerprint: StructuralFingerprint,
+        t0: Instant,
+    ) -> Self {
+        let pick = decision.spmm.take();
+        TunedSpmv {
+            matrix,
+            decision,
+            prepare_time: t0.elapsed(),
+            fingerprint,
+            spmm: pick.map_or_else(OnceLock::new, OnceLock::from),
+        }
+    }
+
     /// The storage format the tuner selected.
     pub fn format(&self) -> Format {
         self.matrix.format()
@@ -177,23 +195,23 @@ impl<T: Scalar> TunedSpmv<T> {
 
     /// The kernel that will execute SpMV.
     pub fn kernel(&self) -> KernelId {
-        self.kernel
+        self.decision.kernel
     }
 
     /// The precomputed execution plan the kernel replays on every
     /// [`Smat::spmv`] call (chunk bounds frozen at prepare time).
     pub fn plan(&self) -> &ExecPlan {
-        &self.plan
+        &self.decision.plan
     }
 
     /// The extracted feature vector (with `R` only if it was needed).
     pub fn features(&self) -> &FeatureVector {
-        &self.features
+        &self.decision.features
     }
 
     /// How the decision was reached.
     pub fn decision(&self) -> &DecisionPath {
-        &self.decision
+        &self.decision.source
     }
 
     /// Wall-clock cost of `prepare` (feature extraction + prediction +
@@ -526,77 +544,14 @@ impl<T: Scalar> Smat<T> {
             return tuned;
         }
         let key = csr.fingerprint();
-        let limits = self.config.conversion_limits();
         // The follower's one wait bound.
-        let mut wait_deadline = t0 + SINGLE_FLIGHT_WAIT;
-        if let Some(d) = req_deadline {
-            wait_deadline = wait_deadline.min(d);
-        }
+        let wait = t0 + SINGLE_FLIGHT_WAIT;
+        let wait_deadline = req_deadline.map_or(wait, |d| d.min(wait));
         loop {
-            if let Some(hit) = self.cache.get(&key) {
-                if self.health.quarantined(hit.kernel) {
-                    // The cached decision points at a variant the
-                    // breaker has since benched: evict it and fall
-                    // through to a fresh tuning run, which selects
-                    // around the quarantine.
-                    self.cache.remove(&key);
-                    self.health.note_quarantine_eviction();
-                }
-                // Same structure ⇒ the conversion that succeeded on the
-                // miss succeeds again (fill limits and byte budgets are
-                // structural); fall through defensively if it somehow
-                // does not.
-                else if let Ok(matrix) =
-                    AnyMatrix::convert_from_csr_with(csr, hit.format, &limits)
-                {
-                    // A plan sized for a different thread count (e.g. a
-                    // snapshot written on another machine) is rebuilt
-                    // for this backend and the entry refreshed in place.
-                    // The rebuild keeps the recorded chunk policy, so a
-                    // plan-searched decision survives the resize.
-                    let fresh = |plan: &ExecPlan| {
-                        if plan.is_stale() {
-                            self.lib.build_plan(&matrix, plan.policy)
-                        } else {
-                            plan.clone()
-                        }
-                    };
-                    let plan = fresh(&hit.plan);
-                    if hit.plan.is_stale() {
-                        let mut refreshed = hit.clone();
-                        refreshed.plan = plan.clone();
-                        self.cache.insert(key, refreshed);
-                    }
-                    // Replay the cached multi-RHS pick alongside the
-                    // SpMV decision, so the first `spmm` call on this
-                    // handle skips measurement entirely. A stale plan
-                    // is rebuilt for this backend (same policy, so the
-                    // searched decision survives the resize); a
-                    // quarantined kernel is dropped and re-tuned.
-                    let spmm = match &hit.spmm {
-                        Some(cached) if !self.health.quarantined(cached.kernel) => {
-                            OnceLock::from(CachedSpmm {
-                                kernel: cached.kernel,
-                                plan: fresh(&cached.plan),
-                            })
-                        }
-                        _ => OnceLock::new(),
-                    };
-                    let elapsed = t0.elapsed();
-                    self.cache.record(true, elapsed);
-                    return TunedSpmv {
-                        matrix,
-                        kernel: hit.kernel,
-                        plan,
-                        features: hit.features,
-                        decision: DecisionPath::Cached {
-                            source: Box::new(hit.source),
-                        },
-                        prepare_time: elapsed,
-                        fingerprint: key,
-                        spmm,
-                    };
-                }
+            let hit = self.cache.get(&key);
+            if let Some(tuned) = hit.and_then(|hit| self.replay(csr, key, hit, t0)) {
+                self.cache.record(true, tuned.prepare_time);
+                return tuned;
             }
             // Claim leadership or find the active leader. The cache is
             // re-checked under the in-flight lock: a leader publishes
@@ -627,18 +582,8 @@ impl<T: Scalar> Smat<T> {
                 // input-specific failure (poisoned values, every
                 // candidate failing): never cache it, so a healthy
                 // matrix of the same structure re-tunes.
-                if !tuned.decision.is_degraded() {
-                    self.cache.insert(
-                        key,
-                        CachedDecision {
-                            format: tuned.format(),
-                            kernel: tuned.kernel,
-                            features: tuned.features,
-                            source: tuned.decision.clone(),
-                            plan: tuned.plan.clone(),
-                            spmm: None,
-                        },
-                    );
+                if !tuned.decision().is_degraded() {
+                    self.cache.insert(key, tuned.decision.clone());
                 }
                 self.cache.record(false, t0.elapsed());
                 return tuned;
@@ -648,86 +593,77 @@ impl<T: Scalar> Smat<T> {
             // take over leadership if it degraded).
             self.cache.record_coalesced_wait();
             if !marker.wait_until(wait_deadline) {
-                let features = extract_structure(csr).features;
                 let reason = "single-flight wait ended before the in-flight tuning run did; \
                               serving the reference kernel";
-                let tuned = self.degrade(csr, features, reason.to_string(), t0, key);
+                let tuned = self.degrade(Run::new(csr, key, t0, req_deadline), reason.into());
                 self.cache.record(false, t0.elapsed());
                 return tuned;
             }
         }
     }
 
-    /// Builds the degraded-mode result: the matrix stays in CSR and the
-    /// reference (variant 0) CSR kernel runs it.
-    fn degrade(
+    /// Replays the cached decision `hit` onto `csr`. Evicts it instead,
+    /// returning `None` so the caller tunes afresh, when the breaker
+    /// has since benched its kernel (the fresh run selects around the
+    /// quarantine) or when this engine's conversion limits refuse its
+    /// format (a snapshot written under a larger byte budget): the
+    /// conversion is otherwise structural, so it succeeds again.
+    fn replay(
         &self,
         csr: &Csr<T>,
-        features: FeatureVector,
-        reason: String,
+        key: StructuralFingerprint,
+        mut hit: Decision,
         t0: Instant,
-        fingerprint: StructuralFingerprint,
-    ) -> TunedSpmv<T> {
-        self.health.note_degraded_prepare();
-        TunedSpmv {
-            matrix: AnyMatrix::Csr(csr.clone()),
-            kernel: KernelId::basic(Format::Csr),
-            plan: ExecPlan::serial(csr.rows()),
-            features,
-            decision: DecisionPath::Degraded { reason },
-            prepare_time: t0.elapsed(),
-            fingerprint,
-            spmm: OnceLock::new(),
+    ) -> Option<TunedSpmv<T>> {
+        if self.health.quarantined(hit.kernel) {
+            self.cache.remove(&key);
+            self.health.note_quarantine_eviction();
+            return None;
         }
+        let limits = self.config.conversion_limits();
+        let Ok(matrix) = AnyMatrix::convert_from_csr_with(csr, hit.format, &limits) else {
+            self.cache.remove(&key);
+            return None;
+        };
+        // A plan sized for a different thread count (e.g. a snapshot
+        // written on another machine) is rebuilt for this backend with
+        // its recorded chunk policy, so a searched plan survives the
+        // resize. A quarantined SpMM pick is dropped, so the next
+        // `spmm` call re-tunes and publishes its replacement. Either
+        // change refreshes the entry in place.
+        let refresh = |plan: &mut ExecPlan| {
+            let stale = plan.is_stale();
+            if stale {
+                *plan = self.lib.build_plan(&matrix, plan.policy);
+            }
+            stale
+        };
+        let mut changed = refresh(&mut hit.plan);
+        match &mut hit.spmm {
+            Some(pick) if self.health.quarantined(pick.kernel) => {
+                hit.spmm = None;
+                changed = true;
+            }
+            Some(pick) => changed |= refresh(&mut pick.plan),
+            None => {}
+        }
+        if changed {
+            self.cache.insert(key, hit.clone());
+        }
+        hit.source = DecisionPath::Cached {
+            source: Box::new(hit.source),
+        };
+        Some(TunedSpmv::new(matrix, hit, key, t0))
     }
 
-    /// Upgrades the default plan for `kernel` on `matrix` by searching
-    /// chunk policy and fan-out width ([`smat_kernels::search_plan`]).
-    /// The search only runs where it can pay: the kernel has a
-    /// parallel planned path on a physical CSR matrix, and
-    /// the R feature (computed lazily here if no rule group already
-    /// forced it) reports a scale-free row-degree distribution — the
-    /// structures where uniform row splits lose. Near-uniform matrices
-    /// keep the default plan with zero extra measurements.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_plan(
-        &self,
-        matrix: &AnyMatrix<T>,
-        kernel: KernelId,
-        row_degrees: &[usize],
-        features: &mut FeatureVector,
-        r_computed: &mut bool,
-        planner: &mut smat_kernels::Planner,
-        req_deadline: Option<Instant>,
-    ) -> ExecPlan {
-        let default_plan = planner.plan_for(&self.lib, matrix, kernel);
-        if default_plan.is_serial() || matrix.format() != Format::Csr {
-            return default_plan;
-        }
-        if !*r_computed {
-            features.r = smat_features::fit_power_law_of_degrees(row_degrees.iter().copied());
-            *r_computed = true;
-        }
-        if features.r >= smat_features::R_NOT_SCALE_FREE {
-            return default_plan;
-        }
-        // A request deadline clamps the per-candidate plan-search
-        // deadline; once the budget is spent the search is skipped
-        // outright and the default plan serves.
-        let deadline = clamp_to_deadline(self.config.candidate_deadline, req_deadline);
-        if deadline.is_zero() {
-            return default_plan;
-        }
-        match smat_kernels::search_plan(
-            &self.lib,
-            matrix,
-            kernel,
-            self.config.plan_search_budget,
-            deadline,
-        ) {
-            Some(found) => found.plan,
-            None => default_plan,
-        }
+    /// Builds the degraded-mode result: the matrix stays in CSR and the
+    /// reference (variant 0) CSR kernel runs it.
+    fn degrade(&self, run: Run<T>, reason: String) -> TunedSpmv<T> {
+        self.health.note_degraded_prepare();
+        let matrix = AnyMatrix::Csr(run.csr.clone());
+        let plan = ExecPlan::serial(run.csr.rows());
+        let source = DecisionPath::Degraded { reason };
+        run.finish(matrix, KernelId::basic(Format::Csr), plan, source)
     }
 
     /// The kernel the tuner may actually attach for `format`: the
@@ -745,170 +681,100 @@ impl<T: Scalar> Smat<T> {
         }
     }
 
-    /// The uncached Figure 7 pipeline. `req_deadline`, when set, is a
-    /// hard wall-clock bound propagated into every measured stage (see
-    /// [`Smat::prepare_with_deadline`]).
+    /// The uncached Figure 7 pipeline: screen, extract features, predict
+    /// with the rule groups, race the candidate formats unless the
+    /// prediction is trusted, plan the winner. `deadline`, when set, is
+    /// a hard wall-clock bound propagated into every measured stage
+    /// (see [`Smat::prepare_with_deadline`]).
     fn tune(
         &self,
         csr: &Csr<T>,
         fingerprint: StructuralFingerprint,
-        req_deadline: Option<Instant>,
+        deadline: Option<Instant>,
     ) -> TunedSpmv<T> {
-        let t0 = Instant::now();
-        // Step 1 features; R is filled lazily below. Extraction is
-        // value-blind, so it is safe (and kept, for observability) on
-        // the degraded exits too.
-        let structure = extract_structure(csr);
-        let mut features = structure.features;
-        let mut r_computed = false;
-        if req_deadline.is_some_and(|d| d <= t0) {
+        // Step 1 features; R is fitted lazily. Extraction is value-blind,
+        // so it is safe (and kept, for observability) on the degraded
+        // exits too.
+        let mut run = Run::new(csr, fingerprint, Instant::now(), deadline);
+        if deadline.is_some_and(|d| d <= run.t0) {
             let reason = "request deadline expired before tuning; serving the reference kernel";
-            return self.degrade(csr, features, reason.to_string(), t0, fingerprint);
+            return self.degrade(run, reason.into());
         }
         // Input screening: a poisoned matrix (NaN/Inf values) would
         // corrupt every fallback measurement and the tuned result
         // alike, so it is quarantined to the reference path up front.
         if let Some((row, col)) = csr.first_non_finite() {
             let reason = format!("non-finite value at ({row}, {col}); input quarantined");
-            return self.degrade(csr, features, reason, t0, fingerprint);
+            return self.degrade(run, reason);
         }
+        let predicted = run.predict(&self.model.groups);
         let limits = self.config.conversion_limits();
-        // One planner per tuning run: the fallback candidates below are
-        // conversions of one matrix whose kernels may share a chunk
-        // policy, and the winner is planned again on the way out — the
-        // partition bounds are computed once per (policy, thread count).
-        let mut planner = smat_kernels::Planner::new();
-
-        // Consult groups in order with the optimistic early exit.
-        let mut first_match: Option<(Format, f64)> = None;
-        for group in &self.model.groups.groups {
-            if group.rules.is_empty() {
-                continue;
-            }
-            if !r_computed && group_tests_r(group) {
-                features.r =
-                    smat_features::fit_power_law_of_degrees(structure.row_degrees.iter().copied());
-                r_computed = true;
-            }
-            let values = features.as_array();
-            if group.rules.iter().any(|r| r.matches(&values)) {
-                first_match = Some((Format::from_index(group.class), group.confidence));
-                break;
-            }
-        }
-
-        // Both successful exits attach the format's kernel and its
-        // (possibly searched) plan to the converted matrix the same way.
-        let attach = |matrix: AnyMatrix<T>,
-                      decision: DecisionPath,
-                      mut features: FeatureVector,
-                      mut r_computed: bool,
-                      planner: &mut smat_kernels::Planner| {
-            let kernel = self.effective_kernel(matrix.format());
-            let plan = self.refine_plan(
-                &matrix,
-                kernel,
-                &structure.row_degrees,
-                &mut features,
-                &mut r_computed,
-                planner,
-                req_deadline,
-            );
-            TunedSpmv {
-                plan,
-                kernel,
-                matrix,
-                features,
-                decision,
-                prepare_time: t0.elapsed(),
-                fingerprint,
-                spmm: OnceLock::new(),
-            }
-        };
-
-        if let Some((format, confidence)) = first_match {
+        if let Some((format, confidence)) = predicted {
             if confidence >= self.config.confidence_threshold {
                 if let Ok(matrix) = AnyMatrix::convert_from_csr_with(csr, format, &limits) {
-                    let decision = DecisionPath::Predicted { confidence };
-                    return attach(matrix, decision, features, r_computed, &mut planner);
+                    return self.attach(run, matrix, DecisionPath::Predicted { confidence });
                 }
                 // Conversion refused (fill blow-up or byte budget):
                 // distrust the rule and fall through to measurement.
             }
         }
-
-        // Execute-and-measure fallback: convert every candidate format
-        // (a conversion refused by a limit prunes the candidate, it is
-        // not an error), measure the survivors together, and keep CSR
-        // unless another format beats it by more than the margin.
-        let mut formats: Vec<Format> = self.config.fallback_formats.clone();
-        for f in first_match.map(|(f, _)| f).into_iter().chain([Format::Csr]) {
+        // Execute-and-measure fallback over the configured candidates,
+        // the predicted format and CSR.
+        let mut formats = self.config.fallback_formats.clone();
+        for f in predicted.map(|(f, _)| f).into_iter().chain([Format::Csr]) {
             if !formats.contains(&f) {
                 formats.push(f);
             }
         }
-        let mut failures: Vec<(Format, String)> = Vec::new();
-        let mut converted = Vec::with_capacity(formats.len());
-        for format in formats {
-            match AnyMatrix::convert_from_csr_with(csr, format, &limits) {
-                Ok(any) => {
-                    // Planned outside the timed closure: the candidate is
-                    // timed through the dispatch that will serve it, and
-                    // the winner's plan below is a planner hit.
-                    let kernel = self.effective_kernel(format);
-                    let plan = planner.plan_for(&self.lib, &any, kernel);
-                    converted.push((any, kernel.variant, plan));
-                }
-                Err(e) => failures.push((format, format!("conversion refused: {e}"))),
-            }
+        let race = RaceSpec {
+            formats: &formats,
+            limits,
+            samples: 1..=16,
+            budget: self.config.fallback_budget,
+            deadline: self.config.candidate_deadline,
+            stop: deadline,
+        };
+        let kernel = |format| self.effective_kernel(format);
+        match race_formats(&self.lib, csr, race, kernel, &mut run.planner) {
+            Ok((matrix, source)) => self.attach(run, matrix, source),
+            Err(reason) => self.degrade(run, reason),
         }
-        let x = vec![T::ONE; csr.cols()];
-        let mut y = vec![T::ZERO; csr.rows()];
-        // The request deadline clamps the budget and the per-candidate
-        // deadline, and stops the measurement before the next sample
-        // once it passes: the unfinished candidates fail fast instead of
-        // blowing through the request's latency bound.
-        let outcomes = measure_round_robin(
-            converted.len(),
-            |i| {
-                let (any, variant, plan) = &converted[i];
-                self.lib.run_planned(any, *variant, plan, &x, &mut y)
-            },
-            1..=16,
-            clamp_to_deadline(self.config.fallback_budget, req_deadline),
-            clamp_to_deadline(self.config.candidate_deadline, req_deadline),
-            req_deadline,
-        );
-        let mut candidates: Vec<(Format, f64)> = Vec::with_capacity(converted.len());
-        for ((any, ..), outcome) in converted.iter().zip(&outcomes) {
-            match outcome.ok() {
-                Some(floor) => candidates.push((any.format(), gflops(csr.nnz(), floor))),
-                None => failures.push((any.format(), outcome.failure().unwrap_or_default())),
-            }
+    }
+
+    /// The tuned exit: attaches the format's kernel and its plan to the
+    /// converted matrix.
+    fn attach(&self, mut run: Run<T>, matrix: AnyMatrix<T>, source: DecisionPath) -> TunedSpmv<T> {
+        let kernel = self.effective_kernel(matrix.format());
+        let plan = self.plan(&mut run, &matrix, kernel);
+        run.finish(matrix, kernel, plan, source)
+    }
+
+    /// The plan for `kernel` on `matrix`: the default one, upgraded by
+    /// searching chunk policy and fan-out width
+    /// ([`smat_kernels::search_plan`]) only where the search can pay:
+    /// the kernel has a parallel planned path on a physical CSR matrix,
+    /// and `R` (fitted here if no rule group already forced it) reports
+    /// a scale-free row-degree distribution — the structures where
+    /// uniform row splits lose. Near-uniform matrices keep the default
+    /// plan with zero extra measurements.
+    fn plan(&self, run: &mut Run<T>, matrix: &AnyMatrix<T>, kernel: KernelId) -> ExecPlan {
+        let default_plan = run.planner.plan_for(&self.lib, matrix, kernel);
+        if default_plan.is_serial() || matrix.format() != Format::Csr {
+            return default_plan;
         }
-        let csr_slot = converted
-            .iter()
-            .position(|(any, ..)| any.format() == Format::Csr);
-        match decide(&outcomes, csr_slot) {
-            Some(winner) => {
-                let (matrix, ..) = converted.swap_remove(winner);
-                let decision = DecisionPath::Measured {
-                    candidates,
-                    failures,
-                };
-                attach(matrix, decision, features, r_computed, &mut planner)
-            }
-            None => {
-                // Every candidate was pruned or failed measurement:
-                // degrade to the reference CSR kernel rather than fail.
-                let detail: Vec<String> = failures
-                    .iter()
-                    .map(|(f, why)| format!("{f:?}: {why}"))
-                    .collect();
-                let reason = format!("all fallback candidates failed [{}]", detail.join("; "));
-                self.degrade(csr, features, reason, t0, fingerprint)
-            }
+        run.fit_r();
+        if run.structure.features.r >= smat_features::R_NOT_SCALE_FREE {
+            return default_plan;
         }
+        // A request deadline clamps the per-candidate plan-search
+        // deadline; once the budget is spent the search is skipped
+        // outright and the default plan serves.
+        let deadline = clamp_to_deadline(self.config.candidate_deadline, run.deadline);
+        if deadline.is_zero() {
+            return default_plan;
+        }
+        let budget = self.config.plan_search_budget;
+        search_plan(&self.lib, matrix, kernel, 1, budget, deadline).map_or(default_plan, |s| s.plan)
     }
 
     /// Runs the tuned SpMV: `y = A * x`, inside the execution-time
@@ -934,7 +800,7 @@ impl<T: Scalar> Smat<T> {
     pub fn spmv(&self, tuned: &TunedSpmv<T>, x: &[T], y: &mut [T]) -> Result<()> {
         check_len("smat spmv x", tuned.matrix.cols(), x.len())?;
         check_len("smat spmv y", tuned.matrix.rows(), y.len())?;
-        self.execute(tuned, tuned.kernel, &tuned.plan, x, y, 1)
+        self.execute(tuned, tuned.decision.kernel, &tuned.decision.plan, x, y, 1)
     }
 
     /// The execution-time containment boundary shared by [`Smat::spmv`]
@@ -1137,25 +1003,20 @@ impl<T: Scalar> Smat<T> {
     /// When no candidate survives measurement the handle gets row 0 on
     /// a serial plan, uncached, so a later `prepare` tunes afresh.
     fn tune_spmm(&self, tuned: &TunedSpmv<T>, k: usize) -> CachedSpmm {
-        let format = tuned.matrix.format();
+        let (lib, m, config) = (&self.lib, &tuned.matrix, &self.config);
+        let format = m.format();
         // Measure at a genuinely multi-RHS width even when the first
         // call is the k = 1 degenerate: at k = 1 every tiled row runs
         // its width-1 body and the rows would tie.
         let probe_k = k.max(4);
         let excluded = self.health.quarantined_kernels();
-        let table = smat_kernels::measure_spmm(
-            &self.lib,
-            &tuned.matrix,
-            probe_k,
-            self.config.fallback_budget,
-            self.config.candidate_deadline,
-            &excluded,
-        );
+        let (budget, deadline) = (config.fallback_budget, config.candidate_deadline);
+        let table = measure_table(lib, m, Op::Spmm, probe_k, budget, deadline, &excluded);
         let best = table.scoreboard().best_variant;
         if !table.records.get(best).is_some_and(|r| r.is_measured()) {
             return CachedSpmm {
                 kernel: KernelId::spmm_basic(format),
-                plan: ExecPlan::serial(tuned.matrix.rows()),
+                plan: ExecPlan::serial(m.rows()),
             };
         }
         let kernel = KernelId {
@@ -1163,27 +1024,20 @@ impl<T: Scalar> Smat<T> {
             format,
             variant: best,
         };
-        let mut plan = self.lib.plan_for(&tuned.matrix, kernel);
+        let mut plan = lib.plan_for(m, kernel);
+        let budget = config.plan_search_budget;
         if !plan.is_serial() {
-            if let Some(found) = smat_kernels::search_spmm_plan(
-                &self.lib,
-                &tuned.matrix,
-                kernel,
-                probe_k,
-                self.config.plan_search_budget,
-                self.config.candidate_deadline,
-            ) {
+            if let Some(found) = search_plan(lib, m, kernel, probe_k, budget, deadline) {
                 plan = found.plan;
             }
         }
         let pick = CachedSpmm { kernel, plan };
         // Attach the pick to the cached decision (if one is resident)
         // so the next `prepare` of this structure replays it.
-        if let Some(hit) = self.cache.get(&tuned.fingerprint) {
-            if hit.spmm.is_none() {
-                let spmm = Some(pick.clone());
-                self.cache
-                    .insert(tuned.fingerprint, CachedDecision { spmm, ..hit });
+        if let Some(mut entry) = self.cache.get(&tuned.fingerprint) {
+            if entry.spmm.is_none() {
+                entry.spmm = Some(pick.clone());
+                self.cache.insert(tuned.fingerprint, entry);
             }
         }
         pick
@@ -1235,6 +1089,171 @@ fn clamp_to_deadline(budget: Duration, deadline: Option<Instant>) -> Duration {
         Some(d) => budget.min(d.saturating_duration_since(Instant::now())),
         None => budget,
     }
+}
+
+/// What one run of the Figure 7 pipeline carries from step to step.
+struct Run<'a, T: Scalar> {
+    csr: &'a Csr<T>,
+    fingerprint: StructuralFingerprint,
+    t0: Instant,
+    /// Step-1 features (`R` fitted lazily, at most once) and the row
+    /// degrees `R` is fitted on.
+    structure: StructureFeatures,
+    r_fitted: bool,
+    /// The race's candidates may share a chunk policy and the winner is
+    /// planned again on the way out: one planner per run computes the
+    /// partition bounds once per (policy, thread count).
+    planner: Planner,
+    /// The request deadline, propagated into every measured stage.
+    deadline: Option<Instant>,
+}
+
+impl<'a, T: Scalar> Run<'a, T> {
+    fn new(
+        csr: &'a Csr<T>,
+        fingerprint: StructuralFingerprint,
+        t0: Instant,
+        deadline: Option<Instant>,
+    ) -> Self {
+        Run {
+            csr,
+            fingerprint,
+            t0,
+            structure: extract_structure(csr),
+            r_fitted: false,
+            planner: Planner::new(),
+            deadline,
+        }
+    }
+
+    /// The run's exit: `matrix` served by `kernel` over `plan`.
+    fn finish(
+        self,
+        matrix: AnyMatrix<T>,
+        kernel: KernelId,
+        plan: ExecPlan,
+        source: DecisionPath,
+    ) -> TunedSpmv<T> {
+        let decision = Decision {
+            format: matrix.format(),
+            kernel,
+            features: self.structure.features,
+            source,
+            plan,
+            spmm: None,
+        };
+        TunedSpmv::new(matrix, decision, self.fingerprint, self.t0)
+    }
+
+    /// Fits the power-law attribute `R` unless an earlier step did.
+    fn fit_r(&mut self) {
+        if !self.r_fitted {
+            let degrees = self.structure.row_degrees.iter().copied();
+            self.structure.features.r = smat_features::fit_power_law_of_degrees(degrees);
+            self.r_fitted = true;
+        }
+    }
+
+    /// Consults the rule groups in order with the optimistic early
+    /// exit, fitting `R` only once a consulted group tests it: the
+    /// first matching group's format and confidence.
+    fn predict(&mut self, groups: &RuleGroups) -> Option<(Format, f64)> {
+        for group in groups.groups.iter().filter(|g| !g.rules.is_empty()) {
+            if group_tests_r(group) {
+                self.fit_r();
+            }
+            let values = self.structure.features.as_array();
+            if group.rules.iter().any(|r| r.matches(&values)) {
+                return Some((Format::from_index(group.class), group.confidence));
+            }
+        }
+        None
+    }
+}
+
+/// What differs between the two callers of [`race_formats`], the
+/// runtime's execute-and-measure fallback and training's
+/// [`crate::label_best_format`]: the candidate formats (in measurement
+/// order), the conversion limits that prune them, the samples per
+/// candidate, and the sampling budget and per-candidate deadline, both
+/// clamped to the time left before `stop`, the instant the measurement
+/// stops before its next sample.
+pub(crate) struct RaceSpec<'a> {
+    pub formats: &'a [Format],
+    pub limits: ConversionLimits,
+    pub samples: RangeInclusive<usize>,
+    pub budget: Duration,
+    pub deadline: Duration,
+    pub stop: Option<Instant>,
+}
+
+/// The one format race: converts every candidate format of `spec` (a
+/// refused conversion is a failure, not an error), plans each with its
+/// `kernel` through `planner` outside the timed closure — so it is
+/// timed through the dispatch that would serve it — measures the
+/// survivors together on `x = 1`, and keeps CSR unless another format
+/// beats it by more than [`smat_kernels::MARGIN`] ([`decide`]).
+///
+/// Returns the winning conversion with a [`DecisionPath::Measured`]
+/// recording every candidate's throughput or failure, or, when every
+/// candidate failed, the reason to degrade.
+pub(crate) fn race_formats<T: Scalar>(
+    lib: &KernelLibrary<T>,
+    csr: &Csr<T>,
+    spec: RaceSpec<'_>,
+    kernel: impl Fn(Format) -> KernelId,
+    planner: &mut Planner,
+) -> std::result::Result<(AnyMatrix<T>, DecisionPath), String> {
+    let mut failures = Vec::new();
+    let mut converted = Vec::with_capacity(spec.formats.len());
+    for &format in spec.formats {
+        match AnyMatrix::convert_from_csr_with(csr, format, &spec.limits) {
+            Ok(any) => {
+                let kernel = kernel(format);
+                let plan = planner.plan_for(lib, &any, kernel);
+                converted.push((any, kernel.variant, plan));
+            }
+            Err(e) => failures.push((format, format!("conversion refused: {e}"))),
+        }
+    }
+    let x = vec![T::ONE; csr.cols()];
+    let mut y = vec![T::ZERO; csr.rows()];
+    let outcomes = measure_round_robin(
+        converted.len(),
+        |i| {
+            let (any, variant, plan) = &converted[i];
+            lib.run_planned(any, *variant, plan, &x, &mut y)
+        },
+        spec.samples,
+        clamp_to_deadline(spec.budget, spec.stop),
+        clamp_to_deadline(spec.deadline, spec.stop),
+        spec.stop,
+    );
+    let mut candidates = Vec::with_capacity(converted.len());
+    for ((any, ..), outcome) in converted.iter().zip(&outcomes) {
+        match outcome.ok() {
+            Some(floor) => candidates.push((any.format(), gflops(csr.nnz(), floor))),
+            None => failures.push((any.format(), outcome.failure().unwrap_or_default())),
+        }
+    }
+    let csr_slot = converted
+        .iter()
+        .position(|(any, ..)| any.format() == Format::Csr);
+    let Some(winner) = decide(&outcomes, csr_slot) else {
+        let detail: Vec<String> = failures
+            .iter()
+            .map(|(f, why)| format!("{f:?}: {why}"))
+            .collect();
+        return Err(format!(
+            "all fallback candidates failed [{}]",
+            detail.join("; ")
+        ));
+    };
+    let source = DecisionPath::Measured {
+        candidates,
+        failures,
+    };
+    Ok((converted.swap_remove(winner).0, source))
 }
 
 /// Whether any rule in the group tests the power-law attribute `R`.
@@ -1918,10 +1937,14 @@ pub(crate) mod tests {
     fn handle_for(m: &Csr<f64>, kernel: KernelId) -> TunedSpmv<f64> {
         TunedSpmv {
             matrix: AnyMatrix::Csr(m.clone()),
-            kernel,
-            plan: ExecPlan::serial(m.rows()),
-            features: extract_structure(m).features,
-            decision: DecisionPath::Predicted { confidence: 1.0 },
+            decision: Decision {
+                format: Format::Csr,
+                kernel,
+                features: extract_structure(m).features,
+                source: DecisionPath::Predicted { confidence: 1.0 },
+                plan: ExecPlan::serial(m.rows()),
+                spmm: None,
+            },
             prepare_time: Duration::ZERO,
             fingerprint: m.fingerprint(),
             spmm: OnceLock::new(),
@@ -2031,7 +2054,7 @@ pub(crate) mod tests {
         // registered variant, as if a previous process had tuned to it.
         e.cache.insert(
             m.fingerprint(),
-            CachedDecision {
+            Decision {
                 format: Format::Csr,
                 kernel: id,
                 features: extract_structure(&m).features,
@@ -2056,6 +2079,32 @@ pub(crate) mod tests {
         assert!(!again.decision().is_cached());
         assert_ne!(again.kernel(), id);
         assert_eq!(e.health_report().quarantine_evictions, 1);
+    }
+
+    #[test]
+    fn quarantined_spmm_pick_is_replaced_in_the_cache() {
+        let e = plan_search_engine();
+        let m = random_uniform::<f64>(600, 600, 8, 11);
+        let k = 4;
+        let x: Vec<f64> = (0..m.cols() * k).map(|i| (i as f64 * 0.11).cos()).collect();
+        let mut y = vec![0.0; m.rows() * k];
+        let first = e.prepare(&m);
+        e.spmm(&first, &x, &mut y, k).unwrap();
+        let benched = first.spmm_kernel().unwrap();
+        e.health.seed_quarantine(&[benched]);
+        // The next handle leaves the benched pick behind and its first
+        // `spmm` call tunes a replacement …
+        let second = e.prepare(&m);
+        assert!(second.decision().is_cached());
+        assert_eq!(second.spmm_kernel(), None);
+        e.spmm(&second, &x, &mut y, k).unwrap();
+        let replacement = second.spmm_kernel().unwrap();
+        assert_ne!(replacement, benched);
+        // … which the cache now replays, instead of benching the old
+        // pick on every later handle.
+        let third = e.prepare(&m);
+        assert!(third.decision().is_cached());
+        assert_eq!(third.spmm_kernel(), Some(replacement));
     }
 
     #[test]
@@ -2239,6 +2288,44 @@ pub(crate) mod tests {
         m2.spmv(&x, &mut expect).unwrap();
         assert_eq!(y, expect);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cached_format_this_engine_cannot_convert_is_retuned() {
+        // An engine without a byte budget tunes the structure to DIA …
+        let e = engine();
+        let m = tridiagonal::<f64>(3000);
+        assert_eq!(e.prepare(&m).format(), Format::Dia);
+        let path = cache_tmp("unconvertible_hit.json");
+        e.save_cache(&path).unwrap();
+        // … and one whose budget refuses that conversion warm-starts
+        // from its snapshot.
+        let cfg = SmatConfig {
+            conversion_budget_bytes: Some(1024),
+            ..SmatConfig::fast()
+        };
+        let tight = Smat::with_config(model(), cfg).unwrap();
+        assert_eq!(tight.load_cache(&path).unwrap(), 1);
+        std::fs::remove_file(&path).ok();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let tuned = tight.prepare(&m);
+            let again = tight.prepare(&m);
+            tx.send((tuned.format(), tuned.decision().clone(), again))
+                .unwrap();
+        });
+        let (format, decision, again) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("prepare never returned on a hit it cannot convert");
+        // The hit was evicted and the structure raced afresh within
+        // this engine's limits; the new decision replaces the old.
+        assert_ne!(format, Format::Dia);
+        assert!(
+            matches!(decision, DecisionPath::Measured { .. }),
+            "{decision:?}"
+        );
+        assert!(again.decision().is_cached());
+        assert_eq!(again.format(), format);
     }
 
     #[test]

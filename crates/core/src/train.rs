@@ -5,9 +5,9 @@
 use crate::config::SmatConfig;
 use crate::error::{Result, SmatError};
 use crate::model::{class_names, group_class_order, TrainStats, TrainedModel};
+use crate::runtime::{race_formats, DecisionPath, RaceSpec};
 use smat_features::{extract_features, ATTRIBUTE_NAMES};
-use smat_kernels::timing::{decide, gflops, measure_round_robin};
-use smat_kernels::{measure_format, ExecPlan, KernelChoice, KernelLibrary, PerfTable, Planner};
+use smat_kernels::{measure_table, KernelChoice, KernelLibrary, Op, PerfTable, Planner};
 use smat_learn::{
     order_by_contribution, tailor, Dataset, DecisionTree, RuleGroups, RuleSet, TreeParams,
     DEFAULT_TAILOR_TOLERANCE,
@@ -15,7 +15,7 @@ use smat_learn::{
 use smat_matrix::gen::{
     banded, block_sparse, fixed_degree, power_law, random_skewed, random_uniform,
 };
-use smat_matrix::{AnyMatrix, Csr, Format, Scalar};
+use smat_matrix::{AnyMatrix, ConversionLimits, Csr, Format, Scalar};
 use std::time::Duration;
 
 /// Measures the chosen kernel of every format on `m` and returns the
@@ -39,51 +39,34 @@ pub fn measure_formats<T: Scalar>(
 }
 
 /// The measured best format for `m` and [`measure_formats`]' numbers:
-/// [`decide`] over one measurement of every format `m` converts to, so
-/// CSR unless another format beats it by more than
-/// [`smat_kernels::MARGIN`] (and CSR when nothing measured).
+/// the runtime fallback's format race over every format `m` converts
+/// to under default limits, so CSR unless another format beats it by
+/// more than [`smat_kernels::MARGIN`] (and CSR when nothing measured).
 pub fn label_best_format<T: Scalar>(
     lib: &KernelLibrary<T>,
     choice: &KernelChoice,
     m: &Csr<T>,
     budget: Duration,
 ) -> (Format, [f64; Format::COUNT]) {
-    // One planner for all of `m`'s conversions: the partitions are
-    // either shape-only (equal rows) or specific to one format.
-    let mut planner = Planner::new();
-    let converted: Vec<(AnyMatrix<T>, usize, ExecPlan)> = Format::ALL
-        .into_iter()
-        .filter_map(|format| AnyMatrix::convert_from_csr(m, format).ok())
-        .map(|any| {
-            let kernel = choice.kernel(any.format());
-            let plan = planner.plan_for(lib, &any, kernel);
-            (any, kernel.variant, plan)
-        })
-        .collect();
-    let x = vec![T::ONE; m.cols()];
-    let mut y = vec![T::ZERO; m.rows()];
-    let outcomes = measure_round_robin(
-        converted.len(),
-        |i| {
-            let (any, variant, plan) = &converted[i];
-            lib.run_planned(any, *variant, plan, &x, &mut y)
-        },
-        3..=32,
+    let race = RaceSpec {
+        formats: &Format::ALL,
+        limits: ConversionLimits::default(),
+        samples: 3..=32,
         budget,
-        smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
-        None,
-    );
+        deadline: smat_kernels::DEFAULT_CANDIDATE_DEADLINE,
+        stop: None,
+    };
+    let kernel = |format| choice.kernel(format);
     let mut perf = [0.0f64; Format::COUNT];
-    for ((any, ..), outcome) in converted.iter().zip(&outcomes) {
-        if let Some(floor) = outcome.ok() {
-            perf[any.format().index()] = gflops(m.nnz(), floor);
-        }
+    let Ok((best, DecisionPath::Measured { candidates, .. })) =
+        race_formats(lib, m, race, kernel, &mut Planner::new())
+    else {
+        return (Format::Csr, perf);
+    };
+    for (format, g) in candidates {
+        perf[format.index()] = g;
     }
-    let csr = converted
-        .iter()
-        .position(|(any, ..)| any.format() == Format::Csr);
-    let best = decide(&outcomes, csr).map_or(Format::Csr, |i| converted[i].0.format());
-    (best, perf)
+    (best.format(), perf)
 }
 
 /// Everything the off-line stage produces.
@@ -121,6 +104,7 @@ impl Trainer {
         let n = self.config.probe_dim.max(64);
         let mut choice = KernelChoice::basic();
         let mut tables = Vec::with_capacity(Format::COUNT);
+        let (budget, deadline) = (self.config.search_budget, self.config.candidate_deadline);
         for format in Format::ALL {
             let probe: Csr<T> = match format {
                 Format::Dia => banded(n, &[-4, -2, -1, 0, 1, 2, 3, 5, 8], 1.0, 0xD1A),
@@ -136,13 +120,7 @@ impl Trainer {
             };
             let any = AnyMatrix::convert_from_csr(&probe, format)
                 .expect("probe matrices convert to their own format");
-            let table = measure_format(
-                lib,
-                &any,
-                self.config.search_budget,
-                self.config.candidate_deadline,
-                &[],
-            );
+            let table = measure_table(lib, &any, Op::Spmv, 1, budget, deadline, &[]);
             choice.set(format, table.scoreboard().best_variant);
             tables.push(table);
         }

@@ -20,14 +20,14 @@
 //! Search for the best CSR kernel on this machine, then run it:
 //!
 //! ```
-//! use smat_kernels::{measure_format, KernelLibrary, DEFAULT_CANDIDATE_DEADLINE};
+//! use smat_kernels::{measure_table, KernelLibrary, Op, DEFAULT_CANDIDATE_DEADLINE};
 //! use smat_matrix::{gen::random_uniform, AnyMatrix};
 //! use std::time::Duration;
 //!
 //! let lib = KernelLibrary::<f64>::new();
 //! let a = AnyMatrix::Csr(random_uniform::<f64>(500, 500, 8, 42));
 //! let budget = Duration::from_millis(1);
-//! let table = measure_format(&lib, &a, budget, DEFAULT_CANDIDATE_DEADLINE, &[]);
+//! let table = measure_table(&lib, &a, Op::Spmv, 1, budget, DEFAULT_CANDIDATE_DEADLINE, &[]);
 //!
 //! let x = vec![1.0; 500];
 //! let mut y = vec![0.0; 500];
@@ -59,8 +59,8 @@ pub mod timing;
 pub use plan::ExecPlan;
 pub use registry::{ChunkPolicy, KernelFn, KernelId, KernelInfo, KernelLibrary, Op, Planner};
 pub use search::{
-    measure_format, measure_spmm, search_plan, search_spmm_plan, KernelChoice, PerfRecord,
-    PerfTable, PlanSample, PlanSearch, RecordStatus, Scoreboard, DEFAULT_CANDIDATE_DEADLINE,
+    measure_table, search_plan, KernelChoice, PerfRecord, PerfTable, PlanSample, PlanSearch,
+    RecordStatus, Scoreboard, DEFAULT_CANDIDATE_DEADLINE,
 };
 pub use simd::SimdBackend;
 pub use strategy::{Strategy, StrategySet};

@@ -174,7 +174,7 @@ pub struct Scoreboard {
 }
 
 /// Per-format kernel selection, one scoreboard winner
-/// ([`measure_format`]) per format: the "optimal kernel" box of the
+/// ([`measure_table`]) per format: the "optimal kernel" box of the
 /// paper's Figure 4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelChoice {
@@ -209,8 +209,12 @@ impl KernelChoice {
 /// deadline of their own.
 pub const DEFAULT_CANDIDATE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Measures every variant of `format` on the probe matrix and returns the
-/// performance record table.
+/// Measures every `op` variant of the probe's format at RHS width `k`
+/// (1 for SpMV) and returns the performance record table: every row of
+/// the library's table measured together, each through its default
+/// plan — built here, once per candidate and outside the timed
+/// closure, so the search times exactly the planned dispatch the
+/// engine serves. Throughput counts `2 * nnz * k` flops per call.
 ///
 /// `budget` is the sampling time each variant buys, with the variants'
 /// samples interleaved ([`measure_round_robin`]); `deadline` is the hard
@@ -223,23 +227,7 @@ pub const DEFAULT_CANDIDATE_DEADLINE: Duration = Duration::from_secs(2);
 /// [`RecordStatus::CandidateFailed`] with reason `"quarantined"`, so
 /// the scoreboard treats them exactly like a variant that failed in the
 /// harness (excluded from strategy pairing and from selection).
-pub fn measure_format<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &AnyMatrix<T>,
-    budget: Duration,
-    deadline: Duration,
-    excluded: &[KernelId],
-) -> PerfTable {
-    measure_table(lib, probe, Op::Spmv, 1, budget, deadline, excluded)
-}
-
-/// The performance-record table of one `(op, format)` at RHS width `k`:
-/// every row of the library's table measured together, each through its
-/// default plan — built here, once per candidate and outside the timed
-/// closure, so the search times exactly the planned dispatch the engine
-/// serves. Excluded rows are recorded as failed with reason
-/// `"quarantined"` without running.
-fn measure_table<T: Scalar>(
+pub fn measure_table<T: Scalar>(
     lib: &KernelLibrary<T>,
     probe: &AnyMatrix<T>,
     op: Op,
@@ -305,22 +293,6 @@ fn measure_table<T: Scalar>(
     PerfTable { format, records }
 }
 
-/// Measures every SpMM variant of the probe's format at RHS batch width
-/// `k` and returns the performance record table. The mirror of
-/// [`measure_format`] for the batched tier, `excluded` included:
-/// throughput counts `2 * nnz * k` flops per call and rows index the
-/// library's SpMM tables.
-pub fn measure_spmm<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    probe: &AnyMatrix<T>,
-    k: usize,
-    budget: Duration,
-    deadline: Duration,
-    excluded: &[KernelId],
-) -> PerfTable {
-    measure_table(lib, probe, Op::Spmm, k, budget, deadline, excluded)
-}
-
 /// One measured (chunk policy, fan-out width) candidate from
 /// [`search_plan`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -349,9 +321,9 @@ pub struct PlanSearch {
 }
 
 /// Searches the *plan* dimensions — chunk policy and fan-out width —
-/// for one already-chosen kernel, extending the paper's scoreboard
-/// (which searches implementations) to the partitioning decisions the
-/// implementations replay.
+/// for one already-chosen kernel `id` at RHS width `k` (1 for SpMV),
+/// extending the paper's scoreboard (which searches implementations)
+/// to the partitioning decisions the implementations replay.
 ///
 /// Candidate policies depend on the kernel: merge-path kernels only
 /// re-size their entry split, while plain row-chunk CSR kernels race
@@ -360,24 +332,13 @@ pub struct PlanSearch {
 /// `{1, t, 2t, 4t}` for `t` backend threads, and the one-chunk plan is
 /// the preferred candidate of [`decide`]: a fan-out plan replaces it
 /// only when it wins by more than the margin, so small or hopelessly
-/// skewed inputs stay serial. Returns `None` for kernels without a
-/// parallel planned path (nothing to search) or when every candidate
-/// fails in the estimator.
+/// skewed inputs stay serial. Every candidate replays `id` through its
+/// op's planned dispatch, scored at `2 * nnz * k` flops per call; an
+/// SpMM kernel's tiling is not searched here — it lives on the variant
+/// (the `Tile8` bit, chosen by the SpMM scoreboard). Returns `None` for
+/// kernels without a parallel planned path (nothing to search) or when
+/// every candidate fails in the estimator.
 pub fn search_plan<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    m: &AnyMatrix<T>,
-    id: KernelId,
-    budget: Duration,
-    deadline: Duration,
-) -> Option<PlanSearch> {
-    search_plan_grid(lib, m, id, 1, budget, deadline)
-}
-
-/// The policy × width grid behind [`search_plan`] and
-/// [`search_spmm_plan`]: builds every candidate plan, measures them
-/// together replaying `id` at RHS width `k`, and keeps [`decide`]'s pick
-/// with the one-chunk plan preferred.
-fn search_plan_grid<T: Scalar>(
     lib: &KernelLibrary<T>,
     m: &AnyMatrix<T>,
     id: KernelId,
@@ -438,24 +399,6 @@ fn search_plan_grid<T: Scalar>(
         best,
         samples,
     })
-}
-
-/// [`search_plan`] for an SpMM kernel at RHS batch width `k`: the same
-/// policy × width grid (merge kernels only re-size their entry split,
-/// plain row-chunk CSR kernels race `EqualRows` against `NnzBalanced`),
-/// replayed through the planned SpMM dispatch and scored at `2 * nnz *
-/// k` flops per call. Tiling is not searched here — it lives on the
-/// variant (the `Tile8` bit, chosen by the SpMM scoreboard); this
-/// searches the partitioning the winning variant replays.
-pub fn search_spmm_plan<T: Scalar>(
-    lib: &KernelLibrary<T>,
-    m: &AnyMatrix<T>,
-    id: KernelId,
-    k: usize,
-    budget: Duration,
-    deadline: Duration,
-) -> Option<PlanSearch> {
-    search_plan_grid(lib, m, id, k, budget, deadline)
 }
 
 #[cfg(test)]
@@ -531,7 +474,15 @@ mod tests {
                 continue;
             };
             let budget = Duration::from_millis(5);
-            let table = measure_format(&lib, &any, budget, DEFAULT_CANDIDATE_DEADLINE, &[]);
+            let table = measure_table(
+                &lib,
+                &any,
+                Op::Spmv,
+                1,
+                budget,
+                DEFAULT_CANDIDATE_DEADLINE,
+                &[],
+            );
             let v = table.scoreboard().best_variant;
             assert!(v < lib.variant_count(f), "{f} variant {v} out of range");
             // Every measured table has positive throughputs.
@@ -604,9 +555,11 @@ mod tests {
         );
         let probe = random_uniform::<f64>(200, 200, 4, 7);
         let any = AnyMatrix::Csr(probe);
-        let table = measure_format(
+        let table = measure_table(
             &lib,
             &any,
+            Op::Spmv,
+            1,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
             &[],
@@ -631,9 +584,11 @@ mod tests {
         // First find the winner, then quarantine it: the re-run must
         // pick someone else, and the benched row must read exactly like
         // a harness failure.
-        let open = measure_format(
+        let open = measure_table(
             &lib,
             &any,
+            Op::Spmv,
+            1,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
             &[],
@@ -644,9 +599,11 @@ mod tests {
             format: Format::Csr,
             variant: winner,
         };
-        let table = measure_format(
+        let table = measure_table(
             &lib,
             &any,
+            Op::Spmv,
+            1,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
             &[benched],
@@ -683,6 +640,7 @@ mod tests {
             &lib,
             &any,
             id,
+            1,
             Duration::from_micros(200),
             DEFAULT_CANDIDATE_DEADLINE,
         )
@@ -719,6 +677,7 @@ mod tests {
             &lib,
             &any,
             id,
+            1,
             Duration::from_micros(50),
             DEFAULT_CANDIDATE_DEADLINE
         )
@@ -730,9 +689,10 @@ mod tests {
         let lib = KernelLibrary::<f64>::new();
         let probe = random_uniform::<f64>(400, 400, 6, 21);
         let any = AnyMatrix::Csr(probe);
-        let table = measure_spmm(
+        let table = measure_table(
             &lib,
             &any,
+            Op::Spmm,
             8,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
@@ -747,9 +707,10 @@ mod tests {
             format: Format::Csr,
             variant: winner,
         };
-        let again = measure_spmm(
+        let again = measure_table(
             &lib,
             &any,
+            Op::Spmm,
             8,
             Duration::from_micros(100),
             DEFAULT_CANDIDATE_DEADLINE,
@@ -775,7 +736,7 @@ mod tests {
             format: Format::Csr,
             variant: v,
         };
-        let found = search_spmm_plan(
+        let found = search_plan(
             &lib,
             &any,
             id,
@@ -799,7 +760,7 @@ mod tests {
         assert!(y1.iter().zip(&y2).all(|(a, b)| a == b));
         // Serial spmm kernels have nothing to search.
         let serial = KernelId::spmm_basic(Format::Csr);
-        assert!(search_spmm_plan(
+        assert!(search_plan(
             &lib,
             &any,
             serial,
