@@ -84,7 +84,7 @@ pub(crate) fn interpolate<T: Scalar>(
 
     for i in 0..n {
         if splitting.is_coarse(i) {
-            out.row.push((splitting.coarse_index[i], T::ONE));
+            out.row.push((splitting.coarse_index[i] as u32, T::ONE));
             out.finish_row();
             continue;
         }
@@ -100,6 +100,7 @@ pub(crate) fn interpolate<T: Scalar>(
         let (mut sum_neg_all, mut sum_pos_all) = (0.0f64, 0.0f64);
         let (mut sum_neg_c, mut sum_pos_c) = (0.0f64, 0.0f64);
         for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
             if j == i {
                 diag = v;
             } else if v.to_f64() < 0.0 {
@@ -116,7 +117,7 @@ pub(crate) fn interpolate<T: Scalar>(
                 } else {
                     sum_pos_c += v.to_f64();
                 }
-                out.row.push((splitting.coarse_index[j], v));
+                out.row.push((splitting.coarse_index[j] as u32, v));
             }
         }
         assert!(
@@ -157,9 +158,9 @@ struct RowWriter<T> {
     max_elements: usize,
     /// The row being assembled, in column order; drained by
     /// [`Self::finish_row`].
-    row: Vec<(usize, T)>,
+    row: Vec<(u32, T)>,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -240,7 +241,7 @@ mod tests {
         for i in 0..a.rows() {
             if s.is_coarse(i) {
                 let (cols, vals) = p.row(i);
-                assert_eq!(cols, &[s.coarse_index[i]]);
+                assert_eq!(cols, &[s.coarse_index[i] as u32]);
                 assert_eq!(vals, &[1.0]);
             }
         }

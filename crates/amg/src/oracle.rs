@@ -106,6 +106,7 @@ pub fn direct_interpolation(
         let mut sum_neg_all = 0.0f64;
         let mut sum_pos_all = 0.0f64;
         for (&j, &v) in cols.iter().zip(vals) {
+            let j = j as usize;
             if j == i {
                 diag = v;
             } else if v < 0.0 {
@@ -169,13 +170,16 @@ pub fn truncate_interpolation(p: &Csr<f64>, max_elements: usize) -> Csr<f64> {
         let (cols, vals) = p.row(i);
         if cols.len() <= max_elements {
             for (&c, &v) in cols.iter().zip(vals) {
-                triplets.push((i, c, v));
+                triplets.push((i, c as usize, v));
             }
             continue;
         }
         let row_sum: f64 = vals.iter().sum();
-        let mut entries: Vec<(usize, f64)> =
-            cols.iter().copied().zip(vals.iter().copied()).collect();
+        let mut entries: Vec<(usize, f64)> = cols
+            .iter()
+            .map(|&c| c as usize)
+            .zip(vals.iter().copied())
+            .collect();
         entries.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
         entries.truncate(max_elements);
         let kept_sum: f64 = entries.iter().map(|(_, v)| v).sum();
@@ -207,8 +211,9 @@ pub fn spgemm(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
         row_cols.clear();
         let (a_cols, a_vals) = a.row(i);
         for (&k, &av) in a_cols.iter().zip(a_vals) {
-            let (b_cols, b_vals) = b.row(k);
+            let (b_cols, b_vals) = b.row(k as usize);
             for (&j, &bv) in b_cols.iter().zip(b_vals) {
+                let j = j as usize;
                 if marker[j] != i {
                     marker[j] = i;
                     acc[j] = 0.0;
@@ -219,7 +224,7 @@ pub fn spgemm(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
         }
         row_cols.sort_unstable();
         for &j in &row_cols {
-            col_idx.push(j);
+            col_idx.push(j as u32);
             values.push(acc[j]);
         }
         row_ptr.push(col_idx.len());

@@ -110,6 +110,7 @@ fn gs_row<T: Scalar>(a: &Csr<T>, b: &[T], x: &mut [T], i: usize) {
     let mut sigma = T::ZERO;
     let mut diag = T::ZERO;
     for (&j, &v) in cols.iter().zip(vals) {
+        let j = j as usize;
         if j == i {
             diag = v;
         } else {

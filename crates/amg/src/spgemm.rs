@@ -101,7 +101,7 @@ struct Piece<'a, T> {
     acc: Vec<T>,
     marker: Vec<usize>,
     /// The rows' entries, row after row in column order.
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -109,25 +109,26 @@ impl<T: Scalar> Piece<'_, T> {
     /// Gustavson's row loop over this chunk of `a · b`.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>) {
         let (acc, marker) = (&mut self.acc, &mut self.marker);
-        let mut row_cols: Vec<usize> = Vec::new();
+        let mut row_cols: Vec<u32> = Vec::new();
         for (len, i) in self.lens.iter_mut().zip(self.first..) {
             row_cols.clear();
             let (a_cols, a_vals) = a.row(i);
             for (&k, &av) in a_cols.iter().zip(a_vals) {
-                let (b_cols, b_vals) = b.row(k);
-                for (&j, &bv) in b_cols.iter().zip(b_vals) {
+                let (b_cols, b_vals) = b.row(k as usize);
+                for (&c, &bv) in b_cols.iter().zip(b_vals) {
+                    let j = c as usize;
                     if marker[j] != i {
                         marker[j] = i;
                         acc[j] = T::ZERO;
-                        row_cols.push(j);
+                        row_cols.push(c);
                     }
                     acc[j] += av * bv;
                 }
             }
             row_cols.sort_unstable();
-            for &j in &row_cols {
-                self.col_idx.push(j);
-                self.values.push(acc[j]);
+            for &c in &row_cols {
+                self.col_idx.push(c);
+                self.values.push(acc[c as usize]);
             }
             *len = row_cols.len();
         }

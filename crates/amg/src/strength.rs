@@ -47,13 +47,14 @@ impl StrengthGraph {
             // Strongest off-diagonal connection (negative direction).
             let mut max_off = 0.0f64;
             for (&j, &v) in cols.iter().zip(vals) {
-                if j != i {
+                if j as usize != i {
                     max_off = max_off.max((-v.to_f64()).max(0.0));
                 }
             }
             if max_off > 0.0 {
                 let cut = theta * max_off;
                 for (&j, &v) in cols.iter().zip(vals) {
+                    let j = j as usize;
                     if j != i && -v.to_f64() >= cut && -v.to_f64() > 0.0 {
                         influencers.push(j);
                         t_ptr[j + 1] += 1;

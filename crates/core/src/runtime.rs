@@ -239,17 +239,13 @@ impl<T: Scalar> TunedSpmv<T> {
         self.spmm.get().map(|pick| pick.kernel)
     }
 
-    /// Estimated resident footprint of the prepared matrix, in bytes:
-    /// the dominant index/value arrays (`nnz` stored entries plus the
-    /// row structure), used by [`crate::HandleRegistry`] to enforce
-    /// its byte budget. An estimate, not an allocator audit — padded
-    /// formats (DIA/ELL slabs) can hold fill beyond `nnz`, but the
-    /// conversion fill limits already bound that fill to a small
-    /// multiple of this figure.
+    /// Resident footprint of the prepared matrix, in bytes: its stored
+    /// arrays at their real widths, fill included
+    /// ([`AnyMatrix::stored_bytes`]), used by [`crate::HandleRegistry`]
+    /// to enforce its byte budget. The arrays only, not an allocator
+    /// audit: the handle's plan and feature vector are not counted.
     pub fn resident_bytes(&self) -> usize {
-        let elem = std::mem::size_of::<T>();
-        let idx = std::mem::size_of::<usize>();
-        self.matrix.nnz() * (elem + idx) + (self.matrix.rows() + 1) * idx
+        self.matrix.stored_bytes()
     }
 }
 

@@ -55,8 +55,10 @@ pub fn extract_structure<T: Scalar>(m: &Csr<T>) -> StructureFeatures {
     let idx = m.col_idx();
     for r in 0..rows {
         row_degrees[r] = ptr[r + 1] - ptr[r];
+        // Row `r`'s diagonals start at index `rows - 1 - r`.
+        let band = &mut diag_counts[rows - 1 - r..];
         for &c in &idx[ptr[r]..ptr[r + 1]] {
-            diag_counts[c + rows - 1 - r] += 1;
+            band[c as usize] += 1;
         }
     }
 

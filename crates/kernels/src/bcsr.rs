@@ -47,7 +47,7 @@ fn run_rows_generic<T: Scalar>(m: &Bcsr<T>, x: &[T], y_chunk: &mut [T], r0: usiz
         let i_hi = (r1 - base).min(br).min(m.rows() - base);
         let mut acc = [T::ZERO; 8];
         for k in ptr[b]..ptr[b + 1] {
-            let c0 = bcol[k] * bc;
+            let c0 = bcol[k] as usize * bc;
             let cn = bc.min(cols - c0);
             let blk = &values[k * br * bc..];
             for (i, a) in acc.iter_mut().enumerate().take(i_hi).skip(i_lo) {
@@ -77,7 +77,7 @@ fn run_block_rows_2x2<T: Scalar>(m: &Bcsr<T>, x: &[T], y_chunk: &mut [T], b0: us
         let mut a0 = T::ZERO;
         let mut a1 = T::ZERO;
         for k in ptr[b]..ptr[b + 1] {
-            let c0 = bcol[k] * 2;
+            let c0 = bcol[k] as usize * 2;
             let blk = &values[k * 4..k * 4 + 4];
             if c0 + 2 <= cols {
                 let x0 = x[c0];
@@ -112,7 +112,7 @@ fn run_block_rows_4x4<T: Scalar>(m: &Bcsr<T>, x: &[T], y_chunk: &mut [T], b0: us
         let rn = 4.min(rows - base);
         let mut acc = [T::ZERO; 4];
         for k in ptr[b]..ptr[b + 1] {
-            let c0 = bcol[k] * 4;
+            let c0 = bcol[k] as usize * 4;
             let cn = 4.min(cols - c0);
             let blk = &values[k * 16..k * 16 + 16];
             if cn == 4 {

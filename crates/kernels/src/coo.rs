@@ -38,7 +38,7 @@ pub(crate) fn row_aligned_chunks<T: Scalar>(m: &Coo<T>, parts: usize) -> (Vec<us
         // Only create a boundary if it advances past the previous one.
         if snapped < nnz && snapped > *entry_bounds.last().expect("non-empty") {
             entry_bounds.push(snapped);
-            row_bounds.push(rows_arr[snapped]);
+            row_bounds.push(rows_arr[snapped] as usize);
         }
         k = snapped.max(k) + target;
     }
@@ -67,17 +67,17 @@ fn scatter<T: Scalar>(
     let quads = if unroll { n / 4 } else { 0 };
     for q in 0..quads {
         let k = 4 * q;
-        let p0 = vals[k] * x[cols[k]];
-        let p1 = vals[k + 1] * x[cols[k + 1]];
-        let p2 = vals[k + 2] * x[cols[k + 2]];
-        let p3 = vals[k + 3] * x[cols[k + 3]];
-        y_chunk[rows[k] - r0] += p0;
-        y_chunk[rows[k + 1] - r0] += p1;
-        y_chunk[rows[k + 2] - r0] += p2;
-        y_chunk[rows[k + 3] - r0] += p3;
+        let p0 = vals[k] * x[cols[k] as usize];
+        let p1 = vals[k + 1] * x[cols[k + 1] as usize];
+        let p2 = vals[k + 2] * x[cols[k + 2] as usize];
+        let p3 = vals[k + 3] * x[cols[k + 3] as usize];
+        y_chunk[rows[k] as usize - r0] += p0;
+        y_chunk[rows[k + 1] as usize - r0] += p1;
+        y_chunk[rows[k + 2] as usize - r0] += p2;
+        y_chunk[rows[k + 3] as usize - r0] += p3;
     }
     for k in 4 * quads..n {
-        y_chunk[rows[k] - r0] += vals[k] * x[cols[k]];
+        y_chunk[rows[k] as usize - r0] += vals[k] * x[cols[k] as usize];
     }
 }
 
@@ -203,7 +203,8 @@ mod tests {
         // Every chunk's entries fall inside its row range.
         for c in 0..eb.len() - 1 {
             for k in eb[c]..eb[c + 1] {
-                assert!(coo.row_idx()[k] >= rb[c] && coo.row_idx()[k] < rb[c + 1]);
+                let r = coo.row_idx()[k] as usize;
+                assert!(r >= rb[c] && r < rb[c + 1]);
             }
         }
     }

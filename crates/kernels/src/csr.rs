@@ -23,10 +23,10 @@ fn check_dims<T: Scalar>(m: &Csr<T>, x: &[T], y: &[T]) {
 /// One row's dot product accumulated sequentially in stream order — the
 /// inner loop of the paper's Figure 2(a).
 #[inline]
-fn row_scalar<T: Scalar>(idx: &[usize], val: &[T], x: &[T]) -> T {
+fn row_scalar<T: Scalar>(idx: &[u32], val: &[T], x: &[T]) -> T {
     let mut acc = T::ZERO;
     for (&c, &v) in idx.iter().zip(val) {
-        acc += v * x[c];
+        acc += v * x[c as usize];
     }
     acc
 }
@@ -61,14 +61,14 @@ fn rows_blocked2<T: Scalar>(m: &Csr<T>, x: &[T], y_chunk: &mut [T], r0: usize) {
         let mut acc_a = T::ZERO;
         let mut acc_b = T::ZERO;
         for k in 0..common {
-            acc_a += va[k] * x[ia[k]];
-            acc_b += vb[k] * x[ib[k]];
+            acc_a += va[k] * x[ia[k] as usize];
+            acc_b += vb[k] * x[ib[k] as usize];
         }
         for k in common..ia.len() {
-            acc_a += va[k] * x[ia[k]];
+            acc_a += va[k] * x[ia[k] as usize];
         }
         for k in common..ib.len() {
-            acc_b += vb[k] * x[ib[k]];
+            acc_b += vb[k] * x[ib[k] as usize];
         }
         y_chunk[i] = acc_a;
         y_chunk[i + 1] = acc_b;

@@ -24,36 +24,36 @@ fn check_dims<T: Scalar>(m: &Ell<T>, x: &[T], y: &[T]) {
 /// vector width are pure throughput knobs here — and the kernels are
 /// generic over the body so each gets its own monomorphized sweep.
 #[inline]
-fn step_scalar<T: Scalar>(dcol: &[T], icol: &[usize], x: &[T], y: &mut [T]) {
+fn step_scalar<T: Scalar>(dcol: &[T], icol: &[u32], x: &[T], y: &mut [T]) {
     for r in 0..y.len() {
-        y[r] += dcol[r] * x[icol[r]];
+        y[r] += dcol[r] * x[icol[r] as usize];
     }
 }
 
 /// [`step_scalar`] 4-way unrolled.
 #[inline]
-fn step_unroll4<T: Scalar>(dcol: &[T], icol: &[usize], x: &[T], y: &mut [T]) {
+fn step_unroll4<T: Scalar>(dcol: &[T], icol: &[u32], x: &[T], y: &mut [T]) {
     let n = y.len();
     let quads = n / 4;
     for q in 0..quads {
         let r = 4 * q;
-        y[r] += dcol[r] * x[icol[r]];
-        y[r + 1] += dcol[r + 1] * x[icol[r + 1]];
-        y[r + 2] += dcol[r + 2] * x[icol[r + 2]];
-        y[r + 3] += dcol[r + 3] * x[icol[r + 3]];
+        y[r] += dcol[r] * x[icol[r] as usize];
+        y[r + 1] += dcol[r + 1] * x[icol[r + 1] as usize];
+        y[r + 2] += dcol[r + 2] * x[icol[r + 2] as usize];
+        y[r + 3] += dcol[r + 3] * x[icol[r + 3] as usize];
     }
     for r in 4 * quads..n {
-        y[r] += dcol[r] * x[icol[r]];
+        y[r] += dcol[r] * x[icol[r] as usize];
     }
 }
 
-/// Two packed slots fused into one sweep `y[r] += d0[r] * x[i0[r]] +
-/// d1[r] * x[i1[r]]` — slot-pair register blocking, halving the passes
+/// Two packed slots fused into one sweep `y[r] += d0[r] * x[i0[r] as usize] +
+/// d1[r] * x[i1[r] as usize]` — slot-pair register blocking, halving the passes
 /// over `y` — optionally 4-way unrolled over the rows.
 #[inline]
 fn pair_step<T: Scalar>(
-    (d0, i0): (&[T], &[usize]),
-    (d1, i1): (&[T], &[usize]),
+    (d0, i0): (&[T], &[u32]),
+    (d1, i1): (&[T], &[u32]),
     x: &[T],
     y: &mut [T],
     unroll: bool,
@@ -61,20 +61,20 @@ fn pair_step<T: Scalar>(
     let n = y.len();
     if !unroll {
         for r in 0..n {
-            y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
+            y[r] += d0[r] * x[i0[r] as usize] + d1[r] * x[i1[r] as usize];
         }
         return;
     }
     let quads = n / 4;
     for q in 0..quads {
         let r = 4 * q;
-        y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
-        y[r + 1] += d0[r + 1] * x[i0[r + 1]] + d1[r + 1] * x[i1[r + 1]];
-        y[r + 2] += d0[r + 2] * x[i0[r + 2]] + d1[r + 2] * x[i1[r + 2]];
-        y[r + 3] += d0[r + 3] * x[i0[r + 3]] + d1[r + 3] * x[i1[r + 3]];
+        y[r] += d0[r] * x[i0[r] as usize] + d1[r] * x[i1[r] as usize];
+        y[r + 1] += d0[r + 1] * x[i0[r + 1] as usize] + d1[r + 1] * x[i1[r + 1] as usize];
+        y[r + 2] += d0[r + 2] * x[i0[r + 2] as usize] + d1[r + 2] * x[i1[r + 2] as usize];
+        y[r + 3] += d0[r + 3] * x[i0[r + 3] as usize] + d1[r + 3] * x[i1[r + 3] as usize];
     }
     for r in 4 * quads..n {
-        y[r] += d0[r] * x[i0[r]] + d1[r] * x[i1[r]];
+        y[r] += d0[r] * x[i0[r] as usize] + d1[r] * x[i1[r] as usize];
     }
 }
 
@@ -82,7 +82,7 @@ fn pair_step<T: Scalar>(
 /// is global row `r0`): its data and column-index columns, both cut to
 /// the chunk's length so the sweep bodies' bounds checks fold away.
 #[inline]
-fn slot<T: Scalar>(m: &Ell<T>, p: usize, r0: usize, n: usize) -> (&[T], &[usize]) {
+fn slot<T: Scalar>(m: &Ell<T>, p: usize, r0: usize, n: usize) -> (&[T], &[u32]) {
     let at = p * m.rows() + r0;
     (&m.data()[at..][..n], &m.indices()[at..][..n])
 }
@@ -94,7 +94,7 @@ fn run_chunks<T: Scalar>(
     x: &[T],
     y: &mut [T],
     bounds: &[usize],
-    step: impl Fn(&[T], &[usize], &[T], &mut [T]) + Sync,
+    step: impl Fn(&[T], &[u32], &[T], &mut [T]) + Sync,
 ) {
     exec::for_each_row_chunk(y, bounds, |ci, y_chunk| {
         y_chunk.fill(T::ZERO);

@@ -21,7 +21,7 @@ fn add_overflow<T: Scalar>(m: &Hyb<T>, x: &[T], y: &mut [T]) {
     let cols = coo.col_idx();
     let vals = coo.values();
     for i in 0..vals.len() {
-        y[rows[i]] += vals[i] * x[cols[i]];
+        y[rows[i] as usize] += vals[i] * x[cols[i] as usize];
     }
 }
 

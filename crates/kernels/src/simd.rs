@@ -85,7 +85,7 @@ pub(crate) fn avx2_active() -> bool {
 /// One ELL slab step: `y[i] += d[i] * x[idx[i]]` for every `i`
 /// (element-wise independent, hence trivially bit-stable).
 #[inline]
-pub(crate) fn axpy_gather<T: Scalar>(d: &[T], idx: &[usize], x: &[T], y: &mut [T]) {
+pub(crate) fn axpy_gather<T: Scalar>(d: &[T], idx: &[u32], x: &[T], y: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_active() {
         if crate::scalar_cast::is_f64::<T>() {
@@ -150,18 +150,18 @@ pub(crate) fn axpy_pointwise<T: Scalar>(d: &[T], xs: &[T], ys: &mut [T]) {
 /// Portable fallback for [`axpy_gather`], 4-way unrolled for
 /// auto-vectorization (bit-identical to the scalar loop: element-wise
 /// independent).
-fn portable_axpy_gather<T: Scalar>(d: &[T], idx: &[usize], x: &[T], y: &mut [T]) {
+fn portable_axpy_gather<T: Scalar>(d: &[T], idx: &[u32], x: &[T], y: &mut [T]) {
     let n = y.len();
     let chunks = n / 4;
     for c in 0..chunks {
         let k = 4 * c;
-        y[k] += d[k] * x[idx[k]];
-        y[k + 1] += d[k + 1] * x[idx[k + 1]];
-        y[k + 2] += d[k + 2] * x[idx[k + 2]];
-        y[k + 3] += d[k + 3] * x[idx[k + 3]];
+        y[k] += d[k] * x[idx[k] as usize];
+        y[k + 1] += d[k + 1] * x[idx[k + 1] as usize];
+        y[k + 2] += d[k + 2] * x[idx[k + 2] as usize];
+        y[k + 3] += d[k + 3] * x[idx[k + 3] as usize];
     }
     for k in 4 * chunks..n {
-        y[k] += d[k] * x[idx[k]];
+        y[k] += d[k] * x[idx[k] as usize];
     }
 }
 
@@ -189,17 +189,32 @@ mod avx2 {
 
     use core::arch::x86_64::*;
 
+    /// Loads the four `u32` column indices at `idx` zero-extended to
+    /// `i64` lanes. The `i32` gathers would read columns at or past
+    /// 2^31 as negative offsets; widening first keeps every `u32`
+    /// column in range of the `i64` gathers.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support; `idx` must be valid for
+    /// four reads.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn widen_u32x4(idx: *const u32) -> __m256i {
+        _mm256_cvtepu32_epi64(_mm_loadu_si128(idx as *const __m128i))
+    }
+
     /// # Safety
     ///
     /// Caller must have verified AVX2 support; `d`, `idx` and `y` share
     /// a length and `idx` entries are in-bounds for `x`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_gather_f64(d: &[f64], idx: &[usize], x: &[f64], y: &mut [f64]) {
+    pub(super) unsafe fn axpy_gather_f64(d: &[f64], idx: &[u32], x: &[f64], y: &mut [f64]) {
         let n = y.len();
         let chunks = n / 4;
         for c in 0..chunks {
             let k = 4 * c;
-            let vi = _mm256_loadu_si256(idx.as_ptr().add(k) as *const __m256i);
+            let vi = widen_u32x4(idx.as_ptr().add(k));
             let xg = _mm256_i64gather_pd::<8>(x.as_ptr(), vi);
             let vd = _mm256_loadu_pd(d.as_ptr().add(k));
             let vy = _mm256_loadu_pd(y.as_ptr().add(k));
@@ -209,7 +224,7 @@ mod avx2 {
             );
         }
         for k in 4 * chunks..n {
-            y[k] += d[k] * x[idx[k]];
+            y[k] += d[k] * x[idx[k] as usize];
         }
     }
 
@@ -218,19 +233,19 @@ mod avx2 {
     /// Caller must have verified AVX2 support; `d`, `idx` and `y` share
     /// a length and `idx` entries are in-bounds for `x`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_gather_f32(d: &[f32], idx: &[usize], x: &[f32], y: &mut [f32]) {
+    pub(super) unsafe fn axpy_gather_f32(d: &[f32], idx: &[u32], x: &[f32], y: &mut [f32]) {
         let n = y.len();
         let chunks = n / 4;
         for c in 0..chunks {
             let k = 4 * c;
-            let vi = _mm256_loadu_si256(idx.as_ptr().add(k) as *const __m256i);
+            let vi = widen_u32x4(idx.as_ptr().add(k));
             let xg = _mm256_i64gather_ps::<4>(x.as_ptr(), vi);
             let vd = _mm_loadu_ps(d.as_ptr().add(k));
             let vy = _mm_loadu_ps(y.as_ptr().add(k));
             _mm_storeu_ps(y.as_mut_ptr().add(k), _mm_add_ps(vy, _mm_mul_ps(vd, xg)));
         }
         for k in 4 * chunks..n {
-            y[k] += d[k] * x[idx[k]];
+            y[k] += d[k] * x[idx[k] as usize];
         }
     }
 
@@ -285,7 +300,7 @@ mod avx2 {
 mod tests {
     use super::*;
 
-    fn corpus_f64(n: usize, cols: usize, seed: u64) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    fn corpus_f64(n: usize, cols: usize, seed: u64) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -293,7 +308,9 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let idx: Vec<usize> = (0..n).map(|_| (next() as usize) % cols.max(1)).collect();
+        let idx: Vec<u32> = (0..n)
+            .map(|_| (next() % cols.max(1) as u64) as u32)
+            .collect();
         let val: Vec<f64> = (0..n)
             .map(|_| (next() % 1000) as f64 * 0.37 - 185.0)
             .collect();
@@ -320,6 +337,39 @@ mod tests {
             portable_axpy_pointwise(&d[..xs.len()], xs, &mut y_d);
             assert_eq!(y_c, y_d, "pointwise n={n}");
         }
+    }
+
+    #[test]
+    fn f32_gather_matches_portable_bitwise() {
+        for n in [0, 3, 4, 9, 64] {
+            let (idx, d, x) = corpus_f64(n, 41, n as u64 + 3);
+            let d: Vec<f32> = d.iter().map(|&v| v as f32).collect();
+            let x: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            let mut y_a = vec![0.5f32; n];
+            let mut y_b = y_a.clone();
+            axpy_gather(&d, &idx, &x, &mut y_a);
+            portable_axpy_gather(&d, &idx, &x, &mut y_b);
+            assert_eq!(y_a, y_b, "gather n={n}");
+        }
+    }
+
+    /// Columns at and past 2^31 widen as unsigned: an `i32` gather
+    /// would turn them into negative offsets.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn widened_indices_stay_unsigned() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let idx = [0, 1 << 31, u32::MAX, 5];
+        let mut lanes = [0i64; 4];
+        // SAFETY: AVX2 support was just detected; `idx` holds four
+        // words and `lanes` four `i64`s.
+        unsafe {
+            let v = avx2::widen_u32x4(idx.as_ptr());
+            core::arch::x86_64::_mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
+        }
+        assert_eq!(lanes, [0, 1 << 31, u32::MAX as i64, 5]);
     }
 
     #[test]

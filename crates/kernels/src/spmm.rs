@@ -137,14 +137,14 @@ fn add_entry<T: Scalar, const W: usize>(
 #[inline(always)]
 fn add_entries<T: Scalar, const W: usize>(
     acc: &mut [T; W],
-    idx: &[usize],
+    idx: &[u32],
     val: &[T],
     x: &[T],
     k: usize,
     j0: usize,
 ) {
     for (&c, &v) in idx.iter().zip(val) {
-        add_entry(acc, c, v, x, k, j0);
+        add_entry(acc, c as usize, v, x, k, j0);
     }
 }
 
@@ -152,7 +152,7 @@ fn add_entries<T: Scalar, const W: usize>(
 /// portable body: lane `l` accumulates column `j0 + l` in stream order.
 #[inline]
 fn row_tile<T: Scalar, const W: usize>(
-    idx: &[usize],
+    idx: &[u32],
     val: &[T],
     x: &[T],
     k: usize,
@@ -168,7 +168,7 @@ fn row_tile<T: Scalar, const W: usize>(
 /// portable body otherwise.
 #[inline]
 fn row_tile_dispatch<T: Scalar, const W: usize>(
-    idx: &[usize],
+    idx: &[u32],
     val: &[T],
     x: &[T],
     k: usize,
@@ -226,7 +226,7 @@ fn row_tile_dispatch<T: Scalar, const W: usize>(
 /// A CSR row or COO row run `(idx, val)`; `simd` routes its tiles
 /// through [`row_tile_dispatch`].
 #[derive(Clone, Copy)]
-struct EntryRow<'a, T>(&'a [usize], &'a [T], bool);
+struct EntryRow<'a, T>(&'a [u32], &'a [T], bool);
 
 impl<T: Scalar> RowTile<T> for EntryRow<'_, T> {
     #[inline(always)]
@@ -318,7 +318,7 @@ fn segment_tile<T: Scalar, const W: usize>(
     let val = m.values();
     let mut acc = [T::ZERO; W];
     for e in lo..hi {
-        let xb = &x[idx[e] * k + j0..];
+        let xb = &x[idx[e] as usize * k + j0..];
         for (a, &xv) in acc.iter_mut().zip(&xb[..W]) {
             *a += val[e] * xv;
         }
@@ -441,7 +441,14 @@ impl<T: Scalar> RowTile<T> for EllRow<'_, T> {
         let (rows, data, idx) = (m.rows(), m.data(), m.indices());
         let mut acc = [T::ZERO; W];
         for p in 0..m.width() {
-            add_entry(&mut acc, idx[p * rows + r], data[p * rows + r], x, k, j0);
+            add_entry(
+                &mut acc,
+                idx[p * rows + r] as usize,
+                data[p * rows + r],
+                x,
+                k,
+                j0,
+            );
         }
         acc
     }
@@ -523,9 +530,9 @@ pub fn run_dia<T: Scalar>(
 /// Advances the cursor `e` over row `r`'s run of a row-sorted entry
 /// stream (`row_idx`, ending at `end`) and returns the run.
 #[inline]
-fn row_run(row_idx: &[usize], e: &mut usize, end: usize, r: usize) -> Range<usize> {
+fn row_run(row_idx: &[u32], e: &mut usize, end: usize, r: usize) -> Range<usize> {
     let lo = *e;
-    while *e < end && row_idx[*e] == r {
+    while *e < end && row_idx[*e] as usize == r {
         *e += 1;
     }
     lo..*e
@@ -602,7 +609,7 @@ fn hyb_chunks<T: Scalar, const W: usize>(
     let (row_idx, col_idx, values) = (coo.row_idx(), coo.col_idx(), coo.values());
     exec::for_each_row_chunk_scaled(y, bounds, k, |ci, chunk| {
         let r0 = bounds[ci];
-        let mut e = row_idx.partition_point(|&r| r < r0);
+        let mut e = row_idx.partition_point(|&r| (r as usize) < r0);
         for (i, yr) in chunk.chunks_exact_mut(k).enumerate() {
             let r = r0 + i;
             let run = row_run(row_idx, &mut e, row_idx.len(), r);
@@ -679,7 +686,7 @@ fn bcsr_rows_tile<T: Scalar, const W: usize>(
         let i_hi = (r1 - base).min(br).min(m.rows() - base);
         let mut acc = [[T::ZERO; W]; 4];
         for e in ptr[b]..ptr[b + 1] {
-            let c0 = bcol[e] * bc;
+            let c0 = bcol[e] as usize * bc;
             let cn = bc.min(cols - c0);
             let blk = &values[e * br * bc..];
             for (i, row_acc) in acc.iter_mut().enumerate().take(i_hi).skip(i_lo) {
@@ -799,7 +806,7 @@ mod avx2 {
     /// `j0 + 4 <= k`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn row_tile4_f64(
-        idx: &[usize],
+        idx: &[u32],
         val: &[f64],
         x: &[f64],
         k: usize,
@@ -808,7 +815,7 @@ mod avx2 {
         let mut acc = _mm256_setzero_pd();
         for (e, &c) in idx.iter().enumerate() {
             let vv = _mm256_set1_pd(val[e]);
-            let vx = _mm256_loadu_pd(x.as_ptr().add(c * k + j0));
+            let vx = _mm256_loadu_pd(x.as_ptr().add(c as usize * k + j0));
             acc = _mm256_add_pd(acc, _mm256_mul_pd(vv, vx));
         }
         let mut out = [0.0f64; 4];
@@ -821,7 +828,7 @@ mod avx2 {
     /// Same as [`row_tile4_f64`], with `j0 + 8 <= k`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn row_tile8_f64(
-        idx: &[usize],
+        idx: &[u32],
         val: &[f64],
         x: &[f64],
         k: usize,
@@ -831,7 +838,7 @@ mod avx2 {
         let mut acc1 = _mm256_setzero_pd();
         for (e, &c) in idx.iter().enumerate() {
             let vv = _mm256_set1_pd(val[e]);
-            let p = x.as_ptr().add(c * k + j0);
+            let p = x.as_ptr().add(c as usize * k + j0);
             acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(vv, _mm256_loadu_pd(p)));
             acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(vv, _mm256_loadu_pd(p.add(4))));
         }
@@ -846,7 +853,7 @@ mod avx2 {
     /// Same contract as [`row_tile4_f64`] for `f32` data.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn row_tile4_f32(
-        idx: &[usize],
+        idx: &[u32],
         val: &[f32],
         x: &[f32],
         k: usize,
@@ -855,7 +862,7 @@ mod avx2 {
         let mut acc = _mm_setzero_ps();
         for (e, &c) in idx.iter().enumerate() {
             let vv = _mm_set1_ps(val[e]);
-            let vx = _mm_loadu_ps(x.as_ptr().add(c * k + j0));
+            let vx = _mm_loadu_ps(x.as_ptr().add(c as usize * k + j0));
             acc = _mm_add_ps(acc, _mm_mul_ps(vv, vx));
         }
         let mut out = [0.0f32; 4];
@@ -868,7 +875,7 @@ mod avx2 {
     /// Same contract as [`row_tile8_f64`] for `f32` data.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn row_tile8_f32(
-        idx: &[usize],
+        idx: &[u32],
         val: &[f32],
         x: &[f32],
         k: usize,
@@ -877,7 +884,7 @@ mod avx2 {
         let mut acc = _mm256_setzero_ps();
         for (e, &c) in idx.iter().enumerate() {
             let vv = _mm256_set1_ps(val[e]);
-            let vx = _mm256_loadu_ps(x.as_ptr().add(c * k + j0));
+            let vx = _mm256_loadu_ps(x.as_ptr().add(c as usize * k + j0));
             acc = _mm256_add_ps(acc, _mm256_mul_ps(vv, vx));
         }
         let mut out = [0.0f32; 8];

@@ -62,7 +62,7 @@ pub struct Bcsr<T> {
     br: usize,
     bc: usize,
     block_ptr: Vec<usize>,
-    block_col: Vec<usize>,
+    block_col: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -138,7 +138,7 @@ impl<T: Scalar> Bcsr<T> {
         for b in 0..block_rows {
             let first = blocks;
             for &c in &csr.col_idx()[span(b)] {
-                let (j, _) = split(c);
+                let (j, _) = split(c as usize);
                 if slot[j] <= first {
                     slot[j] = first + 1;
                     blocks += 1;
@@ -159,13 +159,14 @@ impl<T: Scalar> Bcsr<T> {
         // arrays, checked before either is allocated.
         limits.check_bytes(
             name,
-            stored.saturating_mul(T::BYTES).saturating_add(
-                (blocks + block_ptr.len()).saturating_mul(std::mem::size_of::<usize>()),
-            ),
+            stored
+                .saturating_mul(T::BYTES)
+                .saturating_add(blocks.saturating_mul(crate::INDEX_BYTES))
+                .saturating_add(block_ptr.len().saturating_mul(std::mem::size_of::<usize>())),
         )?;
         // Fill pass, per block row: gather its distinct block columns,
         // sort those, point `slot[j] - 1` at their blocks, scatter.
-        let mut block_col = vec![0usize; blocks];
+        let mut block_col = vec![0u32; blocks];
         let mut values = vec![T::ZERO; stored];
         slot.fill(0);
         for b in 0..block_rows {
@@ -173,22 +174,22 @@ impl<T: Scalar> Bcsr<T> {
             let mine = &mut block_col[first..block_ptr[b + 1]];
             let mut met = 0;
             for &c in &csr.col_idx()[span(b)] {
-                let (j, _) = split(c);
+                let (j, _) = split(c as usize);
                 if slot[j] <= first {
                     slot[j] = first + 1;
-                    mine[met] = j;
+                    mine[met] = j as u32;
                     met += 1;
                 }
             }
             mine.sort_unstable();
             for (k, &j) in mine.iter().enumerate() {
-                slot[j] = first + k + 1;
+                slot[j as usize] = first + k + 1;
             }
             for r in b * br..((b + 1) * br).min(rows) {
                 let (idx, vals) = csr.row(r);
                 let at = (r - b * br) * bc;
                 for (&c, &v) in idx.iter().zip(vals) {
-                    let (j, within) = split(c);
+                    let (j, within) = split(c as usize);
                     values[(slot[j] - 1) * br * bc + at + within] = v;
                 }
             }
@@ -247,7 +248,7 @@ impl<T: Scalar> Bcsr<T> {
     }
 
     /// Block column index per stored block.
-    pub fn block_col(&self) -> &[usize] {
+    pub fn block_col(&self) -> &[u32] {
         &self.block_col
     }
 
@@ -275,12 +276,12 @@ impl<T: Scalar> Bcsr<T> {
             let b = r / self.br;
             let i = r % self.br;
             for k in self.block_ptr[b]..self.block_ptr[b + 1] {
-                let c0 = self.block_col[k] * self.bc;
+                let c0 = self.block_col[k] as usize * self.bc;
                 let blk = &self.values[k * self.br * self.bc..];
                 for j in 0..self.bc.min(self.cols - c0.min(self.cols)) {
                     let v = blk[i * self.bc + j];
                     if v != T::ZERO {
-                        col_idx.push(c0 + j);
+                        col_idx.push((c0 + j) as u32);
                         vals.push(v);
                     }
                 }
@@ -317,7 +318,7 @@ impl<T: Scalar> Bcsr<T> {
             let rn = self.br.min(self.rows - r0);
             let mut acc = [T::ZERO; 8];
             for k in self.block_ptr[b]..self.block_ptr[b + 1] {
-                let c0 = self.block_col[k] * self.bc;
+                let c0 = self.block_col[k] as usize * self.bc;
                 let cn = self.bc.min(self.cols - c0);
                 let blk = &self.values[k * self.br * self.bc..];
                 for (i, a) in acc.iter_mut().enumerate().take(rn) {
@@ -362,7 +363,7 @@ impl<T: Scalar> Bcsr<T> {
             scratch.clear();
             for r in b * br..((b + 1) * br).min(rows) {
                 let (idx, _) = csr.row(r);
-                scratch.extend(idx.iter().map(|&c| c / bc));
+                scratch.extend(idx.iter().map(|&c| c as usize / bc));
             }
             scratch.sort_unstable();
             scratch.dedup();
@@ -379,12 +380,11 @@ impl<T: Scalar> Bcsr<T> {
             });
         }
         // Allocation estimate: the dense block values plus both index
-        // arrays, checked before `values` is allocated.
+        // arrays (four-byte block columns), checked before `values` is
+        // allocated.
         limits.check_bytes(
             name,
-            stored.saturating_mul(T::BYTES).saturating_add(
-                (block_col.len() + block_ptr.len()).saturating_mul(std::mem::size_of::<usize>()),
-            ),
+            stored.saturating_mul(T::BYTES) + block_col.len() * 4 + block_ptr.len() * 8,
         )?;
         // Fill pass: scatter each entry into its block slot, located by
         // binary search within the (sorted) block row.
@@ -406,7 +406,7 @@ impl<T: Scalar> Bcsr<T> {
             br,
             bc,
             block_ptr,
-            block_col,
+            block_col: block_col.into_iter().map(|j| j as u32).collect(),
             values,
         })
     }

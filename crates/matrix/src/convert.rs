@@ -321,6 +321,27 @@ impl<T: Scalar> AnyMatrix<T> {
         }
     }
 
+    /// Bytes of the stored arrays: values (fill included) at
+    /// `size_of::<T>()`, column and row indices at [`crate::INDEX_BYTES`],
+    /// row and block pointers and DIA offsets at eight. What one
+    /// product that reads the matrix once streams, less `x` and `y`.
+    pub fn stored_bytes(&self) -> usize {
+        const WORD: usize = std::mem::size_of::<usize>();
+        let (t, i) = (T::BYTES, crate::INDEX_BYTES);
+        let ell = |m: &Ell<T>| m.data().len() * (t + i);
+        let coo = |m: &Coo<T>| m.nnz() * (t + 2 * i);
+        match self {
+            AnyMatrix::Dia(m) => m.data().len() * t + m.offsets().len() * WORD,
+            AnyMatrix::Ell(m) => ell(m),
+            AnyMatrix::Csr(m) => m.nnz() * (t + i) + m.row_ptr().len() * WORD,
+            AnyMatrix::Coo(m) => coo(m),
+            AnyMatrix::Hyb(m) => ell(m.ell_part()) + coo(m.coo_part()),
+            AnyMatrix::Bcsr2(m) | AnyMatrix::Bcsr4(m) => {
+                m.values().len() * t + m.block_col().len() * i + m.block_ptr().len() * WORD
+            }
+        }
+    }
+
     /// Converts (back) to CSR regardless of current format.
     pub fn to_csr(&self) -> Csr<T> {
         match self {

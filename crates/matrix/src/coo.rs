@@ -31,8 +31,8 @@ use serde::{Deserialize, Serialize};
 pub struct Coo<T> {
     rows: usize,
     cols: usize,
-    row_idx: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_idx: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -42,16 +42,18 @@ impl<T: Scalar> Coo<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::InvalidStructure`] if the arrays have
-    /// different lengths, or [`MatrixError::IndexOutOfBounds`] if an index
-    /// exceeds the dimensions.
+    /// Returns [`MatrixError::InvalidStructure`] if `rows` or `cols`
+    /// exceeds `u32::MAX` or the arrays have different lengths, or
+    /// [`MatrixError::IndexOutOfBounds`] if an index exceeds the
+    /// dimensions.
     pub fn new(
         rows: usize,
         cols: usize,
-        row_idx: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_idx: Vec<u32>,
+        col_idx: Vec<u32>,
         values: Vec<T>,
     ) -> Result<Self> {
+        crate::check_shape(rows, cols)?;
         if row_idx.len() != col_idx.len() || col_idx.len() != values.len() {
             return Err(MatrixError::InvalidStructure(format!(
                 "coo arrays have different lengths: {} rows, {} cols, {} values",
@@ -61,6 +63,7 @@ impl<T: Scalar> Coo<T> {
             )));
         }
         for (&r, &c) in row_idx.iter().zip(&col_idx) {
+            let (r, c) = (r as usize, c as usize);
             if r >= rows || c >= cols {
                 return Err(MatrixError::IndexOutOfBounds {
                     row: r,
@@ -70,7 +73,7 @@ impl<T: Scalar> Coo<T> {
                 });
             }
         }
-        let mut entries: Vec<(usize, usize, T)> = row_idx
+        let mut entries: Vec<(u32, u32, T)> = row_idx
             .into_iter()
             .zip(col_idx)
             .zip(values)
@@ -96,8 +99,8 @@ impl<T: Scalar> Coo<T> {
     /// sorted by `(row, col)` and duplicate-free.
     pub(crate) fn from_sorted(
         (rows, cols): (usize, usize),
-        row_idx: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_idx: Vec<u32>,
+        col_idx: Vec<u32>,
         values: Vec<T>,
     ) -> Self {
         Self {
@@ -115,7 +118,7 @@ impl<T: Scalar> Coo<T> {
         let mut row_idx = Vec::with_capacity(csr.nnz());
         for r in 0..csr.rows() {
             let deg = csr.row_degree(r);
-            row_idx.extend(std::iter::repeat_n(r, deg));
+            row_idx.extend(std::iter::repeat_n(r as u32, deg));
         }
         Self::from_sorted(
             (csr.rows(), csr.cols()),
@@ -129,7 +132,7 @@ impl<T: Scalar> Coo<T> {
     pub fn to_csr(&self) -> crate::Csr<T> {
         let mut row_ptr = vec![0usize; self.rows + 1];
         for &r in &self.row_idx {
-            row_ptr[r + 1] += 1;
+            row_ptr[r as usize + 1] += 1;
         }
         for i in 0..self.rows {
             row_ptr[i + 1] += row_ptr[i];
@@ -163,13 +166,13 @@ impl<T: Scalar> Coo<T> {
 
     /// Row index of each stored entry (`rows` array in Figure 2(b)).
     #[inline]
-    pub fn row_idx(&self) -> &[usize] {
+    pub fn row_idx(&self) -> &[u32] {
         &self.row_idx
     }
 
     /// Column index of each stored entry (`cols` array in Figure 2(b)).
     #[inline]
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -185,7 +188,7 @@ impl<T: Scalar> Coo<T> {
             .iter()
             .zip(&self.col_idx)
             .zip(&self.values)
-            .map(|((&r, &c), &v)| (r, c, v))
+            .map(|((&r, &c), &v)| (r as usize, c as usize, v))
     }
 
     /// Reference SpMV `y = A * x` following the paper's Figure 2(b) loop.
@@ -211,7 +214,7 @@ impl<T: Scalar> Coo<T> {
         }
         y.fill(T::ZERO);
         for i in 0..self.values.len() {
-            y[self.row_idx[i]] += self.values[i] * x[self.col_idx[i]];
+            y[self.row_idx[i] as usize] += self.values[i] * x[self.col_idx[i] as usize];
         }
         Ok(())
     }

@@ -51,7 +51,7 @@ pub struct Csr<T> {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -61,18 +61,20 @@ impl<T: Scalar> Csr<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::InvalidStructure`] if `row_ptr` does not have
-    /// `rows + 1` entries, is non-monotone, does not end at
-    /// `col_idx.len()`, if `col_idx` and `values` lengths disagree, if any
-    /// column index is out of range, or if a row's column indices are not
-    /// strictly increasing.
+    /// Returns [`MatrixError::InvalidStructure`] if `rows` or `cols`
+    /// exceeds `u32::MAX`, if `row_ptr` does not have `rows + 1`
+    /// entries, is non-monotone, does not end at `col_idx.len()`, if
+    /// `col_idx` and `values` lengths disagree, if any column index is
+    /// out of range, or if a row's column indices are not strictly
+    /// increasing.
     pub fn new(
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        col_idx: Vec<u32>,
         values: Vec<T>,
     ) -> Result<Self> {
+        crate::check_shape(rows, cols)?;
         if row_ptr.len() != rows + 1 {
             return Err(MatrixError::InvalidStructure(format!(
                 "row_ptr has {} entries, expected rows + 1 = {}",
@@ -116,7 +118,7 @@ impl<T: Scalar> Csr<T> {
                 }
             }
             if let Some(&c) = row.last() {
-                if c >= cols {
+                if c as usize >= cols {
                     return Err(MatrixError::InvalidStructure(format!(
                         "row {r} has column index {c} >= cols = {cols}"
                     )));
@@ -143,9 +145,10 @@ impl<T: Scalar> Csr<T> {
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        col_idx: Vec<u32>,
         values: Vec<T>,
     ) -> Self {
+        debug_assert!(crate::check_shape(rows, cols).is_ok());
         debug_assert_eq!(row_ptr.len(), rows + 1);
         debug_assert_eq!(col_idx.len(), values.len());
         Self {
@@ -168,9 +171,11 @@ impl<T: Scalar> Csr<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::IndexOutOfBounds`] for the first triplet
-    /// that lies outside `rows x cols`.
+    /// Returns [`MatrixError::InvalidStructure`] if `rows` or `cols`
+    /// exceeds `u32::MAX`, or [`MatrixError::IndexOutOfBounds`] for the
+    /// first triplet that lies outside `rows x cols`.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, T)]) -> Result<Self> {
+        crate::check_shape(rows, cols)?;
         let mut ordered = true;
         let mut last = None;
         for &(r, c, _) in triplets {
@@ -208,7 +213,7 @@ impl<T: Scalar> Csr<T> {
             rows,
             cols,
             row_ptr,
-            col_idx: triplets.iter().map(|&(_, c, _)| c).collect(),
+            col_idx: triplets.iter().map(|&(_, c, _)| c as u32).collect(),
             values: triplets.iter().map(|&(_, _, v)| v).collect(),
         }
     }
@@ -223,10 +228,10 @@ impl<T: Scalar> Csr<T> {
         for i in 0..rows {
             counts[i + 1] += counts[i];
         }
-        let mut scratch: Vec<(usize, T)> = vec![(0, T::ZERO); triplets.len()];
+        let mut scratch: Vec<(u32, T)> = vec![(0, T::ZERO); triplets.len()];
         let mut next = counts.clone();
         for &(r, c, v) in triplets {
-            scratch[next[r]] = (c, v);
+            scratch[next[r]] = (c as u32, v);
             next[r] += 1;
         }
         let mut row_ptr = Vec::with_capacity(rows + 1);
@@ -264,9 +269,14 @@ impl<T: Scalar> Csr<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `dense.len() != rows * cols`.
+    /// Panics if `dense.len() != rows * cols`, or if `rows` or `cols`
+    /// exceeds `u32::MAX`.
     pub fn from_dense(rows: usize, cols: usize, dense: &[T], threshold: T) -> Self {
         assert_eq!(dense.len(), rows * cols, "dense array has wrong length");
+        assert!(
+            crate::check_shape(rows, cols).is_ok(),
+            "shape exceeds the u32 index range"
+        );
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
@@ -275,7 +285,7 @@ impl<T: Scalar> Csr<T> {
             for c in 0..cols {
                 let v = dense[r * cols + c];
                 if v.abs() > threshold {
-                    col_idx.push(c);
+                    col_idx.push(c as u32);
                     values.push(v);
                 }
             }
@@ -291,12 +301,17 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// The identity matrix of order `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
+        let last = u32::try_from(n).expect("order exceeds the u32 index range");
         Self {
             rows: n,
             cols: n,
             row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
+            col_idx: (0..last).collect(),
             values: vec![T::ONE; n],
         }
     }
@@ -327,7 +342,7 @@ impl<T: Scalar> Csr<T> {
 
     /// The column index array (`indices` in the paper's Figure 2).
     #[inline]
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -359,7 +374,7 @@ impl<T: Scalar> Csr<T> {
     ///
     /// Panics if `r >= self.rows()`.
     #[inline]
-    pub fn row(&self, r: usize) -> (&[usize], &[T]) {
+    pub fn row(&self, r: usize) -> (&[u32], &[T]) {
         let span = self.row_ptr[r]..self.row_ptr[r + 1];
         (&self.col_idx[span.clone()], &self.values[span])
     }
@@ -371,7 +386,8 @@ impl<T: Scalar> Csr<T> {
             return None;
         }
         let (cols, vals) = self.row(r);
-        cols.binary_search(&c).ok().map(|k| vals[k])
+        // `c < self.cols <= u32::MAX`: the narrowing is exact.
+        cols.binary_search(&(c as u32)).ok().map(|k| vals[k])
     }
 
     /// Iterates over all stored entries as `(row, col, value)`.
@@ -387,20 +403,20 @@ impl<T: Scalar> Csr<T> {
     pub fn transpose(&self) -> Self {
         let mut counts = vec![0usize; self.cols + 1];
         for &c in &self.col_idx {
-            counts[c + 1] += 1;
+            counts[c as usize + 1] += 1;
         }
         for i in 0..self.cols {
             counts[i + 1] += counts[i];
         }
         let ptr = counts.clone();
         let nnz = self.nnz();
-        let mut col_idx = vec![0usize; nnz];
+        let mut col_idx = vec![0u32; nnz];
         let mut values = vec![T::ZERO; nnz];
         for r in 0..self.rows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
+                let c = self.col_idx[k] as usize;
                 let dst = counts[c];
-                col_idx[dst] = r;
+                col_idx[dst] = r as u32;
                 values[dst] = self.values[k];
                 counts[c] += 1;
             }
@@ -455,7 +471,7 @@ impl<T: Scalar> Csr<T> {
         for (r, out) in y.iter_mut().enumerate() {
             let mut acc = T::ZERO;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
+                acc += self.values[k] * x[self.col_idx[k] as usize];
             }
             *out = acc;
         }
@@ -506,7 +522,7 @@ impl<T: Scalar> Csr<T> {
             let span = self.row_ptr[r]..self.row_ptr[r + 1];
             for k in span {
                 if !self.values[k].is_finite() {
-                    return Some((r, self.col_idx[k]));
+                    return Some((r, self.col_idx[k] as usize));
                 }
             }
         }
@@ -544,7 +560,8 @@ impl<T: Scalar> Iterator for Iter<'_, T> {
             if self.pos < self.csr.row_ptr[self.row + 1] {
                 let k = self.pos;
                 self.pos += 1;
-                return Some((self.row, self.csr.col_idx[k], self.csr.values[k]));
+                let c = self.csr.col_idx[k] as usize;
+                return Some((self.row, c, self.csr.values[k]));
             }
             self.row += 1;
         }
@@ -623,7 +640,7 @@ mod tests {
         Ok(Csr::from_unordered_triplets(rows, cols, t))
     }
 
-    type Arrays = (Vec<usize>, Vec<usize>, Vec<u64>);
+    type Arrays = (Vec<usize>, Vec<u32>, Vec<u64>);
     type Triplets = Vec<(usize, usize, f64)>;
 
     fn arrays(m: &Csr<f64>) -> Arrays {
@@ -694,6 +711,29 @@ mod tests {
                 direct.validate().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn shapes_past_the_u32_range_are_refused_before_allocating() {
+        let big = u32::MAX as usize + 1;
+        for (rows, cols) in [(big, 3), (3, big), (big, big)] {
+            assert!(matches!(
+                Csr::<f64>::from_triplets(rows, cols, &[]),
+                Err(MatrixError::InvalidStructure(_))
+            ));
+            assert!(matches!(
+                Csr::<f64>::new(rows, cols, vec![0], vec![], vec![]),
+                Err(MatrixError::InvalidStructure(_))
+            ));
+            assert!(matches!(
+                crate::Coo::<f64>::new(rows, cols, vec![], vec![], vec![]),
+                Err(MatrixError::InvalidStructure(_))
+            ));
+        }
+        let edge = u32::MAX as usize;
+        let m = Csr::<f64>::from_triplets(1, edge, &[(0, edge - 1, 2.0)]).unwrap();
+        assert_eq!(m.col_idx(), &[u32::MAX - 1]);
+        assert_eq!(m.iter().next(), Some((0, edge - 1, 2.0)));
     }
 
     #[test]

@@ -78,11 +78,11 @@ impl<T: Scalar> Dia<T> {
         // A row's offsets `c - r` rise with its sorted columns, so its
         // first and last entries bound them: the slot map below spans
         // the matrix's band, not all `rows + cols` possible diagonals.
-        let ends = |pick: fn(&[usize]) -> Option<&usize>| {
+        let ends = |pick: fn(&[u32]) -> Option<&u32>| {
             (0..rows).filter_map(move |r| pick(csr.row(r).0).map(|&c| c as isize - r as isize))
         };
-        let lo = ends(<[usize]>::first).min().unwrap_or(0);
-        let hi = ends(<[usize]>::last).max().unwrap_or(-1);
+        let lo = ends(<[u32]>::first).min().unwrap_or(0);
+        let hi = ends(<[u32]>::last).max().unwrap_or(-1);
         // Occupancy pass: `slot[offset - lo]` is 0 for an empty diagonal.
         let mut slot = vec![0usize; (hi - lo + 1) as usize];
         for r in 0..rows {

@@ -39,7 +39,7 @@ pub struct Ell<T> {
     nnz: usize,
     width: usize,
     data: Vec<T>,
-    indices: Vec<usize>,
+    indices: Vec<u32>,
 }
 
 impl<T: Scalar> Ell<T> {
@@ -78,10 +78,7 @@ impl<T: Scalar> Ell<T> {
         }
         // Allocation estimate: dense value slots plus the parallel
         // column-index array.
-        limits.check_bytes(
-            "ELL",
-            dense.saturating_mul(T::BYTES.saturating_add(std::mem::size_of::<usize>())),
-        )?;
+        limits.check_bytes("ELL", dense.saturating_mul(T::BYTES + crate::INDEX_BYTES))?;
         Ok(Self::pack(csr, width))
     }
 
@@ -90,7 +87,7 @@ impl<T: Scalar> Ell<T> {
     pub(crate) fn pack(csr: &Csr<T>, width: usize) -> Self {
         let rows = csr.rows();
         let mut data = vec![T::ZERO; width * rows];
-        let mut indices = vec![0usize; width * rows];
+        let mut indices = vec![0u32; width * rows];
         let mut nnz = 0;
         for r in 0..rows {
             let (cols_r, vals_r) = csr.row(r);
@@ -117,7 +114,7 @@ impl<T: Scalar> Ell<T> {
         for r in 0..self.rows {
             for p in 0..self.width {
                 let v = self.data[p * self.rows + r];
-                let c = self.indices[p * self.rows + r];
+                let c = self.indices[p * self.rows + r] as usize;
                 if v != T::ZERO || (c != 0 && p > 0) {
                     // Padding is (ZERO, 0); a genuine stored zero at column 0
                     // in slot 0 is indistinguishable and dropped, which is
@@ -164,7 +161,7 @@ impl<T: Scalar> Ell<T> {
 
     /// Column-major packed column indices.
     #[inline]
-    pub fn indices(&self) -> &[usize] {
+    pub fn indices(&self) -> &[u32] {
         &self.indices
     }
 
@@ -204,7 +201,7 @@ impl<T: Scalar> Ell<T> {
             let col = &self.data[p * self.rows..(p + 1) * self.rows];
             let idx = &self.indices[p * self.rows..(p + 1) * self.rows];
             for r in 0..self.rows {
-                y[r] += col[r] * x[idx[r]];
+                y[r] += col[r] * x[idx[r] as usize];
             }
         }
         Ok(())
@@ -295,6 +292,27 @@ mod tests {
         assert!(matches!(
             Ell::from_csr_with(&csr, &limits),
             Err(MatrixError::BudgetExceeded { format: "ELL", .. })
+        ));
+    }
+
+    #[test]
+    fn byte_budget_counts_four_byte_indices() {
+        // 3 x 4 = 12 slots of an f64 value and a u32 column each.
+        let csr = example_csr();
+        let exact = 12 * (8 + crate::INDEX_BYTES);
+        assert_eq!(exact, 12 * (8 + 4));
+        let budget = |bytes| ConversionLimits {
+            budget_bytes: Some(bytes),
+            ..ConversionLimits::unlimited()
+        };
+        assert!(Ell::from_csr_with(&csr, &budget(exact)).is_ok());
+        assert!(matches!(
+            Ell::from_csr_with(&csr, &budget(exact - 1)),
+            Err(MatrixError::BudgetExceeded {
+                format: "ELL",
+                required_bytes: 144,
+                ..
+            })
         ));
     }
 

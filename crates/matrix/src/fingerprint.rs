@@ -59,33 +59,39 @@ impl StructuralFingerprint {
     pub const ALGORITHM: u64 = 0x4c41_4e45_5334_7832;
 
     /// Computes the fingerprint of an arbitrary CSR pattern.
-    pub fn of_pattern(rows: usize, cols: usize, row_ptr: &[usize], col_idx: &[usize]) -> Self {
+    pub fn of_pattern(rows: usize, cols: usize, row_ptr: &[usize], col_idx: &[u32]) -> Self {
         let mut digest = SEEDS;
-        for words in [row_ptr, col_idx] {
-            let mut lanes =
-                SEEDS.map(|seed| std::array::from_fn::<_, LANES, _>(|l| seed ^ l as u64));
-            let mut feed = |chunk: &[usize]| {
-                for (l, &w) in chunk.iter().enumerate() {
-                    lanes[0][l] = step(lanes[0][l], w as u64, MULTIPLIERS[0]);
-                    lanes[1][l] = step(lanes[1][l], w as u64, MULTIPLIERS[1]);
-                }
-            };
-            let mut chunks = words.chunks_exact(LANES);
-            chunks.by_ref().for_each(&mut feed);
-            feed(chunks.remainder());
-            // The lanes fold in lane order, then the array's length: no
-            // word moves between `row_ptr` and `col_idx` unnoticed.
-            for (h, half) in digest.iter_mut().enumerate() {
-                let closing = lanes[h].into_iter().chain([words.len() as u64]);
-                *half = closing.fold(*half, |acc, word| step(acc, word, MULTIPLIERS[h]));
-            }
-        }
+        absorb(&mut digest, row_ptr, |w| w as u64);
+        absorb(&mut digest, col_idx, u64::from);
         StructuralFingerprint {
             rows,
             cols,
             nnz: col_idx.len(),
             digest,
         }
+    }
+}
+
+/// Folds one array into both halves. Every word enters widened to
+/// `u64`, so a digest does not depend on the width an array is stored
+/// at: persisted digests stay valid across index widths.
+#[inline(always)]
+fn absorb<W: Copy>(digest: &mut [u64; 2], words: &[W], widen: impl Fn(W) -> u64) {
+    let mut lanes = SEEDS.map(|seed| std::array::from_fn::<_, LANES, _>(|l| seed ^ l as u64));
+    let mut feed = |chunk: &[W]| {
+        for (l, &w) in chunk.iter().enumerate() {
+            lanes[0][l] = step(lanes[0][l], widen(w), MULTIPLIERS[0]);
+            lanes[1][l] = step(lanes[1][l], widen(w), MULTIPLIERS[1]);
+        }
+    };
+    let mut chunks = words.chunks_exact(LANES);
+    chunks.by_ref().for_each(&mut feed);
+    feed(chunks.remainder());
+    // The lanes fold in lane order, then the array's length: no word
+    // moves between `row_ptr` and `col_idx` unnoticed.
+    for (h, half) in digest.iter_mut().enumerate() {
+        let closing = lanes[h].into_iter().chain([words.len() as u64]);
+        *half = closing.fold(*half, |acc, word| step(acc, word, MULTIPLIERS[h]));
     }
 }
 
@@ -165,7 +171,7 @@ mod tests {
         for n in lengths.clone() {
             for fp in [
                 StructuralFingerprint::of_pattern(1, 1, &vec![7; n], &[]),
-                StructuralFingerprint::of_pattern(1, 1, &[], &vec![7; n]),
+                StructuralFingerprint::of_pattern(1, 1, &[], &vec![7u32; n]),
             ] {
                 seen[0].insert(fp.digest[0]);
                 seen[1].insert(fp.digest[1]);
@@ -179,7 +185,8 @@ mod tests {
     #[test]
     fn swapping_words_within_and_across_lanes_changes_both_halves() {
         let base: Vec<usize> = (0..3 * LANES + 2).map(|k| 1000 + 17 * k).collect();
-        let of = |row_ptr: &[usize], col_idx: &[usize]| {
+        let narrow = |words: &[usize]| words.iter().map(|&w| w as u32).collect::<Vec<_>>();
+        let of = |row_ptr: &[usize], col_idx: &[u32]| {
             StructuralFingerprint::of_pattern(5, 5, row_ptr, col_idx)
         };
         for (i, j, what) in [
@@ -192,14 +199,21 @@ mod tests {
             let mut swapped = base.clone();
             swapped.swap(i, j);
             halves_differ(of(&base, &[3]), of(&swapped, &[3]), what);
-            halves_differ(of(&[0, 1], &base), of(&[0, 1], &swapped), what);
+            halves_differ(
+                of(&[0, 1], &narrow(&base)),
+                of(&[0, 1], &narrow(&swapped)),
+                what,
+            );
         }
     }
 
     #[test]
     fn a_word_moved_across_the_array_boundary_changes_both_halves() {
         let words: Vec<usize> = (0..2 * LANES + 3).map(|k| 40 + k).collect();
-        let of = |cut: usize| StructuralFingerprint::of_pattern(9, 9, &words[..cut], &words[cut..]);
+        let of = |cut: usize| {
+            let col_idx: Vec<u32> = words[cut..].iter().map(|&w| w as u32).collect();
+            StructuralFingerprint::of_pattern(9, 9, &words[..cut], &col_idx)
+        };
         for cut in 0..words.len() {
             halves_differ(of(cut), of(cut + 1), &format!("cut {cut} -> {}", cut + 1));
         }

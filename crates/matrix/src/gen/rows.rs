@@ -12,7 +12,7 @@ pub(super) struct Rows<T> {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<T>,
 }
 
@@ -35,6 +35,7 @@ impl<T: Scalar> Rows<T> {
     #[inline]
     pub(super) fn push(&mut self, col: usize, value: T) {
         debug_assert!(col < self.cols);
+        let col = col as u32;
         debug_assert!(
             self.row_ptr.last() == Some(&self.col_idx.len()) || self.col_idx.last() < Some(&col)
         );

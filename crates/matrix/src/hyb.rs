@@ -93,8 +93,8 @@ impl<T: Scalar> Hyb<T> {
         }
         // ELL part: width * rows slots of (value + column index); COO
         // part: one (row, col, value) triple per spilled entry.
-        let slot = T::BYTES.saturating_add(std::mem::size_of::<usize>());
-        let triple = T::BYTES.saturating_add(2 * std::mem::size_of::<usize>());
+        let slot = T::BYTES + crate::INDEX_BYTES;
+        let triple = T::BYTES + 2 * crate::INDEX_BYTES;
         let ell_bytes = width.saturating_mul(rows).saturating_mul(slot);
         limits.check_bytes(
             "HYB",
@@ -105,7 +105,7 @@ impl<T: Scalar> Hyb<T> {
         let mut coo_v = Vec::with_capacity(spill);
         for r in (0..rows).filter(|&r| csr.row_degree(r) > width) {
             let (cs, vs) = csr.row(r);
-            coo_r.extend(std::iter::repeat_n(r, cs.len() - width));
+            coo_r.extend(std::iter::repeat_n(r as u32, cs.len() - width));
             coo_c.extend_from_slice(&cs[width..]);
             coo_v.extend_from_slice(&vs[width..]);
         }
@@ -245,10 +245,10 @@ impl<T: Scalar> Hyb<T> {
             let (cs, vs) = csr.row(r);
             let cut = cs.len().min(width);
             for (&c, &v) in cs[..cut].iter().zip(&vs[..cut]) {
-                ell_triplets.push((r, c, v));
+                ell_triplets.push((r, c as usize, v));
             }
             for (&c, &v) in cs[cut..].iter().zip(&vs[cut..]) {
-                coo_r.push(r);
+                coo_r.push(r as u32);
                 coo_c.push(c);
                 coo_v.push(v);
             }
@@ -268,13 +268,14 @@ impl<T: Scalar> Hyb<T> {
         }
     }
 
-    /// The oracle under the parent's budget estimate.
+    /// The oracle under the parent's budget estimate, at the four-byte
+    /// index width.
     pub(crate) fn from_csr_with_oracle(csr: &Csr<T>, limits: &ConversionLimits) -> Result<Self> {
         let width = auto_width(csr);
         let spill: usize = (0..csr.rows())
             .map(|r| csr.row_degree(r).saturating_sub(width))
             .sum();
-        let (slot, triple) = (T::BYTES + 8, T::BYTES + 16);
+        let (slot, triple) = (T::BYTES + 4, T::BYTES + 8);
         limits.check_bytes("HYB", width * csr.rows() * slot + spill * triple)?;
         Ok(Self::from_csr_with_width_oracle(csr, width))
     }

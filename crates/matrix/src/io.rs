@@ -14,6 +14,11 @@ use crate::{Csr, Scalar};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
+/// Most triplets reserved ahead of the entries actually read: a size
+/// line may declare any count, and the buffer grows by doubling past
+/// this.
+const RESERVE_AHEAD: usize = 1 << 16;
+
 /// Value field of a Matrix Market file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MmField {
@@ -39,8 +44,9 @@ enum MmSymmetry {
 /// # Errors
 ///
 /// Returns [`MatrixError::Parse`] on malformed input (bad header, complex
-/// field, array format, short lines, out-of-range indices) and
-/// [`MatrixError::Io`] on read failures.
+/// field, array format, short lines, out-of-range indices, a size line
+/// past the `u32` index range or declaring more entries than
+/// `rows x cols`) and [`MatrixError::Io`] on read failures.
 ///
 /// # Examples
 ///
@@ -147,7 +153,8 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
             cols = parse_usize(it.next(), lno)?;
             nnz_declared = parse_usize(it.next(), lno)?;
             size_seen = true;
-            triplets.reserve(nnz_declared);
+            check_size_line(rows, cols, nnz_declared, lno)?;
+            triplets.reserve(nnz_declared.min(RESERVE_AHEAD));
             continue;
         }
         entries_read += 1;
@@ -215,6 +222,19 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
         });
     }
     Csr::from_triplets(rows, cols, &triplets)
+}
+
+/// Refuses a size line no matrix can satisfy before anything is sized
+/// from it: indices past `u32::MAX`, or more entries than positions.
+fn check_size_line(rows: usize, cols: usize, nnz: usize, line: usize) -> Result<()> {
+    let message = if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        format!("size {rows} x {cols} exceeds the u32 index range")
+    } else if nnz as u128 > rows as u128 * cols as u128 {
+        format!("{nnz} entries declared for a {rows} x {cols} matrix")
+    } else {
+        return Ok(());
+    };
+    Err(MatrixError::Parse { line, message })
 }
 
 fn parse_usize(tok: Option<&str>, line: usize) -> Result<usize> {
@@ -393,6 +413,37 @@ mod tests {
         // Integer-typed files go through the same gate.
         let int = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 inf\n";
         assert!(read_matrix_market::<f64, _>(int.as_bytes()).is_err());
+    }
+
+    /// Size lines that once aborted the process sizing buffers from the
+    /// declared counts: both are parse errors on line 2.
+    #[test]
+    fn hostile_size_lines_are_parse_errors() {
+        for (size, says) in [
+            ("3 3 100000000000", "entries declared"),
+            ("5000000000 3 1", "u32 index range"),
+            ("3 5000000000 1", "u32 index range"),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n");
+            match read_matrix_market::<f64, _>(text.as_bytes()) {
+                Err(MatrixError::Parse { line: 2, message }) => {
+                    assert!(message.contains(says), "{size}: {message}")
+                }
+                other => panic!("{size}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A large but satisfiable declaration reserves only a bounded
+    /// buffer and fails on the missing entries.
+    #[test]
+    fn declared_count_past_the_entries_is_a_truncation_error() {
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n100000 100000 4000000000\n1 1 1.0\n";
+        match read_matrix_market::<f64, _>(text.as_bytes()) {
+            Err(MatrixError::Parse { message, .. }) => assert!(message.contains("truncated")),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
     }
 
     #[test]

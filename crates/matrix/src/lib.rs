@@ -9,7 +9,9 @@
 //! collection.
 //!
 //! All formats are generic over [`Scalar`] (`f32` or `f64`), matching the
-//! paper's single-/double-precision evaluation.
+//! paper's single-/double-precision evaluation. Every stored column (and
+//! COO row) index is a `u32` ([`INDEX_BYTES`]), as in the paper's C
+//! kernels: CSR streams 12 bytes per `f64` nonzero, COO 16.
 //!
 //! # Examples
 //!
@@ -58,3 +60,20 @@ pub use error::{MatrixError, Result};
 pub use fingerprint::StructuralFingerprint;
 pub use hyb::{Hyb, HYB_WIDTH_ROW_FRACTION};
 pub use scalar::Scalar;
+
+/// Bytes of one stored index: every column index (and COO's row index)
+/// is a `u32`, so a matrix may have at most `u32::MAX` rows and columns.
+/// Row and block pointers stay `usize`.
+pub const INDEX_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Refuses a shape whose row or column indices would not fit the
+/// four-byte index every format stores.
+pub(crate) fn check_shape(rows: usize, cols: usize) -> Result<()> {
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        return Err(MatrixError::InvalidStructure(format!(
+            "{rows} x {cols} exceeds the u32 index range (at most {} rows and columns)",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}

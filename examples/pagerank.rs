@@ -20,7 +20,7 @@ fn transition_matrix(adj: &Csr<f64>) -> Csr<f64> {
         let (cols, _) = adj.row(i);
         let w = 1.0 / cols.len().max(1) as f64;
         for &j in cols {
-            triplets.push((j, i, w));
+            triplets.push((j as usize, i, w));
         }
     }
     Csr::from_triplets(n, n, &triplets).expect("in-bounds edges")

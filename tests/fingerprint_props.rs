@@ -108,7 +108,7 @@ proptest! {
     fn a_single_word_edit_changes_both_halves(
         (row_ptr, col_idx, pick, delta) in (
             proptest::collection::vec(0usize..1_000_000, 0..24),
-            proptest::collection::vec(0usize..1_000_000, 0..24),
+            proptest::collection::vec(0u32..1_000_000, 0..24),
             0usize..48,
             1usize..1_000_000,
         )
@@ -118,10 +118,18 @@ proptest! {
         // array, at any position relative to the lanes.
         let base = StructuralFingerprint::of_pattern(3, 3, &row_ptr, &col_idx);
         let (mut rp, mut ci) = (row_ptr.clone(), col_idx.clone());
-        let target = if pick % 2 == 1 { &mut ci } else { &mut rp };
-        if !target.is_empty() {
-            let at = (pick / 2) % target.len();
-            target[at] += delta;
+        let edited = if pick % 2 == 1 && !ci.is_empty() {
+            let at = (pick / 2) % ci.len();
+            ci[at] += delta as u32;
+            true
+        } else if pick % 2 == 0 && !rp.is_empty() {
+            let at = (pick / 2) % rp.len();
+            rp[at] += delta;
+            true
+        } else {
+            false
+        };
+        if edited {
             let edited = StructuralFingerprint::of_pattern(3, 3, &rp, &ci);
             prop_assert_ne!(edited.digest[0], base.digest[0]);
             prop_assert_ne!(edited.digest[1], base.digest[1]);

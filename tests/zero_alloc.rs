@@ -87,7 +87,11 @@ fn tally<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
 /// scratch vector or a growing `Vec` coming back shows here as an extra
 /// block or extra bytes.
 fn conversions_allocate_their_result_and_one_marker_array() {
+    // Column and row indices are four bytes; pointers, offsets and the
+    // marker arrays' counters are words.
+    const I: u64 = smat_matrix::INDEX_BYTES as u64;
     const W: u64 = std::mem::size_of::<usize>() as u64;
+    assert_eq!(I, 4);
     let limits = ConversionLimits::default();
 
     // HYB: ELL values + indices, three COO arrays, and the row-degree
@@ -97,12 +101,13 @@ fn conversions_allocate_their_result_and_one_marker_array() {
     let ((blocks, bytes), hyb) = tally(|| Hyb::from_csr_with(&skew, &limits).expect("fits"));
     assert!(hyb.coo_part().nnz() > 0 && hyb.ell_part().nnz() > 0);
     let ell_slots = hyb.ell_part().data().len() as u64;
-    let resident = ell_slots * (8 + W) + hyb.coo_part().nnz() as u64 * (8 + 2 * W);
+    let resident = ell_slots * (8 + I) + hyb.coo_part().nnz() as u64 * (8 + 2 * I);
     assert!(blocks <= 6, "HYB conversion made {blocks} allocations");
     assert!(
         bytes <= resident + (max_rd + 2) * W,
         "HYB conversion requested {bytes} B for a {resident} B result"
     );
+    assert_eq!(AnyMatrix::Hyb(hyb).stored_bytes() as u64, resident);
 
     // BCSR: block_ptr, block_col, values, and the block-column slot map
     // (`ceil(cols / bc)` words).
@@ -110,12 +115,14 @@ fn conversions_allocate_their_result_and_one_marker_array() {
     let ((blocks, bytes), bcsr) =
         tally(|| Bcsr::from_csr_with(&blocked, 4, 4, &limits).expect("fits"));
     let resident = bcsr.values().len() as u64 * 8
-        + (bcsr.block_col().len() + bcsr.block_ptr().len()) as u64 * W;
+        + bcsr.block_col().len() as u64 * I
+        + bcsr.block_ptr().len() as u64 * W;
     assert!(blocks <= 5, "BCSR conversion made {blocks} allocations");
     assert!(
         bytes <= resident + blocked.cols().div_ceil(4) as u64 * W,
         "BCSR conversion requested {bytes} B for a {resident} B result"
     );
+    assert_eq!(AnyMatrix::Bcsr4(bcsr).stored_bytes() as u64, resident);
 
     // DIA: offsets, data, and the slot map over the band (here offsets
     // -40..=40, far narrower than `rows + cols`).
@@ -127,6 +134,7 @@ fn conversions_allocate_their_result_and_one_marker_array() {
         bytes <= resident + 81 * W,
         "DIA conversion requested {bytes} B for a {resident} B result"
     );
+    assert_eq!(AnyMatrix::Dia(dia).stored_bytes() as u64, resident);
 }
 
 /// The tuning estimator allocates its sample storage once per call: one
