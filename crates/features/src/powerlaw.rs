@@ -46,25 +46,30 @@ pub fn fit_power_law<T: Scalar>(m: &Csr<T>) -> f64 {
 /// Fits `R` from an iterator of row degrees (exposed so feature
 /// extraction can reuse an already-computed degree array).
 pub fn fit_power_law_of_degrees(degrees: impl Iterator<Item = usize>) -> f64 {
-    // Histogram of degrees k >= 1. BTreeMap keeps the float summation
-    // order (and therefore the fitted value) deterministic.
-    let mut hist = std::collections::BTreeMap::new();
-    for d in degrees {
-        if d > 0 {
-            *hist.entry(d).or_insert(0usize) += 1;
+    // Histogram of degrees k >= 1, one bin per degree up to the largest.
+    // Its nonzero bins come out in ascending degree, which keeps the
+    // float summation order (and therefore the fitted value)
+    // deterministic.
+    let mut counts: Vec<usize> = Vec::new();
+    for d in degrees.filter(|&d| d > 0) {
+        if d >= counts.len() {
+            counts.resize(d + 1, 0);
         }
-    }
-    if hist.len() < MIN_DISTINCT_DEGREES {
-        return R_NOT_SCALE_FREE;
+        counts[d] += 1;
     }
     // Count-weighted least squares on (log k, log count). Weighting by
     // bin count keeps the sparsely-sampled tail (many bins of count 1)
     // from flattening the slope — without it the fit is biased low by
     // roughly the tail length.
-    let pts: Vec<(f64, f64, f64)> = hist
+    let pts: Vec<(f64, f64, f64)> = counts
         .iter()
-        .map(|(&k, &c)| ((k as f64).ln(), (c as f64).ln(), c as f64))
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(k, &c)| ((k as f64).ln(), (c as f64).ln(), c as f64))
         .collect();
+    if pts.len() < MIN_DISTINCT_DEGREES {
+        return R_NOT_SCALE_FREE;
+    }
     let sw: f64 = pts.iter().map(|p| p.2).sum();
     let sx: f64 = pts.iter().map(|p| p.2 * p.0).sum();
     let sy: f64 = pts.iter().map(|p| p.2 * p.1).sum();

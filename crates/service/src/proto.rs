@@ -355,12 +355,7 @@ impl Response {
             // The body object holds at least `status`: reopen it.
             line.pop();
             line.push_str(",\"y\":[");
-            for (i, v) in y.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                serde_json::write_f64(*v, line);
-            }
+            serde_json::write_f64s(y, line);
             line.push_str("]}");
         }
     }

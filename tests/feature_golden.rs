@@ -145,3 +145,110 @@ fn lazy_r_is_a_faithful_second_step() {
     let stepped = s.with_power_law();
     assert_eq!(full, stepped);
 }
+
+/// The histogram `fit_power_law_of_degrees` kept before it counted
+/// degrees in a dense vector: an ordered map, one entry per distinct
+/// degree. The fit is the same; only the bins' container differs.
+fn fit_power_law_btree_oracle(degrees: impl Iterator<Item = usize>) -> f64 {
+    let mut hist = std::collections::BTreeMap::new();
+    for d in degrees {
+        if d > 0 {
+            *hist.entry(d).or_insert(0usize) += 1;
+        }
+    }
+    if hist.len() < smat_features::MIN_DISTINCT_DEGREES {
+        return R_NOT_SCALE_FREE;
+    }
+    let pts: Vec<(f64, f64, f64)> = hist
+        .iter()
+        .map(|(&k, &c)| ((k as f64).ln(), (c as f64).ln(), c as f64))
+        .collect();
+    let sw: f64 = pts.iter().map(|p| p.2).sum();
+    let sx: f64 = pts.iter().map(|p| p.2 * p.0).sum();
+    let sy: f64 = pts.iter().map(|p| p.2 * p.1).sum();
+    let sxx: f64 = pts.iter().map(|p| p.2 * p.0 * p.0).sum();
+    let sxy: f64 = pts.iter().map(|p| p.2 * p.0 * p.1).sum();
+    let denom = sw * sxx - sx * sx;
+    if denom.abs() < 1e-12 {
+        return R_NOT_SCALE_FREE;
+    }
+    let slope = (sw * sxy - sx * sy) / denom;
+    let intercept = (sy - slope * sx) / sw;
+    let mean_y = sy / sw;
+    let ss_tot: f64 = pts.iter().map(|p| p.2 * (p.1 - mean_y).powi(2)).sum();
+    let ss_res: f64 = pts
+        .iter()
+        .map(|p| p.2 * (p.1 - (slope * p.0 + intercept)).powi(2))
+        .sum();
+    let r2 = if ss_tot <= 0.0 {
+        0.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
+    let r = -slope;
+    if r <= 0.0 || r2 < smat_features::MIN_FIT_QUALITY {
+        return R_NOT_SCALE_FREE;
+    }
+    r
+}
+
+/// `degrees` fits to the same bits with the dense histogram as with
+/// the ordered map.
+fn assert_fit_matches_oracle(what: &str, degrees: &[usize]) {
+    let dense = fit_power_law_of_degrees(degrees.iter().copied());
+    let oracle = fit_power_law_btree_oracle(degrees.iter().copied());
+    assert_eq!(
+        dense.to_bits(),
+        oracle.to_bits(),
+        "{what}: {dense} vs {oracle}"
+    );
+}
+
+fn row_degrees(m: &Csr<f64>) -> Vec<usize> {
+    (0..m.rows()).map(|r| m.row_degree(r)).collect()
+}
+
+#[test]
+fn dense_degree_histogram_fits_the_same_bits_as_the_ordered_map() {
+    use smat_amg::{laplacian::laplacian_3d_7pt, setup, AmgConfig, Coarsening};
+    use smat_matrix::gen::{generate_corpus, power_law, CorpusSpec};
+
+    let corpus = generate_corpus::<f64>(&CorpusSpec {
+        count: 40,
+        seed: 11,
+        min_dim: 64,
+        max_dim: 3000,
+    });
+    let mut scale_free = 0;
+    for entry in &corpus {
+        let degrees = row_degrees(&entry.matrix);
+        assert_fit_matches_oracle(&entry.name, &degrees);
+        scale_free +=
+            usize::from(fit_power_law_of_degrees(degrees.into_iter()) != R_NOT_SCALE_FREE);
+    }
+    assert!(scale_free > 0, "the corpus must exercise a fitted R");
+
+    for coarsening in [Coarsening::RugeStuben, Coarsening::Cljp] {
+        let config = AmgConfig {
+            coarsening,
+            ..AmgConfig::default()
+        };
+        let hierarchy = setup(laplacian_3d_7pt::<f64>(12, 12, 12), &config);
+        for (at, level) in hierarchy.levels.iter().enumerate() {
+            let mut ops = vec![&level.a];
+            ops.extend(level.p.as_ref());
+            ops.extend(level.r.as_ref());
+            for op in ops {
+                assert_fit_matches_oracle(&format!("{coarsening:?} level {at}"), &row_degrees(op));
+            }
+        }
+    }
+
+    assert_fit_matches_oracle("all rows empty", &[0; 100]);
+    assert_fit_matches_oracle("three distinct degrees", &[1, 1, 2, 3, 3, 3, 0, 2]);
+    // One row as wide as the matrix, above a power-law body.
+    let graph = power_law::<f64>(2000, 300, 2.0, 5);
+    let mut degrees = row_degrees(&graph);
+    degrees.push(graph.cols());
+    assert_fit_matches_oracle("a full row", &degrees);
+}
