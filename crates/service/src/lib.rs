@@ -11,8 +11,10 @@
 //!   rest with an explicit retry-after instead of buffering without
 //!   bound, and per-tenant token-bucket budgets over a bounded map.
 //! - **One thread per request**: the connection thread that read a
-//!   frame parses, admits, tunes, multiplies and answers it; nothing
-//!   is handed to a pool and no reply waits on another thread.
+//!   frame parses, admits, tunes, multiplies and answers it; no request
+//!   is handed to another thread. It lends the kernel pool only the
+//!   text of long arrays ([`split`]): a long `x` or `entries` is read,
+//!   and a long `y` written, in pieces while the client waits.
 //! - **Deadlines**: per-request deadlines propagated into the
 //!   engine's own cooperative measurement deadlines via
 //!   [`smat::Smat::prepare_with_deadline`], so a hurried request can
@@ -42,7 +44,7 @@
 //!
 //! The wire protocol lives in [`proto`]; the serving loop in
 //! [`server`]; the policies in [`admission`] and [`config`]; the
-//! counters in [`metrics`].
+//! counters in [`metrics`]; long arrays in pieces in [`split`].
 
 #![warn(missing_docs)]
 
@@ -51,6 +53,7 @@ pub mod config;
 pub mod metrics;
 pub mod proto;
 pub mod server;
+pub mod split;
 
 pub use config::{ServeConfig, READ_TIMEOUT, SHED_RETRY_AFTER};
 pub use metrics::ServiceMetrics;

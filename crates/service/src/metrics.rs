@@ -201,6 +201,9 @@ pub struct ServiceMetrics {
     /// warm handle path never increments this — the zero-matrix-work
     /// audit pins that.
     pub wire_matrix_parses: AtomicU64,
+    /// Wire arrays — a request's `x` or `entries`, a reply's `y` — read
+    /// or written in more than one piece on the kernel pool.
+    pub split_arrays: AtomicU64,
     /// Shed subtotal: tenant token bucket empty.
     pub shed_tenant: AtomicU64,
     /// Shed subtotal: admission queue full.
@@ -221,6 +224,11 @@ impl ServiceMetrics {
     /// Relaxed increment; every counter here is monitoring-only.
     pub fn inc(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Relaxed add.
+    pub fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Relaxed read.

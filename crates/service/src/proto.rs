@@ -83,8 +83,10 @@
 //! `"deadline_miss"`, `"handle_miss"` (unknown/evicted handle; retry
 //! with triplets), or `"error"`.
 
+use crate::split::{piece_count, PIECE_BYTES, PIECE_VALUES};
 use serde::{Serialize, Value};
-use serde_json::{Kind, Number, Reader};
+use serde_json::{Kind, Number, Pieces, Reader};
+use smat_kernels::exec::for_each_chunk;
 use smat_matrix::{Csr, StructuralFingerprint};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -344,18 +346,20 @@ impl Response {
     /// newline).
     pub fn to_line(&self) -> String {
         let mut line = String::new();
-        self.write_line(&mut line);
+        self.write_line(&mut line, &mut Pieces::default());
         line
     }
 
-    /// Appends the line [`Response::to_line`] returns to `line`.
-    pub(crate) fn write_line(&self, line: &mut String) {
+    /// Appends the line [`Response::to_line`] returns to `line`, a long
+    /// `y` written in pieces on the pool into the buffers of `pieces`.
+    pub(crate) fn write_line(&self, line: &mut String, pieces: &mut Pieces) {
         serde_json::write_compact(&self.body, line);
         if let Some(y) = &self.y {
             // The body object holds at least `status`: reopen it.
             line.pop();
             line.push_str(",\"y\":[");
-            serde_json::write_f64s(y, line);
+            let count = piece_count(y.len(), PIECE_VALUES);
+            serde_json::write_f64s_in_pieces(y, line, count, pieces, &for_each_chunk);
             line.push_str("]}");
         }
     }
@@ -432,22 +436,26 @@ fn number_or_skip(r: &mut Reader<'_>) -> serde_json::Result<Option<Number>> {
     })
 }
 
-/// Pulls `"x"` — `null` is no vector — into the allocation of `spare`.
-/// Its length is checked later, against a matrix the walk may not have
-/// met yet.
+/// Pulls `"x"` — `null` is no vector — into the allocation of `spare`,
+/// a long one in pieces. Its length is checked later, against a matrix
+/// the walk may not have met yet.
 fn pull_x(
     r: &mut Reader<'_>,
     spare: &mut Vec<f64>,
+    pieces: &mut Pieces,
 ) -> serde_json::Result<Verdict<Option<Vec<f64>>>> {
     match r.peek()? {
         Kind::Null => r.null().map(|()| Ok(None)),
         Kind::Array => {
             let mut x = std::mem::take(spare);
             x.clear();
-            Ok(match r.f64s(&mut x)? {
-                None => Ok(Some(x)),
-                Some((i, fault)) => Err(format!("x[{i}] {fault}")),
-            })
+            let count = piece_count(r.array_reach(), PIECE_BYTES);
+            Ok(
+                match r.f64s_in_pieces(&mut x, count, pieces, &for_each_chunk)? {
+                    None => Ok(Some(x)),
+                    Some((i, fault)) => Err(format!("x[{i}] {fault}")),
+                },
+            )
         }
         _ => {
             let kind = r.skip()?;
@@ -501,7 +509,12 @@ struct WireEntries<'a> {
 
 impl<'a> WireEntries<'a> {
     /// `None` past anything but an array; room for `reserve` entries.
-    fn pull(r: &mut Reader<'a>, reserve: usize) -> serde_json::Result<Option<Self>> {
+    /// A long array is read in pieces.
+    fn pull(
+        r: &mut Reader<'a>,
+        reserve: usize,
+        pieces: &mut Pieces,
+    ) -> serde_json::Result<Option<Self>> {
         if r.peek()? != Kind::Array {
             return r.skip().map(|_| None);
         }
@@ -510,11 +523,13 @@ impl<'a> WireEntries<'a> {
         // The reader takes plain triplets, all finite, itself; every
         // other element is read here as the checked walk reads it.
         let mut well_formed = true;
-        let count = r.triplets(&mut triplets, |r| {
+        let other = |r: &mut Reader<'a>| {
             let entry = pull_entry(r)?;
             well_formed &= entry.is_ok_and(|(_, _, v)| v.is_finite());
             Ok(entry.ok())
-        })?;
+        };
+        let count = piece_count(r.array_reach(), PIECE_BYTES);
+        let count = r.triplets_in_pieces(&mut triplets, other, count, pieces, &for_each_chunk)?;
         Ok(Some(WireEntries {
             triplets,
             count,
@@ -561,7 +576,11 @@ impl<'a> WireEntries<'a> {
 
 /// Pulls `"matrix"` and assembles it. `frame_len` bounds what an
 /// `"nnz"` hint may reserve.
-fn pull_matrix(r: &mut Reader<'_>, frame_len: usize) -> serde_json::Result<Verdict<Csr<f64>>> {
+fn pull_matrix(
+    r: &mut Reader<'_>,
+    frame_len: usize,
+    pieces: &mut Pieces,
+) -> serde_json::Result<Verdict<Csr<f64>>> {
     if r.peek()? != Kind::Object {
         let kind = r.skip()?;
         return Ok(Err(format!("\"matrix\" must be an object, got {kind}")));
@@ -583,7 +602,7 @@ fn pull_matrix(r: &mut Reader<'_>, frame_len: usize) -> serde_json::Result<Verdi
                 // reserve more than the frame could hold.
                 let hint = nnz.as_ref().and_then(Scalar::as_u64).unwrap_or(0);
                 let reserve = (hint as usize).min(frame_len / 8);
-                entries = Some(WireEntries::pull(r, reserve)?);
+                entries = Some(WireEntries::pull(r, reserve, pieces)?);
             }
             _ => _ = r.skip()?,
         }
@@ -663,6 +682,7 @@ impl<'a> Fields<'a> {
     fn pull(
         frame: &'a str,
         spare_x: &mut Vec<f64>,
+        pieces: &mut Pieces,
     ) -> serde_json::Result<Result<Self, &'static str>> {
         let mut r = Reader::new(frame);
         if r.peek()? != Kind::Object {
@@ -685,10 +705,10 @@ impl<'a> Fields<'a> {
             match scalar {
                 Some(slot @ None) => *slot = Some(Scalar::pull(&mut r)?),
                 None if key == "matrix" && fields.matrix.is_none() => {
-                    fields.matrix = Some(pull_matrix(&mut r, frame.len())?);
+                    fields.matrix = Some(pull_matrix(&mut r, frame.len(), pieces)?);
                 }
                 None if key == "x" && fields.x.is_none() => {
-                    fields.x = Some(pull_x(&mut r, spare_x)?);
+                    fields.x = Some(pull_x(&mut r, spare_x, pieces)?);
                 }
                 _ => _ = r.skip()?,
             }
@@ -814,19 +834,24 @@ impl<'a> Fields<'a> {
 /// Returns a client-facing message describing the first problem (bad
 /// JSON, unknown op, malformed matrix, non-finite values).
 pub fn parse_request(frame: &str) -> Result<Request, String> {
-    parse_request_into(frame, &mut Vec::new())
+    parse_request_into(frame, &mut Vec::new(), &mut Pieces::default())
 }
 
 /// [`parse_request`] for a caller that parses frame after frame: the
 /// request's `x`, if it carries one, takes over the allocation of
 /// `spare_x` (left empty), so a vector handed back after each request
-/// is grown once, not once per frame.
+/// is grown once, not once per frame; and long arrays are read in
+/// pieces into the buffers of `pieces`, which grow once too.
 ///
 /// # Errors
 ///
 /// As [`parse_request`].
-pub(crate) fn parse_request_into(frame: &str, spare_x: &mut Vec<f64>) -> Result<Request, String> {
-    Fields::pull(frame, spare_x)
+pub(crate) fn parse_request_into(
+    frame: &str,
+    spare_x: &mut Vec<f64>,
+    pieces: &mut Pieces,
+) -> Result<Request, String> {
+    Fields::pull(frame, spare_x, pieces)
         .map_err(|e| format!("invalid JSON: {e}"))?
         .map_err(|kind| format!("request must be a JSON object, got {kind}"))?
         .validate()
@@ -1154,7 +1179,7 @@ mod tests {
 
     fn entries_loop(text: &str, depth: usize) -> PulledEntries {
         let mut r = reader_at_depth(text, depth);
-        let entries = WireEntries::pull(&mut r, 0)
+        let entries = WireEntries::pull(&mut r, 0, &mut Pieces::default())
             .map_err(|e| e.to_string())?
             .expect("an array");
         let (triplets, count, well_formed) = (entries.triplets, entries.count, entries.well_formed);

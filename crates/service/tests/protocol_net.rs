@@ -68,10 +68,17 @@ impl Rng {
     }
 }
 
+/// Rows and columns of the one long shape: its `entries` (~26 bytes a
+/// triplet) and `x` (~15 bytes a value) are long enough to be read in
+/// pieces, and an `spmv` reply's `y` to be written in pieces.
+const LONG_ROWS: usize = 4_000;
+const LONG_COLS: usize = 5_000;
+
 /// A frame the protocol accepts: every op, inline matrices of a few
-/// small shapes (so the daemon's decision cache serves most of them)
-/// or a handle, optional fields present or not, keys in any order.
-fn valid_frame(rng: &mut Rng, handles: &[String]) -> String {
+/// small shapes (so the daemon's decision cache serves most of them) or
+/// the long one, or a handle, optional fields present or not, keys in
+/// any order.
+fn valid_frame(rng: &mut Rng, handles: &[String], long: bool) -> String {
     let op = rng.pick(&[
         "tune", "tune", "spmv", "spmv", "spmv", "spmm", "spmm", "ping", "metrics",
     ]);
@@ -90,8 +97,8 @@ fn valid_frame(rng: &mut Rng, handles: &[String]) -> String {
                 .expect("hex cols");
             members.push(format!("\"handle\":\"{handle}\""));
         } else {
-            let rows = 2 + rng.below(3);
-            cols = 2 + rng.below(3);
+            let rows = if long { LONG_ROWS } else { 2 + rng.below(3) };
+            cols = if long { LONG_COLS } else { 2 + rng.below(3) };
             // A banded shape: row r holds (r, r % cols) and, every
             // other row, its right neighbour.
             let mut entries = Vec::new();
@@ -194,12 +201,14 @@ fn count(v: &Value, key: &str) -> u64 {
 }
 
 const FUZZ_CASES: usize = 6_000;
+const LONG_EVERY: usize = 16;
 
 /// Generated valid frames and byte-level mutations of them, against
 /// the parser and against a daemon on a socket: nothing panics, a
 /// frame the protocol accepts is JSON, a syntax error is reported as
 /// the tree parser words it, every frame gets exactly one reply line,
-/// and the outcome counters balance.
+/// and the outcome counters balance. One case in `LONG_EVERY` has the
+/// long shape, so mutations land inside arrays read in pieces.
 #[test]
 fn seeded_protocol_fuzz_never_panics_and_every_frame_gets_one_reply() {
     let corpus = generate_corpus::<f64>(&CorpusSpec::small(40, 0xF0_22));
@@ -241,7 +250,7 @@ fn seeded_protocol_fuzz_never_panics_and_every_frame_gets_one_reply() {
     let mut handles: Vec<String> = Vec::new();
     let (mut accepted, mut rejected, mut work) = (0u64, 0u64, 0u64);
     for case in 0..FUZZ_CASES {
-        let valid = valid_frame(&mut rng, &handles);
+        let valid = valid_frame(&mut rng, &handles, case % LONG_EVERY == 1);
         let mut frame = valid.clone().into_bytes();
         let pristine = case % 4 == 0;
         if !pristine {
@@ -312,6 +321,10 @@ fn seeded_protocol_fuzz_never_panics_and_every_frame_gets_one_reply() {
     }
     assert!(accepted > FUZZ_CASES as u64 / 4 && rejected > FUZZ_CASES as u64 / 4);
     assert!(!handles.is_empty(), "some request minted a handle");
+    if smat_kernels::exec::num_threads() >= 2 {
+        let split = count(field(&handle.metrics_snapshot(), "service"), "split_arrays");
+        assert!(split > 0, "no long array was read or written in pieces");
+    }
 
     // One reply per frame and no more: the next line on the wire is the
     // answer to the next frame.
