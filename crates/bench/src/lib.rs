@@ -1,14 +1,14 @@
 //! Shared harness machinery for reproducing the paper's tables and
 //! figures: the 16-matrix representative suite (Figure 8 stand-ins),
-//! quick engine training, and plain-text table rendering.
+//! the harness tuner configuration, plain-text table rendering, and the
+//! tables themselves as functions of one labelled run ([`paper`]).
 
 #![warn(missing_docs)]
 
-use smat::{Smat, SmatConfig, Trainer};
-use smat_matrix::gen::{
-    banded, block_sparse, fixed_degree, generate_corpus, laplacian_2d_9pt, laplacian_3d_7pt,
-    power_law, random_uniform, CorpusSpec,
-};
+pub mod paper;
+
+use smat::SmatConfig;
+use smat_matrix::gen::{banded, block_sparse, fixed_degree, power_law, random_uniform};
 use smat_matrix::{Csr, Format, Scalar};
 
 /// One matrix of the representative suite.
@@ -31,191 +31,77 @@ pub struct SuiteEntry<T> {
 /// Builds the 16-matrix representative suite.
 ///
 /// Each entry mirrors the corresponding Figure 8 matrix's *structure*
-/// (diagonal density, row-degree profile, aspect ratio) at laptop scale;
-/// `scale` multiplies the base dimensions (1 = defaults of a few tens of
-/// thousands of rows).
-pub fn representative_suite<T: Scalar>(scale: usize) -> Vec<SuiteEntry<T>> {
-    let s = scale.max(1);
-    let k = |v: usize| v * s;
-    vec![
-        // --- DIA-affine block (paper rows 1-4) ---
-        SuiteEntry {
-            id: 1,
-            name: "syn_multiband35",
-            paper_name: "pcrystk02",
-            area: "materials problem",
-            paper_format: Format::Dia,
-            matrix: banded(
-                k(14_000),
-                &[
-                    -402, -400, -200, -199, -13, -12, -11, -10, -9, -8, -7, -6, -5, -4, -3, -2, -1,
-                    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 199, 200, 400, 402,
-                ],
-                1.0,
-                0xF1601,
-            ),
-        },
-        SuiteEntry {
-            id: 2,
-            name: "syn_sevenband",
-            paper_name: "denormal",
-            area: "counter-example problem",
-            paper_format: Format::Dia,
-            matrix: banded(k(89_000), &[-300, -299, -1, 0, 1, 299, 300], 1.0, 0xF1602),
-        },
-        SuiteEntry {
-            id: 3,
-            name: "syn_pentaband",
-            paper_name: "cryg10000",
-            area: "materials problem",
-            paper_format: Format::Dia,
-            matrix: banded(k(10_000), &[-100, -1, 0, 1, 100], 1.0, 0xF1603),
-        },
-        SuiteEntry {
-            id: 4,
-            name: "syn_stencil5",
-            paper_name: "apache1",
-            area: "structural problem",
-            paper_format: Format::Dia,
-            matrix: banded(k(81_000), &[-285, -1, 0, 1, 285], 0.98, 0xF1604),
-        },
-        // --- ELL-affine block (paper rows 5-8) ---
-        SuiteEntry {
-            id: 5,
-            name: "syn_degree2",
-            paper_name: "bfly",
-            area: "undirected graph sequence",
-            paper_format: Format::Ell,
-            matrix: fixed_degree(k(49_000), k(49_000), 2, 0, 0xF1605),
-        },
-        SuiteEntry {
-            id: 6,
-            name: "syn_degree3_dual",
-            paper_name: "whitaker3_dual",
-            area: "2D/3D problem",
-            paper_format: Format::Ell,
-            matrix: fixed_degree(k(19_000), k(19_000), 3, 0, 0xF1606),
-        },
-        SuiteEntry {
-            id: 7,
-            name: "syn_rect_deg4",
-            paper_name: "ch7-9-b3",
-            area: "combinatorial problem",
-            paper_format: Format::Ell,
-            matrix: fixed_degree(k(106_000), k(18_000), 4, 0, 0xF1607),
-        },
-        SuiteEntry {
-            id: 8,
-            name: "syn_rect_deg3",
-            paper_name: "shar_te2-b2",
-            area: "combinatorial problem",
-            paper_format: Format::Ell,
-            matrix: fixed_degree(k(200_000), k(17_000), 3, 0, 0xF1608),
-        },
-        // --- CSR-affine block (paper rows 9-12) ---
-        SuiteEntry {
-            id: 9,
-            name: "syn_block98",
-            paper_name: "pkustk14",
-            area: "structural problem",
-            paper_format: Format::Csr,
-            matrix: block_sparse(k(50_000), 10, 10, 0xF1609),
-        },
-        SuiteEntry {
-            id: 10,
-            name: "syn_heavy222",
-            paper_name: "crankseg_2",
-            area: "structural problem",
-            paper_format: Format::Csr,
-            matrix: random_uniform(k(16_000), k(16_000), 111, 0xF1610),
-        },
-        SuiteEntry {
-            id: 11,
-            name: "syn_heavy97",
-            paper_name: "Ga3As3H12",
-            area: "theoretical/quantum chemistry",
-            paper_format: Format::Csr,
-            matrix: random_uniform(k(20_000), k(20_000), 48, 0xF1611),
-        },
-        SuiteEntry {
-            id: 12,
-            name: "syn_cfd140",
-            paper_name: "HV15R",
-            area: "computational fluid dynamics",
-            paper_format: Format::Csr,
-            matrix: block_sparse(k(30_000), 5, 28, 0xF1612),
-        },
-        // --- COO-affine block (paper rows 13-16) ---
-        SuiteEntry {
-            id: 13,
-            name: "syn_osm_graph",
-            paper_name: "europe_osm",
-            area: "undirected graph",
-            paper_format: Format::Coo,
-            matrix: power_law(k(120_000), 600, 2.6, 0xF1613),
-        },
-        SuiteEntry {
-            id: 14,
-            name: "syn_rect_powerlaw",
-            paper_name: "D6-6",
-            area: "combinatorial problem",
-            paper_format: Format::Coo,
-            matrix: power_law(k(121_000), 900, 2.1, 0xF1614),
-        },
-        SuiteEntry {
-            id: 15,
-            name: "syn_dictionary",
-            paper_name: "dictionary28",
-            area: "undirected graph",
-            paper_format: Format::Coo,
-            matrix: power_law(k(53_000), 700, 1.8, 0xF1615),
-        },
-        SuiteEntry {
-            id: 16,
-            name: "syn_roadnet",
-            paper_name: "roadNet-CA",
-            area: "undirected graph",
-            paper_format: Format::Coo,
-            matrix: power_law(k(150_000), 400, 2.9, 0xF1616),
-        },
-    ]
-}
-
-/// Corpus size used by the harness binaries (overridable with the
-/// `SMAT_CORPUS` environment variable).
-pub fn corpus_size() -> usize {
-    std::env::var("SMAT_CORPUS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
-
-/// Suite scale used by the harness binaries (overridable with
-/// `SMAT_SCALE`).
-pub fn suite_scale() -> usize {
-    std::env::var("SMAT_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Trains a SMAT engine on a fresh synthetic corpus — the harnesses' way
-/// of running the paper's off-line stage.
-pub fn train_engine<T: Scalar>(corpus: usize, seed: u64) -> Smat<T> {
-    // Train at the scale the suite evaluates at: the paper's UF corpus
-    // spans small to very large matrices, and rules learned on tiny
-    // matrices extrapolate poorly to cache-pressure regimes.
-    let spec = CorpusSpec {
-        count: corpus,
-        seed,
-        min_dim: 512,
-        max_dim: 32_768,
+/// (diagonal density, row-degree profile, aspect ratio) at laptop scale:
+/// a few tens of thousands of rows.
+pub fn representative_suite<T: Scalar>() -> Vec<SuiteEntry<T>> {
+    use Format::{Coo, Dia, Ell};
+    // (stand-in, UF matrix, area, favoured format), in Figure 8's order.
+    let meta = [
+        ("syn_multiband35", "pcrystk02", "materials problem", Dia),
+        ("syn_sevenband", "denormal", "counter-example problem", Dia),
+        ("syn_pentaband", "cryg10000", "materials problem", Dia),
+        ("syn_stencil5", "apache1", "structural problem", Dia),
+        ("syn_degree2", "bfly", "undirected graph sequence", Ell),
+        ("syn_degree3_dual", "whitaker3_dual", "2D/3D problem", Ell),
+        ("syn_rect_deg4", "ch7-9-b3", "combinatorial problem", Ell),
+        ("syn_rect_deg3", "shar_te2-b2", "combinatorial problem", Ell),
+        ("syn_block98", "pkustk14", "structural problem", Format::Csr),
+        (
+            "syn_heavy222",
+            "crankseg_2",
+            "structural problem",
+            Format::Csr,
+        ),
+        (
+            "syn_heavy97",
+            "Ga3As3H12",
+            "theoretical/quantum chemistry",
+            Format::Csr,
+        ),
+        (
+            "syn_cfd140",
+            "HV15R",
+            "computational fluid dynamics",
+            Format::Csr,
+        ),
+        ("syn_osm_graph", "europe_osm", "undirected graph", Coo),
+        ("syn_rect_powerlaw", "D6-6", "combinatorial problem", Coo),
+        ("syn_dictionary", "dictionary28", "undirected graph", Coo),
+        ("syn_roadnet", "roadNet-CA", "undirected graph", Coo),
+    ];
+    let multiband: Vec<isize> = [-402, -400, -200, -199]
+        .into_iter()
+        .chain(-13..=13)
+        .chain([199, 200, 400, 402])
+        .collect();
+    let matrices = [
+        banded(14_000, &multiband, 1.0, 0xF1601),
+        banded(89_000, &[-300, -299, -1, 0, 1, 299, 300], 1.0, 0xF1602),
+        banded(10_000, &[-100, -1, 0, 1, 100], 1.0, 0xF1603),
+        banded(81_000, &[-285, -1, 0, 1, 285], 0.98, 0xF1604),
+        fixed_degree(49_000, 49_000, 2, 0, 0xF1605),
+        fixed_degree(19_000, 19_000, 3, 0, 0xF1606),
+        fixed_degree(106_000, 18_000, 4, 0, 0xF1607),
+        fixed_degree(200_000, 17_000, 3, 0, 0xF1608),
+        block_sparse(50_000, 10, 10, 0xF1609),
+        random_uniform(16_000, 16_000, 111, 0xF1610),
+        random_uniform(20_000, 20_000, 48, 0xF1611),
+        block_sparse(30_000, 5, 28, 0xF1612),
+        power_law(120_000, 600, 2.6, 0xF1613),
+        power_law(121_000, 900, 2.1, 0xF1614),
+        power_law(53_000, 700, 1.8, 0xF1615),
+        power_law(150_000, 400, 2.9, 0xF1616),
+    ];
+    let entries = meta.into_iter().zip(matrices).enumerate();
+    let entry = |(i, ((name, paper_name, area, paper_format), matrix))| SuiteEntry {
+        id: i + 1,
+        name,
+        paper_name,
+        area,
+        paper_format,
+        matrix,
     };
-    let entries = generate_corpus::<T>(&spec);
-    let matrices: Vec<&Csr<T>> = entries.iter().map(|e| &e.matrix).collect();
-    let trainer = Trainer::new(harness_config());
-    let out = trainer.train(&matrices).expect("non-empty corpus");
-    Smat::with_config(out.model, harness_config()).expect("precision matches")
+    entries.map(entry).collect()
 }
 
 /// The tuner configuration the harnesses use: default thresholds, small
@@ -229,43 +115,29 @@ pub fn harness_config() -> SmatConfig {
     }
 }
 
-/// The paper's AMG inputs for Table 4 (dimension overridable with
-/// `SMAT_AMG_7PT` / `SMAT_AMG_9PT`).
-pub fn amg_inputs<T: Scalar>() -> (Csr<T>, Csr<T>) {
-    let n7 = std::env::var("SMAT_AMG_7PT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50usize);
-    let n9 = std::env::var("SMAT_AMG_9PT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500usize);
-    (laplacian_3d_7pt(n7, n7, n7), laplacian_2d_9pt(n9, n9))
-}
-
-/// Renders a fixed-width text table: header row plus data rows.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Renders a fixed-width text table: header row, a rule, then the data
+/// rows, each line ending in a newline.
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
+    let line = |cells: &mut dyn Iterator<Item = &str>| {
         let mut out = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:<width$}  ", c, width = widths[i]));
+        for (c, width) in cells.zip(&widths) {
+            out.push_str(&format!("{c:<width$}  "));
         }
-        println!("{}", out.trim_end());
+        format!("{}\n", out.trim_end())
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    println!("{}", "-".repeat(total));
+    let mut out = line(&mut headers.iter().copied());
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    out.push('\n');
     for row in rows {
-        line(row);
+        out.push_str(&line(&mut row.iter().map(String::as_str)));
     }
+    out
 }
 
 /// Formats a GFLOPS number for table cells.
@@ -279,7 +151,7 @@ mod tests {
 
     #[test]
     fn suite_metadata_is_balanced() {
-        let suite = representative_suite::<f32>(1);
+        let suite = representative_suite::<f32>();
         assert_eq!(suite.len(), 16);
         let count = |f: Format| suite.iter().filter(|e| e.paper_format == f).count();
         assert_eq!(
@@ -294,11 +166,5 @@ mod tests {
         for e in &suite {
             assert!(e.matrix.nnz() > 0, "{} empty", e.name);
         }
-    }
-
-    #[test]
-    fn env_overrides_parse() {
-        assert!(corpus_size() > 0);
-        assert!(suite_scale() >= 1);
     }
 }

@@ -72,5 +72,5 @@ pub use interface::{smat_dcsr_spmv, smat_scsr_spmv};
 pub use model::{class_names, group_class_order, FormatDecision, TrainStats, TrainedModel};
 pub use runtime::{DecisionPath, Smat, TunedSpmv};
 pub use smat_kernels::ExecPlan;
-pub use stats::{accuracy, analyze, basic_csr_time, tuned_gflops, AnalysisRow};
+pub use stats::{analyze, basic_csr_time, tuned_gflops, AnalysisRow};
 pub use train::{label_best_format, measure_formats, Trainer, TrainingOutput};

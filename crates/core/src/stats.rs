@@ -1,5 +1,5 @@
-//! Accuracy and overhead analysis — the machinery behind the paper's
-//! Table 3 and the §7.3 accuracy numbers.
+//! Decision and overhead analysis — the machinery behind the paper's
+//! Table 3.
 
 use crate::runtime::{DecisionPath, Smat, TunedSpmv};
 use crate::train::label_best_format;
@@ -102,26 +102,6 @@ pub fn analyze<T: Scalar>(
     }
 }
 
-/// Overall prediction accuracy over a set of matrices (the §7.3 metric:
-/// fraction of matrices where SMAT lands on the exhaustive best format).
-pub fn accuracy<T: Scalar>(
-    engine: &Smat<T>,
-    matrices: &[(String, &Csr<T>)],
-    budget: Duration,
-) -> (f64, Vec<AnalysisRow>) {
-    let rows: Vec<AnalysisRow> = matrices
-        .iter()
-        .map(|(name, m)| analyze(engine, name, m, budget))
-        .collect();
-    let correct = rows.iter().filter(|r| r.correct).count();
-    let acc = if rows.is_empty() {
-        1.0
-    } else {
-        correct as f64 / rows.len() as f64
-    };
-    (acc, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,18 +132,6 @@ mod tests {
             Some(f) => assert_eq!(f, row.smat_format),
             None => assert!(!row.executed.is_empty()),
         }
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let e = engine();
-        let m1 = tridiagonal::<f64>(600);
-        let m2 = random_uniform::<f64>(500, 500, 6, 7);
-        let set = vec![("m1".to_string(), &m1), ("m2".to_string(), &m2)];
-        let (acc, rows) = accuracy(&e, &set, Duration::from_micros(300));
-        assert_eq!(rows.len(), 2);
-        let manual = rows.iter().filter(|r| r.correct).count() as f64 / 2.0;
-        assert_eq!(acc, manual);
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //!   allocation and no per-item locking**. The caller participates as
 //!   the `N`-th worker instead of blocking idle.
 //!
-//! Jobs are published as an epoch (`seq`) under one mutex; each worker
-//! observes every epoch exactly once and checks out by decrementing a
-//! pending counter. The dispatcher returns only after every worker has
-//! checked out, which is what makes lending the stack-borrowed closure
-//! to the workers sound.
+//! Jobs are published as an epoch (`seq`) under one mutex. A worker
+//! joins an epoch only while its closure is still published, counting
+//! itself in `joined`; one that wakes after the closure was withdrawn
+//! records the epoch and parks again. The dispatcher, once its own
+//! claiming loop finds the chunks exhausted, withdraws the closure and
+//! waits only for the workers that joined. That is what makes lending
+//! the stack-borrowed closure to the workers sound, and it keeps a
+//! dispatcher that ran every chunk itself from waiting on a worker that
+//! has not woken yet.
 //!
 //! Robustness rules, matching the rest of the workspace:
 //!
@@ -55,7 +59,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 /// Requested pool size, consulted once when the pool is first built.
 static TARGET: AtomicUsize = AtomicUsize::new(0);
@@ -73,21 +77,26 @@ thread_local! {
 }
 
 /// The published job: an epoch counter plus a type-erased borrow of the
-/// dispatcher's closure. `pending` counts workers that have not yet
-/// checked out of the current epoch.
+/// dispatcher's closure, present only while the dispatcher may still be
+/// claiming chunks. `joined` counts workers that took `body` and have
+/// not yet checked out.
 struct JobSlot {
     seq: u64,
     chunks: usize,
     body: Option<BodyPtr>,
-    pending: usize,
+    joined: usize,
 }
 
 /// Raw pointer to the dispatcher's closure. Sending it to workers is
-/// sound because the dispatcher blocks until every worker has checked
-/// out of the epoch that borrowed it.
+/// sound because a worker copies it only under the job lock while it is
+/// published, counting itself in `joined`, and the dispatcher withdraws
+/// it and then blocks until `joined` is zero before its borrow ends.
 struct BodyPtr(*const (dyn Fn(usize) + Sync));
-// SAFETY: the pointee is `Sync` (shared calls are fine) and its
-// lifetime is enforced by the epoch protocol described above.
+// SAFETY: the pointee is `Sync` (shared calls are fine). Every copy of
+// the pointer is taken under the job lock while `body` is `Some`, and is
+// dropped before its holder decrements `joined`; the dispatcher sets
+// `body` to `None` and waits for `joined == 0` before returning, so no
+// copy outlives the borrow it was made from.
 unsafe impl Send for BodyPtr {}
 
 struct Pool {
@@ -96,7 +105,7 @@ struct Pool {
     job: Mutex<JobSlot>,
     /// Workers park here between jobs.
     work_cv: Condvar,
-    /// The dispatcher parks here until `pending` drops to zero.
+    /// The dispatcher parks here until `joined` drops to zero.
     done_cv: Condvar,
     /// Next chunk index to claim; reset per epoch under the job lock.
     cursor: AtomicUsize,
@@ -131,7 +140,7 @@ fn pool() -> &'static Pool {
                 seq: 0,
                 chunks: 0,
                 body: None,
-                pending: 0,
+                joined: 0,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -139,13 +148,22 @@ fn pool() -> &'static Pool {
             panic_box: Mutex::new(None),
             dispatch_lock: Mutex::new(()),
         }));
+        // The pool is built once every worker runs: a thread's start-up
+        // allocates, and a dispatch that no worker joined does not wait
+        // for it, so it must not spill into the first dispatches.
+        let started = Arc::new(Barrier::new(workers + 1));
         for i in 0..workers {
+            let started = Arc::clone(&started);
             std::thread::Builder::new()
                 .name(format!("smat-pool-{i}"))
-                .spawn(move || worker_loop(pool))
+                .spawn(move || {
+                    started.wait();
+                    worker_loop(pool)
+                })
                 .expect("spawn pool worker");
             SPAWNS.fetch_add(1, Ordering::Relaxed);
         }
+        started.wait();
         pool
     })
 }
@@ -200,7 +218,7 @@ fn worker_loop(pool: &'static Pool) {
     IN_WORKER.with(|f| f.set(true));
     let mut seen = 0u64;
     loop {
-        let (body, chunks) = {
+        let (ptr, chunks) = {
             let mut job = lock(&pool.job);
             while job.seq == seen {
                 job = pool
@@ -209,17 +227,22 @@ fn worker_loop(pool: &'static Pool) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
             seen = job.seq;
-            (job.body.as_ref().map(|b| b.0), job.chunks)
+            // Woken after the dispatcher withdrew the body: this epoch
+            // is over, park again.
+            let Some(ptr) = job.body.as_ref().map(|b| b.0) else {
+                continue;
+            };
+            job.joined += 1;
+            (ptr, job.chunks)
         };
-        if let Some(ptr) = body {
-            // SAFETY: the dispatcher that published this epoch blocks
-            // until we check out below, so the borrow is live.
-            let f = unsafe { &*ptr };
-            run_chunks(pool, f, chunks);
-        }
+        // SAFETY: `ptr` was copied while published and we counted
+        // ourselves in `joined`; the dispatcher does not return (so the
+        // borrow stays live) until we check out below.
+        let f = unsafe { &*ptr };
+        run_chunks(pool, f, chunks);
         let mut job = lock(&pool.job);
-        job.pending -= 1;
-        if job.pending == 0 {
+        job.joined -= 1;
+        if job.joined == 0 {
             pool.done_cv.notify_all();
         }
     }
@@ -282,9 +305,11 @@ pub fn parallel_for(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
     };
     DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    // Erase the borrow's lifetime to publish it to the workers. Sound
-    // because this function does not return until `pending == 0`, i.e.
-    // until no worker can still dereference it.
+    // Erase the borrow's lifetime to publish it to the workers.
+    // SAFETY: the pointer is published only until the withdrawal below,
+    // and this function does not return until every worker that copied
+    // it has checked out (`joined == 0`), so no worker can dereference
+    // it after the borrow ends.
     let ptr: *const (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
     };
@@ -294,20 +319,22 @@ pub fn parallel_for(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         job.seq += 1;
         job.chunks = chunks;
         job.body = Some(BodyPtr(ptr));
-        job.pending = pool.workers;
         pool.work_cv.notify_all();
     }
     // The caller is the N-th worker.
     run_chunks(pool, body, chunks);
     {
+        // Every chunk is claimed: withdraw the body so that a worker
+        // still waking finds nothing to join, then wait only for the
+        // workers running chunks they claimed.
         let mut job = lock(&pool.job);
-        while job.pending > 0 {
+        job.body = None;
+        while job.joined > 0 {
             job = pool
                 .done_cv
                 .wait(job)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        job.body = None;
     }
     let payload = lock(&pool.panic_box).take();
     drop(_guard);
@@ -321,6 +348,61 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
+
+    /// The id of the dispatch `stale_bodies_never_run` has in flight, 0
+    /// between its dispatches.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    /// Chunks that ran while another dispatch (or none) was live.
+    static STALE: AtomicUsize = AtomicUsize::new(0);
+
+    /// Dispatches `id` from `frames` calls deeper, so that consecutive
+    /// dispatches borrow closures at different stack addresses: a stale
+    /// pointer then reads a dead frame, not the next closure.
+    #[inline(never)]
+    fn dispatch_below(frames: usize, id: usize) {
+        let pad = std::hint::black_box([frames; 32]);
+        if frames > 0 {
+            dispatch_below(frames - 1, id);
+            std::hint::black_box(&pad);
+            return;
+        }
+        let mine = id;
+        LIVE.store(id, Ordering::SeqCst);
+        parallel_for(8, &|ci| {
+            let check = || {
+                let live = LIVE.load(Ordering::SeqCst);
+                if live != mine {
+                    STALE.fetch_add(1, Ordering::SeqCst);
+                }
+                assert_eq!(live, mine, "a body ran outside its own dispatch");
+            };
+            check();
+            // Later chunks run longer, so a worker holding one would
+            // outlast a dispatcher that stopped waiting for its joined
+            // workers.
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_micros(2 * (ci as u64 + 1)) {}
+            check();
+        });
+        LIVE.store(0, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn stale_bodies_never_run() {
+        // Idle gaps park the worker, so many dispatches claim every chunk
+        // before it wakes; it must then find nothing to join, and never
+        // run an old epoch's body against a later epoch's chunks.
+        for id in 1..=3_000 {
+            dispatch_below(id % 4, id);
+            if id % 2 == 0 {
+                std::thread::sleep(Duration::from_micros(30 * (id % 11) as u64));
+            }
+        }
+        // A stale chunk still running would check in within this.
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(STALE.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn every_chunk_runs_exactly_once() {
