@@ -7,46 +7,34 @@
 //! first few levels, and ELL format for most P-operators" by replacing
 //! SpMV calls with the SMAT interface.
 //!
-//! A cycle runs each product once. Level 0 works on the caller's `b`
-//! and `x`; every level's residual `b - A x` is formed in place in one
-//! scratch vector, which then takes the prolongated correction. A
-//! coarser level is entered from zero, so its first Jacobi sweep needs
-//! no product, and a solve hands the residual it took for its
-//! convergence test to the next cycle's first Jacobi sweep. The
-//! iterates are bitwise those of the cycle that ran every product (kept
-//! in `oracle.rs` and compared there).
+//! The cycle is a V-cycle smoothed by weighted Jacobi, so every product
+//! with `A` is an SpMV through the level's one compiled operator. It
+//! runs each product once. Level 0 works on the caller's `b` and `x`;
+//! every level's residual `b - A x` is formed in place in one scratch
+//! vector, which then takes the prolongated correction. A coarser level
+//! is entered from zero, so its first Jacobi sweep needs no product, and
+//! a solve hands the residual it took for its convergence test to the
+//! next cycle's first Jacobi sweep. The iterates are bitwise those of
+//! the cycle that ran every product (kept in `oracle.rs` and compared
+//! there).
 
 use crate::hierarchy::Hierarchy;
-use crate::relax::{
-    gauss_seidel, jacobi_from_zero, jacobi_step, symmetric_gauss_seidel, Relaxation,
-};
+use crate::relax::{jacobi_from_zero, jacobi_step, JACOBI_OMEGA};
 use serde::{Deserialize, Serialize};
 use smat::{Smat, TunedSpmv};
 use smat_kernels::KernelLibrary;
 use smat_matrix::utils::norm2;
 use smat_matrix::{Csr, Format, Scalar};
 
-/// Multigrid cycle shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CycleType {
-    /// One coarse-grid correction per level (Hypre's default).
-    V,
-    /// Two coarse-grid corrections per level — more work, stronger
-    /// per-cycle error reduction on hard problems.
-    W,
-}
-
-/// Parameters of the solve cycle.
+/// Parameters of the solve cycle: the weighted-Jacobi sweeps (damping
+/// [`JACOBI_OMEGA`]) each level runs before and after its coarse-grid
+/// correction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CycleConfig {
     /// Pre-smoothing sweeps.
     pub pre_sweeps: usize,
     /// Post-smoothing sweeps.
     pub post_sweeps: usize,
-    /// Smoother.
-    pub relax: Relaxation,
-    /// V- or W-cycle.
-    pub cycle_type: CycleType,
 }
 
 impl Default for CycleConfig {
@@ -54,8 +42,6 @@ impl Default for CycleConfig {
         Self {
             pre_sweeps: 1,
             post_sweeps: 1,
-            relax: Relaxation::default(),
-            cycle_type: CycleType::V,
         }
     }
 }
@@ -203,9 +189,6 @@ pub struct CompiledLevel<T> {
     /// sweeps, cycle residuals, a solve's convergence test, PCG — runs
     /// through it.
     pub a: OpApply<T>,
-    /// A second, untuned CSR copy of the operator, read only by the
-    /// Gauss–Seidel smoothers, which sweep its rows in place.
-    pub a_csr: Csr<T>,
     /// Diagonal of `A` (for Jacobi).
     pub diag: Vec<T>,
     /// Prolongation, possibly tuned (`None` on the coarsest level).
@@ -232,7 +215,7 @@ impl<T: Scalar> CompiledLevel<T> {
 /// What a level's iterate holds when its part of a cycle starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Start {
-    /// Zero, not yet written: a coarser level's first visit, or a
+    /// Zero, not yet written: a coarser level's visit, or a
     /// preconditioner application.
     Zero,
     /// An iterate whose product with `A` has not been taken.
@@ -292,7 +275,6 @@ impl<T: Scalar> CompiledHierarchy<T> {
                 let diag = l.a.diagonal();
                 CompiledLevel {
                     a: tune(&l.a),
-                    a_csr: l.a.clone(),
                     zero_diagonal: diag.iter().position(|&d| d == T::ZERO),
                     diag,
                     p: l.p.as_ref().map(&tune),
@@ -356,8 +338,8 @@ impl<T: Scalar> CompiledHierarchy<T> {
         self.degraded_ops_per_level().iter().sum()
     }
 
-    /// Runs one cycle (V or W per `cfg.cycle_type`) on the finest level:
-    /// improves `x` toward `A x = b`.
+    /// Runs one V-cycle on the finest level: improves `x` toward
+    /// `A x = b`.
     ///
     /// # Panics
     ///
@@ -390,14 +372,7 @@ impl<T: Scalar> CompiledHierarchy<T> {
 
     /// Runs `sweeps` smoothing sweeps on level `level` and returns what
     /// its iterate holds afterwards.
-    fn smooth(
-        &self,
-        level: usize,
-        cfg: &CycleConfig,
-        sweeps: usize,
-        start: Start,
-        v: &mut Vectors<'_, T>,
-    ) -> Start {
+    fn smooth(&self, level: usize, sweeps: usize, start: Start, v: &mut Vectors<'_, T>) -> Start {
         let l = &self.levels[level];
         if sweeps == 0 {
             if start == Start::Zero {
@@ -406,37 +381,21 @@ impl<T: Scalar> CompiledHierarchy<T> {
             }
             return start;
         }
-        match cfg.relax {
-            Relaxation::Jacobi { omega } => {
-                if let Some(row) = l.zero_diagonal {
-                    panic!("zero diagonal at row {row}");
-                }
-                let w = T::from_f64(omega);
-                match start {
-                    Start::Zero => jacobi_from_zero(&l.diag, w, v.b, v.x),
-                    Start::Residual => jacobi_step(&l.diag, w, v.r, v.x),
-                    Start::Guess => {
-                        l.residual(&self.lib, v.b, v.x, v.r);
-                        jacobi_step(&l.diag, w, v.r, v.x);
-                    }
-                }
-                for _ in 1..sweeps {
-                    l.residual(&self.lib, v.b, v.x, v.r);
-                    jacobi_step(&l.diag, w, v.r, v.x);
-                }
+        if let Some(row) = l.zero_diagonal {
+            panic!("zero diagonal at row {row}");
+        }
+        let w = T::from_f64(JACOBI_OMEGA);
+        match start {
+            Start::Zero => jacobi_from_zero(&l.diag, w, v.b, v.x),
+            Start::Residual => jacobi_step(&l.diag, w, v.r, v.x),
+            Start::Guess => {
+                l.residual(&self.lib, v.b, v.x, v.r);
+                jacobi_step(&l.diag, w, v.r, v.x);
             }
-            Relaxation::GaussSeidel | Relaxation::SymmetricGaussSeidel => {
-                if start == Start::Zero {
-                    v.x.fill(T::ZERO);
-                }
-                for _ in 0..sweeps {
-                    if matches!(cfg.relax, Relaxation::GaussSeidel) {
-                        gauss_seidel(&l.a_csr, v.b, v.x);
-                    } else {
-                        symmetric_gauss_seidel(&l.a_csr, v.b, v.x);
-                    }
-                }
-            }
+        }
+        for _ in 1..sweeps {
+            l.residual(&self.lib, v.b, v.x, v.r);
+            jacobi_step(&l.diag, w, v.r, v.x);
         }
         Start::Guess
     }
@@ -455,33 +414,20 @@ impl<T: Scalar> CompiledHierarchy<T> {
             return;
         }
         let l = &self.levels[level];
-        if self.smooth(level, cfg, cfg.pre_sweeps, start, &mut v) != Start::Residual {
+        if self.smooth(level, cfg.pre_sweeps, start, &mut v) != Start::Residual {
             l.residual(&self.lib, v.b, v.x, v.r);
         }
         let (next, deeper) = coarser.split_first_mut().expect("non-coarsest level");
         let r_op = l.r.as_ref().expect("non-coarsest level");
         r_op.apply(&self.lib, v.r, &mut next.b);
-        // A W-cycle's second visit starts from the first one's iterate;
-        // revisits collapse on the coarsest pair.
-        let visits = match cfg.cycle_type {
-            CycleType::W if level + 2 < self.levels.len() => 2,
-            _ => 1,
-        };
-        for visit in 0..visits {
-            let start = if visit == 0 {
-                Start::Zero
-            } else {
-                Start::Guess
-            };
-            self.cycle_level(level + 1, cfg, start, next.vectors(), deeper);
-        }
+        self.cycle_level(level + 1, cfg, Start::Zero, next.vectors(), deeper);
         // Prolongate into the scratch vector and correct.
         let p_op = l.p.as_ref().expect("non-coarsest level");
         p_op.apply(&self.lib, &next.x, v.r);
         for (xi, &ci) in v.x.iter_mut().zip(v.r.iter()) {
             *xi += ci;
         }
-        self.smooth(level, cfg, cfg.post_sweeps, Start::Guess, &mut v);
+        self.smooth(level, cfg.post_sweeps, Start::Guess, &mut v);
     }
 
     /// `r = b - A x` on the finest level, through the compiled operator.
@@ -584,7 +530,6 @@ mod tests {
     use super::*;
     use crate::hierarchy::{setup, AmgConfig};
     use smat_matrix::gen::laplacian_2d_5pt;
-    use smat_matrix::utils::norm2;
 
     #[test]
     fn dense_lu_solves_small_systems() {
@@ -642,55 +587,6 @@ mod tests {
         let r2 = c.residual_norm(&b, &x);
         assert!(r1 < 0.5 * r0, "first cycle too weak: {r0} -> {r1}");
         assert!(r2 < 0.5 * r1, "second cycle too weak: {r1} -> {r2}");
-    }
-
-    #[test]
-    fn gauss_seidel_cycles_also_converge() {
-        let a = laplacian_2d_5pt::<f64>(16, 16);
-        let n = a.rows();
-        let h = setup(a, &AmgConfig::default());
-        let c = CompiledHierarchy::plain(&h);
-        let cfg = CycleConfig {
-            relax: Relaxation::GaussSeidel,
-            ..CycleConfig::default()
-        };
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let mut ws = Workspace::new();
-        for _ in 0..8 {
-            c.v_cycle(&cfg, &b, &mut x, &mut ws);
-        }
-        assert!(c.residual_norm(&b, &x) < 1e-6 * norm2(&b));
-    }
-
-    #[test]
-    fn w_cycle_converges_at_least_as_fast_per_cycle() {
-        let a = laplacian_2d_5pt::<f64>(20, 20);
-        let n = a.rows();
-        let h = setup(a, &AmgConfig::default());
-        let c = CompiledHierarchy::plain(&h);
-        let b = vec![1.0; n];
-        let mut ws = Workspace::new();
-
-        let run = |cycle_type: CycleType, ws: &mut Workspace<f64>| {
-            let cfg = CycleConfig {
-                cycle_type,
-                ..CycleConfig::default()
-            };
-            let mut x = vec![0.0; n];
-            for _ in 0..4 {
-                c.v_cycle(&cfg, &b, &mut x, ws);
-            }
-            c.residual_norm(&b, &x)
-        };
-        let rv = run(CycleType::V, &mut ws);
-        let rw = run(CycleType::W, &mut ws);
-        assert!(rw <= rv * 1.01, "W-cycle weaker than V: {rw} vs {rv}");
-        // ||b|| = sqrt(n); require a 1e-3 relative reduction in 4 cycles.
-        assert!(
-            rw < 1e-3 * (n as f64).sqrt(),
-            "W-cycle failed to converge: {rw}"
-        );
     }
 
     #[test]
@@ -895,8 +791,8 @@ mod tests {
     }
 
     /// The cycle's iterates are the reference cycle's, bit for bit, after each of
-    /// three cycles: every smoother, V and W, 0–2 sweeps each side, plain
-    /// and tuned operators, on each oracle hierarchy.
+    /// three cycles: 0–2 sweeps each side, plain and tuned operators, on
+    /// each oracle hierarchy.
     #[test]
     fn cycles_match_the_reference_bit_for_bit() {
         use crate::oracle::{
@@ -918,7 +814,11 @@ mod tests {
                     engine.library(),
                 ),
             ] {
-                let reference = ReferenceCycle { h: &c, lib };
+                let reference = ReferenceCycle {
+                    hierarchy: &h,
+                    h: &c,
+                    lib,
+                };
                 for cfg in cycle_configs() {
                     let (mut x, mut want) = (x0.clone(), x0.clone());
                     let mut ws = Workspace::new();

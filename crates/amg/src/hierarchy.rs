@@ -10,11 +10,15 @@ use crate::strength::{StrengthGraph, DEFAULT_THETA};
 use serde::{Deserialize, Serialize};
 use smat_matrix::{Csr, Scalar};
 
-/// Parameters of the AMG setup phase.
+/// Interpolation truncation: each `P` row keeps at most this many
+/// weights (Hypre's `P_max_elmts`). Bounds operator complexity on 3-D
+/// problems.
+pub const INTERP_MAX_ELEMENTS: usize = 4;
+
+/// Parameters of the AMG setup phase. Strength uses [`DEFAULT_THETA`]
+/// and interpolation [`INTERP_MAX_ELEMENTS`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AmgConfig {
-    /// Strength-of-connection threshold.
-    pub theta: f64,
     /// Coarsening algorithm (the paper benchmarks both).
     pub coarsening: Coarsening,
     /// Maximum number of levels.
@@ -23,25 +27,15 @@ pub struct AmgConfig {
     pub coarse_size: usize,
     /// Seed for CLJP's random tie-breaking weights.
     pub seed: u64,
-    /// Drop tolerance applied to coarse operators (relative to their max
-    /// absolute entry; 0 keeps everything).
-    pub drop_tolerance: f64,
-    /// Interpolation truncation: each P row keeps at most this many
-    /// weights (Hypre's `P_max_elmts`; 0 disables). Bounds operator
-    /// complexity on 3-D problems.
-    pub interp_max_elements: usize,
 }
 
 impl Default for AmgConfig {
     fn default() -> Self {
         Self {
-            theta: DEFAULT_THETA,
             coarsening: Coarsening::RugeStuben,
             max_levels: 25,
             coarse_size: 64,
             seed: 0xC17F,
-            drop_tolerance: 0.0,
-            interp_max_elements: 4,
         }
     }
 }
@@ -106,7 +100,7 @@ pub fn setup<T: Scalar>(a: Csr<T>, config: &AmgConfig) -> Hierarchy<T> {
             });
             return Hierarchy { levels };
         }
-        let graph = StrengthGraph::build(&current, config.theta);
+        let graph = StrengthGraph::build(&current, DEFAULT_THETA);
         let splitting = coarsen(
             &graph,
             config.coarsening,
@@ -122,17 +116,9 @@ pub fn setup<T: Scalar>(a: Csr<T>, config: &AmgConfig) -> Hierarchy<T> {
             });
             return Hierarchy { levels };
         }
-        let p = interpolate(&current, &graph, &splitting, config.interp_max_elements);
+        let p = interpolate(&current, &graph, &splitting, INTERP_MAX_ELEMENTS);
         let r = p.transpose();
-        let mut coarse = rap(&r, &current, &p);
-        if config.drop_tolerance > 0.0 {
-            let max_abs = coarse
-                .values()
-                .iter()
-                .map(|v| v.abs().to_f64())
-                .fold(0.0f64, f64::max);
-            coarse = coarse.prune(T::from_f64(config.drop_tolerance * max_abs));
-        }
+        let coarse = rap(&r, &current, &p);
         levels.push(Level {
             a: current,
             p: Some(p),
@@ -236,28 +222,18 @@ mod tests {
     fn hierarchy_equals_the_reference_set_up() {
         for (name, a) in oracle::matrices() {
             for coarsening in [Coarsening::RugeStuben, Coarsening::Cljp] {
-                for interp_max_elements in [0, 2, 4] {
-                    let cfg = AmgConfig {
-                        coarsening,
-                        interp_max_elements,
-                        coarse_size: 24,
-                        ..AmgConfig::default()
-                    };
-                    let h = setup(a.clone(), &cfg);
-                    assert!(
-                        h == oracle::setup(a.clone(), &cfg),
-                        "{name}: {coarsening:?}, max_elements {interp_max_elements}"
-                    );
-                    assert!(h.num_levels() >= 2, "{name} must coarsen");
-                }
+                let cfg = AmgConfig {
+                    coarsening,
+                    coarse_size: 24,
+                    ..AmgConfig::default()
+                };
+                let h = setup(a.clone(), &cfg);
+                assert!(
+                    h == oracle::setup(a.clone(), &cfg),
+                    "{name}: {coarsening:?}"
+                );
+                assert!(h.num_levels() >= 2, "{name} must coarsen");
             }
         }
-        // The drop-tolerance branch prunes the same entries.
-        let cfg = AmgConfig {
-            drop_tolerance: 0.02,
-            ..AmgConfig::default()
-        };
-        let a = laplacian_2d_9pt::<f64>(30, 30);
-        assert!(setup(a.clone(), &cfg) == oracle::setup(a, &cfg));
     }
 }

@@ -4,11 +4,11 @@
 //! The solver builds a hierarchy of coarse operators via classical
 //! strength-of-connection ([`StrengthGraph`]), Ruge–Stüben or CLJP
 //! coarsening ([`coarsen`]), direct interpolation and Galerkin triple
-//! products ([`spgemm`]), then solves by V-cycles with Jacobi or
-//! Gauss–Seidel smoothing — optionally routing every grid and transfer
-//! operator through a SMAT engine so each level's SpMV runs in the
-//! format and kernel the tuner picks per level (the paper's Figure 1 /
-//! Table 4 experiment).
+//! products ([`spgemm`]), then solves by V-cycles with weighted-Jacobi
+//! smoothing — optionally routing every grid and transfer operator
+//! through a SMAT engine so each level's SpMV runs in the format and
+//! kernel the tuner picks per level (the paper's Figure 1 / Table 4
+//! experiment).
 //!
 //! # Examples
 //!
@@ -39,15 +39,10 @@ mod spgemm;
 mod strength;
 
 pub use coarsen::{Coarsening, PointType, Splitting};
-pub use cycle::{
-    CompiledHierarchy, CompiledLevel, CycleConfig, CycleType, DenseLu, OpApply, Workspace,
-};
-pub use hierarchy::{setup, AmgConfig, Hierarchy, Level};
+pub use cycle::{CompiledHierarchy, CompiledLevel, CycleConfig, DenseLu, OpApply, Workspace};
+pub use hierarchy::{setup, AmgConfig, Hierarchy, Level, INTERP_MAX_ELEMENTS};
 pub use interp::{direct_interpolation, truncate_interpolation};
-pub use relax::{
-    gauss_seidel, gauss_seidel_backward, jacobi, jacobi_update, residual, symmetric_gauss_seidel,
-    Relaxation,
-};
+pub use relax::{jacobi_update, residual, JACOBI_OMEGA};
 pub use solver::{cg, AmgSolver, SolveStats};
 pub use spgemm::{rap, spgemm};
 pub use strength::{StrengthGraph, DEFAULT_THETA};

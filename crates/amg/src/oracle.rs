@@ -13,9 +13,9 @@
 
 use super::coarsen::cljp;
 use super::{
-    gauss_seidel, jacobi_update, residual, symmetric_gauss_seidel, AmgConfig, Coarsening,
-    CompiledHierarchy, CycleConfig, CycleType, Hierarchy, Level, PointType, Relaxation, SolveStats,
-    Splitting, StrengthGraph,
+    jacobi_update, residual, AmgConfig, Coarsening, CompiledHierarchy, CycleConfig, Hierarchy,
+    Level, PointType, SolveStats, Splitting, StrengthGraph, DEFAULT_THETA, INTERP_MAX_ELEMENTS,
+    JACOBI_OMEGA,
 };
 use smat_kernels::KernelLibrary;
 use smat_matrix::gen::{
@@ -241,7 +241,7 @@ pub fn setup(a: Csr<f64>, config: &AmgConfig) -> Hierarchy<f64> {
         if n <= config.coarse_size || lvl + 1 == config.max_levels {
             break;
         }
-        let graph = StrengthGraph::build(&current, config.theta);
+        let graph = StrengthGraph::build(&current, DEFAULT_THETA);
         let splitting = coarsen(
             &graph,
             config.coarsening,
@@ -252,14 +252,10 @@ pub fn setup(a: Csr<f64>, config: &AmgConfig) -> Hierarchy<f64> {
         }
         let p = truncate_interpolation(
             &direct_interpolation(&current, &graph, &splitting),
-            config.interp_max_elements,
+            INTERP_MAX_ELEMENTS,
         );
         let r = p.transpose();
-        let mut coarse = spgemm(&spgemm(&r, &current), &p);
-        if config.drop_tolerance > 0.0 {
-            let max_abs = coarse.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            coarse = coarse.prune(config.drop_tolerance * max_abs);
-        }
+        let coarse = spgemm(&spgemm(&r, &current), &p);
         levels.push(Level {
             a: current,
             p: Some(p),
@@ -415,26 +411,15 @@ pub fn engine_for(format: Format) -> smat::Smat<f64> {
     smat::Smat::with_config(model, cfg).unwrap()
 }
 
-/// Every cycle shape the oracle compares: each smoother, V and W, and
-/// 0–2 pre- and post-sweeps.
+/// Every cycle the oracle compares: 0–2 pre- and post-sweeps.
 pub fn cycle_configs() -> Vec<CycleConfig> {
     let mut configs = Vec::new();
-    for relax in [
-        Relaxation::Jacobi { omega: 2.0 / 3.0 },
-        Relaxation::GaussSeidel,
-        Relaxation::SymmetricGaussSeidel,
-    ] {
-        for cycle_type in [CycleType::V, CycleType::W] {
-            for pre_sweeps in 0..=2 {
-                for post_sweeps in 0..=2 {
-                    configs.push(CycleConfig {
-                        pre_sweeps,
-                        post_sweeps,
-                        relax,
-                        cycle_type,
-                    });
-                }
-            }
+    for pre_sweeps in 0..=2 {
+        for post_sweeps in 0..=2 {
+            configs.push(CycleConfig {
+                pre_sweeps,
+                post_sweeps,
+            });
         }
     }
     configs
@@ -459,10 +444,11 @@ pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
 /// The cycle as it stood before each product ran once: `b` and `x`
 /// copied through the workspace, a product before every Jacobi sweep
 /// (a coarser level's first one on its zero iterate), a separate
-/// residual buffer, and every residual norm on the CSR copy `a_csr`.
-/// `lib` is the table the hierarchy's tuned operators name their
-/// kernels in: the tuning engine's.
+/// residual buffer, and every residual norm on the uncompiled
+/// `hierarchy`'s CSR `A`. `h` is `hierarchy` compiled, and `lib` is the
+/// table its tuned operators name their kernels in: the tuning engine's.
 pub struct ReferenceCycle<'a> {
+    pub hierarchy: &'a Hierarchy<f64>,
     pub h: &'a CompiledHierarchy<f64>,
     pub lib: &'a KernelLibrary<f64>,
 }
@@ -477,17 +463,17 @@ pub struct ReferenceWorkspace {
 }
 
 impl ReferenceWorkspace {
-    fn ensure(&mut self, h: &CompiledHierarchy<f64>) {
+    fn ensure(&mut self, h: &Hierarchy<f64>) {
         if self.xs.len() == h.levels.len()
             && self
                 .xs
                 .iter()
                 .zip(&h.levels)
-                .all(|(v, l)| v.len() == l.a_csr.rows())
+                .all(|(v, l)| v.len() == l.a.rows())
         {
             return;
         }
-        let dims: Vec<usize> = h.levels.iter().map(|l| l.a_csr.rows()).collect();
+        let dims: Vec<usize> = h.levels.iter().map(|l| l.a.rows()).collect();
         self.xs = dims.iter().map(|&n| vec![0.0; n]).collect();
         self.bs = dims.iter().map(|&n| vec![0.0; n]).collect();
         self.rs = dims.iter().map(|&n| vec![0.0; n]).collect();
@@ -503,31 +489,21 @@ impl ReferenceCycle<'_> {
         x: &mut [f64],
         ws: &mut ReferenceWorkspace,
     ) {
-        assert_eq!(b.len(), self.h.levels[0].a_csr.rows(), "b length");
+        assert_eq!(b.len(), self.hierarchy.levels[0].a.rows(), "b length");
         assert_eq!(x.len(), b.len(), "x length");
-        ws.ensure(self.h);
+        ws.ensure(self.hierarchy);
         ws.bs[0].copy_from_slice(b);
         ws.xs[0].copy_from_slice(x);
         self.cycle_level(0, cfg, ws);
         x.copy_from_slice(&ws.xs[0]);
     }
 
-    fn smooth(&self, level: usize, cfg: &CycleConfig, sweeps: usize, ws: &mut ReferenceWorkspace) {
+    fn smooth(&self, level: usize, sweeps: usize, ws: &mut ReferenceWorkspace) {
         let l = &self.h.levels[level];
         for _ in 0..sweeps {
-            match cfg.relax {
-                Relaxation::Jacobi { omega } => {
-                    let (x, scratch) = (&mut ws.xs[level], &mut ws.scratch[level]);
-                    l.a.apply(self.lib, x, scratch);
-                    jacobi_update(&l.diag, omega, scratch, &ws.bs[level], x);
-                }
-                Relaxation::GaussSeidel => {
-                    gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
-                }
-                Relaxation::SymmetricGaussSeidel => {
-                    symmetric_gauss_seidel(&l.a_csr, &ws.bs[level], &mut ws.xs[level]);
-                }
-            }
+            let (x, scratch) = (&mut ws.xs[level], &mut ws.scratch[level]);
+            l.a.apply(self.lib, x, scratch);
+            jacobi_update(&l.diag, JACOBI_OMEGA, scratch, &ws.bs[level], x);
         }
     }
 
@@ -537,7 +513,7 @@ impl ReferenceCycle<'_> {
             self.h.coarse_lu.solve(&ws.bs[level], &mut ws.xs[level]);
             return;
         }
-        self.smooth(level, cfg, cfg.pre_sweeps, ws);
+        self.smooth(level, cfg.pre_sweeps, ws);
         {
             let l = &self.h.levels[level];
             l.a.apply(self.lib, &ws.xs[level], &mut ws.scratch[level]);
@@ -551,16 +527,7 @@ impl ReferenceCycle<'_> {
             r_op.apply(self.lib, &ws.rs[level], &mut tail[0]);
         }
         ws.xs[level + 1].fill(0.0);
-        let gamma = match cfg.cycle_type {
-            CycleType::V => 1,
-            CycleType::W => 2,
-        };
-        for visit in 0..gamma {
-            if visit > 0 && level + 2 == self.h.levels.len() {
-                break;
-            }
-            self.cycle_level(level + 1, cfg, ws);
-        }
+        self.cycle_level(level + 1, cfg, ws);
         {
             let p_op = self.h.levels[level].p.as_ref().expect("non-coarsest level");
             let (xs_head, xs_tail) = ws.xs.split_at_mut(level + 1);
@@ -570,12 +537,12 @@ impl ReferenceCycle<'_> {
                 *xi += si;
             }
         }
-        self.smooth(level, cfg, cfg.post_sweeps, ws);
+        self.smooth(level, cfg.post_sweeps, ws);
     }
 
     pub fn residual_norm(&self, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
-        residual(&self.h.levels[0].a_csr, x, b, &mut r);
+        residual(&self.hierarchy.levels[0].a, x, b, &mut r);
         norm2(&r)
     }
 

@@ -1,37 +1,17 @@
-//! Smoothers: weighted Jacobi and Gauss–Seidel, plus residual
-//! computation.
+//! The smoother, weighted Jacobi, plus residual computation.
 //!
 //! The paper notes AMG's "relaxations like Jacobi and Gauss-Seidel
 //! methods with SpMV kernel". Weighted Jacobi is expressed directly over
 //! SpMV (`x += omega D^{-1} (b - A x)`), which is what lets SMAT's tuned
-//! kernels accelerate the solve phase; Gauss–Seidel sweeps the CSR rows
-//! in place.
+//! kernels accelerate the solve phase. It is the only smoother: a
+//! Gauss–Seidel sweep updates CSR rows in place, so it would need an
+//! untuned copy of each level's operator beside the tuned one.
 
-use serde::{Deserialize, Serialize};
 use smat_matrix::{Csr, Scalar};
 
-/// Which smoother a solver uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Relaxation {
-    /// Weighted Jacobi with the given damping factor (2/3 is the
-    /// standard choice for Poisson-like problems).
-    Jacobi {
-        /// Damping factor `omega`.
-        omega: f64,
-    },
-    /// Forward Gauss–Seidel.
-    GaussSeidel,
-    /// Symmetric Gauss–Seidel: a forward sweep followed by a backward
-    /// sweep (the symmetric smoother required for AMG-preconditioned CG
-    /// to stay a symmetric preconditioner).
-    SymmetricGaussSeidel,
-}
-
-impl Default for Relaxation {
-    fn default() -> Self {
-        Relaxation::Jacobi { omega: 2.0 / 3.0 }
-    }
-}
+/// The weighted-Jacobi damping factor `omega` (the standard choice for
+/// Poisson-like problems).
+pub const JACOBI_OMEGA: f64 = 2.0 / 3.0;
 
 /// Computes the residual `r = b - A x`.
 ///
@@ -86,77 +66,6 @@ pub(crate) fn jacobi_from_zero<T: Scalar>(diag: &[T], w: T, b: &[T], x: &mut [T]
     }
 }
 
-/// One weighted-Jacobi sweep computing the product internally with the
-/// reference CSR SpMV.
-///
-/// # Panics
-///
-/// Panics on vector length mismatches or a zero diagonal entry.
-pub fn jacobi<T: Scalar>(
-    a: &Csr<T>,
-    diag: &[T],
-    omega: f64,
-    b: &[T],
-    x: &mut [T],
-    scratch: &mut [T],
-) {
-    a.spmv(x, scratch).expect("validated dimensions");
-    jacobi_update(diag, omega, scratch, b, x);
-}
-
-#[inline]
-fn gs_row<T: Scalar>(a: &Csr<T>, b: &[T], x: &mut [T], i: usize) {
-    let (cols, vals) = a.row(i);
-    let mut sigma = T::ZERO;
-    let mut diag = T::ZERO;
-    for (&j, &v) in cols.iter().zip(vals) {
-        let j = j as usize;
-        if j == i {
-            diag = v;
-        } else {
-            sigma += v * x[j];
-        }
-    }
-    assert!(diag != T::ZERO, "zero diagonal at row {i}");
-    x[i] = (b[i] - sigma) / diag;
-}
-
-/// One forward Gauss–Seidel sweep.
-///
-/// # Panics
-///
-/// Panics on vector length mismatches or a zero diagonal entry.
-pub fn gauss_seidel<T: Scalar>(a: &Csr<T>, b: &[T], x: &mut [T]) {
-    assert_eq!(x.len(), a.rows(), "x length");
-    assert_eq!(b.len(), a.rows(), "b length");
-    for i in 0..a.rows() {
-        gs_row(a, b, x, i);
-    }
-}
-
-/// One backward Gauss–Seidel sweep (rows in reverse order).
-///
-/// # Panics
-///
-/// Panics on vector length mismatches or a zero diagonal entry.
-pub fn gauss_seidel_backward<T: Scalar>(a: &Csr<T>, b: &[T], x: &mut [T]) {
-    assert_eq!(x.len(), a.rows(), "x length");
-    assert_eq!(b.len(), a.rows(), "b length");
-    for i in (0..a.rows()).rev() {
-        gs_row(a, b, x, i);
-    }
-}
-
-/// One symmetric Gauss–Seidel sweep: forward then backward.
-///
-/// # Panics
-///
-/// Panics on vector length mismatches or a zero diagonal entry.
-pub fn symmetric_gauss_seidel<T: Scalar>(a: &Csr<T>, b: &[T], x: &mut [T]) {
-    gauss_seidel(a, b, x);
-    gauss_seidel_backward(a, b, x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,31 +96,18 @@ mod tests {
         let b = vec![1.0; n];
         let diag = a.diagonal();
         let mut x = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
+        let mut ax = vec![0.0; n];
         let r0 = error_norm(&a, &x, &b);
         for _ in 0..50 {
-            jacobi(&a, &diag, 2.0 / 3.0, &b, &mut x, &mut scratch);
+            a.spmv(&x, &mut ax).unwrap();
+            jacobi_update(&diag, JACOBI_OMEGA, &ax, &b, &mut x);
         }
         let r1 = error_norm(&a, &x, &b);
         assert!(r1 < 0.5 * r0, "jacobi stalled: {r0} -> {r1}");
     }
 
-    #[test]
-    fn gauss_seidel_beats_jacobi_per_sweep() {
-        let a = laplacian_2d_5pt::<f64>(10, 10);
-        let n = a.rows();
-        let b = vec![1.0; n];
-        let diag = a.diagonal();
-        let mut xj = vec![0.0; n];
-        let mut xgs = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
-        for _ in 0..10 {
-            jacobi(&a, &diag, 2.0 / 3.0, &b, &mut xj, &mut scratch);
-            gauss_seidel(&a, &b, &mut xgs);
-        }
-        assert!(error_norm(&a, &xgs, &b) < error_norm(&a, &xj, &b));
-    }
-
+    /// The cycle's step from a formed residual is `jacobi_update`, bit
+    /// for bit.
     #[test]
     fn jacobi_update_matches_jacobi() {
         let a = tridiagonal::<f64>(15);
@@ -219,8 +115,9 @@ mod tests {
         let b: Vec<f64> = (0..15).map(|i| i as f64).collect();
         let mut x1 = vec![0.5; 15];
         let mut x2 = x1.clone();
-        let mut scratch = vec![0.0; 15];
-        jacobi(&a, &diag, 0.7, &b, &mut x1, &mut scratch);
+        let mut r = vec![0.0; 15];
+        residual(&a, &x1, &b, &mut r);
+        jacobi_step(&diag, 0.7, &r, &mut x1);
         let mut ax = vec![0.0; 15];
         a.spmv(&x2.clone(), &mut ax).unwrap();
         jacobi_update(&diag, 0.7, &ax, &b, &mut x2);
@@ -244,45 +141,16 @@ mod tests {
         let mut want = vec![0.0; n];
         let mut ax = vec![0.0; n];
         a.spmv(&want, &mut ax).unwrap();
-        jacobi_update(&diag, 2.0 / 3.0, &ax, &b, &mut want);
+        jacobi_update(&diag, JACOBI_OMEGA, &ax, &b, &mut want);
         let mut x = vec![f64::NAN; n];
-        jacobi_from_zero(&diag, 2.0 / 3.0, &b, &mut x);
+        jacobi_from_zero(&diag, JACOBI_OMEGA, &b, &mut x);
         assert!(x.iter().zip(&want).all(|(x, w)| x.to_bits() == w.to_bits()));
-    }
-
-    #[test]
-    fn symmetric_gs_beats_forward_gs_per_sweep() {
-        let a = laplacian_2d_5pt::<f64>(12, 12);
-        let n = a.rows();
-        let b = vec![1.0; n];
-        let mut x_f = vec![0.0; n];
-        let mut x_s = vec![0.0; n];
-        for _ in 0..6 {
-            gauss_seidel(&a, &b, &mut x_f);
-            symmetric_gauss_seidel(&a, &b, &mut x_s);
-        }
-        assert!(error_norm(&a, &x_s, &b) < error_norm(&a, &x_f, &b));
-    }
-
-    #[test]
-    fn backward_sweep_converges_too() {
-        let a = laplacian_2d_5pt::<f64>(8, 8);
-        let n = a.rows();
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let r0 = error_norm(&a, &x, &b);
-        // GS spectral radius on this grid is ~0.88: 20 sweeps give ~0.08.
-        for _ in 0..20 {
-            gauss_seidel_backward(&a, &b, &mut x);
-        }
-        assert!(error_norm(&a, &x, &b) < 0.2 * r0);
     }
 
     #[test]
     #[should_panic(expected = "zero diagonal")]
     fn zero_diagonal_panics() {
-        let a = Csr::<f64>::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         let mut x = vec![0.0; 2];
-        gauss_seidel(&a, &[1.0, 1.0], &mut x);
+        jacobi_update(&[0.0, 1.0], JACOBI_OMEGA, &[0.0, 0.0], &[1.0, 1.0], &mut x);
     }
 }

@@ -396,6 +396,7 @@ mod tests {
                     let (mut x, mut want) = (x0.clone(), x0.clone());
                     let got = solver.solve(&b, &mut x, 1e-8, 40);
                     let reference = ReferenceCycle {
+                        hierarchy: &h,
                         h: solver.compiled(),
                         lib,
                     }

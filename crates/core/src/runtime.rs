@@ -16,7 +16,7 @@ use crate::health::{Admission, ExecIncident, FaultKind, HealthReport, HealthStat
 use crate::install::Installation;
 use crate::model::TrainedModel;
 use serde::{Deserialize, Serialize};
-use smat_features::{extract_structure, FeatureVector, StructureFeatures};
+use smat_features::{extract_structure, FeatureVector, StructureFeatures, R_ATTR};
 use smat_kernels::timing::{decide, gflops, measure_round_robin, panic_message};
 use smat_kernels::{measure_table, search_plan, ExecPlan, KernelId, KernelLibrary, Op, Planner};
 use smat_learn::{ClassGroup, RuleGroups};
@@ -27,9 +27,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Index of the power-law attribute `R` in the feature vector.
-const R_ATTR: usize = 10;
 
 /// How a tuning decision was reached — the "Model Prediction" vs
 /// "Execution" columns of the paper's Table 3.

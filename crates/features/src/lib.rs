@@ -23,7 +23,7 @@ mod params;
 mod powerlaw;
 
 pub use extract::{extract_features, extract_structure, StructureFeatures};
-pub use params::{FeatureVector, ATTRIBUTE_NAMES, R_NOT_SCALE_FREE, TRUE_DIAG_OCCUPANCY};
+pub use params::{FeatureVector, ATTRIBUTE_NAMES, R_ATTR, R_NOT_SCALE_FREE, TRUE_DIAG_OCCUPANCY};
 pub use powerlaw::{
     fit_power_law, fit_power_law_of_degrees, MIN_DISTINCT_DEGREES, MIN_FIT_QUALITY,
 };

@@ -70,6 +70,9 @@ pub const ATTRIBUTE_NAMES: [&str; 11] = [
     "R",
 ];
 
+/// Index of the power-law attribute `R` in [`ATTRIBUTE_NAMES`] order.
+pub const R_ATTR: usize = 10;
+
 impl FeatureVector {
     /// The feature values as a fixed-order array matching
     /// [`ATTRIBUTE_NAMES`].
@@ -166,6 +169,12 @@ mod tests {
         assert_eq!(v.attribute(6), v.ndiags);
         assert_eq!(v.attribute(10), v.r);
         assert_eq!(ATTRIBUTE_NAMES[6], "Ndiags");
+    }
+
+    #[test]
+    fn r_attr_names_r() {
+        assert_eq!(ATTRIBUTE_NAMES[R_ATTR], "R");
+        assert_eq!(sample().attribute(R_ATTR), sample().r);
     }
 
     #[test]

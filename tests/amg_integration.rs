@@ -2,7 +2,7 @@
 //! paper's §7.4 scenario.
 
 use smat::{Smat, SmatConfig, Trainer};
-use smat_amg::{cg, AmgConfig, AmgSolver, Coarsening, CycleConfig, Relaxation};
+use smat_amg::{cg, AmgConfig, AmgSolver, Coarsening, CycleConfig};
 use smat_matrix::gen::{
     generate_corpus, laplacian_2d_9pt, laplacian_3d_7pt, Archetype, CorpusSpec,
 };
@@ -146,24 +146,6 @@ fn amg_pcg_converges_on_tuned_operators() {
     let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|e| e * e).sum::<f64>().sqrt();
     let r = norm(&mut b.iter().zip(&ax).map(|(b, ax)| b - ax));
     assert!(r <= 1e-8 * norm(&mut b.iter().copied()), "residual {r}");
-}
-
-#[test]
-fn gauss_seidel_hierarchy_with_smat_transfer_operators() {
-    // Gauss-Seidel relaxation cannot use tuned kernels, but transfer
-    // operators still can; make sure the mixed configuration is correct.
-    let e = engine();
-    let a = laplacian_2d_9pt::<f64>(30, 30);
-    let n = a.rows();
-    let cycle = CycleConfig {
-        relax: Relaxation::GaussSeidel,
-        ..CycleConfig::default()
-    };
-    let solver = AmgSolver::with_smat(a, &AmgConfig::default(), cycle, &e);
-    let b = rhs(n);
-    let mut x = vec![0.0; n];
-    let stats = solver.solve(&b, &mut x, 1e-9, 60);
-    assert!(stats.converged);
 }
 
 #[test]

@@ -3,16 +3,19 @@
 //! heap allocations and spawn **zero** threads — the contract of the
 //! persistent-pool + precomputed-plan redesign. The AMG cycle is held
 //! to the same contract: it is those calls plus vector updates on a
-//! sized workspace. Format conversions are held to the opposite, equally
-//! exact contract: they may allocate their result and one documented
-//! marker array, and nothing else.
+//! sized workspace. Format conversions and AMG compiles are held to the
+//! opposite, equally exact contract: a conversion may allocate its
+//! result and one documented marker array, and a compile one copy of
+//! each operator and its per-level arrays, and nothing else.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! whole audit lives in a single `#[test]` so no sibling test thread
 //! can allocate inside the measurement window.
 
-use smat::{group_class_order, Smat, SmatConfig, TrainedModel, Trainer};
-use smat_amg::{AmgConfig, CompiledHierarchy, CycleConfig, CycleType, Relaxation, Workspace};
+use smat::{group_class_order, Smat, SmatConfig, TrainedModel, Trainer, TunedSpmv};
+use smat_amg::{
+    AmgConfig, CompiledHierarchy, CompiledLevel, CycleConfig, Hierarchy, OpApply, Workspace,
+};
 use smat_kernels::{KernelId, KernelLibrary, Strategy};
 use smat_learn::{Condition, Op, Rule, RuleGroups};
 use smat_matrix::gen::{
@@ -135,6 +138,67 @@ fn conversions_allocate_their_result_and_one_marker_array() {
         "DIA conversion requested {bytes} B for a {resident} B result"
     );
     assert_eq!(AnyMatrix::Dia(dia).stored_bytes() as u64, resident);
+}
+
+/// Compiling a hierarchy asks the allocator for one copy of each
+/// operator and nothing level-sized beside it. A plain compile requests
+/// its CSR copies, each level's diagonal, the dense LU of the coarsest
+/// operator (values and pivots), the level vector and the kernel table,
+/// to the byte. A tuned compile requests what its `prepare` calls ask
+/// for (measured here one operator at a time, on the same warm decision
+/// cache), the handles' boxes, a copy of the engine's kernel table and
+/// the same per-level arrays: a second CSR copy of any `A` shows as
+/// extra bytes in either.
+fn compiles_allocate_one_copy_of_each_operator(hierarchy: &Hierarchy<f64>, engine: &Smat<f64>) {
+    const W: u64 = std::mem::size_of::<usize>() as u64;
+    let levels = &hierarchy.levels;
+    let coarsest = levels.last().expect("non-empty hierarchy").a.rows() as u64;
+    let per_level = levels.len() as u64 * std::mem::size_of::<CompiledLevel<f64>>() as u64
+        + levels.iter().map(|l| l.a.rows() as u64 * 8).sum::<u64>()
+        + coarsest * coarsest * 8
+        + coarsest * W;
+    let operators: Vec<&Csr<f64>> = levels
+        .iter()
+        .flat_map(|l| [Some(&l.a), l.p.as_ref(), l.r.as_ref()])
+        .flatten()
+        .collect();
+
+    let ((_, table), _) = tally(KernelLibrary::<f64>::new);
+    let ((_, bytes), plain) = tally(|| CompiledHierarchy::plain(hierarchy));
+    let copies: u64 = plain
+        .levels
+        .iter()
+        .flat_map(|l| [Some(&l.a), l.p.as_ref(), l.r.as_ref()])
+        .flatten()
+        .map(|op| match op {
+            OpApply::Plain(m) => AnyMatrix::Csr(m.clone()).stored_bytes() as u64,
+            OpApply::Tuned(_) => panic!("a plain compile tunes nothing"),
+        })
+        .sum();
+    assert_eq!(
+        bytes,
+        copies + per_level + table,
+        "a plain compile of {} levels requested {bytes} B",
+        levels.len()
+    );
+
+    // The first tuned compile fills the decision cache, so the compile
+    // measured and the prepares it is compared with replay the same
+    // decisions.
+    drop(CompiledHierarchy::with_smat(hierarchy, engine));
+    let ((_, table), _) = tally(|| engine.library().clone());
+    let prepared: u64 = operators
+        .iter()
+        .map(|m| tally(|| engine.prepare(m)).0 .1)
+        .sum();
+    let boxes = operators.len() as u64 * std::mem::size_of::<TunedSpmv<f64>>() as u64;
+    let ((_, bytes), _) = tally(|| CompiledHierarchy::with_smat(hierarchy, engine));
+    assert_eq!(
+        bytes,
+        prepared + boxes + per_level + table,
+        "a tuned compile of {} levels requested {bytes} B",
+        levels.len()
+    );
 }
 
 /// The tuning estimator allocates its sample storage once per call: one
@@ -321,9 +385,9 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
     );
     assert_eq!(report.exec_faults, 0, "no incident on the happy path");
 
-    // --- AMG tier: a warmed cycle over a compiled hierarchy — plain and
-    // tuned operators, V and W shapes, each smoother at one and two
-    // sweeps — is smoothing sweeps (a coarser level's first Jacobi sweep
+    // --- AMG tier: compiling a hierarchy copies each operator once, and
+    // a warmed V-cycle over it — plain and tuned operators, one and two
+    // Jacobi sweeps — is smoothing sweeps (a coarser level's first sweep
     // from zero, without a product), residuals, transfers and one dense
     // coarse solve on the caller's vectors and the workspace's own,
     // every product through the paths audited above.
@@ -332,40 +396,31 @@ fn warm_planned_spmv_allocates_nothing_and_spawns_nothing() {
         &AmgConfig::default(),
     );
     assert!(hierarchy.num_levels() >= 3, "the audit must cross levels");
+    compiles_allocate_one_copy_of_each_operator(&hierarchy, &engine);
     let n = hierarchy.levels[0].a.rows();
     let rhs: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.125).collect();
     for (operators, compiled) in [
         ("plain", CompiledHierarchy::plain(&hierarchy)),
         ("tuned", CompiledHierarchy::with_smat(&hierarchy, &engine)),
     ] {
-        for relax in [
-            Relaxation::default(),
-            Relaxation::GaussSeidel,
-            Relaxation::SymmetricGaussSeidel,
-        ] {
-            for sweeps in [1, 2] {
-                for cycle_type in [CycleType::V, CycleType::W] {
-                    let cfg = CycleConfig {
-                        pre_sweeps: sweeps,
-                        post_sweeps: sweeps,
-                        relax,
-                        cycle_type,
-                    };
-                    let mut workspace = Workspace::new();
-                    let mut sol = vec![0.0f64; n];
-                    let (allocs, spawns) = audit(3, 30, || {
-                        compiled.v_cycle(&cfg, &rhs, &mut sol, &mut workspace)
-                    });
-                    assert_eq!(
-                        allocs, 0,
-                        "heap allocations in a warm cycle over {operators} operators: {cfg:?}"
-                    );
-                    assert_eq!(
-                        spawns, 0,
-                        "thread spawns in a warm cycle over {operators} operators: {cfg:?}"
-                    );
-                }
-            }
+        for sweeps in [1, 2] {
+            let cfg = CycleConfig {
+                pre_sweeps: sweeps,
+                post_sweeps: sweeps,
+            };
+            let mut workspace = Workspace::new();
+            let mut sol = vec![0.0f64; n];
+            let (allocs, spawns) = audit(3, 30, || {
+                compiled.v_cycle(&cfg, &rhs, &mut sol, &mut workspace)
+            });
+            assert_eq!(
+                allocs, 0,
+                "heap allocations in a warm cycle over {operators} operators: {cfg:?}"
+            );
+            assert_eq!(
+                spawns, 0,
+                "thread spawns in a warm cycle over {operators} operators: {cfg:?}"
+            );
         }
     }
 
