@@ -1,10 +1,7 @@
-//! Coarse/fine splitting algorithms.
-//!
-//! The paper's Table 4 exercises two Hypre coarsening methods — classical
-//! Ruge–Stüben ("rugeL") and the parallel CLJP algorithm ("cljp") — so
-//! both are provided.
+//! Coarse/fine splitting: classical Ruge–Stüben first-pass coarsening
+//! (Hypre's "rugeL") and the fix-up that makes every splitting valid for
+//! direct interpolation.
 
-pub mod cljp;
 pub mod rs;
 
 use crate::strength::StrengthGraph;
@@ -65,24 +62,12 @@ impl Splitting {
     }
 }
 
-/// Which coarsening algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Coarsening {
-    /// Classical Ruge–Stüben first-pass greedy coarsening.
-    RugeStuben,
-    /// CLJP-style parallel independent-set coarsening.
-    Cljp,
-}
-
-/// Runs the selected coarsening and applies the common fix-up: every
-/// fine point must keep at least one strong coarse influencer so direct
-/// interpolation is well-defined; isolated points (no strong neighbors
-/// at all) become coarse.
-pub fn coarsen(graph: &StrengthGraph, method: Coarsening, seed: u64) -> Splitting {
-    let mut types = match method {
-        Coarsening::RugeStuben => rs::split(graph),
-        Coarsening::Cljp => cljp::split(graph, seed),
-    };
+/// Runs Ruge–Stüben coarsening and the fix-up: every fine point must
+/// keep at least one strong coarse influencer so direct interpolation is
+/// well-defined; isolated points (no strong neighbors at all) become
+/// coarse.
+pub fn coarsen(graph: &StrengthGraph) -> Splitting {
+    let mut types = rs::split(graph);
     fixup(graph, &mut types);
     Splitting::from_types(types)
 }
@@ -117,21 +102,33 @@ mod tests {
         assert_eq!(s.len(), 3);
     }
 
+    /// Ruge–Stüben and a seeded random assignment, each through the
+    /// fix-up, on every oracle matrix.
     #[test]
     fn both_methods_produce_valid_splittings() {
-        let a = laplacian_2d_5pt::<f64>(12, 12);
-        let g = StrengthGraph::build(&a, 0.25);
-        for method in [Coarsening::RugeStuben, Coarsening::Cljp] {
-            let s = coarsen(&g, method, 42);
-            assert!(s.n_coarse > 0, "{method:?} produced no coarse points");
-            assert!(s.n_coarse < s.len(), "{method:?} failed to coarsen at all");
-            // Every fine point has a strong coarse influencer.
-            for i in 0..s.len() {
-                if !s.is_coarse(i) {
-                    assert!(
-                        g.influencers(i).iter().any(|&j| s.is_coarse(j)),
-                        "{method:?}: fine point {i} has no coarse influencer"
-                    );
+        let mut cases = vec![("5-pt 12^2", laplacian_2d_5pt::<f64>(12, 12))];
+        cases.extend(crate::oracle::matrices());
+        for (name, a) in cases {
+            let g = StrengthGraph::build(&a, 0.25);
+            let mut random = crate::oracle::random_types(g.len(), 42);
+            fixup(&g, &mut random);
+            for (method, s) in [
+                ("rs", coarsen(&g)),
+                ("random", Splitting::from_types(random)),
+            ] {
+                assert!(s.n_coarse > 0, "{name} {method}: no coarse points");
+                assert!(
+                    s.n_coarse < s.len(),
+                    "{name} {method}: failed to coarsen at all"
+                );
+                // Every fine point has a strong coarse influencer.
+                for i in 0..s.len() {
+                    if !s.is_coarse(i) {
+                        assert!(
+                            g.influencers(i).iter().any(|&j| s.is_coarse(j)),
+                            "{name} {method}: fine point {i} has no coarse influencer"
+                        );
+                    }
                 }
             }
         }
@@ -142,7 +139,7 @@ mod tests {
         // Identity matrix: no strong connections anywhere.
         let a = smat_matrix::Csr::<f64>::identity(6);
         let g = StrengthGraph::build(&a, 0.25);
-        let s = coarsen(&g, Coarsening::RugeStuben, 0);
+        let s = coarsen(&g);
         assert_eq!(s.n_coarse, 6, "isolated points must all be coarse");
     }
 }

@@ -186,8 +186,8 @@ impl<T: Scalar> DenseLu<T> {
 #[derive(Debug)]
 pub struct CompiledLevel<T> {
     /// The grid operator, possibly tuned. Every product with `A` — Jacobi
-    /// sweeps, cycle residuals, a solve's convergence test, PCG — runs
-    /// through it.
+    /// sweeps, cycle residuals, a solve's convergence test — runs through
+    /// it.
     pub a: OpApply<T>,
     /// Diagonal of `A` (for Jacobi).
     pub diag: Vec<T>,
@@ -215,8 +215,7 @@ impl<T: Scalar> CompiledLevel<T> {
 /// What a level's iterate holds when its part of a cycle starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Start {
-    /// Zero, not yet written: a coarser level's visit, or a
-    /// preconditioner application.
+    /// Zero, not yet written: a coarser level's visit.
     Zero,
     /// An iterate whose product with `A` has not been taken.
     Guess,
@@ -438,11 +437,6 @@ impl<T: Scalar> CompiledHierarchy<T> {
     pub(crate) fn fine_residual(&self, b: &[T], x: &[T], r: &mut [T]) {
         assert_eq!(b.len(), r.len(), "b length");
         self.levels[0].residual(&self.lib, b, x, r);
-    }
-
-    /// `y = A x` on the finest level, through the compiled operator.
-    pub(crate) fn apply_fine(&self, x: &[T], y: &mut [T]) {
-        self.levels[0].a.apply(&self.lib, x, y);
     }
 
     /// `||b - A x||` on the finest level, with `b - A x` left in the

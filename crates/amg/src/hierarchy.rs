@@ -3,7 +3,7 @@
 //! and Galerkin triple products — the structure sketched in the paper's
 //! Figure 11.
 
-use crate::coarsen::{coarsen, Coarsening};
+use crate::coarsen::coarsen;
 use crate::interp::interpolate;
 use crate::spgemm::rap;
 use crate::strength::{StrengthGraph, DEFAULT_THETA};
@@ -15,27 +15,22 @@ use smat_matrix::{Csr, Scalar};
 /// problems.
 pub const INTERP_MAX_ELEMENTS: usize = 4;
 
-/// Parameters of the AMG setup phase. Strength uses [`DEFAULT_THETA`]
-/// and interpolation [`INTERP_MAX_ELEMENTS`].
+/// Parameters of the AMG setup phase. Strength uses [`DEFAULT_THETA`],
+/// coarsening is Ruge–Stüben and interpolation keeps
+/// [`INTERP_MAX_ELEMENTS`] weights a row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AmgConfig {
-    /// Coarsening algorithm (the paper benchmarks both).
-    pub coarsening: Coarsening,
     /// Maximum number of levels.
     pub max_levels: usize,
     /// Stop coarsening when the operator is at most this large.
     pub coarse_size: usize,
-    /// Seed for CLJP's random tie-breaking weights.
-    pub seed: u64,
 }
 
 impl Default for AmgConfig {
     fn default() -> Self {
         Self {
-            coarsening: Coarsening::RugeStuben,
             max_levels: 25,
             coarse_size: 64,
-            seed: 0xC17F,
         }
     }
 }
@@ -101,11 +96,7 @@ pub fn setup<T: Scalar>(a: Csr<T>, config: &AmgConfig) -> Hierarchy<T> {
             return Hierarchy { levels };
         }
         let graph = StrengthGraph::build(&current, DEFAULT_THETA);
-        let splitting = coarsen(
-            &graph,
-            config.coarsening,
-            config.seed.wrapping_add(lvl as u64),
-        );
+        let splitting = coarsen(&graph);
         // Coarsening stagnated: everything coarse (e.g. diagonal matrix)
         // or nothing coarse. Finish with this level as the coarsest.
         if splitting.n_coarse == 0 || splitting.n_coarse >= n {
@@ -186,18 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn cljp_hierarchy_also_builds() {
-        let a = laplacian_3d_7pt::<f64>(8, 8, 8);
-        let cfg = AmgConfig {
-            coarsening: Coarsening::Cljp,
-            ..AmgConfig::default()
-        };
-        let h = setup(a, &cfg);
-        assert!(h.num_levels() >= 2);
-        assert!(*h.level_dims().last().unwrap() <= 64);
-    }
-
-    #[test]
     fn tiny_matrix_is_single_level() {
         let a = laplacian_2d_5pt::<f64>(4, 4);
         let h = setup(a, &AmgConfig::default());
@@ -212,26 +191,50 @@ mod tests {
         let cfg = AmgConfig {
             max_levels: 2,
             coarse_size: 4,
-            ..AmgConfig::default()
         };
         let h = setup(a, &cfg);
         assert_eq!(h.num_levels(), 2);
     }
 
+    /// Ruge–Stüben stops coarsening before the level cap, at operator
+    /// complexity at most 4, on the grids the thread targets build.
+    #[test]
+    fn rs_hierarchies_are_healthy() {
+        let cfg = AmgConfig::default();
+        for (name, a) in [
+            ("7-pt 24^3", laplacian_3d_7pt::<f64>(24, 24, 24)),
+            ("9-pt 120^2", laplacian_2d_9pt::<f64>(120, 120)),
+        ] {
+            let h = setup(a, &cfg);
+            let complexity = h.operator_complexity();
+            assert!(
+                h.num_levels() < cfg.max_levels,
+                "{name}: {} levels",
+                h.num_levels()
+            );
+            assert!(
+                complexity <= 4.0,
+                "{name}: operator complexity {complexity}"
+            );
+        }
+    }
+
     #[test]
     fn hierarchy_equals_the_reference_set_up() {
-        for (name, a) in oracle::matrices() {
-            for coarsening in [Coarsening::RugeStuben, Coarsening::Cljp] {
-                let cfg = AmgConfig {
-                    coarsening,
-                    coarse_size: 24,
-                    ..AmgConfig::default()
-                };
+        let mut cases = oracle::matrices();
+        cases.extend([
+            ("7-pt 10x14x9", laplacian_3d_7pt(10, 14, 9)),
+            ("9-pt 56^2", laplacian_2d_9pt(56, 56)),
+            ("power-law hub 900", oracle::hub_matrix(900)),
+        ]);
+        let small_coarse = AmgConfig {
+            coarse_size: 24,
+            ..AmgConfig::default()
+        };
+        for (name, a) in cases {
+            for cfg in [small_coarse, AmgConfig::default()] {
                 let h = setup(a.clone(), &cfg);
-                assert!(
-                    h == oracle::setup(a.clone(), &cfg),
-                    "{name}: {coarsening:?}"
-                );
+                assert!(h == oracle::setup(a.clone(), &cfg), "{name}: {cfg:?}");
                 assert!(h.num_levels() >= 2, "{name} must coarsen");
             }
         }

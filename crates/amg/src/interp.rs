@@ -222,14 +222,14 @@ impl<T: Scalar> RowWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarsen::{coarsen, Coarsening};
+    use crate::coarsen::coarsen;
     use crate::oracle;
     use crate::strength::{StrengthGraph, DEFAULT_THETA};
     use smat_matrix::gen::{laplacian_2d_5pt, laplacian_2d_9pt, tridiagonal};
 
     fn build(a: &Csr<f64>) -> (StrengthGraph, Splitting, Csr<f64>) {
         let g = StrengthGraph::build(a, DEFAULT_THETA);
-        let s = coarsen(&g, Coarsening::RugeStuben, 0);
+        let s = coarsen(&g);
         let p = direct_interpolation(a, &g, &s);
         (g, s, p)
     }
@@ -309,18 +309,20 @@ mod tests {
     #[test]
     fn one_pass_matches_the_triplet_reference() {
         for (name, a) in oracle::matrices() {
-            for method in [Coarsening::RugeStuben, Coarsening::Cljp] {
-                let g = StrengthGraph::build(&a, DEFAULT_THETA);
-                let s = coarsen(&g, method, 7);
+            let g = StrengthGraph::build(&a, DEFAULT_THETA);
+            for (splitting, s) in [
+                ("rs", coarsen(&g)),
+                ("random", oracle::random_splitting(&g, 7)),
+            ] {
                 let direct = oracle::direct_interpolation(&a, &g, &s);
                 assert_eq!(
                     direct_interpolation(&a, &g, &s),
                     direct,
-                    "{name} {method:?}"
+                    "{name} {splitting}"
                 );
                 for max in [0, 1, 2, 4] {
                     let want = oracle::truncate_interpolation(&direct, max);
-                    let what = format!("{name} {method:?} max_elements {max}");
+                    let what = format!("{name} {splitting} max_elements {max}");
                     assert_eq!(truncate_interpolation(&direct, max), want, "{what}");
                     assert_eq!(interpolate(&a, &g, &s, max), want, "{what}");
                     want.validate().unwrap();
@@ -340,7 +342,7 @@ mod tests {
             .find(|(name, _)| *name == "positive off-diagonals")
             .unwrap();
         let g = StrengthGraph::build(&laplacian_2d_9pt::<f64>(18, 18), DEFAULT_THETA);
-        let s = coarsen(&g, Coarsening::RugeStuben, 0);
+        let s = coarsen(&g);
         let p = direct_interpolation(&a, &g, &s);
         assert!(
             p.values().iter().any(|&w| w < 0.0),

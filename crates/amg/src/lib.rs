@@ -2,8 +2,8 @@
 //! Hypre/BoomerAMG solver the paper integrates with in §7.4.
 //!
 //! The solver builds a hierarchy of coarse operators via classical
-//! strength-of-connection ([`StrengthGraph`]), Ruge–Stüben or CLJP
-//! coarsening ([`coarsen`]), direct interpolation and Galerkin triple
+//! strength-of-connection ([`StrengthGraph`]), Ruge–Stüben coarsening
+//! ([`coarsen`]), direct interpolation and Galerkin triple
 //! products ([`spgemm`]), then solves by V-cycles with weighted-Jacobi
 //! smoothing — optionally routing every grid and transfer operator
 //! through a SMAT engine so each level's SpMV runs in the format and
@@ -38,12 +38,12 @@ mod solver;
 mod spgemm;
 mod strength;
 
-pub use coarsen::{Coarsening, PointType, Splitting};
+pub use coarsen::{PointType, Splitting};
 pub use cycle::{CompiledHierarchy, CompiledLevel, CycleConfig, DenseLu, OpApply, Workspace};
 pub use hierarchy::{setup, AmgConfig, Hierarchy, Level, INTERP_MAX_ELEMENTS};
 pub use interp::{direct_interpolation, truncate_interpolation};
 pub use relax::{jacobi_update, residual, JACOBI_OMEGA};
-pub use solver::{cg, AmgSolver, SolveStats};
+pub use solver::{AmgSolver, SolveStats};
 pub use spgemm::{rap, spgemm};
 pub use strength::{StrengthGraph, DEFAULT_THETA};
 

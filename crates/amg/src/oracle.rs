@@ -11,10 +11,9 @@
 //! `tests/thread_targets/`; every name comes through `super` so the
 //! file reads the same from both.
 
-use super::coarsen::cljp;
 use super::{
-    jacobi_update, residual, AmgConfig, Coarsening, CompiledHierarchy, CycleConfig, Hierarchy,
-    Level, PointType, SolveStats, Splitting, StrengthGraph, DEFAULT_THETA, INTERP_MAX_ELEMENTS,
+    jacobi_update, residual, AmgConfig, CompiledHierarchy, CycleConfig, Hierarchy, Level,
+    PointType, SolveStats, Splitting, StrengthGraph, DEFAULT_THETA, INTERP_MAX_ELEMENTS,
     JACOBI_OMEGA,
 };
 use smat_kernels::KernelLibrary;
@@ -68,13 +67,36 @@ pub fn rs_split(graph: &StrengthGraph) -> Vec<PointType> {
         .collect()
 }
 
-/// `coarsen` over [`rs_split`] (CLJP is the crate's own: it did not
-/// change), with the common fix-up.
-pub fn coarsen(graph: &StrengthGraph, method: Coarsening, seed: u64) -> Splitting {
-    let mut types = match method {
-        Coarsening::RugeStuben => rs_split(graph),
-        Coarsening::Cljp => cljp::split(graph, seed),
-    };
+/// `coarsen` over [`rs_split`], with the fix-up.
+pub fn coarsen(graph: &StrengthGraph) -> Splitting {
+    fixed_up(graph, rs_split(graph))
+}
+
+/// A valid splitting that no coarsening would pick: [`random_types`],
+/// then the fix-up.
+pub fn random_splitting(graph: &StrengthGraph, seed: u64) -> Splitting {
+    fixed_up(graph, random_types(graph.len(), seed))
+}
+
+/// `n` points, each coarse with probability 1/3 by a seeded xorshift.
+pub fn random_types(n: usize, seed: u64) -> Vec<PointType> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state.is_multiple_of(3) {
+                PointType::Coarse
+            } else {
+                PointType::Fine
+            }
+        })
+        .collect()
+}
+
+/// Promotes every fine point without a strong coarse influencer.
+fn fixed_up(graph: &StrengthGraph, mut types: Vec<PointType>) -> Splitting {
     for i in 0..types.len() {
         if types[i] == PointType::Fine
             && !graph
@@ -242,11 +264,7 @@ pub fn setup(a: Csr<f64>, config: &AmgConfig) -> Hierarchy<f64> {
             break;
         }
         let graph = StrengthGraph::build(&current, DEFAULT_THETA);
-        let splitting = coarsen(
-            &graph,
-            config.coarsening,
-            config.seed.wrapping_add(lvl as u64),
-        );
+        let splitting = coarsen(&graph);
         if splitting.n_coarse == 0 || splitting.n_coarse >= n {
             break;
         }

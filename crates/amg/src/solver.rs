@@ -1,18 +1,16 @@
-//! Complete solvers: stand-alone AMG iteration, plain conjugate
-//! gradients, and AMG-preconditioned CG (Hypre's standard usage: "AMG is
-//! used as a preconditioner such as conjugate gradients").
+//! The complete solver: set up once, then V-cycles to a relative
+//! residual tolerance.
 
 use crate::cycle::{CompiledHierarchy, CycleConfig, Start, Workspace};
 use crate::hierarchy::{setup, AmgConfig, Hierarchy};
-use crate::relax::residual;
 use smat::Smat;
-use smat_matrix::utils::{axpy, dot, norm2, xpay};
+use smat_matrix::utils::norm2;
 use smat_matrix::{Csr, Scalar};
 
 /// Convergence report of an iterative solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveStats {
-    /// Iterations (V-cycles or CG steps) performed.
+    /// V-cycles performed.
     pub iterations: usize,
     /// Residual norm after each iteration, starting with the initial
     /// residual.
@@ -129,129 +127,6 @@ impl<T: Scalar> AmgSolver<T> {
             converged,
         }
     }
-
-    /// AMG-preconditioned conjugate gradients: one V-cycle per
-    /// application of the preconditioner.
-    ///
-    /// # Panics
-    ///
-    /// Panics on vector length mismatch.
-    pub fn pcg(&self, b: &[T], x: &mut [T], rel_tol: f64, max_iters: usize) -> SolveStats {
-        let n = self.compiled.levels[0].a.rows();
-        assert_eq!(b.len(), n, "b length");
-        assert_eq!(x.len(), n, "x length");
-        let bnorm = norm2(b).to_f64().max(f64::MIN_POSITIVE);
-        let mut ws = Workspace::new();
-
-        // Every product with `A` goes through the compiled operator.
-        let mut r = vec![T::ZERO; n];
-        self.compiled.fine_residual(b, x, &mut r);
-        let mut residuals = vec![norm2(&r).to_f64()];
-        if residuals[0] <= rel_tol * bnorm {
-            return SolveStats {
-                iterations: 0,
-                residuals,
-                converged: true,
-            };
-        }
-        // z = M^{-1} r via one V-cycle from zero.
-        let mut z = vec![T::ZERO; n];
-        self.compiled
-            .cycle(&self.cycle, Start::Zero, &r, &mut z, &mut ws);
-        let mut p = z.clone();
-        let mut rz = dot(&r, &z);
-        let mut ap = vec![T::ZERO; n];
-        let mut converged = false;
-        let mut iterations = 0;
-        for _ in 0..max_iters {
-            self.compiled.apply_fine(&p, &mut ap);
-            let pap = dot(&p, &ap);
-            if pap.to_f64().abs() < 1e-300 {
-                break;
-            }
-            let alpha = rz / pap;
-            axpy(alpha, &p, x);
-            axpy(-alpha, &ap, &mut r);
-            iterations += 1;
-            let rn = norm2(&r).to_f64();
-            residuals.push(rn);
-            if rn <= rel_tol * bnorm {
-                converged = true;
-                break;
-            }
-            self.compiled
-                .cycle(&self.cycle, Start::Zero, &r, &mut z, &mut ws);
-            let rz_new = dot(&r, &z);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            xpay(&z, beta, &mut p);
-        }
-        SolveStats {
-            iterations,
-            residuals,
-            converged,
-        }
-    }
-}
-
-/// Plain (unpreconditioned) conjugate gradients, for baselines.
-///
-/// # Panics
-///
-/// Panics on vector length mismatch or a non-square matrix.
-pub fn cg<T: Scalar>(
-    a: &Csr<T>,
-    b: &[T],
-    x: &mut [T],
-    rel_tol: f64,
-    max_iters: usize,
-) -> SolveStats {
-    assert_eq!(a.rows(), a.cols(), "cg needs a square matrix");
-    let n = a.rows();
-    assert_eq!(b.len(), n, "b length");
-    assert_eq!(x.len(), n, "x length");
-    let bnorm = norm2(b).to_f64().max(f64::MIN_POSITIVE);
-    let mut r = vec![T::ZERO; n];
-    residual(a, x, b, &mut r);
-    let mut residuals = vec![norm2(&r).to_f64()];
-    if residuals[0] <= rel_tol * bnorm {
-        return SolveStats {
-            iterations: 0,
-            residuals,
-            converged: true,
-        };
-    }
-    let mut p = r.clone();
-    let mut rr = dot(&r, &r);
-    let mut ap = vec![T::ZERO; n];
-    let mut converged = false;
-    let mut iterations = 0;
-    for _ in 0..max_iters {
-        a.spmv(&p, &mut ap).expect("validated dimensions");
-        let pap = dot(&p, &ap);
-        if pap.to_f64().abs() < 1e-300 {
-            break;
-        }
-        let alpha = rr / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        iterations += 1;
-        let rn = norm2(&r).to_f64();
-        residuals.push(rn);
-        if rn <= rel_tol * bnorm {
-            converged = true;
-            break;
-        }
-        let rr_new = dot(&r, &r);
-        let beta = rr_new / rr;
-        rr = rr_new;
-        xpay(&r, beta, &mut p);
-    }
-    SolveStats {
-        iterations,
-        residuals,
-        converged,
-    }
 }
 
 #[cfg(test)]
@@ -294,39 +169,6 @@ mod tests {
             let stats = solver.solve(&b, &mut x, 1e-8, 80);
             assert!(stats.converged, "residuals: {:?}", stats.residuals);
         }
-    }
-
-    #[test]
-    fn amg_beats_plain_cg_in_iterations() {
-        let a = laplacian_2d_5pt::<f64>(32, 32);
-        let n = a.rows();
-        let b = rhs(n);
-        let solver = AmgSolver::new(a.clone(), &AmgConfig::default(), CycleConfig::default());
-        let mut x1 = vec![0.0; n];
-        let amg_stats = solver.solve(&b, &mut x1, 1e-8, 100);
-        let mut x2 = vec![0.0; n];
-        let cg_stats = cg(&a, &b, &mut x2, 1e-8, 2000);
-        assert!(amg_stats.converged && cg_stats.converged);
-        assert!(
-            amg_stats.iterations < cg_stats.iterations,
-            "amg {} vs cg {}",
-            amg_stats.iterations,
-            cg_stats.iterations
-        );
-    }
-
-    #[test]
-    fn pcg_accelerates_amg() {
-        let a = laplacian_2d_9pt::<f64>(28, 28);
-        let n = a.rows();
-        let b = rhs(n);
-        let solver = AmgSolver::new(a, &AmgConfig::default(), CycleConfig::default());
-        let mut x1 = vec![0.0; n];
-        let amg_stats = solver.solve(&b, &mut x1, 1e-10, 200);
-        let mut x2 = vec![0.0; n];
-        let pcg_stats = solver.pcg(&b, &mut x2, 1e-10, 200);
-        assert!(pcg_stats.converged);
-        assert!(pcg_stats.iterations <= amg_stats.iterations);
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl StrengthGraph {
         self.influencers.len()
     }
 
-    /// `|S_i^T|` — the initial Ruge–Stüben/CLJP measure of `i`.
+    /// `|S_i^T|` — the initial Ruge–Stüben measure of `i`.
     pub fn influence_count(&self, i: usize) -> usize {
         self.t_ptr[i + 1] - self.t_ptr[i]
     }

@@ -8,12 +8,12 @@
 // `oracle.rs` takes the crate's names through `super`: all of these
 // are in scope for it.
 use smat_amg::{
-    coarsen, jacobi_update, residual, setup, AmgConfig, Coarsening, CompiledHierarchy, CycleConfig,
-    Hierarchy, Level, PointType, SolveStats, Splitting, StrengthGraph, DEFAULT_THETA,
-    INTERP_MAX_ELEMENTS, JACOBI_OMEGA,
+    jacobi_update, residual, setup, AmgConfig, CompiledHierarchy, CycleConfig, Hierarchy, Level,
+    PointType, SolveStats, Splitting, StrengthGraph, DEFAULT_THETA, INTERP_MAX_ELEMENTS,
+    JACOBI_OMEGA,
 };
 use smat_kernels::exec;
-use smat_matrix::gen::{laplacian_2d_9pt, laplacian_3d_7pt};
+use smat_matrix::gen::{laplacian_2d_5pt, laplacian_2d_9pt, laplacian_3d_7pt};
 
 #[allow(dead_code)]
 #[path = "../../src/oracle.rs"]
@@ -27,31 +27,16 @@ pub fn hierarchy_equals_the_reference_at(threads: usize) {
         "the target must win first use"
     );
     let fan_outs = exec::dispatch_count();
-    for (name, a, coarsening) in [
-        (
-            "7-pt 24^3",
-            laplacian_3d_7pt(24, 24, 24),
-            Coarsening::RugeStuben,
-        ),
-        (
-            "9-pt 120^2",
-            laplacian_2d_9pt(120, 120),
-            Coarsening::RugeStuben,
-        ),
-        ("9-pt 64^2", laplacian_2d_9pt(64, 64), Coarsening::Cljp),
-        (
-            "power-law hub",
-            oracle::hub_matrix(6000),
-            Coarsening::RugeStuben,
-        ),
+    let cfg = AmgConfig::default();
+    for (name, a) in [
+        ("7-pt 24^3", laplacian_3d_7pt(24, 24, 24)),
+        ("9-pt 120^2", laplacian_2d_9pt(120, 120)),
+        ("5-pt 150x96", laplacian_2d_5pt(150, 96)),
+        ("power-law hub", oracle::hub_matrix(6000)),
     ] {
-        let cfg = AmgConfig {
-            coarsening,
-            ..AmgConfig::default()
-        };
         assert!(
             setup(a.clone(), &cfg) == oracle::setup(a.clone(), &cfg),
-            "{name}: {coarsening:?}, {threads} threads"
+            "{name}, {threads} threads"
         );
     }
     assert_eq!(

@@ -13,7 +13,7 @@
 
 use crate::{fmt_gflops, harness_config, render_table, SuiteEntry};
 use smat::{label_best_format, measure_formats, tuned_gflops, AnalysisRow, Smat, Trainer};
-use smat_amg::{setup, AmgConfig, AmgSolver, Coarsening, CompiledHierarchy, CycleConfig};
+use smat_amg::{setup, AmgConfig, AmgSolver, CompiledHierarchy, CycleConfig, Hierarchy};
 use smat_features::{extract_features, FeatureVector, R_NOT_SCALE_FREE};
 use smat_kernels::reference::best_of_reference;
 use smat_kernels::{measure_round_robin, KernelChoice, KernelLibrary};
@@ -394,13 +394,10 @@ pub fn accuracy(evals: &[HeldOut]) -> Result<Report, String> {
 }
 
 /// Figure 1: the basic kernels' throughput in every format on every
-/// level operator of a CLJP hierarchy over the 7-point `n`³ Laplacian.
+/// level operator of a Ruge–Stüben hierarchy over the 7-point `n`³
+/// Laplacian.
 pub fn fig1(n: usize) -> Result<Report, String> {
-    let cfg = AmgConfig {
-        coarsening: Coarsening::Cljp,
-        ..AmgConfig::default()
-    };
-    let h = setup(laplacian_3d_7pt::<f64>(n, n, n), &cfg);
+    let h = setup(laplacian_3d_7pt::<f64>(n, n, n), &AmgConfig::default());
     let lib = KernelLibrary::<f64>::new();
     let rows: Vec<Vec<String>> = h
         .levels
@@ -431,7 +428,8 @@ pub fn fig1(n: usize) -> Result<Report, String> {
     headers.push("best");
     let mut text =
         "== Figure 1: per-level format performance in the AMG hierarchy ==\n".to_string();
-    text += &format!("(7-point Laplacian on a {n}^3 grid, CLJP coarsening)\n\n");
+    text += &format!("(7-point Laplacian on a {n}^3 grid, Ruge-Stuben coarsening;\n");
+    text += "the paper's hierarchy is CLJP's)\n\n";
     text += &render_table(&headers, &rows);
     text += "\npaper's shape: DIA/COO win on the fine (structured) levels; as coarse\n";
     text += "operators fill in (ER_DIA drops), CSR takes over — one static format\n";
@@ -736,6 +734,24 @@ pub fn table3(rows: &[(usize, AnalysisRow)]) -> Result<Report, String> {
 /// One V-cycle solve's outcome: milliseconds, cycles, converged.
 type Solve = (f64, usize, bool);
 
+/// The highest operator complexity Table 4 accepts.
+const MAX_COMPLEXITY: f64 = 4.0;
+
+/// Table 4's health invariant: the hierarchy stops coarsening before
+/// the level cap, at operator complexity at most [`MAX_COMPLEXITY`]. A
+/// speedup measured on a hierarchy that fails it says nothing about AMG.
+fn check_health(label: &str, h: &Hierarchy<f64>, cfg: &AmgConfig) -> Result<(), String> {
+    let (levels, complexity) = (h.num_levels(), h.operator_complexity());
+    if levels >= cfg.max_levels || complexity > MAX_COMPLEXITY {
+        return Err(format!(
+            "Table 4 {label}: unhealthy hierarchy, {levels} levels (cap {}), \
+             operator complexity {complexity:.2} (at most {MAX_COMPLEXITY})",
+            cfg.max_levels
+        ));
+    }
+    Ok(())
+}
+
 /// Table 4's invariant: both solvers converge in the same number of
 /// V-cycles (they iterate on identical hierarchies).
 fn check_solves(label: &str, plain: Solve, tuned: Solve) -> Result<(), String> {
@@ -764,22 +780,15 @@ fn solve(solver: &AmgSolver<f64>, n: usize) -> Solve {
 }
 
 /// One Table 4 row: set-up, tuning and both solves on `a`.
-fn amg_case(
-    label: &str,
-    a: Csr<f64>,
-    coarsening: Coarsening,
-    engine: &Smat<f64>,
-) -> Result<Vec<String>, String> {
+fn amg_case(label: &str, a: Csr<f64>, engine: &Smat<f64>) -> Result<Vec<String>, String> {
     let n = a.rows();
-    let cfg = AmgConfig {
-        coarsening,
-        ..AmgConfig::default()
-    };
+    let cfg = AmgConfig::default();
     let cycle = CycleConfig::default();
     eprintln!("{label}: timing set-up ({n} rows)...");
     let t0 = Instant::now();
     let hierarchy = setup(a.clone(), &cfg);
     let hierarchy_ms = t0.elapsed().as_secs_f64() * 1e3;
+    check_health(label, &hierarchy, &cfg)?;
     engine.clear_cache();
     let t0 = Instant::now();
     black_box(CompiledHierarchy::with_smat(&hierarchy, engine));
@@ -810,23 +819,13 @@ fn amg_case(
     ])
 }
 
-/// Table 4: plain-CSR vs SMAT-tuned AMG on CLJP over the 7-point `n7`³
-/// Laplacian and Ruge–Stüben over the 9-point `n9`² one.
+/// Table 4: plain-CSR vs SMAT-tuned AMG on Ruge–Stüben hierarchies over
+/// the 7-point `n7`³ and the 9-point `n9`² Laplacians.
 pub fn table4(engine: &Smat<f64>, n7: usize, n9: usize) -> Result<Report, String> {
     use smat_matrix::gen::laplacian_2d_9pt;
     let rows = vec![
-        amg_case(
-            "cljp 7pt",
-            laplacian_3d_7pt(n7, n7, n7),
-            Coarsening::Cljp,
-            engine,
-        )?,
-        amg_case(
-            "rugeL 9pt",
-            laplacian_2d_9pt(n9, n9),
-            Coarsening::RugeStuben,
-            engine,
-        )?,
+        amg_case("rugeL 7pt", laplacian_3d_7pt(n7, n7, n7), engine)?,
+        amg_case("rugeL 9pt", laplacian_2d_9pt(n9, n9), engine)?,
     ];
     let headers = [
         "coarsen",
@@ -846,6 +845,7 @@ pub fn table4(engine: &Smat<f64>, n7: usize, n9: usize) -> Result<Report, String
     text += &render_table(&headers, &rows);
     text += "\npaper (Xeon X5680): cljp 7pt 50^3 3034 -> 2487 ms (1.22x);\n";
     text += "rugeL 9pt 500^2 388 -> 300 ms (1.29x).\n";
+    text += "note: our 7pt row coarsens by Ruge-Stuben, the paper's by CLJP.\n";
     Ok(text.into())
 }
 
@@ -1097,12 +1097,31 @@ mod tests {
     }
 
     #[test]
+    fn table4_hierarchies_must_be_healthy() {
+        use smat_matrix::gen::laplacian_2d_5pt;
+        let cfg = AmgConfig::default();
+        let healthy = setup(laplacian_2d_5pt(24, 24), &cfg);
+        assert!(check_health("t", &healthy, &cfg).is_ok());
+        let capped = AmgConfig {
+            max_levels: healthy.num_levels(),
+            ..cfg
+        };
+        assert!(check_health("t", &healthy, &capped).is_err());
+        // Four copies of one operator: complexity 4 holds, a fifth breaks it.
+        let mut dense = healthy.clone();
+        dense.levels = vec![dense.levels[0].clone(); 4];
+        assert!(check_health("t", &dense, &cfg).is_ok());
+        dense.levels.push(dense.levels[0].clone());
+        assert!(check_health("t", &dense, &cfg).is_err());
+    }
+
+    #[test]
     fn fig1_and_table4_run_at_a_tiny_size() {
         let report = fig1(4).unwrap();
         assert!(report.text.contains("4^3 grid"));
         let run = hand_built(&labels([2, 2, 4, 2, 0, 0, 0]));
         let report = table4(&run.engine, 4, 8).unwrap();
-        assert!(report.text.contains("cljp 7pt") && report.text.contains("rugeL 9pt"));
+        assert!(report.text.contains("rugeL 7pt") && report.text.contains("rugeL 9pt"));
     }
 
     #[test]

@@ -31,13 +31,6 @@ pub enum SmatError {
         /// The configured budget.
         budget_bytes: usize,
     },
-    /// A measurement exceeded its per-candidate deadline.
-    Deadline {
-        /// What was being measured.
-        what: String,
-        /// The configured deadline.
-        deadline: std::time::Duration,
-    },
     /// A candidate kernel panicked during measurement.
     KernelPanic {
         /// What was being measured.
@@ -66,7 +59,6 @@ impl SmatError {
             SmatError::Training(_) => "training",
             SmatError::PrecisionMismatch { .. } => "precision-mismatch",
             SmatError::Budget { .. } => "budget",
-            SmatError::Deadline { .. } => "deadline",
             SmatError::KernelPanic { .. } => "kernel-panic",
             SmatError::Corrupt { .. } => "corrupt",
         }
@@ -107,9 +99,6 @@ impl fmt::Display for SmatError {
                 "conversion to {format} would allocate {required_bytes} bytes, \
                  above the budget of {budget_bytes}"
             ),
-            SmatError::Deadline { what, deadline } => {
-                write!(f, "{what} exceeded its {deadline:?} deadline")
-            }
             SmatError::KernelPanic { what, message } => {
                 write!(f, "{what} panicked: {message}")
             }
@@ -194,11 +183,6 @@ mod tests {
 
     #[test]
     fn taxonomy_displays() {
-        let e = SmatError::Deadline {
-            what: "DIA candidate".into(),
-            deadline: std::time::Duration::from_secs(2),
-        };
-        assert!(e.to_string().contains("deadline"));
         let e = SmatError::KernelPanic {
             what: "ELL candidate".into(),
             message: "index out of bounds".into(),
@@ -237,13 +221,6 @@ mod tests {
                     budget_bytes: 1,
                 },
                 "budget",
-            ),
-            (
-                SmatError::Deadline {
-                    what: "w".into(),
-                    deadline: std::time::Duration::from_secs(1),
-                },
-                "deadline",
             ),
             (
                 SmatError::KernelPanic {

@@ -485,31 +485,6 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Drops stored entries with `|v| <= threshold`, compacting storage.
-    pub fn prune(&self, threshold: T) -> Self {
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for r in 0..self.rows {
-            let (cs, vs) = self.row(r);
-            for (&c, &v) in cs.iter().zip(vs) {
-                if v.abs() > threshold {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// The position of the first non-finite stored value (NaN or
     /// infinity), or `None` when every value is finite.
     ///
@@ -800,16 +775,6 @@ mod tests {
         assert_eq!(d[0], 1.0);
         assert_eq!(d[2 * 4 + 3], 7.0);
         assert_eq!(d[4], 0.0);
-    }
-
-    #[test]
-    fn prune_drops_small_entries() {
-        let mut m = example();
-        m.values_mut()[0] = 1e-12;
-        let p = m.prune(1e-9);
-        assert_eq!(p.nnz(), 8);
-        assert_eq!(p.get(0, 0), None);
-        p.validate().unwrap();
     }
 
     #[test]

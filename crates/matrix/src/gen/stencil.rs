@@ -80,7 +80,7 @@ pub fn laplacian_2d_9pt<T: Scalar>(nx: usize, ny: usize) -> Csr<T> {
 }
 
 /// 3-D 7-point Laplacian on an `nx x ny x nz` grid: center `6`, the six
-/// axis neighbors `-1` (the paper's "cljp 7pt" input).
+/// axis neighbors `-1` (the 7-point input of the paper's Table 4).
 ///
 /// # Panics
 ///

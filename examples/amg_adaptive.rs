@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example amg_adaptive`
 
 use smat::{Smat, SmatConfig, Trainer};
-use smat_amg::{AmgConfig, AmgSolver, Coarsening, CycleConfig};
+use smat_amg::{AmgConfig, AmgSolver, CycleConfig};
 use smat_matrix::gen::{generate_corpus, laplacian_2d_9pt, CorpusSpec};
 use smat_matrix::Csr;
 use std::time::Instant;
@@ -22,10 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = a.rows();
     println!("9-point Laplacian on a {n}x{n} grid ({dim} unknowns)\n");
 
-    let amg_cfg = AmgConfig {
-        coarsening: Coarsening::RugeStuben,
-        ..AmgConfig::default()
-    };
+    let amg_cfg = AmgConfig::default();
     let cycle = CycleConfig::default();
 
     let plain = AmgSolver::new(a.clone(), &amg_cfg, cycle);
